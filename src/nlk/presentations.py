@@ -289,10 +289,11 @@ class Presentation:
         raw = os.environ.get(STEP_BUDGET_ENV)
         if raw is None:
             return DEFAULT_STEP_BUDGET
-        try:
-            return int(raw)
-        except ValueError:
-            return DEFAULT_STEP_BUDGET
+        text = raw.strip()
+        if not (text.isascii() and text.isdigit()):
+            raise PresentationError(
+                f"{STEP_BUDGET_ENV} must be a non-negative integer, got {raw!r}")
+        return int(text)
 
     def reduce(self, word):
         """Canonical form of a word.  Returns (coefficient, word).

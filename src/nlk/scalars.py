@@ -2,19 +2,35 @@
 
 Every number in this package is a Gaussian rational p/q + (r/s)i.  All
 arithmetic is exact, so equality is a decision procedure rather than a
-tolerance check.  The text form follows a small grammar:
+tolerance check.
 
-    rational ::= ["-"] digits ["/" digits]
+A Scalar stores three ints (a, b, d) and means (a + b*i)/d.  The triple is
+kept canonical: d > 0 and gcd(a, b, d) == 1, so zero is (0, 0, 1), equal
+values have equal triples, and equality and hashing compare the triple.
+The operators work on the ints directly and skip work where the shape
+allows it: equal denominators add without cross-multiplying, integral
+operands multiply without a gcd, and negation and conjugation never need
+one.  `.re` and `.im` are read-only Fraction views of the triple.
+
+The text form follows a small grammar:
+
+    digits   ::= ("0".."9")+
+    unsigned ::= digits ["/" digits]
+    rational ::= ["-"] unsigned
     scalar   ::= rational
-               | rational ("+"|"-") rational "i"
-               | ["-"] rational "i"
+               | rational ("+"|"-") unsigned "i"
+               | rational "i"
 
-Examples: "5", "-2/7", "-1/2+3i", "2/5i", "-2i".
+Examples: "5", "-2/7", "-1/2+3i", "2/5i", "-2i".  Nothing else parses: no
+exponents, decimal points, underscores or leading "+", so a literal's size
+is the size of its digit strings.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from math import gcd
 
 
 class ScalarError(ValueError):
@@ -29,17 +45,67 @@ def _fraction(x) -> Fraction:
     raise ScalarError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-class Scalar:
-    """Immutable Gaussian rational."""
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# groups: numerator and denominator of the real part (1, 2), then sign,
+# numerator and denominator of the imaginary part (3, 4, 5); or those of a
+# purely imaginary literal (6, 7)
+_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?(?:([+-])([0-9]+)(?:/([0-9]+))?i)?"
+                      r"|(-?[0-9]+)(?:/([0-9]+))?i")
 
-    __slots__ = ("re", "im")
+
+def _compact(text: str) -> str:
+    # whitespace around a literal and spaces inside it are ignored
+    return text.strip().replace(" ", "")
+
+
+def _triple(p, q, r, s) -> tuple:
+    """Canonical (a, b, d) of p/q + (r/s)i, for q, s > 0."""
+    a, b, d = p * s, r * q, q * s
+    g = gcd(d, a, b)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return a, b, d
+
+
+def _ints(text: str, num: str, den: str | None) -> tuple:
+    """Numerator and denominator from the digit strings of a matched literal."""
+    try:
+        p, q = int(num), int(den or 1)
+    except ValueError as exc:
+        # digit strings past the interpreter's int conversion limit
+        raise ScalarError(f"invalid scalar literal {text!r}: {exc}") from None
+    if q == 0:
+        raise ScalarError(f"invalid scalar literal {text!r}: zero denominator")
+    return p, q
+
+
+def _ratio_str(n: int, d: int) -> str:
+    g = gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+class Scalar:
+    """Immutable Gaussian rational (a + b*i)/d in canonical form."""
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _fraction(re))
-        object.__setattr__(self, "im", _fraction(im))
+        re, im = _fraction(re), _fraction(im)
+        _init(self, *_triple(re.numerator, re.denominator,
+                             im.numerator, im.denominator))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def coerce(x) -> "Scalar":
@@ -53,118 +119,201 @@ class Scalar:
 
     @classmethod
     def parse(cls, text: str) -> "Scalar":
-        s = text.strip().replace(" ", "")
-        if not s:
+        lit = _compact(text)
+        if not lit:
             raise ScalarError("empty scalar literal")
         # lenient aliases for the imaginary unit
-        if s in ("i", "+i"):
-            return cls(0, 1)
-        if s == "-i":
-            return cls(0, -1)
-        try:
-            if s.endswith("i"):
-                body = s[:-1]
-                if not body:
-                    raise ValueError(s)
-                # split re/im on the last sign that is not a leading sign
-                # and not part of a fraction slash
-                for k in range(len(body) - 1, 0, -1):
-                    if body[k] in "+-" and body[k - 1] not in "+-/":
-                        return cls(Fraction(body[:k]), Fraction(body[k:]))
-                return cls(0, Fraction(body))
-            return cls(Fraction(s), 0)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ScalarError(f"invalid scalar literal {text!r}") from exc
+        if lit in ("i", "+i"):
+            return I
+        if lit == "-i":
+            return _make(0, -1, 1)
+        m = _LITERAL.fullmatch(lit)
+        if m is None:
+            raise ScalarError(f"invalid scalar literal {text!r}")
+        re_n, re_d, sign, im_n, im_d, only_n, only_d = m.groups()
+        if only_n is not None:
+            re_n, im_n, im_d = "0", only_n, only_d
+        p, q = _ints(text, re_n, re_d)
+        r, s = _ints(text, im_n or "0", im_d)
+        if sign == "-":
+            r = -r
+        return _make(*_triple(p, q, r, s))
 
     # --- arithmetic -------------------------------------------------
 
     def __add__(self, other):
-        o = Scalar.coerce(other)
-        return Scalar(self.re + o.re, self.im + o.im)
+        if other.__class__ is not Scalar:
+            other = Scalar.coerce(other)
+        if not (other._a or other._b):
+            return self
+        if not (self._a or self._b):
+            return other
+        return _add(self._a, self._b, self._d, other._a, other._b, other._d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = Scalar.coerce(other)
-        return Scalar(self.re - o.re, self.im - o.im)
+        if other.__class__ is not Scalar:
+            other = Scalar.coerce(other)
+        if not (other._a or other._b):
+            return self
+        return _add(self._a, self._b, self._d, -other._a, -other._b, other._d)
 
     def __rsub__(self, other):
         return Scalar.coerce(other) - self
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        o = Scalar.coerce(other)
-        return Scalar(self.re * o.re - self.im * o.im,
-                      self.re * o.im + self.im * o.re)
+        if other.__class__ is not Scalar:
+            other = Scalar.coerce(other)
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        if not (a1 or b1) or not (a2 or b2):
+            return ZERO
+        a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+        d = self._d * other._d
+        if d != 1:
+            g = gcd(d, a, b)
+            if g != 1:
+                a, b, d = a // g, b // g, d // g
+        s = _new(Scalar)
+        _set_a(s, a)
+        _set_b(s, b)
+        _set_d(s, d)
+        return s
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = Scalar.coerce(other)
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        if other.__class__ is not Scalar:
+            other = Scalar.coerce(other)
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        n = a2 * a2 + b2 * b2
+        if n == 0:
             raise ZeroDivisionError("scalar division by zero")
-        return Scalar((self.re * o.re + self.im * o.im) / d,
-                      (self.im * o.re - self.re * o.im) / d)
+        # multiply through by the conjugate:
+        # (z1/d1) / (z2/d2) = z1 conj(z2) d2 / (d1 |z2|^2)
+        d2 = other._d
+        a, b = (a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2
+        d = self._d * n
+        g = gcd(d, a, b)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+        return _make(a, b, d)
 
     def __rtruediv__(self, other):
         return Scalar.coerce(other) / self
 
     def conj(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        if not self._b:
+            return self
+        return _make(self._a, -self._b, self._d)
 
     def abs_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
 
     # --- predicates -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self._a or self._b)
 
     def __eq__(self, other):
-        try:
-            o = Scalar.coerce(other)
-        except ScalarError:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if other.__class__ is Scalar:
+            return (self._a == other._a and self._b == other._b
+                    and self._d == other._d)
+        if isinstance(other, (int, Fraction)):
+            return (not self._b and self._d == other.denominator
+                    and self._a == other.numerator)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self._a, self._b, self._d))
 
     # --- text form --------------------------------------------------
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _ratio_str(a, d)
+        if not a:
+            return f"{_ratio_str(b, d)}i"
+        sign = "+" if b > 0 else "-"
+        return f"{_ratio_str(a, d)}{sign}{_ratio_str(abs(b), d)}i"
 
     def __repr__(self):
         return f"Scalar({self})"
 
 
-ZERO = Scalar(0)
-ONE = Scalar(1)
-I = Scalar(0, 1)
+_new = object.__new__
+_set_a = Scalar._a.__set__
+_set_b = Scalar._b.__set__
+_set_d = Scalar._d.__set__
+
+
+def _init(s, a, b, d):
+    _set_a(s, a)
+    _set_b(s, b)
+    _set_d(s, d)
+
+
+def _make(a: int, b: int, d: int) -> Scalar:
+    """Scalar from a triple that is already canonical."""
+    s = _new(Scalar)
+    _init(s, a, b, d)
+    return s
+
+
+def _add(a1, b1, d1, a2, b2, d2) -> Scalar:
+    """(a1 + b1 i)/d1 + (a2 + b2 i)/d2 for canonical operands."""
+    if d1 == d2:
+        a, b, d = a1 + a2, b1 + b2, d1
+        if d != 1:
+            g = gcd(d, a, b)
+            if g != 1:
+                a, b, d = a // g, b // g, d // g
+    else:
+        # d1 = g x and d2 = g y with gcd(x, y) = 1: the sum is
+        # (a1 y + a2 x)/(g x y), and only factors of g can be common to
+        # its numerator and denominator
+        g = gcd(d1, d2)
+        x, y = d1 // g, d2 // g
+        a, b, d = a1 * y + a2 * x, b1 * y + b2 * x, x * d2
+        if g != 1:
+            g = gcd(g, a, b)
+            if g != 1:
+                a, b, d = a // g, b // g, d // g
+    s = _new(Scalar)
+    _set_a(s, a)
+    _set_b(s, b)
+    _set_d(s, d)
+    return s
+
+
+ZERO = _make(0, 0, 1)
+ONE = _make(1, 0, 1)
+I = _make(0, 1, 1)
+
+
+def _parse_rational(text: str) -> Fraction:
+    m = _RATIONAL.fullmatch(_compact(text))
+    if m is None:
+        raise ScalarError(f"invalid rational literal {text!r}")
+    return Fraction(*_ints(text, m[1], m[2]))
 
 
 def sc(re, im=0) -> Scalar:
     """Shorthand constructor; strings go through the full literal grammar."""
+    if isinstance(im, str):
+        im = _parse_rational(im)
     if isinstance(re, str):
         parsed = Scalar.parse(re)
-        if isinstance(im, str):
-            im = Fraction(im)
         return Scalar(parsed.re, parsed.im + _fraction(im))
-    if isinstance(im, str):
-        im = Fraction(im)
     return Scalar(re, im)

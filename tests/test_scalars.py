@@ -24,7 +24,10 @@ def test_parse_basic_forms():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "x", "1+", "i1", "1//2", "--3", "1+i", "1+2j", "0x3"):
+    for bad in ("", "x", "1+", "i1", "1//2", "--3", "1+i", "1+2j", "0x3",
+                "1e3", "1E3", "1e999999999", "1.5", ".5", "1_000", "+5",
+                "+1/2", "+1i", "1+-2i", "1--2i", "--2i", "1/0", "2i/0",
+                "1/0i", "\u0663", "inf", "nan", "1" * 5000):
         with pytest.raises(ScalarError):
             sc(bad)
 
@@ -82,9 +85,20 @@ def test_scalars_are_immutable_and_hashable():
     with pytest.raises(AttributeError):
         s.re = Fraction(2)
     assert len({sc("1"), sc("1"), sc("i")}) == 2
+    # strings are not coerced: equal objects must hash equally
+    assert ONE != "1" and not (ONE == "1")
+    assert ONE.__eq__("1") is NotImplemented
 
 
 def test_coercion_from_ints_and_fractions():
     assert ONE + 1 == sc("2")
     assert sc("1/2") * 2 == ONE
     assert Scalar.coerce(Fraction(3, 2)) == sc("3/2")
+
+
+def test_sc_string_imaginary_part_uses_the_rational_grammar():
+    assert sc(1, "-1/2") == Scalar(1, Fraction(-1, 2))
+    assert sc("1+1i", "2") == Scalar(1, 3)
+    for bad in ("1e3", "1.5", "+2", "1i"):
+        with pytest.raises(ScalarError):
+            sc(1, bad)

@@ -268,6 +268,36 @@ def test_cli_schema_error_exit(tmp_path, capsys):
     assert "SCHEMA_ERROR" in capsys.readouterr().err
 
 
+def test_cli_rejects_exponent_literal(tmp_path, capsys):
+    path = write_doc(tmp_path, z2_doc(b="1e999999999"))
+    assert cli.main(["solve", path]) == 1
+    err = capsys.readouterr().err
+    assert "SCHEMA_ERROR" in err and "/cocycle/b/0" in err
+    assert "Traceback" not in err
+
+
+def test_cli_rejects_malformed_step_budget(tmp_path, capsys, monkeypatch):
+    doc = {
+        "presentation": {
+            "kind": "star_algebra",
+            "generators": ["x"],
+            "involution": {"x": "x"},
+            "character": {"x": "0"},
+            "rules": [],
+        },
+        "form": {"gram": [["1"]]},
+        "functional": {"table": {"1": "0", "x x": "1"}},
+    }
+    path = write_doc(tmp_path, doc)
+    for bad in ("abc", "-5", "1.5", "1e3", "0x10", ""):
+        monkeypatch.setenv("NLK_STEP_BUDGET", bad)
+        assert cli.main(["verify", path]) == 1
+        err = capsys.readouterr().err
+        assert "NLK_STEP_BUDGET" in err and "Traceback" not in err
+    monkeypatch.setenv("NLK_STEP_BUDGET", " 50 ")
+    assert cli.main(["verify", path]) != 1
+
+
 def test_cli_negative_word_length(tmp_path, capsys):
     path = write_doc(tmp_path, z2_doc())
     assert cli.main(["verify", path, "--max-word-length", "-1"]) == 1
