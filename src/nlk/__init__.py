@@ -28,7 +28,6 @@ from .presentations import (
     element_vanishes,
     k1_elements,
     kn_spanning_set,
-    mu,
 )
 from .cocycles import (
     Cochain2,
@@ -106,7 +105,7 @@ __all__ = [
     "exponent_matrix", "forced_real_parts", "gns_truncated",
     "hochschild_boundary", "hochschild_check_2cocycle", "invariant_closure",
     "is_gaussian_functional", "k1_elements", "kn_spanning_set",
-    "load_scenario", "mu", "parse_scenario", "psd_check",
+    "load_scenario", "parse_scenario", "psd_check",
     "recheck_solve_certificate", "sc", "solve_generating_functional",
     "split", "standard_form", "trivial_representation",
     "verify_schurmann_triple",

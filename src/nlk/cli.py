@@ -16,7 +16,11 @@ import sys
 
 from . import catalog, reports
 from .cocycles import CocycleObstructed, RepresentationError
-from .decompose import attempt_lk, check_diagram_consistency
+from .decompose import (
+    DecompositionInconsistent,
+    attempt_lk,
+    check_diagram_consistency,
+)
 from .functionals import (
     NoNormalForm,
     brute_force_welldefinedness_oracle,
@@ -28,7 +32,12 @@ from .functionals import (
 from .functionals import GroupFunctional
 from .linalg import LinalgError
 from .presentations import GROUP, PresentationError, ReductionBudgetExceeded
-from .scenarios import ScenarioError, load_scenario, parse_scenario
+from .scenarios import (
+    MAX_WORD_LENGTH,
+    ScenarioError,
+    load_scenario,
+    parse_scenario,
+)
 
 
 class CliError(Exception):
@@ -285,8 +294,8 @@ def _dispatch(args) -> int:
         max_len = args.max_word_length
         if max_len is None:
             max_len = scenario.options.max_word_length
-        if max_len < 0:
-            raise CliError("--max-word-length must not be negative")
+        if not 0 <= max_len <= MAX_WORD_LENGTH:
+            raise CliError(f"--max-word-length must be in 0..{MAX_WORD_LENGTH}")
         result, code = _SCENARIO_COMMANDS[args.command](scenario, max_len)
         return _emit(args.command, scenario.raw, result, code, args.format)
 
@@ -369,7 +378,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except (ScenarioError, PresentationError, NoNormalForm,
-            ReductionBudgetExceeded, LinalgError) as exc:
+            ReductionBudgetExceeded, LinalgError,
+            DecompositionInconsistent) as exc:
         code = getattr(exc, "code", None)
         prefix = f"{code}: " if code else ""
         sys.stderr.write(f"error: {prefix}{exc}\n")

@@ -55,6 +55,27 @@ class CocycleObstructed(ValueError):
         super().__init__("; ".join(v.message for v in self.violations))
 
 
+def fold_suffixes(memo, word, step):
+    """memo[word], filling in every missing suffix on the way.
+
+    memo maps words to values and must hold the empty word.  Each missing
+    suffix l + w is set to step(l, w, memo[w]), shortest first, in one loop
+    without recursion, so a word whose tail is already known costs one step.
+    The memo belongs to the caller, who decides its lifetime.
+    """
+    word = tuple(word)
+    hit = memo.get(word)
+    if hit is not None:
+        return hit
+    start = 1
+    while (value := memo.get(word[start:])) is None:
+        start += 1
+    for i in range(start - 1, -1, -1):
+        value = step(word[i], word[i + 1:], value)
+        memo[word[i:]] = value
+    return value
+
+
 class Representation:
     """Validated unital *-representation given by generator images."""
 
@@ -159,12 +180,6 @@ class Representation:
             m = linalg.mmul(m, self.letter_matrix(l))
         return m
 
-    def element_matrix(self, element: AlgebraElement):
-        out = linalg.zero_matrix(self.form.dim, self.form.dim)
-        for w, c in element.terms.items():
-            out = linalg.madd(out, linalg.mscale(c, self.word_matrix(w)))
-        return out
-
     def to_json(self):
         return {g: linalg.matrix_to_json(self.images[g])
                 for g in self.presentation.generators}
@@ -216,6 +231,7 @@ class Cocycle:
                 residual=None,
                 message=f"cocycle values name unknown letters {sorted(unknown)}")])
         self.values = vals
+        self._eta_memo = {(): (linalg.zero_vector(n), ONE)}
         if not _validated:
             violations = self._validate()
             if violations:
@@ -232,16 +248,20 @@ class Cocycle:
         return self.values[p.normalize_letter(letter)]
 
     def eval_word(self, word):
-        """Fold of eta(l w) = pi(l) eta(w) + eta(l) eps(w), last letter first."""
-        rep = self.representation
-        p = self.presentation
-        acc = linalg.zero_vector(self.form.dim)
-        eps = ONE
-        for l in reversed(tuple(word)):
-            acc = linalg.vadd(linalg.mvmul(rep.letter_matrix(l), acc),
-                              linalg.vscale(eps, self.letter_value(l)))
-            eps = p.epsilon_letter(l) * eps
-        return acc
+        """eta(w) by eta(l w) = pi(l) eta(w) + eta(l) eps(w).
+
+        (eta(w), eps(w)) is memoised per suffix on this cocycle for as long
+        as the cocycle lives, so a word whose tail was evaluated before
+        costs one step.  Accepts unreduced words.
+        """
+        return fold_suffixes(self._eta_memo, word, self._eta_step)[0]
+
+    def _eta_step(self, letter, _tail, tail_value):
+        eta, eps = tail_value
+        return (linalg.vadd(
+                    linalg.mvmul(self.representation.letter_matrix(letter), eta),
+                    linalg.vscale(eps, self.letter_value(letter))),
+                self.presentation.epsilon_letter(letter) * eps)
 
     def eval_element(self, element: AlgebraElement):
         out = linalg.zero_vector(self.form.dim)
@@ -280,18 +300,6 @@ class Cocycle:
         p = self.presentation
         return {letter_str(p.kind, l): linalg.vector_to_json(v)
                 for l, v in sorted(self.values.items())}
-
-
-def extend_representation(presentation, form, images) -> Representation:
-    return Representation(presentation, form, images)
-
-
-def extend_cocycle(representation, values) -> Cocycle:
-    return Cocycle(representation, values)
-
-
-def cocycle_eval(cocycle: Cocycle, word):
-    return cocycle.eval_word(word)
 
 
 # --- derivations ----------------------------------------------------
@@ -369,21 +377,6 @@ def big_K(cocycle: Cocycle, tensor: Tensor2) -> Scalar:
     return big_L(cocycle).evaluate(tensor)
 
 
-def word_indicator_cochain(presentation, word_a, word_b) -> Cochain2:
-    """Bilinear cochain that is 1 on the single word pair (word_a, word_b).
-
-    Generically not a 2-cocycle; used to exercise the failure path of the
-    cocycle identity checker.
-    """
-    wa = tuple(word_a)
-    wb = tuple(word_b)
-
-    def pair_fn(a, b):
-        return a.coeff(wa) * b.coeff(wb)
-
-    return Cochain2(presentation, pair_fn, label="indicator")
-
-
 @dataclass(frozen=True)
 class HochschildReport:
     passed: bool
@@ -423,18 +416,18 @@ def hochschild_check_2cocycle(presentation, phi: Cochain2, triples) -> Hochschil
 
 
 class PhiV:
-    """The functional a -> <v, (pi(a) - eps(a)) v> attached to a vector v."""
+    """The functional a -> <v, (pi(a) - eps(a)) v> attached to a vector v.
 
-    def __init__(self, representation, v):
-        self.representation = representation
+    cocycle must be the coboundary cocycle eta_v(a) = (pi(a) - eps(a)) v,
+    so a word is one inner product with its memoised eta_v value.
+    """
+
+    def __init__(self, cocycle, v):
+        self.cocycle = cocycle
         self.v = linalg.vector(v)
 
     def eval_word(self, word) -> Scalar:
-        rep = self.representation
-        m = rep.word_matrix(word)
-        eps = rep.presentation._word_character(word)
-        moved = linalg.vsub(linalg.mvmul(m, self.v), linalg.vscale(eps, self.v))
-        return rep.form.inner(self.v, moved)
+        return self.cocycle.form.inner(self.v, self.cocycle.eval_word(word))
 
     def eval_element(self, element: AlgebraElement) -> Scalar:
         out = ZERO
@@ -461,4 +454,4 @@ def coboundary_cocycle(representation, v):
         values[letter_str(p.kind, l)] = linalg.vsub(
             linalg.mvmul(m, v), linalg.vscale(eps, v))
     cocycle = Cocycle(representation, values)
-    return cocycle, PhiV(representation, v)
+    return cocycle, PhiV(cocycle, v)

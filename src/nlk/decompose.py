@@ -150,6 +150,12 @@ def split(cocycle: Cocycle) -> SplitResult:
 # --- decomposition of a functional ---------------------------------
 
 
+class DecompositionInconsistent(ValueError):
+    """The solved parts fail to rebuild the functional they split."""
+
+    code = "DECOMPOSITION_INCONSISTENT"
+
+
 @dataclass(frozen=True)
 class LkOutcome:
     verdict: str  # "decomposed" | "no_lk"
@@ -209,7 +215,7 @@ def attempt_lk(functional: GroupFunctional) -> LkOutcome:
     for g in p.generators:
         d = functional.values[g] - psi_g.values[g] - psi_r.values[g]
         if d.re != 0:
-            raise AssertionError(
+            raise DecompositionInconsistent(
                 f"real parts failed to split on generator {g}: leftover {d}")
         derivation[g] = d
         adjusted[g] = psi_g.values[g] + d
@@ -217,7 +223,8 @@ def attempt_lk(functional: GroupFunctional) -> LkOutcome:
     for g in p.generators:
         total = psi_g_adjusted.values[g] + psi_r.values[g]
         if total != functional.values[g]:
-            raise AssertionError(f"decomposition does not rebuild psi({g})")
+            raise DecompositionInconsistent(
+                f"decomposition does not rebuild psi({g})")
     return LkOutcome(verdict="decomposed", split_result=sr,
                      gaussian_outcome=out_g, remainder_outcome=out_r,
                      psi_gaussian=psi_g_adjusted, psi_remainder=psi_r,
@@ -247,6 +254,19 @@ IMPLICATIONS = (
 )
 
 
+def _chained(pairs) -> tuple:
+    """pairs followed by every implication they chain to (transitive closure)."""
+    out = list(pairs)
+    for p, q in out:  # pairs appended here are extended in turn
+        for q2, r in pairs:
+            if q2 == q and (p, r) not in out:
+                out.append((p, r))
+    return tuple(out)
+
+
+_ALL_IMPLICATIONS = _chained(IMPLICATIONS)
+
+
 @dataclass(frozen=True)
 class PropertyReport:
     algebra: str
@@ -270,14 +290,14 @@ def check_diagram_consistency(reports) -> list:
 
     Returns a list of conflict descriptions; empty means consistent.  A
     conflict is an algebra asserted to have a property while lacking one that
-    it implies.
+    it implies, directly or through a chain of implications.
     """
     by_algebra = {}
     for r in reports:
         by_algebra.setdefault(r.algebra, {})[r.property] = r.verdict
     conflicts = []
     for algebra, verdicts in sorted(by_algebra.items()):
-        for p, q in IMPLICATIONS:
+        for p, q in _ALL_IMPLICATIONS:
             if (verdicts.get(p) in TRUE_VERDICTS
                     and verdicts.get(q) in FALSE_VERDICTS):
                 conflicts.append(

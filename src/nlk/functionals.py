@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cocycles import Cocycle, exponent_matrix
+from .cocycles import Cocycle, exponent_matrix, fold_suffixes
 from .linalg import IndefiniteFormError
 from .presentations import (
     GROUP,
@@ -50,7 +50,7 @@ class GroupFunctional:
         unknown = set(values) - set(self.presentation.generators)
         if unknown:
             raise ValueError(f"psi values name unknown generators {sorted(unknown)}")
-        self._fold_cache = {}
+        self._psi_memo = {(): ZERO}
 
     kind = GROUP
 
@@ -60,29 +60,22 @@ class GroupFunctional:
         return v if tag == 1 else v.conj()
 
     def fold(self, word) -> Scalar:
-        """psi along a word via psi(gh) = psi(g) + <eta(g^-1), eta(h)> + psi(h).
+        """psi(w) by psi(l w) = psi(l) + <eta(l^-1), eta(w)> + psi(w).
 
-        Accepts unreduced words; the result only depends on the group element
-        when the cocycle data respects the relators.
+        psi is memoised per suffix on this functional for as long as the
+        functional lives, and eta(w) comes from the cocycle's own memo.
+        Accepts unreduced words; the result only depends on the group
+        element when the cocycle data respects the relators.
         """
-        word = tuple(word)
-        hit = self._fold_cache.get(word)
-        if hit is not None:
-            return hit
+        return fold_suffixes(self._psi_memo, word, self._psi_step)
+
+    def _psi_step(self, letter, tail, tail_psi):
         cocycle = self.cocycle
-        rep = cocycle.representation
-        form = cocycle.form
-        psi_acc = ZERO
-        eta_acc = linalg.zero_vector(form.dim)
-        for l in reversed(word):
-            inv_letter = (l[0], -l[1])
-            psi_acc = (self.psi_letter(l)
-                       + form.inner(cocycle.letter_value(inv_letter), eta_acc)
-                       + psi_acc)
-            eta_acc = linalg.vadd(linalg.mvmul(rep.letter_matrix(l), eta_acc),
-                                  cocycle.letter_value(l))
-        self._fold_cache[word] = psi_acc
-        return psi_acc
+        inv_letter = (letter[0], -letter[1])
+        return (self.psi_letter(letter)
+                + cocycle.form.inner(cocycle.letter_value(inv_letter),
+                                     cocycle.eval_word(tail))
+                + tail_psi)
 
     def psi_word(self, word) -> Scalar:
         return self.fold(word)
@@ -143,10 +136,6 @@ class StarFunctional:
         keys = sorted(self.table, key=lambda w: (len(w), w))
         return {"table": {word_key(STAR_ALGEBRA, w): str(self.table[w])
                           for w in keys}}
-
-
-def psi_fold(functional: GroupFunctional, word) -> Scalar:
-    return functional.fold(word)
 
 
 # --- existence solver ----------------------------------------------
@@ -259,20 +248,30 @@ def recheck_solve_certificate(outcome: SolveOutcome) -> bool:
     lam = outcome.certificate
     if lam is None:
         return False
-    rows = len(outcome.system_matrix)
-    cols = len(outcome.system_matrix[0]) if rows else 0
-    if len(lam) != rows:
-        return False
+    return certificate_defect(lam, outcome.system_matrix,
+                              outcome.system_rhs) is None
+
+
+def certificate_defect(lam, a_mat, rhs) -> str | None:
+    """Why lam fails to certify that a_mat x = rhs has no solution, or None.
+
+    A certificate is a left combination with lam a_mat = 0 and lam rhs != 0.
+    """
+    if len(lam) != len(a_mat):
+        return "certificate has the wrong size"
+    cols = len(a_mat[0]) if a_mat else 0
     for j in range(cols):
         s = ZERO
-        for i in range(rows):
-            s = s + lam[i] * outcome.system_matrix[i][j]
+        for l, row in zip(lam, a_mat):
+            s = s + l * row[j]
         if not s.is_zero():
-            return False
+            return "certificate does not annihilate the system"
     s = ZERO
-    for i in range(rows):
-        s = s + lam[i] * outcome.system_rhs[i]
-    return not s.is_zero()
+    for l, b in zip(lam, rhs):
+        s = s + l * b
+    if s.is_zero():
+        return "certificate does not contradict the right-hand side"
+    return None
 
 
 # --- triple verification -------------------------------------------
@@ -561,57 +560,6 @@ class OracleReport:
                 "counterexample": self.counterexample}
 
 
-def _prefix_eta_table(cocycle, words):
-    """Cocycle values for every listed word, one extension step per word.
-
-    Assumes the word list is closed under taking prefixes and ordered
-    shortest first, which is how words_up_to enumerates.
-    """
-    rep = cocycle.representation
-    dim = rep.form.dim
-    table = {(): linalg.zero_vector(dim)}
-    mats = {(): linalg.identity(dim)}
-    for w in words:
-        if not w or w in table:
-            continue
-        parent, letter = w[:-1], w[-1]
-        m = mats[parent]
-        table[w] = linalg.vadd(linalg.mvmul(m, cocycle.letter_value(letter)),
-                               table[parent])
-        mats[w] = linalg.mmul(m, rep.letter_matrix(letter))
-    return table
-
-
-def _prefix_psi_table(functional, words):
-    """Fold values for every listed word via
-    psi(wl) = psi(w) + psi(l) + <eta(w^-1), eta(l)>.
-
-    The inner-product step over the parent matches the recursive fold
-    exactly because representation images are unitary for the form.
-    """
-    cocycle = functional.cocycle
-    rep = cocycle.representation
-    form = cocycle.form
-    dim = form.dim
-    psi = {(): ZERO}
-    eta = {(): linalg.zero_vector(dim)}
-    mats = {(): linalg.identity(dim)}
-    invs = {(): linalg.identity(dim)}
-    for w in words:
-        if not w or w in psi:
-            continue
-        parent, letter = w[:-1], w[-1]
-        inv_letter = (letter[0], -letter[1])
-        eta_l = cocycle.letter_value(letter)
-        eta_parent_inv = linalg.vneg(linalg.mvmul(invs[parent], eta[parent]))
-        psi[w] = (psi[parent] + functional.psi_letter(letter)
-                  + form.inner(eta_parent_inv, eta_l))
-        eta[w] = linalg.vadd(linalg.mvmul(mats[parent], eta_l), eta[parent])
-        mats[w] = linalg.mmul(mats[parent], rep.letter_matrix(letter))
-        invs[w] = linalg.mmul(rep.letter_matrix(inv_letter), invs[parent])
-    return psi
-
-
 def brute_force_welldefinedness_oracle(cocycle: Cocycle | None,
                                        functional: GroupFunctional | None,
                                        presentation: Presentation,
@@ -629,20 +577,18 @@ def brute_force_welldefinedness_oracle(cocycle: Cocycle | None,
     words = presentation.words_up_to(max_len, include_empty=True)
     for w in words:
         buckets.setdefault(normal_form.key(w), []).append(w)
-    # every freely reduced word extends its parent w[:-1] by one letter, so
-    # both evaluators fill in one exact step per word instead of refolding
-    eta_table = _prefix_eta_table(cocycle, words) if cocycle else None
-    psi_table = _prefix_psi_table(functional, words) if functional else None
+    # the word list is suffix-closed and both evaluators memoise per suffix,
+    # so every word costs one step of each fold
     pairs = 0
     for key in buckets:
         group_words = buckets[key]
         rep_word = group_words[0]
-        eta_ref = eta_table[rep_word] if cocycle is not None else None
-        psi_ref = psi_table[rep_word] if functional is not None else None
+        eta_ref = cocycle.eval_word(rep_word) if cocycle is not None else None
+        psi_ref = functional.fold(rep_word) if functional is not None else None
         for w in group_words[1:]:
             pairs += 1
             if cocycle is not None:
-                ev = eta_table[w]
+                ev = cocycle.eval_word(w)
                 if ev != eta_ref:
                     return OracleReport(
                         passed=False, words=len(words), pairs=pairs,
@@ -653,7 +599,7 @@ def brute_force_welldefinedness_oracle(cocycle: Cocycle | None,
                             "value_a": linalg.vector_to_json(eta_ref),
                             "value_b": linalg.vector_to_json(ev)})
             if functional is not None:
-                pv = psi_table[w]
+                pv = functional.fold(w)
                 if pv != psi_ref:
                     return OracleReport(
                         passed=False, words=len(words), pairs=pairs,

@@ -568,14 +568,6 @@ class AlgebraElement:
                 for w in self.words()]
 
 
-def involve(presentation, element: AlgebraElement) -> AlgebraElement:
-    return element.star()
-
-
-def character(presentation, element: AlgebraElement) -> Scalar:
-    return element.epsilon()
-
-
 # --- tensors --------------------------------------------------------
 
 
@@ -621,10 +613,6 @@ class Tensor2:
     def involve_swap(self) -> "Tensor2":
         return Tensor2(self.presentation,
                        [(c.conj(), b.star(), a.star()) for c, a, b in self.pairs])
-
-
-def mu(presentation, tensor: Tensor2) -> AlgebraElement:
-    return tensor.mu()
 
 
 # --- kernel-power spanning sets ------------------------------------

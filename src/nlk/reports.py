@@ -13,9 +13,13 @@ from dataclasses import dataclass
 
 from . import linalg
 from .cocycles import CocycleObstructed, exponent_matrix
-from .functionals import GroupFunctional, forced_real_parts
+from .functionals import (
+    GroupFunctional,
+    certificate_defect,
+    forced_real_parts,
+)
 from .presentations import GROUP, word_from_strs
-from .scalars import ZERO, Scalar
+from .scalars import Scalar
 from .scenarios import parse_scenario
 
 
@@ -113,42 +117,12 @@ def _render_validate(result, lines):
                      f"{v.get('message')}")
 
 
-def _render_classify(result, lines):
-    lines.append(f"entry: {result.get('entry')}")
-    lines.append(f"algebra: {result.get('algebra')}")
-    for p in result.get("properties", []):
-        lines.append(f"{p['property']}: {p['verdict']}")
-    for c in result.get("diagram_conflicts", []):
-        lines.append(f"conflict: {c}")
-
-
-def _render_catalog(result, lines):
-    for entry in result.get("entries", [result] if "checks" in result else []):
-        status = "ok" if entry.get("ok") else "MISMATCH"
-        lines.append(f"{entry.get('id')}: {status}")
-        for c in entry.get("checks", []):
-            if not c.get("ok"):
-                lines.append(f"  check {c['name']}: expected "
-                             f"{c['expected']!r}, got {c['actual']!r}")
-        for p in entry.get("properties", []):
-            lines.append(f"  {p['property']}: {p['verdict']}")
-    for m in result.get("mismatches", []):
-        lines.append(f"mismatch: {m}")
-    for c in result.get("diagram_conflicts", []):
-        lines.append(f"diagram conflict: {c}")
-    if "ok" in result and "entries" in result:
-        lines.append(f"catalog ok: {result['ok']}")
-
-
 _RENDERERS = {
     "solve": _render_solve,
     "decompose": _render_decompose,
     "verify": _render_verify,
     "oracle": _render_oracle,
     "validate": _render_validate,
-    "classify": _render_classify,
-    "catalog-run": _render_catalog,
-    "catalog-run-all": _render_catalog,
 }
 
 
@@ -258,19 +232,8 @@ def _confirm_solve_result(scenario, result, details, cocycle=None):
             return
         cert = result.get("certificate")
         _need(cert is not None, "infeasible without certificate")
-        lam = _parse_vec(cert)
-        _need(len(lam) == len(a_mat), "certificate has the wrong size")
-        cols = len(a_mat[0]) if a_mat else 0
-        for j in range(cols):
-            s = ZERO
-            for i, row in enumerate(a_mat):
-                s = s + lam[i] * row[j]
-            _need(s.is_zero(), "certificate does not annihilate the system")
-        s = ZERO
-        for i, b in enumerate(rhs):
-            s = s + lam[i] * b
-        _need(not s.is_zero(),
-              "certificate does not contradict the right-hand side")
+        defect = certificate_defect(_parse_vec(cert), a_mat, rhs)
+        _need(defect is None, defect)
         details.append("infeasibility certificate confirmed")
     else:
         psi_doc = result.get("psi")

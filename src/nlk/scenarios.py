@@ -104,6 +104,10 @@ def _parse_word_list(tokens, kind, pointer):
     return word_from_strs(kind, tokens)
 
 
+# bound on word lengths, shared by the schema and --max-word-length
+MAX_WORD_LENGTH = 12
+
+
 @dataclass
 class ScenarioOptions:
     max_word_length: int = 4
@@ -299,8 +303,9 @@ def _parse_options(doc, presentation, pointer) -> ScenarioOptions:
     extra = set(doc) - known
     _require(not extra, pointer, f"unknown fields {sorted(extra)}")
     max_len = doc.get("max_word_length", 4)
-    _require(isinstance(max_len, int) and 0 <= max_len <= 12,
-             f"{pointer}/max_word_length", "expected an integer in 0..12")
+    _require(isinstance(max_len, int) and 0 <= max_len <= MAX_WORD_LENGTH,
+             f"{pointer}/max_word_length",
+             f"expected an integer in 0..{MAX_WORD_LENGTH}")
     nf = doc.get("normal_form")
     if nf is not None:
         _require(isinstance(nf, dict) and isinstance(nf.get("kind"), str),

@@ -246,6 +246,14 @@ def test_diagram_consistency_flags_broken_implication():
         PropertyReport("alg", "AC", "PAPER_CLAIM_FALSE", {}),
     ]
     assert len(check_diagram_consistency(claims)) == 1
+    # conflicts reached only through a chain of implications count too
+    chained = [
+        PropertyReport("alg", "H2Z", "PAPER_CLAIM_TRUE", {}),
+        PropertyReport("alg", "LK", "WITNESSED_FALSE", {}),
+    ]
+    conflicts = check_diagram_consistency(chained)
+    assert len(conflicts) == 1
+    assert "H2Z" in conflicts[0] and "LK" in conflicts[0]
 
 
 def test_implication_diagram_shape():

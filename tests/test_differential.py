@@ -1,10 +1,10 @@
 """Differential tests: package arithmetic against the naive pair reference.
 
-Hypothesis draws Gaussian rationals and small matrices, and every result of
-the package's scalar operators and elimination routines is compared with
-(or checked by) the plain (Fraction, Fraction) arithmetic in helpers.  The
-draws are derandomized, so a run is repeatable and needs no example
-database.
+Hypothesis draws Gaussian rationals, small matrices and words, and every
+result of the package's scalar operators, elimination routines and memoised
+word evaluators is compared with (or checked by) the plain
+(Fraction, Fraction) arithmetic in helpers.  The draws are derandomized, so
+a run is repeatable and needs no example database.
 """
 
 from fractions import Fraction
@@ -14,7 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlk import linalg
-from nlk.scalars import ONE, ZERO, Scalar
+from nlk.cocycles import Cocycle, Representation, coboundary_cocycle
+from nlk.functionals import GroupFunctional
+from nlk.presentations import AlgebraElement, Presentation
+from nlk.scalars import I, ONE, ZERO, Scalar
 
 import helpers as H
 
@@ -196,3 +199,90 @@ def test_psd_accepts_gram_matrices(b):
     # B^* B is positive semidefinite for every B
     g = linalg.mmul(linalg.conj_transpose(b), b)
     assert linalg.psd_check(g).psd
+
+
+# --- word evaluation ------------------------------------------------
+
+
+def _unitaries():
+    """Unitary 2 x 2 matrices for the standard form."""
+    c, s = Scalar(Fraction(3, 5)), Scalar(Fraction(4, 5))
+    return (
+        ((ONE, ZERO), (ZERO, ONE)),
+        ((c, -s), (s, c)),
+        ((ZERO, I), (ONE, ZERO)),
+        ((I, ZERO), (ZERO, -ONE)),
+        ((c * I, s), (-s, -c * I)),
+    )
+
+
+UNITARIES = st.sampled_from(_unitaries())
+VECTORS = st.lists(ENTRIES, min_size=2, max_size=2).map(tuple)
+# unreduced words included: a a^-1 and the like come up often
+GROUP_WORDS = st.lists(
+    st.lists(st.sampled_from([("a", 1), ("a", -1), ("b", 1), ("b", -1)]),
+             max_size=7).map(tuple),
+    min_size=1, max_size=12)
+STAR_WORDS = st.lists(
+    st.lists(st.sampled_from([("x", 0), ("x", 1)]), max_size=6).map(tuple),
+    min_size=1, max_size=10)
+WORDS = settings(DIFF, max_examples=60)
+
+
+def free_group_triple(images, eta, psi):
+    """Cocycle and functional on the free group, where any data is valid."""
+    p = Presentation.group(["a", "b"], [])
+    rep = Representation(p, linalg.standard_form(2), images)
+    cocycle = Cocycle(rep, eta)
+    return cocycle, GroupFunctional(cocycle, psi)
+
+
+@WORDS
+@given(UNITARIES, UNITARIES, VECTORS, VECTORS, ENTRIES, ENTRIES, GROUP_WORDS,
+       st.randoms(use_true_random=False))
+def test_memoised_folds_match_reference_in_any_order(ia, ib, ea, eb, pa, pb,
+                                                     words, rnd):
+    images, eta, psi = {"a": ia, "b": ib}, {"a": ea, "b": eb}, {"a": pa, "b": pb}
+    cocycle, functional = free_group_triple(images, eta, psi)
+    ref_images = {g: H.to_pairs_mat(m) for g, m in images.items()}
+    ref_eta = {g: H.to_pairs_vec(v) for g, v in eta.items()}
+    ref_psi = {g: H.to_pair(v) for g, v in psi.items()}
+    seen = {}
+    for w in words:  # the drawn order, on one object whose memo keeps growing
+        seen[w] = (cocycle.eval_word(w), functional.fold(w))
+        eta_w, psi_w = seen[w]
+        assert H.to_pairs_vec(eta_w) == H.eta_word(ref_images, ref_eta, w, 2)
+        assert H.to_pair(psi_w) == H.psi_word(ref_images, ref_eta, ref_psi,
+                                              H.mid(2), w, 2)
+        fresh_cocycle, fresh_functional = free_group_triple(images, eta, psi)
+        assert fresh_cocycle.eval_word(w) == eta_w
+        assert fresh_functional.fold(w) == psi_w
+    order = list(seen)
+    rnd.shuffle(order)
+    for w in order:  # memo hits return what was computed
+        assert (cocycle.eval_word(w), functional.fold(w)) == seen[w]
+
+
+@WORDS
+@given(UNITARIES, UNITARIES, VECTORS, GROUP_WORDS)
+def test_phi_v_matches_word_matrix_on_groups(ia, ib, v, words):
+    p = Presentation.group(["a", "b"], [])
+    rep = Representation(p, linalg.standard_form(2), {"a": ia, "b": ib})
+    _, phi = coboundary_cocycle(rep, v)
+    for w in words:
+        moved = linalg.vsub(linalg.mvmul(rep.word_matrix(w), v), v)
+        assert phi.eval_word(w) == rep.form.inner(v, moved)
+
+
+@WORDS
+@given(matrices(2, 2), ENTRIES, VECTORS, STAR_WORDS)
+def test_phi_v_matches_word_matrix_on_star_algebras(m, eps_x, v, words):
+    # no rules, so any image is a representation and words stay as drawn
+    p = Presentation.star_algebra(["x"], {"x": "x*"}, {"x": eps_x}, [])
+    rep = Representation(p, linalg.standard_form(2), {"x": m})
+    _, phi = coboundary_cocycle(rep, v)
+    for w in words:
+        eps = AlgebraElement.from_word(p, w).epsilon()
+        moved = linalg.vsub(linalg.mvmul(rep.word_matrix(w), v),
+                            linalg.vscale(eps, v))
+        assert phi.eval_word(w) == rep.form.inner(v, moved)

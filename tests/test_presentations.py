@@ -16,7 +16,6 @@ from nlk.presentations import (
     element_vanishes,
     k1_elements,
     kn_spanning_set,
-    mu,
     parse_letter,
     word_from_key,
     word_from_strs,
@@ -198,7 +197,7 @@ def test_tensor_legs_and_mu():
     am1 = a - one
     t = Tensor2(p, [(ONE, am1, am1)])
     t.check_legs_in_kernel()
-    m = mu(p, t)
+    m = t.mu()
     # (a-1)(a-1) = a^2 - 2a + 1
     assert m.coeff(word_from_strs(GROUP, ["a", "a"])) == ONE
     assert m.coeff(word_from_strs(GROUP, ["a"])) == sc(-2)

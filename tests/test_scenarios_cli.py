@@ -1,10 +1,11 @@
 """Tests for scenario parsing, schema diagnostics, and the command line."""
 
+import dataclasses
 import json
 
 import pytest
 
-from nlk import catalog, cli
+from nlk import catalog, cli, decompose
 from nlk.presentations import GROUP
 from nlk.scalars import sc
 from nlk.scenarios import (
@@ -238,6 +239,25 @@ def test_cli_decompose_mixed_entry(tmp_path, capsys):
     assert "decomposed" in capsys.readouterr().out
 
 
+def test_cli_decompose_inconsistency_exits_with_a_message(tmp_path, capsys,
+                                                          monkeypatch):
+    real_solve = decompose.solve_generating_functional
+
+    def shifted_solve(cocycle):
+        # a part functional whose real parts no longer split psi
+        out = real_solve(cocycle)
+        psi = out.functional
+        shifted = {g: v + sc(1) for g, v in psi.values.items()}
+        return dataclasses.replace(out, functional=psi.with_values(shifted))
+
+    monkeypatch.setattr(decompose, "solve_generating_functional",
+                        shifted_solve)
+    path = write_doc(tmp_path, z2_doc())
+    assert cli.main(["decompose", path]) == 1
+    err = capsys.readouterr().err
+    assert "DECOMPOSITION_INCONSISTENT" in err and "Traceback" not in err
+
+
 def test_cli_decompose_no_lk_entry(capsys):
     assert cli.main(["decompose", "surface.gamma2.no_lk"]) == 2
     assert "no_lk" in capsys.readouterr().out
@@ -302,6 +322,15 @@ def test_cli_negative_word_length(tmp_path, capsys):
     path = write_doc(tmp_path, z2_doc())
     assert cli.main(["verify", path, "--max-word-length", "-1"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_word_length_above_the_schema_cap(tmp_path, capsys):
+    path = write_doc(tmp_path, z2_doc())
+    assert cli.main(["verify", path, "--max-word-length", "13"]) == 1
+    err = capsys.readouterr().err
+    assert "0..12" in err and "Traceback" not in err
+    # validate ignores the length, so the cap itself is accepted cheaply
+    assert cli.main(["validate", path, "--max-word-length", "12"]) == 0
 
 
 def test_cli_json_reports_are_deterministic(tmp_path, capsys):
