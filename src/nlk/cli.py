@@ -10,6 +10,7 @@ internal errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -244,7 +245,9 @@ def _emit_plain(command, result, code, fmt, text_lines):
 # --- argument parsing -----------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing does not mutate it."""
     parser = argparse.ArgumentParser(
         prog="nlk",
         description="Exact workbench for generating functionals of cocycles "

@@ -111,14 +111,19 @@ class Representation:
         if out:
             return out
         if p.kind == GROUP:
+            one = linalg.identity(n)
             for g in p.generators:
                 m = self.images[g]
+                adj = self.letter_matrix((g, -1))
+                # a square matrix with a left inverse is invertible, so this
+                # one product proves unitarity; elimination only diagnoses
+                if linalg.mat_eq(linalg.mmul(adj, m), one):
+                    continue
                 if n > 0 and linalg.det(m).is_zero():
                     out.append(Violation(
                         code="NOT_STAR_COMPATIBLE", target=g, residual=None,
                         message=f"image of {g} is singular"))
                     continue
-                adj = self.form.adjoint(m)
                 inv = linalg.inverse(m)
                 if not linalg.mat_eq(adj, inv):
                     out.append(Violation(
@@ -129,7 +134,7 @@ class Representation:
                 return out
             for r in p.relators:
                 m = self.word_matrix(r)
-                res = linalg.msub(m, linalg.identity(n))
+                res = linalg.msub(m, one)
                 if not linalg.is_zero_matrix(res):
                     out.append(Violation(
                         code="RELATION_VIOLATED",
@@ -164,19 +169,26 @@ class Representation:
         return out
 
     def letter_matrix(self, letter):
+        """pi(letter).
+
+        Inverse group letters and starred letters map to the form-adjoint of
+        the generator's image; for a validated group image that is its
+        inverse.
+        """
         if letter in self._letter_cache:
             return self._letter_cache[letter]
         name, tag = letter
-        if self.presentation.kind == GROUP:
-            m = self.images[name] if tag == 1 else linalg.inverse(self.images[name])
-        else:
-            m = self.images[name] if tag == 0 else self.form.adjoint(self.images[name])
+        m = self.images[name]
+        if tag != (1 if self.presentation.kind == GROUP else 0):
+            m = self.form.adjoint(m)
         self._letter_cache[letter] = m
         return m
 
     def word_matrix(self, word):
-        m = linalg.identity(self.form.dim)
-        for l in word:
+        if not word:
+            return linalg.identity(self.form.dim)
+        m = self.letter_matrix(word[0])
+        for l in word[1:]:
             m = linalg.mmul(m, self.letter_matrix(l))
         return m
 
@@ -232,6 +244,7 @@ class Cocycle:
                 message=f"cocycle values name unknown letters {sorted(unknown)}")])
         self.values = vals
         self._eta_memo = {(): (linalg.zero_vector(n), ONE)}
+        self._inverse_values = {}
         if not _validated:
             violations = self._validate()
             if violations:
@@ -241,8 +254,12 @@ class Cocycle:
         name, tag = letter
         p = self.presentation
         if p.kind == GROUP and tag == -1:
-            inv = self.representation.letter_matrix((name, -1))
-            return linalg.vneg(linalg.mvmul(inv, self.values[(name, 1)]))
+            value = self._inverse_values.get(name)
+            if value is None:
+                inv = self.representation.letter_matrix(letter)
+                value = linalg.vneg(linalg.mvmul(inv, self.values[(name, 1)]))
+                self._inverse_values[name] = value
+            return value
         if p.kind == GROUP:
             return self.values[(name, 1)]
         return self.values[p.normalize_letter(letter)]

@@ -348,13 +348,18 @@ def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> Verif
 
     eta_star = {w: cocycle.eval_word(stars[w]) for w in words}
 
+    # words are shortest first: upto[k] counts those of length <= k
+    upto = [0] * (max_len + 1)
+    for w in words:
+        upto[len(w)] += 1
+    for k in range(1, max_len + 1):
+        upto[k] += upto[k - 1]
+
     for wa in words:
         eps_a = eps[wa]
         psi_a = psi[wa]
         eta_star_a = eta_star[wa]
-        for wb in words:
-            if len(wa) + len(wb) > max_len:
-                continue
+        for wb in words[:upto[max_len - len(wa)]]:
             lhs = eps_a * psi[wb] - psi_product(wa, wb) + psi_a * eps[wb]
             rhs = -form.inner(eta_star_a, eta[wb])
             counts["coboundary"] += 1

@@ -2,16 +2,19 @@
 
 Vectors are tuples of Scalar, matrices are tuples of row tuples.  Sizes are
 small (representation spaces up to ~8 dimensions, Gram matrices up to a few
-hundred rows), so everything uses plain fraction-exact Gaussian elimination.
-Dimension 0 is allowed throughout; it shows up when a splitting has an empty
-Gaussian or remainder part.
+hundred rows).  Matrix products go through the integer kernel
+`scalars.products`, which puts each row and column over one common
+denominator; elimination (`rref`, `det`, `inverse`, the PSD check and the
+definiteness pass of a hermitian form) is exact Gaussian elimination with
+Scalar operators.  Dimension 0 is allowed throughout; it shows up when a
+splitting has an empty Gaussian or remainder part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, products
 
 
 class LinalgError(ValueError):
@@ -111,11 +114,7 @@ def mmul(a, b):
     rb, cb = mat_shape(b)
     if ca != rb:
         raise DimensionMismatch(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    bt = tuple(zip(*b)) if b else ()
-    out = []
-    for row in a:
-        out.append(tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in bt))
-    return tuple(out)
+    return products(a, tuple(zip(*b)))
 
 
 def mvmul(m, v):
@@ -314,8 +313,8 @@ class HermitianForm:
     """Invertible hermitian Gram matrix on column vectors.
 
     inner(v, w) = conj(v)^T @ gram @ w  (conjugate-linear in the first slot).
-    `definite` is decided exactly by positivity of all leading principal
-    minors.
+    `definite` is decided exactly by Sylvester's criterion, read off one
+    elimination pass.
     """
 
     def __init__(self, gram):
@@ -327,19 +326,11 @@ class HermitianForm:
             raise LinalgError("gram matrix is not hermitian")
         self.gram = gram
         self.dim = n
-        if n > 0 and det(gram).is_zero():
-            raise LinalgError("gram matrix is singular")
-        self._gram_inv = inverse(gram)
-        self.definite = self._leading_minors_positive()
-
-    def _leading_minors_positive(self) -> bool:
-        for k in range(1, self.dim + 1):
-            sub = tuple(row[:k] for row in self.gram[:k])
-            d = det(sub)
-            # hermitian minors are real
-            if not d.is_real() or d.re <= 0:
-                return False
-        return True
+        try:
+            self._gram_inv = inverse(gram)
+        except LinalgError:
+            raise LinalgError("gram matrix is singular") from None
+        self.definite = _pivots_positive(gram)
 
     def inner(self, v, w) -> Scalar:
         if len(v) != self.dim or len(w) != self.dim:
@@ -395,6 +386,29 @@ class HermitianForm:
 
     def to_json(self):
         return {"gram": [[str(x) for x in row] for row in self.gram]}
+
+
+def _pivots_positive(gram) -> bool:
+    """Whether elimination without row swaps meets only real positive pivots.
+
+    The k-th pivot is the ratio of the k-th and (k-1)-th leading principal
+    minors, so for a hermitian matrix this is Sylvester's criterion for
+    positive definiteness.  Stops at the first pivot that is not positive.
+    """
+    a = [list(row) for row in gram]
+    n = len(a)
+    for col in range(n):
+        p = a[col][col]
+        if not p.is_real() or p.re <= 0:
+            return False
+        inv = ONE / p
+        top = a[col][col + 1:]
+        for i in range(col + 1, n):
+            f = a[i][col]
+            if not f.is_zero():
+                f = f * inv
+                a[i][col + 1:] = [x - f * y for x, y in zip(a[i][col + 1:], top)]
+    return True
 
 
 def mvmul_conj_row(gram, b):

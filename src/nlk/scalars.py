@@ -12,6 +12,11 @@ allows it: equal denominators add without cross-multiplying, integral
 operands multiply without a gcd, and negation and conjugation never need
 one.  `.re` and `.im` are read-only Fraction views of the triple.
 
+`products(rows, cols)` is the matrix-product kernel: it brings each row and
+each column to one common denominator once, forms every entry as integer
+dot products (skipping the imaginary ones when a row or column is real) and
+normalises the entry with a single gcd, so no intermediate Scalar is built.
+
 The text form follows a small grammar:
 
     digits   ::= ("0".."9")+
@@ -30,7 +35,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 
 class ScalarError(ValueError):
@@ -300,6 +306,55 @@ def _add(a1, b1, d1, a2, b2, d2) -> Scalar:
 ZERO = _make(0, 0, 1)
 ONE = _make(1, 0, 1)
 I = _make(0, 1, 1)
+
+
+def _common(xs) -> tuple:
+    """(re, im, d): the ints of xs over their least common denominator d.
+
+    im is None when every entry is real.
+    """
+    d = lcm(*[x._d for x in xs])
+    if d == 1:
+        re = [x._a for x in xs]
+        im = [x._b for x in xs]
+    else:
+        scale = [d // x._d for x in xs]
+        re = [x._a * f for x, f in zip(xs, scale)]
+        im = [x._b * f for x, f in zip(xs, scale)]
+    return re, (im if any(im) else None), d
+
+
+def products(rows, cols) -> tuple:
+    """Rows of sum(x * y for x, y in zip(row, col)) over cols, for each row.
+
+    rows and cols are sequences of equally long Scalar sequences; the result
+    is a tuple of Scalar tuples with one entry per (row, col) pair.
+    """
+    cs = [_common(col) for col in cols]
+    out = []
+    for ra, rb, rd in map(_common, rows):
+        line = []
+        for ca, cb, cd in cs:
+            re = sum(map(mul, ra, ca))
+            im = 0
+            if rb is not None:
+                im = sum(map(mul, rb, ca))
+                if cb is not None:
+                    re -= sum(map(mul, rb, cb))
+            if cb is not None:
+                im += sum(map(mul, ra, cb))
+            d = rd * cd
+            if d != 1:
+                g = gcd(d, re, im)
+                if g != 1:
+                    re, im, d = re // g, im // g, d // g
+            s = _new(Scalar)
+            _set_a(s, re)
+            _set_b(s, im)
+            _set_d(s, d)
+            line.append(s)
+        out.append(tuple(line))
+    return tuple(out)
 
 
 def _parse_rational(text: str) -> Fraction:

@@ -1,8 +1,9 @@
 """Differential tests: package arithmetic against the naive pair reference.
 
 Hypothesis draws Gaussian rationals, small matrices and words, and every
-result of the package's scalar operators, elimination routines and memoised
-word evaluators is compared with (or checked by) the plain
+result of the package's scalar operators, matrix products, elimination
+routines, hermitian forms, group validation and memoised word evaluators is
+compared with (or checked by) the plain
 (Fraction, Fraction) arithmetic in helpers.  The draws are derandomized, so
 a run is repeatable and needs no example database.
 """
@@ -10,11 +11,16 @@ a run is repeatable and needs no example database.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nlk import linalg
-from nlk.cocycles import Cocycle, Representation, coboundary_cocycle
+from nlk.cocycles import (
+    Cocycle,
+    Representation,
+    RepresentationError,
+    coboundary_cocycle,
+)
 from nlk.functionals import GroupFunctional
 from nlk.presentations import AlgebraElement, Presentation
 from nlk.scalars import I, ONE, ZERO, Scalar
@@ -164,6 +170,58 @@ def test_solve_linear_solves_or_certifies(m, data):
         assert not H.cis_zero(lam_b)
 
 
+def from_pairs(m):
+    return tuple(tuple(Scalar(*x) for x in row) for row in m)
+
+
+def pair_adjoint(m):
+    return tuple(tuple(H.cconj(m[j][i]) for j in range(len(m)))
+                 for i in range(len(m[0]) if m else 0))
+
+
+# products: real, complex, zero and huge entries side by side, so rows and
+# columns mix denominators and their common denominators grow large
+PRODUCT_ENTRIES = st.one_of(st.just(ZERO), st.builds(Scalar, SMALL),
+                            st.builds(Scalar, SMALL, SMALL),
+                            st.builds(Scalar, BIG, BIG))
+
+
+@st.composite
+def product_operands(draw):
+    """(a, b) with a r x k and b k x c, r, k, c in 0..4; some rows of a and
+    columns of b are zeroed."""
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    cells = st.lists(PRODUCT_ENTRIES, min_size=k, max_size=k)
+    a = [draw(cells) for _ in range(r)]
+    b = [draw(st.lists(PRODUCT_ENTRIES, min_size=c, max_size=c))
+         for _ in range(k)]
+    for i in range(r):
+        if draw(st.booleans()):
+            a[i] = [ZERO] * k
+    for j in range(c):
+        if draw(st.booleans()):
+            for row in b:
+                row[j] = ZERO
+    return tuple(map(tuple, a)), tuple(map(tuple, b))
+
+
+@MATRICES
+@given(product_operands())
+def test_mmul_matches_reference(operands):
+    a, b = operands
+    if linalg.mat_shape(a)[1] != linalg.mat_shape(b)[0]:
+        # a matrix without rows cannot show its column count
+        assert not a
+        with pytest.raises(linalg.DimensionMismatch):
+            linalg.mmul(a, b)
+        return
+    got = linalg.mmul(a, b)
+    assert H.to_pairs_mat(got) == H.mmul(H.to_pairs_mat(a), H.to_pairs_mat(b))
+    for row in got:
+        for x in row:  # canonical triples: equal to the same value rebuilt
+            assert x == Scalar(x.re, x.im) and hash(x) == hash(Scalar(x.re, x.im))
+
+
 def hermitian(entries, n):
     """Hermitian n x n matrix from drawn upper-triangle entries."""
     m = [[ZERO] * n for _ in range(n)]
@@ -193,12 +251,116 @@ def test_psd_witness_has_negative_value(g):
     assert value[1] == 0 and value[0] < 0
 
 
+# B^* B is definite for invertible B and singular otherwise
+GRAMS = st.one_of(HERMITIAN, SQUARE.map(
+    lambda b: from_pairs(H.mmul(pair_adjoint(H.to_pairs_mat(b)),
+                                H.to_pairs_mat(b)))))
+
+
+@MATRICES
+@given(GRAMS)
+def test_hermitian_form_definite_by_leading_minors(g):
+    pg = H.to_pairs_mat(g)
+    if H.cis_zero(H.naive_det(pg)):
+        with pytest.raises(linalg.LinalgError, match="gram matrix is singular"):
+            linalg.HermitianForm(g)
+        return
+    minors = [H.naive_det(tuple(row[:k] for row in pg[:k]))
+              for k in range(1, len(pg) + 1)]
+    assert linalg.HermitianForm(g).definite == all(
+        im == 0 and re > 0 for re, im in minors)
+
+
 @MATRICES
 @given(RECT)
 def test_psd_accepts_gram_matrices(b):
     # B^* B is positive semidefinite for every B
     g = linalg.mmul(linalg.conj_transpose(b), b)
     assert linalg.psd_check(g).psd
+
+
+# --- group validation -----------------------------------------------
+
+
+NONZERO = st.builds(Scalar, SMALL, SMALL).filter(bool)
+UNITS = st.sampled_from([ONE, -ONE, I, -I])
+
+
+@st.composite
+def unitary_settings(draw):
+    """(gram, image) with image unitary for the form gram = B^* D B.
+
+    B is invertible lower triangular and D a diagonal of signs; the image
+    is B^-1 U B for U a diagonal of units, times a rational rotation of the
+    first two coordinates when D is constant there.
+    """
+    n = draw(st.integers(1, 3))
+    b = [[draw(NONZERO) if i == j else draw(ENTRIES) if j < i else ZERO
+          for j in range(n)] for i in range(n)]
+    signs = draw(st.lists(st.sampled_from([ONE, -ONE]), min_size=n, max_size=n))
+    u = [[draw(UNITS) if i == j else ZERO for j in range(n)] for i in range(n)]
+    if n >= 2 and signs[0] == signs[1] and draw(st.booleans()):
+        c, s = Scalar(Fraction(3, 5)), Scalar(Fraction(4, 5))
+        u[0][0], u[0][1], u[1][0], u[1][1] = (
+            c * u[0][0], -s * u[1][1], s * u[0][0], c * u[1][1])
+    pb, pu = H.to_pairs_mat(b), H.to_pairs_mat(u)
+    pd = tuple(tuple(H.to_pair(signs[i]) if i == j else H.CZERO
+                     for j in range(n)) for i in range(n))
+    gram = H.mmul(pair_adjoint(pb), H.mmul(pd, pb))
+    image = H.mmul(H.minv(pb), H.mmul(pu, pb))
+    return from_pairs(gram), from_pairs(image)
+
+
+def one_generator(gram, image):
+    p = Presentation.group(["g"], [])
+    return Representation(p, linalg.HermitianForm(gram), {"g": image})
+
+
+def only_violation(gram, image):
+    with pytest.raises(RepresentationError) as info:
+        one_generator(gram, image)
+    (v,) = info.value.violations
+    assert v.code == "NOT_STAR_COMPATIBLE" and v.target == "g"
+    return v
+
+
+@MATRICES
+@given(unitary_settings())
+def test_unitary_image_validates_with_the_inverse_as_letter(setting):
+    gram, image = setting
+    rep = one_generator(gram, image)
+    assert (H.to_pairs_mat(rep.letter_matrix(("g", -1)))
+            == H.minv(H.to_pairs_mat(image)))
+
+
+@MATRICES
+@given(unitary_settings(), st.data())
+def test_singular_image_is_reported(setting, data):
+    gram, _ = setting
+    n = len(gram)
+    m = [list(r) for r in data.draw(matrices(n, n))]
+    # the last row: a multiple of the first, or zero for a 1 x 1 image
+    c = data.draw(ENTRIES) if n > 1 else ZERO
+    m[-1] = [c * x for x in m[0]]
+    v = only_violation(gram, tuple(map(tuple, m)))
+    assert v.message == "image of g is singular" and v.residual is None
+
+
+@MATRICES
+@given(unitary_settings(), st.data())
+def test_non_unitary_image_reports_adjoint_minus_inverse(setting, data):
+    gram, _ = setting
+    m = data.draw(matrices(len(gram), len(gram)))
+    pg, pm = H.to_pairs_mat(gram), H.to_pairs_mat(m)
+    assume(not H.cis_zero(H.naive_det(pm)))
+    adjoint = H.star_letter_matrix({"g": pm}, pg, ("g", 1))
+    inverse = H.minv(pm)
+    assume(adjoint != inverse)
+    v = only_violation(gram, m)
+    assert v.message == "image of g is not form-unitary"
+    assert H.to_pairs_mat(v.residual) == tuple(
+        tuple(H.csub(x, y) for x, y in zip(ra, ri))
+        for ra, ri in zip(adjoint, inverse))
 
 
 # --- word evaluation ------------------------------------------------

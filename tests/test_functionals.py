@@ -240,6 +240,20 @@ def test_verify_star_flipped_sign_fails_coboundary():
     assert report.witness["identity"] == "coboundary"
 
 
+def test_verify_star_tampered_table_pins_the_witness_pair():
+    # psi(x^4) off by one: the first failing pair is (x, x x x), after the
+    # pairs of x with every shorter word and none with a word of length 4
+    p, rep, eta, psi = _star_definite()
+    x = ("x", 0)
+    table = {(x,) * k: psi.psi_word((x,) * k) for k in range(2, 9)}
+    table[(x,) * 4] = sc(5)
+    report = verify_schurmann_triple(eta, StarFunctional(p, table), 4)
+    assert report.counts == {"psi_at_one": 1, "hermitian": 80,
+                             "coboundary": 12, "positivity": 0}
+    assert report.witness == {"identity": "coboundary", "a": ["x"],
+                              "b": ["x", "x", "x"], "lhs": "-5", "rhs": "-4"}
+
+
 def test_star_functional_table_normalization():
     p, rep, eta, psi = _star_definite()
     x = ("x", 0)

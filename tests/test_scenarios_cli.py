@@ -347,6 +347,20 @@ def test_cli_json_reports_are_deterministic(tmp_path, capsys):
     assert report["scenario"] == z2_doc()
 
 
+def test_cli_parser_survives_a_usage_error(tmp_path, capsys):
+    # one parser serves every call in a process
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as info:
+        cli.main(["solve", "--format", "yaml"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    path = write_doc(tmp_path, z2_doc())
+    assert cli.main(["solve", path, "--format", "json"]) == 0
+    first = capsys.readouterr()
+    assert cli.main(["solve", path, "--format", "json"]) == 0
+    assert capsys.readouterr() == first
+
+
 def test_cli_recheck_round_trip(tmp_path, capsys):
     path = write_doc(tmp_path, z2_doc())
     cli.main(["solve", path, "--format", "json"])
