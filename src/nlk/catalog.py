@@ -1,13 +1,17 @@
 """Built-in catalog of worked scenarios with expected outcomes.
 
-Each entry bundles scenario documents, a list of machine checks comparing
-computed results against frozen expected values, and property verdicts for
-the algebra the entry lives on.  Running an entry recomputes everything;
-a mismatch between expected and actual is reported, never patched over.
+Each entry is data read by one runner: scenario documents, an ordered list
+of checks comparing a computed probe against a frozen expected value (or,
+for a cross-check, against a second probe), and property verdicts whose
+evidence may quote probes.  Probes read one per-run memo, so a scenario is
+parsed once and each derived result is computed once per scenario.  Running
+an entry recomputes everything; a mismatch between expected and actual is
+reported, never patched over.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from . import linalg
@@ -91,6 +95,141 @@ class EntryResult:
                 "properties": [p.to_json() for p in self.properties]}
 
 
+# --- the runner -----------------------------------------------------
+
+
+def _once(method):
+    """Memoise a _Run method on its arguments for the life of the run."""
+    @functools.wraps(method)
+    def memoised(self, *args):
+        key = (method.__name__, *args)
+        if key not in self._memo:
+            self._memo[key] = method(self, *args)
+        return self._memo[key]
+    return memoised
+
+
+class _Run:
+    """The results one entry run derives from its named scenarios.
+
+    Each scenario is parsed and built once, and each result is computed once
+    per scenario; the memo lives as long as the run and no longer.
+    """
+
+    def __init__(self, entry):
+        self.entry = entry
+        self._memo = {}
+
+    @_once
+    def scenario(self, name):
+        return parse_scenario(self.entry.scenarios[name])
+
+    @_once
+    def representation(self, name):
+        return self.scenario(name).build_representation()
+
+    @_once
+    def cocycle(self, name):
+        return self.scenario(name).build_cocycle(self.representation(name))
+
+    @_once
+    def cycles(self, name):
+        return self.scenario(name).build_cycles()
+
+    @_once
+    def solve(self, name):
+        return solve_generating_functional(self.cocycle(name))
+
+    @_once
+    def functional(self, name):
+        """The scenario's own functional, else the solved one (or None)."""
+        supplied = self.scenario(name).build_functional(self.cocycle(name))
+        if supplied is not None:
+            return supplied
+        return self.solve(name).functional
+
+    @_once
+    def lk(self, name):
+        return attempt_lk(self.functional(name))
+
+    @_once
+    def recheck(self, name, part):
+        """Recheck the certificate of the scenario's solve outcome ("solve")
+        or of one of its decomposition parts ("gaussian", "remainder")."""
+        if part == "solve":
+            outcome = self.solve(name)
+        elif part == "gaussian":
+            outcome = self.lk(name).gaussian_outcome
+        else:
+            outcome = self.lk(name).remainder_outcome
+        return recheck_solve_certificate(outcome)
+
+    @_once
+    def split(self, name):
+        return split(self.cocycle(name))
+
+    @_once
+    def verify(self, name):
+        return verify_schurmann_triple(
+            self.cocycle(name), self.functional(name),
+            self.scenario(name).options.max_word_length)
+
+    @_once
+    def oracle(self, name):
+        """The oracle on the scenario's functional; where none exists, on the
+        forced-real-part candidate, whose ill-definedness it should show."""
+        scn = self.scenario(name)
+        cocycle = self.cocycle(name)
+        functional = self.functional(name)
+        if functional is None:
+            functional = GroupFunctional(cocycle, forced_real_parts(cocycle))
+        return brute_force_welldefinedness_oracle(
+            cocycle, functional, scn.presentation, scn.build_normal_form(),
+            scn.options.max_word_length)
+
+    @_once
+    def residuals(self, name):
+        """Residuals of the relations the scenario's cocycle violates."""
+        try:
+            self.cocycle(name)
+        except CocycleObstructed as exc:
+            return [linalg.vector_to_json(v.residual) for v in exc.violations]
+        return []
+
+    @_once
+    def representation_rejected(self, name):
+        try:
+            self.representation(name)
+        except RepresentationError:
+            return True
+        return False
+
+    @_once
+    def pairing(self, name, cycle):
+        """big_K of the scenario's cocycle on its kernel tensor `cycle`."""
+        return big_K(self.cocycle(name), self.cycles(name)[cycle])
+
+    @_once
+    def vanishes(self, name, cycle):
+        # one relator insertion merges the words of the commutator tensors;
+        # star-algebra products are canonical already and ignore the bound
+        product = self.cycles(name)[cycle].mu()
+        return element_vanishes(product, insertions=1).certified_zero
+
+    @_once
+    def gaussian(self, name, max_len):
+        return is_gaussian_functional(self.functional(name), max_len)
+
+    @_once
+    def gns(self, name, max_len):
+        return gns_truncated(self.functional(name), max_len)
+
+
+def _value(spec, run):
+    """A probe (a callable on the run) evaluated, or a frozen literal."""
+    return spec(run) if callable(spec) else spec
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     entry_id: str
@@ -98,24 +237,22 @@ class CatalogEntry:
     algebra: str
     note: str
     scenarios: dict = field(default_factory=dict)
+    checks: tuple = ()      # (name, expected, probe)
+    properties: tuple = ()  # (property, verdict, evidence)
 
     def run(self) -> EntryResult:
-        checks, properties = _RUNNERS[self.entry_id](self)
+        memo = _Run(self)
+        checks = tuple(
+            CheckOutcome(name=name, expected=_plain(_value(expected, memo)),
+                         actual=_plain(probe(memo)))
+            for name, expected, probe in self.checks)
+        properties = tuple(
+            PropertyReport(self.algebra, prop, verdict,
+                           _plain({k: _value(v, memo)
+                                   for k, v in evidence.items()}))
+            for prop, verdict, evidence in self.properties)
         return EntryResult(entry_id=self.entry_id, title=self.title,
-                           checks=tuple(checks), properties=tuple(properties))
-
-
-class _Checks(list):
-    def add(self, name, expected, actual):
-        self.append(CheckOutcome(name=name, expected=_plain(expected),
-                                 actual=_plain(actual)))
-
-
-def _load(entry, name):
-    scn = parse_scenario(entry.scenarios[name])
-    rep = scn.build_representation()
-    cocycle = scn.build_cocycle(rep)
-    return scn, rep, cocycle
+                           checks=checks, properties=properties)
 
 
 # --- shared scenario fragments --------------------------------------
@@ -197,482 +334,13 @@ _STAR_KERNEL_TENSOR = [
      "right": [[["y"], "1"]]},
 ]
 
+# one-dimensional representations in which one generator acts as the sign
+_GAMMA2_SIGN_ON_B2 = {"a1": [["1"]], "b1": [["1"]], "a2": [["1"]],
+                      "b2": [["-1"]]}
+_P2_SIGN_ON_R = {"a": [["1"]], "b": [["1"]], "r": [["-1"]]}
+
 _FORM_1 = {"gram": [["1"]]}
 _FORM_2 = {"gram": [["1", "0"], ["0", "1"]]}
-
-
-def _claim_note(text):
-    return ("holds by an external proof covering all dimensions; "
-            "this tool records the claim without certifying it. " + text)
-
-
-# --- entry runners --------------------------------------------------
-
-
-def _run_zk_z2(entry):
-    checks = _Checks()
-    scn, rep, cocycle = _load(entry, "main")
-    cycles = scn.build_cycles()
-
-    outcome = solve_generating_functional(cocycle)
-    checks.add("solve_main_verdict", "infeasible", outcome.verdict)
-    checks.add("solve_main_certificate_rechecks", True,
-               recheck_solve_certificate(outcome))
-
-    kc1 = big_K(cocycle, cycles["c1"])
-    checks.add("big_K_c1_main", "-2i", str(kc1))
-    vanish = element_vanishes(cycles["c1"].mu(), insertions=1)
-    checks.add("mu_c1_certified_zero", True, vanish.certified_zero)
-    checks.add("solver_matches_cycle_obstruction",
-               outcome.feasible, kc1.is_zero())
-
-    scn_f, rep_f, cocycle_f = _load(entry, "feasible")
-    out_f = solve_generating_functional(cocycle_f)
-    checks.add("solve_feasible_verdict", "feasible", out_f.verdict)
-    checks.add("solve_feasible_ambiguity", 2, out_f.ambiguity_dim)
-    kc1_f = big_K(cocycle_f, scn_f.build_cycles()["c1"])
-    checks.add("big_K_c1_feasible", "0", str(kc1_f))
-
-    verify = verify_schurmann_triple(cocycle_f, out_f.functional,
-                                     scn_f.options.max_word_length)
-    checks.add("verify_feasible_triple", True, verify.passed)
-
-    nf = scn_f.build_normal_form()
-    oracle_ok = brute_force_welldefinedness_oracle(
-        cocycle_f, out_f.functional, scn_f.presentation, nf,
-        scn_f.options.max_word_length)
-    checks.add("oracle_feasible_passes", True, oracle_ok.passed)
-    candidate = GroupFunctional(cocycle, forced_real_parts(cocycle))
-    oracle_bad = brute_force_welldefinedness_oracle(
-        cocycle, candidate, scn.presentation, scn.build_normal_form(),
-        scn.options.max_word_length)
-    checks.add("oracle_rejects_candidate_for_infeasible", False,
-               oracle_bad.passed)
-
-    lk = attempt_lk(out_f.functional)
-    checks.add("feasible_variant_decomposes", "decomposed", lk.verdict)
-    checks.add("split_main_is_purely_gaussian", 0,
-               split(cocycle).remainder.dim)
-
-    evidence_false = {
-        "scenario": "main",
-        "witness": "derivation a -> 1, b -> i with no generating functional",
-        "solve_verdict": outcome.verdict,
-        "certificate_confirmed": recheck_solve_certificate(outcome),
-        "big_K_on_kernel_tensor": str(kc1),
-    }
-    properties = [
-        PropertyReport(entry.algebra, "GC", WITNESSED_FALSE,
-                       dict(evidence_false)),
-        PropertyReport(entry.algebra, "AC", WITNESSED_FALSE,
-                       dict(evidence_false,
-                            note="the witness cocycle also refutes the "
-                                 "all-cocycles property")),
-        PropertyReport(entry.algebra, "H2Z", WITNESSED_FALSE,
-                       {"scenario": "main",
-                        "kernel_tensor": "c1",
-                        "mu_certified_zero": vanish.certified_zero,
-                        "big_K_value": str(kc1),
-                        "note": "a kernel tensor with vanishing product and "
-                                "nonvanishing pairing certifies a nonzero "
-                                "second homology class"}),
-        PropertyReport(entry.algebra, "NC", PAPER_CLAIM_TRUE,
-                       {"note": _claim_note(
-                           "every purely non-Gaussian cocycle here admits a "
-                           "generating functional"),
-                        "finite_support": "split_main_is_purely_gaussian"}),
-        PropertyReport(entry.algebra, "LK", PAPER_CLAIM_TRUE,
-                       {"note": _claim_note(
-                           "every generating functional here decomposes"),
-                        "finite_support": "feasible_variant_decomposes"}),
-    ]
-    return checks, properties
-
-
-def _run_gamma2_gaussian(entry):
-    checks = _Checks()
-    scn, rep, cocycle = _load(entry, "main")
-    cycles = scn.build_cycles()
-
-    outcome = solve_generating_functional(cocycle)
-    checks.add("solve_main_verdict", "infeasible", outcome.verdict)
-    checks.add("solve_main_certificate_rechecks", True,
-               recheck_solve_certificate(outcome))
-    kc2 = big_K(cocycle, cycles["c2"])
-    checks.add("big_K_c2_main", "-2i", str(kc2))
-    vanish = element_vanishes(cycles["c2"].mu(), insertions=1)
-    checks.add("mu_c2_certified_zero", True, vanish.certified_zero)
-    checks.add("solver_matches_cycle_obstruction",
-               outcome.feasible, kc2.is_zero())
-
-    scn_f, rep_f, cocycle_f = _load(entry, "feasible")
-    out_f = solve_generating_functional(cocycle_f)
-    checks.add("solve_feasible_verdict", "feasible", out_f.verdict)
-    checks.add("solve_feasible_ambiguity", 4, out_f.ambiguity_dim)
-    checks.add("big_K_c2_feasible", "0",
-               str(big_K(cocycle_f, scn_f.build_cycles()["c2"])))
-    verify = verify_schurmann_triple(cocycle_f, out_f.functional,
-                                     scn_f.options.max_word_length)
-    checks.add("verify_feasible_triple", True, verify.passed)
-    lk = attempt_lk(out_f.functional)
-    checks.add("feasible_variant_decomposes", "decomposed", lk.verdict)
-
-    evidence_false = {
-        "scenario": "main",
-        "witness": "derivation a1 -> 1, b1 -> i with no generating functional",
-        "solve_verdict": outcome.verdict,
-        "certificate_confirmed": recheck_solve_certificate(outcome),
-        "big_K_on_kernel_tensor": str(kc2),
-    }
-    properties = [
-        PropertyReport(entry.algebra, "GC", WITNESSED_FALSE,
-                       dict(evidence_false)),
-        PropertyReport(entry.algebra, "AC", WITNESSED_FALSE,
-                       dict(evidence_false,
-                            note="the witness cocycle also refutes the "
-                                 "all-cocycles property")),
-        PropertyReport(entry.algebra, "H2Z", WITNESSED_FALSE,
-                       {"scenario": "main",
-                        "kernel_tensor": "c2",
-                        "mu_certified_zero": vanish.certified_zero,
-                        "big_K_value": str(kc2)}),
-    ]
-    return checks, properties
-
-
-def _run_gamma2_nongaussian(entry):
-    checks = _Checks()
-    scn, rep, cocycle = _load(entry, "main")
-    cycles = scn.build_cycles()
-
-    outcome = solve_generating_functional(cocycle)
-    checks.add("solve_main_verdict", "infeasible", outcome.verdict)
-    checks.add("solve_main_certificate_rechecks", True,
-               recheck_solve_certificate(outcome))
-    kc2 = big_K(cocycle, cycles["c2"])
-    checks.add("big_K_c2_matches_reading", str(outcome.readings[0].k_r),
-               str(kc2))
-    checks.add("solver_matches_cycle_obstruction",
-               outcome.feasible, kc2.is_zero())
-
-    sr = split(cocycle)
-    checks.add("split_purely_nongaussian", 0, sr.gaussian.dim)
-
-    scn_f, rep_f, cocycle_f = _load(entry, "feasible")
-    out_f = solve_generating_functional(cocycle_f)
-    checks.add("solve_feasible_verdict", "feasible", out_f.verdict)
-    verify = verify_schurmann_triple(cocycle_f, out_f.functional,
-                                     scn_f.options.max_word_length)
-    checks.add("verify_feasible_triple", True, verify.passed)
-
-    obstructed_scn = parse_scenario(entry.scenarios["obstructed"])
-    obstructed_rep = obstructed_scn.build_representation()
-    try:
-        obstructed_scn.build_cocycle(obstructed_rep)
-        residuals = []
-    except CocycleObstructed as exc:
-        residuals = [linalg.vector_to_json(v.residual)
-                     for v in exc.violations]
-    checks.add("relator_obstructs_nonzero_first_pair_values",
-               [["2"]], residuals)
-
-    properties = [
-        PropertyReport(entry.algebra, "NC", WITNESSED_FALSE,
-                       {"scenario": "main",
-                        "witness": "purely non-Gaussian cocycle "
-                                   "a1 -> 1, b1 -> i under the sign action "
-                                   "on b2, no generating functional",
-                        "gaussian_part_dim": sr.gaussian.dim,
-                        "certificate_confirmed":
-                            recheck_solve_certificate(outcome)}),
-    ]
-    return checks, properties
-
-
-def _run_gamma2_no_lk(entry):
-    checks = _Checks()
-    scn, rep, cocycle = _load(entry, "main")
-
-    outcome = solve_generating_functional(cocycle)
-    checks.add("solve_sum_verdict", "feasible", outcome.verdict)
-    psi = outcome.functional
-    checks.add("psi_a1", "-1", str(psi.values["a1"]))
-    checks.add("psi_b1", "-1", str(psi.values["b1"]))
-
-    lk = attempt_lk(psi)
-    checks.add("attempt_lk_verdict", "no_lk", lk.verdict)
-    checks.add("gaussian_part_verdict", "infeasible",
-               lk.gaussian_outcome.verdict)
-    checks.add("remainder_part_verdict", "infeasible",
-               lk.remainder_outcome.verdict)
-    checks.add("gaussian_part_reading", "-2i",
-               str(lk.gaussian_outcome.readings[0].k_r))
-    checks.add("remainder_part_reading", "2i",
-               str(lk.remainder_outcome.readings[0].k_r))
-    checks.add("gaussian_certificate_rechecks", True,
-               recheck_solve_certificate(lk.gaussian_outcome))
-    checks.add("remainder_certificate_rechecks", True,
-               recheck_solve_certificate(lk.remainder_outcome))
-
-    verify = verify_schurmann_triple(cocycle, psi,
-                                     scn.options.max_word_length)
-    checks.add("verify_sum_triple", True, verify.passed)
-
-    properties = [
-        PropertyReport(entry.algebra, "LK", WITNESSED_FALSE,
-                       {"scenario": "main",
-                        "witness": "direct sum of a derivation part and a "
-                                   "sign-action part; the sum has a "
-                                   "generating functional, both projected "
-                                   "parts have none",
-                        "gaussian_reading":
-                            str(lk.gaussian_outcome.readings[0].k_r),
-                        "remainder_reading":
-                            str(lk.remainder_outcome.readings[0].k_r),
-                        "certificates_confirmed": (
-                            recheck_solve_certificate(lk.gaussian_outcome)
-                            and recheck_solve_certificate(
-                                lk.remainder_outcome))}),
-    ]
-    return checks, properties
-
-
-def _run_p2_derivations(entry):
-    checks = _Checks()
-    scn, rep, cocycle = _load(entry, "main")
-    p = scn.presentation
-
-    for dim in (1, 2, 3, 4):
-        checks.add(f"derivation_space_dim_{dim}", 0,
-                   len(derivation_space(p, dim)))
-    checks.add("exponent_matrix_rank", 3, linalg.rank(exponent_matrix(p)))
-
-    outcome = solve_generating_functional(cocycle)
-    checks.add("zero_cocycle_solve_verdict", "feasible", outcome.verdict)
-    checks.add("zero_cocycle_ambiguity", 0, outcome.ambiguity_dim)
-    checks.add("zero_cocycle_psi_is_zero", True,
-               all(v.is_zero() for v in outcome.functional.values.values()))
-
-    nf = scn.build_normal_form()
-    oracle = brute_force_welldefinedness_oracle(
-        cocycle, outcome.functional, p, nf, scn.options.max_word_length)
-    checks.add("oracle_passes", True, oracle.passed)
-
-    rank_evidence = {
-        "computation": "exponent-sum system over the generators",
-        "exponent_matrix_rank": 3,
-        "generator_count": 3,
-        "dims_checked": [1, 2, 3, 4],
-        "conclusion": "full column rank forces every derivation to zero in "
-                      "every dimension",
-    }
-    properties = [
-        PropertyReport(entry.algebra, "GC", CHECKED_TRUE_FINITE,
-                       dict(rank_evidence,
-                            note="the only Gaussian cocycle is zero, and the "
-                                 "zero functional serves it")),
-        PropertyReport(entry.algebra, "LK", CHECKED_TRUE_FINITE,
-                       dict(rank_evidence,
-                            note="every cocycle equals its remainder part, "
-                                 "so psi = 0 + psi is a decomposition")),
-    ]
-    return checks, properties
-
-
-def _run_p2_nongaussian(entry):
-    checks = _Checks()
-    scn, rep, cocycle = _load(entry, "main")
-    p = scn.presentation
-
-    outcome = solve_generating_functional(cocycle)
-    checks.add("solve_main_verdict", "infeasible", outcome.verdict)
-    checks.add("solve_main_certificate_rechecks", True,
-               recheck_solve_certificate(outcome))
-    sr = split(cocycle)
-    checks.add("split_purely_nongaussian", 0, sr.gaussian.dim)
-
-    scn_f, rep_f, cocycle_f = _load(entry, "feasible")
-    out_f = solve_generating_functional(cocycle_f)
-    checks.add("solve_feasible_verdict", "feasible", out_f.verdict)
-    checks.add("solve_feasible_ambiguity", 0, out_f.ambiguity_dim)
-    verify = verify_schurmann_triple(cocycle_f, out_f.functional,
-                                     scn_f.options.max_word_length)
-    checks.add("verify_feasible_triple", True, verify.passed)
-
-    nf = scn_f.build_normal_form()
-    oracle_ok = brute_force_welldefinedness_oracle(
-        cocycle_f, out_f.functional, p, nf, scn_f.options.max_word_length)
-    checks.add("oracle_feasible_passes", True, oracle_ok.passed)
-    candidate = GroupFunctional(cocycle, forced_real_parts(cocycle))
-    oracle_bad = brute_force_welldefinedness_oracle(
-        cocycle, candidate, p, scn.build_normal_form(),
-        scn.options.max_word_length)
-    checks.add("oracle_rejects_candidate_for_infeasible", False,
-               oracle_bad.passed)
-
-    witness_evidence = {
-        "scenario": "main",
-        "witness": "the rotation acts as the sign, a -> 1, b -> i; the "
-                   "pairing of the two translation values is not real",
-        "gaussian_part_dim": sr.gaussian.dim,
-        "certificate_confirmed": recheck_solve_certificate(outcome),
-    }
-    properties = [
-        PropertyReport(entry.algebra, "NC", WITNESSED_FALSE,
-                       dict(witness_evidence)),
-        PropertyReport(entry.algebra, "AC", WITNESSED_FALSE,
-                       dict(witness_evidence,
-                            note="the witness cocycle also refutes the "
-                                 "all-cocycles property")),
-    ]
-    return checks, properties
-
-
-def _run_free_product(entry):
-    checks = _Checks()
-
-    scn_g, rep_g, cocycle_g = _load(entry, "gaussian")
-    out_g = solve_generating_functional(cocycle_g)
-    checks.add("gaussian_union_verdict", "infeasible", out_g.verdict)
-    checks.add("gaussian_union_certificate_rechecks", True,
-               recheck_solve_certificate(out_g))
-
-    scn_n, rep_n, cocycle_n = _load(entry, "nongaussian")
-    out_n = solve_generating_functional(cocycle_n)
-    checks.add("nongaussian_union_verdict", "infeasible", out_n.verdict)
-    sr_n = split(cocycle_n)
-    checks.add("nongaussian_union_purely_nongaussian", 0, sr_n.gaussian.dim)
-
-    scn_m, rep_m, cocycle_m = _load(entry, "mixed")
-    out_m = solve_generating_functional(cocycle_m)
-    checks.add("mixed_union_verdict", "feasible", out_m.verdict)
-    checks.add("mixed_union_ambiguity", 2, out_m.ambiguity_dim)
-    lk = attempt_lk(out_m.functional)
-    checks.add("mixed_union_decomposes", "decomposed", lk.verdict)
-    verify = verify_schurmann_triple(cocycle_m, out_m.functional,
-                                     scn_m.options.max_word_length)
-    checks.add("verify_mixed_triple", True, verify.passed)
-
-    # the union verdict must agree with the two restrictions
-    for label, union_out in (("gaussian", out_g), ("mixed", out_m)):
-        rot_scn, _, rot_cocycle = _load(entry, f"{label}_rotation_part")
-        ab_scn, _, ab_cocycle = _load(entry, f"{label}_abelian_part")
-        rot_out = solve_generating_functional(rot_cocycle)
-        ab_out = solve_generating_functional(ab_cocycle)
-        checks.add(f"{label}_union_matches_restrictions",
-                   union_out.feasible,
-                   rot_out.feasible and ab_out.feasible)
-
-    properties = [
-        PropertyReport(entry.algebra, "GC", WITNESSED_FALSE,
-                       {"scenario": "gaussian",
-                        "witness": "derivation c -> 1, d -> i on the abelian "
-                                   "free factor, no generating functional",
-                        "certificate_confirmed":
-                            recheck_solve_certificate(out_g)}),
-        PropertyReport(entry.algebra, "NC", WITNESSED_FALSE,
-                       {"scenario": "nongaussian",
-                        "witness": "purely non-Gaussian cocycle supported on "
-                                   "the rotation free factor with a non-real "
-                                   "translation pairing",
-                        "gaussian_part_dim": sr_n.gaussian.dim,
-                        "certificate_confirmed":
-                            recheck_solve_certificate(out_n)}),
-        PropertyReport(entry.algebra, "LK", PAPER_CLAIM_TRUE,
-                       {"note": _claim_note(
-                           "functionals on the free product are determined "
-                           "by their restrictions to the two free factors, "
-                           "and each factor decomposes"),
-                        "finite_support": "mixed_union_decomposes"}),
-    ]
-    return checks, properties
-
-
-def _run_star_indefinite(entry):
-    checks = _Checks()
-    scn, rep, cocycle = _load(entry, "main")
-    cycles = scn.build_cycles()
-    tensor = cycles["kernel_tensor"]
-
-    checks.add("representation_validates", True, rep is not None)
-    value = big_K(cocycle, tensor)
-    checks.add("big_K_kernel_tensor", "1", str(value))
-    product = tensor.mu()
-    checks.add("mu_kernel_tensor_zero", True,
-               element_vanishes(product).certified_zero)
-
-    properties = [
-        PropertyReport(entry.algebra, "H2Z", WITNESSED_FALSE,
-                       {"scenario": "main",
-                        "kernel_tensor": "kernel_tensor",
-                        "mu_certified_zero": True,
-                        "big_K_value": str(value),
-                        "note": "the pairing is nonzero on a tensor whose "
-                                "product is zero, so the obstruction class "
-                                "is nontrivial"}),
-    ]
-    return checks, properties
-
-
-def _run_star_definite(entry):
-    checks = _Checks()
-    scn, rep, cocycle = _load(entry, "main")
-    functional = scn.build_functional(cocycle)
-
-    verify = verify_schurmann_triple(cocycle, functional,
-                                     scn.options.max_word_length)
-    checks.add("verify_triple", True, verify.passed)
-
-    flipped_scn = parse_scenario(entry.scenarios["flipped_sign"])
-    flipped_rep = flipped_scn.build_representation()
-    flipped_cocycle = flipped_scn.build_cocycle(flipped_rep)
-    flipped_psi = flipped_scn.build_functional(flipped_cocycle)
-    flipped = verify_schurmann_triple(flipped_cocycle, flipped_psi, 4)
-    checks.add("flipped_sign_table_fails", False, flipped.passed)
-    checks.add("flipped_sign_witness_identity", "coboundary",
-               (flipped.witness or {}).get("identity"))
-
-    forced_scn = parse_scenario(entry.scenarios["forced_eta"])
-    forced_rep = forced_scn.build_representation()
-    try:
-        forced_scn.build_cocycle(forced_rep)
-        residuals = []
-    except CocycleObstructed as exc:
-        residuals = [linalg.vector_to_json(v.residual)
-                     for v in exc.violations]
-    checks.add("nonzero_eta_on_annihilated_generator_rejected",
-               [["5"]], residuals)
-
-    forced_pi_scn = parse_scenario(entry.scenarios["forced_pi"])
-    try:
-        forced_pi_scn.build_representation()
-        pi_rejected = False
-    except RepresentationError:
-        pi_rejected = True
-    checks.add("nonzero_image_of_annihilated_generator_rejected", True,
-               pi_rejected)
-
-    gaussian = is_gaussian_functional(functional, 2)
-    checks.add("functional_not_gaussian", False, gaussian.gaussian)
-    gns = gns_truncated(functional, 2)
-    checks.add("gns_psd", True, gns.psd.psd)
-    checks.add("gns_rank", 1, gns.rank)
-
-    properties = [
-        PropertyReport(entry.algebra, "AC", PAPER_CLAIM_TRUE,
-                       {"note": _claim_note(
-                           "every cocycle of this algebra admits a "
-                           "generating functional"),
-                        "finite_support": [
-                            "verify_triple",
-                            "nonzero_eta_on_annihilated_generator_rejected",
-                            "nonzero_image_of_annihilated_generator_rejected",
-                        ]}),
-    ]
-    return checks, properties
-
-
-# --- the catalog ----------------------------------------------------
 
 
 def _star_definite_table(max_power, sign):
@@ -682,320 +350,608 @@ def _star_definite_table(max_power, sign):
     return table
 
 
-ENTRIES = {}
-
-ENTRY_ORDER = (
-    "zk.z2.gaussian",
-    "surface.gamma2.gaussian",
-    "surface.gamma2.nongaussian",
-    "surface.gamma2.no_lk",
-    "p2.derivations",
-    "p2.nongaussian",
-    "freeproduct.p2_z2",
-    "ac_not_h2z.star_algebra",
-    "ac_not_h2z.star_algebra_definite",
-)
+# --- shared checks and evidence -------------------------------------
 
 
-def _register(entry):
-    ENTRIES[entry.entry_id] = entry
+def _claim_note(text):
+    return ("holds by an external proof covering all dimensions; "
+            "this tool records the claim without certifying it. " + text)
 
 
-_register(CatalogEntry(
-    entry_id="zk.z2.gaussian",
-    title="rank-two free abelian group, derivation without functional",
-    algebra="zk.z2",
-    note="derivations with a non-real generator pairing admit no generating "
-         "functional; the kernel tensor c1 gives an independent route to the "
-         "same obstruction",
-    scenarios={
-        "main": {
-            "presentation": _Z2_PRESENTATION,
-            "form": _FORM_1,
-            "cocycle": {"a": ["1"], "b": ["i"]},
-            "options": {"max_word_length": 4,
-                        "normal_form": {"kind": "abelian"},
-                        "cycles": {"c1": _C1_CYCLE}},
-        },
-        "feasible": {
-            "presentation": _Z2_PRESENTATION,
-            "form": _FORM_1,
-            "cocycle": {"a": ["1"], "b": ["1"]},
-            "options": {"max_word_length": 4,
-                        "normal_form": {"kind": "abelian"},
-                        "cycles": {"c1": _C1_CYCLE}},
-        },
-    }))
+def _solver_matches(cycle):
+    """Cross-check: the solver's verdict against the kernel-tensor route."""
+    return ("solver_matches_cycle_obstruction",
+            lambda r: r.solve("main").feasible,
+            lambda r: r.pairing("main", cycle).is_zero())
 
-_register(CatalogEntry(
-    entry_id="surface.gamma2.gaussian",
-    title="genus-two surface group, derivation without functional",
-    algebra="surface.gamma2",
-    note="same obstruction as the abelian case, read off the single surface "
-         "relator; the kernel tensor c2 cross-checks it",
-    scenarios={
-        "main": {
-            "presentation": _GAMMA2_PRESENTATION,
-            "form": _FORM_1,
-            "cocycle": {"a1": ["1"], "b1": ["i"]},
-            "options": {"max_word_length": 3, "cycles": {"c2": _C2_CYCLE}},
-        },
-        "feasible": {
-            "presentation": _GAMMA2_PRESENTATION,
-            "form": _FORM_1,
-            "cocycle": {"a1": ["1"], "b1": ["1"]},
-            "options": {"max_word_length": 3, "cycles": {"c2": _C2_CYCLE}},
-        },
-    }))
 
-_register(CatalogEntry(
-    entry_id="surface.gamma2.nongaussian",
-    title="genus-two surface group, purely non-Gaussian cocycle without "
-          "functional",
-    algebra="surface.gamma2",
-    note="the sign action on the last generator makes every valid cocycle "
-         "purely non-Gaussian; values on the second handle must vanish on "
-         "the first-handle pair for the relator to hold",
-    scenarios={
-        "main": {
-            "presentation": _GAMMA2_PRESENTATION,
-            "form": _FORM_1,
-            "representation": {"a1": [["1"]], "b1": [["1"]],
-                               "a2": [["1"]], "b2": [["-1"]]},
-            "cocycle": {"a1": ["1"], "b1": ["i"]},
-            "options": {"max_word_length": 3, "cycles": {"c2": _C2_CYCLE}},
-        },
-        "feasible": {
-            "presentation": _GAMMA2_PRESENTATION,
-            "form": _FORM_1,
-            "representation": {"a1": [["1"]], "b1": [["1"]],
-                               "a2": [["1"]], "b2": [["-1"]]},
-            "cocycle": {"a1": ["1"], "b1": ["1"]},
-            "options": {"max_word_length": 3},
-        },
-        "obstructed": {
-            "presentation": _GAMMA2_PRESENTATION,
-            "form": _FORM_1,
-            "representation": {"a1": [["1"]], "b1": [["1"]],
-                               "a2": [["1"]], "b2": [["-1"]]},
-            "cocycle": {"a1": ["1"], "a2": ["1"]},
-            "options": {"max_word_length": 4},
-        },
-    }))
+def _matches_restrictions(label):
+    """Cross-check: a free-product verdict against its two restrictions."""
+    return (f"{label}_union_matches_restrictions",
+            lambda r: r.solve(label).feasible,
+            lambda r: (r.solve(f"{label}_rotation_part").feasible
+                       and r.solve(f"{label}_abelian_part").feasible))
 
-_register(CatalogEntry(
-    entry_id="surface.gamma2.no_lk",
-    title="genus-two surface group, functional with no Gaussian/remainder "
-          "decomposition",
-    algebra="surface.gamma2",
-    note="a direct sum tuned so the two handle obstructions cancel: the sum "
-         "admits a functional, each projected part does not",
-    scenarios={
-        "main": {
-            "presentation": _GAMMA2_PRESENTATION,
-            "form": _FORM_2,
-            "representation": {
-                "a1": [["1", "0"], ["0", "1"]],
-                "b1": [["1", "0"], ["0", "1"]],
-                "a2": [["1", "0"], ["0", "1"]],
-                "b2": [["1", "0"], ["0", "-1"]],
+
+def _witnessed_with_ac(prop, evidence):
+    """`prop` witnessed false, and AC refuted by the same witness cocycle."""
+    return ((prop, WITNESSED_FALSE, evidence),
+            ("AC", WITNESSED_FALSE,
+             dict(evidence, note="the witness cocycle also refutes the "
+                                 "all-cocycles property")))
+
+
+def _derivation_without_functional(witness, cycle):
+    return {"scenario": "main",
+            "witness": witness,
+            "solve_verdict": lambda r: r.solve("main").verdict,
+            "certificate_confirmed": lambda r: r.recheck("main", "solve"),
+            "big_K_on_kernel_tensor": lambda r: r.pairing("main", cycle)}
+
+
+def _purely_nongaussian(witness, name="main"):
+    return {"scenario": name,
+            "witness": witness,
+            "gaussian_part_dim": lambda r: r.split(name).gaussian.dim,
+            "certificate_confirmed": lambda r: r.recheck(name, "solve")}
+
+
+def _nonzero_class(cycle, **note):
+    return {"scenario": "main",
+            "kernel_tensor": cycle,
+            "mu_certified_zero": lambda r: r.vanishes("main", cycle),
+            "big_K_value": lambda r: r.pairing("main", cycle),
+            **note}
+
+
+# --- the catalog ----------------------------------------------------
+
+
+ENTRIES = {entry.entry_id: entry for entry in (
+    CatalogEntry(
+        entry_id="zk.z2.gaussian",
+        title="rank-two free abelian group, derivation without functional",
+        algebra="zk.z2",
+        note="derivations with a non-real generator pairing admit no "
+             "generating functional; the kernel tensor c1 gives an "
+             "independent route to the same obstruction",
+        scenarios={
+            "main": {
+                "presentation": _Z2_PRESENTATION,
+                "form": _FORM_1,
+                "cocycle": {"a": ["1"], "b": ["i"]},
+                "options": {"max_word_length": 4,
+                            "normal_form": {"kind": "abelian"},
+                            "cycles": {"c1": _C1_CYCLE}},
             },
-            "cocycle": {"a1": ["1", "1"], "b1": ["i", "-i"]},
-            "options": {"max_word_length": 3},
-        },
-    }))
-
-_register(CatalogEntry(
-    entry_id="p2.derivations",
-    title="plane rotation group, no nonzero derivations",
-    algebra="p2",
-    note="the exponent-sum system has full column rank, so the derivation "
-         "space is zero in every dimension; no independent kernel tensor is "
-         "supplied for this presentation, the relator route is the only "
-         "obstruction test",
-    scenarios={
-        "main": {
-            "presentation": _P2_PRESENTATION,
-            "form": _FORM_1,
-            "cocycle": {},
-            "options": {"max_word_length": 4, "normal_form": {"kind": "p2"}},
-        },
-    }))
-
-_register(CatalogEntry(
-    entry_id="p2.nongaussian",
-    title="plane rotation group, purely non-Gaussian cocycle without "
-          "functional",
-    algebra="p2",
-    note="under the sign action of the rotation the translation values are "
-         "free; a functional exists exactly when their pairing is real",
-    scenarios={
-        "main": {
-            "presentation": _P2_PRESENTATION,
-            "form": _FORM_1,
-            "representation": {"a": [["1"]], "b": [["1"]], "r": [["-1"]]},
-            "cocycle": {"a": ["1"], "b": ["i"]},
-            "options": {"max_word_length": 4, "normal_form": {"kind": "p2"}},
-        },
-        "feasible": {
-            "presentation": _P2_PRESENTATION,
-            "form": _FORM_1,
-            "representation": {"a": [["1"]], "b": [["1"]], "r": [["-1"]]},
-            "cocycle": {"a": ["1"], "b": ["1"]},
-            "options": {"max_word_length": 4, "normal_form": {"kind": "p2"}},
-        },
-    }))
-
-_register(CatalogEntry(
-    entry_id="freeproduct.p2_z2",
-    title="free product of the rotation group and the rank-two abelian "
-          "group",
-    algebra="freeproduct.p2_z2",
-    note="the union presentation with no cross relations; verdicts agree "
-         "with the two restrictions, which is also how the decomposition "
-         "claim is supported; no kernel tensor is supplied, the relator "
-         "route is the only obstruction test",
-    scenarios={
-        "gaussian": {
-            "presentation": _FREE_PRODUCT_PRESENTATION,
-            "form": _FORM_1,
-            "cocycle": {"c": ["1"], "d": ["i"]},
-            "options": {"max_word_length": 3},
-        },
-        "nongaussian": {
-            "presentation": _FREE_PRODUCT_PRESENTATION,
-            "form": _FORM_1,
-            "representation": {"a": [["1"]], "b": [["1"]], "r": [["-1"]],
-                               "c": [["1"]], "d": [["1"]]},
-            "cocycle": {"a": ["1"], "b": ["i"]},
-            "options": {"max_word_length": 3},
-        },
-        "mixed": {
-            "presentation": _FREE_PRODUCT_PRESENTATION,
-            "form": _FORM_2,
-            "representation": {
-                "a": [["1", "0"], ["0", "1"]],
-                "b": [["1", "0"], ["0", "1"]],
-                "r": [["1", "0"], ["0", "-1"]],
-                "c": [["1", "0"], ["0", "1"]],
-                "d": [["1", "0"], ["0", "1"]],
+            "feasible": {
+                "presentation": _Z2_PRESENTATION,
+                "form": _FORM_1,
+                "cocycle": {"a": ["1"], "b": ["1"]},
+                "options": {"max_word_length": 4,
+                            "normal_form": {"kind": "abelian"},
+                            "cycles": {"c1": _C1_CYCLE}},
             },
-            "cocycle": {"c": ["1", "0"], "d": ["1", "0"], "r": ["0", "1"]},
-            "options": {"max_word_length": 3},
         },
-        "gaussian_rotation_part": {
-            "presentation": _P2_PRESENTATION,
-            "form": _FORM_1,
-            "cocycle": {},
-            "options": {"max_word_length": 4},
-        },
-        "gaussian_abelian_part": {
-            "presentation": _Z2_PRESENTATION,
-            "form": _FORM_1,
-            "cocycle": {"a": ["1"], "b": ["i"]},
-            "options": {"max_word_length": 4},
-        },
-        "mixed_rotation_part": {
-            "presentation": _P2_PRESENTATION,
-            "form": _FORM_2,
-            "representation": {
-                "a": [["1", "0"], ["0", "1"]],
-                "b": [["1", "0"], ["0", "1"]],
-                "r": [["1", "0"], ["0", "-1"]],
+        checks=(
+            ("solve_main_verdict", "infeasible",
+             lambda r: r.solve("main").verdict),
+            ("solve_main_certificate_rechecks", True,
+             lambda r: r.recheck("main", "solve")),
+            ("big_K_c1_main", "-2i", lambda r: r.pairing("main", "c1")),
+            ("mu_c1_certified_zero", True,
+             lambda r: r.vanishes("main", "c1")),
+            _solver_matches("c1"),
+            ("solve_feasible_verdict", "feasible",
+             lambda r: r.solve("feasible").verdict),
+            ("solve_feasible_ambiguity", 2,
+             lambda r: r.solve("feasible").ambiguity_dim),
+            ("big_K_c1_feasible", "0",
+             lambda r: r.pairing("feasible", "c1")),
+            ("verify_feasible_triple", True,
+             lambda r: r.verify("feasible").passed),
+            ("oracle_feasible_passes", True,
+             lambda r: r.oracle("feasible").passed),
+            ("oracle_rejects_candidate_for_infeasible", False,
+             lambda r: r.oracle("main").passed),
+            ("feasible_variant_decomposes", "decomposed",
+             lambda r: r.lk("feasible").verdict),
+            ("split_main_is_purely_gaussian", 0,
+             lambda r: r.split("main").remainder.dim),
+        ),
+        properties=(
+            *_witnessed_with_ac("GC", _derivation_without_functional(
+                "derivation a -> 1, b -> i with no generating functional",
+                "c1")),
+            ("H2Z", WITNESSED_FALSE, _nonzero_class(
+                "c1", note="a kernel tensor with vanishing product and "
+                           "nonvanishing pairing certifies a nonzero second "
+                           "homology class")),
+            ("NC", PAPER_CLAIM_TRUE,
+             {"note": _claim_note("every purely non-Gaussian cocycle here "
+                                  "admits a generating functional"),
+              "finite_support": "split_main_is_purely_gaussian"}),
+            ("LK", PAPER_CLAIM_TRUE,
+             {"note": _claim_note(
+                 "every generating functional here decomposes"),
+              "finite_support": "feasible_variant_decomposes"}),
+        )),
+
+    CatalogEntry(
+        entry_id="surface.gamma2.gaussian",
+        title="genus-two surface group, derivation without functional",
+        algebra="surface.gamma2",
+        note="same obstruction as the abelian case, read off the single "
+             "surface relator; the kernel tensor c2 cross-checks it",
+        scenarios={
+            "main": {
+                "presentation": _GAMMA2_PRESENTATION,
+                "form": _FORM_1,
+                "cocycle": {"a1": ["1"], "b1": ["i"]},
+                "options": {"max_word_length": 3,
+                            "cycles": {"c2": _C2_CYCLE}},
             },
-            "cocycle": {"r": ["0", "1"]},
-            "options": {"max_word_length": 4},
-        },
-        "mixed_abelian_part": {
-            "presentation": _Z2_PRESENTATION,
-            "form": _FORM_2,
-            "cocycle": {"a": ["1", "0"], "b": ["1", "0"]},
-            "options": {"max_word_length": 4},
-        },
-    }))
-
-_register(CatalogEntry(
-    entry_id="ac_not_h2z.star_algebra",
-    title="two-generator star algebra, nontrivial obstruction class under "
-          "an indefinite form",
-    algebra="ac_not_h2z",
-    note="the pairing takes the value 1 on a kernel tensor whose product "
-         "rewrites to zero; with the indefinite form this witnesses a "
-         "nonzero obstruction class",
-    scenarios={
-        "main": {
-            "presentation": _STAR_PRESENTATION,
-            "form": {"gram": [["1", "0"], ["0", "-1"]]},
-            "representation": {
-                "x": [["0", "1"], ["-1", "0"]],
-                "y": [["0", "0"], ["0", "0"]],
+            "feasible": {
+                "presentation": _GAMMA2_PRESENTATION,
+                "form": _FORM_1,
+                "cocycle": {"a1": ["1"], "b1": ["1"]},
+                "options": {"max_word_length": 3,
+                            "cycles": {"c2": _C2_CYCLE}},
             },
-            "cocycle": {"y": ["1", "0"]},
-            "options": {"max_word_length": 4,
-                        "cycles": {"kernel_tensor": _STAR_KERNEL_TENSOR}},
         },
-    }))
+        checks=(
+            ("solve_main_verdict", "infeasible",
+             lambda r: r.solve("main").verdict),
+            ("solve_main_certificate_rechecks", True,
+             lambda r: r.recheck("main", "solve")),
+            ("big_K_c2_main", "-2i", lambda r: r.pairing("main", "c2")),
+            ("mu_c2_certified_zero", True,
+             lambda r: r.vanishes("main", "c2")),
+            _solver_matches("c2"),
+            ("solve_feasible_verdict", "feasible",
+             lambda r: r.solve("feasible").verdict),
+            ("solve_feasible_ambiguity", 4,
+             lambda r: r.solve("feasible").ambiguity_dim),
+            ("big_K_c2_feasible", "0",
+             lambda r: r.pairing("feasible", "c2")),
+            ("verify_feasible_triple", True,
+             lambda r: r.verify("feasible").passed),
+            ("feasible_variant_decomposes", "decomposed",
+             lambda r: r.lk("feasible").verdict),
+        ),
+        properties=(
+            *_witnessed_with_ac("GC", _derivation_without_functional(
+                "derivation a1 -> 1, b1 -> i with no generating functional",
+                "c2")),
+            ("H2Z", WITNESSED_FALSE, _nonzero_class("c2")),
+        )),
 
-_register(CatalogEntry(
-    entry_id="ac_not_h2z.star_algebra_definite",
-    title="two-generator star algebra, verified functional under a definite "
-          "form",
-    algebra="ac_not_h2z",
-    note="with a definite form the second generator is forced to vanish in "
-         "both the representation and the cocycle; the surviving functional "
-         "is a doubling table on powers of the first generator",
-    scenarios={
-        "main": {
-            "presentation": _STAR_PRESENTATION,
-            "form": _FORM_1,
-            "representation": {"x": [["2"]], "y": [["0"]]},
-            "cocycle": {"x": ["1"]},
-            "functional": {"table": _star_definite_table(8, 1)},
-            "options": {"max_word_length": 8},
+    CatalogEntry(
+        entry_id="surface.gamma2.nongaussian",
+        title="genus-two surface group, purely non-Gaussian cocycle without "
+              "functional",
+        algebra="surface.gamma2",
+        note="the sign action on the last generator makes every valid "
+             "cocycle purely non-Gaussian; values on the second handle must "
+             "vanish on the first-handle pair for the relator to hold",
+        scenarios={
+            "main": {
+                "presentation": _GAMMA2_PRESENTATION,
+                "form": _FORM_1,
+                "representation": _GAMMA2_SIGN_ON_B2,
+                "cocycle": {"a1": ["1"], "b1": ["i"]},
+                "options": {"max_word_length": 3,
+                            "cycles": {"c2": _C2_CYCLE}},
+            },
+            "feasible": {
+                "presentation": _GAMMA2_PRESENTATION,
+                "form": _FORM_1,
+                "representation": _GAMMA2_SIGN_ON_B2,
+                "cocycle": {"a1": ["1"], "b1": ["1"]},
+                "options": {"max_word_length": 3},
+            },
+            "obstructed": {
+                "presentation": _GAMMA2_PRESENTATION,
+                "form": _FORM_1,
+                "representation": _GAMMA2_SIGN_ON_B2,
+                "cocycle": {"a1": ["1"], "a2": ["1"]},
+                "options": {"max_word_length": 4},
+            },
         },
-        "flipped_sign": {
-            "presentation": _STAR_PRESENTATION,
-            "form": _FORM_1,
-            "representation": {"x": [["2"]], "y": [["0"]]},
-            "cocycle": {"x": ["1"]},
-            "functional": {"table": _star_definite_table(8, -1)},
-            "options": {"max_word_length": 4},
-        },
-        "forced_eta": {
-            "presentation": _STAR_PRESENTATION,
-            "form": _FORM_1,
-            "representation": {"x": [["2"]], "y": [["0"]]},
-            "cocycle": {"x": ["1"], "y": ["1"]},
-            "options": {"max_word_length": 4},
-        },
-        "forced_pi": {
-            "presentation": _STAR_PRESENTATION,
-            "form": _FORM_1,
-            "representation": {"x": [["2"]], "y": [["1"]]},
-            "cocycle": {"x": ["1"]},
-            "options": {"max_word_length": 4},
-        },
-    }))
+        checks=(
+            ("solve_main_verdict", "infeasible",
+             lambda r: r.solve("main").verdict),
+            ("solve_main_certificate_rechecks", True,
+             lambda r: r.recheck("main", "solve")),
+            ("big_K_c2_matches_reading",
+             lambda r: r.solve("main").readings[0].k_r,
+             lambda r: r.pairing("main", "c2")),
+            _solver_matches("c2"),
+            ("split_purely_nongaussian", 0,
+             lambda r: r.split("main").gaussian.dim),
+            ("solve_feasible_verdict", "feasible",
+             lambda r: r.solve("feasible").verdict),
+            ("verify_feasible_triple", True,
+             lambda r: r.verify("feasible").passed),
+            ("relator_obstructs_nonzero_first_pair_values", [["2"]],
+             lambda r: r.residuals("obstructed")),
+        ),
+        properties=(
+            ("NC", WITNESSED_FALSE, _purely_nongaussian(
+                "purely non-Gaussian cocycle a1 -> 1, b1 -> i under the sign "
+                "action on b2, no generating functional")),
+        )),
 
+    CatalogEntry(
+        entry_id="surface.gamma2.no_lk",
+        title="genus-two surface group, functional with no Gaussian/remainder "
+              "decomposition",
+        algebra="surface.gamma2",
+        note="a direct sum tuned so the two handle obstructions cancel: the "
+             "sum admits a functional, each projected part does not",
+        scenarios={
+            "main": {
+                "presentation": _GAMMA2_PRESENTATION,
+                "form": _FORM_2,
+                "representation": {
+                    "a1": [["1", "0"], ["0", "1"]],
+                    "b1": [["1", "0"], ["0", "1"]],
+                    "a2": [["1", "0"], ["0", "1"]],
+                    "b2": [["1", "0"], ["0", "-1"]],
+                },
+                "cocycle": {"a1": ["1", "1"], "b1": ["i", "-i"]},
+                "options": {"max_word_length": 3},
+            },
+        },
+        checks=(
+            ("solve_sum_verdict", "feasible",
+             lambda r: r.solve("main").verdict),
+            ("psi_a1", "-1", lambda r: r.functional("main").values["a1"]),
+            ("psi_b1", "-1", lambda r: r.functional("main").values["b1"]),
+            ("attempt_lk_verdict", "no_lk", lambda r: r.lk("main").verdict),
+            ("gaussian_part_verdict", "infeasible",
+             lambda r: r.lk("main").gaussian_outcome.verdict),
+            ("remainder_part_verdict", "infeasible",
+             lambda r: r.lk("main").remainder_outcome.verdict),
+            ("gaussian_part_reading", "-2i",
+             lambda r: r.lk("main").gaussian_outcome.readings[0].k_r),
+            ("remainder_part_reading", "2i",
+             lambda r: r.lk("main").remainder_outcome.readings[0].k_r),
+            ("gaussian_certificate_rechecks", True,
+             lambda r: r.recheck("main", "gaussian")),
+            ("remainder_certificate_rechecks", True,
+             lambda r: r.recheck("main", "remainder")),
+            ("verify_sum_triple", True, lambda r: r.verify("main").passed),
+        ),
+        properties=(
+            ("LK", WITNESSED_FALSE,
+             {"scenario": "main",
+              "witness": "direct sum of a derivation part and a sign-action "
+                         "part; the sum has a generating functional, both "
+                         "projected parts have none",
+              "gaussian_reading":
+                  lambda r: r.lk("main").gaussian_outcome.readings[0].k_r,
+              "remainder_reading":
+                  lambda r: r.lk("main").remainder_outcome.readings[0].k_r,
+              "certificates_confirmed":
+                  lambda r: (r.recheck("main", "gaussian")
+                             and r.recheck("main", "remainder"))}),
+        )),
 
-_RUNNERS = {
-    "zk.z2.gaussian": _run_zk_z2,
-    "surface.gamma2.gaussian": _run_gamma2_gaussian,
-    "surface.gamma2.nongaussian": _run_gamma2_nongaussian,
-    "surface.gamma2.no_lk": _run_gamma2_no_lk,
-    "p2.derivations": _run_p2_derivations,
-    "p2.nongaussian": _run_p2_nongaussian,
-    "freeproduct.p2_z2": _run_free_product,
-    "ac_not_h2z.star_algebra": _run_star_indefinite,
-    "ac_not_h2z.star_algebra_definite": _run_star_definite,
-}
+    CatalogEntry(
+        entry_id="p2.derivations",
+        title="plane rotation group, no nonzero derivations",
+        algebra="p2",
+        note="the exponent-sum system has full column rank, so the "
+             "derivation space is zero in every dimension; no independent "
+             "kernel tensor is supplied for this presentation, the relator "
+             "route is the only obstruction test",
+        scenarios={
+            "main": {
+                "presentation": _P2_PRESENTATION,
+                "form": _FORM_1,
+                "cocycle": {},
+                "options": {"max_word_length": 4,
+                            "normal_form": {"kind": "p2"}},
+            },
+        },
+        checks=(
+            *((f"derivation_space_dim_{dim}", 0,
+               lambda r, dim=dim: len(derivation_space(
+                   r.scenario("main").presentation, dim)))
+              for dim in (1, 2, 3, 4)),
+            ("exponent_matrix_rank", 3,
+             lambda r: linalg.rank(exponent_matrix(
+                 r.scenario("main").presentation))),
+            ("zero_cocycle_solve_verdict", "feasible",
+             lambda r: r.solve("main").verdict),
+            ("zero_cocycle_ambiguity", 0,
+             lambda r: r.solve("main").ambiguity_dim),
+            ("zero_cocycle_psi_is_zero", True,
+             lambda r: all(v.is_zero() for v in
+                           r.functional("main").values.values())),
+            ("oracle_passes", True, lambda r: r.oracle("main").passed),
+        ),
+        properties=tuple(
+            (prop, CHECKED_TRUE_FINITE,
+             {"computation": "exponent-sum system over the generators",
+              "exponent_matrix_rank": 3,
+              "generator_count": 3,
+              "dims_checked": [1, 2, 3, 4],
+              "conclusion": "full column rank forces every derivation to "
+                            "zero in every dimension",
+              "note": note})
+            for prop, note in (
+                ("GC", "the only Gaussian cocycle is zero, and the zero "
+                       "functional serves it"),
+                ("LK", "every cocycle equals its remainder part, so "
+                       "psi = 0 + psi is a decomposition")))),
+
+    CatalogEntry(
+        entry_id="p2.nongaussian",
+        title="plane rotation group, purely non-Gaussian cocycle without "
+              "functional",
+        algebra="p2",
+        note="under the sign action of the rotation the translation values "
+             "are free; a functional exists exactly when their pairing is "
+             "real",
+        scenarios={
+            "main": {
+                "presentation": _P2_PRESENTATION,
+                "form": _FORM_1,
+                "representation": _P2_SIGN_ON_R,
+                "cocycle": {"a": ["1"], "b": ["i"]},
+                "options": {"max_word_length": 4,
+                            "normal_form": {"kind": "p2"}},
+            },
+            "feasible": {
+                "presentation": _P2_PRESENTATION,
+                "form": _FORM_1,
+                "representation": _P2_SIGN_ON_R,
+                "cocycle": {"a": ["1"], "b": ["1"]},
+                "options": {"max_word_length": 4,
+                            "normal_form": {"kind": "p2"}},
+            },
+        },
+        checks=(
+            ("solve_main_verdict", "infeasible",
+             lambda r: r.solve("main").verdict),
+            ("solve_main_certificate_rechecks", True,
+             lambda r: r.recheck("main", "solve")),
+            ("split_purely_nongaussian", 0,
+             lambda r: r.split("main").gaussian.dim),
+            ("solve_feasible_verdict", "feasible",
+             lambda r: r.solve("feasible").verdict),
+            ("solve_feasible_ambiguity", 0,
+             lambda r: r.solve("feasible").ambiguity_dim),
+            ("verify_feasible_triple", True,
+             lambda r: r.verify("feasible").passed),
+            ("oracle_feasible_passes", True,
+             lambda r: r.oracle("feasible").passed),
+            ("oracle_rejects_candidate_for_infeasible", False,
+             lambda r: r.oracle("main").passed),
+        ),
+        properties=_witnessed_with_ac("NC", _purely_nongaussian(
+            "the rotation acts as the sign, a -> 1, b -> i; the pairing of "
+            "the two translation values is not real"))),
+
+    CatalogEntry(
+        entry_id="freeproduct.p2_z2",
+        title="free product of the rotation group and the rank-two abelian "
+              "group",
+        algebra="freeproduct.p2_z2",
+        note="the union presentation with no cross relations; verdicts agree "
+             "with the two restrictions, which is also how the decomposition "
+             "claim is supported; no kernel tensor is supplied, the relator "
+             "route is the only obstruction test",
+        scenarios={
+            "gaussian": {
+                "presentation": _FREE_PRODUCT_PRESENTATION,
+                "form": _FORM_1,
+                "cocycle": {"c": ["1"], "d": ["i"]},
+                "options": {"max_word_length": 3},
+            },
+            "nongaussian": {
+                "presentation": _FREE_PRODUCT_PRESENTATION,
+                "form": _FORM_1,
+                "representation": dict(_P2_SIGN_ON_R, c=[["1"]], d=[["1"]]),
+                "cocycle": {"a": ["1"], "b": ["i"]},
+                "options": {"max_word_length": 3},
+            },
+            "mixed": {
+                "presentation": _FREE_PRODUCT_PRESENTATION,
+                "form": _FORM_2,
+                "representation": {
+                    "a": [["1", "0"], ["0", "1"]],
+                    "b": [["1", "0"], ["0", "1"]],
+                    "r": [["1", "0"], ["0", "-1"]],
+                    "c": [["1", "0"], ["0", "1"]],
+                    "d": [["1", "0"], ["0", "1"]],
+                },
+                "cocycle": {"c": ["1", "0"], "d": ["1", "0"],
+                            "r": ["0", "1"]},
+                "options": {"max_word_length": 3},
+            },
+            "gaussian_rotation_part": {
+                "presentation": _P2_PRESENTATION,
+                "form": _FORM_1,
+                "cocycle": {},
+                "options": {"max_word_length": 4},
+            },
+            "gaussian_abelian_part": {
+                "presentation": _Z2_PRESENTATION,
+                "form": _FORM_1,
+                "cocycle": {"a": ["1"], "b": ["i"]},
+                "options": {"max_word_length": 4},
+            },
+            "mixed_rotation_part": {
+                "presentation": _P2_PRESENTATION,
+                "form": _FORM_2,
+                "representation": {
+                    "a": [["1", "0"], ["0", "1"]],
+                    "b": [["1", "0"], ["0", "1"]],
+                    "r": [["1", "0"], ["0", "-1"]],
+                },
+                "cocycle": {"r": ["0", "1"]},
+                "options": {"max_word_length": 4},
+            },
+            "mixed_abelian_part": {
+                "presentation": _Z2_PRESENTATION,
+                "form": _FORM_2,
+                "cocycle": {"a": ["1", "0"], "b": ["1", "0"]},
+                "options": {"max_word_length": 4},
+            },
+        },
+        checks=(
+            ("gaussian_union_verdict", "infeasible",
+             lambda r: r.solve("gaussian").verdict),
+            ("gaussian_union_certificate_rechecks", True,
+             lambda r: r.recheck("gaussian", "solve")),
+            ("nongaussian_union_verdict", "infeasible",
+             lambda r: r.solve("nongaussian").verdict),
+            ("nongaussian_union_purely_nongaussian", 0,
+             lambda r: r.split("nongaussian").gaussian.dim),
+            ("mixed_union_verdict", "feasible",
+             lambda r: r.solve("mixed").verdict),
+            ("mixed_union_ambiguity", 2,
+             lambda r: r.solve("mixed").ambiguity_dim),
+            ("mixed_union_decomposes", "decomposed",
+             lambda r: r.lk("mixed").verdict),
+            ("verify_mixed_triple", True,
+             lambda r: r.verify("mixed").passed),
+            _matches_restrictions("gaussian"),
+            _matches_restrictions("mixed"),
+        ),
+        properties=(
+            ("GC", WITNESSED_FALSE,
+             {"scenario": "gaussian",
+              "witness": "derivation c -> 1, d -> i on the abelian free "
+                         "factor, no generating functional",
+              "certificate_confirmed":
+                  lambda r: r.recheck("gaussian", "solve")}),
+            ("NC", WITNESSED_FALSE, _purely_nongaussian(
+                "purely non-Gaussian cocycle supported on the rotation free "
+                "factor with a non-real translation pairing",
+                "nongaussian")),
+            ("LK", PAPER_CLAIM_TRUE,
+             {"note": _claim_note(
+                 "functionals on the free product are determined by their "
+                 "restrictions to the two free factors, and each factor "
+                 "decomposes"),
+              "finite_support": "mixed_union_decomposes"}),
+        )),
+
+    CatalogEntry(
+        entry_id="ac_not_h2z.star_algebra",
+        title="two-generator star algebra, nontrivial obstruction class "
+              "under an indefinite form",
+        algebra="ac_not_h2z",
+        note="the pairing takes the value 1 on a kernel tensor whose product "
+             "rewrites to zero; with the indefinite form this witnesses a "
+             "nonzero obstruction class",
+        scenarios={
+            "main": {
+                "presentation": _STAR_PRESENTATION,
+                "form": {"gram": [["1", "0"], ["0", "-1"]]},
+                "representation": {
+                    "x": [["0", "1"], ["-1", "0"]],
+                    "y": [["0", "0"], ["0", "0"]],
+                },
+                "cocycle": {"y": ["1", "0"]},
+                "options": {"max_word_length": 4,
+                            "cycles": {"kernel_tensor": _STAR_KERNEL_TENSOR}},
+            },
+        },
+        checks=(
+            ("representation_validates", True,
+             lambda r: r.representation("main") is not None),
+            ("big_K_kernel_tensor", "1",
+             lambda r: r.pairing("main", "kernel_tensor")),
+            ("mu_kernel_tensor_zero", True,
+             lambda r: r.vanishes("main", "kernel_tensor")),
+        ),
+        properties=(
+            ("H2Z", WITNESSED_FALSE, _nonzero_class(
+                "kernel_tensor",
+                note="the pairing is nonzero on a tensor whose product is "
+                     "zero, so the obstruction class is nontrivial")),
+        )),
+
+    CatalogEntry(
+        entry_id="ac_not_h2z.star_algebra_definite",
+        title="two-generator star algebra, verified functional under a "
+              "definite form",
+        algebra="ac_not_h2z",
+        note="with a definite form the second generator is forced to vanish "
+             "in both the representation and the cocycle; the surviving "
+             "functional is a doubling table on powers of the first "
+             "generator",
+        scenarios={
+            "main": {
+                "presentation": _STAR_PRESENTATION,
+                "form": _FORM_1,
+                "representation": {"x": [["2"]], "y": [["0"]]},
+                "cocycle": {"x": ["1"]},
+                "functional": {"table": _star_definite_table(8, 1)},
+                "options": {"max_word_length": 8},
+            },
+            "flipped_sign": {
+                "presentation": _STAR_PRESENTATION,
+                "form": _FORM_1,
+                "representation": {"x": [["2"]], "y": [["0"]]},
+                "cocycle": {"x": ["1"]},
+                "functional": {"table": _star_definite_table(8, -1)},
+                "options": {"max_word_length": 4},
+            },
+            "forced_eta": {
+                "presentation": _STAR_PRESENTATION,
+                "form": _FORM_1,
+                "representation": {"x": [["2"]], "y": [["0"]]},
+                "cocycle": {"x": ["1"], "y": ["1"]},
+                "options": {"max_word_length": 4},
+            },
+            "forced_pi": {
+                "presentation": _STAR_PRESENTATION,
+                "form": _FORM_1,
+                "representation": {"x": [["2"]], "y": [["1"]]},
+                "cocycle": {"x": ["1"]},
+                "options": {"max_word_length": 4},
+            },
+        },
+        checks=(
+            ("verify_triple", True, lambda r: r.verify("main").passed),
+            ("flipped_sign_table_fails", False,
+             lambda r: r.verify("flipped_sign").passed),
+            ("flipped_sign_witness_identity", "coboundary",
+             lambda r: (r.verify("flipped_sign").witness or {}).get(
+                 "identity")),
+            ("nonzero_eta_on_annihilated_generator_rejected", [["5"]],
+             lambda r: r.residuals("forced_eta")),
+            ("nonzero_image_of_annihilated_generator_rejected", True,
+             lambda r: r.representation_rejected("forced_pi")),
+            ("functional_not_gaussian", False,
+             lambda r: r.gaussian("main", 2).gaussian),
+            ("gns_psd", True, lambda r: r.gns("main", 2).psd.psd),
+            ("gns_rank", 1, lambda r: r.gns("main", 2).rank),
+        ),
+        properties=(
+            ("AC", PAPER_CLAIM_TRUE,
+             {"note": _claim_note("every cocycle of this algebra admits a "
+                                  "generating functional"),
+              "finite_support": [
+                  "verify_triple",
+                  "nonzero_eta_on_annihilated_generator_rejected",
+                  "nonzero_image_of_annihilated_generator_rejected",
+              ]}),
+        )),
+)}
 
 
 # --- public API -----------------------------------------------------
 
 
 def entry_ids() -> tuple:
-    return ENTRY_ORDER
+    return tuple(ENTRIES)
 
 
 def get_entry(entry_id: str) -> CatalogEntry:
@@ -1039,7 +995,8 @@ class CatalogRun:
 
 
 def run_all() -> CatalogRun:
-    results = tuple(run_entry(eid) for eid in ENTRY_ORDER)
+    # through the module global, so a caller may wrap run_entry
+    results = tuple(run_entry(eid) for eid in ENTRIES)
     reports = [p for r in results for p in r.properties]
     conflicts = tuple(check_diagram_consistency(reports))
     return CatalogRun(results=results, conflicts=conflicts)

@@ -288,6 +288,26 @@ class VerifyReport:
                 "witness": self.witness}
 
 
+def psi_product(functional, psi, w1, w2) -> Scalar:
+    """psi(w1 w2) for words w1 and w2, through the reduced product word.
+
+    `psi` caches psi on canonical words; a product missing from it is
+    evaluated by the functional.
+    """
+    p = functional.presentation
+    if p.kind == GROUP:
+        red = p.free_reduce(w1 + w2)
+        cached = psi.get(red)
+        return cached if cached is not None else functional.psi_word(red)
+    coeff, red = p.reduce(w1 + w2)
+    if coeff.is_zero():
+        return ZERO
+    cached = psi.get(red)
+    if cached is None:
+        cached = functional.psi_word(red)
+    return coeff * cached
+
+
 def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> VerifyReport:
     """Check the triple identities on all canonical words up to max_len.
 
@@ -324,19 +344,6 @@ def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> Verif
         eps = {w: p._word_character(w) for w in words}
     stars = {w: p.involve_word(w) for w in words}
 
-    def psi_product(w1, w2):
-        if p.kind == GROUP:
-            red = p.free_reduce(w1 + w2)
-            cached = psi.get(red)
-            return cached if cached is not None else functional.psi_word(red)
-        coeff, red = p.reduce(w1 + w2)
-        if coeff.is_zero():
-            return ZERO
-        cached = psi.get(red)
-        if cached is None:
-            cached = functional.psi_word(red)
-        return coeff * cached
-
     for w in words:
         lhs = functional.psi_word(stars[w])
         rhs = psi[w].conj()
@@ -360,7 +367,8 @@ def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> Verif
         psi_a = psi[wa]
         eta_star_a = eta_star[wa]
         for wb in words[:upto[max_len - len(wa)]]:
-            lhs = eps_a * psi[wb] - psi_product(wa, wb) + psi_a * eps[wb]
+            lhs = (eps_a * psi[wb] - psi_product(functional, psi, wa, wb)
+                   + psi_a * eps[wb])
             rhs = -form.inner(eta_star_a, eta[wb])
             counts["coboundary"] += 1
             if lhs != rhs:
@@ -372,7 +380,8 @@ def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> Verif
         if len(w) > max_len // 2:
             continue
         # psi((w - eps(w))* (w - eps(w))) expanded through psi(1) = 0
-        lhs = (psi_product(stars[w], w) - eps[w] * functional.psi_word(stars[w])
+        lhs = (psi_product(functional, psi, stars[w], w)
+               - eps[w] * functional.psi_word(stars[w])
                - eps[w].conj() * psi[w])
         rhs = form.inner(eta[w], eta[w])
         counts["positivity"] += 1
@@ -452,14 +461,16 @@ def gns_truncated(functional, max_len: int) -> GnsResult:
     """
     p = functional.presentation
     words = tuple(p.words_up_to(max_len, include_empty=False))
-    one = AlgebraElement.one(p)
-    kernels = []
-    for w in words:
-        el = AlgebraElement.from_word(p, w)
-        kernels.append(el - one.scale(el.epsilon()))
+    psi = {w: functional.psi_word(w) for w in words}
+    psi[()] = ZERO
+    eps = [p._word_character(w) for w in words]
+    stars = [p.involve_word(w) for w in words]
+    psi_star = [functional.psi_word(s) for s in stars]
     n = len(words)
+    # psi((w_i - eps_i)* (w_j - eps_j)), expanded through psi(1) = 0
     gram = tuple(
-        tuple(functional.eval_element(kernels[i].star() * kernels[j])
+        tuple(psi_product(functional, psi, stars[i], words[j])
+              - eps[j] * psi_star[i] - eps[i].conj() * psi[words[j]]
               for j in range(n))
         for i in range(n))
     rank = linalg.rank(gram) if n else 0

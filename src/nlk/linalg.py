@@ -78,10 +78,6 @@ def vneg(v):
     return tuple(-a for a in v)
 
 
-def vconj(v):
-    return tuple(a.conj() for a in v)
-
-
 def is_zero_vector(v) -> bool:
     return all(a.is_zero() for a in v)
 
@@ -379,10 +375,6 @@ class HermitianForm:
             return [tuple(ONE if i == j else ZERO for j in range(self.dim))
                     for i in range(self.dim)]
         return kernel(matrix(rows))
-
-    def gram_of(self, vectors):
-        """Gram matrix of the given vectors under this form."""
-        return tuple(tuple(self.inner(v, w) for w in vectors) for v in vectors)
 
     def to_json(self):
         return {"gram": [[str(x) for x in row] for row in self.gram]}

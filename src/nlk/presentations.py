@@ -11,7 +11,8 @@ evaluations, plus a bounded merging procedure for kernel membership.
 Star-algebra kind: generators with a declared involution, counit values per
 generator, and oriented monomial rewriting rules with scalar coefficients.
 Reduction rewrites starred letters through the involution map and then applies
-the rules leftmost first until no rule matches, guarded by a step budget.
+the rules leftmost first until no rule matches, guarded by a step budget
+that is read from the environment once, when the presentation is built.
 """
 
 from __future__ import annotations
@@ -45,6 +46,22 @@ class ReductionBudgetExceeded(PresentationError):
         super().__init__(
             f"rewriting exceeded the step budget of {budget}; "
             f"start word {word_to_strs(STAR_ALGEBRA, word)}")
+
+
+class StepBudgetError(PresentationError):
+    """NLK_STEP_BUDGET is malformed: a fault of the environment, not of the
+    presentation being built."""
+
+
+def _read_step_budget() -> int:
+    raw = os.environ.get(STEP_BUDGET_ENV)
+    if raw is None:
+        return DEFAULT_STEP_BUDGET
+    text = raw.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise StepBudgetError(
+            f"{STEP_BUDGET_ENV} must be a non-negative integer, got {raw!r}")
+    return int(text)
 
 
 class LegNotInKernel(PresentationError):
@@ -177,6 +194,7 @@ class Presentation:
     def _init_star(self):
         if self.relators:
             raise PresentationError("star-algebra presentations take rules, not relators")
+        self._step_budget = _read_step_budget()
         for g in self.generators:
             if g not in self.involution:
                 raise PresentationError(f"involution missing for generator {g!r}")
@@ -285,16 +303,6 @@ class Presentation:
                 out.append((name, tag))
         return tuple(out)
 
-    def step_budget(self) -> int:
-        raw = os.environ.get(STEP_BUDGET_ENV)
-        if raw is None:
-            return DEFAULT_STEP_BUDGET
-        text = raw.strip()
-        if not (text.isascii() and text.isdigit()):
-            raise PresentationError(
-                f"{STEP_BUDGET_ENV} must be a non-negative integer, got {raw!r}")
-        return int(text)
-
     def reduce(self, word):
         """Canonical form of a word.  Returns (coefficient, word).
 
@@ -309,7 +317,7 @@ class Presentation:
         cur = [self.normalize_letter(l) for l in word]
         coeff = ONE
         steps = 0
-        budget = self.step_budget()
+        budget = self._step_budget
         while True:
             applied = False
             for i in range(len(cur)):
@@ -609,10 +617,6 @@ class Tensor2:
         for c, a, b in self.pairs:
             out = out + (a * b).scale(c)
         return out
-
-    def involve_swap(self) -> "Tensor2":
-        return Tensor2(self.presentation,
-                       [(c.conj(), b.star(), a.star()) for c, a, b in self.pairs])
 
 
 # --- kernel-power spanning sets ------------------------------------

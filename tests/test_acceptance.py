@@ -8,6 +8,7 @@ from independent derivations; nothing is compared with a tolerance.
 import contextlib
 import copy
 import json
+import pathlib
 import random
 
 from nlk import catalog, cli, linalg
@@ -28,6 +29,8 @@ from nlk.scalars import ONE, ZERO, Scalar, sc
 from nlk.scenarios import parse_scenario
 
 import helpers
+
+GOLDEN_RUN_ALL = pathlib.Path(__file__).parent / "data" / "catalog_run_all.json"
 
 
 @contextlib.contextmanager
@@ -305,11 +308,15 @@ def test_criterion_8_invariant_suites():
 def test_criterion_9_catalog_run_all(capsys):
     with criterion(9):
         assert cli.main(["catalog", "run-all", "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        # the report is deterministic: it must match the frozen run byte
+        # for byte, evidence included
+        assert out.encode("utf-8") == GOLDEN_RUN_ALL.read_bytes()
+        payload = json.loads(out)
         result = payload["result"]
         assert result["ok"] is True
         assert result["mismatches"] == []
         assert result["diagram_conflicts"] == []
         assert len(result["entries"]) == len(catalog.entry_ids())
         for entry in result["entries"]:
-            assert entry["ok"] is True, entry["entry_id"]
+            assert entry["ok"] is True, entry["id"]

@@ -118,6 +118,17 @@ def test_star_representation_validates_rules_and_adjoints():
     assert got == form.adjoint(rep.images["x"])
     with pytest.raises(RepresentationError):
         Representation(p, form, {"x": identity(2), "y": identity(2)})
+    # only self-adjoint generators constrain their image; y* is the adjoint
+    # of pi(y) by definition, so a non-normal image of y is fine
+    non_normal = matrix([[ONE, sc(2)], [sc(3), sc(4)]])
+    self_adjoint = Presentation.star_algebra(
+        ["x"], involution={"x": "x"}, character={"x": 0}, rules=[])
+    with pytest.raises(RepresentationError) as exc:
+        Representation(self_adjoint, standard_form(2), {"x": non_normal})
+    assert {v.code for v in exc.value.violations} == {"NOT_STAR_COMPATIBLE"}
+    starred = Presentation.star_algebra(
+        ["y"], involution={"y": "y*"}, character={"y": 0}, rules=[])
+    Representation(starred, standard_form(2), {"y": non_normal})
 
 
 def test_cocycle_values_default_to_zero_and_inverses_derive():

@@ -1,5 +1,6 @@
 """Tests for scenario parsing, schema diagnostics, and the command line."""
 
+import collections
 import dataclasses
 import json
 
@@ -405,6 +406,41 @@ def test_cli_catalog_run_entry(capsys):
     assert cli.main(["catalog", "run", "p2.derivations"]) == 0
     out = capsys.readouterr().out
     assert "p2.derivations: ok" in out
+
+
+def test_catalog_mismatch_is_reported(capsys, monkeypatch):
+    entry = catalog.get_entry("ac_not_h2z.star_algebra")
+    checks = tuple((name, "2", probe) if name == "big_K_kernel_tensor"
+                   else (name, expected, probe)
+                   for name, expected, probe in entry.checks)
+    monkeypatch.setitem(catalog.ENTRIES, entry.entry_id,
+                        dataclasses.replace(entry, checks=checks))
+    res = catalog.run_entry(entry.entry_id)
+    assert res.ok is False
+    assert res.mismatches() == [
+        "ac_not_h2z.star_algebra: big_K_kernel_tensor: expected '2', "
+        "got '1'"]
+    assert cli.main(["catalog", "run", entry.entry_id]) == 2
+    out = capsys.readouterr().out
+    assert "ac_not_h2z.star_algebra: MISMATCH" in out
+    assert "  big_K_kernel_tensor: MISMATCH" in out
+
+
+def test_catalog_run_computes_each_result_once(monkeypatch):
+    calls = collections.Counter()
+    for name in ("parse_scenario", "solve_generating_functional",
+                 "recheck_solve_certificate", "split",
+                 "verify_schurmann_triple",
+                 "brute_force_welldefinedness_oracle", "attempt_lk"):
+        def counted(subject, *rest, _fn=getattr(catalog, name), _name=name):
+            calls[_name, id(subject)] += 1
+            return _fn(subject, *rest)
+        monkeypatch.setattr(catalog, name, counted)
+    for entry_id in catalog.entry_ids():
+        calls.clear()
+        assert catalog.run_entry(entry_id).ok
+        # every result object lives in the run's memo, so ids stay distinct
+        assert calls and max(calls.values()) == 1, (entry_id, calls)
 
 
 def test_cli_catalog_run_unknown_entry(capsys):
