@@ -291,8 +291,9 @@ class VerifyReport:
 def psi_product(functional, psi, w1, w2) -> Scalar:
     """psi(w1 w2) for words w1 and w2, through the reduced product word.
 
-    `psi` caches psi on canonical words; a product missing from it is
-    evaluated by the functional.
+    On groups `psi` caches psi on freely reduced words and a product missing
+    from it is folded by the functional.  On star algebras the product is
+    reduced once and its canonical word read from the functional's table.
     """
     p = functional.presentation
     if p.kind == GROUP:
@@ -302,10 +303,7 @@ def psi_product(functional, psi, w1, w2) -> Scalar:
     coeff, red = p.reduce(w1 + w2)
     if coeff.is_zero():
         return ZERO
-    cached = psi.get(red)
-    if cached is None:
-        cached = functional.psi_word(red)
-    return coeff * cached
+    return coeff * functional.table.get(red, ZERO)
 
 
 def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> VerifyReport:

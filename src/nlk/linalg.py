@@ -89,12 +89,6 @@ def mat_shape(m) -> tuple:
     return (len(m), len(m[0]) if m else 0)
 
 
-def madd(a, b):
-    if mat_shape(a) != mat_shape(b):
-        raise DimensionMismatch("matrix shapes differ")
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def msub(a, b):
     if mat_shape(a) != mat_shape(b):
         raise DimensionMismatch("matrix shapes differ")
@@ -276,30 +270,18 @@ def det(m) -> Scalar:
 
 
 def independent_subset(vectors) -> list:
-    """Indices of a maximal linearly independent subset, scanned in order."""
-    chosen = []
-    rows = []
-    cur_rank = 0
-    for idx, v in enumerate(vectors):
-        trial = rows + [v]
-        r = rank(trial)
-        if r > cur_rank:
-            chosen.append(idx)
-            rows = trial
-            cur_rank = r
-    return chosen
+    """Indices of a maximal linearly independent subset, scanned in order:
+    the pivot columns of one elimination of the vectors taken as columns."""
+    vectors = list(vectors)
+    if not vectors:
+        return []
+    return rref(from_columns(vectors))[1]
 
 
 def span_basis(vectors) -> list:
     """Row-echelon basis of the span of the given vectors."""
     red, pivots = rref(list(vectors))
     return [row for row in red[:len(pivots)]]
-
-
-def in_span(vectors, v) -> bool:
-    if is_zero_vector(v):
-        return True
-    return rank(list(vectors) + [v]) == rank(list(vectors))
 
 
 # --- hermitian forms ------------------------------------------------
@@ -342,12 +324,6 @@ class HermitianForm:
         if mat_shape(m) != (self.dim, self.dim):
             raise DimensionMismatch("matrix size does not match form")
         return mmul(self._gram_inv, mmul(conj_transpose(m), self.gram))
-
-    def is_unitary(self, m) -> bool:
-        return mat_eq(mmul(self.adjoint(m), m), identity(self.dim))
-
-    def is_self_adjoint(self, m) -> bool:
-        return mat_eq(self.adjoint(m), m)
 
     def projection(self, vectors):
         """Matrix of the orthogonal projection onto span(vectors).

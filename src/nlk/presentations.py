@@ -17,7 +17,6 @@ that is read from the environment once, when the presentation is built.
 
 from __future__ import annotations
 
-import itertools
 import os
 import re
 from dataclasses import dataclass
@@ -40,12 +39,17 @@ class PresentationError(ValueError):
 class ReductionBudgetExceeded(PresentationError):
     code = "REDUCTION_BUDGET_EXCEEDED"
 
-    def __init__(self, word, budget):
+    def __init__(self, word, budget, rule, steps):
         self.word = word
         self.budget = budget
+        self.rule = rule
+        self.steps = steps
         super().__init__(
             f"rewriting exceeded the step budget of {budget}; "
-            f"start word {word_to_strs(STAR_ALGEBRA, word)}")
+            f"start word {word_to_strs(STAR_ALGEBRA, word)}; "
+            f"last rule applied {word_key(STAR_ALGEBRA, rule.lhs)} -> "
+            f"({rule.coeff})*{word_key(STAR_ALGEBRA, rule.rhs)}; "
+            f"{steps} steps taken")
 
 
 class StepBudgetError(PresentationError):
@@ -230,6 +234,15 @@ class Presentation:
                 raise PresentationError(
                     f"rule {word_to_strs(STAR_ALGEBRA, rule.lhs)} does not respect "
                     f"the counit: {lhs_eps} != {rhs_eps}")
+        # every valid letter -> its normalised letter; a miss is a bad letter
+        self._letters = {(g, tag): self.normalize_letter((g, tag))
+                         for g in self.generators for tag in (0, 1)}
+        # first letter -> (lhs as a list, its length, rule) in declared order
+        self._rules_at = {}
+        for rule in self.rules:
+            self._rules_at.setdefault(rule.lhs[0], []).append(
+                (list(rule.lhs), len(rule.lhs), rule))
+        self._max_lhs = max((len(rule.lhs) for rule in self.rules), default=1)
 
     def _check_letters(self, word):
         for name, tag in word:
@@ -307,36 +320,43 @@ class Presentation:
         """Canonical form of a word.  Returns (coefficient, word).
 
         Group words reduce freely with coefficient 1.  Star-algebra words
-        normalize starred letters, then apply the leftmost matching rule until
-        none applies, multiplying the rule coefficients together.
+        normalize starred letters, then rewrite at the leftmost position
+        where a rule matches, by the first listed rule matching there, until
+        none applies, multiplying the rule coefficients together.  One pass
+        scans left to right: after a rewrite at position i no match can start
+        before i - (longest left side - 1), so the scan resumes there.
         """
         word = tuple(word)
-        self._check_letters(word)
         if self.kind == GROUP:
+            self._check_letters(word)
             return ONE, self.free_reduce(word)
-        cur = [self.normalize_letter(l) for l in word]
+        letters = self._letters
+        try:
+            cur = [letters[l] for l in word]
+        except KeyError:
+            self._check_letters(word)  # raises the precise letter error
+            raise
+        rules_at = self._rules_at
+        back = self._max_lhs - 1
         coeff = ONE
         steps = 0
         budget = self._step_budget
-        while True:
-            applied = False
-            for i in range(len(cur)):
-                for rule in self.rules:
-                    n = len(rule.lhs)
-                    if tuple(cur[i:i + n]) == rule.lhs:
-                        coeff = coeff * rule.coeff
-                        if coeff.is_zero():
-                            return ZERO, ()
-                        cur[i:i + n] = list(rule.rhs)
-                        steps += 1
-                        if steps > budget:
-                            raise ReductionBudgetExceeded(word, budget)
-                        applied = True
-                        break
-                if applied:
+        i = 0
+        while i < len(cur):
+            for lhs, n, rule in rules_at.get(cur[i], ()):
+                if cur[i:i + n] == lhs:
+                    coeff = coeff * rule.coeff
+                    if coeff.is_zero():
+                        return ZERO, ()
+                    cur[i:i + n] = rule.rhs
+                    steps += 1
+                    if steps > budget:
+                        raise ReductionBudgetExceeded(word, budget, rule, steps)
+                    i = max(0, i - back)
                     break
-            if not applied:
-                return coeff, tuple(cur)
+            else:
+                i += 1
+        return coeff, tuple(cur)
 
     def involve_word(self, word) -> tuple:
         """Raw star of a word: reverse and star each letter (not reduced)."""
@@ -370,10 +390,11 @@ class Presentation:
         return out if include_empty else out[1:]
 
     def _has_redex_at_end(self, word) -> bool:
-        for rule in self.rules:
-            n = len(rule.lhs)
-            if n <= len(word) and word[-n:] == rule.lhs:
-                return True
+        rules_at = self._rules_at
+        for k in range(1, min(self._max_lhs, len(word)) + 1):
+            for _, n, rule in rules_at.get(word[-k], ()):
+                if n == k and word[-k:] == rule.lhs:
+                    return True
         return False
 
     # --- bounded relator merging ------------------------------------
@@ -640,14 +661,18 @@ def kn_spanning_set(presentation, n: int, max_len: int) -> list:
     base = k1_elements(presentation, max_len)
     if n == 1:
         return base
+    # the (n-1)-fold products, each formed once, in itertools.product order
+    prefixes = base
+    for _ in range(n - 2):
+        prefixes = [prefix * f for prefix in prefixes for f in base]
     seen = {}
-    for combo in itertools.product(base, repeat=n):
-        prod = combo[0]
-        for f in combo[1:]:
-            prod = prod * f
-        key = tuple(sorted(prod.terms.items(), key=lambda kv: _word_sort_key(kv[0])))
-        if key not in seen:
-            seen[key] = prod
+    for prefix in prefixes:
+        for f in base:
+            prod = prefix * f
+            key = tuple(sorted(prod.terms.items(),
+                               key=lambda kv: _word_sort_key(kv[0])))
+            if key not in seen:
+                seen[key] = prod
     return list(seen.values())
 
 

@@ -326,13 +326,22 @@ def _recheck_verify(report, details):
                                     result["max_word_length"])
     _need(rerun.passed == result["passed"],
           "verification outcome changed on re-run")
-    if not result["passed"]:
-        _need((rerun.witness or {}).get("identity")
-              == (result.get("witness") or {}).get("identity"),
-              "witness identity changed on re-run")
-        details.append(f"violation of {rerun.witness['identity']} reproduced")
-    else:
-        details.append("all identity checks reproduced")
+    _need(rerun.counts == result.get("counts"),
+          f"stored counts {result.get('counts')} differ from the re-run's "
+          f"{rerun.counts}")
+    _need(rerun.witness == result.get("witness"),
+          f"stored witness {result.get('witness')} differs from the "
+          f"re-derived {rerun.witness}")
+    witness = rerun.witness
+    if witness is None:
+        details.append("all identity checks reproduced with the stored counts")
+        return
+    at = "; ".join(f"{k} = {_fmt_value(witness[k])}"
+                   for k in ("word", "a", "b") if k in witness)
+    values = "; ".join(f"{k} = {v}" for k, v in sorted(witness.items())
+                       if k not in ("identity", "word", "a", "b"))
+    details.append(f"{witness['identity']} violation re-derived at "
+                   f"{at or 'the empty word'}: {values}")
 
 
 def _recheck_oracle(report, details):

@@ -5,9 +5,11 @@ plain (Fraction, Fraction) pairs, matrices are tuples of tuples of such
 pairs, and words are evaluated letter by letter from the definitions.
 Nothing here imports the package, so a bug in the package cannot leak
 into the expected values these functions produce.  Conversion helpers at
-the bottom only read .re/.im attributes off objects they are handed.
+the bottom only read .re/.im attributes off objects they are handed, and
+spanning_products only multiplies the elements it is handed.
 """
 
+import itertools
 from fractions import Fraction
 
 CZERO = (Fraction(0), Fraction(0))
@@ -211,6 +213,112 @@ def psi_word(images, eta_values, psi_values, gram, word, dim):
                       eta_word(images, eta_values, suffix, dim))
         total = cadd(total, cadd(psi_letter(psi_values, letter), cross))
     return total
+
+
+def madd(a, b):
+    return tuple(tuple(cadd(x, y) for x, y in zip(ra, rb))
+                 for ra, rb in zip(a, b))
+
+
+def conj_transpose(m):
+    return tuple(tuple(cconj(m[j][i]) for j in range(len(m)))
+                 for i in range(len(m[0]) if m else 0))
+
+
+def adjoint(gram, m):
+    """Adjoint of m under the form with Gram matrix gram: G^-1 m^H G."""
+    return mmul(minv(gram), mmul(conj_transpose(m), gram))
+
+
+def is_unitary(gram, m):
+    return mmul(adjoint(gram, m), m) == mid(len(m))
+
+
+def is_self_adjoint(gram, m):
+    return adjoint(gram, m) == m
+
+
+def rank(rows):
+    """Row rank by plain Gaussian elimination."""
+    work = [list(r) for r in rows]
+    ncols = len(work[0]) if work else 0
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(work))
+                      if not cis_zero(work[i][col])), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        for i in range(r + 1, len(work)):
+            if not cis_zero(work[i][col]):
+                f = cdiv(work[i][col], work[r][col])
+                work[i] = [csub(x, cmul(f, y)) for x, y in zip(work[i], work[r])]
+        r += 1
+    return r
+
+
+def in_span(vectors, v):
+    return rank(list(vectors) + [v]) == rank(list(vectors))
+
+
+def independent_subset(vectors):
+    """Greedy scan: keep each vector that raises the rank of those kept."""
+    kept, chosen = [], []
+    for idx, v in enumerate(vectors):
+        if rank(kept + [v]) > len(kept):
+            kept.append(v)
+            chosen.append(idx)
+    return chosen
+
+
+class BudgetExceeded(Exception):
+    def __init__(self, rule_index, steps):
+        super().__init__(f"rule {rule_index} applied for step {steps}")
+        self.rule_index = rule_index
+        self.steps = steps
+
+
+def reduce_word(letters, rules, word, budget):
+    """Monomial rewriting from the definition.
+
+    `letters` maps each letter to its normalised letter and `rules` is a
+    list of (lhs, coeff pair, rhs).  Every step restarts the scan at the
+    first position and rewrites at the leftmost position where some rule
+    matches, by the first listed rule matching there.  Returns
+    (coeff pair, word), or raises BudgetExceeded on step budget + 1.
+    """
+    cur = [letters[l] for l in word]
+    coeff = CONE
+    steps = 0
+    while True:
+        match = next(((i, k) for i in range(len(cur))
+                      for k, (lhs, _, _) in enumerate(rules)
+                      if tuple(cur[i:i + len(lhs)]) == lhs), None)
+        if match is None:
+            return coeff, tuple(cur)
+        i, k = match
+        lhs, rule_coeff, rhs = rules[k]
+        coeff = cmul(coeff, rule_coeff)
+        if cis_zero(coeff):
+            return CZERO, ()
+        cur[i:i + len(lhs)] = list(rhs)
+        steps += 1
+        if steps > budget:
+            raise BudgetExceeded(k, steps)
+
+
+def spanning_products(base, n):
+    """Distinct n-fold products of base elements, in itertools.product
+    order, each multiplied out from the left."""
+    seen = {}
+    for combo in itertools.product(base, repeat=n):
+        prod = combo[0]
+        for f in combo[1:]:
+            prod = prod * f
+        key = tuple(sorted(prod.terms.items(),
+                           key=lambda kv: (len(kv[0]), kv[0])))
+        seen.setdefault(key, prod)
+    return list(seen.values())
 
 
 def to_pair(scalar):

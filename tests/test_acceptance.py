@@ -266,12 +266,15 @@ def test_criterion_8_invariant_suites():
             scn, rep, cocycle = _build(entry_id, name)
             sr = split(cocycle)
             ident = linalg.identity(rep.form.dim)
-            assert linalg.mat_eq(linalg.madd(sr.p_g, sr.p_r), ident)
+            assert (helpers.madd(helpers.to_pairs_mat(sr.p_g),
+                                 helpers.to_pairs_mat(sr.p_r))
+                    == helpers.to_pairs_mat(ident))
             assert linalg.mat_eq(linalg.mmul(sr.p_g, sr.p_g), sr.p_g)
             assert linalg.mat_eq(linalg.mmul(sr.p_r, sr.p_r), sr.p_r)
             assert linalg.is_zero_matrix(linalg.mmul(sr.p_g, sr.p_r))
-            assert rep.form.is_self_adjoint(sr.p_g)
-            assert rep.form.is_self_adjoint(sr.p_r)
+            gram = helpers.to_pairs_mat(rep.form.gram)
+            assert helpers.is_self_adjoint(gram, helpers.to_pairs_mat(sr.p_g))
+            assert helpers.is_self_adjoint(gram, helpers.to_pairs_mat(sr.p_r))
             for g in rep.presentation.generators:
                 img = rep.images[g]
                 assert linalg.mat_eq(linalg.mmul(sr.p_r, img),

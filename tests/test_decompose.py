@@ -55,7 +55,8 @@ def test_invariant_closure_no_lk_is_second_axis():
     # stability under every letter action
     for letter in rep.presentation.alphabet():
         m = rep.letter_matrix(letter)
-        assert linalg.in_span(closure, linalg.mvmul(m, v))
+        assert helpers.in_span([helpers.to_pairs_vec(c) for c in closure],
+                               helpers.to_pairs_vec(linalg.mvmul(m, v)))
 
 
 def test_split_projector_identities():
@@ -65,12 +66,14 @@ def test_split_projector_identities():
     assert sr.remainder.dim == 1
     n = rep.form.dim
     ident = linalg.identity(n)
-    assert linalg.mat_eq(linalg.madd(sr.p_g, sr.p_r), ident)
+    assert helpers.madd(helpers.to_pairs_mat(sr.p_g),
+                        helpers.to_pairs_mat(sr.p_r)) == helpers.to_pairs_mat(ident)
     assert linalg.mat_eq(linalg.mmul(sr.p_g, sr.p_g), sr.p_g)
     assert linalg.mat_eq(linalg.mmul(sr.p_r, sr.p_r), sr.p_r)
     assert linalg.is_zero_matrix(linalg.mmul(sr.p_g, sr.p_r))
-    assert rep.form.is_self_adjoint(sr.p_g)
-    assert rep.form.is_self_adjoint(sr.p_r)
+    gram = helpers.to_pairs_mat(rep.form.gram)
+    assert helpers.is_self_adjoint(gram, helpers.to_pairs_mat(sr.p_g))
+    assert helpers.is_self_adjoint(gram, helpers.to_pairs_mat(sr.p_r))
     for g in rep.presentation.generators:
         img = rep.images[g]
         assert linalg.mat_eq(linalg.mmul(sr.p_r, img), linalg.mmul(img, sr.p_r))

@@ -2,12 +2,16 @@
 
 Hypothesis draws Gaussian rationals, small matrices and words, and every
 result of the package's scalar operators, matrix products, elimination
-routines, hermitian forms, group validation and memoised word evaluators is
-compared with (or checked by) the plain
-(Fraction, Fraction) arithmetic in helpers.  The draws are derandomized, so
+routines, hermitian forms, group validation, memoised word evaluators and
+star-algebra rewriting is compared with (or checked by) the plain
+(Fraction, Fraction) arithmetic and the restart-from-the-left rewriting in
+helpers.  The draws are derandomized, so
 a run is repeatable and needs no example database.
 """
 
+import contextlib
+import itertools
+import os
 from fractions import Fraction
 
 import pytest
@@ -22,7 +26,14 @@ from nlk.cocycles import (
     coboundary_cocycle,
 )
 from nlk.functionals import GroupFunctional
-from nlk.presentations import AlgebraElement, Presentation
+from nlk.presentations import (
+    STEP_BUDGET_ENV,
+    AlgebraElement,
+    Presentation,
+    ReductionBudgetExceeded,
+    k1_elements,
+    kn_spanning_set,
+)
 from nlk.scalars import I, ONE, ZERO, Scalar
 
 import helpers as H
@@ -448,3 +459,165 @@ def test_phi_v_matches_word_matrix_on_star_algebras(m, eps_x, v, words):
         moved = linalg.vsub(linalg.mvmul(rep.word_matrix(w), v),
                             linalg.vscale(eps, v))
         assert phi.eval_word(w) == rep.form.inner(v, moved)
+
+
+# --- star-algebra rewriting ----------------------------------------
+
+
+GENERATORS = ("x", "y", "z")
+RULE_COEFFS = st.sampled_from([ZERO, ONE, -ONE, I, Scalar(2, 0),
+                               Scalar(Fraction(1, 2), -1)])
+REWRITING = settings(DIFF, max_examples=200)
+
+
+@contextlib.contextmanager
+def step_budget(budget):
+    old = os.environ.get(STEP_BUDGET_ENV)
+    os.environ[STEP_BUDGET_ENV] = str(budget)
+    try:
+        yield
+    finally:
+        if old is None:
+            del os.environ[STEP_BUDGET_ENV]
+        else:
+            os.environ[STEP_BUDGET_ENV] = old
+
+
+def _word_counit(character, word):
+    out = ONE
+    for name, _ in word:
+        out = out * character[name]  # real values, so conj is a no-op
+    return out
+
+
+@st.composite
+def rewriting_systems(draw):
+    """Rules over 2-3 generators, some of them with a free starred letter.
+
+    Left sides are short words over a small alphabet, plus pieces of the
+    drawn ones and now and then a swap pair, so overlapping, nested and
+    non-terminating rule sets all come up.  A coefficient is drawn where
+    the counit leaves it free and forced where it does not; a rule whose
+    right side has counit 0 under a left side with nonzero counit is
+    dropped.
+    """
+    gens = GENERATORS[:draw(st.integers(2, 3))]
+    starred = [draw(st.booleans()) for _ in gens]
+    character = {g: draw(st.sampled_from([ZERO, ZERO, ONE, Scalar(2, 0)]))
+                 for g in gens}
+    alphabet = ([(g, 0) for g in gens]
+                + [(g, 1) for g, s in zip(gens, starred) if s])
+
+    def words(lo, hi):
+        return st.lists(st.sampled_from(alphabet), min_size=lo,
+                        max_size=hi).map(tuple)
+
+    lhss = draw(st.lists(words(1, 3), min_size=1, max_size=5))
+    for k, start, size in draw(st.lists(
+            st.tuples(st.integers(0, len(lhss) - 1), st.integers(0, 2),
+                      st.integers(1, 2)), max_size=2)):
+        piece = lhss[k][start:start + size]
+        if piece:
+            lhss.insert(draw(st.integers(0, len(lhss))), piece)
+    rules = []
+    for lhs in lhss:
+        rhs = draw(words(0, 3))
+        el, er = _word_counit(character, lhs), _word_counit(character, rhs)
+        if not er.is_zero():
+            rules.append((lhs, el / er, rhs))
+        elif el.is_zero():
+            rules.append((lhs, draw(RULE_COEFFS), rhs))
+    if draw(st.booleans()):
+        a, b = alphabet[0], alphabet[1]
+        rules[draw(st.integers(0, len(rules))):0] = [
+            ((a, b), ONE, (b, a)), ((b, a), ONE, (a, b))]
+    return gens, starred, character, alphabet, rules
+
+
+def _build_system(system, budget):
+    gens, starred, character, _, rules = system
+    inv = {g: f"{g}*" if s else g for g, s in zip(gens, starred)}
+    with step_budget(budget):
+        return Presentation.star_algebra(gens, inv, character, rules)
+
+
+def _reference_letters(system):
+    gens, starred, _, _, _ = system
+    out = {}
+    for g, s in zip(gens, starred):
+        out[(g, 0)] = (g, 0)
+        out[(g, 1)] = (g, 1) if s else (g, 0)
+    return out
+
+
+@REWRITING
+@given(rewriting_systems(), st.data())
+def test_reduce_matches_restarting_reference(system, data):
+    budget = data.draw(st.integers(0, 20))
+    p = _build_system(system, budget)
+    letters = _reference_letters(system)
+    ref_rules = [(lhs, H.to_pair(c), rhs) for lhs, c, rhs in system[4]]
+    for word in data.draw(st.lists(st.lists(st.sampled_from(sorted(letters)),
+                                            max_size=8).map(tuple),
+                                   min_size=1, max_size=6)):
+        try:
+            expected = H.reduce_word(letters, ref_rules, word, budget)
+        except H.BudgetExceeded as ref:
+            with pytest.raises(ReductionBudgetExceeded) as info:
+                p.reduce(word)
+            assert info.value.steps == ref.steps
+            assert info.value.rule == p.rules[ref.rule_index]
+            assert info.value.word == word
+            continue
+        coeff, red = p.reduce(word)
+        assert (H.to_pair(coeff), red) == expected
+
+
+def _has_redex(rules, word):
+    return any(word[i:i + len(lhs)] == lhs
+               for i in range(len(word)) for lhs, _, _ in rules)
+
+
+@REWRITING
+@given(rewriting_systems())
+def test_words_up_to_lists_the_irreducible_words(system):
+    p = _build_system(system, 0)
+    alphabet, rules = system[3], system[4]
+    expected = [w for k in range(4) for w in itertools.product(alphabet, repeat=k)
+                if not _has_redex(rules, w)]
+    assert p.words_up_to(3) == expected
+
+
+@settings(DIFF, max_examples=30)
+@given(rewriting_systems(), st.sampled_from([(1, 2), (2, 1), (2, 2), (3, 1)]))
+def test_kn_spanning_set_matches_product_reference(system, shape):
+    n, max_len = shape
+    p = _build_system(system, 50)
+    try:
+        expected = H.spanning_products(k1_elements(p, max_len), n)
+    except ReductionBudgetExceeded:
+        with pytest.raises(ReductionBudgetExceeded):
+            kn_spanning_set(p, n, max_len)
+        return
+    got = kn_spanning_set(p, n, max_len)
+    assert isinstance(got, list)
+    assert [e.terms for e in got] == [e.terms for e in expected]
+
+
+def test_kn_spanning_set_matches_product_reference_on_a_group():
+    p = Presentation.group(["a", "b"], [["a", "b", "a^-1", "b^-1"]])
+    for n, max_len in ((2, 2), (3, 1)):
+        expected = H.spanning_products(k1_elements(p, max_len), n)
+        assert kn_spanning_set(p, n, max_len) == expected
+
+
+# --- independent subsets -------------------------------------------
+
+
+@MATRICES
+@given(st.tuples(st.integers(0, 5), st.integers(0, 4)).flatmap(
+    lambda nk: st.lists(st.lists(ENTRIES, min_size=nk[1], max_size=nk[1])
+                        .map(tuple), min_size=nk[0], max_size=nk[0])))
+def test_independent_subset_matches_greedy_rank_reference(vectors):
+    expected = H.independent_subset([H.to_pairs_vec(v) for v in vectors])
+    assert linalg.independent_subset(vectors) == expected

@@ -16,7 +16,6 @@ from nlk.linalg import (
     det,
     from_columns,
     identity,
-    in_span,
     independent_subset,
     inverse,
     is_zero_vector,
@@ -162,8 +161,9 @@ def test_span_and_independence_utilities():
     v2 = vector([ZERO, ONE, ZERO])
     v3 = vector([ONE, ONE, ONE])  # v1 + v2
     assert independent_subset([v1, v2, v3]) == [0, 1]
-    assert in_span([v1, v2], v3)
-    assert not in_span([v1, v2], vector([ONE, ZERO, ZERO]))
+    pairs = [H.to_pairs_vec(v) for v in (v1, v2)]
+    assert H.in_span(pairs, H.to_pairs_vec(v3))
+    assert not H.in_span(pairs, H.to_pairs_vec(vector([ONE, ZERO, ZERO])))
     basis = span_basis([v1, v2, v3])
     assert len(basis) == 2
     cols = columns(matrix([v1, v2]))
@@ -218,10 +218,13 @@ def test_adjoint_satisfies_defining_identity():
 
 def test_unitary_and_self_adjoint_predicates():
     f = standard_form(2)
+    gram = H.to_pairs_mat(f.gram)
     rot = matrix([[ZERO, ONE], [-ONE, ZERO]])
-    assert f.is_unitary(rot)
-    assert not f.is_unitary(matrix([[sc(2), ZERO], [ZERO, ONE]]))
-    assert f.is_self_adjoint(matrix([[ONE, I], [-I, ZERO]]))
+    assert H.to_pairs_mat(f.adjoint(rot)) == H.adjoint(gram, H.to_pairs_mat(rot))
+    assert H.is_unitary(gram, H.to_pairs_mat(rot))
+    assert not H.is_unitary(gram, H.to_pairs_mat(
+        matrix([[sc(2), ZERO], [ZERO, ONE]])))
+    assert H.is_self_adjoint(gram, H.to_pairs_mat(matrix([[ONE, I], [-I, ZERO]])))
 
 
 def test_projection_identities():

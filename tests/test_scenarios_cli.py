@@ -319,6 +319,68 @@ def test_cli_rejects_malformed_step_budget(tmp_path, capsys, monkeypatch):
     assert cli.main(["verify", path]) != 1
 
 
+def test_cli_budget_error_names_the_looping_rule(tmp_path, capsys, monkeypatch):
+    doc = {
+        "presentation": {
+            "kind": "star_algebra",
+            "generators": ["x", "y"],
+            "involution": {"x": "x", "y": "y"},
+            "character": {"x": "0", "y": "0"},
+            "rules": [{"lhs": ["x", "y"],
+                       "rhs": {"coeff": "1", "word": ["y", "x"]}}],
+        },
+        "form": {"gram": [["1"]]},
+        "functional": {"table": {"1": "0"}},
+    }
+    path = write_doc(tmp_path, doc)
+    monkeypatch.setenv("NLK_STEP_BUDGET", "2")
+    assert cli.main(["verify", path]) == 1
+    err = capsys.readouterr().err
+    assert "REDUCTION_BUDGET_EXCEEDED" in err and "Traceback" not in err
+    # x x x y needs three swaps to reach y x x x
+    assert "start word ['x', 'x', 'x', 'y']" in err
+    assert "last rule applied x y -> (1)*y x" in err
+    assert "3 steps taken" in err
+    monkeypatch.delenv("NLK_STEP_BUDGET")
+    assert cli.main(["verify", path]) == 0
+
+
+def test_cli_recheck_rejects_tampered_verify_witness(tmp_path, capsys):
+    doc = {
+        "presentation": {
+            "kind": "star_algebra",
+            "generators": ["x", "y"],
+            "involution": {"x": "x", "y": "y"},
+            "character": {"x": "0", "y": "0"},
+            "rules": [],
+        },
+        "form": {"gram": [["1"]]},
+        "functional": {"table": {"1": "0", "x x": "1"}},
+    }
+    path = write_doc(tmp_path, doc)
+    assert cli.main(["verify", path, "--format", "json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["witness"] == {
+        "identity": "coboundary", "a": ["x"], "b": ["x"],
+        "lhs": "-1", "rhs": "0"}
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report), encoding="utf-8")
+    assert cli.main(["recheck", str(report_path)]) == 0
+    out = capsys.readouterr().out
+    assert "coboundary violation re-derived at a = x; b = x" in out
+    for field, value in (("rhs", "12345"), ("a", ["y"]), ("lhs", "-2")):
+        tampered = json.loads(json.dumps(report))
+        tampered["result"]["witness"][field] = value
+        report_path.write_text(json.dumps(tampered), encoding="utf-8")
+        assert cli.main(["recheck", str(report_path)]) == 2
+        assert "confirmed: False" in capsys.readouterr().out
+    tampered = json.loads(json.dumps(report))
+    tampered["result"]["counts"]["hermitian"] += 1
+    report_path.write_text(json.dumps(tampered), encoding="utf-8")
+    assert cli.main(["recheck", str(report_path)]) == 2
+    assert "stored counts" in capsys.readouterr().out
+
+
 def test_cli_negative_word_length(tmp_path, capsys):
     path = write_doc(tmp_path, z2_doc())
     assert cli.main(["verify", path, "--max-word-length", "-1"]) == 1
