@@ -338,6 +338,20 @@ def exponent_matrix(presentation):
     return tuple(rows)
 
 
+def solve_exponent_sums(presentation, rhs):
+    """Solve exponent_matrix(presentation) @ t == rhs for t over the generators.
+
+    Without relators the matrix has no rows to carry its width; every t then
+    solves the system, so the solution is 0 and the kernel is everything.
+    """
+    em = exponent_matrix(presentation)
+    if not em:
+        n = len(presentation.generators)
+        return linalg.LinearSolution(solution=linalg.zero_vector(n),
+                                     kernel_basis=linalg.identity(n))
+    return linalg.solve_linear(em, rhs)
+
+
 def derivation_space(presentation, dim: int):
     """Basis of generator assignments extendable to derivations in dimension dim.
 
@@ -346,10 +360,8 @@ def derivation_space(presentation, dim: int):
     """
     if presentation.kind != GROUP:
         raise ValueError("derivation_space needs a group presentation")
-    em = exponent_matrix(presentation)
-    ker = linalg.kernel(em) if em else [
-        tuple(ONE if i == j else ZERO for j in range(len(presentation.generators)))
-        for i in range(len(presentation.generators))]
+    ker = solve_exponent_sums(
+        presentation, linalg.zero_vector(len(presentation.relators))).kernel_basis
     basis = []
     for kvec in ker:
         for i in range(dim):

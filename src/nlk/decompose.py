@@ -52,17 +52,6 @@ def invariant_closure(representation: Representation) -> list:
         basis = new_basis
 
 
-def _coords_matrix(form: HermitianForm, basis_cols):
-    """k x dim matrix sending v to the coordinates of its orthogonal
-    projection onto span(basis) relative to that basis."""
-    if not basis_cols:
-        return tuple()
-    b = linalg.from_columns(basis_cols, rows_hint=form.dim)
-    bh = linalg.conj_transpose(b)
-    gram = linalg.mmul(bh, linalg.mmul(form.gram, b))
-    return linalg.mmul(linalg.inverse(gram), linalg.mmul(bh, form.gram))
-
-
 @dataclass(frozen=True)
 class PartSpace:
     """One side of the splitting, in its own coordinates."""
@@ -101,9 +90,15 @@ def _part_space(representation, cocycle, basis_vectors, trivial: bool) -> PartSp
     p = representation.presentation
     form = representation.form
     basis = tuple(basis_vectors)
-    coords = _coords_matrix(form, basis)
-    part_gram = tuple(tuple(form.inner(v, w) for w in basis) for v in basis)
-    part_form = HermitianForm(part_gram)
+    if basis:
+        # Gram matrix B*GB of the basis; the coordinate map of the orthogonal
+        # projection onto span(B) is (B*GB)^-1 B*G, from the part form's inverse
+        b = linalg.from_columns(basis)
+        bh_g = linalg.mmul(linalg.conj_transpose(b), form.gram)
+        part_form = HermitianForm(linalg.mmul(bh_g, b))
+        coords = linalg.mmul(part_form.gram_inv, bh_g)
+    else:
+        part_form, coords = HermitianForm(()), ()
     if trivial:
         part_rep = trivial_representation(p, part_form)
     else:
@@ -138,11 +133,13 @@ def split(cocycle: Cocycle) -> SplitResult:
         raise IndefiniteFormError("splitting needs a positive definite form")
     n = form.dim
     h_r = invariant_closure(representation)
-    p_r = form.projection(h_r)
-    p_g = linalg.msub(linalg.identity(n), p_r)
     h_g = form.orthocomplement(h_r)
     gaussian = _part_space(representation, cocycle, h_g, trivial=True)
     remainder = _part_space(representation, cocycle, h_r, trivial=False)
+    # the orthogonal projection onto H_R is B_R times its coordinate map
+    p_r = (linalg.mmul(linalg.from_columns(h_r), remainder.coords) if h_r
+           else linalg.zero_matrix(n, n))
+    p_g = linalg.msub(linalg.identity(n), p_r)
     return SplitResult(representation=representation, cocycle=cocycle,
                        p_g=p_g, p_r=p_r, gaussian=gaussian, remainder=remainder)
 

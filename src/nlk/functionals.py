@@ -16,7 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cocycles import Cocycle, exponent_matrix, fold_suffixes
+from .cocycles import (
+    Cocycle,
+    exponent_matrix,
+    fold_suffixes,
+    solve_exponent_sums,
+)
 from .linalg import IndefiniteFormError
 from .presentations import (
     GROUP,
@@ -222,7 +227,7 @@ def solve_generating_functional(cocycle: Cocycle) -> SolveOutcome:
             verdict="infeasible", functional=None, ambiguity_dim=None,
             readings=tuple(readings), system_matrix=a_mat, system_rhs=rhs,
             certificate=None)
-    solved = linalg.solve_linear(a_mat, rhs)
+    solved = solve_exponent_sums(p, rhs)
     if isinstance(solved, linalg.LinearInfeasible):
         return SolveOutcome(
             verdict="infeasible", functional=None, ambiguity_dim=None,
@@ -471,21 +476,17 @@ def gns_truncated(functional, max_len: int) -> GnsResult:
               - eps[j] * psi_star[i] - eps[i].conj() * psi[words[j]]
               for j in range(n))
         for i in range(n))
-    rank = linalg.rank(gram) if n else 0
+    # one elimination: the pivot columns are the first maximal independent set
+    # of word classes, and column j of the reduced rows gives w_j over them
+    red, pivot_idx = linalg.rref(gram)
+    rank = len(pivot_idx)
     psd = linalg.psd_check(gram)
     if not psd.psd:
         return GnsResult(kind=p.kind, words=words, gram=gram, rank=rank, psd=psd,
                          eta_vectors=None, pivot_words=None, quotient_gram=None)
-    pivot_idx = linalg.independent_subset(linalg.columns(gram)) if n else []
     gpp = tuple(tuple(gram[i][j] for j in pivot_idx) for i in pivot_idx)
-    eta_vectors = {}
-    for j, w in enumerate(words):
-        rhs = tuple(gram[i][j] for i in pivot_idx)
-        if pivot_idx:
-            solved = linalg.solve_linear(gpp, rhs)
-            eta_vectors[w] = solved.solution
-        else:
-            eta_vectors[w] = ()
+    eta_vectors = {w: tuple(red[i][j] for i in range(rank))
+                   for j, w in enumerate(words)}
     return GnsResult(kind=p.kind, words=words, gram=gram, rank=rank, psd=psd,
                      eta_vectors=eta_vectors,
                      pivot_words=tuple(words[i] for i in pivot_idx),

@@ -4,10 +4,15 @@ Vectors are tuples of Scalar, matrices are tuples of row tuples.  Sizes are
 small (representation spaces up to ~8 dimensions, Gram matrices up to a few
 hundred rows).  Matrix products go through the integer kernel
 `scalars.products`, which puts each row and column over one common
-denominator; elimination (`rref`, `det`, `inverse`, the PSD check and the
-definiteness pass of a hermitian form) is exact Gaussian elimination with
-Scalar operators.  Dimension 0 is allowed throughout; it shows up when a
-splitting has an empty Gaussian or remainder part.
+denominator.  Elimination is exact Gaussian elimination with Scalar
+operators, one elimination per question: one `rref` gives a rank, the pivot
+(first independent) columns and every column's coordinates over them;
+`solve_linear` reads the solution, the kernel basis and any infeasibility
+certificate off one `rref` of [a | b | I]; `inverse` reduces [m | I] once and
+a hermitian form keeps its inverse as `gram_inv`; `det`, the definiteness
+pass of a form and `psd_check` are one pass each.  Dimension 0 is allowed
+throughout; it shows up when a splitting has an empty Gaussian or remainder
+part.
 """
 
 from __future__ import annotations
@@ -182,12 +187,15 @@ def rank(m) -> int:
 
 def kernel(m) -> list:
     """Basis of the right kernel of m, as a list of vectors."""
-    r, c = mat_shape(m)
-    red, pivots = rref(m)
-    pivset = set(pivots)
-    free = [j for j in range(c) if j not in pivset]
+    return _kernel_basis(*rref(m), mat_shape(m)[1])
+
+
+def _kernel_basis(red, pivots, c) -> list:
+    """Right kernel of the c-column matrix whose rref is the first c columns
+    of the reduced rows `red`; pivots at or past column c are ignored."""
+    pivots = [p for p in pivots if p < c]
     basis = []
-    for j in free:
+    for j in (j for j in range(c) if j not in pivots):
         v = [ZERO] * c
         v[j] = ONE
         for i, p in enumerate(pivots):
@@ -226,12 +234,14 @@ def solve_linear(a, b):
         if lead == c:
             cert = tuple(row[c + 1:])
             return LinearInfeasible(certificate=cert)
+    # the first c columns of the reduction are rref(a): the kernel comes
+    # from the same rows as the particular solution
     sol = [ZERO] * c
-    coeff_pivots = [p for p in pivots if p < c]
-    for i, p in enumerate(coeff_pivots):
-        sol[p] = red[i][c]
-    ker = kernel(a)
-    return LinearSolution(solution=tuple(sol), kernel_basis=tuple(ker))
+    for i, p in enumerate(pivots):
+        if p < c:
+            sol[p] = red[i][c]
+    return LinearSolution(solution=tuple(sol),
+                          kernel_basis=tuple(_kernel_basis(red, pivots, c)))
 
 
 def inverse(m):
@@ -269,15 +279,6 @@ def det(m) -> Scalar:
     return result
 
 
-def independent_subset(vectors) -> list:
-    """Indices of a maximal linearly independent subset, scanned in order:
-    the pivot columns of one elimination of the vectors taken as columns."""
-    vectors = list(vectors)
-    if not vectors:
-        return []
-    return rref(from_columns(vectors))[1]
-
-
 def span_basis(vectors) -> list:
     """Row-echelon basis of the span of the given vectors."""
     red, pivots = rref(list(vectors))
@@ -291,8 +292,8 @@ class HermitianForm:
     """Invertible hermitian Gram matrix on column vectors.
 
     inner(v, w) = conj(v)^T @ gram @ w  (conjugate-linear in the first slot).
-    `definite` is decided exactly by Sylvester's criterion, read off one
-    elimination pass.
+    `gram_inv` is the inverse computed once at construction.  `definite` is
+    decided exactly by Sylvester's criterion, read off one elimination pass.
     """
 
     def __init__(self, gram):
@@ -305,7 +306,7 @@ class HermitianForm:
         self.gram = gram
         self.dim = n
         try:
-            self._gram_inv = inverse(gram)
+            self.gram_inv = inverse(gram)
         except LinalgError:
             raise LinalgError("gram matrix is singular") from None
         self.definite = _pivots_positive(gram)
@@ -323,26 +324,7 @@ class HermitianForm:
         """gram^-1 @ conj_transpose(m) @ gram."""
         if mat_shape(m) != (self.dim, self.dim):
             raise DimensionMismatch("matrix size does not match form")
-        return mmul(self._gram_inv, mmul(conj_transpose(m), self.gram))
-
-    def projection(self, vectors):
-        """Matrix of the orthogonal projection onto span(vectors).
-
-        Requires a positive definite form.  Dependent or zero inputs are
-        tolerated; an empty span gives the zero matrix.
-        """
-        if not self.definite:
-            raise IndefiniteFormError("projection needs a positive definite form")
-        vecs = [v for v in vectors if not is_zero_vector(v)]
-        idx = independent_subset(vecs)
-        basis = [vecs[i] for i in idx]
-        if not basis:
-            return zero_matrix(self.dim, self.dim)
-        b = from_columns(basis, rows_hint=self.dim)
-        bh = conj_transpose(b)
-        m = mmul(bh, mmul(self.gram, b))
-        minv = inverse(m)
-        return mmul(b, mmul(minv, mmul(bh, self.gram)))
+        return mmul(self.gram_inv, mmul(conj_transpose(m), self.gram))
 
     def orthocomplement(self, vectors) -> list:
         """Basis of {v : inner(b, v) = 0 for all b in vectors}."""

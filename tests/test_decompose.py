@@ -71,6 +71,13 @@ def test_split_projector_identities():
     assert linalg.mat_eq(linalg.mmul(sr.p_g, sr.p_g), sr.p_g)
     assert linalg.mat_eq(linalg.mmul(sr.p_r, sr.p_r), sr.p_r)
     assert linalg.is_zero_matrix(linalg.mmul(sr.p_g, sr.p_r))
+    # each projector fixes its own part's basis and kills the other's
+    for v in sr.remainder.basis:
+        assert linalg.mvmul(sr.p_r, v) == v
+        assert linalg.is_zero_vector(linalg.mvmul(sr.p_g, v))
+    for w in sr.gaussian.basis:
+        assert linalg.mvmul(sr.p_g, w) == w
+        assert linalg.is_zero_vector(linalg.mvmul(sr.p_r, w))
     gram = helpers.to_pairs_mat(rep.form.gram)
     assert helpers.is_self_adjoint(gram, helpers.to_pairs_mat(sr.p_g))
     assert helpers.is_self_adjoint(gram, helpers.to_pairs_mat(sr.p_r))
@@ -104,7 +111,7 @@ def test_split_trivial_rep_has_empty_remainder():
     sr = split(cocycle)
     assert sr.remainder.dim == 0
     assert sr.gaussian.dim == rep.form.dim
-    assert linalg.is_zero_matrix(sr.p_r)
+    assert sr.p_r == linalg.zero_matrix(rep.form.dim, rep.form.dim)
     assert linalg.mat_eq(sr.p_g, linalg.identity(rep.form.dim))
     for g in rep.presentation.generators:
         coords = sr.gaussian.cocycle.letter_value((g, 1))

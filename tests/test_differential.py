@@ -158,6 +158,23 @@ def test_kernel_vectors_are_annihilated(m):
 
 
 @MATRICES
+@given(st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda rc: matrices(*rc)))
+def test_rref_rows_rebuild_every_column_from_the_pivot_columns(m):
+    """m[:, j] = sum_i m[:, p_i] red[i][j]: the reduced rows express each
+    column over the pivot columns, which are the greedy independent ones."""
+    red, pivots = linalg.rref(m)
+    pm = H.to_pairs_mat(m)
+    cols = [tuple(row[j] for row in pm) for j in range(len(m[0]))]
+    assert pivots == H.independent_subset(cols)
+    for j, col in enumerate(cols):
+        combo = H.zero_vec(len(m))
+        for i, p in enumerate(pivots):
+            combo = H.vadd(combo, H.vscale(H.to_pair(red[i][j]), cols[p]))
+        assert combo == col
+
+
+@MATRICES
 @given(RECT, st.data())
 def test_solve_linear_solves_or_certifies(m, data):
     rows, cols = len(m), len(m[0])
@@ -172,6 +189,8 @@ def test_solve_linear_solves_or_certifies(m, data):
         assert H.mvec(pm, H.to_pairs_vec(out.solution)) == pb
         for k in out.kernel_basis:
             assert H.mvec(pm, H.to_pairs_vec(k)) == H.zero_vec(rows)
+        ker = [H.to_pairs_vec(k) for k in out.kernel_basis]
+        assert len(ker) == cols - H.rank(pm) == H.rank(ker)
     else:
         lam = H.to_pairs_vec(out.certificate)
         assert row_times(lam, pm) == H.zero_vec(cols)
@@ -609,15 +628,3 @@ def test_kn_spanning_set_matches_product_reference_on_a_group():
     for n, max_len in ((2, 2), (3, 1)):
         expected = H.spanning_products(k1_elements(p, max_len), n)
         assert kn_spanning_set(p, n, max_len) == expected
-
-
-# --- independent subsets -------------------------------------------
-
-
-@MATRICES
-@given(st.tuples(st.integers(0, 5), st.integers(0, 4)).flatmap(
-    lambda nk: st.lists(st.lists(ENTRIES, min_size=nk[1], max_size=nk[1])
-                        .map(tuple), min_size=nk[0], max_size=nk[0])))
-def test_independent_subset_matches_greedy_rank_reference(vectors):
-    expected = H.independent_subset([H.to_pairs_vec(v) for v in vectors])
-    assert linalg.independent_subset(vectors) == expected

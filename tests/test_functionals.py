@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from nlk.catalog import scenario_doc
 from nlk.cocycles import Cocycle, Representation, trivial_representation
 from nlk.functionals import (
     GroupFunctional,
@@ -33,6 +34,7 @@ from nlk.presentations import (
     word_from_strs,
 )
 from nlk.scalars import I, ONE, ZERO, sc
+from nlk.scenarios import parse_scenario
 
 import helpers as H
 
@@ -293,6 +295,27 @@ def test_gns_truncation_of_star_power_table():
     # the Gram matrix is the table of psi(v* w) values
     iv = res.words.index((x,))
     assert res.gram[iv][iv] == ONE
+
+
+def test_gns_rank_pivots_and_eta_match_the_reference():
+    scn = parse_scenario(scenario_doc("surface.gamma2.no_lk", "main"))
+    group_psi = solve_generating_functional(
+        scn.build_cocycle(scn.build_representation())).functional
+    for psi, max_len in ((_star_definite()[3], 2), (group_psi, 2)):
+        res = gns_truncated(psi, max_len)
+        assert res.psd.psd
+        gram = H.to_pairs_mat(res.gram)
+        cols = [tuple(row[j] for row in gram) for j in range(len(gram))]
+        pivots = H.independent_subset(cols)
+        assert res.pivot_words == tuple(res.words[p] for p in pivots)
+        assert res.rank == H.rank(gram) == len(pivots)
+        # eta(w_j) holds the coordinates of Gram column j over the pivot columns
+        for j, w in enumerate(res.words):
+            eta = H.to_pairs_vec(res.eta_vectors[w])
+            combo = H.zero_vec(len(gram))
+            for coeff, p in zip(eta, pivots):
+                combo = H.vadd(combo, H.vscale(coeff, cols[p]))
+            assert combo == cols[j]
 
 
 def test_gns_flags_non_positive_table():

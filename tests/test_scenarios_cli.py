@@ -194,6 +194,38 @@ def test_cli_solve_infeasible(tmp_path, capsys):
     assert "infeasible" in out
 
 
+def free_doc():
+    """Free group on two generators: a group with no relators."""
+    doc = z2_doc()
+    doc["presentation"]["relators"] = []
+    del doc["options"]
+    return doc
+
+
+def test_cli_solve_without_relators(tmp_path, capsys):
+    path = write_doc(tmp_path, free_doc())
+    assert cli.main(["solve", path, "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["verdict"] == "feasible"
+    assert result["ambiguity_dim"] == 2
+    assert result["psi"] == {"a": "-1/2", "b": "-1/2"}
+
+
+def test_cli_decompose_without_relators(tmp_path, capsys):
+    path = write_doc(tmp_path, free_doc())
+    assert cli.main(["decompose", path]) == 0
+    assert "decomposed" in capsys.readouterr().out
+
+
+def test_cli_recheck_solve_without_relators(tmp_path, capsys):
+    path = write_doc(tmp_path, free_doc())
+    cli.main(["solve", path, "--format", "json"])
+    report_path = tmp_path / "report.json"
+    report_path.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert cli.main(["recheck", str(report_path)]) == 0
+    assert "confirmed: True" in capsys.readouterr().out
+
+
 def test_cli_validate_ok(tmp_path, capsys):
     path = write_doc(tmp_path, z2_doc())
     assert cli.main(["validate", path]) == 0
