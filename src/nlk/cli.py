@@ -1,10 +1,14 @@
 """Command-line interface.
 
-Scenario commands accept either a path to a scenario JSON file or the id of
-a built-in catalog entry (which resolves to that entry's main scenario).
+Scenario commands (validate, solve, decompose, verify, oracle) accept
+either a path to a scenario JSON file or the id of a built-in catalog entry
+(which resolves to that entry's main scenario).  Every command with a
+`--format` option wraps its result in one report envelope
+(`reports.make_report`) and writes it once, as JSON (`reports.dumps`) or as
+text (`reports.render_text`); `catalog list` prints one line per entry.
 Exit codes: 0 when the run passes or is feasible, 2 when it produces a
-certified negative (infeasible, counterexample, mismatch), 1 for input or
-internal errors.
+certified negative (infeasible, counterexample, mismatch, refuted recheck),
+1 for input or internal errors.
 """
 
 from __future__ import annotations
@@ -23,14 +27,13 @@ from .decompose import (
     check_diagram_consistency,
 )
 from .functionals import (
+    GroupFunctional,
     NoNormalForm,
     brute_force_welldefinedness_oracle,
-    build_normal_form,
     forced_real_parts,
     solve_generating_functional,
     verify_schurmann_triple,
 )
-from .functionals import GroupFunctional
 from .linalg import LinalgError
 from .presentations import GROUP, PresentationError, ReductionBudgetExceeded
 from .scenarios import (
@@ -43,6 +46,15 @@ from .scenarios import (
 
 class CliError(Exception):
     """Input or usage problem; maps to exit code 1."""
+
+
+class _EarlyStop(Exception):
+    """A scenario command stopping before its own check, with the evidence."""
+
+    def __init__(self, reason, **evidence):
+        super().__init__(reason)
+        self.reason = reason
+        self.evidence = evidence
 
 
 def _load_target(target):
@@ -67,6 +79,28 @@ def _violations_json(exc):
     return [v.to_json() for v in exc.violations]
 
 
+def _cocycle(scenario):
+    """The scenario's cocycle; an obstructed one stops the command."""
+    rep = scenario.build_representation()
+    try:
+        return scenario.build_cocycle(rep)
+    except CocycleObstructed as exc:
+        raise _EarlyStop("cocycle_obstructed",
+                         violations=_violations_json(exc)) from None
+
+
+def _functional_for(scenario, cocycle):
+    """The functional a scenario designates, supplied or solved for, and its
+    source; when none exists the command stops."""
+    supplied = scenario.build_functional(cocycle)
+    if supplied is not None:
+        return supplied, "scenario"
+    outcome = solve_generating_functional(cocycle)
+    if not outcome.feasible:
+        raise _EarlyStop("no_generating_functional", solve=outcome.to_json())
+    return outcome.functional, "solver"
+
+
 # --- scenario commands ----------------------------------------------
 
 
@@ -89,39 +123,13 @@ def _cmd_validate(scenario, max_len):
 
 def _cmd_solve(scenario, max_len):
     _require_group(scenario, "solve")
-    rep = scenario.build_representation()
-    try:
-        cocycle = scenario.build_cocycle(rep)
-    except CocycleObstructed as exc:
-        return {"verdict": "infeasible", "reason": "cocycle_obstructed",
-                "violations": _violations_json(exc), "psi": None}, 2
-    outcome = solve_generating_functional(cocycle)
+    outcome = solve_generating_functional(_cocycle(scenario))
     return outcome.to_json(), 0 if outcome.feasible else 2
-
-
-def _functional_for(scenario, cocycle):
-    """The functional a scenario designates: supplied, or solved for."""
-    supplied = scenario.build_functional(cocycle)
-    if supplied is not None:
-        return supplied, "scenario", None
-    outcome = solve_generating_functional(cocycle)
-    if outcome.feasible:
-        return outcome.functional, "solver", outcome
-    return None, "solver", outcome
 
 
 def _cmd_decompose(scenario, max_len):
     _require_group(scenario, "decompose")
-    rep = scenario.build_representation()
-    try:
-        cocycle = scenario.build_cocycle(rep)
-    except CocycleObstructed as exc:
-        return {"verdict": "no_lk", "reason": "cocycle_obstructed",
-                "violations": _violations_json(exc)}, 2
-    functional, source, outcome = _functional_for(scenario, cocycle)
-    if functional is None:
-        return {"verdict": "no_lk", "reason": "no_generating_functional",
-                "solve": outcome.to_json()}, 2
+    functional, source = _functional_for(scenario, _cocycle(scenario))
     lk = attempt_lk(functional)
     result = lk.to_json()
     result["psi_source"] = source
@@ -130,17 +138,9 @@ def _cmd_decompose(scenario, max_len):
 
 
 def _cmd_verify(scenario, max_len):
-    rep = scenario.build_representation()
-    try:
-        cocycle = scenario.build_cocycle(rep)
-    except CocycleObstructed as exc:
-        return {"passed": False, "reason": "cocycle_obstructed",
-                "violations": _violations_json(exc)}, 2
+    cocycle = _cocycle(scenario)
     if scenario.presentation.kind == GROUP:
-        functional, source, outcome = _functional_for(scenario, cocycle)
-        if functional is None:
-            return {"passed": False, "reason": "no_generating_functional",
-                    "solve": outcome.to_json()}, 2
+        functional, source = _functional_for(scenario, cocycle)
         psi_used = functional.to_json()["psi"]
     else:
         functional = scenario.build_functional(cocycle)
@@ -158,15 +158,11 @@ def _cmd_verify(scenario, max_len):
 
 def _cmd_oracle(scenario, max_len):
     _require_group(scenario, "oracle")
-    nf = build_normal_form(scenario.presentation, scenario.options.normal_form)
-    rep = scenario.build_representation()
+    nf = scenario.build_normal_form()
+    cocycle = _cocycle(scenario)
     try:
-        cocycle = scenario.build_cocycle(rep)
-    except CocycleObstructed as exc:
-        return {"passed": False, "reason": "cocycle_obstructed",
-                "violations": _violations_json(exc)}, 2
-    functional, source, outcome = _functional_for(scenario, cocycle)
-    if functional is None:
+        functional, source = _functional_for(scenario, cocycle)
+    except _EarlyStop:
         # no functional exists; fold the forced-real-part candidate so the
         # oracle can exhibit the ill-definedness the solver certified
         functional = GroupFunctional(cocycle, forced_real_parts(cocycle))
@@ -188,12 +184,28 @@ _SCENARIO_COMMANDS = {
 }
 
 
-# --- catalog-backed commands ----------------------------------------
-
-
-def _cmd_classify(entry_id):
+def _scenario_report(args) -> dict:
+    scenario = _load_target(args.target)
+    max_len = args.max_word_length
+    if max_len is None:
+        max_len = scenario.options.max_word_length
+    if not 0 <= max_len <= MAX_WORD_LENGTH:
+        raise CliError(f"--max-word-length must be in 0..{MAX_WORD_LENGTH}")
     try:
-        entry = catalog.get_entry(entry_id)
+        result, code = _SCENARIO_COMMANDS[args.command](scenario, max_len)
+    except _EarlyStop as stop:
+        fields, _ = reports.EARLY_STOPS[args.command]
+        result = {**fields, "reason": stop.reason, **stop.evidence}
+        code = 2
+    return reports.make_report(args.command, result, code, scenario.raw)
+
+
+# --- catalog-backed and report commands -----------------------------
+
+
+def _cmd_classify(args):
+    try:
+        entry = catalog.get_entry(args.target)
     except KeyError as exc:
         raise CliError(str(exc)) from exc
     res = entry.run()
@@ -205,7 +217,8 @@ def _cmd_classify(entry_id):
     return result, 0 if res.ok and not conflicts else 2
 
 
-def _cmd_recheck(path):
+def _cmd_recheck(args):
+    path = args.target
     try:
         with open(path, "r", encoding="utf-8") as fh:
             report = json.load(fh)
@@ -221,25 +234,26 @@ def _cmd_recheck(path):
     return result, 0 if outcome.confirmed else 2
 
 
-# --- output ---------------------------------------------------------
+def _cmd_catalog_run(args):
+    try:
+        res = catalog.run_entry(args.entry_id)
+    except KeyError as exc:
+        raise CliError(str(exc)) from exc
+    return res.to_json(), 0 if res.ok else 2
 
 
-def _emit(command, scenario_doc, result, code, fmt):
-    report = reports.make_report(command, scenario_doc, result, code)
-    if fmt == "json":
-        sys.stdout.write(reports.dumps(report))
-    else:
-        sys.stdout.write(reports.render_text(report))
-    return code
+def _cmd_catalog_run_all(args):
+    run = catalog.run_all()
+    return run.to_json(), 0 if run.ok else 2
 
 
-def _emit_plain(command, result, code, fmt, text_lines):
-    if fmt == "json":
-        payload = {"command": command, "exit_code": code, "result": result}
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write("\n".join(text_lines) + "\n")
-    return code
+# the commands that need no scenario, by the command their report names
+_OTHER_COMMANDS = {
+    "classify": _cmd_classify,
+    "recheck": _cmd_recheck,
+    "catalog-run": _cmd_catalog_run,
+    "catalog-run-all": _cmd_catalog_run_all,
+}
 
 
 # --- argument parsing -----------------------------------------------
@@ -253,6 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact workbench for generating functionals of cocycles "
                     "on finitely presented group and star algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
+    fmt = {"choices": ("json", "text"), "default": "text"}
 
     for name, help_text in (
             ("validate", "check the representation and cocycle relations"),
@@ -266,110 +281,44 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scenario file or catalog entry id")
         sp.add_argument("--max-word-length", type=int, default=None,
                         help="override the scenario's word length bound")
-        sp.add_argument("--format", choices=("json", "text"),
-                        default="text")
+        sp.add_argument("--format", **fmt)
 
     sp = sub.add_parser("classify",
                         help="property verdicts for a catalog entry")
     sp.add_argument("target", help="catalog entry id")
-    sp.add_argument("--format", choices=("json", "text"), default="text")
+    sp.add_argument("--format", **fmt)
 
     sp = sub.add_parser("recheck",
                         help="confirm the certificate in a report file")
     sp.add_argument("target", help="report JSON file")
-    sp.add_argument("--format", choices=("json", "text"), default="text")
+    sp.add_argument("--format", **fmt)
 
     cat = sub.add_parser("catalog", help="built-in example catalog")
     catsub = cat.add_subparsers(dest="catalog_command", required=True)
     catsub.add_parser("list")
     runp = catsub.add_parser("run")
     runp.add_argument("entry_id")
-    runp.add_argument("--format", choices=("json", "text"), default="text")
-    runall = catsub.add_parser("run-all")
-    runall.add_argument("--format", choices=("json", "text"),
-                        default="text")
+    runp.add_argument("--format", **fmt)
+    catsub.add_parser("run-all").add_argument("--format", **fmt)
     return parser
 
 
 def _dispatch(args) -> int:
     if args.command in _SCENARIO_COMMANDS:
-        scenario = _load_target(args.target)
-        max_len = args.max_word_length
-        if max_len is None:
-            max_len = scenario.options.max_word_length
-        if not 0 <= max_len <= MAX_WORD_LENGTH:
-            raise CliError(f"--max-word-length must be in 0..{MAX_WORD_LENGTH}")
-        result, code = _SCENARIO_COMMANDS[args.command](scenario, max_len)
-        return _emit(args.command, scenario.raw, result, code, args.format)
-
-    if args.command == "classify":
-        result, code = _cmd_classify(args.target)
-        lines = [f"entry: {result['entry']}",
-                 f"algebra: {result['algebra']}",
-                 f"checks ok: {result['checks_ok']}"]
-        lines += [f"{p['property']}: {p['verdict']}"
-                  for p in result["properties"]]
-        lines += [f"conflict: {c}" for c in result["diagram_conflicts"]]
-        lines.append(f"exit: {code}")
-        return _emit_plain("classify", result, code, args.format, lines)
-
-    if args.command == "recheck":
-        result, code = _cmd_recheck(args.target)
-        lines = [f"checked command: {result['checked_command']}",
-                 f"confirmed: {result['confirmed']}"]
-        lines += [f"- {d}" for d in result["details"]]
-        lines.append(f"exit: {code}")
-        return _emit_plain("recheck", result, code, args.format, lines)
-
-    if args.command == "catalog":
-        return _dispatch_catalog(args)
-
-    raise CliError(f"unknown command {args.command!r}")
-
-
-def _dispatch_catalog(args) -> int:
-    if args.catalog_command == "list":
+        report = _scenario_report(args)
+    elif args.command == "catalog" and args.catalog_command == "list":
         for eid in catalog.entry_ids():
-            entry = catalog.get_entry(eid)
-            sys.stdout.write(f"{eid}: {entry.title}\n")
+            sys.stdout.write(f"{eid}: {catalog.get_entry(eid).title}\n")
         return 0
-
-    if args.catalog_command == "run":
-        try:
-            res = catalog.run_entry(args.entry_id)
-        except KeyError as exc:
-            raise CliError(str(exc)) from exc
-        code = 0 if res.ok else 2
-        lines = [f"{res.entry_id}: {'ok' if res.ok else 'MISMATCH'}"]
-        for c in res.checks:
-            mark = "ok" if c.ok else "MISMATCH"
-            lines.append(f"  {c.name}: {mark}")
-            if not c.ok:
-                lines.append(f"    expected {c.expected!r}, "
-                             f"got {c.actual!r}")
-        for p in res.properties:
-            lines.append(f"  {p.property}: {p.verdict}")
-        lines.append(f"exit: {code}")
-        return _emit_plain("catalog-run", res.to_json(), code, args.format,
-                           lines)
-
-    if args.catalog_command == "run-all":
-        run = catalog.run_all()
-        code = 0 if run.ok else 2
-        lines = []
-        for res in run.results:
-            lines.append(f"{res.entry_id}: {'ok' if res.ok else 'MISMATCH'}")
-        for m in run.mismatches:
-            lines.append(f"mismatch: {m}")
-        if run.conflicts:
-            lines += [f"diagram conflict: {c}" for c in run.conflicts]
-        else:
-            lines.append("diagram consistency: ok")
-        lines.append(f"exit: {code}")
-        return _emit_plain("catalog-run-all", run.to_json(), code,
-                           args.format, lines)
-
-    raise CliError(f"unknown catalog command {args.catalog_command!r}")
+    else:
+        name = args.command
+        if name == "catalog":
+            name = f"catalog-{args.catalog_command}"
+        result, code = _OTHER_COMMANDS[name](args)
+        report = reports.make_report(name, result, code)
+    emit = reports.dumps if args.format == "json" else reports.render_text
+    sys.stdout.write(emit(report))
+    return report["exit_code"]
 
 
 def main(argv=None) -> int:

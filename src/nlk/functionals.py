@@ -438,7 +438,6 @@ class GnsResult:
     psd: linalg.PsdResult
     eta_vectors: dict | None     # word -> coordinates over the pivot words
     pivot_words: tuple | None
-    quotient_gram: tuple | None
 
     def to_json(self):
         return {
@@ -483,14 +482,12 @@ def gns_truncated(functional, max_len: int) -> GnsResult:
     psd = linalg.psd_check(gram)
     if not psd.psd:
         return GnsResult(kind=p.kind, words=words, gram=gram, rank=rank, psd=psd,
-                         eta_vectors=None, pivot_words=None, quotient_gram=None)
-    gpp = tuple(tuple(gram[i][j] for j in pivot_idx) for i in pivot_idx)
+                         eta_vectors=None, pivot_words=None)
     eta_vectors = {w: tuple(red[i][j] for i in range(rank))
                    for j, w in enumerate(words)}
     return GnsResult(kind=p.kind, words=words, gram=gram, rank=rank, psd=psd,
                      eta_vectors=eta_vectors,
-                     pivot_words=tuple(words[i] for i in pivot_idx),
-                     quotient_gram=gpp)
+                     pivot_words=tuple(words[i] for i in pivot_idx))
 
 
 # --- brute-force oracle --------------------------------------------

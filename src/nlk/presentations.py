@@ -609,20 +609,6 @@ class Tensor2:
         self.presentation = presentation
         self.pairs = tuple((Scalar.coerce(c), a, b) for c, a, b in pairs)
 
-    def expanded(self) -> dict:
-        """Word-level expansion: (left word, right word) -> coefficient."""
-        acc = {}
-        for c, a, b in self.pairs:
-            for wa, ca in a.terms.items():
-                for wb, cb in b.terms.items():
-                    key = (wa, wb)
-                    tot = acc.get(key, ZERO) + c * ca * cb
-                    if tot.is_zero():
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = tot
-        return acc
-
     def check_legs_in_kernel(self):
         for i, (c, a, b) in enumerate(self.pairs):
             ea = a.epsilon()

@@ -1,9 +1,10 @@
 """Report construction, text rendering, and certificate rechecking.
 
-A report is a JSON object with the command, the exit code, the scenario
-document it ran on, and the command result.  Reports are self-contained:
-an infeasibility or counterexample report carries enough data for
-`recheck` to confirm the certificate without re-deciding anything.
+A report is a JSON object with the command, the exit code and the command
+result; the five scenario commands also embed the scenario document they
+ran on.  Reports are self-contained: an infeasibility or counterexample
+report carries enough data for `recheck` to confirm the certificate
+without re-deciding anything.
 """
 
 from __future__ import annotations
@@ -12,21 +13,41 @@ import json
 from dataclasses import dataclass
 
 from . import linalg
-from .cocycles import CocycleObstructed, exponent_matrix
+from .cocycles import CocycleObstructed, RepresentationError, exponent_matrix
+from .decompose import split
 from .functionals import (
     GroupFunctional,
+    brute_force_welldefinedness_oracle,
     certificate_defect,
     forced_real_parts,
+    verify_schurmann_triple,
 )
 from .presentations import GROUP, word_from_strs
 from .scalars import Scalar
-from .scenarios import parse_scenario
+from .scenarios import MAX_WORD_LENGTH, parse_scenario
+
+# The early stops of each scenario command: the fields every stop carries,
+# and the reasons the command can give.  The CLI builds its refusals from
+# this table, and `recheck` refuses a reason the command never gives.
+EARLY_STOPS = {
+    "validate": ({}, ()),
+    "solve": ({"verdict": "infeasible", "psi": None},
+              ("cocycle_obstructed",)),
+    "decompose": ({"verdict": "no_lk"},
+                  ("cocycle_obstructed", "no_generating_functional")),
+    "verify": ({"passed": False},
+               ("cocycle_obstructed", "no_generating_functional")),
+    "oracle": ({"passed": False}, ("cocycle_obstructed",)),
+}
 
 
-def make_report(command: str, scenario_doc: dict, result: dict,
-                exit_code: int) -> dict:
-    return {"command": command, "exit_code": exit_code,
-            "scenario": scenario_doc, "result": result}
+def make_report(command: str, result: dict, exit_code: int,
+                scenario_doc: dict | None = None) -> dict:
+    """The report envelope; scenario commands pass their scenario document."""
+    report = {"command": command, "exit_code": exit_code, "result": result}
+    if scenario_doc is not None:
+        report["scenario"] = scenario_doc
+    return report
 
 
 def dumps(report: dict) -> str:
@@ -117,24 +138,63 @@ def _render_validate(result, lines):
                      f"{v.get('message')}")
 
 
+def _render_classify(result, lines):
+    lines.append(f"entry: {result['entry']}")
+    lines.append(f"algebra: {result['algebra']}")
+    lines.append(f"checks ok: {result['checks_ok']}")
+    lines += [f"{p['property']}: {p['verdict']}" for p in result["properties"]]
+    lines += [f"conflict: {c}" for c in result["diagram_conflicts"]]
+
+
+def _render_recheck(result, lines):
+    lines.append(f"checked command: {result['checked_command']}")
+    lines.append(f"confirmed: {result['confirmed']}")
+    lines += [f"- {d}" for d in result["details"]]
+
+
+def _entry_line(entry):
+    return f"{entry['id']}: {'ok' if entry['ok'] else 'MISMATCH'}"
+
+
+def _render_catalog_run(result, lines):
+    lines.append(_entry_line(result))
+    for c in result["checks"]:
+        lines.append(f"  {c['name']}: {'ok' if c['ok'] else 'MISMATCH'}")
+        if not c["ok"]:
+            lines.append(f"    expected {c['expected']!r}, "
+                         f"got {c['actual']!r}")
+    lines += [f"  {p['property']}: {p['verdict']}"
+              for p in result["properties"]]
+
+
+def _render_catalog_run_all(result, lines):
+    lines += [_entry_line(entry) for entry in result["entries"]]
+    lines += [f"mismatch: {m}" for m in result["mismatches"]]
+    conflicts = result["diagram_conflicts"]
+    if conflicts:
+        lines += [f"diagram conflict: {c}" for c in conflicts]
+    else:
+        lines.append("diagram consistency: ok")
+
+
 _RENDERERS = {
     "solve": _render_solve,
     "decompose": _render_decompose,
     "verify": _render_verify,
     "oracle": _render_oracle,
     "validate": _render_validate,
+    "classify": _render_classify,
+    "recheck": _render_recheck,
+    "catalog-run": _render_catalog_run,
+    "catalog-run-all": _render_catalog_run_all,
 }
 
 
 def render_text(report: dict) -> str:
-    command = report.get("command", "?")
-    lines = [f"command: {command}"]
-    renderer = _RENDERERS.get(command)
-    if renderer is None:
-        lines.append(json.dumps(report.get("result"), sort_keys=True))
-    else:
-        renderer(report.get("result") or {}, lines)
-    lines.append(f"exit: {report.get('exit_code')}")
+    """The text form of a report; a scenario report names its command."""
+    lines = [f"command: {report['command']}"] if "scenario" in report else []
+    _RENDERERS[report["command"]](report["result"], lines)
+    lines.append(f"exit: {report['exit_code']}")
     return "\n".join(lines) + "\n"
 
 
@@ -154,26 +214,21 @@ class _RecheckFailure(Exception):
     pass
 
 
-def _parse_vec(items):
-    return tuple(Scalar.parse(s) for s in items)
-
-
-def _parse_mat(rows):
-    return tuple(_parse_vec(r) for r in rows)
-
-
 def _need(cond, message):
     if not cond:
         raise _RecheckFailure(message)
 
 
-def _rebuild(report):
-    return parse_scenario(report["scenario"])
+def _cocycle(scenario):
+    return scenario.build_cocycle(scenario.build_representation())
 
 
-def _rebuild_cocycle(scenario):
-    rep = scenario.build_representation()
-    return rep, scenario.build_cocycle(rep)
+def _stored_length(result):
+    """The stored word length, refused unless a command could have used it."""
+    n = result.get("max_word_length")
+    _need(type(n) is int and 0 <= n <= MAX_WORD_LENGTH,
+          f"stored max_word_length {n!r} is outside 0..{MAX_WORD_LENGTH}")
+    return n
 
 
 def _functional_from_psi(cocycle, psi_doc):
@@ -181,30 +236,9 @@ def _functional_from_psi(cocycle, psi_doc):
                            {g: Scalar.parse(v) for g, v in psi_doc.items()})
 
 
-def _confirm_cocycle_obstruction(scenario, stored_violations, details):
-    rep = scenario.build_representation()
-    try:
-        scenario.build_cocycle(rep)
-    except CocycleObstructed as exc:
-        actual = {v.target for v in exc.violations}
-        stored = {v.get("target") for v in stored_violations}
-        _need(stored == actual,
-              f"stored obstruction targets {sorted(stored)} differ from "
-              f"recomputed {sorted(actual)}")
-        details.append(f"cocycle obstruction reproduced at {sorted(actual)}")
-        return
-    raise _RecheckFailure("stored cocycle obstruction did not reproduce")
-
-
-def _confirm_solve_result(scenario, result, details, cocycle=None):
+def _confirm_solve_result(cocycle, result, details):
     """Re-verify a solve result against refolded readings and certificates."""
-    if result.get("reason") == "cocycle_obstructed":
-        _confirm_cocycle_obstruction(scenario, result.get("violations", []),
-                                     details)
-        return
-    p = scenario.presentation
-    if cocycle is None:
-        _, cocycle = _rebuild_cocycle(scenario)
+    p = cocycle.presentation
     base = GroupFunctional(cocycle, forced_real_parts(cocycle))
     stored = result.get("obstructions", [])
     _need(len(stored) == len(p.relators),
@@ -220,8 +254,8 @@ def _confirm_solve_result(scenario, result, details, cocycle=None):
     details.append(f"refolded {len(readings)} relator readings")
 
     system = result.get("system") or {}
-    a_mat = _parse_mat(system.get("matrix", []))
-    rhs = _parse_vec(system.get("rhs", []))
+    a_mat = linalg.matrix_from_json(system.get("matrix", []))
+    rhs = linalg.vector_from_json(system.get("rhs", []))
     _need(a_mat == exponent_matrix(p), "stored system matrix is wrong")
     _need(rhs == tuple(Scalar(-k.im, 0) for k in readings),
           "stored right-hand side is wrong")
@@ -232,7 +266,7 @@ def _confirm_solve_result(scenario, result, details, cocycle=None):
             return
         cert = result.get("certificate")
         _need(cert is not None, "infeasible without certificate")
-        defect = certificate_defect(_parse_vec(cert), a_mat, rhs)
+        defect = certificate_defect(linalg.vector_from_json(cert), a_mat, rhs)
         _need(defect is None, defect)
         details.append("infeasibility certificate confirmed")
     else:
@@ -245,26 +279,48 @@ def _confirm_solve_result(scenario, result, details, cocycle=None):
         details.append("stored psi folds to zero on every relator")
 
 
-def _recheck_solve(report, details):
-    scenario = _rebuild(report)
-    _confirm_solve_result(scenario, report["result"], details)
+# --- early stops ----------------------------------------------------
 
 
-def _recheck_decompose(report, details):
-    from .decompose import split
-
-    scenario = _rebuild(report)
-    result = report["result"]
-    reason = result.get("reason")
-    if reason == "cocycle_obstructed":
-        _confirm_cocycle_obstruction(scenario, result.get("violations", []),
-                                     details)
+def _confirm_cocycle_obstructed(scenario, result, details):
+    try:
+        _cocycle(scenario)
+    except CocycleObstructed as exc:
+        actual = {v.target for v in exc.violations}
+        stored = {v.get("target") for v in result.get("violations", [])}
+        _need(stored == actual,
+              f"stored obstruction targets {sorted(stored)} differ from "
+              f"recomputed {sorted(actual)}")
+        details.append(f"cocycle obstruction reproduced at {sorted(actual)}")
         return
-    if reason == "no_generating_functional":
-        _confirm_solve_result(scenario, result["solve"], details)
-        return
-    _, cocycle = _rebuild_cocycle(scenario)
-    sr = split(cocycle)
+    raise _RecheckFailure("stored cocycle obstruction did not reproduce")
+
+
+def _confirm_no_generating_functional(scenario, result, details):
+    cocycle = _cocycle(scenario)
+    _need(scenario.build_functional(cocycle) is None,
+          "the scenario supplies a functional, so none was solved for")
+    solved = result["solve"]
+    _need(solved["verdict"] == "infeasible",
+          "the stored solve result is not infeasible")
+    _confirm_solve_result(cocycle, solved, details)
+
+
+_STOP_CONFIRMERS = {
+    "cocycle_obstructed": _confirm_cocycle_obstructed,
+    "no_generating_functional": _confirm_no_generating_functional,
+}
+
+
+# --- each command's own check ---------------------------------------
+
+
+def _recheck_solve(scenario, result, details):
+    _confirm_solve_result(_cocycle(scenario), result, details)
+
+
+def _recheck_decompose(scenario, result, details):
+    sr = split(_cocycle(scenario))
     sp = result.get("split") or {}
     _need(sp.get("dim_gaussian") == sr.gaussian.dim
           and sp.get("dim_remainder") == sr.remainder.dim,
@@ -272,9 +328,7 @@ def _recheck_decompose(report, details):
     for name, part in (("gaussian", sr.gaussian), ("remainder", sr.remainder)):
         part_result = (result.get("parts") or {}).get(name)
         _need(part_result is not None, f"missing {name} part result")
-        part_scenario = _PartScenario(part)
-        _confirm_solve_result(part_scenario, part_result, details,
-                              cocycle=part.cocycle)
+        _confirm_solve_result(part.cocycle, part_result, details)
         details.append(f"{name} part confirmed")
     if result.get("verdict") == "decomposed":
         psi_total = result.get("psi_total") or {}
@@ -287,34 +341,9 @@ def _recheck_decompose(report, details):
         details.append("psi_G + psi_R rebuilds psi on the generators")
 
 
-class _PartScenario:
-    """Adapter giving a split part the scenario surface recheck needs."""
-
-    def __init__(self, part):
-        self.presentation = part.cocycle.presentation
-        self._part = part
-
-    def build_representation(self):
-        return self._part.representation
-
-    def build_cocycle(self, rep):
-        return self._part.cocycle
-
-
-def _recheck_verify(report, details):
-    from .functionals import verify_schurmann_triple
-
-    scenario = _rebuild(report)
-    result = report["result"]
-    reason = result.get("reason")
-    if reason == "cocycle_obstructed":
-        _confirm_cocycle_obstruction(scenario, result.get("violations", []),
-                                     details)
-        return
-    if reason == "no_generating_functional":
-        _confirm_solve_result(scenario, result["solve"], details)
-        return
-    rep, cocycle = _rebuild_cocycle(scenario)
+def _recheck_verify(scenario, result, details):
+    max_len = _stored_length(result)
+    cocycle = _cocycle(scenario)
     if scenario.presentation.kind == GROUP:
         psi_doc = result.get("psi_used")
         _need(psi_doc, "report does not carry the psi it verified")
@@ -322,8 +351,7 @@ def _recheck_verify(report, details):
     else:
         functional = scenario.build_functional(cocycle)
         _need(functional is not None, "scenario carries no functional")
-    rerun = verify_schurmann_triple(cocycle, functional,
-                                    result["max_word_length"])
+    rerun = verify_schurmann_triple(cocycle, functional, max_len)
     _need(rerun.passed == result["passed"],
           "verification outcome changed on re-run")
     _need(rerun.counts == result.get("counts"),
@@ -344,24 +372,22 @@ def _recheck_verify(report, details):
                    f"{at or 'the empty word'}: {values}")
 
 
-def _recheck_oracle(report, details):
-    from .functionals import (brute_force_welldefinedness_oracle,
-                              build_normal_form)
-
-    scenario = _rebuild(report)
-    result = report["result"]
-    if result.get("reason") == "cocycle_obstructed":
-        _confirm_cocycle_obstruction(scenario, result.get("violations", []),
-                                     details)
-        return
-    rep, cocycle = _rebuild_cocycle(scenario)
+def _recheck_oracle(scenario, result, details):
+    max_len = _stored_length(result)
+    cocycle = _cocycle(scenario)
+    nf = scenario.build_normal_form()
     psi_doc = result.get("psi_used")
     functional = (_functional_from_psi(cocycle, psi_doc)
                   if psi_doc else None)
     ce = result.get("counterexample")
     if ce is not None:
+        _need(result.get("passed") is False,
+              "a counterexample is stored with a passing outcome")
         wa = word_from_strs(GROUP, ce["word_a"])
         wb = word_from_strs(GROUP, ce["word_b"])
+        _need(nf.key(wa) == nf.key(wb),
+              f"the stored words name different elements under the "
+              f"{nf.name} normal form")
         if ce["evaluator"] == "psi":
             _need(functional is not None, "counterexample names psi but the "
                                           "report carries no psi")
@@ -376,23 +402,19 @@ def _recheck_oracle(report, details):
         _need(va != vb, "the two stored words no longer disagree")
         details.append("counterexample word pair reproduced")
         return
-    nf = build_normal_form(scenario.presentation,
-                           scenario.options.normal_form)
     rerun = brute_force_welldefinedness_oracle(
-        cocycle, functional, scenario.presentation, nf,
-        result["max_word_length"])
+        cocycle, functional, scenario.presentation, nf, max_len)
     _need(rerun.passed, "oracle pass did not reproduce")
+    stored = [result.get(k) for k in ("passed", "words", "pairs")]
+    _need(stored == [True, rerun.words, rerun.pairs],
+          f"stored passed, words, pairs {stored} differ from the re-run's "
+          f"[True, {rerun.words}, {rerun.pairs}]")
     details.append(f"oracle re-ran clean over {rerun.pairs} pairs")
 
 
-def _recheck_validate(report, details):
-    from .cocycles import RepresentationError
-
-    scenario = _rebuild(report)
-    result = report["result"]
+def _recheck_validate(scenario, result, details):
     try:
-        rep = scenario.build_representation()
-        scenario.build_cocycle(rep)
+        _cocycle(scenario)
         status = "ok"
         codes = []
     except (RepresentationError, CocycleObstructed) as exc:
@@ -418,20 +440,32 @@ _RECHECKERS = {
 
 
 def recheck(report: dict) -> RecheckResult:
+    """Confirm the early stop a report gives, or else the command's claim."""
     command = report.get("command")
     if command not in _RECHECKERS:
         return RecheckResult(confirmed=False,
                              details=[f"no recheck for command {command!r}"])
-    if "scenario" not in report or "result" not in report:
+    result = report.get("result")
+    if "scenario" not in report or not isinstance(result, dict):
         return RecheckResult(confirmed=False,
                              details=["report is missing scenario or result"])
     details = []
     try:
-        _RECHECKERS[command](report, details)
+        scenario = parse_scenario(report["scenario"])
+        reason = result.get("reason")
+        if reason is None:
+            _RECHECKERS[command](scenario, result, details)
+        else:
+            fields, reasons = EARLY_STOPS[command]
+            _need(reason in reasons,
+                  f"{command} never stops early with reason {reason!r}")
+            _need(all(result.get(k) == v for k, v in fields.items()),
+                  f"an early stop of {command} must report {fields}")
+            _STOP_CONFIRMERS[reason](scenario, result, details)
     except _RecheckFailure as exc:
         details.append(str(exc))
         return RecheckResult(confirmed=False, details=details)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         details.append(f"malformed report: {exc!r}")
         return RecheckResult(confirmed=False, details=details)
     return RecheckResult(confirmed=True, details=details)

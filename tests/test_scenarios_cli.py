@@ -413,6 +413,83 @@ def test_cli_recheck_rejects_tampered_verify_witness(tmp_path, capsys):
     assert "stored counts" in capsys.readouterr().out
 
 
+def json_report(capsys, argv):
+    cli.main(argv + ["--format", "json"])
+    return json.loads(capsys.readouterr().out)
+
+
+def recheck_report(tmp_path, capsys, report):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    code = cli.main(["recheck", str(path)])
+    return code, capsys.readouterr().out
+
+
+def test_cli_recheck_rejects_a_counterexample_naming_two_elements(tmp_path,
+                                                                   capsys):
+    report = json_report(capsys, ["oracle", "p2.nongaussian"])
+    assert recheck_report(tmp_path, capsys, report)[0] == 0
+    # 1 and a are different elements of p2, so their folds may differ
+    report["result"]["counterexample"].update(
+        word_a=[], word_b=["a"], value_a="0", value_b="-1/2")
+    code, out = recheck_report(tmp_path, capsys, report)
+    assert code == 2
+    assert "confirmed: False" in out and "different elements" in out
+
+
+def test_cli_recheck_compares_an_oracle_pass_with_the_re_run(tmp_path, capsys):
+    report = json_report(capsys, ["oracle", "p2.derivations"])
+    code, out = recheck_report(tmp_path, capsys, report)
+    assert code == 0 and "oracle re-ran clean over 871 pairs" in out
+    for field, value in (("passed", False), ("pairs", 999), ("words", 1)):
+        tampered = json.loads(json.dumps(report))
+        tampered["result"][field] = value
+        code, out = recheck_report(tmp_path, capsys, tampered)
+        assert code == 2 and "confirmed: False" in out, field
+
+
+def test_cli_recheck_bounds_the_stored_word_length(tmp_path, capsys):
+    path = write_doc(tmp_path,
+                     catalog.scenario_doc("zk.z2.gaussian", "feasible"))
+    verify = json_report(capsys, ["verify", path])
+    oracle = json_report(capsys, ["oracle", "p2.derivations"])
+    for report in (verify, oracle):
+        # a re-run at length 30 would enumerate about 10^14 words
+        for bad in (30, 13, -1, "4", True, 4.0, None):
+            tampered = json.loads(json.dumps(report))
+            tampered["result"]["max_word_length"] = bad
+            code, out = recheck_report(tmp_path, capsys, tampered)
+            assert code == 2, (report["command"], bad)
+            assert "0..12" in out
+        assert recheck_report(tmp_path, capsys, report)[0] == 0
+
+
+def test_cli_recheck_refuses_a_reason_the_command_never_gives(tmp_path,
+                                                               capsys):
+    report = json_report(capsys, ["oracle", "p2.derivations"])
+    report["result"]["reason"] = "no_generating_functional"
+    code, out = recheck_report(tmp_path, capsys, report)
+    assert code == 2 and "confirmed: False" in out
+    report = json_report(capsys, ["verify", "p2.nongaussian"])
+    assert report["result"]["reason"] == "no_generating_functional"
+    assert recheck_report(tmp_path, capsys, report)[0] == 0
+    report["result"]["passed"] = True
+    assert recheck_report(tmp_path, capsys, report)[0] == 2
+
+
+def test_cli_recheck_refuses_a_report_of_the_wrong_shape(tmp_path, capsys):
+    report = json_report(capsys, ["decompose", "p2.derivations"])
+    for field, value in (("parts", ["gaussian"]), ("split", "x"),
+                         (None, [])):
+        tampered = json.loads(json.dumps(report))
+        if field is None:
+            tampered["result"] = value
+        else:
+            tampered["result"][field] = value
+        code, out = recheck_report(tmp_path, capsys, tampered)
+        assert code == 2 and "confirmed: False" in out, field
+
+
 def test_cli_negative_word_length(tmp_path, capsys):
     path = write_doc(tmp_path, z2_doc())
     assert cli.main(["verify", path, "--max-word-length", "-1"]) == 1
