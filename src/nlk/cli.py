@@ -109,22 +109,22 @@ def _cmd_validate(scenario, max_len):
         rep = scenario.build_representation()
     except RepresentationError as exc:
         return {"status": "violations", "stage": "representation",
-                "violations": _violations_json(exc)}, 2
+                "violations": _violations_json(exc)}
     try:
         scenario.build_cocycle(rep)
     except CocycleObstructed as exc:
         return {"status": "violations", "stage": "cocycle",
-                "violations": _violations_json(exc)}, 2
+                "violations": _violations_json(exc)}
     return {"status": "ok",
             "kind": scenario.presentation.kind,
             "generators": list(scenario.presentation.generators),
-            "dim": scenario.form.dim}, 0
+            "dim": scenario.form.dim}
 
 
 def _cmd_solve(scenario, max_len):
     _require_group(scenario, "solve")
     outcome = solve_generating_functional(_cocycle(scenario))
-    return outcome.to_json(), 0 if outcome.feasible else 2
+    return outcome.to_json()
 
 
 def _cmd_decompose(scenario, max_len):
@@ -134,7 +134,7 @@ def _cmd_decompose(scenario, max_len):
     result = lk.to_json()
     result["psi_source"] = source
     result["psi_total"] = functional.to_json()["psi"]
-    return result, 0 if lk.decomposed else 2
+    return result
 
 
 def _cmd_verify(scenario, max_len):
@@ -153,7 +153,7 @@ def _cmd_verify(scenario, max_len):
               **report.to_json()}
     if psi_used is not None:
         result["psi_used"] = psi_used
-    return result, 0 if report.passed else 2
+    return result
 
 
 def _cmd_oracle(scenario, max_len):
@@ -172,7 +172,7 @@ def _cmd_oracle(scenario, max_len):
     result = {"max_word_length": max_len, "normal_form": nf.name,
               "psi_source": source, "psi_used": functional.to_json()["psi"],
               **report.to_json()}
-    return result, 0 if report.passed else 2
+    return result
 
 
 _SCENARIO_COMMANDS = {
@@ -192,12 +192,13 @@ def _scenario_report(args) -> dict:
     if not 0 <= max_len <= MAX_WORD_LENGTH:
         raise CliError(f"--max-word-length must be in 0..{MAX_WORD_LENGTH}")
     try:
-        result, code = _SCENARIO_COMMANDS[args.command](scenario, max_len)
+        result = _SCENARIO_COMMANDS[args.command](scenario, max_len)
     except _EarlyStop as stop:
         fields, _ = reports.EARLY_STOPS[args.command]
         result = {**fields, "reason": stop.reason, **stop.evidence}
-        code = 2
-    return reports.make_report(args.command, result, code, scenario.raw)
+    return reports.make_report(args.command, result,
+                               reports.exit_code_for(args.command, result),
+                               scenario.raw)
 
 
 # --- catalog-backed and report commands -----------------------------

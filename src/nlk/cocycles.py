@@ -5,6 +5,15 @@ involution (images of starred letters are form-adjoints) and every defining
 relation.  A cocycle assigns a vector to each letter and extends through
 eta(ab) = pi(a) eta(b) + eta(a) eps(b); well-definedness is checked on the
 finite relation set, with exact residuals reported on failure.
+
+Words are evaluated two ways into one memo.  `fold_suffixes` is the
+per-word path: it folds the missing suffixes of one word, one Scalar step
+each.  `fold_levels` fills a whole shortest-first word list a length level
+at a time, and `Cocycle.fill_levels` computes a level with one integer
+product (`scalars.product_lines`): the column [eta(w); eps(w)] of each tail
+w of the level, brought to one denominator once, against the rows
+[pi(l) | eta(l)] of every letter l that begins a word of the level.  Both
+paths give the same exact values.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from .presentations import (
     letter_str,
     word_to_strs,
 )
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, common_forms, product_lines
 
 
 @dataclass(frozen=True)
@@ -74,6 +83,28 @@ def fold_suffixes(memo, word, step):
         value = step(word[i], word[i + 1:], value)
         memo[word[i:]] = value
     return value
+
+
+def fold_levels(memo, words, batch):
+    """Fill memo[w] for every word of `words`, one batch per length level.
+
+    words are shortest first, and the tail w of each word l + w is in memo or
+    earlier in the list (a suffix-closed list such as `words_up_to` returns
+    qualifies).  The words missing from memo are taken a level at a time and
+    grouped by tail: batch(tails) gets a dict that maps each tail w of the
+    level to the letters l with l + w missing, both in order of first
+    appearance, and yields for each tail in turn the values of its l + w, in
+    the order of its letters.  batch may read memo[w] for every tail.
+    """
+    levels = {}
+    for w in words:
+        if w not in memo:
+            levels.setdefault(len(w), {}).setdefault(w[1:], []).append(w[0])
+    # levels were inserted shortest first, so every tail is filled before use
+    for tails in levels.values():
+        for (tail, letters), values in zip(tails.items(), batch(tails)):
+            for letter, value in zip(letters, values):
+                memo[(letter,) + tail] = value
 
 
 class Representation:
@@ -275,6 +306,29 @@ class Cocycle:
         costs one step.  Accepts unreduced words.
         """
         return fold_suffixes(self._eta_memo, word, self._eta_step)[0]
+
+    def fill_levels(self, words):
+        """Memoise (eta(w), eps(w)) for a word list `fold_levels` accepts."""
+        fold_levels(self._eta_memo, words, self._eta_batch)
+
+    def _eta_batch(self, tails):
+        # eta(l w) = [pi(l) | eta(l)] [eta(w); eps(w)]: each tail's column
+        # against the rows of every letter of the level, one kernel call
+        memo = self._eta_memo
+        n = self.form.dim
+        rows, at = [], {}
+        for letter in dict.fromkeys(l for ls in tails.values() for l in ls):
+            eps_l = self.presentation.epsilon_letter(letter)
+            at[letter] = (len(rows), None if eps_l == ONE else eps_l)
+            rows.extend((*row, e) for row, e in zip(
+                self.representation.letter_matrix(letter),
+                self.letter_value(letter)))
+        values = [memo[w] for w in tails]
+        lines = product_lines([(*eta, eps) for eta, eps in values],
+                              common_forms(rows))
+        for (_, eps), line, letters in zip(values, lines, tails.values()):
+            yield [(line[i:i + n], eps if eps_l is None else eps_l * eps)
+                   for i, eps_l in map(at.__getitem__, letters)]
 
     def _eta_step(self, letter, _tail, tail_value):
         eta, eps = tail_value

@@ -8,6 +8,14 @@ the resulting rational linear system in those imaginary parts.
 
 For star-algebra presentations functionals are explicit monomial tables and
 are verified, not solved for.
+
+`verify_schurmann_triple` and the normal-form oracle run over every word up
+to a length.  They fill eta and a group psi one length level at a time
+(`cocycles.fold_levels`; `GroupFunctional.fill_levels` forms psi(l w) for a
+whole level with one integer product), so their per-word reads are memo
+hits.  `verify` then tests each length class of coboundary pairs against
+one integer product (`scalars.product_lines`), one row per word a of the
+class and one column per word b it pairs with.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from . import linalg
 from .cocycles import (
     Cocycle,
     exponent_matrix,
+    fold_levels,
     fold_suffixes,
     solve_exponent_sums,
 )
@@ -32,7 +41,7 @@ from .presentations import (
     word_key,
     word_to_strs,
 )
-from .scalars import I, ONE, ZERO, Scalar
+from .scalars import I, ONE, ZERO, Scalar, common_forms, product_lines, products
 
 
 class NoNormalForm(ValueError):
@@ -81,6 +90,30 @@ class GroupFunctional:
                 + cocycle.form.inner(cocycle.letter_value(inv_letter),
                                      cocycle.eval_word(tail))
                 + tail_psi)
+
+    def fill_levels(self, words):
+        """Memoise psi, and eta on the cocycle, for a word list that
+        `fold_levels` accepts; eta comes first, so reading a tail's eta is a
+        memo hit."""
+        self.cocycle.fill_levels(words)
+        fold_levels(self._psi_memo, words, self._psi_batch)
+
+    def _psi_batch(self, tails):
+        # psi(l w) = [conj(G eta(l^-1)) | 1 | psi(l)] [eta(w); psi(w); 1]:
+        # each tail's column against the rows of every letter of the level
+        cocycle = self.cocycle
+        gram = cocycle.form.gram
+        at, rows = {}, []
+        for letter in dict.fromkeys(l for ls in tails.values() for l in ls):
+            at[letter] = len(rows)
+            inv_eta = cocycle.letter_value((letter[0], -letter[1]))
+            rows.append((*linalg.mvmul_conj_row(gram, inv_eta),
+                         ONE, self.psi_letter(letter)))
+        eta, psi = cocycle.eval_word, self._psi_memo
+        cols = [(*eta(w), psi[w], ONE) for w in tails]
+        for line, letters in zip(product_lines(cols, common_forms(rows)),
+                                 tails.values()):
+            yield [line[at[l]] for l in letters]
 
     def psi_word(self, word) -> Scalar:
         return self.fold(word)
@@ -311,6 +344,16 @@ def psi_product(functional, psi, w1, w2) -> Scalar:
     return coeff * functional.table.get(red, ZERO)
 
 
+def _level_ends(words, max_len):
+    """upto[k]: how many words of a shortest-first list have length <= k."""
+    upto = [0] * (max_len + 1)
+    for w in words:
+        upto[len(w)] += 1
+    for k in range(1, max_len + 1):
+        upto[k] += upto[k - 1]
+    return upto
+
+
 def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> VerifyReport:
     """Check the triple identities on all canonical words up to max_len.
 
@@ -320,6 +363,15 @@ def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> Verif
     pairs with |a| + |b| <= max_len; and the squared-norm identity
     psi(k* k) = <eta(k), eta(k)> for k = w - eps(w), |w| <= max_len // 2.
     Stops at the first violation.
+
+    eta and a group psi are filled a level at a time.  The coboundary
+    identity holds exactly when eps(a) psi(b) + psi(a) eps(b)
+    + <eta(a*), eta(b)> equals psi(ab).  Those sums, for every a of one
+    length and every b it pairs with, are one integer product: rows
+    (conj(G eta(a*)), eps(a), psi(a)) by columns (eta(b), psi(b), eps(b)).
+    The columns are brought to their denominators once per call and a
+    class's lines are formed lazily, so a failing check forms no line past
+    its witness's.  psi(ab) is read once per distinct concatenation ab.
     """
     p = cocycle.presentation
     form = cocycle.form
@@ -337,6 +389,9 @@ def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> Verif
     words = p.words_up_to(max_len, include_empty=False)
     # all words here are monomials, so everything is cached per word and
     # products reduce to a single word rather than going through elements
+    cocycle.fill_levels(words)
+    if isinstance(functional, GroupFunctional):
+        functional.fill_levels(words)
     psi = {w: functional.psi_word(w) for w in words}
     psi[()] = ZERO
     eta = {w: cocycle.eval_word(w) for w in words}
@@ -356,28 +411,39 @@ def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> Verif
                                       "psi_star": str(lhs),
                                       "conj_psi": str(rhs)})
 
+    # the stars of a prefix-closed list are suffix-closed
+    cocycle.fill_levels(list(stars.values()))
     eta_star = {w: cocycle.eval_word(stars[w]) for w in words}
+    gram_cols = tuple(zip(*form.gram))
+    cols = common_forms([(*eta[w], psi[w], eps[w]) for w in words])
+    upto = _level_ends(words, max_len)
+    psi_ab = {}  # psi(ab) by the raw concatenation, for this call only
 
-    # words are shortest first: upto[k] counts those of length <= k
-    upto = [0] * (max_len + 1)
-    for w in words:
-        upto[len(w)] += 1
     for k in range(1, max_len + 1):
-        upto[k] += upto[k - 1]
-
-    for wa in words:
-        eps_a = eps[wa]
-        psi_a = psi[wa]
-        eta_star_a = eta_star[wa]
-        for wb in words[:upto[max_len - len(wa)]]:
-            lhs = (eps_a * psi[wb] - psi_product(functional, psi, wa, wb)
-                   + psi_a * eps[wb])
-            rhs = -form.inner(eta_star_a, eta[wb])
-            counts["coboundary"] += 1
-            if lhs != rhs:
-                return fail("coboundary", {"a": word_to_strs(p.kind, wa),
-                                           "b": word_to_strs(p.kind, wb),
-                                           "lhs": str(lhs), "rhs": str(rhs)})
+        class_a = words[upto[k - 1]:upto[k]]
+        n_b = upto[max_len - k]
+        if not class_a or not n_b:
+            continue
+        # <eta(a*), x> = conj(eta(a*)) G x, so each row pairs with
+        # (eta(b), psi(b), eps(b)) to eps(a) psi(b) + psi(a) eps(b)
+        # + <eta(a*), eta(b)>
+        inner = products([[x.conj() for x in eta_star[wa]] for wa in class_a],
+                         gram_cols)
+        rows = [(*g, eps[wa], psi[wa]) for g, wa in zip(inner, class_a)]
+        for wa, line in zip(class_a, product_lines(rows, cols[:n_b])):
+            for wb, value in zip(words, line):
+                ab = wa + wb
+                target = psi_ab.get(ab)
+                if target is None:
+                    target = psi_ab[ab] = psi_product(functional, psi, wa, wb)
+                if value != target:
+                    counts["coboundary"] += words.index(wb) + 1
+                    lhs = eps[wa] * psi[wb] - target + psi[wa] * eps[wb]
+                    rhs = -form.inner(eta_star[wa], eta[wb])
+                    return fail("coboundary", {"a": word_to_strs(p.kind, wa),
+                                               "b": word_to_strs(p.kind, wb),
+                                               "lhs": str(lhs), "rhs": str(rhs)})
+            counts["coboundary"] += n_b
 
     for w in words:
         if len(w) > max_len // 2:
@@ -589,16 +655,33 @@ def brute_force_welldefinedness_oracle(cocycle: Cocycle | None,
     words = presentation.words_up_to(max_len, include_empty=True)
     for w in words:
         buckets.setdefault(normal_form.key(w), []).append(w)
-    # the word list is suffix-closed and both evaluators memoise per suffix,
-    # so every word costs one step of each fold
+    # the word list is suffix-closed, so both evaluators can be filled a
+    # level at a time; a level is filled when its first word is read, so a
+    # failing run evaluates nothing past the level of its counterexample
+    upto = _level_ends(words, max_len)
+    filled = 0
+
+    def fill_to(length):
+        nonlocal filled
+        new = words[upto[filled]:upto[length]]
+        if cocycle is not None:
+            cocycle.fill_levels(new)
+        if functional is not None:
+            functional.fill_levels(new)
+        filled = length
+
     pairs = 0
     for key in buckets:
         group_words = buckets[key]
         rep_word = group_words[0]
+        if len(rep_word) > filled:
+            fill_to(len(rep_word))
         eta_ref = cocycle.eval_word(rep_word) if cocycle is not None else None
         psi_ref = functional.fold(rep_word) if functional is not None else None
         for w in group_words[1:]:
             pairs += 1
+            if len(w) > filled:
+                fill_to(len(w))
             if cocycle is not None:
                 ev = cocycle.eval_word(w)
                 if ev != eta_ref:

@@ -41,6 +41,26 @@ EARLY_STOPS = {
 }
 
 
+# The result field and value with which each scenario command succeeds.
+# Exactly those results exit 0; every other result and every early stop
+# exits 2.  The CLI takes its exit codes from here, and `recheck` refuses a
+# report whose stored code differs.
+SUCCESS = {
+    "validate": ("status", "ok"),
+    "solve": ("verdict", "feasible"),
+    "decompose": ("verdict", "decomposed"),
+    "verify": ("passed", True),
+    "oracle": ("passed", True),
+}
+
+
+def exit_code_for(command: str, result: dict) -> int:
+    """The exit code of a scenario command's result."""
+    field, value = SUCCESS[command]
+    success = result.get("reason") is None and result.get(field) == value
+    return 0 if success else 2
+
+
 def make_report(command: str, result: dict, exit_code: int,
                 scenario_doc: dict | None = None) -> dict:
     """The report envelope; scenario commands pass their scenario document."""
@@ -462,6 +482,11 @@ def recheck(report: dict) -> RecheckResult:
             _need(all(result.get(k) == v for k, v in fields.items()),
                   f"an early stop of {command} must report {fields}")
             _STOP_CONFIRMERS[reason](scenario, result, details)
+        expected = exit_code_for(command, result)
+        stored = report.get("exit_code")
+        _need(type(stored) is int and stored == expected,
+              f"stored exit_code {stored!r} differs from {expected}, the "
+              f"code of this {command} result")
     except _RecheckFailure as exc:
         details.append(str(exc))
         return RecheckResult(confirmed=False, details=details)

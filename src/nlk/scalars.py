@@ -16,6 +16,14 @@ one.  `.re` and `.im` are read-only Fraction views of the triple.
 each column to one common denominator once, forms every entry as integer
 dot products (skipping the imaginary ones when a row or column is real) and
 normalises the entry with a single gcd, so no intermediate Scalar is built.
+`common_forms` and the lazy `product_lines` are its two halves, for callers
+that reuse columns or may stop early.  The callers: `linalg.mmul` (every
+matrix product); the level-at-a-time folds `Cocycle.fill_levels` and
+`GroupFunctional.fill_levels` (one call per length level, each tail's
+column against the rows of every letter); and `verify_schurmann_triple`
+(the inner-product rows and one call per length class of coboundary pairs,
+its columns brought to their denominators once per verification and read
+lazily, so a failing check forms no line past its witness's).
 
 The text form follows a small grammar:
 
@@ -324,17 +332,21 @@ def _common(xs) -> tuple:
     return re, (im if any(im) else None), d
 
 
-def products(rows, cols) -> tuple:
-    """Rows of sum(x * y for x, y in zip(row, col)) over cols, for each row.
+def common_forms(vectors) -> list:
+    """Each Scalar vector as the (re, im, d) ints `product_lines` reads."""
+    return [_common(v) for v in vectors]
 
-    rows and cols are sequences of equally long Scalar sequences; the result
-    is a tuple of Scalar tuples with one entry per (row, col) pair.
+
+def product_lines(rows, cols):
+    """Lazily, for each row, the tuple of its products with every column.
+
+    rows are Scalar sequences and cols come from `common_forms`, so columns
+    shared by several calls are brought to their denominators once; a caller
+    that stops early never forms the remaining lines.
     """
-    cs = [_common(col) for col in cols]
-    out = []
     for ra, rb, rd in map(_common, rows):
         line = []
-        for ca, cb, cd in cs:
+        for ca, cb, cd in cols:
             re = sum(map(mul, ra, ca))
             im = 0
             if rb is not None:
@@ -353,8 +365,16 @@ def products(rows, cols) -> tuple:
             _set_b(s, im)
             _set_d(s, d)
             line.append(s)
-        out.append(tuple(line))
-    return tuple(out)
+        yield tuple(line)
+
+
+def products(rows, cols) -> tuple:
+    """Rows of sum(x * y for x, y in zip(row, col)) over cols, for each row.
+
+    rows and cols are sequences of equally long Scalar sequences; the result
+    is a tuple of Scalar tuples with one entry per (row, col) pair.
+    """
+    return tuple(product_lines(rows, common_forms(cols)))
 
 
 def _parse_rational(text: str) -> Fraction:

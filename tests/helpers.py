@@ -5,8 +5,10 @@ plain (Fraction, Fraction) pairs, matrices are tuples of tuples of such
 pairs, and words are evaluated letter by letter from the definitions.
 Nothing here imports the package, so a bug in the package cannot leak
 into the expected values these functions produce.  Conversion helpers at
-the bottom only read .re/.im attributes off objects they are handed, and
-spanning_products only multiplies the elements it is handed.
+the bottom only read .re/.im attributes off objects they are handed;
+spanning_products only multiplies the elements it is handed, and
+verify_per_pair and oracle_per_word only call the per-word methods of the
+objects they are handed.
 """
 
 import itertools
@@ -331,3 +333,108 @@ def to_pairs_vec(vec):
 
 def to_pairs_mat(mat):
     return tuple(tuple(to_pair(x) for x in row) for row in mat)
+
+
+def verify_per_pair(cocycle, functional, max_len):
+    """The triple checks of `verify_schurmann_triple`, one pair at a time.
+
+    Every value comes from the handed objects' per-word paths (eval_word,
+    psi_word, the presentation's reduction) and every coboundary pair is
+    tested with its own inner product, in the package's scan order.
+    Returns the report as JSON.
+    """
+    p = cocycle.presentation
+    form = cocycle.form
+    group = p.kind == "group"
+    counts = {"psi_at_one": 1, "hermitian": 0, "coboundary": 0, "positivity": 0}
+
+    def report(identity=None, **detail):
+        witness = None if identity is None else {"identity": identity, **detail}
+        return {"passed": identity is None, "counts": counts,
+                "witness": witness}
+
+    def strs(word):
+        return [name + ("^-1" if tag == -1 else "*" if tag == 1 and not group
+                        else "") for name, tag in word]
+
+    def psi_of_product(w1, w2):
+        if group:
+            return functional.psi_word(p.free_reduce(w1 + w2))
+        return functional.psi_word(w1 + w2)
+
+    eps = p._word_character
+
+    one_val = functional.psi_word(())
+    if not one_val.is_zero():
+        return report("psi_at_one", value=str(one_val))
+    words = p.words_up_to(max_len, include_empty=False)
+    for w in words:
+        lhs = functional.psi_word(p.involve_word(w))
+        rhs = functional.psi_word(w).conj()
+        counts["hermitian"] += 1
+        if lhs != rhs:
+            return report("hermitian", word=strs(w), psi_star=str(lhs),
+                          conj_psi=str(rhs))
+    for wa in words:
+        for wb in words:
+            if len(wa) + len(wb) > max_len:
+                continue
+            lhs = (eps(wa) * functional.psi_word(wb) - psi_of_product(wa, wb)
+                   + functional.psi_word(wa) * eps(wb))
+            rhs = -form.inner(cocycle.eval_word(p.involve_word(wa)),
+                              cocycle.eval_word(wb))
+            counts["coboundary"] += 1
+            if lhs != rhs:
+                return report("coboundary", a=strs(wa), b=strs(wb),
+                              lhs=str(lhs), rhs=str(rhs))
+    for w in words:
+        if len(w) > max_len // 2:
+            continue
+        star = p.involve_word(w)
+        lhs = (psi_of_product(star, w) - eps(w) * functional.psi_word(star)
+               - eps(w).conj() * functional.psi_word(w))
+        rhs = form.inner(cocycle.eval_word(w), cocycle.eval_word(w))
+        counts["positivity"] += 1
+        if lhs != rhs:
+            return report("positivity", word=strs(w), psi=str(lhs),
+                          norm_sq=str(rhs))
+    return report()
+
+
+def oracle_per_word(cocycle, functional, presentation, normal_form, max_len):
+    """The normal-form oracle with each word folded on its own.
+
+    Words are bucketed by normal form in enumeration order and each word is
+    compared with its bucket's first word, the cocycle before psi.  Returns
+    the report as JSON.
+    """
+    words = presentation.words_up_to(max_len, include_empty=True)
+    buckets = {}
+    for w in words:
+        buckets.setdefault(normal_form.key(w), []).append(w)
+
+    def word_strs(word):
+        return [name + ("^-1" if tag == -1 else "") for name, tag in word]
+
+    def report(pairs, counterexample=None):
+        return {"passed": counterexample is None, "words": len(words),
+                "pairs": pairs, "counterexample": counterexample}
+
+    pairs = 0
+    for bucket in buckets.values():
+        rep = bucket[0]
+        for w in bucket[1:]:
+            pairs += 1
+            for name, evaluate, show in (
+                    ("cocycle", cocycle and cocycle.eval_word,
+                     lambda v: [str(x) for x in v]),
+                    ("psi", functional and functional.fold, str)):
+                if evaluate is None:
+                    continue
+                va, vb = evaluate(rep), evaluate(w)
+                if va != vb:
+                    return report(pairs, {
+                        "evaluator": name, "word_a": word_strs(rep),
+                        "word_b": word_strs(w), "value_a": show(va),
+                        "value_b": show(vb)})
+    return report(pairs)

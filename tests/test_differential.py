@@ -5,7 +5,8 @@ result of the package's scalar operators, matrix products, elimination
 routines, hermitian forms, group validation, memoised word evaluators and
 star-algebra rewriting is compared with (or checked by) the plain
 (Fraction, Fraction) arithmetic and the restart-from-the-left rewriting in
-helpers.  The draws are derandomized, so
+helpers.  The level-at-a-time folds, the batched triple verification and
+the oracle are compared with their per-word and per-pair paths.  The draws are derandomized, so
 a run is repeatable and needs no example database.
 """
 
@@ -25,7 +26,14 @@ from nlk.cocycles import (
     RepresentationError,
     coboundary_cocycle,
 )
-from nlk.functionals import GroupFunctional
+from nlk.functionals import (
+    AbelianExponents,
+    GroupFunctional,
+    StarFunctional,
+    brute_force_welldefinedness_oracle,
+    forced_real_parts,
+    verify_schurmann_triple,
+)
 from nlk.presentations import (
     STEP_BUDGET_ENV,
     AlgebraElement,
@@ -628,3 +636,214 @@ def test_kn_spanning_set_matches_product_reference_on_a_group():
     for n, max_len in ((2, 2), (3, 1)):
         expected = H.spanning_products(k1_elements(p, max_len), n)
         assert kn_spanning_set(p, n, max_len) == expected
+
+
+# --- level-at-a-time folds, verify and the oracle -------------------
+
+
+UNIT_SCALARS = (ONE, -ONE, I, -I, Scalar(Fraction(3, 5), Fraction(4, 5)))
+# nonzero entries with a real part, an imaginary part or both, so that a
+# dropped conjugation or counit changes values
+NONZERO = st.builds(Scalar, SMALL, SMALL).filter(bool)
+
+
+@st.composite
+def form_unitaries(draw, n):
+    """A gram matrix G = B* B with B upper triangular, and G-unitaries.
+
+    U = B^-1 V B is G-unitary for every standard unitary V; V is a
+    permutation with unit phases, turned in the first plane when n > 1.
+    """
+    b = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        b[i][i] = Scalar(draw(st.integers(1, 3)))
+        for j in range(i + 1, n):
+            b[i][j] = draw(ENTRIES)
+    b = tuple(tuple(r) for r in b)
+    gram = linalg.mmul(linalg.conj_transpose(b), b)
+    b_inv = linalg.inverse(b)
+
+    def unitary():
+        perm = draw(st.permutations(range(n)))
+        v = tuple(tuple(draw(st.sampled_from(UNIT_SCALARS)) if perm[i] == j
+                        else ZERO for j in range(n)) for i in range(n))
+        if n > 1 and draw(st.booleans()):
+            c, s_ = Scalar(Fraction(3, 5)), Scalar(Fraction(4, 5))
+            turn = [list(r) for r in linalg.identity(n)]
+            turn[0][0], turn[0][1], turn[1][0], turn[1][1] = c, -s_, s_, c
+            v = linalg.mmul(tuple(tuple(r) for r in turn), v)
+        return linalg.mmul(b_inv, linalg.mmul(v, b))
+
+    return gram, unitary(), unitary()
+
+
+@st.composite
+def free_group_data(draw):
+    n = draw(st.integers(1, 3))
+    gram, ua, ub = draw(form_unitaries(n))
+    vec = st.lists(ENTRIES, min_size=n, max_size=n).map(tuple)
+    return gram, {"a": ua, "b": ub}, {"a": draw(vec), "b": draw(vec)}
+
+
+def _free_group_objects(gram, images, eta, psi=None):
+    p = Presentation.group(["a", "b"], [])
+    rep = Representation(p, linalg.HermitianForm(gram), images)
+    cocycle = Cocycle(rep, eta)
+    if psi is None:
+        psi = forced_real_parts(cocycle)
+    return cocycle, GroupFunctional(cocycle, psi)
+
+
+FOLDS = settings(DIFF, max_examples=40)
+
+
+@FOLDS
+@given(free_group_data(), st.dictionaries(st.sampled_from("ab"), ENTRIES),
+       st.integers(0, 3), st.randoms(use_true_random=False))
+def test_level_folds_match_the_reference_on_groups(data, psi, max_len, rnd):
+    gram, images, eta = data
+    cocycle, functional = _free_group_objects(gram, images, eta, psi)
+    words = cocycle.presentation.words_up_to(max_len)
+    known = rnd.sample(words, len(words) // 3)
+    for w in known:  # the per-word path fills part of both memos first
+        functional.fold(w)
+    functional.fill_levels(words)
+    assert set(words) <= set(cocycle._eta_memo) & set(functional._psi_memo)
+    ref = (H.to_pairs_mat(gram),
+           {g: H.to_pairs_mat(m) for g, m in images.items()},
+           {g: H.to_pairs_vec(v) for g, v in eta.items()},
+           {g: H.to_pair(functional.values[g]) for g in "ab"})
+    n = len(gram)
+    fresh, fresh_psi = _free_group_objects(gram, images, eta, psi)
+    # the pair reference is slow, so it sees a sample of every level
+    sample = set(rnd.sample(words, min(len(words), 12)))
+    for w in words:
+        eta_w, eps_w = cocycle._eta_memo[w]
+        psi_w = functional._psi_memo[w]
+        assert eps_w == ONE
+        assert (fresh.eval_word(w), fresh_psi.fold(w)) == (eta_w, psi_w)
+        if w in sample or len(w) < 2:
+            assert H.to_pairs_vec(eta_w) == H.eta_word(ref[1], ref[2], w, n)
+            assert H.to_pair(psi_w) == H.psi_word(ref[1], ref[2], ref[3],
+                                                  ref[0], w, n)
+
+
+@st.composite
+def star_data(draw, with_table=True):
+    """A rule-free star algebra on x with x* a letter of its own, a nonzero
+    counit, and the coboundary triple of a vector, its table exact."""
+    n = draw(st.integers(1, 2))
+    p = Presentation.star_algebra(["x"], {"x": "x*"},
+                                  {"x": draw(NONZERO)}, [])
+    image = draw(matrices(n, n))
+    rep = Representation(p, linalg.standard_form(n), {"x": image})
+    v = tuple(draw(st.lists(NONZERO, min_size=n, max_size=n)))
+    cocycle, phi = coboundary_cocycle(rep, v)
+    return p, rep, v, cocycle, phi
+
+
+@FOLDS
+@given(star_data(), st.integers(0, 5), st.randoms(use_true_random=False))
+def test_level_folds_match_word_matrices_on_star_algebras(data, max_len, rnd):
+    p, rep, v, cocycle, _ = data
+    words = p.words_up_to(max_len)
+    for w in rnd.sample(words, len(words) // 3):
+        cocycle.eval_word(w)
+    cocycle.fill_levels(words)
+    for w in words:
+        eta_w, eps_w = cocycle._eta_memo[w]
+        eps = AlgebraElement.from_word(p, w).epsilon()
+        assert eps_w == eps
+        assert eta_w == linalg.vsub(linalg.mvmul(rep.word_matrix(w), v),
+                                    linalg.vscale(eps, v))
+
+
+def _star_functional(p, phi, max_len, tamper):
+    """The exact table of phi, or with psi(w) and psi(w*) moved by conjugate
+    amounts, so that hermitianity holds and a later identity fails."""
+    table = {w: phi.eval_word(w) for w in p.words_up_to(max_len) if w}
+    if tamper is not None:
+        index, delta = tamper
+        word = sorted(table)[index % len(table)]
+        star = p.involve_word(word)
+        if star == word:
+            delta = Scalar(delta.re) if delta.re else ONE
+        table[word] = table[word] + delta
+        table[star] = table[star] + delta.conj()
+    return StarFunctional(p, table)
+
+
+@FOLDS
+@given(star_data(), st.integers(1, 5),
+       st.one_of(st.none(), st.tuples(st.integers(0, 60), NONZERO)))
+def test_verify_matches_the_per_pair_loop_on_star_algebras(data, max_len,
+                                                           tamper):
+    p, rep, v, cocycle, phi = data
+    functional = _star_functional(p, phi, max_len, tamper)
+    fresh = coboundary_cocycle(rep, v)[0]
+    expected = H.verify_per_pair(fresh, functional, max_len)
+    assert verify_schurmann_triple(cocycle, functional, max_len).to_json() \
+        == expected
+    if tamper is None:
+        assert expected["passed"]
+
+
+@FOLDS
+@given(free_group_data(), st.integers(1, 4),
+       st.one_of(st.none(), st.tuples(st.sampled_from("ab"), NONZERO)))
+def test_verify_matches_the_per_pair_loop_on_groups(data, max_len, tamper):
+    gram, images, eta = data
+    cocycle, functional = _free_group_objects(gram, images, eta)
+    psi = dict(functional.values)
+    if tamper is not None:
+        # a changed real part breaks the coboundary identity at a a^-1, in
+        # the middle of the first length class
+        psi[tamper[0]] = psi[tamper[0]] + tamper[1]
+    functional = functional.with_values(psi)
+    fresh_cocycle, _ = _free_group_objects(gram, images, eta)
+    expected = H.verify_per_pair(
+        fresh_cocycle, GroupFunctional(fresh_cocycle, psi), max_len)
+    assert verify_schurmann_triple(cocycle, functional, max_len).to_json() \
+        == expected
+    if tamper is None:
+        assert expected["passed"]
+
+
+@st.composite
+def z2_data(draw):
+    """Z^2 with commuting diagonal unitaries and a coboundary cocycle, or
+    the trivial representation with any cocycle; psi from the forced real
+    parts, its imaginary parts drawn."""
+    n = draw(st.integers(1, 2))
+    p = Presentation.group(["a", "b"], [["a", "b", "a^-1", "b^-1"]])
+    form = linalg.standard_form(n)
+    vec = st.lists(NONZERO, min_size=n, max_size=n).map(tuple)
+    if draw(st.booleans()):
+        images = {g: tuple(tuple(draw(st.sampled_from(UNIT_SCALARS))
+                                 if i == j else ZERO for j in range(n))
+                           for i in range(n)) for g in "ab"}
+        cocycle, _ = coboundary_cocycle(Representation(p, form, images),
+                                        draw(vec))
+    else:
+        # psi is then well defined exactly when Im <eta(a), eta(b)> = 0
+        images = {g: linalg.identity(n) for g in "ab"}
+        cocycle = Cocycle(Representation(p, form, images),
+                          {"a": draw(vec), "b": draw(vec)})
+    psi = {g: r + I * Scalar(draw(SMALL))
+           for g, r in forced_real_parts(cocycle).items()}
+    return p, images, cocycle, psi
+
+
+@FOLDS
+@given(z2_data(), st.integers(2, 5), st.booleans())
+def test_oracle_matches_the_per_word_path(data, max_len, with_cocycle):
+    p, images, cocycle, psi = data
+    nf = AbelianExponents(p)
+    functional = GroupFunctional(cocycle, psi)
+    got = brute_force_welldefinedness_oracle(
+        cocycle if with_cocycle else None, functional, p, nf, max_len)
+    fresh = Cocycle(cocycle.representation, {
+        g: cocycle.values[(g, 1)] for g in "ab"}, _validated=True)
+    expected = H.oracle_per_word(fresh if with_cocycle else None,
+                                 GroupFunctional(fresh, psi), p, nf, max_len)
+    assert got.to_json() == expected

@@ -477,6 +477,48 @@ def test_cli_recheck_refuses_a_reason_the_command_never_gives(tmp_path,
     assert recheck_report(tmp_path, capsys, report)[0] == 2
 
 
+@pytest.mark.parametrize("stored", [0, 1, 2, "0", "2", True, False, None])
+def test_cli_recheck_refuses_an_edited_solve_exit_code(tmp_path, capsys,
+                                                       stored):
+    report = json_report(capsys, ["solve", "zk.z2.gaussian"])
+    assert report["result"]["verdict"] == "infeasible"
+    assert report["exit_code"] == 2
+    report["exit_code"] = stored
+    code, out = recheck_report(tmp_path, capsys, report)
+    if stored == 2 and type(stored) is int:
+        assert code == 0 and "exit_code" not in out
+    else:
+        assert code == 2 and "confirmed: False" in out
+        assert f"stored exit_code {stored!r} differs from 2" in out
+
+
+def test_cli_recheck_refuses_an_edited_verify_exit_code(tmp_path, capsys):
+    passing = write_doc(tmp_path,
+                        catalog.scenario_doc("zk.z2.gaussian", "feasible"),
+                        "pass.json")
+    failing = write_doc(tmp_path, catalog.scenario_doc(
+        "ac_not_h2z.star_algebra_definite", "flipped_sign"), "fail.json")
+    for path, expected in ((passing, 0), (failing, 2)):
+        report = json_report(capsys, ["verify", path])
+        assert report["exit_code"] == expected
+        assert report["result"]["passed"] is (expected == 0)
+        assert recheck_report(tmp_path, capsys, report)[0] == 0
+        report["exit_code"] = 2 - expected
+        code, out = recheck_report(tmp_path, capsys, report)
+        assert code == 2 and "confirmed: False" in out
+        assert (f"stored exit_code {2 - expected} differs from {expected}"
+                in out)
+
+
+def test_cli_recheck_refuses_an_edited_early_stop_exit_code(tmp_path, capsys):
+    report = json_report(capsys, ["verify", "p2.nongaussian"])
+    assert report["result"]["reason"] == "no_generating_functional"
+    assert report["exit_code"] == 2
+    report["exit_code"] = 0
+    code, out = recheck_report(tmp_path, capsys, report)
+    assert code == 2 and "stored exit_code 0 differs from 2" in out
+
+
 def test_cli_recheck_refuses_a_report_of_the_wrong_shape(tmp_path, capsys):
     report = json_report(capsys, ["decompose", "p2.derivations"])
     for field, value in (("parts", ["gaussian"]), ("split", "x"),
