@@ -12,7 +12,7 @@ reported, never patched over.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import linalg
 from .cocycles import (
@@ -59,8 +59,7 @@ def _plain(value):
     return value
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     name: str
     expected: object
     actual: object
@@ -74,8 +73,7 @@ class CheckOutcome:
                 "expected": self.expected, "actual": self.actual}
 
 
-@dataclass(frozen=True)
-class EntryResult:
+class EntryResult(NamedTuple):
     entry_id: str
     title: str
     checks: tuple
@@ -230,13 +228,12 @@ def _value(spec, run):
     return spec(run) if callable(spec) else spec
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     entry_id: str
     title: str
     algebra: str
     note: str
-    scenarios: dict = field(default_factory=dict)
+    scenarios: dict
     checks: tuple = ()      # (name, expected, probe)
     properties: tuple = ()  # (property, verdict, evidence)
 
@@ -971,8 +968,7 @@ def run_entry(entry_id: str) -> EntryResult:
     return get_entry(entry_id).run()
 
 
-@dataclass(frozen=True)
-class CatalogRun:
+class CatalogRun(NamedTuple):
     results: tuple
     conflicts: tuple
 

@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from . import catalog, reports
+from . import reports
 from .cocycles import CocycleObstructed, RepresentationError
 from .decompose import (
     DecompositionInconsistent,
@@ -60,6 +60,7 @@ class _EarlyStop(Exception):
 def _load_target(target):
     if os.path.exists(target):
         return load_scenario(target)
+    from . import catalog
     if target in catalog.ENTRIES:
         try:
             return parse_scenario(catalog.scenario_doc(target))
@@ -205,6 +206,7 @@ def _scenario_report(args) -> dict:
 
 
 def _cmd_classify(args):
+    from . import catalog
     try:
         entry = catalog.get_entry(args.target)
     except KeyError as exc:
@@ -236,6 +238,7 @@ def _cmd_recheck(args):
 
 
 def _cmd_catalog_run(args):
+    from . import catalog
     try:
         res = catalog.run_entry(args.entry_id)
     except KeyError as exc:
@@ -244,6 +247,7 @@ def _cmd_catalog_run(args):
 
 
 def _cmd_catalog_run_all(args):
+    from . import catalog
     run = catalog.run_all()
     return run.to_json(), 0 if run.ok else 2
 
@@ -308,6 +312,7 @@ def _dispatch(args) -> int:
     if args.command in _SCENARIO_COMMANDS:
         report = _scenario_report(args)
     elif args.command == "catalog" and args.catalog_command == "list":
+        from . import catalog
         for eid in catalog.entry_ids():
             sys.stdout.write(f"{eid}: {catalog.get_entry(eid).title}\n")
         return 0

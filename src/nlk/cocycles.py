@@ -18,7 +18,7 @@ paths give the same exact values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .presentations import (
@@ -32,8 +32,7 @@ from .presentations import (
 from .scalars import ONE, ZERO, Scalar, common_forms, product_lines
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     target: str
     residual: object  # matrix or vector of Scalar, already exact
@@ -463,8 +462,7 @@ def big_K(cocycle: Cocycle, tensor: Tensor2) -> Scalar:
     return big_L(cocycle).evaluate(tensor)
 
 
-@dataclass(frozen=True)
-class HochschildReport:
+class HochschildReport(NamedTuple):
     passed: bool
     checked: int
     witness: tuple | None  # (a, b, c, value) on failure

@@ -10,7 +10,7 @@ imaginary derivation which is absorbed into the Gaussian part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .cocycles import Cocycle, Representation, trivial_representation
@@ -52,8 +52,7 @@ def invariant_closure(representation: Representation) -> list:
         basis = new_basis
 
 
-@dataclass(frozen=True)
-class PartSpace:
+class PartSpace(NamedTuple):
     """One side of the splitting, in its own coordinates."""
     basis: tuple          # columns in the ambient space
     form: HermitianForm   # Gram matrix of the basis
@@ -66,8 +65,7 @@ class PartSpace:
         return self.form.dim
 
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(NamedTuple):
     representation: Representation
     cocycle: Cocycle
     p_g: tuple
@@ -153,8 +151,7 @@ class DecompositionInconsistent(ValueError):
     code = "DECOMPOSITION_INCONSISTENT"
 
 
-@dataclass(frozen=True)
-class LkOutcome:
+class LkOutcome(NamedTuple):
     verdict: str  # "decomposed" | "no_lk"
     split_result: SplitResult
     gaussian_outcome: SolveOutcome
@@ -264,22 +261,27 @@ def _chained(pairs) -> tuple:
 _ALL_IMPLICATIONS = _chained(IMPLICATIONS)
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class _PropertyFields(NamedTuple):
     algebra: str
     property: str
     verdict: str
     evidence: dict
 
-    def __post_init__(self):
-        if self.property not in PROPERTIES:
-            raise ValueError(f"unknown property {self.property!r}")
-        if self.verdict not in TRUE_VERDICTS | FALSE_VERDICTS:
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-
     def to_json(self):
-        return {"algebra": self.algebra, "property": self.property,
-                "verdict": self.verdict, "evidence": self.evidence}
+        return self._asdict()
+
+
+class PropertyReport(_PropertyFields):
+    """A verdict on one property; unknown ones raise, also in _replace."""
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, algebra, property, verdict, evidence):
+        if property not in PROPERTIES:
+            raise ValueError(f"unknown property {property!r}")
+        if verdict not in TRUE_VERDICTS | FALSE_VERDICTS:
+            raise ValueError(f"unknown verdict {verdict!r}")
+        return super().__new__(cls, algebra, property, verdict, evidence)
 
 
 def check_diagram_consistency(reports) -> list:

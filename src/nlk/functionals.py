@@ -20,8 +20,8 @@ class and one column per word b it pairs with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .cocycles import (
@@ -179,8 +179,7 @@ class StarFunctional:
 # --- existence solver ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelatorReading:
+class RelatorReading(NamedTuple):
     relator: tuple
     k_r: Scalar
     re_violation: bool
@@ -191,8 +190,7 @@ class RelatorReading:
                 "re_violation": self.re_violation}
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
     verdict: str  # "feasible" | "infeasible"
     functional: GroupFunctional | None
     ambiguity_dim: int | None
@@ -315,8 +313,7 @@ def certificate_defect(lam, a_mat, rhs) -> str | None:
 # --- triple verification -------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     passed: bool
     counts: dict
     witness: dict | None
@@ -464,8 +461,7 @@ def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> Verif
 # --- Gaussianity ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussianReport:
+class GaussianReport(NamedTuple):
     gaussian: bool
     checked: int
     witness: AlgebraElement | None
@@ -495,8 +491,7 @@ def is_gaussian_functional(functional, max_len: int) -> GaussianReport:
 # --- truncated GNS --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GnsResult:
+class GnsResult(NamedTuple):
     kind: str
     words: tuple
     gram: tuple
@@ -559,7 +554,28 @@ def gns_truncated(functional, max_len: int) -> GnsResult:
 # --- brute-force oracle --------------------------------------------
 
 
-class AbelianExponents:
+class _NormalForm:
+    """Keys of group elements; step(l, key(w)) is the key of l·w."""
+
+    def key(self, word):
+        k = self.identity
+        for l in reversed(word):
+            k = self.step(l, k)
+        return k
+
+    def buckets(self, words) -> dict:
+        """Words by key, in list order; a shortest-first suffix-closed list,
+        as words_up_to returns, gives each key one step from its tail's."""
+        keys = {(): self.identity}
+        buckets = {}
+        for w in words:
+            if w:
+                keys[w] = self.step(w[0], keys[w[1:]])
+            buckets.setdefault(keys[w], []).append(w)
+        return buckets
+
+
+class AbelianExponents(_NormalForm):
     """Normal form for presentations whose group is free abelian."""
 
     name = "abelian"
@@ -567,15 +583,14 @@ class AbelianExponents:
     def __init__(self, presentation: Presentation):
         self.presentation = presentation
         self._order = {g: i for i, g in enumerate(presentation.generators)}
+        self.identity = (0,) * len(self._order)
 
-    def key(self, word):
-        counts = [0] * len(self._order)
-        for name, tag in word:
-            counts[self._order[name]] += tag
-        return tuple(counts)
+    def step(self, letter, tail_key):
+        i = self._order[letter[0]]
+        return tail_key[:i] + (tail_key[i] + letter[1],) + tail_key[i + 1:]
 
 
-class P2NormalForm:
+class P2NormalForm(_NormalForm):
     """Normal form for the rotation wallpaper group.
 
     Elements are pairs (s, t) with s a flip bit and t an integer translation
@@ -594,15 +609,12 @@ class P2NormalForm:
         self._letters[(r, -1)] = (1, (0, 0))
         if not set(n for n, _ in self._letters) <= set(presentation.generators):
             raise NoNormalForm("normal form names generators the presentation lacks")
+        self.identity = (0, 0, 0)
 
-    def key(self, word):
-        s, (m, n) = 0, (0, 0)
-        for l in word:
-            s2, (dm, dn) = self._letters[l]
-            sign = -1 if s else 1
-            m, n = m + sign * dm, n + sign * dn
-            s = (s + s2) % 2
-        return (s, m, n)
+    def step(self, letter, tail_key):
+        flip, (dm, dn) = self._letters[letter]
+        s, m, n = tail_key
+        return (1 - s, dm - m, dn - n) if flip else (s, dm + m, dn + n)
 
 
 def build_normal_form(presentation, config):
@@ -626,16 +638,14 @@ def build_normal_form(presentation, config):
     return nf
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     passed: bool
     words: int
     pairs: int
     counterexample: dict | None
 
     def to_json(self):
-        return {"passed": self.passed, "words": self.words, "pairs": self.pairs,
-                "counterexample": self.counterexample}
+        return self._asdict()
 
 
 def brute_force_welldefinedness_oracle(cocycle: Cocycle | None,
@@ -651,10 +661,8 @@ def brute_force_welldefinedness_oracle(cocycle: Cocycle | None,
     """
     if presentation.kind != GROUP:
         raise NoNormalForm("the oracle needs a group presentation")
-    buckets = {}
     words = presentation.words_up_to(max_len, include_empty=True)
-    for w in words:
-        buckets.setdefault(normal_form.key(w), []).append(w)
+    buckets = normal_form.buckets(words)
     # the word list is suffix-closed, so both evaluators can be filled a
     # level at a time; a level is filled when its first word is read, so a
     # failing run evaluates nothing past the level of its counterexample

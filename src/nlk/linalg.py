@@ -17,7 +17,7 @@ part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .scalars import ONE, ZERO, Scalar, products
 
@@ -204,14 +204,12 @@ def _kernel_basis(red, pivots, c) -> list:
     return basis
 
 
-@dataclass(frozen=True)
-class LinearSolution:
+class LinearSolution(NamedTuple):
     solution: tuple
     kernel_basis: tuple
 
 
-@dataclass(frozen=True)
-class LinearInfeasible:
+class LinearInfeasible(NamedTuple):
     """Certificate row combination: certificate @ A == 0 but certificate @ b != 0."""
     certificate: tuple
 
@@ -375,8 +373,7 @@ def standard_form(n: int) -> HermitianForm:
 # --- exact PSD check ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PsdResult:
+class PsdResult(NamedTuple):
     psd: bool
     witness: tuple | None  # v with inner(v, G v) < 0 when not psd
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -124,8 +124,7 @@ def word_from_key(kind: str, key: str) -> tuple:
     return word_from_strs(kind, key.split())
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(NamedTuple):
     lhs: tuple
     coeff: Scalar
     rhs: tuple
@@ -665,8 +664,7 @@ def kn_spanning_set(presentation, n: int, max_len: int) -> list:
 # --- bounded vanishing check ---------------------------------------
 
 
-@dataclass(frozen=True)
-class VanishOutcome:
+class VanishOutcome(NamedTuple):
     """Result of trying to certify that an element is zero.
 
     certified_zero True is a proof (every merge used an explicit relator

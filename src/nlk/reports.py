@@ -10,7 +10,7 @@ without re-deciding anything.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .cocycles import CocycleObstructed, RepresentationError, exponent_matrix
@@ -22,8 +22,8 @@ from .functionals import (
     forced_real_parts,
     verify_schurmann_triple,
 )
-from .presentations import GROUP, word_from_strs
-from .scalars import Scalar
+from .presentations import GROUP, word_from_strs, word_to_strs
+from .scalars import ZERO, Scalar
 from .scenarios import MAX_WORD_LENGTH, parse_scenario
 
 # The early stops of each scenario command: the fields every stop carries,
@@ -114,12 +114,10 @@ def _render_decompose(result, lines):
     for part in ("gaussian", "remainder"):
         lines.append(f"{part} part:")
         _render_solve(result.get("parts", {}).get(part, {}), lines)
-    if result.get("verdict") == "decomposed":
-        for label, key in (("psi_G", "psi_gaussian"),
-                           ("psi_R", "psi_remainder")):
-            table = result.get(key) or {}
-            for g in sorted(table):
-                lines.append(f"{label}({g}) = {table[g]}")
+    for label, key in (("psi_G", "psi_gaussian"), ("psi_R", "psi_remainder")):
+        table = result.get(key) or {}
+        for g in sorted(table):
+            lines.append(f"{label}({g}) = {table[g]}")
 
 
 def _fmt_value(v):
@@ -221,8 +219,7 @@ def render_text(report: dict) -> str:
 # --- rechecking -----------------------------------------------------
 
 
-@dataclass
-class RecheckResult:
+class RecheckResult(NamedTuple):
     confirmed: bool
     details: list
 
@@ -340,25 +337,48 @@ def _recheck_solve(scenario, result, details):
 
 
 def _recheck_decompose(scenario, result, details):
-    sr = split(_cocycle(scenario))
+    cocycle = _cocycle(scenario)
+    sr = split(cocycle)
     sp = result.get("split") or {}
     _need(sp.get("dim_gaussian") == sr.gaussian.dim
           and sp.get("dim_remainder") == sr.remainder.dim,
           "stored split dimensions differ from the recomputed split")
+    parts = result.get("parts") or {}
     for name, part in (("gaussian", sr.gaussian), ("remainder", sr.remainder)):
-        part_result = (result.get("parts") or {}).get(name)
-        _need(part_result is not None, f"missing {name} part result")
-        _confirm_solve_result(part.cocycle, part_result, details)
+        _need(parts.get(name) is not None, f"missing {name} part result")
+        _confirm_solve_result(part.cocycle, parts[name], details)
         details.append(f"{name} part confirmed")
-    if result.get("verdict") == "decomposed":
-        psi_total = result.get("psi_total") or {}
-        psi_g = result.get("psi_gaussian") or {}
-        psi_r = result.get("psi_remainder") or {}
-        for g in scenario.presentation.generators:
-            total = Scalar.parse(psi_g[g]) + Scalar.parse(psi_r[g])
-            _need(total == Scalar.parse(psi_total[g]),
-                  f"parts do not rebuild psi({g})")
-        details.append("psi_G + psi_R rebuilds psi on the generators")
+    # the rest follows from the confirmed parts and the scenario
+    p = scenario.presentation
+    supplied = scenario.build_functional(cocycle)
+    feasible = parts["gaussian"]["verdict"] == "feasible" \
+        == parts["remainder"]["verdict"]
+    for key, value in (("verdict", "decomposed" if feasible else "no_lk"), (
+            "psi_source", "solver" if supplied is None else "scenario")):
+        _need(result.get(key) == value, f"stored {key} {result.get(key)!r} "
+                                        f"differs from the derived {value!r}")
+    total = {g: Scalar.parse(v) for g, v in result["psi_total"].items()}
+    _need(supplied is None or total == supplied.values,
+          "stored psi_total differs from the scenario's psi")
+    stored = [result.get(k) for k in
+              ("psi_gaussian", "psi_remainder", "derivation_correction")]
+    if not feasible:
+        _need(stored == [None] * 3, "a no_lk result carries part functionals "
+                                    "or a correction")
+        return
+    psi_g, psi_r, d, part_g, part_r = (
+        {g: Scalar.parse(doc[g]) for g in p.generators}
+        for doc in stored + [parts[n]["psi"] for n in ("gaussian", "remainder")])
+    for g in p.generators:
+        _need(d[g].re == 0, f"the correction at {g} is not purely imaginary")
+        _need(psi_g[g] == part_g[g] + d[g] and psi_r[g] == part_r[g],
+              f"stored part psi({g}) differs from the part solution's")
+        _need(psi_g[g] + psi_r[g] == total[g], f"parts do not rebuild psi({g})")
+    for relator, row in zip(p.relators, exponent_matrix(p)):
+        d_r = sum((e * d[g] for e, g in zip(row, p.generators)), ZERO)
+        _need(d_r.is_zero(), f"the correction does not vanish on relator "
+                             f"{word_to_strs(GROUP, relator)}")
+    details.append("psi_G + psi_R rebuilds psi on the generators")
 
 
 def _recheck_verify(scenario, result, details):

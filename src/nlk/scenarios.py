@@ -10,7 +10,8 @@ relations, obstructed cocycles) surface later, when the objects are built.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 from . import linalg
 from .cocycles import Cocycle, Representation, trivial_representation
@@ -109,15 +110,13 @@ def _parse_word_list(tokens, kind, pointer):
 MAX_WORD_LENGTH = 12
 
 
-@dataclass
-class ScenarioOptions:
+class ScenarioOptions(NamedTuple):
     max_word_length: int = 4
     normal_form: dict | None = None
-    cycles: dict = field(default_factory=dict)  # name -> raw pair list
+    cycles: dict = MappingProxyType({})  # name -> raw pair list, read-only
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     raw: dict
     presentation: Presentation
     form: HermitianForm

@@ -309,6 +309,28 @@ def reduce_word(letters, rules, word, budget):
             raise BudgetExceeded(k, steps)
 
 
+def abelian_key(generators, word):
+    """Exponent sum of each generator in a word, letter by letter."""
+    counts = [0] * len(generators)
+    for name, tag in word:
+        counts[generators.index(name)] += tag
+    return tuple(counts)
+
+
+def p2_key(word, a="a", b="b", r="r"):
+    """The p2 element (s, m, n) of a word, multiplied out from the left
+    letter by letter: (s1, t1)(s2, t2) = (s1 + s2 mod 2, t1 + (-1)^s1 t2),
+    with a and b translations and r the rotation."""
+    moves = {a: (0, 1, 0), b: (0, 0, 1), r: (1, 0, 0)}
+    s, m, n = 0, 0, 0
+    for name, tag in word:
+        flip, dm, dn = moves[name]
+        sign = -1 if s else 1
+        m, n = m + sign * tag * dm, n + sign * tag * dn
+        s = (s + flip) % 2
+    return (s, m, n)
+
+
 def spanning_products(base, n):
     """Distinct n-fold products of base elements, in itertools.product
     order, each multiplied out from the left."""

@@ -6,8 +6,10 @@ routines, hermitian forms, group validation, memoised word evaluators and
 star-algebra rewriting is compared with (or checked by) the plain
 (Fraction, Fraction) arithmetic and the restart-from-the-left rewriting in
 helpers.  The level-at-a-time folds, the batched triple verification and
-the oracle are compared with their per-word and per-pair paths.  The draws are derandomized, so
-a run is repeatable and needs no example database.
+the oracle are compared with their per-word and per-pair paths, and the
+normal forms' keys, built one letter onto a tail's key, with the
+letter-by-letter products.  The draws are derandomized, so a run is
+repeatable and needs no example database.
 """
 
 import contextlib
@@ -29,6 +31,7 @@ from nlk.cocycles import (
 from nlk.functionals import (
     AbelianExponents,
     GroupFunctional,
+    P2NormalForm,
     StarFunctional,
     brute_force_welldefinedness_oracle,
     forced_real_parts,
@@ -847,3 +850,40 @@ def test_oracle_matches_the_per_word_path(data, max_len, with_cocycle):
     expected = H.oracle_per_word(fresh if with_cocycle else None,
                                  GroupFunctional(fresh, psi), p, nf, max_len)
     assert got.to_json() == expected
+
+
+# --- normal-form keys -----------------------------------------------
+
+
+# the oracle's two normal forms with their letter-by-letter references; the
+# abelian form runs on a free group, whose words reach every exponent vector
+_P2 = Presentation.group(["a", "b", "r"], [
+    ["a", "b", "a^-1", "b^-1"], ["r", "r"], ["r", "a", "r", "a"],
+    ["r", "b", "r", "b"]])
+_FREE3 = Presentation.group(["a", "b", "c"], [])
+NORMAL_FORMS = {
+    "abelian": (_FREE3, AbelianExponents(_FREE3),
+                lambda w: H.abelian_key(["a", "b", "c"], w)),
+    "p2": (_P2, P2NormalForm(_P2), H.p2_key),
+}
+
+
+@DIFF
+@given(st.sampled_from(sorted(NORMAL_FORMS)), st.data())
+def test_normal_form_keys_match_the_letter_by_letter_products(kind, data):
+    p, nf, reference = NORMAL_FORMS[kind]
+    word = tuple(data.draw(st.lists(st.sampled_from(p.alphabet()),
+                                    max_size=9)))
+    assert nf.key(word) == reference(word)
+    if word:
+        assert nf.step(word[0], reference(word[1:])) == reference(word)
+
+
+@pytest.mark.parametrize("kind", sorted(NORMAL_FORMS))
+def test_normal_form_buckets_match_the_letter_by_letter_keys(kind):
+    p, nf, reference = NORMAL_FORMS[kind]
+    words = p.words_up_to(5, include_empty=True)
+    expected = {}
+    for w in words:
+        expected.setdefault(reference(w), []).append(w)
+    assert list(nf.buckets(words).items()) == list(expected.items())

@@ -1,7 +1,6 @@
 """Tests for scenario parsing, schema diagnostics, and the command line."""
 
 import collections
-import dataclasses
 import json
 
 import pytest
@@ -281,7 +280,7 @@ def test_cli_decompose_inconsistency_exits_with_a_message(tmp_path, capsys,
         out = real_solve(cocycle)
         psi = out.functional
         shifted = {g: v + sc(1) for g, v in psi.values.items()}
-        return dataclasses.replace(out, functional=psi.with_values(shifted))
+        return out._replace(functional=psi.with_values(shifted))
 
     monkeypatch.setattr(decompose, "solve_generating_functional",
                         shifted_solve)
@@ -519,6 +518,82 @@ def test_cli_recheck_refuses_an_edited_early_stop_exit_code(tmp_path, capsys):
     assert code == 2 and "stored exit_code 0 differs from 2" in out
 
 
+def refused(tmp_path, capsys, report):
+    """The recheck output of a report that must not be confirmed."""
+    code, out = recheck_report(tmp_path, capsys, report)
+    assert code == 2 and "confirmed: False" in out
+    return out
+
+
+def test_cli_recheck_derives_the_decompose_verdict(tmp_path, capsys):
+    report = json_report(capsys, ["decompose", "p2.derivations"])
+    assert report["result"]["verdict"] == "decomposed"
+    assert recheck_report(tmp_path, capsys, report)[0] == 0
+    # both parts are feasible, so the verdict and exit code agree but lie
+    report["result"]["verdict"] = "no_lk"
+    report["exit_code"] = 2
+    out = refused(tmp_path, capsys, report)
+    assert "stored verdict 'no_lk' differs from the derived 'decomposed'" in out
+    no_lk = json_report(capsys, ["decompose", "surface.gamma2.no_lk"])
+    assert recheck_report(tmp_path, capsys, no_lk)[0] == 0
+    no_lk["result"]["psi_remainder"] = no_lk["result"]["psi_total"]
+    assert "part functionals" in refused(tmp_path, capsys, no_lk)
+
+
+def test_cli_recheck_derives_the_decompose_part_functionals(tmp_path, capsys):
+    report = json_report(capsys, ["decompose", "p2.derivations"])
+    five = {"a": "5", "b": "0", "r": "0"}
+    report["result"]["psi_gaussian"] = five
+    report["result"]["psi_total"] = dict(five)
+    out = refused(tmp_path, capsys, report)
+    assert "stored part psi(a) differs from the part solution's" in out
+
+
+def mixed_doc_with_psi():
+    """The free product's mixed scenario with a supplied psi: the solved
+    parts plus the derivation 3i on c, whose exponent sums all vanish."""
+    doc = catalog.scenario_doc("freeproduct.p2_z2", "mixed")
+    doc["functional"] = {"psi": {"a": "0", "b": "0", "c": "-1/2+3i",
+                                 "d": "-1/2", "r": "-1/2"}}
+    return doc
+
+
+def test_cli_recheck_derives_the_decompose_psi_source(tmp_path, capsys):
+    report = json_report(capsys, ["decompose", "p2.derivations"])
+    assert report["result"]["psi_source"] == "solver"
+    report["result"]["psi_source"] = "scenario"
+    out = refused(tmp_path, capsys, report)
+    assert "stored psi_source 'scenario' differs from the derived" in out
+    path = write_doc(tmp_path, mixed_doc_with_psi(), "mixed.json")
+    supplied = json_report(capsys, ["decompose", path])
+    assert supplied["result"]["psi_source"] == "scenario"
+    assert recheck_report(tmp_path, capsys, supplied)[0] == 0
+    # a second derivation on c rebuilds, but is not the scenario's psi
+    for key, value in (("psi_total", "-1/2+4i"), ("psi_gaussian", "-1/2+4i"),
+                       ("derivation_correction", "4i")):
+        supplied["result"][key]["c"] = value
+    out = refused(tmp_path, capsys, supplied)
+    assert "stored psi_total differs from the scenario's psi" in out
+
+
+def test_cli_recheck_derives_the_decompose_correction(tmp_path, capsys):
+    report = json_report(capsys, ["decompose", "p2.derivations"])
+    result = report["result"]
+    assert result["derivation_correction"] == {"a": "0", "b": "0", "r": "0"}
+    tampered = json.loads(json.dumps(report))
+    tampered["result"]["derivation_correction"]["a"] = "i"
+    assert "stored part psi(a)" in refused(tmp_path, capsys, tampered)
+    # edits that keep psi_G = part psi + correction and psi_G + psi_R = psi
+    for value, message in (
+            ("1", "the correction at a is not purely imaginary"),
+            ("i", "the correction does not vanish on relator "
+                  "['r', 'a', 'r', 'a']")):
+        tampered = json.loads(json.dumps(report))
+        for key in ("derivation_correction", "psi_gaussian", "psi_total"):
+            tampered["result"][key]["a"] = value
+        assert message in refused(tmp_path, capsys, tampered)
+
+
 def test_cli_recheck_refuses_a_report_of_the_wrong_shape(tmp_path, capsys):
     report = json_report(capsys, ["decompose", "p2.derivations"])
     for field, value in (("parts", ["gaussian"]), ("split", "x"),
@@ -627,7 +702,7 @@ def test_catalog_mismatch_is_reported(capsys, monkeypatch):
                    else (name, expected, probe)
                    for name, expected, probe in entry.checks)
     monkeypatch.setitem(catalog.ENTRIES, entry.entry_id,
-                        dataclasses.replace(entry, checks=checks))
+                        entry._replace(checks=checks))
     res = catalog.run_entry(entry.entry_id)
     assert res.ok is False
     assert res.mismatches() == [
