@@ -1,4 +1,4 @@
-"""Representations on hermitian-form spaces, cocycles, and their 2-cochains.
+"""Representations on hermitian-form spaces and cocycles.
 
 A representation assigns a matrix to each generator and must respect the
 involution (images of starred letters are form-adjoints) and every defining
@@ -225,10 +225,6 @@ class Representation:
             m = linalg.mmul(m, self.letter_matrix(l))
         return m
 
-    def to_json(self):
-        return {g: linalg.matrix_to_json(self.images[g])
-                for g in self.presentation.generators}
-
 
 def trivial_representation(presentation, form) -> Representation:
     """pi(g) = eps(g) * identity; always a valid *-representation."""
@@ -369,11 +365,6 @@ class Cocycle:
                                 f"{word_to_strs(STAR_ALGEBRA, rule.lhs)}"))
         return out
 
-    def to_json(self):
-        p = self.presentation
-        return {letter_str(p.kind, l): linalg.vector_to_json(v)
-                for l, v in sorted(self.values.items())}
-
 
 # --- derivations ----------------------------------------------------
 
@@ -424,118 +415,16 @@ def derivation_space(presentation, dim: int):
     return basis
 
 
-# --- 2-cochains -----------------------------------------------------
-
-
-class Cochain2:
-    """Bilinear functional on pairs of algebra elements."""
-
-    def __init__(self, presentation, pair_fn, label=""):
-        self.presentation = presentation
-        self._pair_fn = pair_fn
-        self.label = label
-
-    def evaluate_pair(self, a: AlgebraElement, b: AlgebraElement) -> Scalar:
-        return self._pair_fn(a, b)
-
-    def evaluate(self, tensor: Tensor2) -> Scalar:
-        out = ZERO
-        for c, a, b in tensor.pairs:
-            out = out + c * self._pair_fn(a, b)
-        return out
-
-
-def big_L(cocycle: Cocycle) -> Cochain2:
-    """The 2-cochain (a, b) -> <eta(a*), eta(b)>."""
-    form = cocycle.form
-
-    def pair_fn(a, b):
-        return form.inner(cocycle.eval_element(a.star()),
-                          cocycle.eval_element(b))
-
-    return Cochain2(cocycle.presentation, pair_fn, label="L(eta)")
+# --- obstruction pairing --------------------------------------------
 
 
 def big_K(cocycle: Cocycle, tensor: Tensor2) -> Scalar:
-    """big_L evaluated on a tensor whose legs must lie in ker(eps)."""
+    """Sum of c <eta(a*), eta(b)> over the pairs c a (x) b of a tensor whose
+    legs must lie in ker(eps)."""
     tensor.check_legs_in_kernel()
-    return big_L(cocycle).evaluate(tensor)
-
-
-class HochschildReport(NamedTuple):
-    passed: bool
-    checked: int
-    witness: tuple | None  # (a, b, c, value) on failure
-
-    def to_json(self):
-        if self.witness is None:
-            w = None
-        else:
-            a, b, c, value = self.witness
-            w = {"a": a.to_json(), "b": b.to_json(), "c": c.to_json(),
-                 "value": str(value)}
-        return {"passed": self.passed, "checked": self.checked, "witness": w}
-
-
-def hochschild_boundary(phi: Cochain2, a, b, c) -> Scalar:
-    """eps(a) phi(b,c) - phi(ab,c) + phi(a,bc) - phi(a,b) eps(c)."""
-    return (a.epsilon() * phi.evaluate_pair(b, c)
-            - phi.evaluate_pair(a * b, c)
-            + phi.evaluate_pair(a, b * c)
-            - phi.evaluate_pair(a, b) * c.epsilon())
-
-
-def hochschild_check_2cocycle(presentation, phi: Cochain2, triples) -> HochschildReport:
-    checked = 0
-    for a, b, c in triples:
-        value = hochschild_boundary(phi, a, b, c)
-        checked += 1
-        if not value.is_zero():
-            return HochschildReport(passed=False, checked=checked,
-                                    witness=(a, b, c, value))
-    return HochschildReport(passed=True, checked=checked, witness=None)
-
-
-# --- coboundary cocycles -------------------------------------------
-
-
-class PhiV:
-    """The functional a -> <v, (pi(a) - eps(a)) v> attached to a vector v.
-
-    cocycle must be the coboundary cocycle eta_v(a) = (pi(a) - eps(a)) v,
-    so a word is one inner product with its memoised eta_v value.
-    """
-
-    def __init__(self, cocycle, v):
-        self.cocycle = cocycle
-        self.v = linalg.vector(v)
-
-    def eval_word(self, word) -> Scalar:
-        return self.cocycle.form.inner(self.v, self.cocycle.eval_word(word))
-
-    def eval_element(self, element: AlgebraElement) -> Scalar:
-        out = ZERO
-        for w, c in element.terms.items():
-            out = out + c * self.eval_word(w)
-        return out
-
-
-def coboundary_cocycle(representation, v):
-    """Cocycle eta(a) = (pi(a) - eps(a)) v plus its functional candidate.
-
-    The candidate phi satisfies L(eta) + (coboundary of phi) = 0, so minus its
-    coboundary reproduces L(eta) on all pairs.
-    """
-    p = representation.presentation
-    v = linalg.vector(v)
-    values = {}
-    for l in p.alphabet():
-        name, tag = l
-        if p.kind == GROUP and tag == -1:
-            continue
-        m = representation.letter_matrix(l)
-        eps = p.epsilon_letter(l)
-        values[letter_str(p.kind, l)] = linalg.vsub(
-            linalg.mvmul(m, v), linalg.vscale(eps, v))
-    cocycle = Cocycle(representation, values)
-    return cocycle, PhiV(cocycle, v)
+    form = cocycle.form
+    out = ZERO
+    for c, a, b in tensor.pairs:
+        out = out + c * form.inner(cocycle.eval_element(a.star()),
+                                   cocycle.eval_element(b))
+    return out

@@ -38,7 +38,6 @@ from .presentations import (
     AlgebraElement,
     Presentation,
     kn_spanning_set,
-    word_key,
     word_to_strs,
 )
 from .scalars import I, ONE, ZERO, Scalar, common_forms, product_lines, products
@@ -169,11 +168,6 @@ class StarFunctional:
         for w, coeff in element.terms.items():
             out = out + coeff * self.table.get(w, ZERO)
         return out
-
-    def to_json(self):
-        keys = sorted(self.table, key=lambda w: (len(w), w))
-        return {"table": {word_key(STAR_ALGEBRA, w): str(self.table[w])
-                          for w in keys}}
 
 
 # --- existence solver ----------------------------------------------
@@ -620,14 +614,13 @@ class P2NormalForm(_NormalForm):
 def build_normal_form(presentation, config):
     if config is None:
         raise NoNormalForm("no normal form configured for this presentation")
-    kind = config.get("kind") if isinstance(config, dict) else config
+    kind = config.get("kind")
     if kind == "abelian":
         nf = AbelianExponents(presentation)
     elif kind == "p2":
-        args = config if isinstance(config, dict) else {}
         nf = P2NormalForm(presentation,
-                          a=args.get("a", "a"), b=args.get("b", "b"),
-                          r=args.get("r", "r"))
+                          a=config.get("a", "a"), b=config.get("b", "b"),
+                          r=config.get("r", "r"))
     else:
         raise NoNormalForm(f"unknown normal form {kind!r}")
     ident = nf.key(())

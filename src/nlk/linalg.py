@@ -332,9 +332,6 @@ class HermitianForm:
                     for i in range(self.dim)]
         return kernel(matrix(rows))
 
-    def to_json(self):
-        return {"gram": [[str(x) for x in row] for row in self.gram]}
-
 
 def _pivots_positive(gram) -> bool:
     """Whether elimination without row swaps meets only real positive pivots.
@@ -376,12 +373,6 @@ def standard_form(n: int) -> HermitianForm:
 class PsdResult(NamedTuple):
     psd: bool
     witness: tuple | None  # v with inner(v, G v) < 0 when not psd
-
-    def witness_value(self, gram) -> Scalar | None:
-        if self.witness is None:
-            return None
-        gv = mvmul(gram, self.witness)
-        return sum((a.conj() * b for a, b in zip(self.witness, gv)), ZERO)
 
 
 def psd_check(gram) -> PsdResult:

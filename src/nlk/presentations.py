@@ -29,6 +29,10 @@ STAR_ALGEBRA = "star_algebra"
 DEFAULT_STEP_BUDGET = 10000
 STEP_BUDGET_ENV = "NLK_STEP_BUDGET"
 
+# the most words `words_up_to` may list; every catalog and benchmark input and
+# the p2 oracle at length 8 (585,937 words) stay below it
+WORD_BUDGET = 1_000_000
+
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
 
@@ -50,6 +54,18 @@ class ReductionBudgetExceeded(PresentationError):
             f"last rule applied {word_key(STAR_ALGEBRA, rule.lhs)} -> "
             f"({rule.coeff})*{word_key(STAR_ALGEBRA, rule.rhs)}; "
             f"{steps} steps taken")
+
+
+class WordBudgetExceeded(PresentationError):
+    code = "WORD_BUDGET_EXCEEDED"
+
+    def __init__(self, max_len, count, budget):
+        self.max_len = max_len
+        self.count = count
+        self.budget = budget
+        super().__init__(
+            f"listing the words up to length {max_len} passed the budget of "
+            f"{budget} words at {count} words")
 
 
 class StepBudgetError(PresentationError):
@@ -364,7 +380,11 @@ class Presentation:
     # --- enumeration ------------------------------------------------
 
     def words_up_to(self, max_len: int, include_empty: bool = True) -> list:
-        """All canonical-form words of length <= max_len, shortest first."""
+        """All canonical-form words of length <= max_len, shortest first.
+
+        Raises WordBudgetExceeded as soon as the list would hold more than
+        WORD_BUDGET words, so it never holds many more than that.
+        """
         key = max_len
         if key not in self._words_cache:
             words = [()]
@@ -372,6 +392,7 @@ class Presentation:
             alphabet = self.alphabet()
             for _ in range(max_len):
                 nxt = []
+                room = WORD_BUDGET - len(words)
                 for w in frontier:
                     for l in alphabet:
                         cand = w + (l,)
@@ -382,6 +403,9 @@ class Presentation:
                             if self._has_redex_at_end(cand):
                                 continue
                         nxt.append(cand)
+                    if len(nxt) > room:
+                        raise WordBudgetExceeded(
+                            max_len, len(words) + len(nxt), WORD_BUDGET)
                 words.extend(nxt)
                 frontier = nxt
             self._words_cache[key] = words
@@ -445,25 +469,6 @@ class Presentation:
             if not frontier:
                 break
         return False
-
-    def to_json(self) -> dict:
-        if self.kind == GROUP:
-            return {
-                "kind": GROUP,
-                "generators": list(self.generators),
-                "relators": [word_to_strs(GROUP, r) for r in self.relators],
-            }
-        return {
-            "kind": STAR_ALGEBRA,
-            "generators": list(self.generators),
-            "involution": {g: letter_str(STAR_ALGEBRA, self.involution[g])
-                           for g in self.generators},
-            "character": {g: str(self.character[g]) for g in self.generators},
-            "rules": [{"lhs": word_to_strs(STAR_ALGEBRA, rule.lhs),
-                       "rhs": {"coeff": str(rule.coeff),
-                               "word": word_to_strs(STAR_ALGEBRA, rule.rhs)}}
-                      for rule in self.rules],
-        }
 
 
 # --- algebra elements ----------------------------------------------
@@ -664,30 +669,16 @@ def kn_spanning_set(presentation, n: int, max_len: int) -> list:
 # --- bounded vanishing check ---------------------------------------
 
 
-class VanishOutcome(NamedTuple):
-    """Result of trying to certify that an element is zero.
+def element_vanishes(element: AlgebraElement, insertions: int = 2) -> bool:
+    """Whether the element is certified to be zero.
 
-    certified_zero True is a proof (every merge used an explicit relator
-    insertion).  False only means the insertion budget did not suffice.
+    True is a proof: every merge of two words used explicit relator
+    insertions.  False only means the insertion budget did not suffice.
     """
-    certified_zero: bool
-    classes: tuple  # (representative word, class words, coefficient sum)
-
-    def to_json(self, kind):
-        return {
-            "certified_zero": self.certified_zero,
-            "classes": [{"representative": word_to_strs(kind, rep),
-                         "words": [word_to_strs(kind, w) for w in ws],
-                         "coefficient_sum": str(s)}
-                        for rep, ws, s in self.classes],
-        }
-
-
-def element_vanishes(element: AlgebraElement, insertions: int = 2) -> VanishOutcome:
     p = element.presentation
     if p.kind == STAR_ALGEBRA:
         # star-algebra elements are held in canonical rewritten form already
-        return VanishOutcome(certified_zero=element.is_zero(), classes=())
+        return element.is_zero()
     words = element.words()
     parent = {w: w for w in words}
 
@@ -703,17 +694,8 @@ def element_vanishes(element: AlgebraElement, insertions: int = 2) -> VanishOutc
                 continue
             if p.equal_mod_relators(w1, w2, insertions=insertions):
                 parent[find(w2)] = find(w1)
-    groups = {}
+    totals = {}
     for w in words:
-        groups.setdefault(find(w), []).append(w)
-    classes = []
-    all_zero = True
-    for rep in sorted(groups, key=_word_sort_key):
-        ws = groups[rep]
-        total = ZERO
-        for w in ws:
-            total = total + element.terms[w]
-        if not total.is_zero():
-            all_zero = False
-        classes.append((rep, tuple(ws), total))
-    return VanishOutcome(certified_zero=all_zero, classes=tuple(classes))
+        root = find(w)
+        totals[root] = totals.get(root, ZERO) + element.terms[w]
+    return all(total.is_zero() for total in totals.values())

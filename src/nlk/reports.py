@@ -253,6 +253,19 @@ def _functional_from_psi(cocycle, psi_doc):
                            {g: Scalar.parse(v) for g, v in psi_doc.items()})
 
 
+def _confirm_solved_psi(cocycle, forced, psi_doc):
+    """A solved psi carries the forced real parts and folds to zero over
+    every relator; `forced` is forced_real_parts(cocycle)."""
+    functional = _functional_from_psi(cocycle, psi_doc)
+    for g, value in functional.values.items():
+        _need(value.re == forced[g].re,
+              f"stored Re psi({g}) = {value.re} differs from the forced "
+              f"real part {forced[g]}")
+    for relator in cocycle.presentation.relators:
+        _need(functional.fold(relator).is_zero(),
+              "stored psi does not vanish on a relator")
+
+
 def _confirm_solve_result(cocycle, result, details):
     """Re-verify a solve result against refolded readings and certificates."""
     p = cocycle.presentation
@@ -289,10 +302,7 @@ def _confirm_solve_result(cocycle, result, details):
     else:
         psi_doc = result.get("psi")
         _need(psi_doc, "feasible result without psi")
-        functional = _functional_from_psi(cocycle, psi_doc)
-        for relator in p.relators:
-            _need(functional.fold(relator).is_zero(),
-                  "stored psi does not vanish on a relator")
+        _confirm_solved_psi(cocycle, base.values, psi_doc)
         details.append("stored psi folds to zero on every relator")
 
 
@@ -365,6 +375,9 @@ def _recheck_decompose(scenario, result, details):
     if not feasible:
         _need(stored == [None] * 3, "a no_lk result carries part functionals "
                                     "or a correction")
+        if supplied is None:
+            _confirm_solved_psi(cocycle, forced_real_parts(cocycle),
+                                result["psi_total"])
         return
     psi_g, psi_r, d, part_g, part_r = (
         {g: Scalar.parse(doc[g]) for g in p.generators}

@@ -224,10 +224,6 @@ class Scalar:
             return self
         return _make(self._a, -self._b, self._d)
 
-    def abs_sq(self) -> Fraction:
-        a, b, d = self._a, self._b, self._d
-        return Fraction(a * a + b * b, d * d)
-
     # --- predicates -------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -30,6 +30,7 @@ from .presentations import (
     StepBudgetError,
     Tensor2,
     letter_str,
+    word_from_key,
     word_from_strs,
 )
 from .scalars import Scalar, ScalarError
@@ -290,8 +291,7 @@ def _parse_functional(doc, presentation, pointer) -> dict:
     table = {}
     for key, v in table_raw.items():
         tp = f"{pointer}/table/{key}"
-        tokens = key.split() if key not in ("", "1") else []
-        word = word_from_strs(STAR_ALGEBRA, tokens)
+        word = word_from_key(STAR_ALGEBRA, key)
         try:
             presentation._check_letters(word)
         except PresentationError as exc:

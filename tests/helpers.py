@@ -3,16 +3,26 @@
 Everything in this module is deliberately naive.  Complex rationals are
 plain (Fraction, Fraction) pairs, matrices are tuples of tuples of such
 pairs, and words are evaluated letter by letter from the definitions.
-Nothing here imports the package, so a bug in the package cannot leak
-into the expected values these functions produce.  Conversion helpers at
-the bottom only read .re/.im attributes off objects they are handed;
+The reference arithmetic uses nothing from the package, so a bug in the
+package cannot leak into the expected values it produces.  Conversion
+helpers only read .re/.im attributes off objects they are handed;
 spanning_products only multiplies the elements it is handed, and
 verify_per_pair and oracle_per_word only call the per-word methods of the
 objects they are handed.
+
+The fixtures at the end build package objects: the obstruction 2-cochain
+L(eta) with its Hochschild boundary, which `cocycles.big_K` is compared
+with, and the coboundary cocycle of a vector with its functional PhiV.
 """
 
 import itertools
 from fractions import Fraction
+from typing import NamedTuple
+
+from nlk import linalg
+from nlk.cocycles import Cocycle
+from nlk.presentations import GROUP, letter_str
+from nlk.scalars import ZERO
 
 CZERO = (Fraction(0), Fraction(0))
 CONE = (Fraction(1), Fraction(0))
@@ -460,3 +470,100 @@ def oracle_per_word(cocycle, functional, presentation, normal_form, max_len):
                         "word_b": word_strs(w), "value_a": show(va),
                         "value_b": show(vb)})
     return report(pairs)
+
+
+# --- 2-cochains and coboundary cocycles ------------------------------
+
+
+class Cochain2:
+    """Bilinear functional on pairs of algebra elements."""
+
+    def __init__(self, pair_fn):
+        self._pair_fn = pair_fn
+
+    def evaluate_pair(self, a, b):
+        return self._pair_fn(a, b)
+
+    def evaluate(self, tensor):
+        out = ZERO
+        for c, a, b in tensor.pairs:
+            out = out + c * self._pair_fn(a, b)
+        return out
+
+
+def big_L(cocycle):
+    """The 2-cochain (a, b) -> <eta(a*), eta(b)>."""
+    form = cocycle.form
+
+    def pair_fn(a, b):
+        return form.inner(cocycle.eval_element(a.star()),
+                          cocycle.eval_element(b))
+
+    return Cochain2(pair_fn)
+
+
+class HochschildReport(NamedTuple):
+    passed: bool
+    checked: int
+    witness: tuple | None  # (a, b, c, value) on failure
+
+
+def hochschild_boundary(phi, a, b, c):
+    """eps(a) phi(b,c) - phi(ab,c) + phi(a,bc) - phi(a,b) eps(c)."""
+    return (a.epsilon() * phi.evaluate_pair(b, c)
+            - phi.evaluate_pair(a * b, c)
+            + phi.evaluate_pair(a, b * c)
+            - phi.evaluate_pair(a, b) * c.epsilon())
+
+
+def hochschild_check_2cocycle(presentation, phi, triples):
+    checked = 0
+    for a, b, c in triples:
+        value = hochschild_boundary(phi, a, b, c)
+        checked += 1
+        if not value.is_zero():
+            return HochschildReport(passed=False, checked=checked,
+                                    witness=(a, b, c, value))
+    return HochschildReport(passed=True, checked=checked, witness=None)
+
+
+class PhiV:
+    """The functional a -> <v, (pi(a) - eps(a)) v> attached to a vector v.
+
+    cocycle must be the coboundary cocycle eta_v(a) = (pi(a) - eps(a)) v,
+    so a word is one inner product with its memoised eta_v value.
+    """
+
+    def __init__(self, cocycle, v):
+        self.cocycle = cocycle
+        self.v = linalg.vector(v)
+
+    def eval_word(self, word):
+        return self.cocycle.form.inner(self.v, self.cocycle.eval_word(word))
+
+    def eval_element(self, element):
+        out = ZERO
+        for w, c in element.terms.items():
+            out = out + c * self.eval_word(w)
+        return out
+
+
+def coboundary_cocycle(representation, v):
+    """Cocycle eta(a) = (pi(a) - eps(a)) v plus its functional candidate.
+
+    The candidate phi satisfies L(eta) + (coboundary of phi) = 0, so minus its
+    coboundary reproduces L(eta) on all pairs.
+    """
+    p = representation.presentation
+    v = linalg.vector(v)
+    values = {}
+    for l in p.alphabet():
+        name, tag = l
+        if p.kind == GROUP and tag == -1:
+            continue
+        m = representation.letter_matrix(l)
+        eps = p.epsilon_letter(l)
+        values[letter_str(p.kind, l)] = linalg.vsub(
+            linalg.mvmul(m, v), linalg.vscale(eps, v))
+    cocycle = Cocycle(representation, values)
+    return cocycle, PhiV(cocycle, v)

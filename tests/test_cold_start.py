@@ -117,7 +117,7 @@ def records():
 
 def test_the_records_are_namedtuples_without_shared_mutable_defaults():
     found = records()
-    assert len(found) == 25  # 24 records and the PropertyReport field base
+    assert len(found) == 23  # 22 records and the PropertyReport field base
     for cls in found:
         for field, default in cls._field_defaults.items():
             assert not isinstance(default, (list, dict, set)), (cls, field)

@@ -26,7 +26,7 @@ from nlk.cocycles import (
     Cocycle,
     Representation,
     RepresentationError,
-    coboundary_cocycle,
+    big_K,
 )
 from nlk.functionals import (
     AbelianExponents,
@@ -40,14 +40,17 @@ from nlk.functionals import (
 from nlk.presentations import (
     STEP_BUDGET_ENV,
     AlgebraElement,
+    LegNotInKernel,
     Presentation,
     ReductionBudgetExceeded,
+    Tensor2,
     k1_elements,
     kn_spanning_set,
 )
 from nlk.scalars import I, ONE, ZERO, Scalar
 
 import helpers as H
+from helpers import coboundary_cocycle
 
 DIFF = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 MATRICES = settings(DIFF, max_examples=60)
@@ -96,7 +99,6 @@ def test_operators_match_pair_arithmetic(x, y):
     assert H.to_pair(x * y) == H.cmul(px, py)
     assert H.to_pair(-x) == H.cneg(px)
     assert H.to_pair(x.conj()) == H.cconj(px)
-    assert x.abs_sq() == H.cmul(px, H.cconj(px))[0]
     if y.is_zero():
         with pytest.raises(ZeroDivisionError):
             x / y
@@ -850,6 +852,52 @@ def test_oracle_matches_the_per_word_path(data, max_len, with_cocycle):
     expected = H.oracle_per_word(fresh if with_cocycle else None,
                                  GroupFunctional(fresh, psi), p, nf, max_len)
     assert got.to_json() == expected
+
+
+# --- the obstruction pairing ----------------------------------------
+
+
+@st.composite
+def kernel_tensors(draw, presentation):
+    """1-3 pairs c a (x) b whose legs are combinations of w - eps(w) over
+    drawn, possibly unreduced words w, so every leg lies in ker(eps)."""
+    p = presentation
+    one = AlgebraElement.one(p)
+    words = st.lists(st.sampled_from(p.alphabet()), max_size=4).map(tuple)
+
+    def leg():
+        out = AlgebraElement.zero(p)
+        for w, c in draw(st.lists(st.tuples(words, NONZERO), min_size=1,
+                                  max_size=3)):
+            e = AlgebraElement.from_word(p, w)
+            out = out + (e - one.scale(e.epsilon())).scale(c)
+        return out
+
+    return Tensor2(p, [(draw(NONZERO), leg(), leg())
+                       for _ in range(draw(st.integers(1, 3)))])
+
+
+@FOLDS
+@given(free_group_data(), st.data())
+def test_big_K_matches_the_cochain_reference_on_groups(data, draws):
+    gram, images, eta = data
+    cocycle, _ = _free_group_objects(gram, images, eta)
+    tensor = draws.draw(kernel_tensors(cocycle.presentation))
+    fresh, _ = _free_group_objects(gram, images, eta)
+    assert big_K(cocycle, tensor) == H.big_L(fresh).evaluate(tensor)
+
+
+@FOLDS
+@given(star_data(), st.data())
+def test_big_K_matches_the_cochain_reference_on_star_algebras(data, draws):
+    p, rep, v, cocycle, _ = data
+    tensor = draws.draw(kernel_tensors(p))
+    fresh, _ = coboundary_cocycle(rep, v)
+    assert big_K(cocycle, tensor) == H.big_L(fresh).evaluate(tensor)
+    # x itself has the nonzero counit star_data draws
+    x = AlgebraElement.from_word(p, (("x", 0),))
+    with pytest.raises(LegNotInKernel):
+        big_K(cocycle, Tensor2(p, [(ONE, x, tensor.pairs[0][2])]))
 
 
 # --- normal-form keys -----------------------------------------------

