@@ -11,6 +11,7 @@ reported, never patched over.
 
 from __future__ import annotations
 
+import copy
 import functools
 from typing import NamedTuple
 
@@ -37,11 +38,11 @@ from .functionals import (
     forced_real_parts,
     gns_truncated,
     is_gaussian_functional,
-    recheck_solve_certificate,
     solve_generating_functional,
     verify_schurmann_triple,
 )
 from .presentations import element_vanishes
+from .reports import confirm_solve_result
 from .scalars import Scalar
 from .scenarios import parse_scenario
 
@@ -152,15 +153,16 @@ class _Run:
 
     @_once
     def recheck(self, name, part):
-        """Recheck the certificate of the scenario's solve outcome ("solve")
-        or of one of its decomposition parts ("gaussian", "remainder")."""
+        """Recheck the scenario's solve outcome ("solve") or one of its
+        decomposition parts ("gaussian", "remainder") as `recheck` would."""
         if part == "solve":
-            outcome = self.solve(name)
-        elif part == "gaussian":
-            outcome = self.lk(name).gaussian_outcome
+            cocycle, outcome = self.cocycle(name), self.solve(name)
         else:
-            outcome = self.lk(name).remainder_outcome
-        return recheck_solve_certificate(outcome)
+            lk = self.lk(name)
+            cocycle = getattr(lk.split_result, part).cocycle
+            outcome = (lk.gaussian_outcome if part == "gaussian"
+                       else lk.remainder_outcome)
+        return confirm_solve_result(cocycle, outcome.to_json())
 
     @_once
     def split(self, name):
@@ -958,10 +960,11 @@ def get_entry(entry_id: str) -> CatalogEntry:
 
 
 def scenario_doc(entry_id: str, name: str = "main") -> dict:
+    """A copy of the scenario document, which the caller may edit."""
     entry = get_entry(entry_id)
     if name not in entry.scenarios:
         raise KeyError(f"entry {entry_id!r} has no scenario {name!r}")
-    return entry.scenarios[name]
+    return copy.deepcopy(entry.scenarios[name])
 
 
 def run_entry(entry_id: str) -> EntryResult:

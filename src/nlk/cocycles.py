@@ -149,12 +149,13 @@ class Representation:
                 # one product proves unitarity; elimination only diagnoses
                 if linalg.mat_eq(linalg.mmul(adj, m), one):
                     continue
-                if n > 0 and linalg.det(m).is_zero():
+                try:
+                    inv = linalg.inverse(m)
+                except linalg.LinalgError:
                     out.append(Violation(
                         code="NOT_STAR_COMPATIBLE", target=g, residual=None,
                         message=f"image of {g} is singular"))
                     continue
-                inv = linalg.inverse(m)
                 if not linalg.mat_eq(adj, inv):
                     out.append(Violation(
                         code="NOT_STAR_COMPATIBLE", target=g,

@@ -20,6 +20,7 @@ class and one column per word b it pairs with.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -266,20 +267,6 @@ def solve_generating_functional(cocycle: Cocycle) -> SolveOutcome:
         ambiguity_dim=len(solved.kernel_basis),
         readings=tuple(readings), system_matrix=a_mat, system_rhs=rhs,
         certificate=None)
-
-
-def recheck_solve_certificate(outcome: SolveOutcome) -> bool:
-    """Confirm an infeasibility verdict from its stored certificate alone."""
-    if outcome.verdict != "infeasible":
-        return False
-    for rd in outcome.readings:
-        if rd.re_violation:
-            return rd.k_r.re != 0
-    lam = outcome.certificate
-    if lam is None:
-        return False
-    return certificate_defect(lam, outcome.system_matrix,
-                              outcome.system_rhs) is None
 
 
 def certificate_defect(lam, a_mat, rhs) -> str | None:
@@ -601,8 +588,6 @@ class P2NormalForm(_NormalForm):
             self._letters[(name, -1)] = (0, (-vec[0], -vec[1]))
         self._letters[(r, 1)] = (1, (0, 0))
         self._letters[(r, -1)] = (1, (0, 0))
-        if not set(n for n, _ in self._letters) <= set(presentation.generators):
-            raise NoNormalForm("normal form names generators the presentation lacks")
         self.identity = (0, 0, 0)
 
     def step(self, letter, tail_key):
@@ -612,22 +597,51 @@ class P2NormalForm(_NormalForm):
 
 
 def build_normal_form(presentation, config):
+    """The configured normal form, refused unless it is faithful.
+
+    A key names the elements of its model group F/N0 faithfully, N0 being
+    the normal closure of the model's defining relators.  The key must kill
+    every relator of the presentation (N inside N0), and a bounded relator
+    search must certify each defining relator trivial (N0 inside N); then
+    N = N0 and equal keys name equal elements.
+    """
     if config is None:
         raise NoNormalForm("no normal form configured for this presentation")
+    if presentation.kind != GROUP:
+        raise NoNormalForm("normal forms name group elements")
     kind = config.get("kind")
     if kind == "abelian":
+        fields = {"kind"}
         nf = AbelianExponents(presentation)
+        model = [((g, 1), (h, 1), (g, -1), (h, -1)) for g, h
+                 in itertools.combinations(presentation.generators, 2)]
     elif kind == "p2":
-        nf = P2NormalForm(presentation,
-                          a=config.get("a", "a"), b=config.get("b", "b"),
-                          r=config.get("r", "r"))
+        fields = {"kind", "a", "b", "r"}
+        a, b, r = names = [config.get(n, n) for n in ("a", "b", "r")]
+        if not all(isinstance(n, str) for n in names) \
+                or sorted(names) != sorted(presentation.generators):
+            raise NoNormalForm(f"the p2 normal form needs the generators to "
+                               f"be exactly {names}")
+        nf = P2NormalForm(presentation, a=a, b=b, r=r)
+        model = [((a, 1), (b, 1), (a, -1), (b, -1)), ((r, 1), (r, 1)),
+                 ((r, 1), (a, 1), (r, 1), (a, 1)),
+                 ((r, 1), (b, 1), (r, 1), (b, 1))]
     else:
         raise NoNormalForm(f"unknown normal form {kind!r}")
+    extra = sorted(set(config) - fields)
+    if extra:
+        raise NoNormalForm(f"unknown fields {extra} in the {kind} normal form")
     ident = nf.key(())
     for rel in presentation.relators:
         if nf.key(rel) != ident:
             raise NoNormalForm(
                 f"normal form does not kill relator {word_to_strs(GROUP, rel)}")
+    for rel in model:
+        if not presentation.equal_mod_relators(rel, ()):
+            raise NoNormalForm(
+                f"the relators do not certify the {kind} relator "
+                f"{word_to_strs(GROUP, rel)}, so the normal form may merge "
+                f"distinct elements")
     return nf
 
 

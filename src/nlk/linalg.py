@@ -4,15 +4,17 @@ Vectors are tuples of Scalar, matrices are tuples of row tuples.  Sizes are
 small (representation spaces up to ~8 dimensions, Gram matrices up to a few
 hundred rows).  Matrix products go through the integer kernel
 `scalars.products`, which puts each row and column over one common
-denominator.  Elimination is exact Gaussian elimination with Scalar
-operators, one elimination per question: one `rref` gives a rank, the pivot
-(first independent) columns and every column's coordinates over them;
-`solve_linear` reads the solution, the kernel basis and any infeasibility
-certificate off one `rref` of [a | b | I]; `inverse` reduces [m | I] once and
-a hermitian form keeps its inverse as `gram_inv`; `det`, the definiteness
-pass of a form and `psd_check` are one pass each.  Dimension 0 is allowed
-throughout; it shows up when a splitting has an empty Gaussian or remainder
-part.
+denominator.
+
+There is one Gauss-Jordan reduction, `_reduce`, which also keeps each pivot
+before scaling and counts row swaps.  All but semidefiniteness read it:
+`rref` (rank, pivot columns, coordinates); `solve_linear` on [a | b | I]
+(infeasible exactly when b's column is a pivot column, whose row carries the
+certificate); `inverse` on [m | I], whose pivots also decide a hermitian
+form's definiteness (Sylvester); `det`, (-1)^swaps times the pivot product.
+`psd_check` is the one other loop, a diagonal-pivoted congruence.  Dimension
+0 is allowed throughout; it shows up when a splitting has an empty Gaussian
+or remainder part.
 """
 
 from __future__ import annotations
@@ -151,15 +153,13 @@ def from_columns(cols, rows_hint=None) -> tuple:
 # --- elimination ----------------------------------------------------
 
 
-def rref(rows) -> tuple:
-    """Reduced row echelon form.  Returns (rows, pivot column indices)."""
+def _reduce(rows) -> tuple:
+    """The one Gauss-Jordan reduction.  Returns (reduced rows, pivot column
+    indices, each pivot's value before its row was scaled, row swaps)."""
     m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    lead = 0
-    for col in range(ncols):
+    pivots, values = [], []
+    swaps = lead = 0
+    for col in range(len(m[0]) if m else 0):
         piv = None
         for i in range(lead, len(m)):
             if not m[i][col].is_zero():
@@ -167,18 +167,27 @@ def rref(rows) -> tuple:
                 break
         if piv is None:
             continue
-        m[lead], m[piv] = m[piv], m[lead]
-        inv = ONE / m[lead][col]
+        if piv != lead:
+            m[lead], m[piv] = m[piv], m[lead]
+            swaps += 1
+        p = m[lead][col]
+        inv = ONE / p
         m[lead] = [inv * x for x in m[lead]]
         for i in range(len(m)):
             if i != lead and not m[i][col].is_zero():
                 f = m[i][col]
                 m[i] = [x - f * y for x, y in zip(m[i], m[lead])]
         pivots.append(col)
+        values.append(p)
         lead += 1
         if lead == len(m):
             break
-    return [tuple(r) for r in m], pivots
+    return [tuple(r) for r in m], pivots, values, swaps
+
+
+def rref(rows) -> tuple:
+    """Reduced row echelon form.  Returns (rows, pivot column indices)."""
+    return _reduce(rows)[:2]
 
 
 def rank(m) -> int:
@@ -227,11 +236,9 @@ def solve_linear(a, b):
     aug = [list(a[i]) + [b[i]] + [ONE if j == i else ZERO for j in range(r)]
            for i in range(r)]
     red, pivots = rref(aug)
-    for i, row in enumerate(red):
-        lead = next((j for j, x in enumerate(row[:c + 1]) if not x.is_zero()), None)
-        if lead == c:
-            cert = tuple(row[c + 1:])
-            return LinearInfeasible(certificate=cert)
+    if c in pivots:
+        # a row reduced to [0 | 1 | lam]: the identity block holds lam
+        return LinearInfeasible(certificate=tuple(red[pivots.index(c)][c + 1:]))
     # the first c columns of the reduction are rref(a): the kernel comes
     # from the same rows as the particular solution
     sol = [ZERO] * c
@@ -242,38 +249,33 @@ def solve_linear(a, b):
                           kernel_basis=tuple(_kernel_basis(red, pivots, c)))
 
 
-def inverse(m):
+def _invert(m) -> tuple:
+    """(inverse, pivot values, row swaps) from one reduction of [m | I]."""
     n, c = mat_shape(m)
     if n != c:
         raise DimensionMismatch("inverse of non-square matrix")
-    if n == 0:
-        return ()
     aug = [list(m[i]) + [ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-    red, pivots = rref(aug)
+    red, pivots, values, swaps = _reduce(aug)
     if pivots[:n] != list(range(n)):
         raise LinalgError("matrix is singular")
-    return tuple(tuple(red[i][n:]) for i in range(n))
+    return tuple(tuple(red[i][n:]) for i in range(n)), values, swaps
+
+
+def inverse(m):
+    return _invert(m)[0]
 
 
 def det(m) -> Scalar:
+    """(-1)^swaps times the pivot values of one reduction, 0 below full rank."""
     n, c = mat_shape(m)
     if n != c:
         raise DimensionMismatch("determinant of non-square matrix")
-    a = [list(r) for r in m]
-    result = ONE
-    for col in range(n):
-        piv = next((i for i in range(col, n) if not a[i][col].is_zero()), None)
-        if piv is None:
-            return ZERO
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            result = -result
-        result = result * a[col][col]
-        inv = ONE / a[col][col]
-        for i in range(col + 1, n):
-            if not a[i][col].is_zero():
-                f = a[i][col] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    _, pivots, values, swaps = _reduce(m)
+    if len(pivots) < n:
+        return ZERO
+    result = -ONE if swaps % 2 else ONE
+    for p in values:
+        result = result * p
     return result
 
 
@@ -291,7 +293,7 @@ class HermitianForm:
 
     inner(v, w) = conj(v)^T @ gram @ w  (conjugate-linear in the first slot).
     `gram_inv` is the inverse computed once at construction.  `definite` is
-    decided exactly by Sylvester's criterion, read off one elimination pass.
+    decided exactly by Sylvester's criterion, read off the same reduction.
     """
 
     def __init__(self, gram):
@@ -304,10 +306,13 @@ class HermitianForm:
         self.gram = gram
         self.dim = n
         try:
-            self.gram_inv = inverse(gram)
+            self.gram_inv, pivots, swaps = _invert(gram)
         except LinalgError:
             raise LinalgError("gram matrix is singular") from None
-        self.definite = _pivots_positive(gram)
+        # Sylvester: with no swap the k-th pivot is D_k / D_(k-1), and a
+        # swap means some leading principal minor D_k is zero
+        self.definite = not swaps and all(p.is_real() and p.re > 0
+                                          for p in pivots)
 
     def inner(self, v, w) -> Scalar:
         if len(v) != self.dim or len(w) != self.dim:
@@ -331,29 +336,6 @@ class HermitianForm:
             return [tuple(ONE if i == j else ZERO for j in range(self.dim))
                     for i in range(self.dim)]
         return kernel(matrix(rows))
-
-
-def _pivots_positive(gram) -> bool:
-    """Whether elimination without row swaps meets only real positive pivots.
-
-    The k-th pivot is the ratio of the k-th and (k-1)-th leading principal
-    minors, so for a hermitian matrix this is Sylvester's criterion for
-    positive definiteness.  Stops at the first pivot that is not positive.
-    """
-    a = [list(row) for row in gram]
-    n = len(a)
-    for col in range(n):
-        p = a[col][col]
-        if not p.is_real() or p.re <= 0:
-            return False
-        inv = ONE / p
-        top = a[col][col + 1:]
-        for i in range(col + 1, n):
-            f = a[i][col]
-            if not f.is_zero():
-                f = f * inv
-                a[i][col + 1:] = [x - f * y for x, y in zip(a[i][col + 1:], top)]
-    return True
 
 
 def mvmul_conj_row(gram, b):
@@ -387,7 +369,10 @@ def psd_check(gram) -> PsdResult:
     if n != c or not mat_eq(g, conj_transpose(g)):
         raise LinalgError("psd_check needs a hermitian matrix")
     work = [list(row) for row in g]
-    # invariant: work == C @ G @ conj_transpose(C); witness maps back by conj_transpose(C)
+    # invariant on the undone rows and columns: work == C @ G @ conj_transpose(C),
+    # and a witness maps back by conj_transpose(C).  A pass sweeps rows only;
+    # the undone block is then the same Schur complement a congruence gives,
+    # and done rows and columns are never read again.
     cmat = [list(row) for row in identity(n)]
     done = [False] * n
 
@@ -416,11 +401,8 @@ def psd_check(gram) -> PsdResult:
         for i in range(n):
             if i != piv and not done[i] and not work[i][piv].is_zero():
                 f = work[i][piv] / d
-                for k in range(n):
-                    work[i][k] = work[i][k] - f * work[piv][k]
-                    cmat[i][k] = cmat[i][k] - f * cmat[piv][k]
-                for k in range(n):
-                    work[k][i] = work[k][i] - f.conj() * work[k][piv]
+                work[i] = [x - f * y for x, y in zip(work[i], work[piv])]
+                cmat[i] = [x - f * y for x, y in zip(cmat[i], cmat[piv])]
         done[piv] = True
     # remaining block has zero diagonal; any nonzero entry is indefinite
     for i in range(n):

@@ -11,13 +11,12 @@ evaluations, plus a bounded merging procedure for kernel membership.
 Star-algebra kind: generators with a declared involution, counit values per
 generator, and oriented monomial rewriting rules with scalar coefficients.
 Reduction rewrites starred letters through the involution map and then applies
-the rules leftmost first until no rule matches, guarded by a step budget
-that is read from the environment once, when the presentation is built.
+the rules leftmost first until no rule matches, guarded by a step budget,
+STEP_BUDGET rewriting steps per reduction.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from typing import NamedTuple
 
@@ -26,8 +25,8 @@ from .scalars import ONE, ZERO, Scalar
 GROUP = "group"
 STAR_ALGEBRA = "star_algebra"
 
-DEFAULT_STEP_BUDGET = 10000
-STEP_BUDGET_ENV = "NLK_STEP_BUDGET"
+# the most rewriting steps one reduction may take
+STEP_BUDGET = 10_000
 
 # the most words `words_up_to` may list; every catalog and benchmark input and
 # the p2 oracle at length 8 (585,937 words) stay below it
@@ -66,22 +65,6 @@ class WordBudgetExceeded(PresentationError):
         super().__init__(
             f"listing the words up to length {max_len} passed the budget of "
             f"{budget} words at {count} words")
-
-
-class StepBudgetError(PresentationError):
-    """NLK_STEP_BUDGET is malformed: a fault of the environment, not of the
-    presentation being built."""
-
-
-def _read_step_budget() -> int:
-    raw = os.environ.get(STEP_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_STEP_BUDGET
-    text = raw.strip()
-    if not (text.isascii() and text.isdigit()):
-        raise StepBudgetError(
-            f"{STEP_BUDGET_ENV} must be a non-negative integer, got {raw!r}")
-    return int(text)
 
 
 class LegNotInKernel(PresentationError):
@@ -213,7 +196,6 @@ class Presentation:
     def _init_star(self):
         if self.relators:
             raise PresentationError("star-algebra presentations take rules, not relators")
-        self._step_budget = _read_step_budget()
         for g in self.generators:
             if g not in self.involution:
                 raise PresentationError(f"involution missing for generator {g!r}")
@@ -355,7 +337,7 @@ class Presentation:
         back = self._max_lhs - 1
         coeff = ONE
         steps = 0
-        budget = self._step_budget
+        budget = STEP_BUDGET
         i = 0
         while i < len(cur):
             for lhs, n, rule in rules_at.get(cur[i], ()):

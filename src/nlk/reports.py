@@ -231,6 +231,10 @@ class _RecheckFailure(Exception):
     pass
 
 
+# what reading a malformed report can raise
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
+
+
 def _need(cond, message):
     if not cond:
         raise _RecheckFailure(message)
@@ -264,6 +268,16 @@ def _confirm_solved_psi(cocycle, forced, psi_doc):
     for relator in cocycle.presentation.relators:
         _need(functional.fold(relator).is_zero(),
               "stored psi does not vanish on a relator")
+
+
+def confirm_solve_result(cocycle, result) -> bool:
+    """Whether a solve result (as `SolveOutcome.to_json` writes it) holds up
+    for `cocycle`: the checks `recheck` makes of a solve report."""
+    try:
+        _confirm_solve_result(cocycle, result, [])
+    except (_RecheckFailure, *_MALFORMED):
+        return False
+    return True
 
 
 def _confirm_solve_result(cocycle, result, details):
@@ -523,7 +537,7 @@ def recheck(report: dict) -> RecheckResult:
     except _RecheckFailure as exc:
         details.append(str(exc))
         return RecheckResult(confirmed=False, details=details)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except _MALFORMED as exc:
         details.append(f"malformed report: {exc!r}")
         return RecheckResult(confirmed=False, details=details)
     return RecheckResult(confirmed=True, details=details)

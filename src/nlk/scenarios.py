@@ -27,7 +27,6 @@ from .presentations import (
     AlgebraElement,
     Presentation,
     PresentationError,
-    StepBudgetError,
     Tensor2,
     letter_str,
     word_from_key,
@@ -268,8 +267,6 @@ def _parse_presentation(doc, pointer) -> Presentation:
                             "rules"}
         _require(not extra, pointer, f"unknown fields {sorted(extra)}")
         return Presentation.star_algebra(gens, involution, character, rules)
-    except StepBudgetError:
-        raise
     except PresentationError as exc:
         raise SchemaError(pointer, str(exc)) from exc
 

@@ -149,6 +149,56 @@ def naive_det(a):
     return total
 
 
+def psd_witness(gram):
+    """Semidefiniteness by congruence: (psd, witness v with v* G v < 0).
+
+    Pivots on the first undone nonzero diagonal entry; each row sweep is
+    matched by its column sweep, so work == C G C* throughout, and a
+    witness maps back by C*.  An undone block with zero diagonal and a
+    nonzero entry c at (i, k) gives the witness -c e_i + e_k.
+    """
+    n = len(gram)
+    work = [list(row) for row in gram]
+    cmat = [list(row) for row in mid(n)]
+    done = [False] * n
+
+    def back_map(v):
+        out = [CZERO] * n
+        for i in range(n):
+            for j in range(n):
+                out[j] = cadd(out[j], cmul(cconj(cmat[i][j]), v[i]))
+        return tuple(out)
+
+    while True:
+        piv = next((j for j in range(n)
+                    if not done[j] and not cis_zero(work[j][j])), None)
+        if piv is None:
+            break
+        d = work[piv][piv]
+        if d[1] != 0:
+            raise ValueError("hermitian matrix has non-real diagonal")
+        if d[0] < 0:
+            return False, back_map([CONE if k == piv else CZERO
+                                    for k in range(n)])
+        for i in range(n):
+            if i == piv or done[i] or cis_zero(work[i][piv]):
+                continue
+            f = cdiv(work[i][piv], d)
+            work[i] = [csub(x, cmul(f, y)) for x, y in zip(work[i], work[piv])]
+            cmat[i] = [csub(x, cmul(f, y)) for x, y in zip(cmat[i], cmat[piv])]
+            for k in range(n):
+                work[k][i] = csub(work[k][i], cmul(cconj(f), work[k][piv]))
+        done[piv] = True
+    for i in range(n):
+        for k in range(n):
+            if done[i] or done[k] or k == i or cis_zero(work[i][k]):
+                continue
+            v = [CZERO] * n
+            v[i], v[k] = cneg(work[i][k]), CONE
+            return False, back_map(v)
+    return True, None
+
+
 def inner(gram, u, v):
     """Sesquilinear form sum_ij conj(u_i) G_ij v_j, conjugate in slot one."""
     s = CZERO

@@ -20,11 +20,11 @@ from nlk.functionals import (
     brute_force_welldefinedness_oracle,
     build_normal_form,
     forced_real_parts,
-    recheck_solve_certificate,
     solve_generating_functional,
     verify_schurmann_triple,
 )
 from nlk.presentations import AlgebraElement, element_vanishes
+from nlk.reports import confirm_solve_result
 from nlk.scalars import ONE, ZERO, Scalar, sc
 from nlk.scenarios import parse_scenario
 
@@ -74,7 +74,7 @@ def test_criterion_1_gamma2_gaussian_condition():
         _, _, cocycle = _build("surface.gamma2.gaussian", "main")
         out = solve_generating_functional(cocycle)
         assert out.verdict == "infeasible"
-        assert recheck_solve_certificate(out)
+        assert confirm_solve_result(cocycle, out.to_json())
         obstructions = {str(r.k_r) for r in out.readings if r.k_r != ZERO}
         assert obstructions == {"-2i"}
 
@@ -136,8 +136,11 @@ def test_criterion_3_gamma2_no_lk():
         assert lk.verdict == "no_lk"
         assert not lk.gaussian_outcome.feasible
         assert not lk.remainder_outcome.feasible
-        assert recheck_solve_certificate(lk.gaussian_outcome)
-        assert recheck_solve_certificate(lk.remainder_outcome)
+        parts = lk.split_result
+        assert confirm_solve_result(parts.gaussian.cocycle,
+                                    lk.gaussian_outcome.to_json())
+        assert confirm_solve_result(parts.remainder.cocycle,
+                                    lk.remainder_outcome.to_json())
         assert catalog.run_entry("surface.gamma2.no_lk").ok
 
 

@@ -16,9 +16,10 @@ from nlk.decompose import (
     invariant_closure,
     split,
 )
-from nlk.functionals import recheck_solve_certificate, solve_generating_functional
+from nlk.functionals import solve_generating_functional
 from nlk.linalg import HermitianForm, IndefiniteFormError
 from nlk.presentations import Presentation
+from nlk.reports import confirm_solve_result
 from nlk.scalars import ONE, ZERO, sc
 from nlk.scenarios import parse_scenario
 
@@ -212,8 +213,11 @@ def test_attempt_lk_no_lk_entry():
              if r.k_r != ZERO}
     assert g_obs == {"-2i"}
     assert r_obs == {"2i"}
-    assert recheck_solve_certificate(lk.gaussian_outcome)
-    assert recheck_solve_certificate(lk.remainder_outcome)
+    parts = lk.split_result
+    assert confirm_solve_result(parts.gaussian.cocycle,
+                                lk.gaussian_outcome.to_json())
+    assert confirm_solve_result(parts.remainder.cocycle,
+                                lk.remainder_outcome.to_json())
     doc = lk.to_json()
     assert doc["psi_gaussian"] is None
     assert doc["derivation_correction"] is None

@@ -14,14 +14,13 @@ repeatable and needs no example database.
 
 import contextlib
 import itertools
-import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nlk import linalg
+from nlk import linalg, presentations
 from nlk.cocycles import (
     Cocycle,
     Representation,
@@ -38,7 +37,6 @@ from nlk.functionals import (
     verify_schurmann_triple,
 )
 from nlk.presentations import (
-    STEP_BUDGET_ENV,
     AlgebraElement,
     LegNotInKernel,
     Presentation,
@@ -143,8 +141,15 @@ def test_equal_values_print_and_hash_alike(x, y):
 # --- elimination ----------------------------------------------------
 
 
+# matrices whose elimination must swap rows
+SWAPPING = (linalg.matrix([[0, 1], [1, 0]]),
+            linalg.matrix([[1, 1, 0], [1, 1, 1], [0, 1, 1]]))
+
+
 @MATRICES
 @given(SQUARE)
+@example(SWAPPING[0])
+@example(SWAPPING[1])
 def test_det_matches_cofactor_expansion(m):
     assert H.to_pair(linalg.det(m)) == H.naive_det(H.to_pairs_mat(m))
 
@@ -277,9 +282,14 @@ def hermitian(entries, n):
     return tuple(tuple(r) for r in m)
 
 
-HERMITIAN = st.integers(1, 4).flatmap(
-    lambda n: st.lists(ENTRIES, min_size=n * (n + 1) // 2,
-                       max_size=n * (n + 1) // 2).map(lambda e: hermitian(e, n)))
+def hermitians(max_n):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(ENTRIES, min_size=n * (n + 1) // 2,
+                           max_size=n * (n + 1) // 2).map(
+            lambda e: hermitian(e, n)))
+
+
+HERMITIAN = hermitians(4)
 
 
 @MATRICES
@@ -302,6 +312,8 @@ GRAMS = st.one_of(HERMITIAN, SQUARE.map(
 
 @MATRICES
 @given(GRAMS)
+@example(SWAPPING[0])
+@example(SWAPPING[1])
 def test_hermitian_form_definite_by_leading_minors(g):
     pg = H.to_pairs_mat(g)
     if H.cis_zero(H.naive_det(pg)):
@@ -312,6 +324,16 @@ def test_hermitian_form_definite_by_leading_minors(g):
               for k in range(1, len(pg) + 1)]
     assert linalg.HermitianForm(g).definite == all(
         im == 0 and re > 0 for re, im in minors)
+
+
+@settings(DIFF, max_examples=300)
+@given(hermitians(6))
+def test_psd_check_matches_the_congruence_reference(g):
+    # reports carry the witness, so it is pinned, not only its sign
+    res = linalg.psd_check(g)
+    psd, witness = H.psd_witness(H.to_pairs_mat(g))
+    assert res.psd == psd
+    assert (res.witness and H.to_pairs_vec(res.witness)) == witness
 
 
 @MATRICES
@@ -504,15 +526,12 @@ REWRITING = settings(DIFF, max_examples=200)
 
 @contextlib.contextmanager
 def step_budget(budget):
-    old = os.environ.get(STEP_BUDGET_ENV)
-    os.environ[STEP_BUDGET_ENV] = str(budget)
+    old = presentations.STEP_BUDGET
+    presentations.STEP_BUDGET = budget
     try:
         yield
     finally:
-        if old is None:
-            del os.environ[STEP_BUDGET_ENV]
-        else:
-            os.environ[STEP_BUDGET_ENV] = old
+        presentations.STEP_BUDGET = old
 
 
 def _word_counit(character, word):
@@ -566,11 +585,10 @@ def rewriting_systems(draw):
     return gens, starred, character, alphabet, rules
 
 
-def _build_system(system, budget):
+def _build_system(system):
     gens, starred, character, _, rules = system
     inv = {g: f"{g}*" if s else g for g, s in zip(gens, starred)}
-    with step_budget(budget):
-        return Presentation.star_algebra(gens, inv, character, rules)
+    return Presentation.star_algebra(gens, inv, character, rules)
 
 
 def _reference_letters(system):
@@ -586,23 +604,25 @@ def _reference_letters(system):
 @given(rewriting_systems(), st.data())
 def test_reduce_matches_restarting_reference(system, data):
     budget = data.draw(st.integers(0, 20))
-    p = _build_system(system, budget)
+    p = _build_system(system)
     letters = _reference_letters(system)
     ref_rules = [(lhs, H.to_pair(c), rhs) for lhs, c, rhs in system[4]]
-    for word in data.draw(st.lists(st.lists(st.sampled_from(sorted(letters)),
-                                            max_size=8).map(tuple),
-                                   min_size=1, max_size=6)):
-        try:
-            expected = H.reduce_word(letters, ref_rules, word, budget)
-        except H.BudgetExceeded as ref:
-            with pytest.raises(ReductionBudgetExceeded) as info:
-                p.reduce(word)
-            assert info.value.steps == ref.steps
-            assert info.value.rule == p.rules[ref.rule_index]
-            assert info.value.word == word
-            continue
-        coeff, red = p.reduce(word)
-        assert (H.to_pair(coeff), red) == expected
+    words = data.draw(st.lists(st.lists(st.sampled_from(sorted(letters)),
+                                        max_size=8).map(tuple),
+                               min_size=1, max_size=6))
+    with step_budget(budget):
+        for word in words:
+            try:
+                expected = H.reduce_word(letters, ref_rules, word, budget)
+            except H.BudgetExceeded as ref:
+                with pytest.raises(ReductionBudgetExceeded) as info:
+                    p.reduce(word)
+                assert info.value.steps == ref.steps
+                assert info.value.rule == p.rules[ref.rule_index]
+                assert info.value.word == word
+                continue
+            coeff, red = p.reduce(word)
+            assert (H.to_pair(coeff), red) == expected
 
 
 def _has_redex(rules, word):
@@ -613,7 +633,7 @@ def _has_redex(rules, word):
 @REWRITING
 @given(rewriting_systems())
 def test_words_up_to_lists_the_irreducible_words(system):
-    p = _build_system(system, 0)
+    p = _build_system(system)
     alphabet, rules = system[3], system[4]
     expected = [w for k in range(4) for w in itertools.product(alphabet, repeat=k)
                 if not _has_redex(rules, w)]
@@ -624,14 +644,15 @@ def test_words_up_to_lists_the_irreducible_words(system):
 @given(rewriting_systems(), st.sampled_from([(1, 2), (2, 1), (2, 2), (3, 1)]))
 def test_kn_spanning_set_matches_product_reference(system, shape):
     n, max_len = shape
-    p = _build_system(system, 50)
-    try:
-        expected = H.spanning_products(k1_elements(p, max_len), n)
-    except ReductionBudgetExceeded:
-        with pytest.raises(ReductionBudgetExceeded):
-            kn_spanning_set(p, n, max_len)
-        return
-    got = kn_spanning_set(p, n, max_len)
+    p = _build_system(system)
+    with step_budget(50):
+        try:
+            expected = H.spanning_products(k1_elements(p, max_len), n)
+        except ReductionBudgetExceeded:
+            with pytest.raises(ReductionBudgetExceeded):
+                kn_spanning_set(p, n, max_len)
+            return
+        got = kn_spanning_set(p, n, max_len)
     assert isinstance(got, list)
     assert [e.terms for e in got] == [e.terms for e in expected]
 

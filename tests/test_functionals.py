@@ -15,7 +15,6 @@ from nlk.functionals import (
     forced_real_parts,
     gns_truncated,
     is_gaussian_functional,
-    recheck_solve_certificate,
     solve_generating_functional,
     verify_schurmann_triple,
 )
@@ -33,6 +32,7 @@ from nlk.presentations import (
     Presentation,
     word_from_strs,
 )
+from nlk.reports import confirm_solve_result
 from nlk.scalars import I, ONE, ZERO, sc
 from nlk.scenarios import parse_scenario
 
@@ -133,7 +133,7 @@ def test_solver_infeasible_when_inner_product_is_imaginary():
     rd = out.readings[0]
     assert not rd.re_violation
     assert rd.k_r == sc(0) - sc(2) * I
-    assert recheck_solve_certificate(out)
+    assert confirm_solve_result(eta, out.to_json())
     # confirm the certificate by reference arithmetic
     lam = H.to_pairs_vec(out.certificate)
     amat = H.to_pairs_mat(out.system_matrix)
@@ -158,7 +158,12 @@ def test_solver_feasible_case_folds_relators_to_zero():
     assert psi.values["b"] == sc("-1/2")
     for r in eta.presentation.relators:
         assert psi.fold(r) == ZERO
-    assert not recheck_solve_certificate(out)
+    # a feasible result is confirmed through its psi, which must carry the
+    # forced real parts
+    doc = out.to_json()
+    assert confirm_solve_result(eta, doc)
+    doc["psi"]["a"] = "0"
+    assert not confirm_solve_result(eta, doc)
 
 
 def test_solver_is_deterministic():
@@ -189,7 +194,19 @@ def test_solver_flags_real_part_violation_on_unvalidated_input():
     assert out.verdict == "infeasible"
     assert out.readings[0].re_violation
     assert out.readings[0].k_r == sc(-2)
-    assert recheck_solve_certificate(out)
+    assert confirm_solve_result(eta, out.to_json())
+    # the violation is refolded, not read off the result, and the stored
+    # system is checked against the presentation
+    for path, value in ((("obstructions", 0, "K_r"), "-3"),
+                        (("system", "matrix", 0, 0), "1"),
+                        (("system", "rhs", 0), "1")):
+        doc = out.to_json()
+        *head, last = path
+        node = doc
+        for key in head:
+            node = node[key]
+        node[last] = value
+        assert not confirm_solve_result(eta, doc), path
 
 
 def test_verify_counts_at_small_length():

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from nlk import catalog, cli, decompose, presentations
+from nlk import catalog, cli, decompose, functionals, presentations, reports
 from nlk.presentations import GROUP
 from nlk.scalars import sc
 from nlk.scenarios import (
@@ -264,6 +264,62 @@ def test_cli_oracle_needs_normal_form(tmp_path, capsys):
     assert "NO_NORMAL_FORM" in capsys.readouterr().err
 
 
+def _gamma2_abelian_doc():
+    doc = catalog.scenario_doc("surface.gamma2.nongaussian", "feasible")
+    doc["options"]["normal_form"] = {"kind": "abelian"}
+    return doc
+
+
+def test_cli_oracle_refuses_an_unfaithful_normal_form(tmp_path, capsys):
+    # exponent sums kill the surface relator but merge a1 b2 and b2 a1,
+    # which name different elements of the surface group
+    path = write_doc(tmp_path, _gamma2_abelian_doc())
+    assert cli.main(["oracle", path, "--max-word-length", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "NO_NORMAL_FORM" in err and "Traceback" not in err
+
+
+def test_recheck_refuses_an_oracle_run_on_an_unfaithful_normal_form():
+    doc = _gamma2_abelian_doc()
+    scn = parse_scenario(doc)
+    cocycle = scn.build_cocycle(scn.build_representation())
+    functional = functionals.solve_generating_functional(cocycle).functional
+    run = functionals.brute_force_welldefinedness_oracle(
+        cocycle, functional, scn.presentation,
+        functionals.AbelianExponents(scn.presentation), 2)
+    assert not run.passed
+    result = {"max_word_length": 2, "normal_form": "abelian",
+              "psi_source": "solver", "psi_used": functional.to_json()["psi"],
+              **run.to_json()}
+    report = reports.make_report("oracle", result, 2, doc)
+    assert not reports.recheck(report).confirmed
+
+
+@pytest.mark.parametrize("entry_id, name, normal_form", [
+    ("freeproduct.p2_z2", "mixed", {"kind": "p2"}),
+    ("zk.z2.gaussian", "feasible", {"kind": "abelian", "bogus": 1}),
+    ("p2.derivations", "main", {"kind": "p2", "r": ["r"]}),
+])
+def test_cli_oracle_refuses_a_normal_form_it_cannot_use(tmp_path, capsys,
+                                                        entry_id, name,
+                                                        normal_form):
+    doc = catalog.scenario_doc(entry_id, name)
+    doc["options"]["normal_form"] = normal_form
+    assert cli.main(["oracle", write_doc(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert "NO_NORMAL_FORM" in err and "Traceback" not in err
+
+
+def test_catalog_scenario_doc_is_a_copy():
+    first = catalog.scenario_doc("zk.z2.gaussian", "feasible")
+    pristine = json.dumps(first, sort_keys=True)
+    first["presentation"]["generators"].append("c")
+    first["presentation"]["relators"].clear()
+    assert catalog.run_entry("zk.z2.gaussian").ok
+    again = catalog.scenario_doc("zk.z2.gaussian", "feasible")
+    assert json.dumps(again, sort_keys=True) == pristine
+
+
 def test_cli_decompose_mixed_entry(tmp_path, capsys):
     doc = catalog.scenario_doc("freeproduct.p2_z2", "mixed")
     path = write_doc(tmp_path, doc)
@@ -328,28 +384,6 @@ def test_cli_rejects_exponent_literal(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_cli_rejects_malformed_step_budget(tmp_path, capsys, monkeypatch):
-    doc = {
-        "presentation": {
-            "kind": "star_algebra",
-            "generators": ["x"],
-            "involution": {"x": "x"},
-            "character": {"x": "0"},
-            "rules": [],
-        },
-        "form": {"gram": [["1"]]},
-        "functional": {"table": {"1": "0", "x x": "1"}},
-    }
-    path = write_doc(tmp_path, doc)
-    for bad in ("abc", "-5", "1.5", "1e3", "0x10", ""):
-        monkeypatch.setenv("NLK_STEP_BUDGET", bad)
-        assert cli.main(["verify", path]) == 1
-        err = capsys.readouterr().err
-        assert "NLK_STEP_BUDGET" in err and "Traceback" not in err
-    monkeypatch.setenv("NLK_STEP_BUDGET", " 50 ")
-    assert cli.main(["verify", path]) != 1
-
-
 def test_cli_budget_error_names_the_looping_rule(tmp_path, capsys, monkeypatch):
     doc = {
         "presentation": {
@@ -364,7 +398,7 @@ def test_cli_budget_error_names_the_looping_rule(tmp_path, capsys, monkeypatch):
         "functional": {"table": {"1": "0"}},
     }
     path = write_doc(tmp_path, doc)
-    monkeypatch.setenv("NLK_STEP_BUDGET", "2")
+    monkeypatch.setattr(presentations, "STEP_BUDGET", 2)
     assert cli.main(["verify", path]) == 1
     err = capsys.readouterr().err
     assert "REDUCTION_BUDGET_EXCEEDED" in err and "Traceback" not in err
@@ -372,7 +406,7 @@ def test_cli_budget_error_names_the_looping_rule(tmp_path, capsys, monkeypatch):
     assert "start word ['x', 'x', 'x', 'y']" in err
     assert "last rule applied x y -> (1)*y x" in err
     assert "3 steps taken" in err
-    monkeypatch.delenv("NLK_STEP_BUDGET")
+    monkeypatch.undo()
     assert cli.main(["verify", path]) == 0
 
 
@@ -769,7 +803,7 @@ def test_catalog_mismatch_is_reported(capsys, monkeypatch):
 def test_catalog_run_computes_each_result_once(monkeypatch):
     calls = collections.Counter()
     for name in ("parse_scenario", "solve_generating_functional",
-                 "recheck_solve_certificate", "split",
+                 "confirm_solve_result", "split",
                  "verify_schurmann_triple",
                  "brute_force_welldefinedness_oracle", "attempt_lk"):
         def counted(subject, *rest, _fn=getattr(catalog, name), _name=name):
