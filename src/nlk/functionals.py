@@ -38,7 +38,7 @@ from .presentations import (
     STAR_ALGEBRA,
     AlgebraElement,
     Presentation,
-    kn_spanning_set,
+    kn_products,
     word_to_strs,
 )
 from .scalars import I, ONE, ZERO, Scalar, common_forms, product_lines, products
@@ -304,19 +304,25 @@ class VerifyReport(NamedTuple):
                 "witness": self.witness}
 
 
-def psi_product(functional, psi, w1, w2) -> Scalar:
-    """psi(w1 w2) for words w1 and w2, through the reduced product word.
+def psi_product(functional, psi, w1, w2, left_canonical=False) -> Scalar:
+    """psi(w1 w2) for a word w1 and a canonical word w2, through the reduced
+    product word.
 
-    On groups `psi` caches psi on freely reduced words and a product missing
-    from it is folded by the functional.  On star algebras the product is
-    reduced once and its canonical word read from the functional's table.
+    When w1 is canonical too (`left_canonical`), the product is reduced only
+    at the junction (`Presentation.multiply`); otherwise the concatenation is
+    reduced from its first letter.  On groups `psi` caches psi on freely
+    reduced words and a product missing from it is folded by the functional.
+    On star algebras the product's canonical word is read from the
+    functional's table.
     """
     p = functional.presentation
+    if left_canonical:
+        coeff, red = p.multiply(w1, w2)
+    else:
+        coeff, red = p.reduce(w1 + w2)
     if p.kind == GROUP:
-        red = p.free_reduce(w1 + w2)
         cached = psi.get(red)
         return cached if cached is not None else functional.psi_word(red)
-    coeff, red = p.reduce(w1 + w2)
     if coeff.is_zero():
         return ZERO
     return coeff * functional.table.get(red, ZERO)
@@ -413,7 +419,8 @@ def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> Verif
                 ab = wa + wb
                 target = psi_ab.get(ab)
                 if target is None:
-                    target = psi_ab[ab] = psi_product(functional, psi, wa, wb)
+                    target = psi_ab[ab] = psi_product(functional, psi,
+                                                      wa, wb, True)
                 if value != target:
                     counts["coboundary"] += words.index(wb) + 1
                     lhs = eps[wa] * psi[wb] - target + psi[wa] * eps[wb]
@@ -456,10 +463,16 @@ class GaussianReport(NamedTuple):
 
 
 def is_gaussian_functional(functional, max_len: int) -> GaussianReport:
-    """True when psi vanishes on the truncated span of triple kernel products."""
+    """True when psi vanishes on the truncated span of triple kernel products.
+
+    The distinct products come one at a time (`kn_products`), and the check
+    stops at the first on which psi is not zero, its witness, so no product
+    past the witness is formed.  `checked` counts the distinct products up to
+    and including the witness, or all of them when there is none.
+    """
     p = functional.presentation
     checked = 0
-    for el in kn_spanning_set(p, 3, max_len):
+    for el in kn_products(p, 3, max_len):
         value = functional.eval_element(el)
         checked += 1
         if not value.is_zero():
@@ -510,10 +523,13 @@ def gns_truncated(functional, max_len: int) -> GnsResult:
     eps = [p._word_character(w) for w in words]
     stars = [p.involve_word(w) for w in words]
     psi_star = [functional.psi_word(s) for s in stars]
+    # the inverse of a freely reduced word is freely reduced; a raw star is
+    # canonical when it is its own reduction
+    canonical = [p.kind == GROUP or p.reduce(s) == (ONE, s) for s in stars]
     n = len(words)
     # psi((w_i - eps_i)* (w_j - eps_j)), expanded through psi(1) = 0
     gram = tuple(
-        tuple(psi_product(functional, psi, stars[i], words[j])
+        tuple(psi_product(functional, psi, stars[i], words[j], canonical[i])
               - eps[j] * psi_star[i] - eps[i].conj() * psi[words[j]]
               for j in range(n))
         for i in range(n))

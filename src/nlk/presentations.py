@@ -13,6 +13,16 @@ generator, and oriented monomial rewriting rules with scalar coefficients.
 Reduction rewrites starred letters through the involution map and then applies
 the rules leftmost first until no rule matches, guarded by a step budget,
 STEP_BUDGET rewriting steps per reduction.
+
+`Presentation.multiply` forms the canonical form of a product of two
+canonical words.  Neither factor holds a redex, so a redex of the product
+crosses the junction; only the last (longest left side - 1) letters of the
+left factor are tried as its start, and the product is handed to `reduce`
+only when a rule matches there.  The answer is `reduce`'s for every rule set,
+confluent or not.  Group words cancel inverse pairs at the junction only.
+`AlgebraElement` products go through it, since every term of an element is
+canonical.  `kn_products` yields the distinct kernel products one at a time,
+so a caller that stops early forms no product past the one it stops at.
 """
 
 from __future__ import annotations
@@ -355,6 +365,24 @@ class Presentation:
                 i += 1
         return coeff, tuple(cur)
 
+    def multiply(self, u, v):
+        """Canonical form of u v for canonical words u and v, as
+        (coefficient, word): what `reduce(u + v)` returns, budget error
+        included, found by looking for a redex at the junction only."""
+        if self.kind == GROUP:
+            i, j = len(u), 0
+            while i and j < len(v) and u[i - 1] == (v[j][0], -v[j][1]):
+                i -= 1
+                j += 1
+            return ONE, u[:i] + v[j:]
+        word = u + v
+        rules_at = self._rules_at
+        for i in range(max(0, len(u) - self._max_lhs + 1), len(u)):
+            for _, n, rule in rules_at.get(word[i], ()):
+                if word[i:i + n] == rule.lhs:
+                    return self.reduce(word)
+        return ONE, word
+
     def involve_word(self, word) -> tuple:
         """Raw star of a word: reverse and star each letter (not reduced)."""
         return tuple(self.star_letter(l) for l in reversed(word))
@@ -471,13 +499,21 @@ class AlgebraElement:
 
     @classmethod
     def build(cls, presentation, items) -> "AlgebraElement":
+        def reduced():
+            for word, coeff in items:
+                coeff = Scalar.coerce(coeff)
+                if not coeff.is_zero():
+                    yield presentation.reduce(word), coeff
+
+        return cls._merged(presentation, reduced())
+
+    @classmethod
+    def _merged(cls, presentation, terms) -> "AlgebraElement":
+        """Sum ((c, canonical word), coeff) pairs as c * coeff times the word."""
         acc = {}
-        for word, coeff in items:
-            coeff = Scalar.coerce(coeff)
-            if coeff.is_zero():
-                continue
-            c, red = presentation.reduce(word)
-            c = c * coeff
+        for (c, red), coeff in terms:
+            # ONE comes back when no rule fired, the common case
+            c = coeff if c is ONE else c * coeff
             if c.is_zero():
                 continue
             tot = acc.get(red, ZERO) + c
@@ -541,11 +577,11 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._same_presentation(other)
-            items = []
-            for wa, ca in self.terms.items():
-                for wb, cb in other.terms.items():
-                    items.append((wa + wb, ca * cb))
-            return AlgebraElement.build(self.presentation, items)
+            p = self.presentation
+            return AlgebraElement._merged(p, (
+                (p.multiply(wa, wb), ca * cb)
+                for wa, ca in self.terms.items()
+                for wb, cb in other.terms.items()))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -626,26 +662,36 @@ def k1_elements(presentation, max_len: int) -> list:
     return out
 
 
-def kn_spanning_set(presentation, n: int, max_len: int) -> list:
-    """Products of n kernel elements; a spanning family of truncated K_n."""
+def kn_products(presentation, n: int, max_len: int):
+    """The distinct products of n kernel elements, yielded as each is formed.
+
+    The order is itertools.product order over `k1_elements`, and each
+    (n-1)-fold prefix is formed once, when its first product is due.
+    """
     if n < 1:
         raise PresentationError("n must be at least 1")
-    base = k1_elements(presentation, max_len)
-    if n == 1:
-        return base
-    # the (n-1)-fold products, each formed once, in itertools.product order
-    prefixes = base
-    for _ in range(n - 2):
-        prefixes = [prefix * f for prefix in prefixes for f in base]
     seen = {}
-    for prefix in prefixes:
+    for prod in _folds(k1_elements(presentation, max_len), n):
+        key = tuple(sorted(prod.terms.items(),
+                           key=lambda kv: _word_sort_key(kv[0])))
+        if key not in seen:
+            seen[key] = prod
+            yield prod
+
+
+def _folds(base, n):
+    """The n-fold products over base, in itertools.product order."""
+    if n == 1:
+        yield from base
+        return
+    for prefix in _folds(base, n - 1):
         for f in base:
-            prod = prefix * f
-            key = tuple(sorted(prod.terms.items(),
-                               key=lambda kv: _word_sort_key(kv[0])))
-            if key not in seen:
-                seen[key] = prod
-    return list(seen.values())
+            yield prefix * f
+
+
+def kn_spanning_set(presentation, n: int, max_len: int) -> list:
+    """Products of n kernel elements; a spanning family of truncated K_n."""
+    return list(kn_products(presentation, n, max_len))
 
 
 # --- bounded vanishing check ---------------------------------------

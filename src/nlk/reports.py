@@ -17,6 +17,7 @@ from .cocycles import CocycleObstructed, RepresentationError, exponent_matrix
 from .decompose import split
 from .functionals import (
     GroupFunctional,
+    NoNormalForm,
     brute_force_welldefinedness_oracle,
     certificate_defect,
     forced_real_parts,
@@ -442,7 +443,11 @@ def _recheck_verify(scenario, result, details):
 def _recheck_oracle(scenario, result, details):
     max_len = _stored_length(result)
     cocycle = _cocycle(scenario)
-    nf = scenario.build_normal_form()
+    try:
+        nf = scenario.build_normal_form()
+    except NoNormalForm as exc:
+        raise _RecheckFailure(f"normal form {scenario.options.normal_form!r} "
+                              f"refused: {exc}") from None
     psi_doc = result.get("psi_used")
     functional = (_functional_from_psi(cocycle, psi_doc)
                   if psi_doc else None)

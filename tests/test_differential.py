@@ -625,6 +625,37 @@ def test_reduce_matches_restarting_reference(system, data):
             assert (H.to_pair(coeff), red) == expected
 
 
+@settings(DIFF, max_examples=100)
+@given(rewriting_systems(), st.integers(0, 6))
+def test_multiply_matches_reduce_of_the_concatenation(system, budget):
+    """multiply(u, v) is reduce(u + v) for every pair of canonical words up
+    to length 3, budget errors included, also where the rules overlap, nest
+    or do not terminate."""
+    p = _build_system(system)
+    words = p.words_up_to(3)
+    with step_budget(budget):
+        for u in words:
+            for v in words:
+                try:
+                    expected = p.reduce(u + v)
+                except ReductionBudgetExceeded as ref:
+                    with pytest.raises(ReductionBudgetExceeded) as info:
+                        p.multiply(u, v)
+                    got = info.value
+                    assert (got.word, got.rule, got.steps) == (
+                        ref.word, ref.rule, ref.steps)
+                    continue
+                assert p.multiply(u, v) == expected
+
+
+def test_multiply_matches_free_reduction_on_a_group():
+    p = Presentation.group(["a", "b", "c"], [["a", "b", "a^-1", "b^-1"]])
+    words = p.words_up_to(3)
+    for u in words:
+        for v in words:
+            assert p.multiply(u, v) == (ONE, p.free_reduce(u + v))
+
+
 def _has_redex(rules, word):
     return any(word[i:i + len(lhs)] == lhs
                for i in range(len(word)) for lhs, _, _ in rules)

@@ -29,7 +29,10 @@ from nlk.linalg import (
 from nlk.presentations import (
     GROUP,
     STAR_ALGEBRA,
+    AlgebraElement,
     Presentation,
+    k1_elements,
+    kn_spanning_set,
     word_from_strs,
 )
 from nlk.reports import confirm_solve_result
@@ -299,6 +302,24 @@ def test_is_not_gaussian_for_star_power_table():
     assert not report.gaussian
     assert psi.eval_element(report.witness) == report.witness_value
     assert not report.witness_value.is_zero()
+
+
+def test_gaussianity_stops_at_its_first_witness(monkeypatch):
+    p, rep, eta, psi = _star_definite()
+    first = kn_spanning_set(p, 3, 2)[0]
+    base = len(k1_elements(p, 2))
+    formed = []
+    multiply = AlgebraElement.__mul__
+
+    def counted(self, other):
+        formed.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counted)
+    report = is_gaussian_functional(psi, 2)
+    assert report.checked == 1
+    assert report.witness == first
+    assert len(formed) <= 2 * base
 
 
 def test_gns_truncation_of_star_power_table():

@@ -292,7 +292,13 @@ def test_recheck_refuses_an_oracle_run_on_an_unfaithful_normal_form():
               "psi_source": "solver", "psi_used": functional.to_json()["psi"],
               **run.to_json()}
     report = reports.make_report("oracle", result, 2, doc)
-    assert not reports.recheck(report).confirmed
+    rechecked = reports.recheck(report)
+    assert not rechecked.confirmed
+    # a named check, not a malformed report
+    assert rechecked.details == [
+        "normal form {'kind': 'abelian'} refused: the relators do not certify "
+        "the abelian relator ['a1', 'b1', 'a1^-1', 'b1^-1'], so the normal "
+        "form may merge distinct elements"]
 
 
 @pytest.mark.parametrize("entry_id, name, normal_form", [
