@@ -29,6 +29,7 @@ from .decompose import (
 from .functionals import (
     GroupFunctional,
     NoNormalForm,
+    TableSupportExceeded,
     brute_force_welldefinedness_oracle,
     forced_real_parts,
     solve_generating_functional,
@@ -336,7 +337,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except (ScenarioError, PresentationError, NoNormalForm,
-            ReductionBudgetExceeded, LinalgError,
+            ReductionBudgetExceeded, TableSupportExceeded, LinalgError,
             DecompositionInconsistent) as exc:
         code = getattr(exc, "code", None)
         prefix = f"{code}: " if code else ""

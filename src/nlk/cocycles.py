@@ -2,7 +2,12 @@
 
 A representation assigns a matrix to each generator and must respect the
 involution (images of starred letters are form-adjoints) and every defining
-relation.  A cocycle assigns a vector to each letter and extends through
+relation.  The adjoints G^-1 (m* G) and every check (unitarity, relators,
+star images and rules) are products of scaled Gaussian-integer matrices
+(`scalars.scaled_product`); only a failing check recomputes its residual in
+Scalars.  `letter_matrix` and `word_matrix` unscale, one gcd per entry.
+
+A cocycle assigns a vector to each letter and extends through
 eta(ab) = pi(a) eta(b) + eta(a) eps(b); well-definedness is checked on the
 finite relation set, with exact residuals reported on failure.
 
@@ -29,7 +34,17 @@ from .presentations import (
     letter_str,
     word_to_strs,
 )
-from .scalars import ONE, ZERO, Scalar, common_forms, product_lines
+from .scalars import (
+    ONE,
+    ZERO,
+    Scalar,
+    common_forms,
+    product_lines,
+    scaled,
+    scaled_equal,
+    scaled_product,
+    unscaled,
+)
 
 
 class Violation(NamedTuple):
@@ -113,7 +128,10 @@ class Representation:
         self.presentation = presentation
         self.form = form
         self.images = {g: linalg.matrix(m) for g, m in images.items()}
+        self._positive = 1 if presentation.kind == GROUP else 0
         self._letter_cache = {}
+        self._scaled_cache = {}
+        self._form_scaled = scaled(form.gram_inv), scaled(form.gram)
         if not _validated:
             violations = self._validate()
             if violations:
@@ -140,91 +158,107 @@ class Representation:
                     message=f"image of {g} is not {n}x{n}"))
         if out:
             return out
+        one = self._word_scaled(())
         if p.kind == GROUP:
-            one = linalg.identity(n)
             for g in p.generators:
-                m = self.images[g]
-                adj = self.letter_matrix((g, -1))
                 # a square matrix with a left inverse is invertible, so this
                 # one product proves unitarity; elimination only diagnoses
-                if linalg.mat_eq(linalg.mmul(adj, m), one):
+                if scaled_equal(scaled_product(self._scaled((g, -1)),
+                                               self._scaled((g, 1))), one):
                     continue
                 try:
-                    inv = linalg.inverse(m)
+                    inv = linalg.inverse(self.images[g])
                 except linalg.LinalgError:
                     out.append(Violation(
                         code="NOT_STAR_COMPATIBLE", target=g, residual=None,
                         message=f"image of {g} is singular"))
                     continue
-                if not linalg.mat_eq(adj, inv):
-                    out.append(Violation(
-                        code="NOT_STAR_COMPATIBLE", target=g,
-                        residual=linalg.msub(adj, inv),
-                        message=f"image of {g} is not form-unitary"))
+                out.append(Violation(
+                    code="NOT_STAR_COMPATIBLE", target=g,
+                    residual=linalg.msub(self.letter_matrix((g, -1)), inv),
+                    message=f"image of {g} is not form-unitary"))
             if out:
                 return out
             for r in p.relators:
-                m = self.word_matrix(r)
-                res = linalg.msub(m, one)
-                if not linalg.is_zero_matrix(res):
-                    out.append(Violation(
-                        code="RELATION_VIOLATED",
-                        target=" ".join(word_to_strs(GROUP, r)),
-                        residual=res,
-                        message=f"relator {word_to_strs(GROUP, r)} does not map "
-                                f"to the identity"))
+                if scaled_equal(self._word_scaled(r), one):
+                    continue
+                out.append(Violation(
+                    code="RELATION_VIOLATED",
+                    target=" ".join(word_to_strs(GROUP, r)),
+                    residual=linalg.msub(self.word_matrix(r),
+                                         linalg.identity(n)),
+                    message=f"relator {word_to_strs(GROUP, r)} does not map "
+                            f"to the identity"))
         else:
             for g in p.generators:
                 starred = p.star_letter((g, 0))
                 if starred == (g, 1):
                     # pi(g*) is defined as the adjoint of pi(g): nothing to check
                     continue
-                lhs = self.letter_matrix(starred)
-                rhs = self.form.adjoint(self.letter_matrix((g, 0)))
-                if not linalg.mat_eq(lhs, rhs):
-                    out.append(Violation(
-                        code="NOT_STAR_COMPATIBLE", target=g,
-                        residual=linalg.msub(lhs, rhs),
-                        message=f"image of {letter_str(STAR_ALGEBRA, starred)} is "
-                                f"not the adjoint of the image of {g}"))
+                if scaled_equal(self._scaled(starred), self._scaled((g, 1))):
+                    continue
+                out.append(Violation(
+                    code="NOT_STAR_COMPATIBLE", target=g,
+                    residual=linalg.msub(self.letter_matrix(starred),
+                                         self.letter_matrix((g, 1))),
+                    message=f"image of {letter_str(STAR_ALGEBRA, starred)} is "
+                            f"not the adjoint of the image of {g}"))
             if out:
                 return out
             for rule in p.rules:
-                lhs = self.word_matrix(rule.lhs)
+                if scaled_equal(self._word_scaled(rule.lhs),
+                                self._word_scaled(rule.rhs), rule.coeff):
+                    continue
                 rhs = linalg.mscale(rule.coeff, self.word_matrix(rule.rhs))
-                res = linalg.msub(lhs, rhs)
-                if not linalg.is_zero_matrix(res):
-                    out.append(Violation(
-                        code="RELATION_VIOLATED",
-                        target=" ".join(word_to_strs(STAR_ALGEBRA, rule.lhs)),
-                        residual=res,
-                        message=f"rule {word_to_strs(STAR_ALGEBRA, rule.lhs)} is "
-                                f"not respected by the images"))
+                out.append(Violation(
+                    code="RELATION_VIOLATED",
+                    target=" ".join(word_to_strs(STAR_ALGEBRA, rule.lhs)),
+                    residual=linalg.msub(self.word_matrix(rule.lhs), rhs),
+                    message=f"rule {word_to_strs(STAR_ALGEBRA, rule.lhs)} is "
+                            f"not respected by the images"))
         return out
 
-    def letter_matrix(self, letter):
-        """pi(letter).
+    def _scaled(self, letter):
+        """pi(letter) as a scaled matrix (`scalars.scaled`).
 
-        Inverse group letters and starred letters map to the form-adjoint of
-        the generator's image; for a validated group image that is its
-        inverse.
+        Inverse group letters and starred letters map to the form-adjoint
+        G^-1 (m* G) of the generator's image m, formed in integers.
         """
-        if letter in self._letter_cache:
-            return self._letter_cache[letter]
-        name, tag = letter
-        m = self.images[name]
-        if tag != (1 if self.presentation.kind == GROUP else 0):
-            m = self.form.adjoint(m)
-        self._letter_cache[letter] = m
+        s = self._scaled_cache.get(letter)
+        if s is None:
+            name, tag = letter
+            s = scaled(self.images[name])
+            if tag != self._positive:
+                gram_inv, gram = self._form_scaled
+                re, im, d = s
+                star = (list(zip(*re)), None if im is None else
+                        [[-x for x in col] for col in zip(*im)], d)
+                s = scaled_product(gram_inv, scaled_product(star, gram))
+            self._scaled_cache[letter] = s
+        return s
+
+    def _word_scaled(self, word):
+        """pi(word) as a scaled matrix, multiplied left to right."""
+        if not word:
+            return scaled(linalg.identity(self.form.dim))
+        m = self._scaled(word[0])
+        for letter in word[1:]:
+            m = scaled_product(m, self._scaled(letter))
+        return m
+
+    def letter_matrix(self, letter):
+        """pi(letter); for a validated group image the adjoint an inverse
+        letter maps to is its inverse."""
+        m = self._letter_cache.get(letter)
+        if m is None:
+            m = self.images[letter[0]]
+            if letter[1] != self._positive:
+                m = unscaled(self._scaled(letter))
+            self._letter_cache[letter] = m
         return m
 
     def word_matrix(self, word):
-        if not word:
-            return linalg.identity(self.form.dim)
-        m = self.letter_matrix(word[0])
-        for l in word[1:]:
-            m = linalg.mmul(m, self.letter_matrix(l))
-        return m
+        return unscaled(self._word_scaled(word))
 
 
 def trivial_representation(presentation, form) -> Representation:

@@ -48,6 +48,21 @@ class NoNormalForm(ValueError):
     code = "NO_NORMAL_FORM"
 
 
+class TableSupportExceeded(ValueError):
+    """psi was read on a canonical word longer than its table's longest key."""
+
+    code = "TABLE_SUPPORT_EXCEEDED"
+
+    def __init__(self, word, support):
+        self.word = word
+        self.support = support
+        super().__init__(
+            f"psi is read on the canonical word "
+            f"{word_to_strs(STAR_ALGEBRA, word)} of length {len(word)}, past "
+            f"the table's support {support} (the length of its longest key, "
+            f"zero-valued keys included)")
+
+
 # --- functionals ----------------------------------------------------
 
 
@@ -132,18 +147,33 @@ class GroupFunctional:
                         for g in self.presentation.generators}}
 
 
+class _Table(dict):
+    """psi by canonical word: 0 on a word within the support that the table
+    leaves out, and TableSupportExceeded on a longer one.  Every read of a
+    star functional is a lookup here."""
+
+    __slots__ = ("support",)
+
+    def __missing__(self, word):
+        if len(word) > self.support:
+            raise TableSupportExceeded(word, self.support)
+        return ZERO
+
+
 class StarFunctional:
     """psi on a star-algebra presentation, given as a monomial table.
 
-    Words missing from the table take the value 0; keys must be canonical
-    words, and the empty word may not carry a nonzero value.
+    Keys must be canonical words, and the empty word may not carry a nonzero
+    value.  The table's support is the length of its longest key, zero-valued
+    keys included.
     """
 
     def __init__(self, presentation: Presentation, table):
         if presentation.kind != STAR_ALGEBRA:
             raise ValueError("StarFunctional needs a star-algebra presentation")
         self.presentation = presentation
-        canon = {}
+        canon = _Table()
+        canon.support = max(map(len, table), default=0)
         for word, value in table.items():
             word = tuple(word)
             value = Scalar.coerce(value)
@@ -162,12 +192,12 @@ class StarFunctional:
 
     def psi_word(self, word) -> Scalar:
         c, red = self.presentation.reduce(word)
-        return c * self.table.get(red, ZERO)
+        return c * self.table[red]
 
     def eval_element(self, element: AlgebraElement) -> Scalar:
         out = ZERO
         for w, coeff in element.terms.items():
-            out = out + coeff * self.table.get(w, ZERO)
+            out = out + coeff * self.table[w]
         return out
 
 
@@ -325,7 +355,7 @@ def psi_product(functional, psi, w1, w2, left_canonical=False) -> Scalar:
         return cached if cached is not None else functional.psi_word(red)
     if coeff.is_zero():
         return ZERO
-    return coeff * functional.table.get(red, ZERO)
+    return coeff * functional.table[red]
 
 
 def _level_ends(words, max_len):

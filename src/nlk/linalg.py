@@ -4,7 +4,9 @@ Vectors are tuples of Scalar, matrices are tuples of row tuples.  Sizes are
 small (representation spaces up to ~8 dimensions, Gram matrices up to a few
 hundred rows).  Matrix products go through the integer kernel
 `scalars.products`, which puts each row and column over one common
-denominator.
+denominator; the representation checks skip Scalar matrices altogether and
+multiply whole scaled matrices (`scalars.scaled_product`).  A hermitian
+form's adjoint is formed there too, by `cocycles.Representation`.
 
 There is one Gauss-Jordan reduction, `_reduce`, which also keeps each pivot
 before scaling and counts row swaps.  All but semidefiniteness read it:
@@ -132,10 +134,6 @@ def conj_transpose(m):
 def mat_eq(a, b) -> bool:
     return mat_shape(a) == mat_shape(b) and all(
         x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def is_zero_matrix(m) -> bool:
-    return all(x.is_zero() for row in m for x in row)
 
 
 def columns(m) -> list:
@@ -322,12 +320,6 @@ class HermitianForm:
 
     def norm_sq(self, v) -> Scalar:
         return self.inner(v, v)
-
-    def adjoint(self, m):
-        """gram^-1 @ conj_transpose(m) @ gram."""
-        if mat_shape(m) != (self.dim, self.dim):
-            raise DimensionMismatch("matrix size does not match form")
-        return mmul(self.gram_inv, mmul(conj_transpose(m), self.gram))
 
     def orthocomplement(self, vectors) -> list:
         """Basis of {v : inner(b, v) = 0 for all b in vectors}."""

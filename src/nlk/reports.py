@@ -18,6 +18,7 @@ from .decompose import split
 from .functionals import (
     GroupFunctional,
     NoNormalForm,
+    TableSupportExceeded,
     brute_force_welldefinedness_oracle,
     certificate_defect,
     forced_real_parts,
@@ -419,7 +420,11 @@ def _recheck_verify(scenario, result, details):
     else:
         functional = scenario.build_functional(cocycle)
         _need(functional is not None, "scenario carries no functional")
-    rerun = verify_schurmann_triple(cocycle, functional, max_len)
+    try:
+        rerun = verify_schurmann_triple(cocycle, functional, max_len)
+    except TableSupportExceeded as exc:
+        raise _RecheckFailure(f"psi table refused at max_word_length "
+                              f"{max_len}: {exc}") from None
     _need(rerun.passed == result["passed"],
           "verification outcome changed on re-run")
     _need(rerun.counts == result.get("counts"),

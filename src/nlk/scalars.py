@@ -14,16 +14,24 @@ one.  `.re` and `.im` are read-only Fraction views of the triple.
 
 `products(rows, cols)` is the matrix-product kernel: it brings each row and
 each column to one common denominator once, forms every entry as integer
-dot products (skipping the imaginary ones when a row or column is real) and
-normalises the entry with a single gcd, so no intermediate Scalar is built.
-`common_forms` and the lazy `product_lines` are its two halves, for callers
-that reuse columns or may stop early.  The callers: `linalg.mmul` (every
-matrix product); the level-at-a-time folds `Cocycle.fill_levels` and
-`GroupFunctional.fill_levels` (one call per length level, each tail's
-column against the rows of every letter); and `verify_schurmann_triple`
-(the inner-product rows and one call per length class of coboundary pairs,
-its columns brought to their denominators once per verification and read
-lazily, so a failing check forms no line past its witness's).
+dot products (`_dots`, skipping the imaginary ones when a row or column is
+real) and normalises the entry with a single gcd, so no intermediate Scalar
+is built.  `common_forms` and the lazy `product_lines` are its two halves,
+for callers that reuse columns or may stop early.  The callers:
+`linalg.mmul` (every Scalar matrix product); the level-at-a-time folds
+`Cocycle.fill_levels` and `GroupFunctional.fill_levels` (one call per length
+level, each tail's column against the rows of every letter); and
+`verify_schurmann_triple` (the inner-product rows and one call per length
+class of coboundary pairs, its columns brought to their denominators once
+per verification and read lazily, so a failing check forms no line past
+its witness's).
+
+A scaled matrix (re, im, d) means (re + im*i)/d: int rows re and im (im
+None when real) over a common denominator d > 0, not necessarily the least.
+`scaled_product` multiplies two with the same `_dots` loop, over d_a * d_b
+and with no gcd; `scaled_equal` tests a == c*b by cross-multiplying; so the
+checks of `cocycles.Representation` build no Scalar.  `unscaled` gives
+canonical Scalars, one gcd per entry.
 
 The text form follows a small grammar:
 
@@ -43,6 +51,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from operator import mul
 
@@ -333,6 +342,27 @@ def common_forms(vectors) -> list:
     return [_common(v) for v in vectors]
 
 
+def _dots(ra, rb, cols) -> list:
+    """(re, im, cd) for each column (ca, cb, cd) of cols: the integer
+    product of the row ra + rb*i with ca + cb*i, and the column's cd.
+
+    rb or cb is None on a real side.  This is the one dot-product loop of
+    the package.
+    """
+    out = []
+    for ca, cb, cd in cols:
+        re = sum(map(mul, ra, ca))
+        im = 0
+        if rb is not None:
+            im = sum(map(mul, rb, ca))
+            if cb is not None:
+                re -= sum(map(mul, rb, cb))
+        if cb is not None:
+            im += sum(map(mul, ra, cb))
+        out.append((re, im, cd))
+    return out
+
+
 def product_lines(rows, cols):
     """Lazily, for each row, the tuple of its products with every column.
 
@@ -342,15 +372,7 @@ def product_lines(rows, cols):
     """
     for ra, rb, rd in map(_common, rows):
         line = []
-        for ca, cb, cd in cols:
-            re = sum(map(mul, ra, ca))
-            im = 0
-            if rb is not None:
-                im = sum(map(mul, rb, ca))
-                if cb is not None:
-                    re -= sum(map(mul, rb, cb))
-            if cb is not None:
-                im += sum(map(mul, ra, cb))
+        for re, im, cd in _dots(ra, rb, cols):
             d = rd * cd
             if d != 1:
                 g = gcd(d, re, im)
@@ -371,6 +393,64 @@ def products(rows, cols) -> tuple:
     is a tuple of Scalar tuples with one entry per (row, col) pair.
     """
     return tuple(product_lines(rows, common_forms(cols)))
+
+
+# --- scaled Gaussian-integer matrices -------------------------------
+
+
+def scaled(m) -> tuple:
+    """The Scalar matrix m over the least common denominator of its entries."""
+    if not m:
+        return (), None, 1
+    n = len(m[0])
+    re, im, d = _common([x for row in m for x in row])
+    return ([re[i:i + n] for i in range(0, len(re), n)],
+            None if im is None else [im[i:i + n] for i in range(0, len(im), n)],
+            d)
+
+
+def scaled_product(a, b) -> tuple:
+    """a @ b for scaled matrices: integer dot products over a_d * b_d, with no
+    gcd, so a chain of products cancels nothing until `unscaled`."""
+    ar, ai, ad = a
+    br, bi, bd = b
+    cols = tuple(zip(zip(*br), repeat(None) if bi is None else zip(*bi),
+                     repeat(bd)))
+    lines = [_dots(ra, rb, cols)
+             for ra, rb in zip(ar, repeat(None) if ai is None else ai)]
+    return ([[x for x, _, _ in line] for line in lines],
+            None if ai is None and bi is None else
+            [[y for _, y, _ in line] for line in lines],
+            ad * bd)
+
+
+def scaled_equal(a, b, coeff=ONE) -> bool:
+    """Whether a == coeff * b for scaled matrices a and b of one shape,
+    compared at a common scale by cross-multiplying."""
+    ar, ai, ad = a
+    br, bi, bd = b
+    ca, cb, cd = coeff._a, coeff._b, coeff._d
+    scale = bd * cd
+    zeros = repeat(repeat(0))
+    for ra, ia, rb, ib in zip(ar, ai or zeros, br, bi or zeros):
+        for x, y, u, v in zip(ra, ia, rb, ib):
+            if (x * scale != (ca * u - cb * v) * ad
+                    or y * scale != (ca * v + cb * u) * ad):
+                return False
+    return True
+
+
+def unscaled(a) -> tuple:
+    """The canonical Scalar rows of a scaled matrix, one gcd per entry."""
+    re, im, d = a
+    out = []
+    for ra, ia in zip(re, repeat(repeat(0)) if im is None else im):
+        line = []
+        for x, y in zip(ra, ia):
+            g = gcd(d, x, y)
+            line.append(_make(x // g, y // g, d // g))
+        out.append(tuple(line))
+    return tuple(out)
 
 
 def _parse_rational(text: str) -> Fraction:

@@ -275,7 +275,7 @@ def test_criterion_8_invariant_suites():
                     == helpers.to_pairs_mat(ident))
             assert linalg.mat_eq(linalg.mmul(sr.p_g, sr.p_g), sr.p_g)
             assert linalg.mat_eq(linalg.mmul(sr.p_r, sr.p_r), sr.p_r)
-            assert linalg.is_zero_matrix(linalg.mmul(sr.p_g, sr.p_r))
+            assert linalg.mmul(sr.p_g, sr.p_r) == linalg.zero_matrix(rep.form.dim, rep.form.dim)
             gram = helpers.to_pairs_mat(rep.form.gram)
             assert helpers.is_self_adjoint(gram, helpers.to_pairs_mat(sr.p_g))
             assert helpers.is_self_adjoint(gram, helpers.to_pairs_mat(sr.p_r))

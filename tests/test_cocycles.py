@@ -115,7 +115,8 @@ def test_star_representation_validates_rules_and_adjoints():
     rep = Representation(p, form, {"x": matrix([[ZERO, ONE], [-ONE, ZERO]]),
                                    "y": zero2})
     got = rep.letter_matrix(("x", 1))
-    assert got == form.adjoint(rep.images["x"])
+    assert H.to_pairs_mat(got) == H.adjoint(H.to_pairs_mat(form.gram),
+                                            H.to_pairs_mat(rep.images["x"]))
     with pytest.raises(RepresentationError):
         Representation(p, form, {"x": identity(2), "y": identity(2)})
     # only self-adjoint generators constrain their image; y* is the adjoint

@@ -45,7 +45,16 @@ from nlk.presentations import (
     k1_elements,
     kn_spanning_set,
 )
-from nlk.scalars import I, ONE, ZERO, Scalar
+from nlk.scalars import (
+    I,
+    ONE,
+    ZERO,
+    Scalar,
+    scaled,
+    scaled_equal,
+    scaled_product,
+    unscaled,
+)
 
 import helpers as H
 from helpers import coboundary_cocycle
@@ -352,10 +361,11 @@ UNITS = st.sampled_from([ONE, -ONE, I, -I])
 
 
 @st.composite
-def unitary_settings(draw):
-    """(gram, image) with image unitary for the form gram = B^* D B.
+def unitary_settings(draw, count=1):
+    """(gram, image, ...) with count images unitary for the form
+    gram = B^* D B.
 
-    B is invertible lower triangular and D a diagonal of signs; the image
+    B is invertible lower triangular and D a diagonal of signs; an image
     is B^-1 U B for U a diagonal of units, times a rational rotation of the
     first two coordinates when D is constant there.
     """
@@ -363,17 +373,20 @@ def unitary_settings(draw):
     b = [[draw(NONZERO) if i == j else draw(ENTRIES) if j < i else ZERO
           for j in range(n)] for i in range(n)]
     signs = draw(st.lists(st.sampled_from([ONE, -ONE]), min_size=n, max_size=n))
-    u = [[draw(UNITS) if i == j else ZERO for j in range(n)] for i in range(n)]
-    if n >= 2 and signs[0] == signs[1] and draw(st.booleans()):
-        c, s = Scalar(Fraction(3, 5)), Scalar(Fraction(4, 5))
-        u[0][0], u[0][1], u[1][0], u[1][1] = (
-            c * u[0][0], -s * u[1][1], s * u[0][0], c * u[1][1])
-    pb, pu = H.to_pairs_mat(b), H.to_pairs_mat(u)
+    pb = H.to_pairs_mat(b)
     pd = tuple(tuple(H.to_pair(signs[i]) if i == j else H.CZERO
                      for j in range(n)) for i in range(n))
-    gram = H.mmul(pair_adjoint(pb), H.mmul(pd, pb))
-    image = H.mmul(H.minv(pb), H.mmul(pu, pb))
-    return from_pairs(gram), from_pairs(image)
+    images = []
+    for _ in range(count):
+        u = [[draw(UNITS) if i == j else ZERO for j in range(n)]
+             for i in range(n)]
+        if n >= 2 and signs[0] == signs[1] and draw(st.booleans()):
+            c, s = Scalar(Fraction(3, 5)), Scalar(Fraction(4, 5))
+            u[0][0], u[0][1], u[1][0], u[1][1] = (
+                c * u[0][0], -s * u[1][1], s * u[0][0], c * u[1][1])
+        pu = H.to_pairs_mat(u)
+        images.append(from_pairs(H.mmul(H.minv(pb), H.mmul(pu, pb))))
+    return (from_pairs(H.mmul(pair_adjoint(pb), H.mmul(pd, pb))), *images)
 
 
 def one_generator(gram, image):
@@ -426,6 +439,140 @@ def test_non_unitary_image_reports_adjoint_minus_inverse(setting, data):
     assert H.to_pairs_mat(v.residual) == tuple(
         tuple(H.csub(x, y) for x, y in zip(ra, ri))
         for ra, ri in zip(adjoint, inverse))
+
+
+# --- the scaled Gaussian-integer kernel ----------------------------
+
+
+def kernel_matrices(n):
+    """n x n matrices with denominators 1..9, either all real or not."""
+    return st.tuples(st.booleans(), matrices(n, n)).map(
+        lambda rm: tuple(tuple(Scalar(x.re) for x in row) for row in rm[1])
+        if rm[0] else rm[1])
+
+
+KERNEL_PAIRS = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(kernel_matrices(n), kernel_matrices(n)))
+# a form and an image of one size; the form need not be definite
+FORM_AND_IMAGE = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(ENTRIES, min_size=n * (n + 1) // 2,
+             max_size=n * (n + 1) // 2).map(lambda e: hermitian(e, n)),
+    kernel_matrices(n)))
+
+
+def pair_scale(c, m):
+    return tuple(tuple(H.cmul(H.to_pair(c), x) for x in row)
+                 for row in H.to_pairs_mat(m))
+
+
+@MATRICES
+@given(KERNEL_PAIRS)
+def test_scaled_product_matches_reference(pair):
+    a, b = pair
+    sa, sb = scaled(a), scaled(b)
+    assert unscaled(sa) == a and unscaled(sb) == b
+    product = scaled_product(sa, sb)
+    # the denominators multiply and nothing cancels
+    assert product[2] == sa[2] * sb[2]
+    assert (product[1] is None) == (sa[1] is None and sb[1] is None)
+    expected = H.mmul(H.to_pairs_mat(a), H.to_pairs_mat(b))
+    assert H.to_pairs_mat(unscaled(product)) == expected
+    assert scaled_equal(product, scaled(from_pairs(expected)))
+
+
+@MATRICES
+@given(KERNEL_PAIRS, ENTRIES, st.booleans())
+def test_scaled_equal_cross_multiplies_the_coefficient(pair, c, make_equal):
+    a, b = pair
+    if make_equal:
+        a = from_pairs(pair_scale(c, b))
+    expected = H.to_pairs_mat(a) == pair_scale(c, b)
+    assert scaled_equal(scaled(a), scaled(b), c) == expected
+
+
+@MATRICES
+@given(FORM_AND_IMAGE)
+def test_inverse_and_starred_letters_are_the_reference_adjoint(setting):
+    gram, m = setting
+    pg = H.to_pairs_mat(gram)
+    assume(not H.cis_zero(H.naive_det(pg)))
+    form = linalg.HermitianForm(gram)
+    group = Representation(Presentation.group(["g"], []), form, {"g": m},
+                           _validated=True)
+    star = Representation(
+        Presentation.star_algebra(["g"], {"g": "g*"}, {"g": ZERO}, []),
+        form, {"g": m})
+    expected = H.adjoint(pg, H.to_pairs_mat(m))
+    assert H.to_pairs_mat(group.letter_matrix(("g", -1))) == expected
+    assert H.to_pairs_mat(star.letter_matrix(("g", 1))) == expected
+
+
+@st.composite
+def unitarity_cases(draw):
+    """(gram, image): a unitary image, one with a changed entry, or any."""
+    gram, image = draw(unitary_settings())
+    n = len(gram)
+    case = draw(st.sampled_from(["unitary", "changed", "any"]))
+    if case == "any":
+        return gram, draw(matrices(n, n))
+    if case == "changed":
+        m = [list(row) for row in image]
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        m[i][j] = m[i][j] + draw(NONZERO)
+        image = tuple(map(tuple, m))
+    return gram, image
+
+
+@MATRICES
+@given(unitarity_cases())
+def test_unitarity_check_matches_reference(setting):
+    gram, image = setting
+    try:
+        one_generator(gram, image)
+        valid = True
+    except RepresentationError:
+        valid = False
+    assert valid == H.is_unitary(H.to_pairs_mat(gram), H.to_pairs_mat(image))
+
+
+def free_reduction(letters):
+    out = []
+    for x in letters:
+        if out and out[-1] != x and out[-1].rstrip("^-1") == x.rstrip("^-1"):
+            out.pop()
+        else:
+            out.append(x)
+    return out
+
+
+RELATOR_WORDS = st.lists(st.sampled_from(["a", "a^-1", "b", "b^-1"]),
+                         min_size=1, max_size=8).map(free_reduction).filter(bool)
+
+
+@MATRICES
+@given(unitary_settings(count=2), RELATOR_WORDS)
+def test_relator_product_matches_reference(setting, relator):
+    gram, ia, ib = setting
+    images = {"a": ia, "b": ib}
+    p = Presentation.group(["a", "b"], [relator])
+    form = linalg.HermitianForm(gram)
+    rep = Representation(p, form, images, _validated=True)
+    ref_images = {g: H.to_pairs_mat(m) for g, m in images.items()}
+    for word in (p.relators[0], p.alphabet()):
+        expected = H.eval_group_word(ref_images, word)
+        assert H.to_pairs_mat(rep.word_matrix(word)) == expected
+    expected = H.eval_group_word(ref_images, p.relators[0])
+    try:
+        Representation(p, form, images)
+        valid = True
+    except RepresentationError as exc:
+        (v,) = exc.violations
+        assert v.code == "RELATION_VIOLATED"
+        assert H.to_pairs_mat(v.residual) == tuple(
+            tuple(H.csub(x, y) for x, y in zip(row, one))
+            for row, one in zip(expected, H.mid(len(gram))))
+        valid = False
+    assert valid == (expected == H.mid(len(gram)))
 
 
 # --- word evaluation ------------------------------------------------

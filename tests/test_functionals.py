@@ -10,11 +10,13 @@ from nlk.functionals import (
     GroupFunctional,
     NoNormalForm,
     StarFunctional,
+    TableSupportExceeded,
     brute_force_welldefinedness_oracle,
     build_normal_form,
     forced_real_parts,
     gns_truncated,
     is_gaussian_functional,
+    psi_product,
     solve_generating_functional,
     verify_schurmann_triple,
 )
@@ -287,6 +289,31 @@ def test_star_functional_table_normalization():
         StarFunctional(p, {(): ONE})
     with pytest.raises(ValueError):
         StarFunctional(p, {(("x", 0), ("x", 0), ("y", 0)): ONE})
+
+
+def test_star_functional_reads_nothing_past_its_support():
+    p, rep, eta, psi = _star_definite()
+    x, y = ("x", 0), ("y", 0)
+    assert psi.table.support == 8
+    # within the support a word the table leaves out is 0
+    assert psi.psi_word((y,) * 8) == ZERO
+    past = (x,) * 9
+    reads = (lambda: psi.psi_word(past),
+             lambda: psi.eval_element(AlgebraElement.from_word(p, past)),
+             lambda: psi_product(psi, {}, (x,) * 4, (x,) * 5),
+             lambda: psi_product(psi, {}, (x,) * 4, (x,) * 5, True))
+    for read in reads:
+        with pytest.raises(TableSupportExceeded) as info:
+            read()
+        assert info.value.word == past and info.value.support == 8
+        assert info.value.code == "TABLE_SUPPORT_EXCEEDED"
+    # a zero-valued key declares the words up to its length
+    wider = StarFunctional(p, {**psi.table, (y,) * 9: ZERO})
+    assert wider.table.support == 9 and wider.table == psi.table
+    assert wider.psi_word(past) == ZERO
+    assert StarFunctional(p, {}).table.support == 0
+    with pytest.raises(TableSupportExceeded):
+        StarFunctional(p, {}).psi_word((x,))
 
 
 def test_is_gaussian_for_trivially_acting_cocycle():

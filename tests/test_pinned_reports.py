@@ -1,9 +1,11 @@
-"""Reports of runs that cross several word lengths, pinned byte for byte.
+"""Reports pinned byte for byte.
 
-Each file in `tests/data/reports/` is the JSON report of one `nlk verify` or
-`nlk oracle` call on a catalog scenario, at a word length long enough for
+Most files in `tests/data/reports/` are the JSON report of one `nlk verify`
+or `nlk oracle` call on a catalog scenario, at a word length long enough for
 several length classes of coboundary pairs and several levels of folded
-words.  Regenerate them only for an intended change of output:
+words.  The `validate.*` files are `nlk validate` reports on representations
+that break one condition each, so their violations, residuals included, are
+pinned too.  Regenerate them only for an intended change of output:
 
     PYTHONPATH=src python tests/test_pinned_reports.py
 """
@@ -28,27 +30,87 @@ PINNED = (
     ("oracle", "p2.nongaussian", "main", 6),
 )
 
+_Z2 = {"kind": "group", "generators": ["a", "b"],
+       "relators": [["a", "b", "a^-1", "b^-1"]]}
+_P2 = {"kind": "group", "generators": ["a", "b", "r"],
+       "relators": [["a", "b", "a^-1", "b^-1"], ["r", "r"],
+                    ["r", "a", "r", "a"], ["r", "b", "r", "b"]]}
+# G = S* S for S = [[1, i], [0, 2]]; _ROTATION and _TWIST are S^-1 U S for
+# the standard-unitary U = [[3/5, -4/5], [4/5, 3/5]] and diag(i, 1), so both
+# are G-unitary and do not commute
+_GRAM = [["1", "i"], ["-i", "5"]]
+_ROTATION = [["3/5-2/5i", "-6/5"], ["2/5", "3/5+2/5i"]]
+_TWIST = [["i", "-1-1i"], ["0", "1"]]
+# (name, scenario document) for `nlk validate`
+VIOLATIONS = (
+    ("not_unitary", {"presentation": _P2, "form": {"gram": _GRAM},
+                     "representation": {"a": _ROTATION,
+                                        "b": [["1", "1/2"], ["0", "1+1i"]],
+                                        "r": [["2", "0"], ["0", "1/2"]]}}),
+    ("singular", {"presentation": _Z2, "form": {"gram": _GRAM},
+                  "representation": {"a": [["1", "i"], ["-i", "1"]],
+                                     "b": _TWIST}}),
+    ("relator", {"presentation": _Z2, "form": {"gram": _GRAM},
+                 "representation": {"a": _ROTATION, "b": _TWIST}}),
+    ("star_adjoint", {
+        "presentation": {"kind": "star_algebra", "generators": ["x", "y", "z"],
+                         "involution": {"x": "y", "y": "x", "z": "z"},
+                         "character": {"x": "0", "y": "0", "z": "0"},
+                         "rules": []},
+        "form": {"gram": [["1", "0"], ["0", "2"]]},
+        "representation": {"x": [["1", "i"], ["0", "2"]],
+                           "y": [["1", "0"], ["1/2", "2"]],
+                           "z": [["0", "1"], ["1", "0"]]}}),
+    # x is self-adjoint under the form, but x x is not (1/2 + i) x
+    ("rule", {
+        "presentation": {"kind": "star_algebra", "generators": ["x"],
+                         "involution": {"x": "x"}, "character": {"x": "0"},
+                         "rules": [{"lhs": ["x", "x"],
+                                    "rhs": {"coeff": "1/2+1i", "word": ["x"]}}]},
+        "form": {"gram": [["2", "1"], ["1", "1"]]},
+        "representation": {"x": [["1+1i", "1i"], ["-1-2i", "-1i"]]}}),
+    ("forced_pi", catalog.scenario_doc("ac_not_h2z.star_algebra_definite",
+                                       "forced_pi")),
+)
+
 
 def _name(command, entry_id, scenario, length):
     return f"{command}.{entry_id}.{scenario}.L{length}.json"
 
 
-def report_text(workdir, command, entry_id, scenario, length):
-    """What `nlk <command> <scenario file> --format json` writes."""
+def _run(workdir, doc, argv):
+    """What `nlk <argv> <scenario file> --format json` writes."""
     path = os.path.join(workdir, "scenario.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(catalog.scenario_doc(entry_id, scenario), fh)
+        json.dump(doc, fh)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli.main([command, path, "--max-word-length", str(length),
-                  "--format", "json"])
+        cli.main([argv[0], path, *argv[1:], "--format", "json"])
     return out.getvalue()
+
+
+def report_text(workdir, command, entry_id, scenario, length):
+    return _run(workdir, catalog.scenario_doc(entry_id, scenario),
+                [command, "--max-word-length", str(length)])
+
+
+def validate_text(workdir, name, doc):
+    return _run(workdir, doc, ["validate"])
 
 
 @pytest.mark.parametrize("pin", PINNED, ids=lambda pin: _name(*pin))
 def test_report_is_unchanged(tmp_path, pin):
     with open(os.path.join(DATA, _name(*pin)), encoding="utf-8") as fh:
         assert report_text(str(tmp_path), *pin) == fh.read()
+
+
+@pytest.mark.parametrize("pin", VIOLATIONS, ids=lambda pin: pin[0])
+def test_violation_report_is_unchanged(tmp_path, pin):
+    text = validate_text(str(tmp_path), *pin)
+    assert json.loads(text)["result"]["status"] == "violations"
+    with open(os.path.join(DATA, f"validate.{pin[0]}.json"),
+              encoding="utf-8") as fh:
+        assert text == fh.read()
 
 
 if __name__ == "__main__":
@@ -59,3 +121,7 @@ if __name__ == "__main__":
             with open(os.path.join(DATA, _name(*pin)), "w",
                       encoding="utf-8") as fh:
                 fh.write(report_text(workdir, *pin))
+        for pin in VIOLATIONS:
+            with open(os.path.join(DATA, f"validate.{pin[0]}.json"), "w",
+                      encoding="utf-8") as fh:
+                fh.write(validate_text(workdir, *pin))

@@ -401,7 +401,8 @@ def test_cli_budget_error_names_the_looping_rule(tmp_path, capsys, monkeypatch):
                        "rhs": {"coeff": "1", "word": ["y", "x"]}}],
         },
         "form": {"gram": [["1"]]},
-        "functional": {"table": {"1": "0"}},
+        # the zero-valued key declares psi on every word up to length 4
+        "functional": {"table": {"1": "0", "y y y y": "0"}},
     }
     path = write_doc(tmp_path, doc)
     monkeypatch.setattr(presentations, "STEP_BUDGET", 2)
@@ -426,7 +427,8 @@ def test_cli_recheck_rejects_tampered_verify_witness(tmp_path, capsys):
             "rules": [],
         },
         "form": {"gram": [["1"]]},
-        "functional": {"table": {"1": "0", "x x": "1"}},
+        # the zero-valued key declares psi on every word up to length 4
+        "functional": {"table": {"1": "0", "x x": "1", "y y y y": "0"}},
     }
     path = write_doc(tmp_path, doc)
     assert cli.main(["verify", path, "--format", "json"]) == 2
@@ -501,6 +503,25 @@ def test_cli_recheck_bounds_the_stored_word_length(tmp_path, capsys):
             assert code == 2, (report["command"], bad)
             assert "0..12" in out
         assert recheck_report(tmp_path, capsys, report)[0] == 0
+
+
+def test_cli_verify_refuses_to_read_psi_past_the_table(tmp_path, capsys):
+    # the table declares x^2 .. x^8; at length 9 the missing x^9 used to be
+    # read as 0, which made a false counterexample a = x, b = x^8
+    doc = catalog.scenario_doc("ac_not_h2z.star_algebra_definite", "main")
+    path = write_doc(tmp_path, doc)
+    assert cli.main(["verify", path, "--max-word-length", "9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: TABLE_SUPPORT_EXCEEDED: ")
+    assert ("canonical word ['x', 'x', 'x', 'x', 'x', 'x', 'x', 'x', 'x'] "
+            "of length 9, past the table's support 8") in captured.err
+    report = json_report(capsys, ["verify", path, "--max-word-length", "8"])
+    assert report["exit_code"] == 0
+    report["result"]["max_word_length"] = 9
+    code, out = recheck_report(tmp_path, capsys, report)
+    assert code == 2
+    assert "psi table refused at max_word_length 9: psi is read" in out
 
 
 def test_cli_recheck_refuses_a_reason_the_command_never_gives(tmp_path,
