@@ -11,14 +11,11 @@ A cocycle assigns a vector to each letter and extends through
 eta(ab) = pi(a) eta(b) + eta(a) eps(b); well-definedness is checked on the
 finite relation set, with exact residuals reported on failure.
 
-Words are evaluated two ways into one memo.  `fold_suffixes` is the
-per-word path: it folds the missing suffixes of one word, one Scalar step
-each.  `fold_levels` fills a whole shortest-first word list a length level
-at a time, and `Cocycle.fill_levels` computes a level with one integer
-product (`scalars.product_lines`): the column [eta(w); eps(w)] of each tail
-w of the level, brought to one denominator once, against the rows
-[pi(l) | eta(l)] of every letter l that begins a word of the level.  Both
-paths give the same exact values.
+Every eta(w) is computed one way: `fold_levels` fills a memo a length level
+at a time, and `Cocycle.fill_levels` forms a level with one integer product
+(`scalars.product_lines`) of each tail's column [eta(w); eps(w)] and the
+rows [pi(l) | eta(l)] of the level's letters, formed once per letter.  A
+one-word read that misses fills the word's missing suffixes the same way.
 """
 
 from __future__ import annotations
@@ -38,11 +35,11 @@ from .scalars import (
     ONE,
     ZERO,
     Scalar,
-    common_forms,
     product_lines,
     scaled,
     scaled_equal,
     scaled_product,
+    scaled_rows,
     unscaled,
 )
 
@@ -78,37 +75,14 @@ class CocycleObstructed(ValueError):
         super().__init__("; ".join(v.message for v in self.violations))
 
 
-def fold_suffixes(memo, word, step):
-    """memo[word], filling in every missing suffix on the way.
-
-    memo maps words to values and must hold the empty word.  Each missing
-    suffix l + w is set to step(l, w, memo[w]), shortest first, in one loop
-    without recursion, so a word whose tail is already known costs one step.
-    The memo belongs to the caller, who decides its lifetime.
-    """
-    word = tuple(word)
-    hit = memo.get(word)
-    if hit is not None:
-        return hit
-    start = 1
-    while (value := memo.get(word[start:])) is None:
-        start += 1
-    for i in range(start - 1, -1, -1):
-        value = step(word[i], word[i + 1:], value)
-        memo[word[i:]] = value
-    return value
-
-
 def fold_levels(memo, words, batch):
-    """Fill memo[w] for every word of `words`, one batch per length level.
+    """Fill memo[w] for every word of `words`, a length level at a time.
 
-    words are shortest first, and the tail w of each word l + w is in memo or
-    earlier in the list (a suffix-closed list such as `words_up_to` returns
-    qualifies).  The words missing from memo are taken a level at a time and
-    grouped by tail: batch(tails) gets a dict that maps each tail w of the
-    level to the letters l with l + w missing, both in order of first
-    appearance, and yields for each tail in turn the values of its l + w, in
-    the order of its letters.  batch may read memo[w] for every tail.
+    words are shortest first, each tail in memo or earlier in the list (as in
+    `words_up_to`).  A level's tails w are grouped by their letters l with
+    l + w missing, in order of first appearance; batch(letters, tails) gets
+    one group and yields for each tail the values of its l + w in the order
+    of letters, so only the words asked for are formed.
     """
     levels = {}
     for w in words:
@@ -116,9 +90,25 @@ def fold_levels(memo, words, batch):
             levels.setdefault(len(w), {}).setdefault(w[1:], []).append(w[0])
     # levels were inserted shortest first, so every tail is filled before use
     for tails in levels.values():
-        for (tail, letters), values in zip(tails.items(), batch(tails)):
-            for letter, value in zip(letters, values):
-                memo[(letter,) + tail] = value
+        groups = {}
+        for tail, letters in tails.items():
+            groups.setdefault(tuple(letters), []).append(tail)
+        for letters, group in groups.items():
+            for tail, values in zip(group, batch(letters, group)):
+                for letter, value in zip(letters, values):
+                    memo[(letter,) + tail] = value
+
+
+def missing_suffixes(memo, words):
+    """The suffixes of words (their own included) missing from memo, which
+    holds the empty word, shortest first: a list `fold_levels` accepts."""
+    out = {}
+    for w in words:
+        w = tuple(w)
+        while w not in memo and w not in out:
+            out[w] = None
+            w = w[1:]
+    return sorted(out, key=len)
 
 
 class Representation:
@@ -177,18 +167,8 @@ class Representation:
                     code="NOT_STAR_COMPATIBLE", target=g,
                     residual=linalg.msub(self.letter_matrix((g, -1)), inv),
                     message=f"image of {g} is not form-unitary"))
-            if out:
-                return out
-            for r in p.relators:
-                if scaled_equal(self._word_scaled(r), one):
-                    continue
-                out.append(Violation(
-                    code="RELATION_VIOLATED",
-                    target=" ".join(word_to_strs(GROUP, r)),
-                    residual=linalg.msub(self.word_matrix(r),
-                                         linalg.identity(n)),
-                    message=f"relator {word_to_strs(GROUP, r)} does not map "
-                            f"to the identity"))
+            checks = [(r, ONE, (), "relator {} does not map to the identity")
+                      for r in p.relators]
         else:
             for g in p.generators:
                 starred = p.star_letter((g, 0))
@@ -203,19 +183,20 @@ class Representation:
                                          self.letter_matrix((g, 1))),
                     message=f"image of {letter_str(STAR_ALGEBRA, starred)} is "
                             f"not the adjoint of the image of {g}"))
-            if out:
-                return out
-            for rule in p.rules:
-                if scaled_equal(self._word_scaled(rule.lhs),
-                                self._word_scaled(rule.rhs), rule.coeff):
-                    continue
-                rhs = linalg.mscale(rule.coeff, self.word_matrix(rule.rhs))
-                out.append(Violation(
-                    code="RELATION_VIOLATED",
-                    target=" ".join(word_to_strs(STAR_ALGEBRA, rule.lhs)),
-                    residual=linalg.msub(self.word_matrix(rule.lhs), rhs),
-                    message=f"rule {word_to_strs(STAR_ALGEBRA, rule.lhs)} is "
-                            f"not respected by the images"))
+            checks = [(r.lhs, r.coeff, r.rhs,
+                       "rule {} is not respected by the images") for r in p.rules]
+        if out:
+            return out
+        for lhs, coeff, rhs, message in checks:
+            if scaled_equal(self._word_scaled(lhs),
+                            self._word_scaled(rhs) if rhs else one, coeff):
+                continue
+            words = word_to_strs(p.kind, lhs)
+            out.append(Violation(
+                code="RELATION_VIOLATED", target=" ".join(words),
+                residual=linalg.msub(self.word_matrix(lhs), linalg.mscale(
+                    coeff, self.word_matrix(rhs))),
+                message=message.format(words)))
         return out
 
     def _scaled(self, letter):
@@ -308,6 +289,7 @@ class Cocycle:
                 message=f"cocycle values name unknown letters {sorted(unknown)}")])
         self.values = vals
         self._eta_memo = {(): (linalg.zero_vector(n), ONE)}
+        self._rows = {}
         self._inverse_values = {}
         if not _validated:
             violations = self._validate()
@@ -331,41 +313,40 @@ class Cocycle:
     def eval_word(self, word):
         """eta(w) by eta(l w) = pi(l) eta(w) + eta(l) eps(w).
 
-        (eta(w), eps(w)) is memoised per suffix on this cocycle for as long
-        as the cocycle lives, so a word whose tail was evaluated before
-        costs one step.  Accepts unreduced words.
+        (eta(w), eps(w)) is memoised on this cocycle for as long as it lives;
+        a miss fills the word's missing suffixes.  Accepts unreduced words.
         """
-        return fold_suffixes(self._eta_memo, word, self._eta_step)[0]
+        word = tuple(word)
+        if word not in self._eta_memo:
+            self.fill_levels(missing_suffixes(self._eta_memo, (word,)))
+        return self._eta_memo[word][0]
 
     def fill_levels(self, words):
         """Memoise (eta(w), eps(w)) for a word list `fold_levels` accepts."""
         fold_levels(self._eta_memo, words, self._eta_batch)
 
-    def _eta_batch(self, tails):
-        # eta(l w) = [pi(l) | eta(l)] [eta(w); eps(w)]: each tail's column
-        # against the rows of every letter of the level, one kernel call
-        memo = self._eta_memo
-        n = self.form.dim
-        rows, at = [], {}
-        for letter in dict.fromkeys(l for ls in tails.values() for l in ls):
+    def _letter_rows(self, letter):
+        """Rows [pi(l) | eta(l)] in `product_lines` form, and eps(l) or None for 1."""
+        rows = self._rows.get(letter)
+        if rows is None:
             eps_l = self.presentation.epsilon_letter(letter)
-            at[letter] = (len(rows), None if eps_l == ONE else eps_l)
-            rows.extend((*row, e) for row, e in zip(
-                self.representation.letter_matrix(letter),
-                self.letter_value(letter)))
-        values = [memo[w] for w in tails]
-        lines = product_lines([(*eta, eps) for eta, eps in values],
-                              common_forms(rows))
-        for (_, eps), line, letters in zip(values, lines, tails.values()):
-            yield [(line[i:i + n], eps if eps_l is None else eps_l * eps)
-                   for i, eps_l in map(at.__getitem__, letters)]
+            rows = self._rows[letter] = (
+                scaled_rows(self.representation._scaled(letter),
+                            self.letter_value(letter)),
+                None if eps_l == ONE else eps_l)
+        return rows
 
-    def _eta_step(self, letter, _tail, tail_value):
-        eta, eps = tail_value
-        return (linalg.vadd(
-                    linalg.mvmul(self.representation.letter_matrix(letter), eta),
-                    linalg.vscale(eps, self.letter_value(letter))),
-                self.presentation.epsilon_letter(letter) * eps)
+    def _eta_batch(self, letters, tails):
+        # eta(l w) = [pi(l) | eta(l)] [eta(w); eps(w)]: each tail's column
+        # against the rows of every letter, one kernel call
+        n = self.form.dim
+        rows = [self._letter_rows(l) for l in letters]
+        values = [self._eta_memo[w] for w in tails]
+        lines = product_lines([(*eta, eps) for eta, eps in values],
+                              [r for letter_rows, _ in rows for r in letter_rows])
+        for (_, eps), line in zip(values, lines):
+            yield [(line[i * n:i * n + n], eps if eps_l is None else eps_l * eps)
+                   for i, (_, eps_l) in enumerate(rows)]
 
     def eval_element(self, element: AlgebraElement):
         out = linalg.zero_vector(self.form.dim)
@@ -375,29 +356,21 @@ class Cocycle:
 
     def _validate(self):
         p = self.presentation
-        out = []
         if p.kind == GROUP:
-            for r in p.relators:
-                res = self.eval_word(r)
-                if not linalg.is_zero_vector(res):
-                    out.append(Violation(
-                        code="COCYCLE_OBSTRUCTED",
-                        target=" ".join(word_to_strs(GROUP, r)),
-                        residual=res,
-                        message=f"cocycle does not vanish on relator "
-                                f"{word_to_strs(GROUP, r)}"))
+            checks = [(r, ONE, (), "vanish on relator") for r in p.relators]
         else:
-            for rule in p.rules:
-                lhs = self.eval_word(rule.lhs)
-                rhs = linalg.vscale(rule.coeff, self.eval_word(rule.rhs))
-                res = linalg.vsub(lhs, rhs)
-                if not linalg.is_zero_vector(res):
-                    out.append(Violation(
-                        code="COCYCLE_OBSTRUCTED",
-                        target=" ".join(word_to_strs(STAR_ALGEBRA, rule.lhs)),
-                        residual=res,
-                        message=f"cocycle does not respect rule "
-                                f"{word_to_strs(STAR_ALGEBRA, rule.lhs)}"))
+            checks = [(r.lhs, r.coeff, r.rhs, "respect rule") for r in p.rules]
+        self.fill_levels(missing_suffixes(
+            self._eta_memo, [w for lhs, _, rhs, _ in checks for w in (lhs, rhs)]))
+        out = []
+        for lhs, coeff, rhs, what in checks:
+            res = linalg.vsub(self.eval_word(lhs),
+                              linalg.vscale(coeff, self.eval_word(rhs)))
+            if not linalg.is_zero_vector(res):
+                words = word_to_strs(p.kind, lhs)
+                out.append(Violation(
+                    code="COCYCLE_OBSTRUCTED", target=" ".join(words),
+                    residual=res, message=f"cocycle does not {what} {words}"))
         return out
 
 

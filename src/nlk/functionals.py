@@ -9,13 +9,13 @@ the resulting rational linear system in those imaginary parts.
 For star-algebra presentations functionals are explicit monomial tables and
 are verified, not solved for.
 
-`verify_schurmann_triple` and the normal-form oracle run over every word up
-to a length.  They fill eta and a group psi one length level at a time
-(`cocycles.fold_levels`; `GroupFunctional.fill_levels` forms psi(l w) for a
-whole level with one integer product), so their per-word reads are memo
-hits.  `verify` then tests each length class of coboundary pairs against
-one integer product (`scalars.product_lines`), one row per word a of the
-class and one column per word b it pairs with.
+Every group psi comes from `GroupFunctional.fill_levels`, which fills eta,
+then psi, a length level at a time with one integer product per level; a
+`fold` that misses fills the word's missing suffixes the same way.  Verify
+and the oracle fill every word up to their length, GNS up to twice its
+length, Gaussianity up to its longest product term.  `verify` then tests
+each length class of coboundary pairs with one integer product
+(`scalars.product_lines`), a row per word a and a column per word b.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .cocycles import (
     Cocycle,
     exponent_matrix,
     fold_levels,
-    fold_suffixes,
+    missing_suffixes,
     solve_exponent_sums,
 )
 from .linalg import IndefiniteFormError
@@ -41,7 +41,8 @@ from .presentations import (
     kn_products,
     word_to_strs,
 )
-from .scalars import I, ONE, ZERO, Scalar, common_forms, product_lines, products
+from .scalars import (I, ONE, ZERO, Scalar, common_forms, product_lines,
+                      products, scaled, scaled_product, scaled_rows)
 
 
 class NoNormalForm(ValueError):
@@ -80,6 +81,7 @@ class GroupFunctional:
         if unknown:
             raise ValueError(f"psi values name unknown generators {sorted(unknown)}")
         self._psi_memo = {(): ZERO}
+        self._rows = None
 
     kind = GROUP
 
@@ -91,44 +93,44 @@ class GroupFunctional:
     def fold(self, word) -> Scalar:
         """psi(w) by psi(l w) = psi(l) + <eta(l^-1), eta(w)> + psi(w).
 
-        psi is memoised per suffix on this functional for as long as the
-        functional lives, and eta(w) comes from the cocycle's own memo.
-        Accepts unreduced words; the result only depends on the group
-        element when the cocycle data respects the relators.
+        psi is memoised on this functional for as long as it lives; a miss
+        fills the word's missing suffixes.  Accepts unreduced words; the
+        result only depends on the group element when the cocycle data
+        respects the relators.
         """
-        return fold_suffixes(self._psi_memo, word, self._psi_step)
-
-    def _psi_step(self, letter, tail, tail_psi):
-        cocycle = self.cocycle
-        inv_letter = (letter[0], -letter[1])
-        return (self.psi_letter(letter)
-                + cocycle.form.inner(cocycle.letter_value(inv_letter),
-                                     cocycle.eval_word(tail))
-                + tail_psi)
+        word = tuple(word)
+        if word not in self._psi_memo:
+            self.fill_levels(missing_suffixes(self._psi_memo, (word,)))
+        return self._psi_memo[word]
 
     def fill_levels(self, words):
-        """Memoise psi, and eta on the cocycle, for a word list that
-        `fold_levels` accepts; eta comes first, so reading a tail's eta is a
-        memo hit."""
+        """Memoise eta on the cocycle, then psi, for a word list that
+        `fold_levels` accepts."""
         self.cocycle.fill_levels(words)
         fold_levels(self._psi_memo, words, self._psi_batch)
 
-    def _psi_batch(self, tails):
+    def _letter_rows(self):
+        """Each letter's row [conj(G eta(l^-1)) | 1 | psi(l)], formed on first
+        use as [conj(eta(l^-1)) | 1] [[G, 0], [0, 1]] with psi(l) appended."""
+        if self._rows is None:
+            cocycle, letters = self.cocycle, self.presentation.alphabet()
+            gram = cocycle.form.gram
+            inner = scaled_product(
+                scaled([(*(x.conj() for x in cocycle.letter_value((g, -t))), ONE)
+                        for g, t in letters]),
+                scaled([(*row, ZERO) for row in gram]
+                       + [(ZERO,) * len(gram) + (ONE,)]))
+            self._rows = dict(zip(letters, scaled_rows(
+                inner, [self.psi_letter(l) for l in letters])))
+        return self._rows
+
+    def _psi_batch(self, letters, tails):
         # psi(l w) = [conj(G eta(l^-1)) | 1 | psi(l)] [eta(w); psi(w); 1]:
-        # each tail's column against the rows of every letter of the level
-        cocycle = self.cocycle
-        gram = cocycle.form.gram
-        at, rows = {}, []
-        for letter in dict.fromkeys(l for ls in tails.values() for l in ls):
-            at[letter] = len(rows)
-            inv_eta = cocycle.letter_value((letter[0], -letter[1]))
-            rows.append((*linalg.mvmul_conj_row(gram, inv_eta),
-                         ONE, self.psi_letter(letter)))
-        eta, psi = cocycle.eval_word, self._psi_memo
-        cols = [(*eta(w), psi[w], ONE) for w in tails]
-        for line, letters in zip(product_lines(cols, common_forms(rows)),
-                                 tails.values()):
-            yield [line[at[l]] for l in letters]
+        # each tail's column against the rows of every letter, one kernel call
+        # fill_levels has filled eta for every tail
+        eta, psi, rows = self.cocycle._eta_memo, self._psi_memo, self._letter_rows()
+        return product_lines([(*eta[w][0], psi[w], ONE) for w in tails],
+                             [rows[l] for l in letters])
 
     def psi_word(self, word) -> Scalar:
         return self.fold(word)
@@ -247,6 +249,13 @@ class SolveOutcome(NamedTuple):
         return out
 
 
+def relator_folds(functional: GroupFunctional) -> list:
+    """psi on each relator, the relators' missing suffixes filled together."""
+    relators = functional.presentation.relators
+    functional.fill_levels(missing_suffixes(functional._psi_memo, relators))
+    return [functional.fold(r) for r in relators]
+
+
 def forced_real_parts(cocycle: Cocycle) -> dict:
     out = {}
     for g in cocycle.presentation.generators:
@@ -269,34 +278,24 @@ def solve_generating_functional(cocycle: Cocycle) -> SolveOutcome:
             "solving requires a positive definite form")
     rho = forced_real_parts(cocycle)
     base = GroupFunctional(cocycle, rho)
-    readings = []
-    any_re_violation = False
-    for r in p.relators:
-        k_r = base.fold(r)
-        re_bad = k_r.re != 0
-        any_re_violation = any_re_violation or re_bad
-        readings.append(RelatorReading(relator=r, k_r=k_r, re_violation=re_bad))
+    readings = tuple(RelatorReading(relator=r, k_r=k, re_violation=k.re != 0)
+                     for r, k in zip(p.relators, relator_folds(base)))
     a_mat = exponent_matrix(p)
     rhs = tuple(Scalar(-rd.k_r.im, 0) for rd in readings)
-    if any_re_violation:
+    # a nonzero real part is infeasible before any system is solved
+    solved = (None if any(rd.re_violation for rd in readings)
+              else solve_exponent_sums(p, rhs))
+    if solved is None or isinstance(solved, linalg.LinearInfeasible):
         return SolveOutcome(
             verdict="infeasible", functional=None, ambiguity_dim=None,
-            readings=tuple(readings), system_matrix=a_mat, system_rhs=rhs,
-            certificate=None)
-    solved = solve_exponent_sums(p, rhs)
-    if isinstance(solved, linalg.LinearInfeasible):
-        return SolveOutcome(
-            verdict="infeasible", functional=None, ambiguity_dim=None,
-            readings=tuple(readings), system_matrix=a_mat, system_rhs=rhs,
-            certificate=solved.certificate)
+            readings=readings, system_matrix=a_mat, system_rhs=rhs,
+            certificate=getattr(solved, "certificate", None))
     t = solved.solution
     values = {g: rho[g] + I * t[i] for i, g in enumerate(p.generators)}
-    functional = GroupFunctional(cocycle, values)
     return SolveOutcome(
-        verdict="feasible", functional=functional,
-        ambiguity_dim=len(solved.kernel_basis),
-        readings=tuple(readings), system_matrix=a_mat, system_rhs=rhs,
-        certificate=None)
+        verdict="feasible", functional=GroupFunctional(cocycle, values),
+        ambiguity_dim=len(solved.kernel_basis), readings=readings,
+        system_matrix=a_mat, system_rhs=rhs, certificate=None)
 
 
 def certificate_defect(lam, a_mat, rhs) -> str | None:
@@ -497,12 +496,17 @@ def is_gaussian_functional(functional, max_len: int) -> GaussianReport:
 
     The distinct products come one at a time (`kn_products`), and the check
     stops at the first on which psi is not zero, its witness, so no product
-    past the witness is formed.  `checked` counts the distinct products up to
-    and including the witness, or all of them when there is none.
+    past the witness is formed, nor a group psi level past its terms.
+    `checked` counts the distinct products up to and including the witness,
+    or all of them when there is none.
     """
     p = functional.presentation
-    checked = 0
+    checked = filled = 0
     for el in kn_products(p, 3, max_len):
+        longest = max(map(len, el.terms), default=0)
+        if longest > filled and isinstance(functional, GroupFunctional):
+            functional.fill_levels(p.words_up_to(longest))
+            filled = longest
         value = functional.eval_element(el)
         checked += 1
         if not value.is_zero():
@@ -548,6 +552,9 @@ def gns_truncated(functional, max_len: int) -> GnsResult:
     """
     p = functional.presentation
     words = tuple(p.words_up_to(max_len, include_empty=False))
+    if isinstance(functional, GroupFunctional):
+        # every Gram entry reads psi on a word of length <= 2 * max_len
+        functional.fill_levels(p.words_up_to(2 * max_len))
     psi = {w: functional.psi_word(w) for w in words}
     psi[()] = ZERO
     eps = [p._word_character(w) for w in words]

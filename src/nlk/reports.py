@@ -22,6 +22,7 @@ from .functionals import (
     brute_force_welldefinedness_oracle,
     certificate_defect,
     forced_real_parts,
+    relator_folds,
     verify_schurmann_triple,
 )
 from .presentations import GROUP, word_from_strs, word_to_strs
@@ -267,9 +268,8 @@ def _confirm_solved_psi(cocycle, forced, psi_doc):
         _need(value.re == forced[g].re,
               f"stored Re psi({g}) = {value.re} differs from the forced "
               f"real part {forced[g]}")
-    for relator in cocycle.presentation.relators:
-        _need(functional.fold(relator).is_zero(),
-              "stored psi does not vanish on a relator")
+    _need(all(k.is_zero() for k in relator_folds(functional)),
+          "stored psi does not vanish on a relator")
 
 
 def confirm_solve_result(cocycle, result) -> bool:
@@ -290,8 +290,7 @@ def _confirm_solve_result(cocycle, result, details):
     _need(len(stored) == len(p.relators),
           "stored readings do not cover the relators")
     readings = []
-    for ob, relator in zip(stored, p.relators):
-        k_r = base.fold(relator)
+    for ob, k_r in zip(stored, relator_folds(base)):
         _need(str(k_r) == ob["K_r"],
               f"stored K_r {ob['K_r']} differs from refolded {k_r}")
         _need(ob["re_violation"] == (k_r.re != 0),
@@ -519,7 +518,7 @@ _RECHECKERS = {
 def recheck(report: dict) -> RecheckResult:
     """Confirm the early stop a report gives, or else the command's claim."""
     command = report.get("command")
-    if command not in _RECHECKERS:
+    if not isinstance(command, str) or command not in _RECHECKERS:
         return RecheckResult(confirmed=False,
                              details=[f"no recheck for command {command!r}"])
     result = report.get("result")

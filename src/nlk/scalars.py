@@ -18,9 +18,10 @@ dot products (`_dots`, skipping the imaginary ones when a row or column is
 real) and normalises the entry with a single gcd, so no intermediate Scalar
 is built.  `common_forms` and the lazy `product_lines` are its two halves,
 for callers that reuse columns or may stop early.  The callers:
-`linalg.mmul` (every Scalar matrix product); the level-at-a-time folds
-`Cocycle.fill_levels` and `GroupFunctional.fill_levels` (one call per length
-level, each tail's column against the rows of every letter); and
+`linalg.mmul` (every Scalar matrix product); the word evaluator,
+`Cocycle.fill_levels` and `GroupFunctional.fill_levels`, which computes
+every eta and group psi (tails' columns against their letters' rows,
+formed once per letter); and
 `verify_schurmann_triple` (the inner-product rows and one call per length
 class of coboundary pairs, its columns brought to their denominators once
 per verification and read lazily, so a failing check forms no line past
@@ -31,7 +32,8 @@ None when real) over a common denominator d > 0, not necessarily the least.
 `scaled_product` multiplies two with the same `_dots` loop, over d_a * d_b
 and with no gcd; `scaled_equal` tests a == c*b by cross-multiplying; so the
 checks of `cocycles.Representation` build no Scalar.  `unscaled` gives
-canonical Scalars, one gcd per entry.
+canonical Scalars, one gcd per entry; `scaled_rows` extends each row by a
+Scalar into the forms `product_lines` reads, with no gcd.
 
 The text form follows a small grammar:
 
@@ -438,6 +440,21 @@ def scaled_equal(a, b, coeff=ONE) -> bool:
                     or y * scale != (ca * v + cb * u) * ad):
                 return False
     return True
+
+
+def scaled_rows(a, column) -> list:
+    """Row i of the scaled matrix a followed by the Scalar column[i], each
+    over one denominator: the forms `product_lines` reads."""
+    re, im, d = a
+    out = []
+    for i, x in enumerate(column):
+        e = lcm(d, x._d)
+        f, g = e // d, e // x._d
+        ra = [y * f for y in re[i]] if f != 1 else re[i]
+        ia = ([0] * len(ra) if x._b else None) if im is None else (
+            [y * f for y in im[i]] if f != 1 else im[i])
+        out.append((ra + [x._a * g], None if ia is None else ia + [x._b * g], e))
+    return out
 
 
 def unscaled(a) -> tuple:

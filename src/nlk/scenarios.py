@@ -99,11 +99,15 @@ def _parse_matrix(rows, pointer, dim=None):
     return mat
 
 
-def _parse_word_list(tokens, kind, pointer):
+def _letter_strings(tokens, pointer) -> list:
     _require(isinstance(tokens, list)
              and all(isinstance(t, str) for t in tokens),
              pointer, "expected an array of letter strings")
-    return word_from_strs(kind, tokens)
+    return tokens
+
+
+def _parse_word_list(tokens, kind, pointer):
+    return word_from_strs(kind, _letter_strings(tokens, pointer))
 
 
 # bound on word lengths, shared by the schema and --max-word-length
@@ -254,14 +258,12 @@ def _parse_presentation(doc, pointer) -> Presentation:
         for i, rule in enumerate(rules_raw):
             rp = f"{pointer}/rules/{i}"
             _require(isinstance(rule, dict), rp, "expected an object")
-            lhs = rule.get("lhs")
+            lhs = _letter_strings(rule.get("lhs"), f"{rp}/lhs")
             rhs = rule.get("rhs")
-            _require(isinstance(lhs, list), f"{rp}/lhs", "expected a word")
             _require(isinstance(rhs, dict), f"{rp}/rhs",
                      "expected an object with coeff and word")
             coeff = _parse_scalar(rhs.get("coeff", "1"), f"{rp}/rhs/coeff")
-            word = rhs.get("word")
-            _require(isinstance(word, list), f"{rp}/rhs/word", "expected a word")
+            word = _letter_strings(rhs.get("word"), f"{rp}/rhs/word")
             rules.append((list(lhs), coeff, list(word)))
         extra = set(doc) - {"kind", "generators", "involution", "character",
                             "rules"}

@@ -26,6 +26,7 @@ from nlk.cocycles import (
     Representation,
     RepresentationError,
     big_K,
+    missing_suffixes,
 )
 from nlk.functionals import (
     AbelianExponents,
@@ -635,6 +636,17 @@ def test_memoised_folds_match_reference_in_any_order(ia, ib, ea, eb, pa, pb,
     rnd.shuffle(order)
     for w in order:  # memo hits return what was computed
         assert (cocycle.eval_word(w), functional.fold(w)) == seen[w]
+    # the whole list in one fill on a fresh object, each word repeated and
+    # its back half, a suffix shared with the word, mixed in
+    batch = [v for w in words for v in (w, w[len(w) // 2:], w)]
+    cocycle, functional = free_group_triple(images, eta, psi)
+    functional.fill_levels(missing_suffixes(functional._psi_memo, batch))
+    assert set(batch) <= set(functional._psi_memo) & set(cocycle._eta_memo)
+    for w in dict.fromkeys(batch):
+        eta_w, psi_w = cocycle._eta_memo[w][0], functional._psi_memo[w]
+        assert H.to_pairs_vec(eta_w) == H.eta_word(ref_images, ref_eta, w, 2)
+        assert H.to_pair(psi_w) == H.psi_word(ref_images, ref_eta, ref_psi,
+                                              H.mid(2), w, 2)
 
 
 @WORDS

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from nlk import functionals
 from nlk.catalog import scenario_doc
 from nlk.cocycles import Cocycle, Representation, trivial_representation
 from nlk.functionals import (
@@ -347,6 +348,26 @@ def test_gaussianity_stops_at_its_first_witness(monkeypatch):
     assert report.checked == 1
     assert report.witness == first
     assert len(formed) <= 2 * base
+
+
+def test_gaussianity_fills_no_level_past_its_products(monkeypatch):
+    scn = parse_scenario(scenario_doc("surface.gamma2.nongaussian", "feasible"))
+    psi = solve_generating_functional(
+        scn.build_cocycle(scn.build_representation())).functional
+    longest = [0]
+    products = functionals.kn_products
+
+    def recorded(*args):
+        for el in products(*args):
+            longest[0] = max([longest[0], *map(len, el.terms)])
+            yield el
+
+    monkeypatch.setattr(functionals, "kn_products", recorded)
+    report = is_gaussian_functional(psi, 2)
+    assert not report.gaussian
+    # the witness needs words of length 4; a prefill to 3 * 2 would hold
+    # 156,865 words
+    assert max(map(len, psi._psi_memo)) == longest[0] == 4
 
 
 def test_gns_truncation_of_star_power_table():

@@ -247,6 +247,19 @@ def test_cli_validate_reports_cocycle_obstruction(tmp_path, capsys):
     assert "COCYCLE_OBSTRUCTED" in out
 
 
+def test_cli_validate_refuses_rule_words_with_non_string_tokens(tmp_path,
+                                                               capsys):
+    for side, bad in (("lhs", ["x", "x", {}]), ("lhs", [True, "x", "y"]),
+                      ("word", ["y", None])):
+        doc = catalog.scenario_doc("ac_not_h2z.star_algebra_definite", "main")
+        rule = doc["presentation"]["rules"][0]
+        (rule if side == "lhs" else rule["rhs"])[side] = bad
+        pointer = "lhs" if side == "lhs" else "rhs/word"
+        assert cli.main(["validate", write_doc(tmp_path, doc)]) == 1, bad
+        err = capsys.readouterr().err
+        assert f"SCHEMA_ERROR: at /presentation/rules/0/{pointer}:" in err
+
+
 def test_cli_verify_and_oracle(tmp_path, capsys):
     path = write_doc(tmp_path, z2_doc())
     assert cli.main(["verify", path]) == 0
@@ -689,6 +702,13 @@ def test_cli_recheck_confirms_a_no_lk_psi_total_from_the_solver(tmp_path,
     result["psi_total"] = {g: "7" for g in result["psi_total"]}
     out = refused(tmp_path, capsys, report)
     assert "stored Re psi(a1) = 7 differs from the forced real part -1" in out
+
+
+def test_cli_recheck_refuses_a_command_that_is_not_a_string(tmp_path, capsys):
+    report = json_report(capsys, ["solve", "zk.z2.gaussian"])
+    for command in ([], {}, ["solve"], None):
+        out = refused(tmp_path, capsys, dict(report, command=command))
+        assert f"no recheck for command {command!r}" in out
 
 
 def test_cli_recheck_refuses_a_report_of_the_wrong_shape(tmp_path, capsys):
