@@ -156,13 +156,12 @@ class _Run:
         """Recheck the scenario's solve outcome ("solve") or one of its
         decomposition parts ("gaussian", "remainder") as `recheck` would."""
         if part == "solve":
-            cocycle, outcome = self.cocycle(name), self.solve(name)
+            outcome = self.solve(name)
         else:
             lk = self.lk(name)
-            cocycle = getattr(lk.split_result, part).cocycle
             outcome = (lk.gaussian_outcome if part == "gaussian"
                        else lk.remainder_outcome)
-        return confirm_solve_result(cocycle, outcome.to_json())
+        return confirm_solve_result(outcome)
 
     @_once
     def split(self, name):

@@ -2,8 +2,9 @@
 
 Scenario commands (validate, solve, decompose, verify, oracle) accept
 either a path to a scenario JSON file or the id of a built-in catalog entry
-(which resolves to that entry's main scenario).  Every command with a
-`--format` option wraps its result in one report envelope
+(which resolves to that entry's main scenario), and run through
+`reports.run_command`, the runner `recheck` runs again.  Every command with
+a `--format` option wraps its result in one report envelope
 (`reports.make_report`) and writes it once, as JSON (`reports.dumps`) or as
 text (`reports.render_text`); `catalog list` prints one line per entry.
 Exit codes: 0 when the run passes or is feasible, 2 when it produces a
@@ -20,42 +21,13 @@ import os
 import sys
 
 from . import reports
-from .cocycles import CocycleObstructed, RepresentationError
-from .decompose import (
-    DecompositionInconsistent,
-    attempt_lk,
-    check_diagram_consistency,
-)
-from .functionals import (
-    GroupFunctional,
-    NoNormalForm,
-    TableSupportExceeded,
-    brute_force_welldefinedness_oracle,
-    forced_real_parts,
-    solve_generating_functional,
-    verify_schurmann_triple,
-)
-from .linalg import LinalgError
-from .presentations import GROUP, PresentationError, ReductionBudgetExceeded
-from .scenarios import (
-    MAX_WORD_LENGTH,
-    ScenarioError,
-    load_scenario,
-    parse_scenario,
-)
+from .cocycles import RepresentationError
+from .decompose import check_diagram_consistency
+from .scenarios import MAX_WORD_LENGTH, load_scenario, parse_scenario
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Input or usage problem; maps to exit code 1."""
-
-
-class _EarlyStop(Exception):
-    """A scenario command stopping before its own check, with the evidence."""
-
-    def __init__(self, reason, **evidence):
-        super().__init__(reason)
-        self.reason = reason
-        self.evidence = evidence
 
 
 def _load_target(target):
@@ -71,121 +43,6 @@ def _load_target(target):
                    f"entry id")
 
 
-def _require_group(scenario, command):
-    if scenario.presentation.kind != GROUP:
-        raise CliError(f"{command} needs a group presentation; this scenario "
-                       f"is a star algebra")
-
-
-def _violations_json(exc):
-    return [v.to_json() for v in exc.violations]
-
-
-def _cocycle(scenario):
-    """The scenario's cocycle; an obstructed one stops the command."""
-    rep = scenario.build_representation()
-    try:
-        return scenario.build_cocycle(rep)
-    except CocycleObstructed as exc:
-        raise _EarlyStop("cocycle_obstructed",
-                         violations=_violations_json(exc)) from None
-
-
-def _functional_for(scenario, cocycle):
-    """The functional a scenario designates, supplied or solved for, and its
-    source; when none exists the command stops."""
-    supplied = scenario.build_functional(cocycle)
-    if supplied is not None:
-        return supplied, "scenario"
-    outcome = solve_generating_functional(cocycle)
-    if not outcome.feasible:
-        raise _EarlyStop("no_generating_functional", solve=outcome.to_json())
-    return outcome.functional, "solver"
-
-
-# --- scenario commands ----------------------------------------------
-
-
-def _cmd_validate(scenario, max_len):
-    try:
-        rep = scenario.build_representation()
-    except RepresentationError as exc:
-        return {"status": "violations", "stage": "representation",
-                "violations": _violations_json(exc)}
-    try:
-        scenario.build_cocycle(rep)
-    except CocycleObstructed as exc:
-        return {"status": "violations", "stage": "cocycle",
-                "violations": _violations_json(exc)}
-    return {"status": "ok",
-            "kind": scenario.presentation.kind,
-            "generators": list(scenario.presentation.generators),
-            "dim": scenario.form.dim}
-
-
-def _cmd_solve(scenario, max_len):
-    _require_group(scenario, "solve")
-    outcome = solve_generating_functional(_cocycle(scenario))
-    return outcome.to_json()
-
-
-def _cmd_decompose(scenario, max_len):
-    _require_group(scenario, "decompose")
-    functional, source = _functional_for(scenario, _cocycle(scenario))
-    lk = attempt_lk(functional)
-    result = lk.to_json()
-    result["psi_source"] = source
-    result["psi_total"] = functional.to_json()["psi"]
-    return result
-
-
-def _cmd_verify(scenario, max_len):
-    cocycle = _cocycle(scenario)
-    if scenario.presentation.kind == GROUP:
-        functional, source = _functional_for(scenario, cocycle)
-        psi_used = functional.to_json()["psi"]
-    else:
-        functional = scenario.build_functional(cocycle)
-        if functional is None:
-            raise CliError("verify needs a functional in the scenario for "
-                           "star algebras")
-        source, psi_used = "scenario", None
-    report = verify_schurmann_triple(cocycle, functional, max_len)
-    result = {"max_word_length": max_len, "psi_source": source,
-              **report.to_json()}
-    if psi_used is not None:
-        result["psi_used"] = psi_used
-    return result
-
-
-def _cmd_oracle(scenario, max_len):
-    _require_group(scenario, "oracle")
-    nf = scenario.build_normal_form()
-    cocycle = _cocycle(scenario)
-    try:
-        functional, source = _functional_for(scenario, cocycle)
-    except _EarlyStop:
-        # no functional exists; fold the forced-real-part candidate so the
-        # oracle can exhibit the ill-definedness the solver certified
-        functional = GroupFunctional(cocycle, forced_real_parts(cocycle))
-        source = "forced_real_parts_candidate"
-    report = brute_force_welldefinedness_oracle(
-        cocycle, functional, scenario.presentation, nf, max_len)
-    result = {"max_word_length": max_len, "normal_form": nf.name,
-              "psi_source": source, "psi_used": functional.to_json()["psi"],
-              **report.to_json()}
-    return result
-
-
-_SCENARIO_COMMANDS = {
-    "validate": _cmd_validate,
-    "solve": _cmd_solve,
-    "decompose": _cmd_decompose,
-    "verify": _cmd_verify,
-    "oracle": _cmd_oracle,
-}
-
-
 def _scenario_report(args) -> dict:
     scenario = _load_target(args.target)
     max_len = args.max_word_length
@@ -193,14 +50,8 @@ def _scenario_report(args) -> dict:
         max_len = scenario.options.max_word_length
     if not 0 <= max_len <= MAX_WORD_LENGTH:
         raise CliError(f"--max-word-length must be in 0..{MAX_WORD_LENGTH}")
-    try:
-        result = _SCENARIO_COMMANDS[args.command](scenario, max_len)
-    except _EarlyStop as stop:
-        fields, _ = reports.EARLY_STOPS[args.command]
-        result = {**fields, "reason": stop.reason, **stop.evidence}
-    return reports.make_report(args.command, result,
-                               reports.exit_code_for(args.command, result),
-                               scenario.raw)
+    result, code = reports.run_command(args.command, scenario, max_len)
+    return reports.make_report(args.command, result, code, scenario.raw)
 
 
 # --- catalog-backed and report commands -----------------------------
@@ -310,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args) -> int:
-    if args.command in _SCENARIO_COMMANDS:
+    if args.command in reports.SUCCESS:  # a scenario command
         report = _scenario_report(args)
     elif args.command == "catalog" and args.catalog_command == "list":
         from . import catalog
@@ -333,21 +184,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (ScenarioError, PresentationError, NoNormalForm,
-            ReductionBudgetExceeded, TableSupportExceeded, LinalgError,
-            DecompositionInconsistent) as exc:
-        code = getattr(exc, "code", None)
-        prefix = f"{code}: " if code else ""
-        sys.stderr.write(f"error: {prefix}{exc}\n")
-        return 1
     except RepresentationError as exc:
         sys.stderr.write(f"error: invalid representation: {exc}\n")
         return 1
     except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        # every error of the package and of the CLI is a ValueError; most
+        # carry a code
+        code = getattr(exc, "code", None)
+        prefix = f"{code}: " if code else ""
+        sys.stderr.write(f"error: {prefix}{exc}\n")
         return 1
 
 

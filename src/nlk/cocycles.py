@@ -381,27 +381,28 @@ def exponent_matrix(presentation):
     """Rows indexed by relators, columns by generators, entries = exponent sums."""
     if presentation.kind != GROUP:
         raise ValueError("exponent matrix needs a group presentation")
+    column = {g: j for j, g in enumerate(presentation.generators)}
     rows = []
     for r in presentation.relators:
-        counts = {g: 0 for g in presentation.generators}
+        counts = [0] * len(column)
         for name, tag in r:
-            counts[name] += tag
-        rows.append(tuple(Scalar.coerce(counts[g]) for g in presentation.generators))
-    return tuple(rows)
+            counts[column[name]] += tag
+        rows.append(counts)
+    # integer rows over the denominator 1 are canonical Scalars at once
+    return unscaled((rows, None, 1))
 
 
-def solve_exponent_sums(presentation, rhs):
-    """Solve exponent_matrix(presentation) @ t == rhs for t over the generators.
+def solve_exponent_sums(matrix, rhs, width):
+    """Solve matrix @ t == rhs for t, the exponent matrix of a presentation
+    with `width` generators.
 
     Without relators the matrix has no rows to carry its width; every t then
     solves the system, so the solution is 0 and the kernel is everything.
     """
-    em = exponent_matrix(presentation)
-    if not em:
-        n = len(presentation.generators)
-        return linalg.LinearSolution(solution=linalg.zero_vector(n),
-                                     kernel_basis=linalg.identity(n))
-    return linalg.solve_linear(em, rhs)
+    if not matrix:
+        return linalg.LinearSolution(solution=linalg.zero_vector(width),
+                                     kernel_basis=linalg.identity(width))
+    return linalg.solve_linear(matrix, rhs)
 
 
 def derivation_space(presentation, dim: int):
@@ -413,7 +414,9 @@ def derivation_space(presentation, dim: int):
     if presentation.kind != GROUP:
         raise ValueError("derivation_space needs a group presentation")
     ker = solve_exponent_sums(
-        presentation, linalg.zero_vector(len(presentation.relators))).kernel_basis
+        exponent_matrix(presentation),
+        linalg.zero_vector(len(presentation.relators)),
+        len(presentation.generators)).kernel_basis
     basis = []
     for kvec in ker:
         for i in range(dim):

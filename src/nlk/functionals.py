@@ -256,11 +256,19 @@ def relator_folds(functional: GroupFunctional) -> list:
     return [functional.fold(r) for r in relators]
 
 
+_MINUS_HALF = Scalar(Fraction(-1, 2))
+
+
 def forced_real_parts(cocycle: Cocycle) -> dict:
+    """Re psi(g) = -1/2 <eta(g), eta(g)> on every generator g, each norm from
+    two integer products, conj(eta(g)) G and then eta(g); the form is
+    hermitian, so the norm is real."""
+    cols = common_forms(zip(*cocycle.form.gram))
     out = {}
     for g in cocycle.presentation.generators:
-        norm = cocycle.form.norm_sq(cocycle.letter_value((g, 1)))
-        out[g] = Scalar(Fraction(-1, 2) * norm.re, 0)
+        eta = cocycle.letter_value((g, 1))
+        row = next(product_lines([[x.conj() for x in eta]], cols))
+        out[g] = products([row], [eta])[0][0] * _MINUS_HALF
     return out
 
 
@@ -284,7 +292,7 @@ def solve_generating_functional(cocycle: Cocycle) -> SolveOutcome:
     rhs = tuple(Scalar(-rd.k_r.im, 0) for rd in readings)
     # a nonzero real part is infeasible before any system is solved
     solved = (None if any(rd.re_violation for rd in readings)
-              else solve_exponent_sums(p, rhs))
+              else solve_exponent_sums(a_mat, rhs, len(p.generators)))
     if solved is None or isinstance(solved, linalg.LinearInfeasible):
         return SolveOutcome(
             verdict="infeasible", functional=None, ambiguity_dim=None,
@@ -301,21 +309,15 @@ def solve_generating_functional(cocycle: Cocycle) -> SolveOutcome:
 def certificate_defect(lam, a_mat, rhs) -> str | None:
     """Why lam fails to certify that a_mat x = rhs has no solution, or None.
 
-    A certificate is a left combination with lam a_mat = 0 and lam rhs != 0.
+    A certificate is a left combination with lam a_mat = 0 and lam rhs != 0,
+    both read off one integer product lam [a_mat | rhs].
     """
     if len(lam) != len(a_mat):
         return "certificate has the wrong size"
-    cols = len(a_mat[0]) if a_mat else 0
-    for j in range(cols):
-        s = ZERO
-        for l, row in zip(lam, a_mat):
-            s = s + l * row[j]
-        if not s.is_zero():
-            return "certificate does not annihilate the system"
-    s = ZERO
-    for l, b in zip(lam, rhs):
-        s = s + l * b
-    if s.is_zero():
+    *combined, paired = products([lam], [*zip(*a_mat), rhs])[0]
+    if not all(x.is_zero() for x in combined):
+        return "certificate does not annihilate the system"
+    if paired.is_zero():
         return "certificate does not contradict the right-hand side"
     return None
 
@@ -702,10 +704,20 @@ class OracleReport(NamedTuple):
     passed: bool
     words: int
     pairs: int
+    # evaluator, the words word_a and word_b, and their values value_a and
+    # value_b (eta vectors or psi Scalars)
     counterexample: dict | None
 
     def to_json(self):
-        return self._asdict()
+        ce = self.counterexample
+        if ce is not None:
+            show = str if ce["evaluator"] == "psi" else linalg.vector_to_json
+            ce = {"evaluator": ce["evaluator"],
+                  "word_a": word_to_strs(GROUP, ce["word_a"]),
+                  "word_b": word_to_strs(GROUP, ce["word_b"]),
+                  "value_a": show(ce["value_a"]),
+                  "value_b": show(ce["value_b"])}
+        return {**self._asdict(), "counterexample": ce}
 
 
 def brute_force_welldefinedness_oracle(cocycle: Cocycle | None,
@@ -738,6 +750,13 @@ def brute_force_welldefinedness_oracle(cocycle: Cocycle | None,
             functional.fill_levels(new)
         filled = length
 
+    def found(evaluator, word_a, word_b, value_a, value_b):
+        return OracleReport(passed=False, words=len(words), pairs=pairs,
+                            counterexample={
+                                "evaluator": evaluator, "word_a": word_a,
+                                "word_b": word_b, "value_a": value_a,
+                                "value_b": value_b})
+
     pairs = 0
     for key in buckets:
         group_words = buckets[key]
@@ -753,24 +772,10 @@ def brute_force_welldefinedness_oracle(cocycle: Cocycle | None,
             if cocycle is not None:
                 ev = cocycle.eval_word(w)
                 if ev != eta_ref:
-                    return OracleReport(
-                        passed=False, words=len(words), pairs=pairs,
-                        counterexample={
-                            "evaluator": "cocycle",
-                            "word_a": word_to_strs(GROUP, rep_word),
-                            "word_b": word_to_strs(GROUP, w),
-                            "value_a": linalg.vector_to_json(eta_ref),
-                            "value_b": linalg.vector_to_json(ev)})
+                    return found("cocycle", rep_word, w, eta_ref, ev)
             if functional is not None:
                 pv = functional.fold(w)
                 if pv != psi_ref:
-                    return OracleReport(
-                        passed=False, words=len(words), pairs=pairs,
-                        counterexample={
-                            "evaluator": "psi",
-                            "word_a": word_to_strs(GROUP, rep_word),
-                            "word_b": word_to_strs(GROUP, w),
-                            "value_a": str(psi_ref),
-                            "value_b": str(pv)})
+                    return found("psi", rep_word, w, psi_ref, pv)
     return OracleReport(passed=True, words=len(words), pairs=pairs,
                         counterexample=None)

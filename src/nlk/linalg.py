@@ -318,9 +318,6 @@ class HermitianForm:
         gw = mvmul(self.gram, w)
         return sum((a.conj() * b for a, b in zip(v, gw)), ZERO)
 
-    def norm_sq(self, v) -> Scalar:
-        return self.inner(v, v)
-
     def orthocomplement(self, vectors) -> list:
         """Basis of {v : inner(b, v) = 0 for all b in vectors}."""
         rows = [mvmul_conj_row(self.gram, bvec) for bvec in vectors]
@@ -421,11 +418,3 @@ def vector_to_json(v) -> list:
 
 def matrix_to_json(m) -> list:
     return [[str(x) for x in row] for row in m]
-
-
-def vector_from_json(items) -> tuple:
-    return tuple(Scalar.parse(x) for x in items)
-
-
-def matrix_from_json(rows) -> tuple:
-    return matrix([[Scalar.parse(x) for x in row] for row in rows])

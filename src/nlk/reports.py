@@ -1,53 +1,52 @@
-"""Report construction, text rendering, and certificate rechecking.
+"""The scenario commands, their reports, text rendering and rechecking.
 
 A report is a JSON object with the command, the exit code and the command
 result; the five scenario commands also embed the scenario document they
-ran on.  Reports are self-contained: an infeasibility or counterexample
-report carries enough data for `recheck` to confirm the certificate
-without re-deciding anything.
+ran on.  `run_command` is the one runner of each scenario command: the CLI
+calls it to write a report, and `recheck` calls it again on the embedded
+scenario.  A report is confirmed only when its stored result and exit code
+are the re-run's, as canonical JSON text; then the certificates the re-run's
+result rests on are checked on the re-run's own objects: each solve
+outcome's infeasibility certificate or solved psi, a decomposition's
+derivation correction, and an oracle counterexample's word pair.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import NamedTuple
 
-from . import linalg
-from .cocycles import CocycleObstructed, RepresentationError, exponent_matrix
-from .decompose import split
+from .cocycles import CocycleObstructed, RepresentationError
+from .decompose import attempt_lk
 from .functionals import (
     GroupFunctional,
-    NoNormalForm,
-    TableSupportExceeded,
+    RelatorReading,
     brute_force_welldefinedness_oracle,
     certificate_defect,
     forced_real_parts,
     relator_folds,
+    solve_generating_functional,
     verify_schurmann_triple,
 )
-from .presentations import GROUP, word_from_strs, word_to_strs
-from .scalars import ZERO, Scalar
+from .presentations import GROUP, word_to_strs
+from .scalars import ZERO
 from .scenarios import MAX_WORD_LENGTH, parse_scenario
 
-# The early stops of each scenario command: the fields every stop carries,
-# and the reasons the command can give.  The CLI builds its refusals from
-# this table, and `recheck` refuses a reason the command never gives.
+# The fields every early stop of a scenario command carries besides its
+# reason and evidence; `validate` never stops early.
 EARLY_STOPS = {
-    "validate": ({}, ()),
-    "solve": ({"verdict": "infeasible", "psi": None},
-              ("cocycle_obstructed",)),
-    "decompose": ({"verdict": "no_lk"},
-                  ("cocycle_obstructed", "no_generating_functional")),
-    "verify": ({"passed": False},
-               ("cocycle_obstructed", "no_generating_functional")),
-    "oracle": ({"passed": False}, ("cocycle_obstructed",)),
+    "validate": {},
+    "solve": {"verdict": "infeasible", "psi": None},
+    "decompose": {"verdict": "no_lk"},
+    "verify": {"passed": False},
+    "oracle": {"passed": False},
 }
 
 
 # The result field and value with which each scenario command succeeds.
 # Exactly those results exit 0; every other result and every early stop
-# exits 2.  The CLI takes its exit codes from here, and `recheck` refuses a
-# report whose stored code differs.
+# exits 2.
 SUCCESS = {
     "validate": ("status", "ok"),
     "solve": ("verdict", "feasible"),
@@ -55,13 +54,6 @@ SUCCESS = {
     "verify": ("passed", True),
     "oracle": ("passed", True),
 }
-
-
-def exit_code_for(command: str, result: dict) -> int:
-    """The exit code of a scenario command's result."""
-    field, value = SUCCESS[command]
-    success = result.get("reason") is None and result.get(field) == value
-    return 0 if success else 2
 
 
 def make_report(command: str, result: dict, exit_code: int,
@@ -75,6 +67,185 @@ def make_report(command: str, result: dict, exit_code: int,
 
 def dumps(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+# --- the scenario commands ------------------------------------------
+#
+# Each runner takes the scenario, the word length and a list to which it
+# appends the certificate checks its result rests on: callables that return
+# a detail line, or raise _RecheckFailure.  Only `recheck` calls them.
+
+
+class _EarlyStop(Exception):
+    """A scenario command stopping before its own check, with the evidence."""
+
+    def __init__(self, reason, **evidence):
+        super().__init__(reason)
+        self.reason = reason
+        self.evidence = evidence
+
+
+def _require_group(scenario, command):
+    if scenario.presentation.kind != GROUP:
+        raise ValueError(f"{command} needs a group presentation; this "
+                         f"scenario is a star algebra")
+
+
+def _violations_json(exc):
+    return [v.to_json() for v in exc.violations]
+
+
+def _cocycle(scenario):
+    """The scenario's cocycle; an obstructed one stops the command."""
+    rep = scenario.build_representation()
+    try:
+        return scenario.build_cocycle(rep)
+    except CocycleObstructed as exc:
+        raise _EarlyStop("cocycle_obstructed",
+                         violations=_violations_json(exc)) from None
+
+
+def _check_supplied(functional):
+    """Stop unless a supplied group psi carries the forced real parts and
+    folds to zero on every relator, the checks a solved psi passes."""
+    forced = forced_real_parts(functional.cocycle)
+    relators = functional.presentation.relators
+    readings = [RelatorReading(r, k, k.re != 0)
+                for r, k in zip(relators, relator_folds(functional))]
+    if (all(v.re == forced[g].re for g, v in functional.values.items())
+            and all(rd.k_r.is_zero() for rd in readings)):
+        return
+    raise _EarlyStop("ill_defined_psi",
+                     forced_real_parts={g: str(v) for g, v in forced.items()},
+                     readings=[rd.to_json() for rd in readings])
+
+
+def _functional_for(scenario, cocycle, checks):
+    """The functional a scenario designates, supplied or solved for, and its
+    source; an ill-defined supplied psi, or none at all, stops the command."""
+    supplied = scenario.build_functional(cocycle)
+    if supplied is not None:
+        _check_supplied(supplied)
+        return supplied, "scenario"
+    outcome = solve_generating_functional(cocycle)
+    if not outcome.feasible:
+        checks.append(functools.partial(_check_solve, "embedded solve",
+                                        outcome))
+        raise _EarlyStop("no_generating_functional", solve=outcome.to_json())
+    return outcome.functional, "solver"
+
+
+def _cmd_validate(scenario, max_len, checks):
+    try:
+        rep = scenario.build_representation()
+    except RepresentationError as exc:
+        return {"status": "violations", "stage": "representation",
+                "violations": _violations_json(exc)}
+    try:
+        scenario.build_cocycle(rep)
+    except CocycleObstructed as exc:
+        return {"status": "violations", "stage": "cocycle",
+                "violations": _violations_json(exc)}
+    return {"status": "ok",
+            "kind": scenario.presentation.kind,
+            "generators": list(scenario.presentation.generators),
+            "dim": scenario.form.dim}
+
+
+def _cmd_solve(scenario, max_len, checks):
+    _require_group(scenario, "solve")
+    outcome = solve_generating_functional(_cocycle(scenario))
+    checks.append(functools.partial(_check_solve, "solve", outcome))
+    return outcome.to_json()
+
+
+def _cmd_decompose(scenario, max_len, checks):
+    _require_group(scenario, "decompose")
+    functional, source = _functional_for(scenario, _cocycle(scenario), checks)
+    lk = attempt_lk(functional)
+    checks += [functools.partial(_check_solve, "gaussian part",
+                                 lk.gaussian_outcome),
+               functools.partial(_check_solve, "remainder part",
+                                 lk.remainder_outcome)]
+    if lk.decomposed:
+        checks.append(functools.partial(_check_correction, lk))
+    result = lk.to_json()
+    result["psi_source"] = source
+    result["psi_total"] = functional.to_json()["psi"]
+    return result
+
+
+def _cmd_verify(scenario, max_len, checks):
+    cocycle = _cocycle(scenario)
+    if scenario.presentation.kind == GROUP:
+        functional, source = _functional_for(scenario, cocycle, checks)
+        psi_used = functional.to_json()["psi"]
+    else:
+        functional = scenario.build_functional(cocycle)
+        if functional is None:
+            raise ValueError("verify needs a functional in the scenario for "
+                             "star algebras")
+        source, psi_used = "scenario", None
+    report = verify_schurmann_triple(cocycle, functional, max_len)
+    result = {"max_word_length": max_len, "psi_source": source,
+              **report.to_json()}
+    if psi_used is not None:
+        result["psi_used"] = psi_used
+    return result
+
+
+def _cmd_oracle(scenario, max_len, checks):
+    _require_group(scenario, "oracle")
+    nf = scenario.build_normal_form()
+    cocycle = _cocycle(scenario)
+    # a supplied psi is folded as it is, since the oracle is the check that
+    # exhibits an ill-defined one; where no functional exists, the
+    # forced-real-part candidate is folded so that the oracle can exhibit
+    # the ill-definedness the solver certified
+    functional = scenario.build_functional(cocycle)
+    source = "scenario"
+    if functional is None:
+        outcome = solve_generating_functional(cocycle)
+        functional, source = outcome.functional, "solver"
+        if functional is None:
+            functional = GroupFunctional(cocycle, forced_real_parts(cocycle))
+            source = "forced_real_parts_candidate"
+    report = brute_force_welldefinedness_oracle(
+        cocycle, functional, scenario.presentation, nf, max_len)
+    if report.counterexample is not None:
+        checks.append(functools.partial(_check_counterexample, nf,
+                                        report.counterexample))
+    return {"max_word_length": max_len, "normal_form": nf.name,
+            "psi_source": source, "psi_used": functional.to_json()["psi"],
+            **report.to_json()}
+
+
+_COMMANDS = {
+    "validate": _cmd_validate,
+    "solve": _cmd_solve,
+    "decompose": _cmd_decompose,
+    "verify": _cmd_verify,
+    "oracle": _cmd_oracle,
+}
+
+
+def run_command(command: str, scenario, max_len: int,
+                checks: list | None = None) -> tuple:
+    """Run a scenario command: its result and exit code.
+
+    An early stop gives the command's stop fields, the reason and its
+    evidence.  The certificate checks the result rests on are appended to
+    `checks` when one is given.
+    """
+    try:
+        result = _COMMANDS[command](scenario, max_len,
+                                    [] if checks is None else checks)
+    except _EarlyStop as stop:
+        result = {**EARLY_STOPS[command], "reason": stop.reason,
+                  **stop.evidence}
+    field, value = SUCCESS[command]
+    success = result.get("reason") is None and result.get(field) == value
+    return result, 0 if success else 2
 
 
 # --- text rendering -------------------------------------------------
@@ -234,291 +405,121 @@ class _RecheckFailure(Exception):
     pass
 
 
-# what reading a malformed report can raise
-_MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
-
-
 def _need(cond, message):
     if not cond:
         raise _RecheckFailure(message)
 
 
-def _cocycle(scenario):
-    return scenario.build_cocycle(scenario.build_representation())
+def _check_solve(label, outcome):
+    """Confirm a solve outcome on its own objects: a reading with a nonzero
+    real part or an infeasibility certificate of its system, or a solved psi
+    with the forced real parts that a fresh fold finds zero on every relator."""
+    if not outcome.feasible:
+        if any(rd.k_r.re != 0 for rd in outcome.readings):
+            return f"{label}: a relator reading with a nonzero real part"
+        _need(outcome.certificate is not None,
+              f"{label}: infeasible without certificate")
+        defect = certificate_defect(outcome.certificate, outcome.system_matrix,
+                                    outcome.system_rhs)
+        _need(defect is None, f"{label}: {defect}")
+        return f"{label}: infeasibility certificate confirmed"
+    cocycle = outcome.functional.cocycle
+    forced = forced_real_parts(cocycle)
+    fresh = GroupFunctional(cocycle, outcome.functional.values)
+    for g, value in fresh.values.items():
+        if value.re != forced[g].re:
+            raise _RecheckFailure(f"{label}: Re psi({g}) = {value.re} differs "
+                                  f"from the forced real part {forced[g]}")
+    for relator, k in zip(fresh.presentation.relators, relator_folds(fresh)):
+        if not k.is_zero():
+            raise _RecheckFailure(f"{label}: psi folds to {k} on relator "
+                                  f"{word_to_strs(GROUP, relator)}")
+    return f"{label}: psi has the forced real parts and folds to zero on " \
+           f"every relator"
 
 
-def _stored_length(result):
-    """The stored word length, refused unless a command could have used it."""
-    n = result.get("max_word_length")
-    _need(type(n) is int and 0 <= n <= MAX_WORD_LENGTH,
-          f"stored max_word_length {n!r} is outside 0..{MAX_WORD_LENGTH}")
-    return n
-
-
-def _functional_from_psi(cocycle, psi_doc):
-    return GroupFunctional(cocycle,
-                           {g: Scalar.parse(v) for g, v in psi_doc.items()})
-
-
-def _confirm_solved_psi(cocycle, forced, psi_doc):
-    """A solved psi carries the forced real parts and folds to zero over
-    every relator; `forced` is forced_real_parts(cocycle)."""
-    functional = _functional_from_psi(cocycle, psi_doc)
-    for g, value in functional.values.items():
-        _need(value.re == forced[g].re,
-              f"stored Re psi({g}) = {value.re} differs from the forced "
-              f"real part {forced[g]}")
-    _need(all(k.is_zero() for k in relator_folds(functional)),
-          "stored psi does not vanish on a relator")
-
-
-def confirm_solve_result(cocycle, result) -> bool:
-    """Whether a solve result (as `SolveOutcome.to_json` writes it) holds up
-    for `cocycle`: the checks `recheck` makes of a solve report."""
+def confirm_solve_result(outcome) -> bool:
+    """Whether a `SolveOutcome` holds up: the check `recheck` makes of every
+    solve outcome a report rests on."""
     try:
-        _confirm_solve_result(cocycle, result, [])
-    except (_RecheckFailure, *_MALFORMED):
+        _check_solve("solve", outcome)
+    except _RecheckFailure:
         return False
     return True
 
 
-def _confirm_solve_result(cocycle, result, details):
-    """Re-verify a solve result against refolded readings and certificates."""
-    p = cocycle.presentation
-    base = GroupFunctional(cocycle, forced_real_parts(cocycle))
-    stored = result.get("obstructions", [])
-    _need(len(stored) == len(p.relators),
-          "stored readings do not cover the relators")
-    readings = []
-    for ob, k_r in zip(stored, relator_folds(base)):
-        _need(str(k_r) == ob["K_r"],
-              f"stored K_r {ob['K_r']} differs from refolded {k_r}")
-        _need(ob["re_violation"] == (k_r.re != 0),
-              "stored re_violation flag is wrong")
-        readings.append(k_r)
-    details.append(f"refolded {len(readings)} relator readings")
-
-    system = result.get("system") or {}
-    a_mat = linalg.matrix_from_json(system.get("matrix", []))
-    rhs = linalg.vector_from_json(system.get("rhs", []))
-    _need(a_mat == exponent_matrix(p), "stored system matrix is wrong")
-    _need(rhs == tuple(Scalar(-k.im, 0) for k in readings),
-          "stored right-hand side is wrong")
-
-    if result["verdict"] == "infeasible":
-        if any(ob["re_violation"] for ob in stored):
-            details.append("real-part violation confirmed")
-            return
-        cert = result.get("certificate")
-        _need(cert is not None, "infeasible without certificate")
-        defect = certificate_defect(linalg.vector_from_json(cert), a_mat, rhs)
-        _need(defect is None, defect)
-        details.append("infeasibility certificate confirmed")
-    else:
-        psi_doc = result.get("psi")
-        _need(psi_doc, "feasible result without psi")
-        _confirm_solved_psi(cocycle, base.values, psi_doc)
-        details.append("stored psi folds to zero on every relator")
+def _check_correction(lk):
+    """The derivation correction of a decomposition is a derivation: its
+    exponent sums vanish over every relator."""
+    p, d = lk.split_result.cocycle.presentation, lk.derivation
+    # the parts share the presentation, so a part's system matrix is its
+    # exponent matrix
+    for relator, row in zip(p.relators, lk.gaussian_outcome.system_matrix):
+        if not sum((e * d[g] for e, g in zip(row, p.generators)),
+                   ZERO).is_zero():
+            raise _RecheckFailure(f"the correction does not vanish on "
+                                  f"relator {word_to_strs(GROUP, relator)}")
+    return "correction: its exponent sums vanish on every relator"
 
 
-# --- early stops ----------------------------------------------------
+def _check_counterexample(nf, ce):
+    """The two words of an oracle counterexample name one element under the
+    normal form, and their values differ."""
+    _need(nf.key(ce["word_a"]) == nf.key(ce["word_b"]),
+          f"counterexample: the words name different elements under the "
+          f"{nf.name} normal form")
+    _need(ce["value_a"] != ce["value_b"],
+          "counterexample: the two words have one value")
+    return (f"counterexample: the words name one element under the "
+            f"{nf.name} normal form, and their {ce['evaluator']} values differ")
 
 
-def _confirm_cocycle_obstructed(scenario, result, details):
-    try:
-        _cocycle(scenario)
-    except CocycleObstructed as exc:
-        actual = {v.target for v in exc.violations}
-        stored = {v.get("target") for v in result.get("violations", [])}
-        _need(stored == actual,
-              f"stored obstruction targets {sorted(stored)} differ from "
-              f"recomputed {sorted(actual)}")
-        details.append(f"cocycle obstruction reproduced at {sorted(actual)}")
+def _text(value) -> str:
+    # the text `dumps` writes, without its indentation
+    return json.dumps(value, sort_keys=True)
+
+
+_ABSENT = object()
+
+
+def _first_difference(stored, derived, path):
+    """(JSON pointer, stored value, derived value) at the first place, in key
+    order, where two values of differing JSON text differ."""
+    for kind in (dict, (list, tuple)):
+        if isinstance(stored, kind) and isinstance(derived, kind):
+            a, b = (x if kind is dict else dict(enumerate(x))
+                    for x in (stored, derived))
+            for key in sorted(a.keys() | b.keys()):
+                if key not in a or key not in b:
+                    return (f"{path}/{key}", a.get(key, _ABSENT),
+                            b.get(key, _ABSENT))
+                if _text(a[key]) != _text(b[key]):
+                    return _first_difference(a[key], b[key], f"{path}/{key}")
+    return path, stored, derived
+
+
+def _shown(value):
+    if value is _ABSENT:
+        return "absent"
+    text = _text(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _compare(stored, derived, path, rerun):
+    """Refuse unless stored and derived are one JSON text; the refusal names
+    the first differing path."""
+    if _text(stored) == _text(derived):
         return
-    raise _RecheckFailure("stored cocycle obstruction did not reproduce")
-
-
-def _confirm_no_generating_functional(scenario, result, details):
-    cocycle = _cocycle(scenario)
-    _need(scenario.build_functional(cocycle) is None,
-          "the scenario supplies a functional, so none was solved for")
-    solved = result["solve"]
-    _need(solved["verdict"] == "infeasible",
-          "the stored solve result is not infeasible")
-    _confirm_solve_result(cocycle, solved, details)
-
-
-_STOP_CONFIRMERS = {
-    "cocycle_obstructed": _confirm_cocycle_obstructed,
-    "no_generating_functional": _confirm_no_generating_functional,
-}
-
-
-# --- each command's own check ---------------------------------------
-
-
-def _recheck_solve(scenario, result, details):
-    _confirm_solve_result(_cocycle(scenario), result, details)
-
-
-def _recheck_decompose(scenario, result, details):
-    cocycle = _cocycle(scenario)
-    sr = split(cocycle)
-    sp = result.get("split") or {}
-    _need(sp.get("dim_gaussian") == sr.gaussian.dim
-          and sp.get("dim_remainder") == sr.remainder.dim,
-          "stored split dimensions differ from the recomputed split")
-    parts = result.get("parts") or {}
-    for name, part in (("gaussian", sr.gaussian), ("remainder", sr.remainder)):
-        _need(parts.get(name) is not None, f"missing {name} part result")
-        _confirm_solve_result(part.cocycle, parts[name], details)
-        details.append(f"{name} part confirmed")
-    # the rest follows from the confirmed parts and the scenario
-    p = scenario.presentation
-    supplied = scenario.build_functional(cocycle)
-    feasible = parts["gaussian"]["verdict"] == "feasible" \
-        == parts["remainder"]["verdict"]
-    for key, value in (("verdict", "decomposed" if feasible else "no_lk"), (
-            "psi_source", "solver" if supplied is None else "scenario")):
-        _need(result.get(key) == value, f"stored {key} {result.get(key)!r} "
-                                        f"differs from the derived {value!r}")
-    total = {g: Scalar.parse(v) for g, v in result["psi_total"].items()}
-    _need(supplied is None or total == supplied.values,
-          "stored psi_total differs from the scenario's psi")
-    stored = [result.get(k) for k in
-              ("psi_gaussian", "psi_remainder", "derivation_correction")]
-    if not feasible:
-        _need(stored == [None] * 3, "a no_lk result carries part functionals "
-                                    "or a correction")
-        if supplied is None:
-            _confirm_solved_psi(cocycle, forced_real_parts(cocycle),
-                                result["psi_total"])
-        return
-    psi_g, psi_r, d, part_g, part_r = (
-        {g: Scalar.parse(doc[g]) for g in p.generators}
-        for doc in stored + [parts[n]["psi"] for n in ("gaussian", "remainder")])
-    for g in p.generators:
-        _need(d[g].re == 0, f"the correction at {g} is not purely imaginary")
-        _need(psi_g[g] == part_g[g] + d[g] and psi_r[g] == part_r[g],
-              f"stored part psi({g}) differs from the part solution's")
-        _need(psi_g[g] + psi_r[g] == total[g], f"parts do not rebuild psi({g})")
-    for relator, row in zip(p.relators, exponent_matrix(p)):
-        d_r = sum((e * d[g] for e, g in zip(row, p.generators)), ZERO)
-        _need(d_r.is_zero(), f"the correction does not vanish on relator "
-                             f"{word_to_strs(GROUP, relator)}")
-    details.append("psi_G + psi_R rebuilds psi on the generators")
-
-
-def _recheck_verify(scenario, result, details):
-    max_len = _stored_length(result)
-    cocycle = _cocycle(scenario)
-    if scenario.presentation.kind == GROUP:
-        psi_doc = result.get("psi_used")
-        _need(psi_doc, "report does not carry the psi it verified")
-        functional = _functional_from_psi(cocycle, psi_doc)
-    else:
-        functional = scenario.build_functional(cocycle)
-        _need(functional is not None, "scenario carries no functional")
-    try:
-        rerun = verify_schurmann_triple(cocycle, functional, max_len)
-    except TableSupportExceeded as exc:
-        raise _RecheckFailure(f"psi table refused at max_word_length "
-                              f"{max_len}: {exc}") from None
-    _need(rerun.passed == result["passed"],
-          "verification outcome changed on re-run")
-    _need(rerun.counts == result.get("counts"),
-          f"stored counts {result.get('counts')} differ from the re-run's "
-          f"{rerun.counts}")
-    _need(rerun.witness == result.get("witness"),
-          f"stored witness {result.get('witness')} differs from the "
-          f"re-derived {rerun.witness}")
-    witness = rerun.witness
-    if witness is None:
-        details.append("all identity checks reproduced with the stored counts")
-        return
-    at = "; ".join(f"{k} = {_fmt_value(witness[k])}"
-                   for k in ("word", "a", "b") if k in witness)
-    values = "; ".join(f"{k} = {v}" for k, v in sorted(witness.items())
-                       if k not in ("identity", "word", "a", "b"))
-    details.append(f"{witness['identity']} violation re-derived at "
-                   f"{at or 'the empty word'}: {values}")
-
-
-def _recheck_oracle(scenario, result, details):
-    max_len = _stored_length(result)
-    cocycle = _cocycle(scenario)
-    try:
-        nf = scenario.build_normal_form()
-    except NoNormalForm as exc:
-        raise _RecheckFailure(f"normal form {scenario.options.normal_form!r} "
-                              f"refused: {exc}") from None
-    psi_doc = result.get("psi_used")
-    functional = (_functional_from_psi(cocycle, psi_doc)
-                  if psi_doc else None)
-    ce = result.get("counterexample")
-    if ce is not None:
-        _need(result.get("passed") is False,
-              "a counterexample is stored with a passing outcome")
-        wa = word_from_strs(GROUP, ce["word_a"])
-        wb = word_from_strs(GROUP, ce["word_b"])
-        _need(nf.key(wa) == nf.key(wb),
-              f"the stored words name different elements under the "
-              f"{nf.name} normal form")
-        if ce["evaluator"] == "psi":
-            _need(functional is not None, "counterexample names psi but the "
-                                          "report carries no psi")
-            va, vb = functional.fold(wa), functional.fold(wb)
-            _need(str(va) == ce["value_a"] and str(vb) == ce["value_b"],
-                  "stored fold values did not reproduce")
-        else:
-            va, vb = cocycle.eval_word(wa), cocycle.eval_word(wb)
-            _need(linalg.vector_to_json(va) == ce["value_a"]
-                  and linalg.vector_to_json(vb) == ce["value_b"],
-                  "stored cocycle values did not reproduce")
-        _need(va != vb, "the two stored words no longer disagree")
-        details.append("counterexample word pair reproduced")
-        return
-    rerun = brute_force_welldefinedness_oracle(
-        cocycle, functional, scenario.presentation, nf, max_len)
-    _need(rerun.passed, "oracle pass did not reproduce")
-    stored = [result.get(k) for k in ("passed", "words", "pairs")]
-    _need(stored == [True, rerun.words, rerun.pairs],
-          f"stored passed, words, pairs {stored} differ from the re-run's "
-          f"[True, {rerun.words}, {rerun.pairs}]")
-    details.append(f"oracle re-ran clean over {rerun.pairs} pairs")
-
-
-def _recheck_validate(scenario, result, details):
-    try:
-        _cocycle(scenario)
-        status = "ok"
-        codes = []
-    except (RepresentationError, CocycleObstructed) as exc:
-        status = "violations"
-        codes = sorted({v.code for v in exc.violations})
-    _need(status == result.get("status"), "validation status changed")
-    if status == "violations":
-        stored = sorted({v.get("code")
-                         for v in result.get("violations", [])})
-        _need(codes == stored, "violation codes changed")
-        details.append(f"violations reproduced: {', '.join(codes)}")
-    else:
-        details.append("representation and cocycle validated again")
-
-
-_RECHECKERS = {
-    "solve": _recheck_solve,
-    "decompose": _recheck_decompose,
-    "verify": _recheck_verify,
-    "oracle": _recheck_oracle,
-    "validate": _recheck_validate,
-}
+    where, a, b = _first_difference(stored, derived, path)
+    raise _RecheckFailure(f"{rerun}: stored {where} = {_shown(a)} differs "
+                          f"from the re-run's {_shown(b)}")
 
 
 def recheck(report: dict) -> RecheckResult:
-    """Confirm the early stop a report gives, or else the command's claim."""
+    """Re-run the report's command on its scenario, require the stored result
+    and exit code, then confirm the certificates the result rests on."""
     command = report.get("command")
-    if not isinstance(command, str) or command not in _RECHECKERS:
+    if not isinstance(command, str) or command not in _COMMANDS:
         return RecheckResult(confirmed=False,
                              details=[f"no recheck for command {command!r}"])
     result = report.get("result")
@@ -526,27 +527,32 @@ def recheck(report: dict) -> RecheckResult:
         return RecheckResult(confirmed=False,
                              details=["report is missing scenario or result"])
     details = []
+    at = ""
     try:
         scenario = parse_scenario(report["scenario"])
-        reason = result.get("reason")
-        if reason is None:
-            _RECHECKERS[command](scenario, result, details)
+        if "max_word_length" in result:
+            # the length comes from the file: refused unless a command could
+            # have used it, before anything runs
+            max_len = result["max_word_length"]
+            _need(type(max_len) is int and 0 <= max_len <= MAX_WORD_LENGTH,
+                  f"stored /result/max_word_length = {_shown(max_len)} is "
+                  f"outside 0..{MAX_WORD_LENGTH}")
+            at = f" at the stored max_word_length {max_len}"
         else:
-            fields, reasons = EARLY_STOPS[command]
-            _need(reason in reasons,
-                  f"{command} never stops early with reason {reason!r}")
-            _need(all(result.get(k) == v for k, v in fields.items()),
-                  f"an early stop of {command} must report {fields}")
-            _STOP_CONFIRMERS[reason](scenario, result, details)
-        expected = exit_code_for(command, result)
-        stored = report.get("exit_code")
-        _need(type(stored) is int and stored == expected,
-              f"stored exit_code {stored!r} differs from {expected}, the "
-              f"code of this {command} result")
+            max_len = scenario.options.max_word_length
+        checks = []
+        derived, exit_code = run_command(command, scenario, max_len, checks)
+        rerun = f"re-ran {command}{at}"
+        _compare(result, derived, "/result", rerun)
+        _compare(report.get("exit_code"), exit_code, "/exit_code", rerun)
+        details.append(f"{rerun}: result and exit code reproduced")
+        details += [check() for check in checks]
     except _RecheckFailure as exc:
         details.append(str(exc))
-        return RecheckResult(confirmed=False, details=details)
-    except _MALFORMED as exc:
-        details.append(f"malformed report: {exc!r}")
-        return RecheckResult(confirmed=False, details=details)
-    return RecheckResult(confirmed=True, details=details)
+    except ValueError as exc:
+        code = getattr(exc, "code", None)
+        details.append(f"{command}{at} fails on the stored scenario: "
+                       f"{f'{code}: ' if code else ''}{exc}")
+    else:
+        return RecheckResult(confirmed=True, details=details)
+    return RecheckResult(confirmed=False, details=details)

@@ -12,14 +12,16 @@ objects they are handed.
 
 The fixtures at the end build package objects: the obstruction 2-cochain
 L(eta) with its Hochschild boundary, which `cocycles.big_K` is compared
-with, and the coboundary cocycle of a vector with its functional PhiV.
+with, the coboundary cocycle of a vector with its functional PhiV, and a
+scenario document whose supplied psi is no functional.
 """
 
+import copy
 import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from nlk import linalg
+from nlk import catalog, linalg
 from nlk.cocycles import Cocycle
 from nlk.presentations import GROUP, letter_str
 from nlk.scalars import ZERO
@@ -617,3 +619,11 @@ def coboundary_cocycle(representation, v):
             linalg.mvmul(m, v), linalg.vscale(eps, v))
     cocycle = Cocycle(representation, values)
     return cocycle, PhiV(cocycle, v)
+
+
+def ill_defined_psi_doc():
+    """p2's solved psi with Im psi(r) = 1 added: it folds to 2i on r r, so it
+    is no functional on the group algebra."""
+    doc = copy.deepcopy(catalog.scenario_doc("p2.nongaussian", "feasible"))
+    doc["functional"] = {"psi": {"a": "-1/2", "b": "-1/2", "r": "i"}}
+    return doc

@@ -74,7 +74,7 @@ def test_criterion_1_gamma2_gaussian_condition():
         _, _, cocycle = _build("surface.gamma2.gaussian", "main")
         out = solve_generating_functional(cocycle)
         assert out.verdict == "infeasible"
-        assert confirm_solve_result(cocycle, out.to_json())
+        assert confirm_solve_result(out)
         obstructions = {str(r.k_r) for r in out.readings if r.k_r != ZERO}
         assert obstructions == {"-2i"}
 
@@ -136,11 +136,8 @@ def test_criterion_3_gamma2_no_lk():
         assert lk.verdict == "no_lk"
         assert not lk.gaussian_outcome.feasible
         assert not lk.remainder_outcome.feasible
-        parts = lk.split_result
-        assert confirm_solve_result(parts.gaussian.cocycle,
-                                    lk.gaussian_outcome.to_json())
-        assert confirm_solve_result(parts.remainder.cocycle,
-                                    lk.remainder_outcome.to_json())
+        assert confirm_solve_result(lk.gaussian_outcome)
+        assert confirm_solve_result(lk.remainder_outcome)
         assert catalog.run_entry("surface.gamma2.no_lk").ok
 
 

@@ -213,11 +213,8 @@ def test_attempt_lk_no_lk_entry():
              if r.k_r != ZERO}
     assert g_obs == {"-2i"}
     assert r_obs == {"2i"}
-    parts = lk.split_result
-    assert confirm_solve_result(parts.gaussian.cocycle,
-                                lk.gaussian_outcome.to_json())
-    assert confirm_solve_result(parts.remainder.cocycle,
-                                lk.remainder_outcome.to_json())
+    assert confirm_solve_result(lk.gaussian_outcome)
+    assert confirm_solve_result(lk.remainder_outcome)
     doc = lk.to_json()
     assert doc["psi_gaussian"] is None
     assert doc["derivation_correction"] is None

@@ -139,7 +139,7 @@ def test_solver_infeasible_when_inner_product_is_imaginary():
     rd = out.readings[0]
     assert not rd.re_violation
     assert rd.k_r == sc(0) - sc(2) * I
-    assert confirm_solve_result(eta, out.to_json())
+    assert confirm_solve_result(out)
     # confirm the certificate by reference arithmetic
     lam = H.to_pairs_vec(out.certificate)
     amat = H.to_pairs_mat(out.system_matrix)
@@ -164,12 +164,7 @@ def test_solver_feasible_case_folds_relators_to_zero():
     assert psi.values["b"] == sc("-1/2")
     for r in eta.presentation.relators:
         assert psi.fold(r) == ZERO
-    # a feasible result is confirmed through its psi, which must carry the
-    # forced real parts
-    doc = out.to_json()
-    assert confirm_solve_result(eta, doc)
-    doc["psi"]["a"] = "0"
-    assert not confirm_solve_result(eta, doc)
+    assert confirm_solve_result(out)
 
 
 def test_solver_is_deterministic():
@@ -200,19 +195,46 @@ def test_solver_flags_real_part_violation_on_unvalidated_input():
     assert out.verdict == "infeasible"
     assert out.readings[0].re_violation
     assert out.readings[0].k_r == sc(-2)
-    assert confirm_solve_result(eta, out.to_json())
-    # the violation is refolded, not read off the result, and the stored
-    # system is checked against the presentation
-    for path, value in ((("obstructions", 0, "K_r"), "-3"),
-                        (("system", "matrix", 0, 0), "1"),
-                        (("system", "rhs", 0), "1")):
-        doc = out.to_json()
-        *head, last = path
-        node = doc
-        for key in head:
-            node = node[key]
-        node[last] = value
-        assert not confirm_solve_result(eta, doc), path
+    assert confirm_solve_result(out)
+
+
+def _solved(entry_id):
+    scn = parse_scenario(scenario_doc(entry_id))
+    cocycle = scn.build_cocycle(scn.build_representation())
+    return cocycle, solve_generating_functional(cocycle)
+
+
+def test_confirm_solve_result_refuses_a_wrong_real_part():
+    eta = _z2_cocycle(ONE, ONE)
+    out = solve_generating_functional(eta)
+    assert confirm_solve_result(out)
+    # the real parts cancel in the commutator's fold, so only the forced
+    # real part on a sees the edit
+    tampered = GroupFunctional(eta, {"a": sc("1/2"), "b": sc("-3/2")})
+    assert all(k.is_zero() for k in functionals.relator_folds(tampered))
+    assert not confirm_solve_result(out._replace(functional=tampered))
+
+
+def test_confirm_solve_result_refuses_a_nonzero_fold():
+    cocycle, out = _solved("p2.derivations")
+    assert out.feasible and confirm_solve_result(out)
+    # Im psi(r) = 1 keeps the real parts and folds to 2i on r r
+    values = dict(out.functional.values, r=out.functional.values["r"] + I)
+    tampered = GroupFunctional(cocycle, values)
+    assert functionals.relator_folds(tampered)[1] == sc(0, 2)
+    assert not confirm_solve_result(out._replace(functional=tampered))
+
+
+def test_confirm_solve_result_refuses_a_certificate_that_does_not_annihilate():
+    _, out = _solved("p2.nongaussian")
+    assert not out.feasible and confirm_solve_result(out)
+    # the relator r r has the exponent row (0, 0, 2)
+    lam = list(out.certificate)
+    lam[1] += ONE
+    assert functionals.certificate_defect(
+        lam, out.system_matrix, out.system_rhs) == \
+        "certificate does not annihilate the system"
+    assert not confirm_solve_result(out._replace(certificate=tuple(lam)))
 
 
 def test_verify_counts_at_small_length():
@@ -458,8 +480,7 @@ def test_oracle_rejects_candidate_when_solver_says_infeasible():
     report = brute_force_welldefinedness_oracle(eta, candidate, p, nf, 4)
     assert not report.passed
     ce = report.counterexample
-    wa = word_from_strs(GROUP, ce["word_a"])
-    wb = word_from_strs(GROUP, ce["word_b"])
+    wa, wb = ce["word_a"], ce["word_b"]
     assert nf.key(wa) == nf.key(wb)
     assert candidate.fold(wa) != candidate.fold(wb)
 

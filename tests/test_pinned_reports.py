@@ -5,7 +5,9 @@ or `nlk oracle` call on a catalog scenario, at a word length long enough for
 several length classes of coboundary pairs and several levels of folded
 words.  The `validate.*` files are `nlk validate` reports on representations
 that break one condition each, so their violations, residuals included, are
-pinned too.  Regenerate them only for an intended change of output:
+pinned too.  The `small.*` files are short reports, one for each way the
+scenario commands end that the others miss.  Regenerate them only for an
+intended change of output:
 
     PYTHONPATH=src python tests/test_pinned_reports.py
 """
@@ -18,6 +20,8 @@ import os
 import pytest
 
 from nlk import catalog, cli
+
+from helpers import ill_defined_psi_doc
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "reports")
 # (command, catalog entry, scenario, word length)
@@ -74,6 +78,25 @@ VIOLATIONS = (
 )
 
 
+# (name, command line, scenario document) for short reports
+SMALL = (
+    ("validate.ok", ["validate"], catalog.scenario_doc("p2.derivations")),
+    ("solve.feasible", ["solve"], catalog.scenario_doc("p2.derivations")),
+    ("solve.infeasible", ["solve"], catalog.scenario_doc("zk.z2.gaussian")),
+    ("decompose.decomposed", ["decompose"],
+     catalog.scenario_doc("p2.derivations")),
+    ("decompose.no_lk", ["decompose"],
+     catalog.scenario_doc("surface.gamma2.no_lk")),
+    ("decompose.no_generating_functional", ["decompose"],
+     catalog.scenario_doc("p2.nongaussian")),
+    ("decompose.ill_defined_psi", ["decompose"], ill_defined_psi_doc()),
+    ("verify.ill_defined_psi", ["verify", "--max-word-length", "4"],
+     ill_defined_psi_doc()),
+    ("oracle.ill_defined_psi", ["oracle", "--max-word-length", "2"],
+     ill_defined_psi_doc()),
+)
+
+
 def _name(command, entry_id, scenario, length):
     return f"{command}.{entry_id}.{scenario}.L{length}.json"
 
@@ -98,6 +121,10 @@ def validate_text(workdir, name, doc):
     return _run(workdir, doc, ["validate"])
 
 
+def small_text(workdir, name, argv, doc):
+    return _run(workdir, doc, argv)
+
+
 @pytest.mark.parametrize("pin", PINNED, ids=lambda pin: _name(*pin))
 def test_report_is_unchanged(tmp_path, pin):
     with open(os.path.join(DATA, _name(*pin)), encoding="utf-8") as fh:
@@ -113,6 +140,13 @@ def test_violation_report_is_unchanged(tmp_path, pin):
         assert text == fh.read()
 
 
+@pytest.mark.parametrize("pin", SMALL, ids=lambda pin: pin[0])
+def test_small_report_is_unchanged(tmp_path, pin):
+    with open(os.path.join(DATA, f"small.{pin[0]}.json"),
+              encoding="utf-8") as fh:
+        assert small_text(str(tmp_path), *pin) == fh.read()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -125,3 +159,7 @@ if __name__ == "__main__":
             with open(os.path.join(DATA, f"validate.{pin[0]}.json"), "w",
                       encoding="utf-8") as fh:
                 fh.write(validate_text(workdir, *pin))
+        for pin in SMALL:
+            with open(os.path.join(DATA, f"small.{pin[0]}.json"), "w",
+                      encoding="utf-8") as fh:
+                fh.write(small_text(workdir, *pin))

@@ -16,6 +16,8 @@ from nlk.scenarios import (
     parse_scenario,
 )
 
+import helpers as H
+
 
 def z2_doc(a="1", b="1", representation=None):
     doc = {
@@ -309,9 +311,10 @@ def test_recheck_refuses_an_oracle_run_on_an_unfaithful_normal_form():
     assert not rechecked.confirmed
     # a named check, not a malformed report
     assert rechecked.details == [
-        "normal form {'kind': 'abelian'} refused: the relators do not certify "
-        "the abelian relator ['a1', 'b1', 'a1^-1', 'b1^-1'], so the normal "
-        "form may merge distinct elements"]
+        "oracle at the stored max_word_length 2 fails on the stored "
+        "scenario: NO_NORMAL_FORM: the relators do not certify the abelian "
+        "relator ['a1', 'b1', 'a1^-1', 'b1^-1'], so the normal form may "
+        "merge distinct elements"]
 
 
 @pytest.mark.parametrize("entry_id, name, normal_form", [
@@ -453,18 +456,21 @@ def test_cli_recheck_rejects_tampered_verify_witness(tmp_path, capsys):
     report_path.write_text(json.dumps(report), encoding="utf-8")
     assert cli.main(["recheck", str(report_path)]) == 0
     out = capsys.readouterr().out
-    assert "coboundary violation re-derived at a = x; b = x" in out
+    assert ("re-ran verify at the stored max_word_length 4: result and exit "
+            "code reproduced") in out
     for field, value in (("rhs", "12345"), ("a", ["y"]), ("lhs", "-2")):
         tampered = json.loads(json.dumps(report))
         tampered["result"]["witness"][field] = value
         report_path.write_text(json.dumps(tampered), encoding="utf-8")
         assert cli.main(["recheck", str(report_path)]) == 2
-        assert "confirmed: False" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "confirmed: False" in out
+        assert f"stored /result/witness/{field}" in out
     tampered = json.loads(json.dumps(report))
     tampered["result"]["counts"]["hermitian"] += 1
     report_path.write_text(json.dumps(tampered), encoding="utf-8")
     assert cli.main(["recheck", str(report_path)]) == 2
-    assert "stored counts" in capsys.readouterr().out
+    assert "stored /result/counts/hermitian = " in capsys.readouterr().out
 
 
 def json_report(capsys, argv):
@@ -487,19 +493,22 @@ def test_cli_recheck_rejects_a_counterexample_naming_two_elements(tmp_path,
     report["result"]["counterexample"].update(
         word_a=[], word_b=["a"], value_a="0", value_b="-1/2")
     code, out = recheck_report(tmp_path, capsys, report)
-    assert code == 2
-    assert "confirmed: False" in out and "different elements" in out
+    assert code == 2 and "confirmed: False" in out
+    assert ('stored /result/counterexample/value_b = "-1/2" differs from the '
+            're-run\'s "-2i"') in out
 
 
 def test_cli_recheck_compares_an_oracle_pass_with_the_re_run(tmp_path, capsys):
     report = json_report(capsys, ["oracle", "p2.derivations"])
     code, out = recheck_report(tmp_path, capsys, report)
-    assert code == 0 and "oracle re-ran clean over 871 pairs" in out
+    assert code == 0 and ("re-ran oracle at the stored max_word_length 4: "
+                          "result and exit code reproduced") in out
     for field, value in (("passed", False), ("pairs", 999), ("words", 1)):
         tampered = json.loads(json.dumps(report))
         tampered["result"][field] = value
         code, out = recheck_report(tmp_path, capsys, tampered)
         assert code == 2 and "confirmed: False" in out, field
+        assert f"stored /result/{field} = " in out
 
 
 def test_cli_recheck_bounds_the_stored_word_length(tmp_path, capsys):
@@ -534,7 +543,8 @@ def test_cli_verify_refuses_to_read_psi_past_the_table(tmp_path, capsys):
     report["result"]["max_word_length"] = 9
     code, out = recheck_report(tmp_path, capsys, report)
     assert code == 2
-    assert "psi table refused at max_word_length 9: psi is read" in out
+    assert ("verify at the stored max_word_length 9 fails on the stored "
+            "scenario: TABLE_SUPPORT_EXCEEDED: psi is read") in out
 
 
 def test_cli_recheck_refuses_a_reason_the_command_never_gives(tmp_path,
@@ -562,7 +572,8 @@ def test_cli_recheck_refuses_an_edited_solve_exit_code(tmp_path, capsys,
         assert code == 0 and "exit_code" not in out
     else:
         assert code == 2 and "confirmed: False" in out
-        assert f"stored exit_code {stored!r} differs from 2" in out
+        assert (f"stored /exit_code = {json.dumps(stored)} differs from the "
+                f"re-run's 2") in out
 
 
 def test_cli_recheck_refuses_an_edited_verify_exit_code(tmp_path, capsys):
@@ -579,8 +590,8 @@ def test_cli_recheck_refuses_an_edited_verify_exit_code(tmp_path, capsys):
         report["exit_code"] = 2 - expected
         code, out = recheck_report(tmp_path, capsys, report)
         assert code == 2 and "confirmed: False" in out
-        assert (f"stored exit_code {2 - expected} differs from {expected}"
-                in out)
+        assert (f"stored /exit_code = {2 - expected} differs from the "
+                f"re-run's {expected}") in out
 
 
 def test_cli_recheck_refuses_an_edited_early_stop_exit_code(tmp_path, capsys):
@@ -589,7 +600,8 @@ def test_cli_recheck_refuses_an_edited_early_stop_exit_code(tmp_path, capsys):
     assert report["exit_code"] == 2
     report["exit_code"] = 0
     code, out = recheck_report(tmp_path, capsys, report)
-    assert code == 2 and "stored exit_code 0 differs from 2" in out
+    assert code == 2
+    assert "stored /exit_code = 0 differs from the re-run's 2" in out
 
 
 def refused(tmp_path, capsys, report):
@@ -607,11 +619,13 @@ def test_cli_recheck_derives_the_decompose_verdict(tmp_path, capsys):
     report["result"]["verdict"] = "no_lk"
     report["exit_code"] = 2
     out = refused(tmp_path, capsys, report)
-    assert "stored verdict 'no_lk' differs from the derived 'decomposed'" in out
+    assert ('stored /result/verdict = "no_lk" differs from the re-run\'s '
+            '"decomposed"') in out
     no_lk = json_report(capsys, ["decompose", "surface.gamma2.no_lk"])
     assert recheck_report(tmp_path, capsys, no_lk)[0] == 0
     no_lk["result"]["psi_remainder"] = no_lk["result"]["psi_total"]
-    assert "part functionals" in refused(tmp_path, capsys, no_lk)
+    assert "stored /result/psi_remainder = {" in refused(tmp_path, capsys,
+                                                          no_lk)
 
 
 def test_cli_recheck_derives_the_decompose_part_functionals(tmp_path, capsys):
@@ -620,7 +634,8 @@ def test_cli_recheck_derives_the_decompose_part_functionals(tmp_path, capsys):
     report["result"]["psi_gaussian"] = five
     report["result"]["psi_total"] = dict(five)
     out = refused(tmp_path, capsys, report)
-    assert "stored part psi(a) differs from the part solution's" in out
+    assert ('stored /result/psi_gaussian/a = "5" differs from the '
+            're-run\'s "0"') in out
 
 
 def mixed_doc_with_psi():
@@ -637,7 +652,7 @@ def test_cli_recheck_derives_the_decompose_psi_source(tmp_path, capsys):
     assert report["result"]["psi_source"] == "solver"
     report["result"]["psi_source"] = "scenario"
     out = refused(tmp_path, capsys, report)
-    assert "stored psi_source 'scenario' differs from the derived" in out
+    assert 'stored /result/psi_source = "scenario" differs' in out
     path = write_doc(tmp_path, mixed_doc_with_psi(), "mixed.json")
     supplied = json_report(capsys, ["decompose", path])
     assert supplied["result"]["psi_source"] == "scenario"
@@ -647,7 +662,7 @@ def test_cli_recheck_derives_the_decompose_psi_source(tmp_path, capsys):
                        ("derivation_correction", "4i")):
         supplied["result"][key]["c"] = value
     out = refused(tmp_path, capsys, supplied)
-    assert "stored psi_total differs from the scenario's psi" in out
+    assert 'stored /result/derivation_correction/c = "4i" differs' in out
 
 
 def test_cli_recheck_derives_the_decompose_correction(tmp_path, capsys):
@@ -656,16 +671,15 @@ def test_cli_recheck_derives_the_decompose_correction(tmp_path, capsys):
     assert result["derivation_correction"] == {"a": "0", "b": "0", "r": "0"}
     tampered = json.loads(json.dumps(report))
     tampered["result"]["derivation_correction"]["a"] = "i"
-    assert "stored part psi(a)" in refused(tmp_path, capsys, tampered)
+    assert 'stored /result/derivation_correction/a = "i"' in refused(
+        tmp_path, capsys, tampered)
     # edits that keep psi_G = part psi + correction and psi_G + psi_R = psi
-    for value, message in (
-            ("1", "the correction at a is not purely imaginary"),
-            ("i", "the correction does not vanish on relator "
-                  "['r', 'a', 'r', 'a']")):
+    for value in ("1", "i"):
         tampered = json.loads(json.dumps(report))
         for key in ("derivation_correction", "psi_gaussian", "psi_total"):
             tampered["result"][key]["a"] = value
-        assert message in refused(tmp_path, capsys, tampered)
+        assert f'stored /result/derivation_correction/a = "{value}"' in \
+            refused(tmp_path, capsys, tampered)
 
 
 def test_cli_recheck_refuses_a_feasible_psi_without_the_forced_real_parts(
@@ -678,7 +692,7 @@ def test_cli_recheck_refuses_a_feasible_psi_without_the_forced_real_parts(
     # the real parts cancel in the commutator's fold
     report["result"]["psi"] = {"a": "1/2", "b": "-3/2"}
     out = refused(tmp_path, capsys, report)
-    assert "stored Re psi(a) = 1/2 differs from the forced real part -1/2" \
+    assert 'stored /result/psi/a = "1/2" differs from the re-run\'s "-1/2"' \
         in out
     # a generator that no relator mentions is not seen by any fold; the
     # catalog hands out its own document, so the edit goes to a copy
@@ -690,7 +704,7 @@ def test_cli_recheck_refuses_a_feasible_psi_without_the_forced_real_parts(
     assert recheck_report(tmp_path, capsys, report)[0] == 0
     report["result"]["psi"]["c"] = "5"
     out = refused(tmp_path, capsys, report)
-    assert "stored Re psi(c) = 5 differs from the forced real part 0" in out
+    assert 'stored /result/psi/c = "5" differs from the re-run\'s "0"' in out
 
 
 def test_cli_recheck_confirms_a_no_lk_psi_total_from_the_solver(tmp_path,
@@ -701,7 +715,8 @@ def test_cli_recheck_confirms_a_no_lk_psi_total_from_the_solver(tmp_path,
     assert recheck_report(tmp_path, capsys, report)[0] == 0
     result["psi_total"] = {g: "7" for g in result["psi_total"]}
     out = refused(tmp_path, capsys, report)
-    assert "stored Re psi(a1) = 7 differs from the forced real part -1" in out
+    assert 'stored /result/psi_total/a1 = "7" differs from the re-run\'s ' \
+        '"-1"' in out
 
 
 def test_cli_recheck_refuses_a_command_that_is_not_a_string(tmp_path, capsys):
@@ -812,6 +827,71 @@ def test_cli_recheck_infeasible_certificate(tmp_path, capsys):
     report_path.write_text(report, encoding="utf-8")
     assert cli.main(["recheck", str(report_path)]) == 0
     assert "confirmed: True" in capsys.readouterr().out
+
+
+def test_cli_recheck_refuses_an_edited_solve_psi_reading_or_system(
+        tmp_path, capsys):
+    feasible = json_report(capsys, ["solve", write_doc(tmp_path, z2_doc())])
+    infeasible = json_report(capsys, ["solve", "zk.z2.gaussian"])
+    for report, path, value in (
+            (feasible, ("psi", "a"), "0"),
+            (infeasible, ("obstructions", 0, "K_r"), "-3"),
+            (infeasible, ("system", "matrix", 0, 0), "1"),
+            (infeasible, ("system", "rhs", 0), "1")):
+        assert recheck_report(tmp_path, capsys, report)[0] == 0
+        tampered = json.loads(json.dumps(report))
+        node = tampered["result"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        pointer = "/result/" + "/".join(map(str, path))
+        assert f'stored {pointer} = "{value}"' in refused(tmp_path, capsys,
+                                                          tampered)
+
+
+def test_cli_refuses_a_supplied_psi_that_is_no_functional(tmp_path, capsys):
+    path = write_doc(tmp_path, H.ill_defined_psi_doc())
+    for command, fields in (("verify", {"passed": False}),
+                            ("decompose", {"verdict": "no_lk"})):
+        report = json_report(capsys, [command, path])
+        assert report["exit_code"] == 2, command
+        result = report["result"]
+        assert result["reason"] == "ill_defined_psi"
+        assert {k: result[k] for k in fields} == fields
+        assert result["forced_real_parts"] == {"a": "-1/2", "b": "-1/2",
+                                               "r": "0"}
+        assert [(r["relator"], r["K_r"]) for r in result["readings"]] == [
+            (["a", "b", "a^-1", "b^-1"], "0"), (["r", "r"], "2i"),
+            (["r", "a", "r", "a"], "2i"), (["r", "b", "r", "b"], "2i")]
+        assert recheck_report(tmp_path, capsys, report)[0] == 0
+        result["readings"][1]["K_r"] = "0"
+        assert 'stored /result/readings/1/K_r = "0"' in refused(
+            tmp_path, capsys, report)
+    # the oracle folds the supplied psi as it is, and exhibits the defect
+    report = json_report(capsys, ["oracle", path, "--max-word-length", "2"])
+    result = report["result"]
+    assert (report["exit_code"], result["psi_source"]) == (2, "scenario")
+    assert result["counterexample"] == {
+        "evaluator": "psi", "word_a": [], "word_b": ["r", "r"],
+        "value_a": "0", "value_b": "2i"}
+    assert recheck_report(tmp_path, capsys, report)[0] == 0
+
+
+def test_cli_refuses_a_supplied_psi_without_the_forced_real_parts(tmp_path,
+                                                                  capsys):
+    # the real parts cancel in the commutator's fold, so no relator reading
+    # sees them
+    doc = z2_doc()
+    doc["functional"] = {"psi": {"a": "1/2", "b": "-3/2"}}
+    report = json_report(capsys, ["verify", write_doc(tmp_path, doc)])
+    assert report["exit_code"] == 2
+    result = report["result"]
+    assert result["reason"] == "ill_defined_psi"
+    assert result["readings"][0]["K_r"] == "0"
+    assert result["forced_real_parts"] == {"a": "-1/2", "b": "-1/2"}
+    doc["functional"] = {"psi": {"a": "-1/2+5i", "b": "-1/2"}}
+    report = json_report(capsys, ["verify", write_doc(tmp_path, doc)])
+    assert (report["exit_code"], report["result"]["passed"]) == (0, True)
 
 
 def test_cli_catalog_list(capsys):
