@@ -11,11 +11,13 @@ A cocycle assigns a vector to each letter and extends through
 eta(ab) = pi(a) eta(b) + eta(a) eps(b); well-definedness is checked on the
 finite relation set, with exact residuals reported on failure.
 
-Every eta(w) is computed one way: `fold_levels` fills a memo a length level
-at a time, and `Cocycle.fill_levels` forms a level with one integer product
-(`scalars.product_lines`) of each tail's column [eta(w); eps(w)] and the
-rows [pi(l) | eta(l)] of the level's letters, formed once per letter.  A
-one-word read that misses fills the word's missing suffixes the same way.
+Every eta(w) is computed one way, into a memo of scaled Gaussian integers:
+S(w) [eta(w); eps(w)] with S(w) the product of the denominators D(l) of its
+letters' data [pi(l) | eta(l); 0 | eps(l)].  A read fills the word's
+missing suffixes, shortest first, each from its tail by one integer
+multiply-add against its first letter's rows (`Cocycle._step`), with no gcd
+and no Scalar.  `eval_word` unscales a word once, one gcd per entry, and
+keeps the Scalars.
 """
 
 from __future__ import annotations
@@ -35,11 +37,10 @@ from .scalars import (
     ONE,
     ZERO,
     Scalar,
-    product_lines,
+    _dots,
     scaled,
     scaled_equal,
     scaled_product,
-    scaled_rows,
     unscaled,
 )
 
@@ -73,42 +74,6 @@ class CocycleObstructed(ValueError):
     def __init__(self, violations):
         self.violations = tuple(violations)
         super().__init__("; ".join(v.message for v in self.violations))
-
-
-def fold_levels(memo, words, batch):
-    """Fill memo[w] for every word of `words`, a length level at a time.
-
-    words are shortest first, each tail in memo or earlier in the list (as in
-    `words_up_to`).  A level's tails w are grouped by their letters l with
-    l + w missing, in order of first appearance; batch(letters, tails) gets
-    one group and yields for each tail the values of its l + w in the order
-    of letters, so only the words asked for are formed.
-    """
-    levels = {}
-    for w in words:
-        if w not in memo:
-            levels.setdefault(len(w), {}).setdefault(w[1:], []).append(w[0])
-    # levels were inserted shortest first, so every tail is filled before use
-    for tails in levels.values():
-        groups = {}
-        for tail, letters in tails.items():
-            groups.setdefault(tuple(letters), []).append(tail)
-        for letters, group in groups.items():
-            for tail, values in zip(group, batch(letters, group)):
-                for letter, value in zip(letters, values):
-                    memo[(letter,) + tail] = value
-
-
-def missing_suffixes(memo, words):
-    """The suffixes of words (their own included) missing from memo, which
-    holds the empty word, shortest first: a list `fold_levels` accepts."""
-    out = {}
-    for w in words:
-        w = tuple(w)
-        while w not in memo and w not in out:
-            out[w] = None
-            w = w[1:]
-    return sorted(out, key=len)
 
 
 class Representation:
@@ -288,7 +253,8 @@ class Cocycle:
                 residual=None,
                 message=f"cocycle values name unknown letters {sorted(unknown)}")])
         self.values = vals
-        self._eta_memo = {(): (linalg.zero_vector(n), ONE)}
+        self._eta_memo = {(): ([0] * n + [1], None, 1)}
+        self._views = {}
         self._rows = {}
         self._inverse_values = {}
         if not _validated:
@@ -311,42 +277,70 @@ class Cocycle:
         return self.values[p.normalize_letter(letter)]
 
     def eval_word(self, word):
-        """eta(w) by eta(l w) = pi(l) eta(w) + eta(l) eps(w).
-
-        (eta(w), eps(w)) is memoised on this cocycle for as long as it lives;
-        a miss fills the word's missing suffixes.  Accepts unreduced words.
-        """
+        """eta(w) by eta(l w) = pi(l) eta(w) + eta(l) eps(w), unscaled once
+        per word and kept.  Accepts unreduced words."""
         word = tuple(word)
-        if word not in self._eta_memo:
-            self.fill_levels(missing_suffixes(self._eta_memo, (word,)))
-        return self._eta_memo[word][0]
+        view = self._views.get(word)
+        if view is None:
+            re, im, s = self._scaled_eta(word)
+            view = self._views[word] = unscaled(
+                ([re[:-1]], None if im is None else [im[:-1]], s))[0]
+        return view
 
     def fill_levels(self, words):
-        """Memoise (eta(w), eps(w)) for a word list `fold_levels` accepts."""
-        fold_levels(self._eta_memo, words, self._eta_batch)
+        """Memoise [eta(w); eps(w)] for every word of `words`."""
+        for w in words:
+            self._scaled_eta(tuple(w))
+
+    def _scaled_eta(self, word):
+        """S(w) [eta(w); eps(w)] as (re, im, S(w)), im None when real; a
+        miss fills the word's missing suffixes."""
+        memo = self._eta_memo
+        col = memo.get(word)
+        if col is None:
+            i = 1
+            while (col := memo.get(word[i:])) is None:
+                i += 1
+            for j in range(i - 1, -1, -1):
+                col = memo[word[j:]] = self._step(word[j], col)
+        return col
+
+    def _extend(self, word, tail):
+        """The entry of `_scaled_eta(word)`, given tail, the entry of
+        word[1:]: a miss is one step."""
+        memo = self._eta_memo
+        col = memo.get(word)
+        if col is None:
+            col = memo[word] = self._step(word[0], tail)
+        return col
+
+    def _step(self, letter, col):
+        """S(l w) [eta(l w); eps(l w)] from col = S(w) [eta(w); eps(w)]: the
+        letter's rows times col, D(l) eps(l) times eps(w), over D(l) S(w)."""
+        re_rows, im_rows, d, (ea, eb) = (self._rows.get(letter)
+                                         or self._letter_rows(letter))
+        cr, ci, s = col
+        e_re, e_im = cr[-1], 0 if ci is None else ci[-1]
+        re, im = _dots(cr, ci, re_rows, im_rows)
+        re.append(ea * e_re - eb * e_im)
+        if im is None and eb:
+            im = [0] * len(re_rows)
+        if im is not None:
+            im.append(ea * e_im + eb * e_re)
+        return re, im, d * s
 
     def _letter_rows(self, letter):
-        """Rows [pi(l) | eta(l)] in `product_lines` form, and eps(l) or None for 1."""
-        rows = self._rows.get(letter)
-        if rows is None:
-            eps_l = self.presentation.epsilon_letter(letter)
-            rows = self._rows[letter] = (
-                scaled_rows(self.representation._scaled(letter),
-                            self.letter_value(letter)),
-                None if eps_l == ONE else eps_l)
+        """D(l) [pi(l) | eta(l)] as integer rows, real and imaginary (None
+        when real), D(l), which covers eps(l) too, and D(l) eps(l) as ints."""
+        eta = self.letter_value(letter)
+        re, im, d = scaled(
+            [(*row, x) for row, x in zip(
+                self.representation.letter_matrix(letter), eta)]
+            + [(ZERO,) * len(eta) + (self.presentation.epsilon_letter(letter),)])
+        eps = re.pop()[-1], 0 if im is None else im.pop()[-1]
+        rows = self._rows[letter] = (re, im if im and any(map(any, im)) else None,
+                                     d, eps)
         return rows
-
-    def _eta_batch(self, letters, tails):
-        # eta(l w) = [pi(l) | eta(l)] [eta(w); eps(w)]: each tail's column
-        # against the rows of every letter, one kernel call
-        n = self.form.dim
-        rows = [self._letter_rows(l) for l in letters]
-        values = [self._eta_memo[w] for w in tails]
-        lines = product_lines([(*eta, eps) for eta, eps in values],
-                              [r for letter_rows, _ in rows for r in letter_rows])
-        for (_, eps), line in zip(values, lines):
-            yield [(line[i * n:i * n + n], eps if eps_l is None else eps_l * eps)
-                   for i, (_, eps_l) in enumerate(rows)]
 
     def eval_element(self, element: AlgebraElement):
         out = linalg.zero_vector(self.form.dim)
@@ -360,8 +354,6 @@ class Cocycle:
             checks = [(r, ONE, (), "vanish on relator") for r in p.relators]
         else:
             checks = [(r.lhs, r.coeff, r.rhs, "respect rule") for r in p.rules]
-        self.fill_levels(missing_suffixes(
-            self._eta_memo, [w for lhs, _, rhs, _ in checks for w in (lhs, rhs)]))
         out = []
         for lhs, coeff, rhs, what in checks:
             res = linalg.vsub(self.eval_word(lhs),

@@ -9,29 +9,29 @@ the resulting rational linear system in those imaginary parts.
 For star-algebra presentations functionals are explicit monomial tables and
 are verified, not solved for.
 
-Every group psi comes from `GroupFunctional.fill_levels`, which fills eta,
-then psi, a length level at a time with one integer product per level; a
-`fold` that misses fills the word's missing suffixes the same way.  Verify
-and the oracle fill every word up to their length, GNS up to twice its
-length, Gaussianity up to its longest product term.  `verify` then tests
-each length class of coboundary pairs with one integer product
-(`scalars.product_lines`), a row per word a and a column per word b.
+Every group psi comes from one memo of scaled Gaussian integers, U(w) psi(w)
+over U(w), kept next to the cocycle's S(w) [eta(w); eps(w)].  A letter's row
+R(l) = Q(l) [conj(G eta(l^-1)) | psi(l)] sits over Q(l), a multiple of the
+cocycle's D(l), so U(w) = S(w) m(w) with m(l w) = (Q(l) / D(l)) m(w), and a
+read fills each missing suffix from its tail by one integer multiply-add:
+U(l w) psi(l w) = m(w) (R(l) . S(w) [eta(w); 1]) + Q(l) U(w) psi(w), over
+U(l w) = Q(l) U(w).  Scales are multiplied, never divided.  `verify` and
+the oracle read these integers and decide every identity by
+cross-multiplying; a Scalar is built only for a witness, a counterexample
+or a report value, or through `fold`, which unscales a word once and keeps
+the Scalar for GNS, Gaussianity, `solve` and the relator folds.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from . import linalg
-from .cocycles import (
-    Cocycle,
-    exponent_matrix,
-    fold_levels,
-    missing_suffixes,
-    solve_exponent_sums,
-)
+from .cocycles import Cocycle, exponent_matrix, solve_exponent_sums
 from .linalg import IndefiniteFormError
 from .presentations import (
     GROUP,
@@ -41,8 +41,8 @@ from .presentations import (
     kn_products,
     word_to_strs,
 )
-from .scalars import (I, ONE, ZERO, Scalar, common_forms, product_lines,
-                      products, scaled, scaled_product, scaled_rows)
+from .scalars import (I, ONE, ZERO, Scalar, _dots, _imaginary, from_parts,
+                      parts, products, scaled, scaled_product, scaled_same)
 
 
 class NoNormalForm(ValueError):
@@ -80,7 +80,8 @@ class GroupFunctional:
         unknown = set(values) - set(self.presentation.generators)
         if unknown:
             raise ValueError(f"psi values name unknown generators {sorted(unknown)}")
-        self._psi_memo = {(): ZERO}
+        self._psi_memo = {(): (0, 0, 1, 1, cocycle._scaled_eta(()))}
+        self._views = {}
         self._rows = None
 
     kind = GROUP
@@ -91,46 +92,68 @@ class GroupFunctional:
         return v if tag == 1 else v.conj()
 
     def fold(self, word) -> Scalar:
-        """psi(w) by psi(l w) = psi(l) + <eta(l^-1), eta(w)> + psi(w).
-
-        psi is memoised on this functional for as long as it lives; a miss
-        fills the word's missing suffixes.  Accepts unreduced words; the
-        result only depends on the group element when the cocycle data
-        respects the relators.
-        """
+        """psi(w) by psi(l w) = psi(l) + <eta(l^-1), eta(w)> + psi(w),
+        unscaled once per word and kept.  Accepts unreduced words; the result
+        only depends on the group element when the data respects the
+        relators."""
         word = tuple(word)
-        if word not in self._psi_memo:
-            self.fill_levels(missing_suffixes(self._psi_memo, (word,)))
-        return self._psi_memo[word]
+        view = self._views.get(word)
+        if view is None:
+            view = self._views[word] = from_parts(*self._scaled_psi(word))
+        return view
 
     def fill_levels(self, words):
-        """Memoise eta on the cocycle, then psi, for a word list that
-        `fold_levels` accepts."""
-        self.cocycle.fill_levels(words)
-        fold_levels(self._psi_memo, words, self._psi_batch)
+        """Memoise eta on the cocycle, then psi, for every word of `words`."""
+        for w in words:
+            self._scaled(tuple(w))
+
+    def _scaled_psi(self, word):
+        """U(w) psi(w) as (re, im, U(w))."""
+        return self._scaled(word)[:3]
+
+    def _scaled(self, word):
+        """The memo entry (re, im, U(w), m(w), eta) of psi(w), eta being the
+        cocycle's entry of w; a miss fills the word's missing suffixes, each
+        eta through `Cocycle._extend` from its tail's."""
+        memo = self._psi_memo
+        entry = memo.get(word)
+        if entry is None:
+            i = 1
+            while (entry := memo.get(word[i:])) is None:
+                i += 1
+            rows = self._rows or self._letter_rows()
+            extend = self.cocycle._extend
+            for j in range(i - 1, -1, -1):
+                w = word[j:]
+                row_re, row_im, q, m_l = rows[w[0]]
+                p_re, p_im, u, m, eta = entry
+                (x,), y = _dots(eta[0], eta[1], row_re, row_im)
+                y = y[0] if y else 0
+                entry = memo[w] = (m * x + q * p_re, m * y + q * p_im,
+                                   q * u, m_l * m, extend(w, eta))
+        return entry
 
     def _letter_rows(self):
-        """Each letter's row [conj(G eta(l^-1)) | 1 | psi(l)], formed on first
-        use as [conj(eta(l^-1)) | 1] [[G, 0], [0, 1]] with psi(l) appended."""
+        """Each letter's row R(l) as integer re and im (None when real), each
+        a one-column list for `_dots`, over Q(l), a common denominator of the
+        row and D(l), and Q(l) / D(l)."""
         if self._rows is None:
             cocycle, letters = self.cocycle, self.presentation.alphabet()
-            gram = cocycle.form.gram
-            inner = scaled_product(
-                scaled([(*(x.conj() for x in cocycle.letter_value((g, -t))), ONE)
-                        for g, t in letters]),
-                scaled([(*row, ZERO) for row in gram]
-                       + [(ZERO,) * len(gram) + (ONE,)]))
-            self._rows = dict(zip(letters, scaled_rows(
-                inner, [self.psi_letter(l) for l in letters])))
+            # conj(eta(l^-1)) G for every letter, one integer product
+            ire, iim, idn = scaled_product(scaled(
+                [[x.conj() for x in cocycle.letter_value((g, -t))]
+                 for g, t in letters]), scaled(cocycle.form.gram))
+            self._rows = {}
+            for i, l in enumerate(letters):
+                (a, b, pd), n = parts(self.psi_letter(l)), len(ire[i])
+                d = (cocycle._rows.get(l) or cocycle._letter_rows(l))[2]
+                q = lcm(idn, pd, d)
+                f, g = q // idn, q // pd
+                im = None if iim is None and not b else [
+                    x * f for x in (iim[i] if iim else [0] * n)] + [b * g]
+                self._rows[l] = ([[x * f for x in ire[i]] + [a * g]],
+                                 im and [im], q, q // d)
         return self._rows
-
-    def _psi_batch(self, letters, tails):
-        # psi(l w) = [conj(G eta(l^-1)) | 1 | psi(l)] [eta(w); psi(w); 1]:
-        # each tail's column against the rows of every letter, one kernel call
-        # fill_levels has filled eta for every tail
-        eta, psi, rows = self.cocycle._eta_memo, self._psi_memo, self._letter_rows()
-        return product_lines([(*eta[w][0], psi[w], ONE) for w in tails],
-                             [rows[l] for l in letters])
 
     def psi_word(self, word) -> Scalar:
         return self.fold(word)
@@ -196,6 +219,10 @@ class StarFunctional:
         c, red = self.presentation.reduce(word)
         return c * self.table[red]
 
+    def _scaled_psi(self, word):
+        """psi(w) for a canonical word w as (re, im, scale), no gcd."""
+        return parts(self.table[word])
+
     def eval_element(self, element: AlgebraElement) -> Scalar:
         out = ZERO
         for w, coeff in element.terms.items():
@@ -250,10 +277,8 @@ class SolveOutcome(NamedTuple):
 
 
 def relator_folds(functional: GroupFunctional) -> list:
-    """psi on each relator, the relators' missing suffixes filled together."""
-    relators = functional.presentation.relators
-    functional.fill_levels(missing_suffixes(functional._psi_memo, relators))
-    return [functional.fold(r) for r in relators]
+    """psi on each relator."""
+    return [functional.fold(r) for r in functional.presentation.relators]
 
 
 _MINUS_HALF = Scalar(Fraction(-1, 2))
@@ -263,11 +288,11 @@ def forced_real_parts(cocycle: Cocycle) -> dict:
     """Re psi(g) = -1/2 <eta(g), eta(g)> on every generator g, each norm from
     two integer products, conj(eta(g)) G and then eta(g); the form is
     hermitian, so the norm is real."""
-    cols = common_forms(zip(*cocycle.form.gram))
+    gram_cols = tuple(zip(*cocycle.form.gram))
     out = {}
     for g in cocycle.presentation.generators:
         eta = cocycle.letter_value((g, 1))
-        row = next(product_lines([[x.conj() for x in eta]], cols))
+        row = products([[x.conj() for x in eta]], gram_cols)[0]
         out[g] = products([row], [eta])[0][0] * _MINUS_HALF
     return out
 
@@ -335,38 +360,17 @@ class VerifyReport(NamedTuple):
                 "witness": self.witness}
 
 
-def psi_product(functional, psi, w1, w2, left_canonical=False) -> Scalar:
-    """psi(w1 w2) for a word w1 and a canonical word w2, through the reduced
-    product word.
-
-    When w1 is canonical too (`left_canonical`), the product is reduced only
-    at the junction (`Presentation.multiply`); otherwise the concatenation is
-    reduced from its first letter.  On groups `psi` caches psi on freely
-    reduced words and a product missing from it is folded by the functional.
-    On star algebras the product's canonical word is read from the
-    functional's table.
-    """
+def psi_product(functional, w1, w2, left_canonical=False) -> Scalar:
+    """psi(w1 w2) for a word w1 and a canonical word w2, read on the
+    product's canonical word: reduced at the junction when w1 is canonical
+    too (`left_canonical`), else from its first letter."""
     p = functional.presentation
-    if left_canonical:
-        coeff, red = p.multiply(w1, w2)
-    else:
-        coeff, red = p.reduce(w1 + w2)
+    coeff, red = p.multiply(w1, w2) if left_canonical else p.reduce(w1 + w2)
     if p.kind == GROUP:
-        cached = psi.get(red)
-        return cached if cached is not None else functional.psi_word(red)
+        return functional.psi_word(red)
     if coeff.is_zero():
         return ZERO
     return coeff * functional.table[red]
-
-
-def _level_ends(words, max_len):
-    """upto[k]: how many words of a shortest-first list have length <= k."""
-    upto = [0] * (max_len + 1)
-    for w in words:
-        upto[len(w)] += 1
-    for k in range(1, max_len + 1):
-        upto[k] += upto[k - 1]
-    return upto
 
 
 def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> VerifyReport:
@@ -379,17 +383,15 @@ def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> Verif
     psi(k* k) = <eta(k), eta(k)> for k = w - eps(w), |w| <= max_len // 2.
     Stops at the first violation.
 
-    eta and a group psi are filled a level at a time.  The coboundary
-    identity holds exactly when eps(a) psi(b) + psi(a) eps(b)
-    + <eta(a*), eta(b)> equals psi(ab).  Those sums, for every a of one
-    length and every b it pairs with, are one integer product: rows
-    (conj(G eta(a*)), eps(a), psi(a)) by columns (eta(b), psi(b), eps(b)).
-    The columns are brought to their denominators once per call and a
-    class's lines are formed lazily, so a failing check forms no line past
-    its witness's.  psi(ab) is read once per distinct concatenation ab.
+    Values are read from the memos (or a star table) as scaled Gaussian
+    integers, identities are decided by cross-multiplying, and Scalars are
+    built only for a witness.  The coboundary identity at (a, b) compares
+    psi(ab) with the integer row (conj(G eta(a*)), eps(a), psi(a)) paired
+    with the column (eta(b), psi(b), eps(b)) by `scalars._dots`, a whole
+    line of columns per word a; the squared-norm identity is that pairing
+    at (w*, w).  Each star is reduced once.
     """
-    p = cocycle.presentation
-    form = cocycle.form
+    p, form = cocycle.presentation, cocycle.form
     counts = {"psi_at_one": 0, "hermitian": 0, "coboundary": 0, "positivity": 0}
 
     def fail(identity, detail):
@@ -402,77 +404,111 @@ def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> Verif
         return fail("psi_at_one", {"value": str(one_val)})
 
     words = p.words_up_to(max_len, include_empty=False)
-    # all words here are monomials, so everything is cached per word and
-    # products reduce to a single word rather than going through elements
-    cocycle.fill_levels(words)
-    if isinstance(functional, GroupFunctional):
-        functional.fill_levels(words)
-    psi = {w: functional.psi_word(w) for w in words}
-    psi[()] = ZERO
-    eta = {w: cocycle.eval_word(w) for w in words}
-    if p.kind == GROUP:
-        one_s = Scalar.coerce(1)
-        eps = {w: one_s for w in words}
-    else:
-        eps = {w: p._word_character(w) for w in words}
+    n, eta = form.dim, cocycle._scaled_eta
+    # canonical words: psi is read straight from the memo or the table
+    psi = {w: functional._scaled_psi(w) for w in words}
+
+    def psi_of(coeff, word):
+        """coeff psi(w) for a canonical word w as (re, im, scale), no gcd."""
+        if coeff.is_zero():
+            return 0, 0, 1
+        (a, b, d), (ca, cb, cd) = functional._scaled_psi(word), parts(coeff)
+        return ca * a - cb * b, ca * b + cb * a, cd * d
+
     stars = {w: p.involve_word(w) for w in words}
-
+    psi_star = {}
     for w in words:
-        lhs = functional.psi_word(stars[w])
-        rhs = psi[w].conj()
+        # a canonical star, such as a group inverse, is a word of the list
+        lhs = psi_star[w] = psi.get(stars[w]) or psi_of(*p.reduce(stars[w]))
         counts["hermitian"] += 1
-        if lhs != rhs:
-            return fail("hermitian", {"word": word_to_strs(p.kind, w),
-                                      "psi_star": str(lhs),
-                                      "conj_psi": str(rhs)})
+        (a, b, s), (c, d, t) = lhs, psi[w]
+        if not scaled_same(([a], [b], s), ([c], [-d], t)):
+            return fail("hermitian", {
+                "word": word_to_strs(p.kind, w),
+                "psi_star": str(functional.psi_word(stars[w])),
+                "conj_psi": str(functional.psi_word(w).conj())})
 
-    # the stars of a prefix-closed list are suffix-closed
-    cocycle.fill_levels(list(stars.values()))
-    eta_star = {w: cocycle.eval_word(stars[w]) for w in words}
-    gram_cols = tuple(zip(*form.gram))
-    cols = common_forms([(*eta[w], psi[w], eps[w]) for w in words])
-    upto = _level_ends(words, max_len)
-    psi_ab = {}  # psi(ab) by the raw concatenation, for this call only
+    def eps(w):
+        re, im, s = eta(w)
+        return re[n], 0 if im is None else im[n], s
 
-    for k in range(1, max_len + 1):
-        class_a = words[upto[k - 1]:upto[k]]
-        n_b = upto[max_len - k]
-        if not class_a or not n_b:
-            continue
-        # <eta(a*), x> = conj(eta(a*)) G x, so each row pairs with
-        # (eta(b), psi(b), eps(b)) to eps(a) psi(b) + psi(a) eps(b)
-        # + <eta(a*), eta(b)>
-        inner = products([[x.conj() for x in eta_star[wa]] for wa in class_a],
-                         gram_cols)
-        rows = [(*g, eps[wa], psi[wa]) for g, wa in zip(inner, class_a)]
-        for wa, line in zip(class_a, product_lines(rows, cols[:n_b])):
-            for wb, value in zip(words, line):
-                ab = wa + wb
-                target = psi_ab.get(ab)
-                if target is None:
-                    target = psi_ab[ab] = psi_product(functional, psi,
-                                                      wa, wb, True)
-                if value != target:
-                    counts["coboundary"] += words.index(wb) + 1
-                    lhs = eps[wa] * psi[wb] - target + psi[wa] * eps[wb]
-                    rhs = -form.inner(eta_star[wa], eta[wb])
-                    return fail("coboundary", {"a": word_to_strs(p.kind, wa),
-                                               "b": word_to_strs(p.kind, wb),
-                                               "lhs": str(lhs), "rhs": str(rhs)})
-            counts["coboundary"] += n_b
+    gram_re, gram_im, gram_d = scaled(form.gram)
+    gram_cols = list(zip(*gram_re)), gram_im and list(zip(*gram_im))
 
-    for w in words:
+    def row(x, e, q):
+        """[conj(G eta(x)); e; q] over the product of the parts' scales."""
+        er, ei, s = eta(x)
+        gr, gi = _dots(er[:n], None if ei is None else [-y for y in ei[:n]],
+                       *gram_cols)
+        s *= gram_d
+        (e_re, e_im, e_s), (q_re, q_im, q_s) = e, q
+        f, fe, fq = e_s * q_s, s * q_s, s * e_s
+        re = [y * f for y in gr] + [e_re * fe, q_re * fq]
+        im = [y * f for y in gi or [0] * n] + [e_im * fe, q_im * fq]
+        return re, (im if any(im) else None), s * f
+
+    def column(b):
+        """(eta(b), psi(b), eps(b)) over the product of their scales."""
+        (er, ei, s), (p_re, p_im, t) = eta(b), psi[b]
+        ei = ei or [0] * (n + 1)
+        im = [y * t for y in ei[:n]] + [p_im * s, ei[n] * t]
+        return ([y * t for y in er[:n]] + [p_re * s, er[n] * t],
+                im if any(im) else None, s * t)
+
+    cols = [column(w) for w in words]
+    cas = [re for re, _, _ in cols]
+    cbs = _imaginary([im for _, im, _ in cols], n + 2)
+    lengths = [len(w) for w in words]
+    # psi(ab) by the raw concatenation, for this call only: a canonical
+    # concatenation is a word of the list, so only a product that reduces
+    # at the junction is read through `Presentation.multiply`
+    psi_ab = dict(psi)
+
+    for wa in words:
+        # a pairs with every b of length <= max_len - |a|, a prefix of words
+        n_b = bisect_right(lengths, max_len - len(wa))
+        if not n_b:
+            break
+        ra, rb, sa = row(stars[wa], eps(wa), psi[wa])
+        res, ims = _dots(ra, rb, cas[:n_b], cbs and cbs[:n_b])
+        for j, (wb, re, im, (_, _, sb)) in enumerate(
+                zip(words, res, ims or itertools.repeat(0), cols[:n_b])):
+            ab = wa + wb
+            target = psi_ab.get(ab)
+            if target is None:
+                target = psi_ab[ab] = psi_of(*p.multiply(wa, wb))
+            t_re, t_im, t_s = target
+            s = sa * sb
+            if re * t_s != t_re * s or im * t_s != t_im * s:
+                counts["coboundary"] += j + 1
+                lhs = (p._word_character(wa) * functional.psi_word(wb)
+                       - psi_product(functional, wa, wb, True)
+                       + functional.psi_word(wa) * p._word_character(wb))
+                rhs = -form.inner(cocycle.eval_word(stars[wa]),
+                                  cocycle.eval_word(wb))
+                return fail("coboundary", {
+                    "a": word_to_strs(p.kind, wa), "b": word_to_strs(p.kind, wb),
+                    "lhs": str(lhs), "rhs": str(rhs)})
+        counts["coboundary"] += n_b
+
+    for w, (cr, ci, sb) in zip(words, cols):
         if len(w) > max_len // 2:
-            continue
-        # psi((w - eps(w))* (w - eps(w))) expanded through psi(1) = 0
-        lhs = (psi_product(functional, psi, stars[w], w)
-               - eps[w] * functional.psi_word(stars[w])
-               - eps[w].conj() * psi[w])
-        rhs = form.inner(eta[w], eta[w])
+            break
+        # psi((w - eps(w))* (w - eps(w))) expanded through psi(1) = 0 is the
+        # pairing at (w*, w), with eps(w*) = conj eps(w)
+        e = eps(w)
+        ra, rb, sa = row(w, (e[0], -e[1], e[2]), psi_star[w])
+        (re,), im = _dots(ra, rb, (cr,), None if ci is None else (ci,))
         counts["positivity"] += 1
-        if lhs != rhs:
+        c, d, t = psi_of(*p.reduce(stars[w] + w))
+        if not scaled_same(([re], im, sa * sb), ([c], [d], t)):
+            eps_w, eta_w = p._word_character(w), cocycle.eval_word(w)
+            lhs = (psi_product(functional, stars[w], w)
+                   - eps_w * functional.psi_word(stars[w])
+                   - eps_w.conj() * functional.psi_word(w))
             return fail("positivity", {"word": word_to_strs(p.kind, w),
-                                       "psi": str(lhs), "norm_sq": str(rhs)})
+                                       "psi": str(lhs),
+                                       "norm_sq": str(form.inner(eta_w, eta_w))})
 
     return VerifyReport(passed=True, counts=counts, witness=None)
 
@@ -498,17 +534,13 @@ def is_gaussian_functional(functional, max_len: int) -> GaussianReport:
 
     The distinct products come one at a time (`kn_products`), and the check
     stops at the first on which psi is not zero, its witness, so no product
-    past the witness is formed, nor a group psi level past its terms.
+    past the witness is formed, nor a group psi past the suffixes of its
+    terms.
     `checked` counts the distinct products up to and including the witness,
     or all of them when there is none.
     """
-    p = functional.presentation
-    checked = filled = 0
-    for el in kn_products(p, 3, max_len):
-        longest = max(map(len, el.terms), default=0)
-        if longest > filled and isinstance(functional, GroupFunctional):
-            functional.fill_levels(p.words_up_to(longest))
-            filled = longest
+    checked = 0
+    for el in kn_products(functional.presentation, 3, max_len):
         value = functional.eval_element(el)
         checked += 1
         if not value.is_zero():
@@ -554,11 +586,7 @@ def gns_truncated(functional, max_len: int) -> GnsResult:
     """
     p = functional.presentation
     words = tuple(p.words_up_to(max_len, include_empty=False))
-    if isinstance(functional, GroupFunctional):
-        # every Gram entry reads psi on a word of length <= 2 * max_len
-        functional.fill_levels(p.words_up_to(2 * max_len))
     psi = {w: functional.psi_word(w) for w in words}
-    psi[()] = ZERO
     eps = [p._word_character(w) for w in words]
     stars = [p.involve_word(w) for w in words]
     psi_star = [functional.psi_word(s) for s in stars]
@@ -568,7 +596,7 @@ def gns_truncated(functional, max_len: int) -> GnsResult:
     n = len(words)
     # psi((w_i - eps_i)* (w_j - eps_j)), expanded through psi(1) = 0
     gram = tuple(
-        tuple(psi_product(functional, psi, stars[i], words[j], canonical[i])
+        tuple(psi_product(functional, stars[i], words[j], canonical[i])
               - eps[j] * psi_star[i] - eps[i].conj() * psi[words[j]]
               for j in range(n))
         for i in range(n))
@@ -602,12 +630,10 @@ class _NormalForm:
     def buckets(self, words) -> dict:
         """Words by key, in list order; a shortest-first suffix-closed list,
         as words_up_to returns, gives each key one step from its tail's."""
-        keys = {(): self.identity}
-        buckets = {}
+        keys, buckets, step = {(): self.identity}, {}, self.step
         for w in words:
-            if w:
-                keys[w] = self.step(w[0], keys[w[1:]])
-            buckets.setdefault(keys[w], []).append(w)
+            key = keys[w] = step(w[0], keys[w[1:]]) if w else self.identity
+            buckets.setdefault(key, []).append(w)
         return buckets
 
 
@@ -735,47 +761,37 @@ def brute_force_welldefinedness_oracle(cocycle: Cocycle | None,
         raise NoNormalForm("the oracle needs a group presentation")
     words = presentation.words_up_to(max_len, include_empty=True)
     buckets = normal_form.buckets(words)
-    # the word list is suffix-closed, so both evaluators can be filled a
-    # level at a time; a level is filled when its first word is read, so a
-    # failing run evaluates nothing past the level of its counterexample
-    upto = _level_ends(words, max_len)
-    filled = 0
+    # a read fills only the word's own missing suffixes, so a failing run
+    # evaluates nothing past the suffixes of the words it compared
 
-    def fill_to(length):
-        nonlocal filled
-        new = words[upto[filled]:upto[length]]
-        if cocycle is not None:
-            cocycle.fill_levels(new)
-        if functional is not None:
-            functional.fill_levels(new)
-        filled = length
-
-    def found(evaluator, word_a, word_b, value_a, value_b):
+    def found(evaluator, read, word_a, word_b):
         return OracleReport(passed=False, words=len(words), pairs=pairs,
                             counterexample={
                                 "evaluator": evaluator, "word_a": word_a,
-                                "word_b": word_b, "value_a": value_a,
-                                "value_b": value_b})
+                                "word_b": word_b, "value_a": read(word_a),
+                                "value_b": read(word_b)})
 
+    psi = None if functional is None else functional._scaled
+    # psi's memo entry carries eta when the cocycle is the functional's
+    eta = (None if cocycle is None or psi is not None
+           and cocycle is functional.cocycle else cocycle._scaled_eta)
     pairs = 0
-    for key in buckets:
-        group_words = buckets[key]
+    for group_words in buckets.values():
         rep_word = group_words[0]
-        if len(rep_word) > filled:
-            fill_to(len(rep_word))
-        eta_ref = cocycle.eval_word(rep_word) if cocycle is not None else None
-        psi_ref = functional.fold(rep_word) if functional is not None else None
+        if psi is not None:
+            a, b, u, _, eta_ref = psi(rep_word)
+        if eta is not None:
+            eta_ref = eta(rep_word)
         for w in group_words[1:]:
             pairs += 1
-            if len(w) > filled:
-                fill_to(len(w))
-            if cocycle is not None:
-                ev = cocycle.eval_word(w)
-                if ev != eta_ref:
-                    return found("cocycle", rep_word, w, eta_ref, ev)
-            if functional is not None:
-                pv = functional.fold(w)
-                if pv != psi_ref:
-                    return found("psi", rep_word, w, psi_ref, pv)
+            if psi is not None:
+                c, d, v, _, eta_w = psi(w)
+            if eta is not None:
+                eta_w = eta(w)
+            if cocycle is not None and not scaled_same(eta_w, eta_ref):
+                return found("cocycle", cocycle.eval_word, rep_word, w)
+            # psi(rep) == psi(w), cross-multiplied
+            if psi is not None and (a * v != c * u or b * v != d * u):
+                return found("psi", functional.fold, rep_word, w)
     return OracleReport(passed=True, words=len(words), pairs=pairs,
                         counterexample=None)

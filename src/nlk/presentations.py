@@ -167,6 +167,8 @@ class Presentation:
             self._init_star()
         self._words_cache = {}
         self._variants_cache = None
+        self._stars = {(g, t): self.star_letter((g, t)) for g in self.generators
+                       for t in ((1, -1) if kind == GROUP else (0, 1))}
 
     # --- construction -----------------------------------------------
 
@@ -385,7 +387,8 @@ class Presentation:
 
     def involve_word(self, word) -> tuple:
         """Raw star of a word: reverse and star each letter (not reduced)."""
-        return tuple(self.star_letter(l) for l in reversed(word))
+        stars = self._stars
+        return tuple([stars[l] for l in reversed(word)])
 
     # --- enumeration ------------------------------------------------
 

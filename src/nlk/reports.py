@@ -251,36 +251,45 @@ def run_command(command: str, scenario, max_len: int,
 # --- text rendering -------------------------------------------------
 
 
-def _render_solve(result, lines):
-    lines.append(f"verdict: {result.get('verdict')}")
-    if result.get("reason"):
-        lines.append(f"reason: {result['reason']}")
+def _relator_lines(readings, lines):
+    lines += [f"relator {' '.join(ob['relator'])}: K_r = {ob['K_r']} "
+              f"({'re violation' if ob.get('re_violation') else 're ok'})"
+              for ob in readings]
+
+
+def _render_stop(result, lines):
+    """Why a scenario command stopped early, and the evidence it carries."""
+    if not result.get("reason"):
+        return
+    lines.append(f"reason: {result['reason']}")
     for v in result.get("violations", []):
         lines.append(f"violation {v.get('code')} at {v.get('target')}: "
                      f"{v.get('message')}")
-    for ob in result.get("obstructions", []):
-        flag = "re violation" if ob.get("re_violation") else "re ok"
-        lines.append(f"relator {' '.join(ob['relator'])}: "
-                     f"K_r = {ob['K_r']} ({flag})")
+    forced = result.get("forced_real_parts") or {}
+    lines += [f"forced Re psi({g}) = {forced[g]}" for g in sorted(forced)]
+    _relator_lines(result.get("readings", []), lines)
+    if result.get("solve"):
+        lines.append("total solve:")
+        _render_solve(result["solve"], lines)
+
+
+def _render_solve(result, lines):
+    lines.append(f"verdict: {result.get('verdict')}")
+    _render_stop(result, lines)
+    _relator_lines(result.get("obstructions", []), lines)
     cert = result.get("certificate")
     if cert is not None:
         lines.append(f"certificate: {' '.join(cert)}")
     if result.get("ambiguity_dim") is not None:
         lines.append(f"ambiguity dimension: {result['ambiguity_dim']}")
-    psi = result.get("psi")
-    if psi:
-        for g in sorted(psi):
-            lines.append(f"psi({g}) = {psi[g]}")
+    psi = result.get("psi") or {}
+    lines += [f"psi({g}) = {psi[g]}" for g in sorted(psi)]
 
 
 def _render_decompose(result, lines):
     lines.append(f"verdict: {result.get('verdict')}")
     if result.get("reason"):
-        lines.append(f"reason: {result['reason']}")
-        inner = result.get("solve")
-        if inner:
-            lines.append("total solve:")
-            _render_solve(inner, lines)
+        _render_stop(result, lines)
         return
     sp = result.get("split", {})
     lines.append(f"gaussian dimension: {sp.get('dim_gaussian')}")
@@ -290,8 +299,7 @@ def _render_decompose(result, lines):
         _render_solve(result.get("parts", {}).get(part, {}), lines)
     for label, key in (("psi_G", "psi_gaussian"), ("psi_R", "psi_remainder")):
         table = result.get(key) or {}
-        for g in sorted(table):
-            lines.append(f"{label}({g}) = {table[g]}")
+        lines += [f"{label}({g}) = {table[g]}" for g in sorted(table)]
 
 
 def _fmt_value(v):
@@ -300,25 +308,19 @@ def _fmt_value(v):
     return str(v)
 
 
-def _render_verify(result, lines):
+def _render_check(result, lines):
+    """verify and oracle: verdict, stop evidence, counts and witness."""
     lines.append(f"passed: {result.get('passed')}")
+    _render_stop(result, lines)
     for name, count in sorted((result.get("counts") or {}).items()):
         lines.append(f"checked {name}: {count}")
-    witness = result.get("witness")
-    if witness:
-        parts = [f"{k} = {_fmt_value(v)}" for k, v in sorted(witness.items())]
-        lines.append("witness: " + "; ".join(parts))
-
-
-def _render_oracle(result, lines):
-    lines.append(f"passed: {result.get('passed')}")
     if result.get("words") is not None:
         lines.append(f"words: {result['words']}, compared pairs: "
                      f"{result['pairs']}")
-    ce = result.get("counterexample")
-    if ce:
-        parts = [f"{k} = {_fmt_value(v)}" for k, v in sorted(ce.items())]
-        lines.append("counterexample: " + "; ".join(parts))
+    for key in ("witness", "counterexample"):
+        if result.get(key):
+            parts = [f"{k} = {_fmt_value(v)}" for k, v in sorted(result[key].items())]
+            lines.append(f"{key}: " + "; ".join(parts))
 
 
 def _render_validate(result, lines):
@@ -372,8 +374,8 @@ def _render_catalog_run_all(result, lines):
 _RENDERERS = {
     "solve": _render_solve,
     "decompose": _render_decompose,
-    "verify": _render_verify,
-    "oracle": _render_oracle,
+    "verify": _render_check,
+    "oracle": _render_check,
     "validate": _render_validate,
     "classify": _render_classify,
     "recheck": _render_recheck,

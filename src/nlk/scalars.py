@@ -12,28 +12,20 @@ allows it: equal denominators add without cross-multiplying, integral
 operands multiply without a gcd, and negation and conjugation never need
 one.  `.re` and `.im` are read-only Fraction views of the triple.
 
-`products(rows, cols)` is the matrix-product kernel: it brings each row and
-each column to one common denominator once, forms every entry as integer
-dot products (`_dots`, skipping the imaginary ones when a row or column is
-real) and normalises the entry with a single gcd, so no intermediate Scalar
-is built.  `common_forms` and the lazy `product_lines` are its two halves,
-for callers that reuse columns or may stop early.  The callers:
-`linalg.mmul` (every Scalar matrix product); the word evaluator,
-`Cocycle.fill_levels` and `GroupFunctional.fill_levels`, which computes
-every eta and group psi (tails' columns against their letters' rows,
-formed once per letter); and
-`verify_schurmann_triple` (the inner-product rows and one call per length
-class of coboundary pairs, its columns brought to their denominators once
-per verification and read lazily, so a failing check forms no line past
-its witness's).
+`_dots` is the one loop of integer dot products: a Gaussian-integer row
+against columns, the imaginary parts skipped where the row and columns are
+real.  `products(rows, cols)`, the kernel of every Scalar matrix product
+(`linalg.mmul`), brings each row and column to one common denominator and
+normalises each entry with a single gcd.
 
 A scaled matrix (re, im, d) means (re + im*i)/d: int rows re and im (im
 None when real) over a common denominator d > 0, not necessarily the least.
-`scaled_product` multiplies two with the same `_dots` loop, over d_a * d_b
-and with no gcd; `scaled_equal` tests a == c*b by cross-multiplying; so the
-checks of `cocycles.Representation` build no Scalar.  `unscaled` gives
-canonical Scalars, one gcd per entry; `scaled_rows` extends each row by a
-Scalar into the forms `product_lines` reads, with no gcd.
+`scaled_product` multiplies two over d_a * d_b with no gcd, and
+`scaled_same` and `scaled_equal` compare by cross-multiplying, so the
+checks of `cocycles.Representation` build no Scalar.  The word memos of
+`Cocycle` and `GroupFunctional` and the checks of `verify_schurmann_triple`
+and the oracle read the same forms.  `unscaled` and `from_parts` give
+canonical Scalars, one gcd per entry; `parts` takes a Scalar apart.
 
 The text form follows a small grammar:
 
@@ -220,12 +212,8 @@ class Scalar:
         # multiply through by the conjugate:
         # (z1/d1) / (z2/d2) = z1 conj(z2) d2 / (d1 |z2|^2)
         d2 = other._d
-        a, b = (a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2
-        d = self._d * n
-        g = gcd(d, a, b)
-        if g != 1:
-            a, b, d = a // g, b // g, d // g
-        return _make(a, b, d)
+        return from_parts((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
+                          self._d * n)
 
     def __rtruediv__(self, other):
         return Scalar.coerce(other) / self
@@ -339,42 +327,50 @@ def _common(xs) -> tuple:
     return re, (im if any(im) else None), d
 
 
-def common_forms(vectors) -> list:
-    """Each Scalar vector as the (re, im, d) ints `product_lines` reads."""
-    return [_common(v) for v in vectors]
+def parts(x: Scalar) -> tuple:
+    """The ints (a, b, d) of the Scalar x = (a + b*i)/d."""
+    return x._a, x._b, x._d
 
 
-def _dots(ra, rb, cols) -> list:
-    """(re, im, cd) for each column (ca, cb, cd) of cols: the integer
-    product of the row ra + rb*i with ca + cb*i, and the column's cd.
+def _dots(ra, rb, cas, cbs=None) -> tuple:
+    """The integer products of the row ra + rb*i with the columns
+    ca + cb*i: their real parts, and their imaginary parts or None when the
+    row and every column are real.
 
-    rb or cb is None on a real side.  This is the one dot-product loop of
-    the package.
+    rb is None on a real row, and cbs, the columns' imaginary parts, is None
+    when every column is real.  This is the one dot-product loop of the
+    package.
     """
+    if cbs is None:
+        return ([sum(map(mul, ra, ca)) for ca in cas],
+                None if rb is None else [sum(map(mul, rb, ca)) for ca in cas])
+    if rb is None:
+        return ([sum(map(mul, ra, ca)) for ca in cas],
+                [sum(map(mul, ra, cb)) for cb in cbs])
+    return ([sum(map(mul, ra, ca)) - sum(map(mul, rb, cb)) for ca, cb in zip(cas, cbs)],
+            [sum(map(mul, rb, ca)) + sum(map(mul, ra, cb)) for ca, cb in zip(cas, cbs)])
+
+
+def _imaginary(ims, width) -> list | None:
+    """Imaginary parts for `_dots`: None if all are, else zeros for a None."""
+    if all(im is None for im in ims):
+        return None
+    return [[0] * width if im is None else im for im in ims]
+
+
+def products(rows, cols) -> tuple:
+    """Rows of sum(x * y for x, y in zip(row, col)) over cols, for each row.
+
+    rows and cols are sequences of equally long Scalar sequences; the result
+    is a tuple of Scalar tuples with one entry per (row, col) pair.
+    """
+    cas, cbs, dens = zip(*map(_common, cols)) if cols else ((), (), ())
+    cbs = _imaginary(cbs, len(cas[0]) if cas else 0)
     out = []
-    for ca, cb, cd in cols:
-        re = sum(map(mul, ra, ca))
-        im = 0
-        if rb is not None:
-            im = sum(map(mul, rb, ca))
-            if cb is not None:
-                re -= sum(map(mul, rb, cb))
-        if cb is not None:
-            im += sum(map(mul, ra, cb))
-        out.append((re, im, cd))
-    return out
-
-
-def product_lines(rows, cols):
-    """Lazily, for each row, the tuple of its products with every column.
-
-    rows are Scalar sequences and cols come from `common_forms`, so columns
-    shared by several calls are brought to their denominators once; a caller
-    that stops early never forms the remaining lines.
-    """
     for ra, rb, rd in map(_common, rows):
+        res, ims = _dots(ra, rb, cas, cbs)
         line = []
-        for re, im, cd in _dots(ra, rb, cols):
+        for re, im, cd in zip(res, ims or repeat(0), dens):
             d = rd * cd
             if d != 1:
                 g = gcd(d, re, im)
@@ -385,16 +381,21 @@ def product_lines(rows, cols):
             _set_b(s, im)
             _set_d(s, d)
             line.append(s)
-        yield tuple(line)
+        out.append(tuple(line))
+    return tuple(out)
 
 
-def products(rows, cols) -> tuple:
-    """Rows of sum(x * y for x, y in zip(row, col)) over cols, for each row.
-
-    rows and cols are sequences of equally long Scalar sequences; the result
-    is a tuple of Scalar tuples with one entry per (row, col) pair.
-    """
-    return tuple(product_lines(rows, common_forms(cols)))
+def from_parts(a: int, b: int, d: int) -> Scalar:
+    """The canonical Scalar (a + b*i)/d for d > 0, one gcd: `parts` undone."""
+    if d != 1:
+        g = gcd(d, a, b)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    s = _new(Scalar)
+    _set_a(s, a)
+    _set_b(s, b)
+    _set_d(s, d)
+    return s
 
 
 # --- scaled Gaussian-integer matrices -------------------------------
@@ -406,8 +407,8 @@ def scaled(m) -> tuple:
         return (), None, 1
     n = len(m[0])
     re, im, d = _common([x for row in m for x in row])
-    return ([re[i:i + n] for i in range(0, len(re), n)],
-            None if im is None else [im[i:i + n] for i in range(0, len(im), n)],
+    return ([re[i * n:i * n + n] for i in range(len(m))],
+            None if im is None else [im[i * n:i * n + n] for i in range(len(m))],
             d)
 
 
@@ -416,58 +417,46 @@ def scaled_product(a, b) -> tuple:
     gcd, so a chain of products cancels nothing until `unscaled`."""
     ar, ai, ad = a
     br, bi, bd = b
-    cols = tuple(zip(zip(*br), repeat(None) if bi is None else zip(*bi),
-                     repeat(bd)))
-    lines = [_dots(ra, rb, cols)
+    cas, cbs = list(zip(*br)), None if bi is None else list(zip(*bi))
+    lines = [_dots(ra, rb, cas, cbs)
              for ra, rb in zip(ar, repeat(None) if ai is None else ai)]
-    return ([[x for x, _, _ in line] for line in lines],
-            None if ai is None and bi is None else
-            [[y for _, y, _ in line] for line in lines],
+    return ([re for re, _ in lines],
+            None if ai is None and bi is None else [im for _, im in lines],
             ad * bd)
 
 
+def scaled_same(x, y) -> bool:
+    """Whether the scaled vectors x and y, each (re, im, d) with im None when
+    real, are equal, cross-multiplied."""
+    (xr, xi, xd), (yr, yi, yd) = x, y
+    if xd == yd and (xi is None) == (yi is None):
+        return xr == yr and xi == yi
+    zeros = repeat(0)
+    return all(u * yd == v * xd for u, v in zip(xr, yr)) and (
+        xi is yi is None
+        or all(u * yd == v * xd for u, v in zip(xi or zeros, yi or zeros)))
+
+
 def scaled_equal(a, b, coeff=ONE) -> bool:
-    """Whether a == coeff * b for scaled matrices a and b of one shape,
-    compared at a common scale by cross-multiplying."""
-    ar, ai, ad = a
+    """Whether a == coeff * b for scaled matrices a and b of one shape."""
     br, bi, bd = b
-    ca, cb, cd = coeff._a, coeff._b, coeff._d
-    scale = bd * cd
-    zeros = repeat(repeat(0))
-    for ra, ia, rb, ib in zip(ar, ai or zeros, br, bi or zeros):
-        for x, y, u, v in zip(ra, ia, rb, ib):
-            if (x * scale != (ca * u - cb * v) * ad
-                    or y * scale != (ca * v + cb * u) * ad):
-                return False
-    return True
-
-
-def scaled_rows(a, column) -> list:
-    """Row i of the scaled matrix a followed by the Scalar column[i], each
-    over one denominator: the forms `product_lines` reads."""
-    re, im, d = a
-    out = []
-    for i, x in enumerate(column):
-        e = lcm(d, x._d)
-        f, g = e // d, e // x._d
-        ra = [y * f for y in re[i]] if f != 1 else re[i]
-        ia = ([0] * len(ra) if x._b else None) if im is None else (
-            [y * f for y in im[i]] if f != 1 else im[i])
-        out.append((ra + [x._a * g], None if ia is None else ia + [x._b * g], e))
-    return out
+    if coeff != ONE:
+        ca, cb, cd = coeff._a, coeff._b, coeff._d
+        zeros = repeat(repeat(0))
+        br, bi, bd = ([[ca * u - cb * v for u, v in zip(ru, rv)]
+                       for ru, rv in zip(br, bi or zeros)],
+                      [[ca * v + cb * u for u, v in zip(ru, rv)]
+                       for ru, rv in zip(br, bi or zeros)], bd * cd)
+    ar, ai, ad = a
+    return all(scaled_same((ra, ia, ad), (rb, ib, bd)) for ra, ia, rb, ib in zip(
+        ar, ai or repeat(None), br, bi or repeat(None)))
 
 
 def unscaled(a) -> tuple:
     """The canonical Scalar rows of a scaled matrix, one gcd per entry."""
     re, im, d = a
-    out = []
-    for ra, ia in zip(re, repeat(repeat(0)) if im is None else im):
-        line = []
-        for x, y in zip(ra, ia):
-            g = gcd(d, x, y)
-            line.append(_make(x // g, y // g, d // g))
-        out.append(tuple(line))
-    return tuple(out)
+    return tuple(tuple(map(from_parts, ra, ia, repeat(d)))
+                 for ra, ia in zip(re, repeat(repeat(0)) if im is None else im))
 
 
 def _parse_rational(text: str) -> Fraction:

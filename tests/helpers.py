@@ -259,6 +259,18 @@ def eta_word(images, values, word, dim):
     return acc
 
 
+def star_eta_word(images, gram, values, character, word, dim):
+    """(eta(w), eps(w)) on a star algebra by eta(l w) = pi(l) eta(w)
+    + eta(l) eps(w), from the right end; values and character are keyed by
+    letter, a starred letter mapping to the form-adjoint."""
+    acc, eps = zero_vec(dim), CONE
+    for letter in reversed(word):
+        acc = vadd(mvec(star_letter_matrix(images, gram, letter), acc),
+                   vscale(eps, values[letter]))
+        eps = cmul(character[letter], eps)
+    return acc, eps
+
+
 def psi_letter(psi_values, letter):
     name, tag = letter
     v = psi_values[name]

@@ -5,16 +5,17 @@ result of the package's scalar operators, matrix products, elimination
 routines, hermitian forms, group validation, memoised word evaluators and
 star-algebra rewriting is compared with (or checked by) the plain
 (Fraction, Fraction) arithmetic and the restart-from-the-left rewriting in
-helpers.  The level-at-a-time folds, the batched triple verification and
-the oracle are compared with their per-word and per-pair paths, and the
-normal forms' keys, built one letter onto a tail's key, with the
-letter-by-letter products.  The draws are derandomized, so a run is
-repeatable and needs no example database.
+helpers.  The scaled-integer word memos, the triple verification and the
+oracle are compared with the reference and their per-word and per-pair
+paths, and the normal forms' keys, built one letter onto a tail's key,
+with the letter-by-letter products.  The draws are derandomized, so a run
+is repeatable and needs no example database.
 """
 
 import contextlib
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -26,7 +27,7 @@ from nlk.cocycles import (
     Representation,
     RepresentationError,
     big_K,
-    missing_suffixes,
+    trivial_representation,
 )
 from nlk.functionals import (
     AbelianExponents,
@@ -51,6 +52,7 @@ from nlk.scalars import (
     ONE,
     ZERO,
     Scalar,
+    from_parts,
     scaled,
     scaled_equal,
     scaled_product,
@@ -640,10 +642,13 @@ def test_memoised_folds_match_reference_in_any_order(ia, ib, ea, eb, pa, pb,
     # its back half, a suffix shared with the word, mixed in
     batch = [v for w in words for v in (w, w[len(w) // 2:], w)]
     cocycle, functional = free_group_triple(images, eta, psi)
-    functional.fill_levels(missing_suffixes(functional._psi_memo, batch))
+    functional.fill_levels(batch)
     assert set(batch) <= set(functional._psi_memo) & set(cocycle._eta_memo)
+    filled = len(functional._psi_memo), len(cocycle._eta_memo)
     for w in dict.fromkeys(batch):
-        eta_w, psi_w = cocycle._eta_memo[w][0], functional._psi_memo[w]
+        # memo hits: the reads unscale what the fill stored and add nothing
+        eta_w, psi_w = cocycle.eval_word(w), functional.fold(w)
+        assert (len(functional._psi_memo), len(cocycle._eta_memo)) == filled
         assert H.to_pairs_vec(eta_w) == H.eta_word(ref_images, ref_eta, w, 2)
         assert H.to_pair(psi_w) == H.psi_word(ref_images, ref_eta, ref_psi,
                                               H.mid(2), w, 2)
@@ -913,6 +918,12 @@ def _free_group_objects(gram, images, eta, psi=None):
 FOLDS = settings(DIFF, max_examples=40)
 
 
+def unscaled_column(col):
+    """The Scalars of a cocycle memo entry, S(w) [eta(w); eps(w)] over S(w)."""
+    re, im, s = col
+    return unscaled(([re], None if im is None else [im], s))[0]
+
+
 @FOLDS
 @given(free_group_data(), st.dictionaries(st.sampled_from("ab"), ENTRIES),
        st.integers(0, 3), st.randoms(use_true_random=False))
@@ -934,9 +945,11 @@ def test_level_folds_match_the_reference_on_groups(data, psi, max_len, rnd):
     # the pair reference is slow, so it sees a sample of every level
     sample = set(rnd.sample(words, min(len(words), 12)))
     for w in words:
-        eta_w, eps_w = cocycle._eta_memo[w]
-        psi_w = functional._psi_memo[w]
+        *eta_w, eps_w = unscaled_column(cocycle._eta_memo[w])
+        eta_w = tuple(eta_w)
+        psi_w = from_parts(*functional._psi_memo[w][:3])
         assert eps_w == ONE
+        assert (cocycle.eval_word(w), functional.fold(w)) == (eta_w, psi_w)
         assert (fresh.eval_word(w), fresh_psi.fold(w)) == (eta_w, psi_w)
         if w in sample or len(w) < 2:
             assert H.to_pairs_vec(eta_w) == H.eta_word(ref[1], ref[2], w, n)
@@ -967,7 +980,8 @@ def test_level_folds_match_word_matrices_on_star_algebras(data, max_len, rnd):
         cocycle.eval_word(w)
     cocycle.fill_levels(words)
     for w in words:
-        eta_w, eps_w = cocycle._eta_memo[w]
+        *eta_w, eps_w = unscaled_column(cocycle._eta_memo[w])
+        eta_w = tuple(eta_w)
         eps = AlgebraElement.from_word(p, w).epsilon()
         assert eps_w == eps
         assert eta_w == linalg.vsub(linalg.mvmul(rep.word_matrix(w), v),
@@ -1060,6 +1074,209 @@ def test_oracle_matches_the_per_word_path(data, max_len, with_cocycle):
         cocycle if with_cocycle else None, functional, p, nf, max_len)
     fresh = Cocycle(cocycle.representation, {
         g: cocycle.values[(g, 1)] for g in "ab"}, _validated=True)
+    expected = H.oracle_per_word(fresh if with_cocycle else None,
+                                 GroupFunctional(fresh, psi), p, nf, max_len)
+    assert got.to_json() == expected
+
+
+# --- the scaled-integer memo ----------------------------------------
+
+
+# (cos, sin, denominator) of the turn each generator's unitary makes: the
+# letters' denominators 5 and 13 are coprime, as are their eta's (7 and 11)
+# and their psi's imaginary parts (3 and 17)
+TURNS = {"a": (3, 4, 5), "b": (5, 12, 13)}
+DENOMINATORS = {"a": (7, 3), "b": (11, 17)}
+SMALL_INTS = st.integers(-9, 9)
+
+
+@st.composite
+def complex_gram(draw):
+    """G = B* B for B = [[1, z], [0, 1]] with Im z != 0: unimodular,
+    complex and not diagonal; and B, whose inverse is integral too."""
+    z = Scalar(draw(st.integers(-3, 3)), draw(st.sampled_from([-2, -1, 1, 3])))
+    b = ((ONE, z), (ZERO, ONE))
+    return linalg.mmul(linalg.conj_transpose(b), b), b
+
+
+def gaussian_over(draw, den, n):
+    return tuple(Scalar(Fraction(draw(SMALL_INTS), den),
+                        Fraction(draw(SMALL_INTS), den)) for _ in range(n))
+
+
+@st.composite
+def coprime_group_data(draw, commuting=False):
+    """Two G-unitaries B^-1 V B in dimension 2 for a complex non-diagonal
+    Gram matrix, V a turn with a unit phase (diagonal phases when
+    `commuting`), with eta over 7 and 11: every letter's data has a
+    denominator coprime to the other letter's."""
+    gram, b = draw(complex_gram())
+    b_inv = linalg.inverse(b)
+    images, eta = {}, {}
+    for g, (x, y, r) in TURNS.items():
+        c, s_ = Scalar(Fraction(x, r)), Scalar(Fraction(y, r))
+        phase = draw(UNITS)
+        if commuting:
+            v = ((c + I * s_, ZERO), (ZERO, phase)) if g == "a" else \
+                ((phase, ZERO), (ZERO, c + I * s_))
+        else:
+            v = ((c * phase, -s_), (s_ * phase, c))
+        images[g] = linalg.mmul(b_inv, linalg.mmul(v, b))
+        eta[g] = gaussian_over(draw, DENOMINATORS[g][0], 2)
+    return gram, images, eta
+
+
+def drawn_psi(draw, cocycle):
+    """The forced real parts with imaginary parts over 3 and 17."""
+    return {g: r + I * Scalar(Fraction(draw(SMALL_INTS), DENOMINATORS[g][1]))
+            for g, r in forced_real_parts(cocycle).items()}
+
+
+def letter_denominator(*values):
+    """The least common denominator of Gaussian-rational pairs."""
+    return lcm(*(lcm(re.denominator, im.denominator) for re, im in values))
+
+
+@FOLDS
+@given(coprime_group_data(), GROUP_WORDS, st.randoms(use_true_random=False),
+       st.data())
+def test_scaled_memo_matches_the_reference_in_any_order(data, words, rnd,
+                                                        draws):
+    gram, images, eta = data
+    cocycle, _ = _free_group_objects(gram, images, eta)
+    functional = GroupFunctional(cocycle, drawn_psi(draws.draw, cocycle))
+    ref_gram = H.to_pairs_mat(gram)
+    ref_images = {g: H.to_pairs_mat(m) for g, m in images.items()}
+    ref_eta = {g: H.to_pairs_vec(v) for g, v in eta.items()}
+    ref_psi = {g: H.to_pair(v) for g, v in functional.values.items()}
+    # D(l): the denominator of pi(l) and eta(l) together
+    dens = {}
+    for g in "ab":
+        for letter in ((g, 1), (g, -1)):
+            dens[letter] = letter_denominator(
+                *itertools.chain(*H.letter_matrix(ref_images, letter)),
+                *H.eta_letter(ref_images, ref_eta, letter))
+    assert gcd(dens[("a", 1)], dens[("b", 1)]) == 1
+    order = list(words)
+    rnd.shuffle(order)
+    read = []
+    for w in order:  # one memo, filled on demand in the drawn order
+        read.append(w)
+        assert H.to_pairs_vec(cocycle.eval_word(w)) == \
+            H.eta_word(ref_images, ref_eta, w, 2)
+        assert H.to_pair(functional.fold(w)) == H.psi_word(
+            ref_images, ref_eta, ref_psi, ref_gram, w, 2)
+        suffixes = {v[i:] for v in read for i in range(len(v) + 1)}
+        assert set(cocycle._eta_memo) - validated_words(cocycle) <= suffixes
+        assert set(functional._psi_memo) == suffixes
+        # a word's scale is the product of its letters' denominators
+        scale = 1
+        for letter in w:
+            scale *= dens[letter]
+        assert cocycle._eta_memo[w][2] == scale
+
+
+def validated_words(cocycle):
+    """The words a group cocycle's validation reads: its relators' suffixes."""
+    return {r[i:] for r in cocycle.presentation.relators
+            for i in range(len(r) + 1)}
+
+
+@st.composite
+def star_memo_data(draw):
+    """A rule-free star algebra on x and its own letter x*, a counit outside
+    {0, 1}, a complex non-diagonal Gram matrix, any image and any eta on
+    both letters."""
+    gram, _ = draw(complex_gram())
+    eps = draw(NONZERO.filter(lambda e: e != ONE))
+    p = Presentation.star_algebra(["x"], {"x": "x*"}, {"x": eps}, [])
+    image = tuple(gaussian_over(draw, 5, 2) for _ in range(2))
+    rep = Representation(p, linalg.HermitianForm(gram), {"x": image})
+    values = {"x": gaussian_over(draw, 7, 2), "x*": gaussian_over(draw, 11, 2)}
+    return p, gram, image, eps, values, Cocycle(rep, values)
+
+
+@FOLDS
+@given(star_memo_data(), STAR_WORDS)
+def test_scaled_star_memo_matches_the_reference_in_any_order(data, words):
+    p, gram, image, eps, values, cocycle = data
+    ref = ({"x": H.to_pairs_mat(image)}, H.to_pairs_mat(gram),
+           {("x", 0): H.to_pairs_vec(values["x"]),
+            ("x", 1): H.to_pairs_vec(values["x*"])},
+           {("x", 0): H.to_pair(eps), ("x", 1): H.cconj(H.to_pair(eps))})
+    read = []
+    for w in words:
+        read.append(w)
+        *eta_w, eps_w = unscaled_column(cocycle._scaled_eta(w))
+        assert (H.to_pairs_vec(eta_w), H.to_pair(eps_w)) == \
+            H.star_eta_word(*ref, w, 2)
+        assert cocycle.eval_word(w) == tuple(eta_w)
+        assert set(cocycle._eta_memo) == {v[i:] for v in read
+                                          for i in range(len(v) + 1)}
+
+
+@FOLDS
+@given(coprime_group_data(), st.integers(1, 4), st.data(),
+       st.one_of(st.none(), st.tuples(st.sampled_from("ab"), NONZERO)))
+def test_verify_matches_the_reference_at_coprime_scales(data, max_len, draws,
+                                                       tamper):
+    gram, images, eta = data
+    cocycle, _ = _free_group_objects(gram, images, eta)
+    psi = drawn_psi(draws.draw, cocycle)
+    if tamper is not None:
+        psi[tamper[0]] = psi[tamper[0]] + tamper[1]
+    fresh, _ = _free_group_objects(gram, images, eta)
+    expected = H.verify_per_pair(fresh, GroupFunctional(fresh, psi), max_len)
+    assert verify_schurmann_triple(
+        cocycle, GroupFunctional(cocycle, psi), max_len).to_json() == expected
+    if tamper is None:
+        assert expected["passed"]
+
+
+@FOLDS
+@given(st.integers(1, 4), st.data(),
+       st.one_of(st.none(), st.tuples(st.integers(0, 60), NONZERO)))
+def test_star_verify_matches_the_reference_off_the_unit_counit(max_len, draws,
+                                                               tamper):
+    gram, _ = draws.draw(complex_gram())
+    eps = draws.draw(NONZERO.filter(lambda e: e != ONE))
+    p = Presentation.star_algebra(["x"], {"x": "x*"}, {"x": eps}, [])
+    image = tuple(gaussian_over(draws.draw, 5, 2) for _ in range(2))
+    rep = Representation(p, linalg.HermitianForm(gram), {"x": image})
+    v = gaussian_over(draws.draw, 7, 2)
+    cocycle, phi = coboundary_cocycle(rep, v)
+    functional = _star_functional(p, phi, max_len, tamper)
+    expected = H.verify_per_pair(coboundary_cocycle(rep, v)[0], functional,
+                                 max_len)
+    assert verify_schurmann_triple(cocycle, functional, max_len).to_json() \
+        == expected
+    if tamper is None:
+        assert expected["passed"]
+
+
+@FOLDS
+@given(coprime_group_data(commuting=True), st.booleans(), st.integers(2, 4),
+       st.booleans(), st.data())
+def test_oracle_matches_the_reference_at_coprime_scales(data, coboundary,
+                                                        max_len, with_cocycle,
+                                                        draws):
+    gram, images, eta = data
+    p = Presentation.group(["a", "b"], [["a", "b", "a^-1", "b^-1"]])
+    form = linalg.HermitianForm(gram)
+    if coboundary:
+        rep = Representation(p, form, images)
+        cocycle = coboundary_cocycle(rep, gaussian_over(draws.draw, 1, 2))[0]
+    else:
+        # psi is well defined exactly when Im <eta(a), eta(b)> = 0
+        rep = trivial_representation(p, form)
+        cocycle = Cocycle(rep, eta)
+    psi = drawn_psi(draws.draw, cocycle)
+    nf = AbelianExponents(p)
+    got = brute_force_welldefinedness_oracle(
+        cocycle if with_cocycle else None, GroupFunctional(cocycle, psi), p, nf,
+        max_len)
+    fresh = Cocycle(rep, {g: cocycle.values[(g, 1)] for g in "ab"},
+                    _validated=True)
     expected = H.oracle_per_word(fresh if with_cocycle else None,
                                  GroupFunctional(fresh, psi), p, nf, max_len)
     assert got.to_json() == expected

@@ -323,8 +323,8 @@ def test_star_functional_reads_nothing_past_its_support():
     past = (x,) * 9
     reads = (lambda: psi.psi_word(past),
              lambda: psi.eval_element(AlgebraElement.from_word(p, past)),
-             lambda: psi_product(psi, {}, (x,) * 4, (x,) * 5),
-             lambda: psi_product(psi, {}, (x,) * 4, (x,) * 5, True))
+             lambda: psi_product(psi, (x,) * 4, (x,) * 5),
+             lambda: psi_product(psi, (x,) * 4, (x,) * 5, True))
     for read in reads:
         with pytest.raises(TableSupportExceeded) as info:
             read()
@@ -483,6 +483,31 @@ def test_oracle_rejects_candidate_when_solver_says_infeasible():
     wa, wb = ce["word_a"], ce["word_b"]
     assert nf.key(wa) == nf.key(wb)
     assert candidate.fold(wa) != candidate.fold(wb)
+
+
+def test_failing_oracle_memoises_only_the_suffixes_of_the_words_it_read():
+    scn = parse_scenario(scenario_doc("p2.nongaussian", "main"))
+    cocycle = scn.build_cocycle(scn.build_representation())
+    candidate = GroupFunctional(cocycle, forced_real_parts(cocycle))
+    nf = scn.build_normal_form()
+    p = scn.presentation
+    validated = set(cocycle._eta_memo)  # the relators' suffixes
+    report = brute_force_welldefinedness_oracle(cocycle, candidate, p, nf, 6)
+    assert not report.passed
+    ce = report.counterexample
+    # the words the oracle compared, in its order, up to the counterexample
+    read = []
+    for bucket in nf.buckets(p.words_up_to(6)).values():
+        read.append(bucket[0])
+        if bucket[0] == ce["word_a"]:
+            read += bucket[1:bucket.index(ce["word_b"]) + 1]
+            break
+        read += bucket[1:]
+    suffixes = {w[i:] for w in read for i in range(len(w) + 1)}
+    assert set(candidate._psi_memo) <= suffixes
+    assert set(cocycle._eta_memo) <= suffixes | validated
+    # a level fill would hold every word up to the counterexample's length
+    assert len(p.words_up_to(len(ce["word_b"]))) > len(suffixes)
 
 
 def test_solve_outcome_json_shape():

@@ -273,6 +273,27 @@ def test_cli_verify_and_oracle(tmp_path, capsys):
     assert "passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+def test_text_early_stop_shows_the_reason_and_the_relator_readings(
+        tmp_path, capsys, command):
+    path = write_doc(tmp_path, H.ill_defined_psi_doc())
+    assert cli.main([command, path]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert "reason: ill_defined_psi" in lines
+    assert "forced Re psi(r) = 0" in lines
+    assert "relator r r: K_r = 2i (re ok)" in lines
+    assert "relator a b a^-1 b^-1: K_r = 0 (re ok)" in lines
+
+
+def test_text_verify_without_a_functional_shows_the_embedded_solve(capsys):
+    assert cli.main(["verify", "p2.nongaussian"]) == 2
+    out = capsys.readouterr().out
+    assert ("passed: False\nreason: no_generating_functional\ntotal solve:\n"
+            "verdict: infeasible\nrelator a b a^-1 b^-1: K_r = -2i (re ok)\n"
+            in out)
+    assert "certificate: 1/2 0 0 0" in out
+
+
 def test_cli_oracle_needs_normal_form(tmp_path, capsys):
     path = write_doc(tmp_path, z2_doc())
     assert cli.main(["oracle", path]) == 1
