@@ -19,7 +19,9 @@ U(l w) = Q(l) U(w).  Scales are multiplied, never divided.  `verify` and
 the oracle read these integers and decide every identity by
 cross-multiplying; a Scalar is built only for a witness, a counterexample
 or a report value, or through `fold`, which unscales a word once and keeps
-the Scalar for GNS, Gaussianity, `solve` and the relator folds.
+the Scalar for Gaussianity, `solve`, the relator folds and the GNS Gram
+matrix, which is built a row at a time from those Scalars and from star
+tables, read through `StarFunctional.read` alone.
 """
 
 from __future__ import annotations
@@ -172,33 +174,20 @@ class GroupFunctional:
                         for g in self.presentation.generators}}
 
 
-class _Table(dict):
-    """psi by canonical word: 0 on a word within the support that the table
-    leaves out, and TableSupportExceeded on a longer one.  Every read of a
-    star functional is a lookup here."""
-
-    __slots__ = ("support",)
-
-    def __missing__(self, word):
-        if len(word) > self.support:
-            raise TableSupportExceeded(word, self.support)
-        return ZERO
-
-
 class StarFunctional:
     """psi on a star-algebra presentation, given as a monomial table.
 
     Keys must be canonical words, and the empty word may not carry a nonzero
     value.  The table's support is the length of its longest key, zero-valued
-    keys included.
+    keys included.  Every read of a canonical word goes through `read`.
     """
 
     def __init__(self, presentation: Presentation, table):
         if presentation.kind != STAR_ALGEBRA:
             raise ValueError("StarFunctional needs a star-algebra presentation")
         self.presentation = presentation
-        canon = _Table()
-        canon.support = max(map(len, table), default=0)
+        self.support = max(map(len, table), default=0)
+        canon = {}
         for word, value in table.items():
             word = tuple(word)
             value = Scalar.coerce(value)
@@ -215,18 +204,28 @@ class StarFunctional:
 
     kind = STAR_ALGEBRA
 
+    def read(self, word) -> Scalar:
+        """psi of a canonical word: its table value, 0 on a word within the
+        support that the table leaves out, and TableSupportExceeded on a
+        longer one."""
+        # the table keeps nonzero values only, so ZERO itself marks a miss
+        value = self.table.get(word, ZERO)
+        if value is ZERO and len(word) > self.support:
+            raise TableSupportExceeded(word, self.support)
+        return value
+
     def psi_word(self, word) -> Scalar:
         c, red = self.presentation.reduce(word)
-        return c * self.table[red]
+        return c * self.read(red)
 
     def _scaled_psi(self, word):
         """psi(w) for a canonical word w as (re, im, scale), no gcd."""
-        return parts(self.table[word])
+        return parts(self.read(word))
 
     def eval_element(self, element: AlgebraElement) -> Scalar:
         out = ZERO
         for w, coeff in element.terms.items():
-            out = out + coeff * self.table[w]
+            out = out + coeff * self.read(w)
         return out
 
 
@@ -370,7 +369,7 @@ def psi_product(functional, w1, w2, left_canonical=False) -> Scalar:
         return functional.psi_word(red)
     if coeff.is_zero():
         return ZERO
-    return coeff * functional.table[red]
+    return coeff * functional.read(red)
 
 
 def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> VerifyReport:
@@ -583,23 +582,64 @@ def gns_truncated(functional, max_len: int) -> GnsResult:
     matrix, its rank, a semidefiniteness verdict with witness, and, when
     semidefinite, the classes of the words expressed over a maximal
     independent subset (these are the truncated GNS vectors of eta).
+
+    The Gram matrix is built row by row, w_i*, psi(w_i*) and eps(w_i) read
+    once per row.  Whether w_i* w_j holds a redex at the junction is decided
+    once per distinct (tail of w_i*, head of w_j) pair
+    (`Presentation.junction_redex`); without one the product is the
+    concatenation, whose psi is one table or memo read, and with one it is
+    rewritten from the junction (`Presentation.multiply`).  A star that is
+    not canonical is reduced with each product.  Counit terms are formed
+    only where the counit is nonzero.  psi of the words and of their stars,
+    and each star's canonicity, are read before the rows, so an error names
+    the word that the row-major order meets first.
     """
     p = functional.presentation
+    group = p.kind == GROUP
+    read = functional.fold if group else functional.read
     words = tuple(p.words_up_to(max_len, include_empty=False))
-    psi = {w: functional.psi_word(w) for w in words}
+    psi = [functional.psi_word(w) for w in words]
     eps = [p._word_character(w) for w in words]
     stars = [p.involve_word(w) for w in words]
     psi_star = [functional.psi_word(s) for s in stars]
     # the inverse of a freely reduced word is freely reduced; a raw star is
     # canonical when it is its own reduction
-    canonical = [p.kind == GROUP or p.reduce(s) == (ONE, s) for s in stars]
-    n = len(words)
+    canonical = [group or p.reduce(s) == (ONE, s) for s in stars]
+    k = p.junction_width
+    heads = {}
+    head_of = [heads.setdefault(w[:k], len(heads)) for w in words]
+    junctions = {}  # (tail, head) -> whether their junction holds a redex
+
+    def value(coeff, red):
+        """psi of coeff red, red a canonical word."""
+        if group:
+            return read(red)
+        return ZERO if coeff.is_zero() else coeff * read(red)
+
+    gram = []
     # psi((w_i - eps_i)* (w_j - eps_j)), expanded through psi(1) = 0
-    gram = tuple(
-        tuple(psi_product(functional, stars[i], words[j], canonical[i])
-              - eps[j] * psi_star[i] - eps[i].conj() * psi[words[j]]
-              for j in range(n))
-        for i in range(n))
+    for star, e_i, p_i, canon in zip(stars, eps, psi_star, canonical):
+        if canon:
+            tail = star[-k:] if k else ()
+            hits = []
+            for head in heads:
+                hit = junctions.get((tail, head))
+                if hit is None:
+                    hit = junctions[tail, head] = (
+                        p.junction_redex(tail, head) is not None)
+                hits.append(hit)
+            row = [value(*p.multiply(star, w)) if hits[h] else read(star + w)
+                   for w, h in zip(words, head_of)]
+        else:
+            row = [value(*p.reduce(star + w)) for w in words]
+        if not e_i.is_zero():
+            e_i = e_i.conj()
+            row = [x - e_i * y for x, y in zip(row, psi)]
+        if not p_i.is_zero():
+            row = [x if e.is_zero() else x - e * p_i
+                   for x, e in zip(row, eps)]
+        gram.append(tuple(row))
+    gram = tuple(gram)
     # one elimination: the pivot columns are the first maximal independent set
     # of word classes, and column j of the reduced rows gives w_j over them
     red, pivot_idx = linalg.rref(gram)

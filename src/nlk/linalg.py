@@ -14,7 +14,8 @@ before scaling and counts row swaps.  All but semidefiniteness read it:
 (infeasible exactly when b's column is a pivot column, whose row carries the
 certificate); `inverse` on [m | I], whose pivots also decide a hermitian
 form's definiteness (Sylvester); `det`, (-1)^swaps times the pivot product.
-`psd_check` is the one other loop, a diagonal-pivoted congruence.  Dimension
+`psd_check` is the one other loop, a diagonal-pivoted congruence, after an
+entrywise hermitianity test that copies nothing.  Dimension
 0 is allowed throughout; it shows up when a splitting has an empty Gaussian
 or remainder part.
 """
@@ -351,13 +352,15 @@ def psd_check(gram) -> PsdResult:
 
     Pivoted LDL-style congruence elimination; eigenvalues would leave the
     field, diagonal pivots do not.  On failure returns a witness vector v
-    with conj(v)^T G v < 0.
+    with conj(v)^T G v < 0.  The entries are Scalars, and hermitianity is
+    tested entry by entry, g[i][j] against conj g[j][i] for j >= i.
     """
-    g = matrix(gram)
-    n, c = mat_shape(g)
-    if n != c or not mat_eq(g, conj_transpose(g)):
+    n = len(gram)
+    if any(len(row) != n for row in gram) or any(
+            gram[i][j] != gram[j][i].conj()
+            for i in range(n) for j in range(i, n)):
         raise LinalgError("psd_check needs a hermitian matrix")
-    work = [list(row) for row in g]
+    work = [list(row) for row in gram]
     # invariant on the undone rows and columns: work == C @ G @ conj_transpose(C),
     # and a witness maps back by conj_transpose(C).  A pass sweeps rows only;
     # the undone block is then the same Schur complement a congruence gives,

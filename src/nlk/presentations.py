@@ -16,10 +16,13 @@ STEP_BUDGET rewriting steps per reduction.
 
 `Presentation.multiply` forms the canonical form of a product of two
 canonical words.  Neither factor holds a redex, so a redex of the product
-crosses the junction; only the last (longest left side - 1) letters of the
-left factor are tried as its start, and the product is handed to `reduce`
-only when a rule matches there.  The answer is `reduce`'s for every rule set,
-confluent or not.  Group words cancel inverse pairs at the junction only.
+crosses the junction: it starts in the left factor's tail, its last
+`junction_width` (longest left side - 1) letters, and ends in the right
+factor's head, its first `junction_width` letters.  `junction_redex` finds
+it from the tail and head alone, so a caller can decide it once per distinct
+pair, and `multiply` rewrites from there through the loop `reduce` runs from
+position 0.  The answer is `reduce`'s for every rule set, confluent or not.
+Group words cancel inverse pairs at the junction only.
 `AlgebraElement` products go through it, since every term of an element is
 canonical.  `kn_products` yields the distinct kernel products one at a time,
 so a caller that stops early forms no product past the one it stops at.
@@ -197,6 +200,8 @@ class Presentation:
     def _init_group(self):
         if self.involution or self.character or self.rules:
             raise PresentationError("group presentations take only relators")
+        # an inverse pair is the one redex, two letters long
+        self.junction_width = 1
         for r in self.relators:
             self._check_letters(r)
             if not r:
@@ -251,7 +256,9 @@ class Presentation:
         for rule in self.rules:
             self._rules_at.setdefault(rule.lhs[0], []).append(
                 (list(rule.lhs), len(rule.lhs), rule))
-        self._max_lhs = max((len(rule.lhs) for rule in self.rules), default=1)
+        # longest left side - 1: how far a redex reaches past its first letter
+        self.junction_width = max(
+            (len(rule.lhs) for rule in self.rules), default=1) - 1
 
     def _check_letters(self, word):
         for name, tag in word:
@@ -345,12 +352,17 @@ class Presentation:
         except KeyError:
             self._check_letters(word)  # raises the precise letter error
             raise
+        return self._rewrite(cur, word, 0)
+
+    def _rewrite(self, cur, word, i):
+        """Rewrite the normalised letters `cur` in place from position i,
+        where no redex starts before i, as `reduce` does from 0; a budget
+        error names the start word `word`."""
         rules_at = self._rules_at
-        back = self._max_lhs - 1
+        back = self.junction_width
         coeff = ONE
         steps = 0
         budget = STEP_BUDGET
-        i = 0
         while i < len(cur):
             for lhs, n, rule in rules_at.get(cur[i], ()):
                 if cur[i:i + n] == lhs:
@@ -367,23 +379,45 @@ class Presentation:
                 i += 1
         return coeff, tuple(cur)
 
+    def junction_redex(self, tail, head):
+        """Where in `tail` the leftmost redex of tail + head starts, or None.
+
+        `tail` is the last `junction_width` letters (or fewer) of a
+        canonical word u and `head` the first `junction_width` letters of a
+        canonical word v; every redex of u v that crosses the junction lies
+        in tail + head, and no other redex exists.
+        """
+        if self.kind == GROUP:
+            return (len(tail) - 1 if tail and head
+                    and tail[-1] == (head[0][0], -head[0][1]) else None)
+        word = tail + head
+        rules_at = self._rules_at
+        for i in range(len(tail)):
+            for _, n, rule in rules_at.get(word[i], ()):
+                if word[i:i + n] == rule.lhs:
+                    return i
+        return None
+
     def multiply(self, u, v):
         """Canonical form of u v for canonical words u and v, as
         (coefficient, word): what `reduce(u + v)` returns, budget error
-        included, found by looking for a redex at the junction only."""
+        included.  Star words are rewritten from the junction's leftmost
+        redex, the first position where `reduce`'s scan from 0 would
+        rewrite, by `reduce`'s own loop; with no redex there the product is
+        the concatenation."""
         if self.kind == GROUP:
             i, j = len(u), 0
             while i and j < len(v) and u[i - 1] == (v[j][0], -v[j][1]):
                 i -= 1
                 j += 1
             return ONE, u[:i] + v[j:]
+        k = self.junction_width
+        tail = u[-k:] if k else ()
+        at = self.junction_redex(tail, v[:k])
         word = u + v
-        rules_at = self._rules_at
-        for i in range(max(0, len(u) - self._max_lhs + 1), len(u)):
-            for _, n, rule in rules_at.get(word[i], ()):
-                if word[i:i + n] == rule.lhs:
-                    return self.reduce(word)
-        return ONE, word
+        if at is None:
+            return ONE, word
+        return self._rewrite(list(word), word, len(u) - len(tail) + at)
 
     def involve_word(self, word) -> tuple:
         """Raw star of a word: reverse and star each letter (not reduced)."""
@@ -427,7 +461,7 @@ class Presentation:
 
     def _has_redex_at_end(self, word) -> bool:
         rules_at = self._rules_at
-        for k in range(1, min(self._max_lhs, len(word)) + 1):
+        for k in range(1, min(self.junction_width + 1, len(word)) + 1):
             for _, n, rule in rules_at.get(word[-k], ()):
                 if n == k and word[-k:] == rule.lhs:
                     return True

@@ -8,7 +8,8 @@ package cannot leak into the expected values it produces.  Conversion
 helpers only read .re/.im attributes off objects they are handed;
 spanning_products only multiplies the elements it is handed, and
 verify_per_pair and oracle_per_word only call the per-word methods of the
-objects they are handed.
+objects they are handed, and gns_gram_per_entry only the functions it is
+handed.
 
 The fixtures at the end build package objects: the obstruction 2-cochain
 L(eta) with its Hochschild boundary, which `cocycles.big_K` is compared
@@ -348,10 +349,11 @@ def independent_subset(vectors):
 
 
 class BudgetExceeded(Exception):
-    def __init__(self, rule_index, steps):
+    def __init__(self, rule_index, steps, word):
         super().__init__(f"rule {rule_index} applied for step {steps}")
         self.rule_index = rule_index
         self.steps = steps
+        self.word = word
 
 
 def reduce_word(letters, rules, word, budget):
@@ -380,7 +382,48 @@ def reduce_word(letters, rules, word, budget):
         cur[i:i + len(lhs)] = list(rhs)
         steps += 1
         if steps > budget:
-            raise BudgetExceeded(k, steps)
+            raise BudgetExceeded(k, steps, tuple(word))
+
+
+class TableRefused(Exception):
+    """A reference table was read on a word past its support."""
+
+    def __init__(self, word):
+        super().__init__(f"read past the support on {word}")
+        self.word = word
+
+
+def table_read(table, support, word):
+    """psi of a canonical word from a table of pairs: its value, 0 on a word
+    within the support that the table leaves out, refused past it."""
+    if word in table:
+        return table[word]
+    if len(word) > support:
+        raise TableRefused(word)
+    return CZERO
+
+
+def gns_gram_per_entry(words, star, reduce, read, counit):
+    """The truncated GNS Gram matrix, one entry at a time.
+
+    Entry (i, j) is psi(w_i* w_j) - eps(w_j) psi(w_i*) - conj eps(w_i)
+    psi(w_j), every psi being `read` of the canonical word that `reduce`
+    gives, times its coefficient (0, unread, when that is 0).  psi is read
+    on the words, then on their stars, then on the products in row-major
+    order, so an error is the first one that order meets.
+    """
+    def psi(word):
+        coeff, red = reduce(word)
+        return CZERO if cis_zero(coeff) else cmul(coeff, read(red))
+
+    psi_w = [psi(w) for w in words]
+    stars = [star(w) for w in words]
+    psi_s = [psi(s) for s in stars]
+    eps = [counit(w) for w in words]
+    return tuple(
+        tuple(csub(csub(psi(s + w), cmul(e_j, p_s)), cmul(cconj(e_i), p_j))
+              for w, e_j, p_j in zip(words, eps, psi_w))
+        for s, e_i, p_s in zip(stars, eps, psi_s))
 
 
 def abelian_key(generators, word):

@@ -7,13 +7,15 @@ star-algebra rewriting is compared with (or checked by) the plain
 (Fraction, Fraction) arithmetic and the restart-from-the-left rewriting in
 helpers.  The scaled-integer word memos, the triple verification and the
 oracle are compared with the reference and their per-word and per-pair
-paths, and the normal forms' keys, built one letter onto a tail's key,
+paths, the truncated GNS Gram matrix with its per-entry reference, and the
+normal forms' keys, built one letter onto a tail's key,
 with the letter-by-letter products.  The draws are derandomized, so a run
 is repeatable and needs no example database.
 """
 
 import contextlib
 import itertools
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -34,8 +36,10 @@ from nlk.functionals import (
     GroupFunctional,
     P2NormalForm,
     StarFunctional,
+    TableSupportExceeded,
     brute_force_welldefinedness_oracle,
     forced_real_parts,
+    gns_truncated,
     verify_schurmann_triple,
 )
 from nlk.presentations import (
@@ -1363,3 +1367,180 @@ def test_normal_form_buckets_match_the_letter_by_letter_keys(kind):
     for w in words:
         expected.setdefault(reference(w), []).append(w)
     assert list(nf.buckets(words).items()) == list(expected.items())
+
+
+# --- the truncated GNS Gram matrix ------------------------------------
+
+
+@st.composite
+def complex_counit_systems(draw):
+    """x with x* a letter of its own and a non-real counit c, so that the
+    conjugate counit term shows; with the rule x* x -> |c|^2, the stars
+    x* ... x* meet a junction redex against every word starting with x."""
+    c = draw(st.sampled_from([I, Scalar(1, 1), Scalar(2, -1)]))
+    alphabet = [("x", 0), ("x", 1)]
+    rules = ([((("x", 1), ("x", 0)), c * c.conj(), ())]
+             if draw(st.booleans()) else [])
+    return ("x",), [True], {"x": c}, alphabet, rules
+
+
+def _star_counit(character, word):
+    """eps of a word as a pair, a starred letter taking the conjugate."""
+    out = H.CONE
+    for name, tag in word:
+        value = H.to_pair(character[name])
+        out = H.cmul(out, H.cconj(value) if tag else value)
+    return out
+
+
+def _star_reference_gram(system, p, table, support, max_len, budget):
+    gens, starred, character, _, rules = system
+    letters = _reference_letters(system)
+    ref_rules = [(lhs, H.to_pair(c), rhs) for lhs, c, rhs in rules]
+    adjoint = {(g, 0): (g, 1) if s else (g, 0) for g, s in zip(gens, starred)}
+    adjoint.update({(g, 1): (g, 0) for g in gens})
+    return H.gns_gram_per_entry(
+        p.words_up_to(max_len, include_empty=False),
+        lambda w: tuple(adjoint[l] for l in reversed(w)),
+        lambda w: H.reduce_word(letters, ref_rules, w, budget),
+        lambda w: H.table_read(table, support, w),
+        lambda w: _star_counit(character, w))
+
+
+@contextlib.contextmanager
+def any_gram():
+    """gns_truncated without its two eliminations, so that the Gram matrix
+    of a table that is not hermitian comes back too, and a random table's
+    full-rank Gram matrix is not reduced."""
+    old = linalg.rref, linalg.psd_check
+    linalg.rref = lambda gram: ((), [])
+    linalg.psd_check = lambda gram: linalg.PsdResult(psd=False, witness=None)
+    try:
+        yield
+    finally:
+        linalg.rref, linalg.psd_check = old
+
+
+def _gram_or_error(p, compute):
+    """The Gram matrix, or the first error as (kind, word, ...)."""
+    try:
+        return "gram", compute()
+    except H.BudgetExceeded as ref:
+        return "budget", ref.word, p.rules[ref.rule_index], ref.steps
+    except ReductionBudgetExceeded as exc:
+        return "budget", exc.word, exc.rule, exc.steps
+    except (H.TableRefused, TableSupportExceeded) as exc:
+        return "support", exc.word
+
+
+def _check_star_gram(system, values, support, max_len, budget):
+    """gns_truncated's Gram matrix against the per-entry reference, at a
+    step budget, on a table of the drawn values (zeros included) over the
+    canonical words up to the support."""
+    p = _build_system(system)
+    keys = p.words_up_to(support, include_empty=False)
+    table = {w: next(values) for w in keys}
+    with step_budget(budget), any_gram():
+        functional = StarFunctional(p, table)
+        ref_table = {w: H.to_pair(v) for w, v in table.items()}
+        got = _gram_or_error(p, lambda: H.to_pairs_mat(
+            gns_truncated(functional, max_len).gram))
+        expected = _gram_or_error(p, lambda: _star_reference_gram(
+            system, p, ref_table, support, max_len, budget))
+    assert got == expected
+    return got
+
+
+def _table_values(rnd):
+    def draw():
+        while True:
+            if rnd.random() < 0.3:
+                yield ZERO
+            else:
+                yield Scalar(Fraction(rnd.randint(-9, 9), rnd.randint(1, 4)),
+                             Fraction(rnd.randint(-9, 9), rnd.randint(1, 4)))
+    return draw()
+
+
+@settings(DIFF, max_examples=150)
+@given(st.one_of(rewriting_systems(), complex_counit_systems()),
+       st.integers(1, 2), st.sampled_from([0, 0, 0, 1, 3]),
+       st.integers(0, 12), st.randoms(use_true_random=False))
+def test_gns_gram_matches_the_per_entry_reference(system, max_len, short,
+                                                  budget, rnd):
+    """Nonzero and non-real counits, zero-coefficient rules, stars that are
+    not canonical, overlapping and non-terminating rules; a table short of
+    twice the length, or a small step budget, must stop the Gram matrix at
+    the reference's first error, naming the same word."""
+    support = max(0, 2 * max_len - short)
+    _check_star_gram(system, _table_values(rnd), support, max_len, budget)
+
+
+# <x = x*, y | x x y = -y, y* y = 0>: the star x x x x meets y ... in a
+# rewrite that cascades left of the junction, x x x x y -> -x x y -> y
+CASCADE = (("x", "y"), [False, True], {"x": ZERO, "y": ZERO},
+           [("x", 0), ("y", 0), ("y", 1)],
+           [((("x", 0), ("x", 0), ("y", 0)), -ONE, (("y", 0),)),
+            ((("y", 1), ("y", 0)), ZERO, ())])
+
+
+@pytest.mark.parametrize("support, budget, outcome", [
+    (8, 10_000, "gram"), (7, 10_000, "support"), (8, 1, "budget")])
+def test_gns_gram_matches_the_reference_on_cascading_junctions(
+        support, budget, outcome):
+    # the full table gives the Gram matrix; a short table or a budget of one
+    # step stops it
+    values = _table_values(random.Random(support * budget))
+    assert _check_star_gram(CASCADE, values, support, 4,
+                            budget)[0] == outcome
+
+
+# <y = y*, x = x* | y y = y, x y = y x>: the star of y x is x y, whose
+# rewrite must stop the Gram matrix before row y meets y y
+STAR_FIRST = (("y", "x"), [False, False], {"y": ZERO, "x": ZERO},
+              [("y", 0), ("x", 0)],
+              [((("y", 0), ("y", 0)), ONE, (("y", 0),)),
+               ((("x", 0), ("y", 0)), ONE, (("y", 0), ("x", 0)))])
+
+
+def test_gns_gram_reduces_every_star_before_the_rows():
+    got = _check_star_gram(STAR_FIRST, _table_values(random.Random(5)), 4, 2, 0)
+    assert got[:2] == ("budget", (("x", 0), ("y", 0)))
+
+
+# the pair reference folds psi letter by letter with matrix inverses, so it
+# sees fewer draws
+@settings(DIFF, max_examples=8)
+@given(free_group_data(), st.dictionaries(st.sampled_from("ab"), ENTRIES),
+       st.integers(1, 2))
+def test_gns_gram_matches_the_per_entry_reference_on_free_groups(data, psi,
+                                                                 max_len):
+    gram, images, eta = data
+    cocycle, functional = _free_group_objects(gram, images, eta, psi)
+    p = cocycle.presentation
+    ref_images = {g: H.to_pairs_mat(m) for g, m in images.items()}
+    ref_eta = {g: H.to_pairs_vec(v) for g, v in eta.items()}
+    ref_psi = {g: H.to_pair(functional.values[g]) for g in "ab"}
+    ref_gram = H.to_pairs_mat(gram)
+    memo = {}
+
+    def read(word):
+        if word not in memo:
+            memo[word] = H.psi_word(ref_images, ref_eta, ref_psi, ref_gram,
+                                    word, len(gram))
+        return memo[word]
+
+    def free_reduce(word):
+        out = []
+        for name, tag in word:
+            if out and out[-1] == (name, -tag):
+                out.pop()
+            else:
+                out.append((name, tag))
+        return H.CONE, tuple(out)
+
+    expected = H.gns_gram_per_entry(
+        p.words_up_to(max_len, include_empty=False),
+        lambda w: tuple((name, -tag) for name, tag in reversed(w)),
+        free_reduce, read, lambda w: H.CONE)
+    assert H.to_pairs_mat(gns_truncated(functional, max_len).gram) == expected

@@ -317,7 +317,7 @@ def test_star_functional_table_normalization():
 def test_star_functional_reads_nothing_past_its_support():
     p, rep, eta, psi = _star_definite()
     x, y = ("x", 0), ("y", 0)
-    assert psi.table.support == 8
+    assert psi.support == 8
     # within the support a word the table leaves out is 0
     assert psi.psi_word((y,) * 8) == ZERO
     past = (x,) * 9
@@ -332,9 +332,9 @@ def test_star_functional_reads_nothing_past_its_support():
         assert info.value.code == "TABLE_SUPPORT_EXCEEDED"
     # a zero-valued key declares the words up to its length
     wider = StarFunctional(p, {**psi.table, (y,) * 9: ZERO})
-    assert wider.table.support == 9 and wider.table == psi.table
+    assert wider.support == 9 and wider.table == psi.table
     assert wider.psi_word(past) == ZERO
-    assert StarFunctional(p, {}).table.support == 0
+    assert StarFunctional(p, {}).support == 0
     with pytest.raises(TableSupportExceeded):
         StarFunctional(p, {}).psi_word((x,))
 
