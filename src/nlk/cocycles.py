@@ -13,11 +13,11 @@ finite relation set, with exact residuals reported on failure.
 
 Every eta(w) is computed one way, into a memo of scaled Gaussian integers:
 S(w) [eta(w); eps(w)] with S(w) the product of the denominators D(l) of its
-letters' data [pi(l) | eta(l); 0 | eps(l)].  A read fills the word's
+letters' rows D(l) [pi(l) | eta(l); 0 | eps(l)].  A read fills the word's
 missing suffixes, shortest first, each from its tail by one integer
-multiply-add against its first letter's rows (`Cocycle._step`), with no gcd
-and no Scalar.  `eval_word` unscales a word once, one gcd per entry, and
-keeps the Scalars.
+matrix-vector step with its first letter's rows (`_fill`, the step the
+group functionals' memo shares), with no gcd and no Scalar.  `eval_word`
+unscales a word once, one gcd per entry, and keeps the Scalars.
 """
 
 from __future__ import annotations
@@ -43,6 +43,25 @@ from .scalars import (
     scaled_product,
     unscaled,
 )
+
+
+def _fill(memo, rows, word):
+    """The entry of `word` in a memo of scaled vectors (re, im, scale) kept
+    for every suffix read so far, the empty word included.  A miss fills the
+    word's missing suffixes, shortest first, each from its tail's entry by
+    one integer matrix-vector product with its first letter's rows (re, im,
+    d): the rows times the tail's vector, over d times the tail's scale.
+    No gcd is taken and no Scalar is built."""
+    col = memo.get(word)
+    if col is None:
+        i = 1
+        while (col := memo.get(word[i:])) is None:
+            i += 1
+        for j in range(i - 1, -1, -1):
+            re_rows, im_rows, d = rows[word[j]]
+            re, im = _dots(col[0], col[1], re_rows, im_rows)
+            col = memo[word[j:]] = re, im, d * col[2]
+    return col
 
 
 class Violation(NamedTuple):
@@ -255,7 +274,7 @@ class Cocycle:
         self.values = vals
         self._eta_memo = {(): ([0] * n + [1], None, 1)}
         self._views = {}
-        self._rows = {}
+        self._rows = None
         self._inverse_values = {}
         if not _validated:
             violations = self._validate()
@@ -287,60 +306,23 @@ class Cocycle:
                 ([re[:-1]], None if im is None else [im[:-1]], s))[0]
         return view
 
-    def fill_levels(self, words):
-        """Memoise [eta(w); eps(w)] for every word of `words`."""
-        for w in words:
-            self._scaled_eta(tuple(w))
-
     def _scaled_eta(self, word):
-        """S(w) [eta(w); eps(w)] as (re, im, S(w)), im None when real; a
-        miss fills the word's missing suffixes."""
-        memo = self._eta_memo
-        col = memo.get(word)
-        if col is None:
-            i = 1
-            while (col := memo.get(word[i:])) is None:
-                i += 1
-            for j in range(i - 1, -1, -1):
-                col = memo[word[j:]] = self._step(word[j], col)
-        return col
+        """S(w) [eta(w); eps(w)] as (re, im, S(w)), im None when real."""
+        return _fill(self._eta_memo, self._rows or self._letter_rows(), word)
 
-    def _extend(self, word, tail):
-        """The entry of `_scaled_eta(word)`, given tail, the entry of
-        word[1:]: a miss is one step."""
-        memo = self._eta_memo
-        col = memo.get(word)
-        if col is None:
-            col = memo[word] = self._step(word[0], tail)
-        return col
-
-    def _step(self, letter, col):
-        """S(l w) [eta(l w); eps(l w)] from col = S(w) [eta(w); eps(w)]: the
-        letter's rows times col, D(l) eps(l) times eps(w), over D(l) S(w)."""
-        re_rows, im_rows, d, (ea, eb) = (self._rows.get(letter)
-                                         or self._letter_rows(letter))
-        cr, ci, s = col
-        e_re, e_im = cr[-1], 0 if ci is None else ci[-1]
-        re, im = _dots(cr, ci, re_rows, im_rows)
-        re.append(ea * e_re - eb * e_im)
-        if im is None and eb:
-            im = [0] * len(re_rows)
-        if im is not None:
-            im.append(ea * e_im + eb * e_re)
-        return re, im, d * s
-
-    def _letter_rows(self, letter):
-        """D(l) [pi(l) | eta(l)] as integer rows, real and imaginary (None
-        when real), D(l), which covers eps(l) too, and D(l) eps(l) as ints."""
-        eta = self.letter_value(letter)
-        re, im, d = scaled(
-            [(*row, x) for row, x in zip(
-                self.representation.letter_matrix(letter), eta)]
-            + [(ZERO,) * len(eta) + (self.presentation.epsilon_letter(letter),)])
-        eps = re.pop()[-1], 0 if im is None else im.pop()[-1]
-        rows = self._rows[letter] = (re, im if im and any(map(any, im)) else None,
-                                     d, eps)
-        return rows
+    def _letter_rows(self):
+        """Each letter's rows D(l) [pi(l) | eta(l); 0 | eps(l)] as integer
+        re and im (None when real) over D(l), their least common
+        denominator; on a star algebra a starred letter that the involution
+        renames is a row key too, so an unreduced word can be read."""
+        p, letter_matrix = self.presentation, self.representation.letter_matrix
+        letters = (p.alphabet() if p.kind == GROUP else
+                   [(g, t) for t in (0, 1) for g in p.generators])
+        zeros = (ZERO,) * self.form.dim
+        self._rows = {l: scaled(
+            [(*row, x) for row, x in zip(letter_matrix(l), self.letter_value(l))]
+            + [(*zeros, p.epsilon_letter(l))]) for l in letters}
+        return self._rows
 
     def eval_element(self, element: AlgebraElement):
         out = linalg.zero_vector(self.form.dim)

@@ -9,14 +9,15 @@ the resulting rational linear system in those imaginary parts.
 For star-algebra presentations functionals are explicit monomial tables and
 are verified, not solved for.
 
-Every group psi comes from one memo of scaled Gaussian integers, U(w) psi(w)
-over U(w), kept next to the cocycle's S(w) [eta(w); eps(w)].  A letter's row
-R(l) = Q(l) [conj(G eta(l^-1)) | psi(l)] sits over Q(l), a multiple of the
-cocycle's D(l), so U(w) = S(w) m(w) with m(l w) = (Q(l) / D(l)) m(w), and a
-read fills each missing suffix from its tail by one integer multiply-add:
-U(l w) psi(l w) = m(w) (R(l) . S(w) [eta(w); 1]) + Q(l) U(w) psi(w), over
-U(l w) = Q(l) U(w).  Scales are multiplied, never divided.  `verify` and
-the oracle read these integers and decide every identity by
+On a group each letter acts on [eta(w); eps(w); psi(w)] by one matrix,
+M(l) = Q(l) [[pi(l), eta(l), 0], [0, eps(l), 0], [conj(G eta(l^-1)),
+psi(l), 1]] with Q(l) the least common denominator of its entries, so
+eta(l w) = pi(l) eta(w) + eta(l) eps(w) and psi(l w) = <eta(l^-1), eta(w)>
++ psi(l) eps(w) + psi(w).  A functional keeps one memo entry per word, the
+Gaussian-integer vector U(w) [eta(w); eps(w); psi(w)] with U(l w) =
+Q(l) U(w), and fills a missing suffix from its tail by one integer step
+(`cocycles._fill`); scales are never divided.  `verify` reads its columns
+straight from this memo and the oracle compares whole vectors, deciding by
 cross-multiplying; a Scalar is built only for a witness, a counterexample
 or a report value, or through `fold`, which unscales a word once and keeps
 the Scalar for Gaussianity, `solve`, the relator folds and the GNS Gram
@@ -29,11 +30,11 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from . import linalg
-from .cocycles import Cocycle, exponent_matrix, solve_exponent_sums
+from .cocycles import Cocycle, _fill, exponent_matrix, solve_exponent_sums
 from .linalg import IndefiniteFormError
 from .presentations import (
     GROUP,
@@ -82,7 +83,8 @@ class GroupFunctional:
         unknown = set(values) - set(self.presentation.generators)
         if unknown:
             raise ValueError(f"psi values name unknown generators {sorted(unknown)}")
-        self._psi_memo = {(): (0, 0, 1, 1, cocycle._scaled_eta(()))}
+        n = cocycle.form.dim
+        self._memo = {(): ([0] * n + [1, 0], None, 1)}
         self._views = {}
         self._rows = None
 
@@ -104,57 +106,43 @@ class GroupFunctional:
             view = self._views[word] = from_parts(*self._scaled_psi(word))
         return view
 
-    def fill_levels(self, words):
-        """Memoise eta on the cocycle, then psi, for every word of `words`."""
-        for w in words:
-            self._scaled(tuple(w))
-
     def _scaled_psi(self, word):
         """U(w) psi(w) as (re, im, U(w))."""
-        return self._scaled(word)[:3]
+        re, im, u = self._vector(word)
+        return re[-1], 0 if im is None else im[-1], u
 
-    def _scaled(self, word):
-        """The memo entry (re, im, U(w), m(w), eta) of psi(w), eta being the
-        cocycle's entry of w; a miss fills the word's missing suffixes, each
-        eta through `Cocycle._extend` from its tail's."""
-        memo = self._psi_memo
-        entry = memo.get(word)
-        if entry is None:
-            i = 1
-            while (entry := memo.get(word[i:])) is None:
-                i += 1
-            rows = self._rows or self._letter_rows()
-            extend = self.cocycle._extend
-            for j in range(i - 1, -1, -1):
-                w = word[j:]
-                row_re, row_im, q, m_l = rows[w[0]]
-                p_re, p_im, u, m, eta = entry
-                (x,), y = _dots(eta[0], eta[1], row_re, row_im)
-                y = y[0] if y else 0
-                entry = memo[w] = (m * x + q * p_re, m * y + q * p_im,
-                                   q * u, m_l * m, extend(w, eta))
-        return entry
+    def _vector(self, word):
+        """U(w) [eta(w); eps(w); psi(w)] as (re, im, U(w)), im None when
+        real; a miss fills the word's missing suffixes (`cocycles._fill`)."""
+        return _fill(self._memo, self._rows or self._letter_rows(), word)
 
     def _letter_rows(self):
-        """Each letter's row R(l) as integer re and im (None when real), each
-        a one-column list for `_dots`, over Q(l), a common denominator of the
-        row and D(l), and Q(l) / D(l)."""
-        if self._rows is None:
-            cocycle, letters = self.cocycle, self.presentation.alphabet()
-            # conj(eta(l^-1)) G for every letter, one integer product
-            ire, iim, idn = scaled_product(scaled(
-                [[x.conj() for x in cocycle.letter_value((g, -t))]
-                 for g, t in letters]), scaled(cocycle.form.gram))
-            self._rows = {}
-            for i, l in enumerate(letters):
-                (a, b, pd), n = parts(self.psi_letter(l)), len(ire[i])
-                d = (cocycle._rows.get(l) or cocycle._letter_rows(l))[2]
-                q = lcm(idn, pd, d)
-                f, g = q // idn, q // pd
-                im = None if iim is None and not b else [
-                    x * f for x in (iim[i] if iim else [0] * n)] + [b * g]
-                self._rows[l] = ([[x * f for x in ire[i]] + [a * g]],
-                                 im and [im], q, q // d)
+        """Each letter's matrix M(l): the cocycle's rows of l brought from
+        D(l) to Q(l), then the psi row Q(l) [conj(G eta(l^-1)) | psi(l) | 1],
+        Q(l) being the least common denominator of the two.  The cocycle's
+        rows stop before the psi column, whose entries there are 0: `_dots`
+        pairs a row with the vector up to the row's length."""
+        cocycle = self.cocycle
+        rows = cocycle._rows or cocycle._letter_rows()
+        # conj(eta(l^-1)) G for every letter, one integer product over idn
+        ire, iim, idn = scaled_product(scaled(
+            [[x.conj() for x in cocycle.letter_value((g, -t))]
+             for g, t in rows]), scaled(cocycle.form.gram))
+        self._rows = {}
+        for i, (l, (re, im, d)) in enumerate(rows.items()):
+            gr, gi = ire[i], [0] * len(ire[i]) if iim is None else iim[i]
+            a, b, pd = parts(self.psi_letter(l))
+            c = gcd(idn, *gr, *gi)  # the row's least denominator is idn / c
+            q = lcm(d, idn // c, pd)
+            f, g, h = q // d, q * c // idn, q // pd
+            if f != 1:
+                re = [[x * f for x in row] for row in re]
+                im = im and [[x * f for x in row] for row in im]
+            self._rows[l] = (
+                re + [[x // c * g for x in gr] + [a * h, q]],
+                None if im is iim is None and not b else
+                (im or [[]] * len(re)) + [[x // c * g for x in gi] + [b * h, 0]],
+                q)
         return self._rows
 
     def psi_word(self, word) -> Scalar:
@@ -385,12 +373,18 @@ def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> Verif
     Values are read from the memos (or a star table) as scaled Gaussian
     integers, identities are decided by cross-multiplying, and Scalars are
     built only for a witness.  The coboundary identity at (a, b) compares
-    psi(ab) with the integer row (conj(G eta(a*)), eps(a), psi(a)) paired
-    with the column (eta(b), psi(b), eps(b)) by `scalars._dots`, a whole
+    psi(ab) with the integer row (conj(G eta(a*)), psi(a), eps(a)) paired
+    with the column (eta(b), eps(b), psi(b)) by `scalars._dots`, a whole
     line of columns per word a; the squared-norm identity is that pairing
-    at (w*, w).  Each star is reduced once.
+    at (w*, w).  On a group the columns are the functional's memo entries
+    themselves, and its cocycle must be `cocycle`; on a star algebra each
+    is the cocycle's entry with the table's psi appended.  Each star is
+    reduced once.
     """
     p, form = cocycle.presentation, cocycle.form
+    group = p.kind == GROUP
+    if group and functional.cocycle is not cocycle:
+        raise ValueError("a group functional is verified with its own cocycle")
     counts = {"psi_at_one": 0, "hermitian": 0, "coboundary": 0, "positivity": 0}
 
     def fail(identity, detail):
@@ -403,15 +397,31 @@ def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> Verif
         return fail("psi_at_one", {"value": str(one_val)})
 
     words = p.words_up_to(max_len, include_empty=False)
-    n, eta = form.dim, cocycle._scaled_eta
+    # scaled [eta(w); eps(w)], on a group with psi(w) after them
+    n, eta = form.dim, functional._vector if group else cocycle._scaled_eta
+
+    def star_column(b):
+        """(eta(b), eps(b), psi(b)) over the product of their scales."""
+        (er, ei, s), (p_re, p_im, t) = eta(b), psi[b]
+        im = [y * t for y in ei or [0] * (n + 1)] + [p_im * s]
+        return ([y * t for y in er] + [p_re * s], im if any(im) else None,
+                s * t)
+
     # canonical words: psi is read straight from the memo or the table
-    psi = {w: functional._scaled_psi(w) for w in words}
+    if group:
+        cols = list(map(eta, words))
+        psi = {w: (re[-1], 0 if im is None else im[-1], s)
+               for w, (re, im, s) in zip(words, cols)}
+    else:
+        psi = {w: functional._scaled_psi(w) for w in words}
+        cols = list(map(star_column, words))
 
     def psi_of(coeff, word):
         """coeff psi(w) for a canonical word w as (re, im, scale), no gcd."""
         if coeff.is_zero():
             return 0, 0, 1
-        (a, b, d), (ca, cb, cd) = functional._scaled_psi(word), parts(coeff)
+        (a, b, d), (ca, cb, cd) = (psi.get(word) or functional._scaled_psi(word),
+                                   parts(coeff))
         return ca * a - cb * b, ca * b + cb * a, cd * d
 
     stars = {w: p.involve_word(w) for w in words}
@@ -435,26 +445,17 @@ def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> Verif
     gram_cols = list(zip(*gram_re)), gram_im and list(zip(*gram_im))
 
     def row(x, e, q):
-        """[conj(G eta(x)); e; q] over the product of the parts' scales."""
+        """[conj(G eta(x)); q; e] over the product of the parts' scales."""
         er, ei, s = eta(x)
         gr, gi = _dots(er[:n], None if ei is None else [-y for y in ei[:n]],
                        *gram_cols)
         s *= gram_d
         (e_re, e_im, e_s), (q_re, q_im, q_s) = e, q
         f, fe, fq = e_s * q_s, s * q_s, s * e_s
-        re = [y * f for y in gr] + [e_re * fe, q_re * fq]
-        im = [y * f for y in gi or [0] * n] + [e_im * fe, q_im * fq]
+        re = [y * f for y in gr] + [q_re * fq, e_re * fe]
+        im = [y * f for y in gi or [0] * n] + [q_im * fq, e_im * fe]
         return re, (im if any(im) else None), s * f
 
-    def column(b):
-        """(eta(b), psi(b), eps(b)) over the product of their scales."""
-        (er, ei, s), (p_re, p_im, t) = eta(b), psi[b]
-        ei = ei or [0] * (n + 1)
-        im = [y * t for y in ei[:n]] + [p_im * s, ei[n] * t]
-        return ([y * t for y in er[:n]] + [p_re * s, er[n] * t],
-                im if any(im) else None, s * t)
-
-    cols = [column(w) for w in words]
     cas = [re for re, _, _ in cols]
     cbs = _imaginary([im for _, im, _ in cols], n + 2)
     lengths = [len(w) for w in words]
@@ -588,9 +589,10 @@ def gns_truncated(functional, max_len: int) -> GnsResult:
     once per distinct (tail of w_i*, head of w_j) pair
     (`Presentation.junction_redex`); without one the product is the
     concatenation, whose psi is one table or memo read, and with one it is
-    rewritten from the junction (`Presentation.multiply`).  A star that is
-    not canonical is reduced with each product.  Counit terms are formed
-    only where the counit is nonzero.  psi of the words and of their stars,
+    rewritten from that redex by the loop `Presentation.multiply` runs
+    (`Presentation._rewrite`), so the junction is not decided again.  A
+    star that is not canonical is reduced with each product.  Counit terms
+    are formed only where the counit is nonzero.  psi of the words and of their stars,
     and each star's canonicity, are read before the rows, so an error names
     the word that the row-major order meets first.
     """
@@ -608,7 +610,7 @@ def gns_truncated(functional, max_len: int) -> GnsResult:
     k = p.junction_width
     heads = {}
     head_of = [heads.setdefault(w[:k], len(heads)) for w in words]
-    junctions = {}  # (tail, head) -> whether their junction holds a redex
+    junctions = {}  # (tail, head) -> where in tail a redex starts, or None
 
     def value(coeff, red):
         """psi of coeff red, red a canonical word."""
@@ -616,19 +618,27 @@ def gns_truncated(functional, max_len: int) -> GnsResult:
             return read(red)
         return ZERO if coeff.is_zero() else coeff * read(red)
 
+    def rewritten(star, w, at):
+        """psi of star w, whose leftmost redex starts at position `at`: a
+        star word is rewritten from there by `multiply`'s own loop."""
+        if group:
+            return read(p.multiply(star, w)[1])
+        word = star + w
+        return value(*p._rewrite(list(word), word, at))
+
     gram = []
     # psi((w_i - eps_i)* (w_j - eps_j)), expanded through psi(1) = 0
     for star, e_i, p_i, canon in zip(stars, eps, psi_star, canonical):
         if canon:
             tail = star[-k:] if k else ()
-            hits = []
+            ats = []
             for head in heads:
-                hit = junctions.get((tail, head))
-                if hit is None:
-                    hit = junctions[tail, head] = (
-                        p.junction_redex(tail, head) is not None)
-                hits.append(hit)
-            row = [value(*p.multiply(star, w)) if hits[h] else read(star + w)
+                if (tail, head) not in junctions:
+                    junctions[tail, head] = p.junction_redex(tail, head)
+                ats.append(junctions[tail, head])
+            start = len(star) - len(tail)
+            row = [read(star + w) if ats[h] is None
+                   else rewritten(star, w, start + ats[h])
                    for w, h in zip(words, head_of)]
         else:
             row = [value(*p.reduce(star + w)) for w in words]
@@ -796,9 +806,16 @@ def brute_force_welldefinedness_oracle(cocycle: Cocycle | None,
     Enumerates freely reduced words up to max_len, buckets them by the
     configured normal form, and checks that the cocycle fold and the psi fold
     agree within each bucket.  Returns the first disagreement found.
+
+    Each pair is one `scaled_same` of the words' memo entries [eta; eps;
+    psi] (the cocycle's [eta; eps] without a functional); a mismatch names
+    the cocycle when the [eta; eps] part differs, else psi.  Without a
+    cocycle only psi is compared.
     """
     if presentation.kind != GROUP:
         raise NoNormalForm("the oracle needs a group presentation")
+    if functional is not None and cocycle not in (None, functional.cocycle):
+        raise ValueError("the oracle folds psi with the functional's cocycle")
     words = presentation.words_up_to(max_len, include_empty=True)
     buckets = normal_form.buckets(words)
     # a read fills only the word's own missing suffixes, so a failing run
@@ -811,27 +828,27 @@ def brute_force_welldefinedness_oracle(cocycle: Cocycle | None,
                                 "word_b": word_b, "value_a": read(word_a),
                                 "value_b": read(word_b)})
 
-    psi = None if functional is None else functional._scaled
-    # psi's memo entry carries eta when the cocycle is the functional's
-    eta = (None if cocycle is None or psi is not None
-           and cocycle is functional.cocycle else cocycle._scaled_eta)
+    def part(x, start, stop=None):
+        re, im, s = x
+        return re[start:stop], None if im is None else im[start:stop], s
+
+    read = cocycle._scaled_eta if functional is None else functional._vector
+    n = (cocycle or functional.cocycle).form.dim + 1  # eta and eps
     pairs = 0
     for group_words in buckets.values():
         rep_word = group_words[0]
-        if psi is not None:
-            a, b, u, _, eta_ref = psi(rep_word)
-        if eta is not None:
-            eta_ref = eta(rep_word)
+        ref = read(rep_word)
         for w in group_words[1:]:
             pairs += 1
-            if psi is not None:
-                c, d, v, _, eta_w = psi(w)
-            if eta is not None:
-                eta_w = eta(w)
-            if cocycle is not None and not scaled_same(eta_w, eta_ref):
+            x = read(w)
+            if scaled_same(x, ref):
+                continue
+            if cocycle is not None and not scaled_same(part(x, 0, n),
+                                                       part(ref, 0, n)):
                 return found("cocycle", cocycle.eval_word, rep_word, w)
-            # psi(rep) == psi(w), cross-multiplied
-            if psi is not None and (a * v != c * u or b * v != d * u):
+            # without a cocycle the eta part is not compared
+            if cocycle is not None or not scaled_same(part(x, n),
+                                                      part(ref, n)):
                 return found("psi", functional.fold, rep_word, w)
     return OracleReport(passed=True, words=len(words), pairs=pairs,
                         counterexample=None)

@@ -23,8 +23,9 @@ None when real) over a common denominator d > 0, not necessarily the least.
 `scaled_product` multiplies two over d_a * d_b with no gcd, and
 `scaled_same` and `scaled_equal` compare by cross-multiplying, so the
 checks of `cocycles.Representation` build no Scalar.  The word memos of
-`Cocycle` and `GroupFunctional` and the checks of `verify_schurmann_triple`
-and the oracle read the same forms.  `unscaled` and `from_parts` give
+`Cocycle` and `GroupFunctional` keep scaled vectors, each filled by one
+`_dots` matrix-vector step per letter, and `verify_schurmann_triple` and
+the oracle read them as they are.  `unscaled` and `from_parts` give
 canonical Scalars, one gcd per entry; `parts` takes a Scalar apart.
 
 The text form follows a small grammar:

@@ -9,7 +9,8 @@ helpers only read .re/.im attributes off objects they are handed;
 spanning_products only multiplies the elements it is handed, and
 verify_per_pair and oracle_per_word only call the per-word methods of the
 objects they are handed, and gns_gram_per_entry only the functions it is
-handed.
+handed; check_group_memo reads a group functional's memo and the data it
+was built from.
 
 The fixtures at the end build package objects: the obstruction 2-cochain
 L(eta) with its Hochschild boundary, which `cocycles.big_K` is compared
@@ -19,6 +20,7 @@ scenario document whose supplied psi is no functional.
 
 import copy
 import itertools
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -290,6 +292,69 @@ def psi_word(images, eta_values, psi_values, gram, word, dim):
                       eta_word(images, eta_values, suffix, dim))
         total = cadd(total, cadd(psi_letter(psi_values, letter), cross))
     return total
+
+
+def memo_letter_scale(images, eta_values, psi_values, gram, letter):
+    """Q(l), the least common denominator of the entries of the letter's
+    matrix [[pi(l), eta(l), 0], [0, 1, 0], [conj(G eta(l^-1)), psi(l), 1]]
+    on a group."""
+    dim = len(gram)
+    inv = eta_letter(images, eta_values, (letter[0], -letter[1]))
+    entries = [*itertools.chain(*letter_matrix(images, letter)),
+               *eta_letter(images, eta_values, letter),
+               *(inner(gram, inv, tuple(CONE if i == j else CZERO
+                                        for i in range(dim)))
+                 for j in range(dim)),
+               psi_letter(psi_values, letter)]
+    return math.lcm(*(math.lcm(re.denominator, im.denominator)
+                      for re, im in entries))
+
+
+def check_group_memo(functional, read):
+    """Assert three things of a group functional's memo of scaled vectors
+    after the words `read` were read: its words are suffixes of them; each
+    entry (re, im, U) over U is (eta(w), 1, psi(w)) of the reference folds;
+    and U is the product of the letters' Q(l) (`memo_letter_scale`).
+    Returns the memo's words.
+
+    The reference takes each word from its tail, eta(l w) = pi(l) eta(w)
+    + eta(l) and psi(l w) = psi(l) + <eta(l^-1), eta(w)> + psi(w), with
+    each letter's data formed once, so a long memo stays cheap to check.
+    """
+    cocycle = functional.cocycle
+    gram = to_pairs_mat(cocycle.form.gram)
+    images = {g: to_pairs_mat(m)
+              for g, m in cocycle.representation.images.items()}
+    eta = {g: to_pairs_vec(cocycle.values[(g, 1)]) for g in functional.values}
+    psi = {g: to_pair(v) for g, v in functional.values.items()}
+    memo = functional._memo
+    assert set(memo) <= {w[i:] for w in read for i in range(len(w) + 1)}
+    letters = {}
+    ref = {(): (zero_vec(len(gram)), CZERO, 1)}
+
+    def reference(w):
+        """(eta(w), psi(w), U(w)) of the reference."""
+        if w not in ref:
+            l = w[0]
+            if l not in letters:
+                letters[l] = (letter_matrix(images, l),
+                              eta_letter(images, eta, l),
+                              eta_letter(images, eta, (l[0], -l[1])),
+                              psi_letter(psi, l),
+                              memo_letter_scale(images, eta, psi, gram, l))
+            m, eta_l, eta_inv, psi_l, q = letters[l]
+            eta_t, psi_t, u = reference(w[1:])
+            ref[w] = (vadd(mvec(m, eta_t), eta_l),
+                      cadd(cadd(psi_l, inner(gram, eta_inv, eta_t)), psi_t),
+                      q * u)
+        return ref[w]
+
+    for w, (re, im, u) in memo.items():
+        eta_w, psi_w, scale = reference(w)
+        assert tuple((Fraction(x, u), Fraction(0 if im is None else im[i], u))
+                     for i, x in enumerate(re)) == (*eta_w, CONE, psi_w)
+        assert u == scale
+    return set(memo)
 
 
 def madd(a, b):

@@ -642,17 +642,19 @@ def test_memoised_folds_match_reference_in_any_order(ia, ib, ea, eb, pa, pb,
     rnd.shuffle(order)
     for w in order:  # memo hits return what was computed
         assert (cocycle.eval_word(w), functional.fold(w)) == seen[w]
-    # the whole list in one fill on a fresh object, each word repeated and
-    # its back half, a suffix shared with the word, mixed in
+    # the whole list read into both memos of a fresh object first, each word
+    # repeated and its back half, a suffix shared with the word, mixed in
     batch = [v for w in words for v in (w, w[len(w) // 2:], w)]
     cocycle, functional = free_group_triple(images, eta, psi)
-    functional.fill_levels(batch)
-    assert set(batch) <= set(functional._psi_memo) & set(cocycle._eta_memo)
-    filled = len(functional._psi_memo), len(cocycle._eta_memo)
+    for w in batch:
+        functional._vector(w)
+        cocycle._scaled_eta(w)
+    assert set(batch) <= set(functional._memo) & set(cocycle._eta_memo)
+    filled = len(functional._memo), len(cocycle._eta_memo)
     for w in dict.fromkeys(batch):
         # memo hits: the reads unscale what the fill stored and add nothing
         eta_w, psi_w = cocycle.eval_word(w), functional.fold(w)
-        assert (len(functional._psi_memo), len(cocycle._eta_memo)) == filled
+        assert (len(functional._memo), len(cocycle._eta_memo)) == filled
         assert H.to_pairs_vec(eta_w) == H.eta_word(ref_images, ref_eta, w, 2)
         assert H.to_pair(psi_w) == H.psi_word(ref_images, ref_eta, ref_psi,
                                               H.mid(2), w, 2)
@@ -923,7 +925,8 @@ FOLDS = settings(DIFF, max_examples=40)
 
 
 def unscaled_column(col):
-    """The Scalars of a cocycle memo entry, S(w) [eta(w); eps(w)] over S(w)."""
+    """The Scalars of a memo entry: S(w) [eta(w); eps(w)] over S(w) of a
+    cocycle, U(w) [eta(w); eps(w); psi(w)] over U(w) of a group functional."""
     re, im, s = col
     return unscaled(([re], None if im is None else [im], s))[0]
 
@@ -936,29 +939,75 @@ def test_level_folds_match_the_reference_on_groups(data, psi, max_len, rnd):
     cocycle, functional = _free_group_objects(gram, images, eta, psi)
     words = cocycle.presentation.words_up_to(max_len)
     known = rnd.sample(words, len(words) // 3)
-    for w in known:  # the per-word path fills part of both memos first
+    for w in known:  # part of both memos is filled first
         functional.fold(w)
-    functional.fill_levels(words)
-    assert set(words) <= set(cocycle._eta_memo) & set(functional._psi_memo)
-    ref = (H.to_pairs_mat(gram),
-           {g: H.to_pairs_mat(m) for g, m in images.items()},
-           {g: H.to_pairs_vec(v) for g, v in eta.items()},
-           {g: H.to_pair(functional.values[g]) for g in "ab"})
-    n = len(gram)
+        cocycle.eval_word(w)
+    for w in words:
+        functional._vector(w)
+        cocycle._scaled_eta(w)
+    assert set(words) <= set(cocycle._eta_memo) & set(functional._memo)
+    # the reference values and scales; the fill is confined to the words
+    assert H.check_group_memo(functional, words) == set(words)
     fresh, fresh_psi = _free_group_objects(gram, images, eta, psi)
-    # the pair reference is slow, so it sees a sample of every level
-    sample = set(rnd.sample(words, min(len(words), 12)))
     for w in words:
         *eta_w, eps_w = unscaled_column(cocycle._eta_memo[w])
         eta_w = tuple(eta_w)
-        psi_w = from_parts(*functional._psi_memo[w][:3])
-        assert eps_w == ONE
+        *eta_v, _, psi_w = unscaled_column(functional._memo[w])
+        assert eps_w == ONE and tuple(eta_v) == eta_w
         assert (cocycle.eval_word(w), functional.fold(w)) == (eta_w, psi_w)
         assert (fresh.eval_word(w), fresh_psi.fold(w)) == (eta_w, psi_w)
-        if w in sample or len(w) < 2:
-            assert H.to_pairs_vec(eta_w) == H.eta_word(ref[1], ref[2], w, n)
-            assert H.to_pair(psi_w) == H.psi_word(ref[1], ref[2], ref[3],
-                                                  ref[0], w, n)
+
+
+class _OneBucket:
+    """A stand-in normal form that puts two given words in one bucket."""
+
+    def __init__(self, word_a, word_b):
+        self.pair = [word_a, word_b]
+
+    def buckets(self, words):
+        return {0: self.pair}
+
+
+@FOLDS
+@given(free_group_data(), st.booleans(), st.booleans(), st.data())
+def test_memo_vector_and_oracle_evaluator_match_the_reference(
+        data, trivial, with_cocycle, draws):
+    gram, images, _ = data
+    n = len(gram)
+    vec = st.lists(NONZERO, min_size=n, max_size=n).map(tuple)
+    eta = {g: draws.draw(vec) for g in "ab"}
+    psi = {g: draws.draw(NONZERO) for g in "ab"}
+    # a freely reduced word on both generators, against its reverse
+    word = Presentation.group(["a", "b"], []).free_reduce(draws.draw(
+        st.lists(st.sampled_from([("a", 1), ("a", -1), ("b", 1), ("b", -1)]),
+                 min_size=2, max_size=6)))
+    assume({g for g, _ in word} == {"a", "b"})
+    other = word[::-1]
+    if trivial:
+        # eta(w) is then the sum of the letters' eta, the same for every
+        # order of the letters, while psi(w) may differ
+        images = {g: linalg.identity(n) for g in "ab"}
+    cocycle, functional = _free_group_objects(gram, images, eta, psi)
+    for w in (word, other):
+        functional._vector(w)
+    # the whole vector, eps included, against the reference
+    H.check_group_memo(functional, (word, other))
+    ref = ({g: H.to_pairs_mat(m) for g, m in images.items()},
+           {g: H.to_pairs_vec(v) for g, v in eta.items()})
+    ref_psi = {g: H.to_pair(v) for g, v in functional.values.items()}
+    eta_a, eta_b = (H.eta_word(*ref, w, n) for w in (word, other))
+    psi_a, psi_b = (H.psi_word(*ref, ref_psi, H.to_pairs_mat(gram), w, n)
+                    for w in (word, other))
+    # the cocycle when both parts differ (and a cocycle is given), psi when
+    # only psi does, and no counterexample when neither does
+    expected = ("cocycle" if with_cocycle and eta_a != eta_b
+                else "psi" if psi_a != psi_b else None)
+    report = brute_force_welldefinedness_oracle(
+        cocycle if with_cocycle else None, functional, cocycle.presentation,
+        _OneBucket(word, other), 0)
+    assert report.passed == (expected is None)
+    if expected is not None:
+        assert report.counterexample["evaluator"] == expected
 
 
 @st.composite
@@ -982,7 +1031,8 @@ def test_level_folds_match_word_matrices_on_star_algebras(data, max_len, rnd):
     words = p.words_up_to(max_len)
     for w in rnd.sample(words, len(words) // 3):
         cocycle.eval_word(w)
-    cocycle.fill_levels(words)
+    for w in words:
+        cocycle._scaled_eta(w)
     for w in words:
         *eta_w, eps_w = unscaled_column(cocycle._eta_memo[w])
         eta_w = tuple(eta_w)
@@ -1172,12 +1222,15 @@ def test_scaled_memo_matches_the_reference_in_any_order(data, words, rnd,
             ref_images, ref_eta, ref_psi, ref_gram, w, 2)
         suffixes = {v[i:] for v in read for i in range(len(v) + 1)}
         assert set(cocycle._eta_memo) - validated_words(cocycle) <= suffixes
-        assert set(functional._psi_memo) == suffixes
+        assert set(functional._memo) == suffixes
         # a word's scale is the product of its letters' denominators
         scale = 1
         for letter in w:
             scale *= dens[letter]
         assert cocycle._eta_memo[w][2] == scale
+    # every entry of the functional's memo: eta, eps and psi are the
+    # reference's, and its scale is the product of the letters' Q(l)
+    assert H.check_group_memo(functional, read) == suffixes
 
 
 def validated_words(cocycle):

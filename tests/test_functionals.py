@@ -376,20 +376,21 @@ def test_gaussianity_fills_no_level_past_its_products(monkeypatch):
     scn = parse_scenario(scenario_doc("surface.gamma2.nongaussian", "feasible"))
     psi = solve_generating_functional(
         scn.build_cocycle(scn.build_representation())).functional
-    longest = [0]
+    terms = set()
     products = functionals.kn_products
 
     def recorded(*args):
         for el in products(*args):
-            longest[0] = max([longest[0], *map(len, el.terms)])
+            terms.update(el.terms)
             yield el
 
     monkeypatch.setattr(functionals, "kn_products", recorded)
     report = is_gaussian_functional(psi, 2)
     assert not report.gaussian
-    # the witness needs words of length 4; a prefill to 3 * 2 would hold
-    # 156,865 words
-    assert max(map(len, psi._psi_memo)) == longest[0] == 4
+    # only the suffixes of the products' words are filled, and the witness
+    # needs words of length 4; a prefill to 3 * 2 would hold 156,865 words
+    filled = H.check_group_memo(psi, terms)
+    assert max(map(len, filled)) == max(map(len, terms)) == 4
 
 
 def test_gns_truncation_of_star_power_table():
@@ -403,6 +404,32 @@ def test_gns_truncation_of_star_power_table():
     # the Gram matrix is the table of psi(v* w) values
     iv = res.words.index((x,))
     assert res.gram[iv][iv] == ONE
+
+
+def test_gns_decides_each_junction_once(monkeypatch):
+    # every (tail of a canonical star, head of a word) junction is decided
+    # once per call; a product with a redex is rewritten from it, not
+    # decided again inside `Presentation.multiply`
+    scn = parse_scenario(scenario_doc("ac_not_h2z.star_algebra_definite",
+                                      "main"))
+    psi = scn.build_functional(scn.build_cocycle(scn.build_representation()))
+    p = psi.presentation
+    decided = []
+    junction_redex = Presentation.junction_redex
+
+    def counted(self, tail, head):
+        decided.append((tail, head))
+        return junction_redex(self, tail, head)
+
+    monkeypatch.setattr(Presentation, "junction_redex", counted)
+    gns_truncated(psi, 4)
+    k = p.junction_width
+    words = p.words_up_to(4, include_empty=False)
+    stars = [s for s in map(p.involve_word, words) if p.reduce(s) == (ONE, s)]
+    pairs = {(s[-k:], w[:k]) for s in stars for w in words}
+    assert sorted(decided) == sorted(pairs)
+    # some junctions hold a redex, so some products are rewritten
+    assert any(junction_redex(p, *pair) is not None for pair in pairs)
 
 
 def test_gns_rank_pivots_and_eta_match_the_reference():
@@ -504,7 +531,8 @@ def test_failing_oracle_memoises_only_the_suffixes_of_the_words_it_read():
             break
         read += bucket[1:]
     suffixes = {w[i:] for w in read for i in range(len(w) + 1)}
-    assert set(candidate._psi_memo) <= suffixes
+    # the candidate's memo holds eta and psi of every word it compared
+    assert H.check_group_memo(candidate, read) == suffixes
     assert set(cocycle._eta_memo) <= suffixes | validated
     # a level fill would hold every word up to the counterexample's length
     assert len(p.words_up_to(len(ce["word_b"]))) > len(suffixes)
