@@ -213,7 +213,7 @@ def attempt_lk(functional: GroupFunctional) -> LkOutcome:
                 f"real parts failed to split on generator {g}: leftover {d}")
         derivation[g] = d
         adjusted[g] = psi_g.values[g] + d
-    psi_g_adjusted = psi_g.with_values(adjusted)
+    psi_g_adjusted = GroupFunctional(psi_g.cocycle, adjusted)
     for g in p.generators:
         total = psi_g_adjusted.values[g] + psi_r.values[g]
         if total != functional.values[g]:

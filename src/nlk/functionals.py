@@ -45,7 +45,7 @@ from .presentations import (
     word_to_strs,
 )
 from .scalars import (I, ONE, ZERO, Scalar, _dots, _imaginary, from_parts,
-                      parts, products, scaled, scaled_product, scaled_same)
+                      parts, scaled, scaled_product, scaled_same)
 
 
 class NoNormalForm(ValueError):
@@ -103,13 +103,10 @@ class GroupFunctional:
         word = tuple(word)
         view = self._views.get(word)
         if view is None:
-            view = self._views[word] = from_parts(*self._scaled_psi(word))
+            re, im, u = self._vector(word)
+            view = self._views[word] = from_parts(
+                re[-1], 0 if im is None else im[-1], u)
         return view
-
-    def _scaled_psi(self, word):
-        """U(w) psi(w) as (re, im, U(w))."""
-        re, im, u = self._vector(word)
-        return re[-1], 0 if im is None else im[-1], u
 
     def _vector(self, word):
         """U(w) [eta(w); eps(w); psi(w)] as (re, im, U(w)), im None when
@@ -153,9 +150,6 @@ class GroupFunctional:
         for w, c in element.terms.items():
             out = out + c * self.fold(w)
         return out
-
-    def with_values(self, values) -> "GroupFunctional":
-        return GroupFunctional(self.cocycle, values)
 
     def to_json(self):
         return {"psi": {g: str(self.values[g])
@@ -205,10 +199,6 @@ class StarFunctional:
     def psi_word(self, word) -> Scalar:
         c, red = self.presentation.reduce(word)
         return c * self.read(red)
-
-    def _scaled_psi(self, word):
-        """psi(w) for a canonical word w as (re, im, scale), no gcd."""
-        return parts(self.read(word))
 
     def eval_element(self, element: AlgebraElement) -> Scalar:
         out = ZERO
@@ -272,15 +262,13 @@ _MINUS_HALF = Scalar(Fraction(-1, 2))
 
 
 def forced_real_parts(cocycle: Cocycle) -> dict:
-    """Re psi(g) = -1/2 <eta(g), eta(g)> on every generator g, each norm from
-    two integer products, conj(eta(g)) G and then eta(g); the form is
+    """Re psi(g) = -1/2 <eta(g), eta(g)> on every generator g; the form is
     hermitian, so the norm is real."""
-    gram_cols = tuple(zip(*cocycle.form.gram))
+    inner = cocycle.form.inner
     out = {}
     for g in cocycle.presentation.generators:
         eta = cocycle.letter_value((g, 1))
-        row = products([[x.conj() for x in eta]], gram_cols)[0]
-        out[g] = products([row], [eta])[0][0] * _MINUS_HALF
+        out[g] = inner(eta, eta) * _MINUS_HALF
     return out
 
 
@@ -322,11 +310,13 @@ def certificate_defect(lam, a_mat, rhs) -> str | None:
     """Why lam fails to certify that a_mat x = rhs has no solution, or None.
 
     A certificate is a left combination with lam a_mat = 0 and lam rhs != 0,
-    both read off one integer product lam [a_mat | rhs].
+    both read off one product lam [a_mat | rhs]; a system without rows
+    pairs lam rhs to 0.
     """
     if len(lam) != len(a_mat):
         return "certificate has the wrong size"
-    *combined, paired = products([lam], [*zip(*a_mat), rhs])[0]
+    aug = [(*row, x) for row, x in zip(a_mat, rhs)]
+    *combined, paired = linalg.mmul([lam], aug)[0] if aug else (ZERO,)
     if not all(x.is_zero() for x in combined):
         return "certificate does not annihilate the system"
     if paired.is_zero():
@@ -413,14 +403,15 @@ def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> Verif
         psi = {w: (re[-1], 0 if im is None else im[-1], s)
                for w, (re, im, s) in zip(words, cols)}
     else:
-        psi = {w: functional._scaled_psi(w) for w in words}
+        psi = {w: parts(functional.read(w)) for w in words}
         cols = list(map(star_column, words))
 
     def psi_of(coeff, word):
         """coeff psi(w) for a canonical word w as (re, im, scale), no gcd."""
         if coeff.is_zero():
             return 0, 0, 1
-        (a, b, d), (ca, cb, cd) = (psi.get(word) or functional._scaled_psi(word),
+        (a, b, d), (ca, cb, cd) = (psi.get(word)
+                                   or parts(functional.psi_word(word)),
                                    parts(coeff))
         return ca * a - cb * b, ca * b + cb * a, cd * d
 
@@ -796,8 +787,8 @@ class OracleReport(NamedTuple):
         return {**self._asdict(), "counterexample": ce}
 
 
-def brute_force_welldefinedness_oracle(cocycle: Cocycle | None,
-                                       functional: GroupFunctional | None,
+def brute_force_welldefinedness_oracle(cocycle: Cocycle,
+                                       functional: GroupFunctional,
                                        presentation: Presentation,
                                        normal_form,
                                        max_len: int) -> OracleReport:
@@ -807,14 +798,13 @@ def brute_force_welldefinedness_oracle(cocycle: Cocycle | None,
     configured normal form, and checks that the cocycle fold and the psi fold
     agree within each bucket.  Returns the first disagreement found.
 
-    Each pair is one `scaled_same` of the words' memo entries [eta; eps;
-    psi] (the cocycle's [eta; eps] without a functional); a mismatch names
-    the cocycle when the [eta; eps] part differs, else psi.  Without a
-    cocycle only psi is compared.
+    `cocycle` must be the functional's own.  Each pair is one `scaled_same`
+    of the words' memo entries [eta; eps; psi]; a mismatch names the
+    cocycle when the [eta; eps] part differs, else psi.
     """
     if presentation.kind != GROUP:
         raise NoNormalForm("the oracle needs a group presentation")
-    if functional is not None and cocycle not in (None, functional.cocycle):
+    if functional is None or cocycle is not functional.cocycle:
         raise ValueError("the oracle folds psi with the functional's cocycle")
     words = presentation.words_up_to(max_len, include_empty=True)
     buckets = normal_form.buckets(words)
@@ -828,12 +818,13 @@ def brute_force_welldefinedness_oracle(cocycle: Cocycle | None,
                                 "word_b": word_b, "value_a": read(word_a),
                                 "value_b": read(word_b)})
 
-    def part(x, start, stop=None):
-        re, im, s = x
-        return re[start:stop], None if im is None else im[start:stop], s
+    n = cocycle.form.dim + 1  # eta and eps
 
-    read = cocycle._scaled_eta if functional is None else functional._vector
-    n = (cocycle or functional.cocycle).form.dim + 1  # eta and eps
+    def head(x):
+        re, im, s = x
+        return re[:n], None if im is None else im[:n], s
+
+    read = functional._vector
     pairs = 0
     for group_words in buckets.values():
         rep_word = group_words[0]
@@ -843,12 +834,8 @@ def brute_force_welldefinedness_oracle(cocycle: Cocycle | None,
             x = read(w)
             if scaled_same(x, ref):
                 continue
-            if cocycle is not None and not scaled_same(part(x, 0, n),
-                                                       part(ref, 0, n)):
+            if not scaled_same(head(x), head(ref)):
                 return found("cocycle", cocycle.eval_word, rep_word, w)
-            # without a cocycle the eta part is not compared
-            if cocycle is not None or not scaled_same(part(x, n),
-                                                      part(ref, n)):
-                return found("psi", functional.fold, rep_word, w)
+            return found("psi", functional.fold, rep_word, w)
     return OracleReport(passed=True, words=len(words), pairs=pairs,
                         counterexample=None)

@@ -2,10 +2,11 @@
 
 Vectors are tuples of Scalar, matrices are tuples of row tuples.  Sizes are
 small (representation spaces up to ~8 dimensions, Gram matrices up to a few
-hundred rows).  Matrix products go through the integer kernel
-`scalars.products`, which puts each row and column over one common
-denominator; the representation checks skip Scalar matrices altogether and
-multiply whole scaled matrices (`scalars.scaled_product`).  A hermitian
+hundred rows).  `mmul` is the one Scalar matrix product: both factors are
+put over one common denominator each (`scalars.scaled`), multiplied as
+integer matrices (`scalars.scaled_product`) and normalised with one gcd per
+entry (`scalars.unscaled`).  The representation checks skip Scalar
+matrices altogether and multiply scaled matrices directly; a hermitian
 form's adjoint is formed there too, by `cocycles.Representation`.
 
 There is one Gauss-Jordan reduction, `_reduce`, which also keeps each pivot
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .scalars import ONE, ZERO, Scalar, products
+from .scalars import ONE, ZERO, Scalar, scaled, scaled_product, unscaled
 
 
 class LinalgError(ValueError):
@@ -114,7 +115,7 @@ def mmul(a, b):
     rb, cb = mat_shape(b)
     if ca != rb:
         raise DimensionMismatch(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    return products(a, tuple(zip(*b)))
+    return unscaled(scaled_product(scaled(a), scaled(b)))
 
 
 def mvmul(m, v):
@@ -320,19 +321,12 @@ class HermitianForm:
         return sum((a.conj() * b for a, b in zip(v, gw)), ZERO)
 
     def orthocomplement(self, vectors) -> list:
-        """Basis of {v : inner(b, v) = 0 for all b in vectors}."""
-        rows = [mvmul_conj_row(self.gram, bvec) for bvec in vectors]
-        if not rows:
-            return [tuple(ONE if i == j else ZERO for j in range(self.dim))
-                    for i in range(self.dim)]
-        return kernel(matrix(rows))
-
-
-def mvmul_conj_row(gram, b):
-    """Row vector v -> inner(b, .) coefficients: conj(b)^T @ gram."""
-    n = len(b)
-    return tuple(sum((b[i].conj() * gram[i][j] for i in range(n)), ZERO)
-                 for j in range(n))
+        """Basis of {v : inner(b, v) = 0 for all b in vectors}: the kernel
+        of the rows conj(b)^T G."""
+        if not vectors:
+            return list(identity(self.dim))
+        return kernel(mmul([[x.conj() for x in b] for b in vectors],
+                           self.gram))
 
 
 def standard_form(n: int) -> HermitianForm:

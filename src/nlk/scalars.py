@@ -14,15 +14,15 @@ one.  `.re` and `.im` are read-only Fraction views of the triple.
 
 `_dots` is the one loop of integer dot products: a Gaussian-integer row
 against columns, the imaginary parts skipped where the row and columns are
-real.  `products(rows, cols)`, the kernel of every Scalar matrix product
-(`linalg.mmul`), brings each row and column to one common denominator and
-normalises each entry with a single gcd.
+real.
 
 A scaled matrix (re, im, d) means (re + im*i)/d: int rows re and im (im
 None when real) over a common denominator d > 0, not necessarily the least.
 `scaled_product` multiplies two over d_a * d_b with no gcd, and
 `scaled_same` and `scaled_equal` compare by cross-multiplying, so the
-checks of `cocycles.Representation` build no Scalar.  The word memos of
+checks of `cocycles.Representation` build no Scalar.  `scaled`, then
+`scaled_product`, then `unscaled` is the one integer kernel of a Scalar
+matrix product (`linalg.mmul`).  The word memos of
 `Cocycle` and `GroupFunctional` keep scaled vectors, each filled by one
 `_dots` matrix-vector step per letter, and `verify_schurmann_triple` and
 the oracle read them as they are.  `unscaled` and `from_parts` give
@@ -357,33 +357,6 @@ def _imaginary(ims, width) -> list | None:
     if all(im is None for im in ims):
         return None
     return [[0] * width if im is None else im for im in ims]
-
-
-def products(rows, cols) -> tuple:
-    """Rows of sum(x * y for x, y in zip(row, col)) over cols, for each row.
-
-    rows and cols are sequences of equally long Scalar sequences; the result
-    is a tuple of Scalar tuples with one entry per (row, col) pair.
-    """
-    cas, cbs, dens = zip(*map(_common, cols)) if cols else ((), (), ())
-    cbs = _imaginary(cbs, len(cas[0]) if cas else 0)
-    out = []
-    for ra, rb, rd in map(_common, rows):
-        res, ims = _dots(ra, rb, cas, cbs)
-        line = []
-        for re, im, cd in zip(res, ims or repeat(0), dens):
-            d = rd * cd
-            if d != 1:
-                g = gcd(d, re, im)
-                if g != 1:
-                    re, im, d = re // g, im // g, d // g
-            s = _new(Scalar)
-            _set_a(s, re)
-            _set_b(s, im)
-            _set_d(s, d)
-            line.append(s)
-        out.append(tuple(line))
-    return tuple(out)
 
 
 def from_parts(a: int, b: int, d: int) -> Scalar:

@@ -304,7 +304,8 @@ def _parse_options(doc, presentation, pointer) -> ScenarioOptions:
     extra = set(doc) - known
     _require(not extra, pointer, f"unknown fields {sorted(extra)}")
     max_len = doc.get("max_word_length", 4)
-    _require(isinstance(max_len, int) and 0 <= max_len <= MAX_WORD_LENGTH,
+    # a JSON true or false is a bool, which Python counts as an int
+    _require(type(max_len) is int and 0 <= max_len <= MAX_WORD_LENGTH,
              f"{pointer}/max_word_length",
              f"expected an integer in 0..{MAX_WORD_LENGTH}")
     nf = doc.get("normal_form")

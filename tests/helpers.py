@@ -630,11 +630,9 @@ def oracle_per_word(cocycle, functional, presentation, normal_form, max_len):
         for w in bucket[1:]:
             pairs += 1
             for name, evaluate, show in (
-                    ("cocycle", cocycle and cocycle.eval_word,
+                    ("cocycle", cocycle.eval_word,
                      lambda v: [str(x) for x in v]),
-                    ("psi", functional and functional.fold, str)):
-                if evaluate is None:
-                    continue
+                    ("psi", functional.fold, str)):
                 va, vb = evaluate(rep), evaluate(w)
                 if va != vb:
                     return report(pairs, {

@@ -38,6 +38,7 @@ from nlk.functionals import (
     StarFunctional,
     TableSupportExceeded,
     brute_force_welldefinedness_oracle,
+    certificate_defect,
     forced_real_parts,
     gns_truncated,
     verify_schurmann_triple,
@@ -232,6 +233,52 @@ def test_solve_linear_solves_or_certifies(m, data):
         for li, bi in zip(lam, pb):
             lam_b = H.cadd(lam_b, H.cmul(li, bi))
         assert not H.cis_zero(lam_b)
+
+
+@st.composite
+def certificate_cases(draw):
+    """(a, b, lam): lam drawn, or a left-kernel vector of a (perturbed in
+    one entry or not), against a drawn or a consistent right-hand side."""
+    a = draw(RECT)
+    rows, cols = len(a), len(a[0])
+    if draw(st.booleans()):
+        b = linalg.mvmul(a, tuple(draw(st.lists(ENTRIES, min_size=cols,
+                                                max_size=cols))))
+    else:
+        b = tuple(draw(st.lists(ENTRIES, min_size=rows, max_size=rows)))
+    left = linalg.kernel(tuple(zip(*a)))
+    if left and draw(st.booleans()):
+        lam = list(draw(st.sampled_from(left)))
+        if draw(st.booleans()):
+            lam[draw(st.integers(0, rows - 1))] += draw(NONZERO)
+    else:
+        lam = draw(st.lists(ENTRIES, min_size=rows, max_size=rows))
+    return a, b, tuple(lam)
+
+
+@MATRICES
+@given(certificate_cases())
+# a true certificate, it perturbed, and one that pairs b to 0
+@example((((ZERO, ZERO), (ZERO, ONE)), (ONE, ZERO), (ONE, ZERO)))
+@example((((ZERO, ZERO), (ZERO, ONE)), (ONE, ZERO), (ONE, I)))
+@example((((ZERO, ZERO), (ZERO, ONE)), (ZERO, ONE), (ONE, ZERO)))
+# an empty system: no relator, so nothing to contradict
+@example(((), (), ()))
+def test_certificate_defect_matches_the_reference(case):
+    a, b, lam = case
+    pa, pb, pl = H.to_pairs_mat(a), H.to_pairs_vec(b), H.to_pairs_vec(lam)
+    lam_b = H.CZERO
+    for li, bi in zip(pl, pb):
+        lam_b = H.cadd(lam_b, H.cmul(li, bi))
+    if row_times(pl, pa) != H.zero_vec(len(a[0]) if a else 0):
+        expected = "certificate does not annihilate the system"
+    elif H.cis_zero(lam_b):
+        expected = "certificate does not contradict the right-hand side"
+    else:
+        expected = None
+    assert certificate_defect(lam, a, b) == expected
+    assert certificate_defect(lam + (ONE,), a, b) == \
+        "certificate has the wrong size"
 
 
 def from_pairs(m):
@@ -905,8 +952,8 @@ def form_unitaries(draw, n):
 
 
 @st.composite
-def free_group_data(draw):
-    n = draw(st.integers(1, 3))
+def free_group_data(draw, min_dim=1):
+    n = draw(st.integers(min_dim, 3))
     gram, ua, ub = draw(form_unitaries(n))
     vec = st.lists(ENTRIES, min_size=n, max_size=n).map(tuple)
     return gram, {"a": ua, "b": ub}, {"a": draw(vec), "b": draw(vec)}
@@ -922,6 +969,24 @@ def _free_group_objects(gram, images, eta, psi=None):
 
 
 FOLDS = settings(DIFF, max_examples=40)
+
+
+@FOLDS
+@given(free_group_data(min_dim=0))
+# dimension 0, as in the remainder part of a split with no remainder
+@example(((), {"a": (), "b": ()}, {"a": (), "b": ()}))
+def test_forced_real_parts_match_the_reference(data):
+    gram, images, eta = data
+    p = Presentation.group(["a", "b"], [])
+    cocycle = Cocycle(Representation(p, linalg.HermitianForm(gram), images),
+                      eta)
+    pg = H.to_pairs_mat(gram)
+    expected = {g: H.cmul((Fraction(-1, 2), Fraction(0)),
+                          H.inner(pg, H.to_pairs_vec(v), H.to_pairs_vec(v)))
+                for g, v in eta.items()}
+    got = forced_real_parts(cocycle)
+    assert {g: H.to_pair(v) for g, v in got.items()} == expected
+    assert all(v.is_real() for v in got.values())
 
 
 def unscaled_column(col):
@@ -969,9 +1034,9 @@ class _OneBucket:
 
 
 @FOLDS
-@given(free_group_data(), st.booleans(), st.booleans(), st.data())
+@given(free_group_data(), st.booleans(), st.data())
 def test_memo_vector_and_oracle_evaluator_match_the_reference(
-        data, trivial, with_cocycle, draws):
+        data, trivial, draws):
     gram, images, _ = data
     n = len(gram)
     vec = st.lists(NONZERO, min_size=n, max_size=n).map(tuple)
@@ -998,16 +1063,19 @@ def test_memo_vector_and_oracle_evaluator_match_the_reference(
     eta_a, eta_b = (H.eta_word(*ref, w, n) for w in (word, other))
     psi_a, psi_b = (H.psi_word(*ref, ref_psi, H.to_pairs_mat(gram), w, n)
                     for w in (word, other))
-    # the cocycle when both parts differ (and a cocycle is given), psi when
-    # only psi does, and no counterexample when neither does
-    expected = ("cocycle" if with_cocycle and eta_a != eta_b
+    # the cocycle when both parts differ, psi when only psi does, and no
+    # counterexample when neither does; the values shown are the reference's
+    expected = ("cocycle" if eta_a != eta_b
                 else "psi" if psi_a != psi_b else None)
     report = brute_force_welldefinedness_oracle(
-        cocycle if with_cocycle else None, functional, cocycle.presentation,
-        _OneBucket(word, other), 0)
+        cocycle, functional, cocycle.presentation, _OneBucket(word, other), 0)
     assert report.passed == (expected is None)
     if expected is not None:
-        assert report.counterexample["evaluator"] == expected
+        ce = report.counterexample
+        assert ce["evaluator"] == expected
+        show = H.to_pairs_vec if expected == "cocycle" else H.to_pair
+        assert (show(ce["value_a"]), show(ce["value_b"])) == (
+            (eta_a, eta_b) if expected == "cocycle" else (psi_a, psi_b))
 
 
 @st.composite
@@ -1083,7 +1151,7 @@ def test_verify_matches_the_per_pair_loop_on_groups(data, max_len, tamper):
         # a changed real part breaks the coboundary identity at a a^-1, in
         # the middle of the first length class
         psi[tamper[0]] = psi[tamper[0]] + tamper[1]
-    functional = functional.with_values(psi)
+    functional = GroupFunctional(cocycle, psi)
     fresh_cocycle, _ = _free_group_objects(gram, images, eta)
     expected = H.verify_per_pair(
         fresh_cocycle, GroupFunctional(fresh_cocycle, psi), max_len)
@@ -1119,17 +1187,17 @@ def z2_data(draw):
 
 
 @FOLDS
-@given(z2_data(), st.integers(2, 5), st.booleans())
-def test_oracle_matches_the_per_word_path(data, max_len, with_cocycle):
+@given(z2_data(), st.integers(2, 5))
+def test_oracle_matches_the_per_word_path(data, max_len):
     p, images, cocycle, psi = data
     nf = AbelianExponents(p)
     functional = GroupFunctional(cocycle, psi)
-    got = brute_force_welldefinedness_oracle(
-        cocycle if with_cocycle else None, functional, p, nf, max_len)
+    got = brute_force_welldefinedness_oracle(cocycle, functional, p, nf,
+                                             max_len)
     fresh = Cocycle(cocycle.representation, {
         g: cocycle.values[(g, 1)] for g in "ab"}, _validated=True)
-    expected = H.oracle_per_word(fresh if with_cocycle else None,
-                                 GroupFunctional(fresh, psi), p, nf, max_len)
+    expected = H.oracle_per_word(fresh, GroupFunctional(fresh, psi), p, nf,
+                                 max_len)
     assert got.to_json() == expected
 
 
@@ -1313,10 +1381,9 @@ def test_star_verify_matches_the_reference_off_the_unit_counit(max_len, draws,
 
 @FOLDS
 @given(coprime_group_data(commuting=True), st.booleans(), st.integers(2, 4),
-       st.booleans(), st.data())
+       st.data())
 def test_oracle_matches_the_reference_at_coprime_scales(data, coboundary,
-                                                        max_len, with_cocycle,
-                                                        draws):
+                                                        max_len, draws):
     gram, images, eta = data
     p = Presentation.group(["a", "b"], [["a", "b", "a^-1", "b^-1"]])
     form = linalg.HermitianForm(gram)
@@ -1330,12 +1397,11 @@ def test_oracle_matches_the_reference_at_coprime_scales(data, coboundary,
     psi = drawn_psi(draws.draw, cocycle)
     nf = AbelianExponents(p)
     got = brute_force_welldefinedness_oracle(
-        cocycle if with_cocycle else None, GroupFunctional(cocycle, psi), p, nf,
-        max_len)
+        cocycle, GroupFunctional(cocycle, psi), p, nf, max_len)
     fresh = Cocycle(rep, {g: cocycle.values[(g, 1)] for g in "ab"},
                     _validated=True)
-    expected = H.oracle_per_word(fresh if with_cocycle else None,
-                                 GroupFunctional(fresh, psi), p, nf, max_len)
+    expected = H.oracle_per_word(fresh, GroupFunctional(fresh, psi), p, nf,
+                                 max_len)
     assert got.to_json() == expected
 
 

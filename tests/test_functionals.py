@@ -249,7 +249,7 @@ def test_verify_counts_at_small_length():
 def test_verify_rejects_tampered_functional():
     eta = _z2_cocycle(ONE, ONE)
     psi = solve_generating_functional(eta).functional
-    bad = psi.with_values({"a": ZERO, "b": psi.values["b"]})
+    bad = GroupFunctional(eta, {"a": ZERO, "b": psi.values["b"]})
     report = verify_schurmann_triple(eta, bad, 2)
     assert not report.passed
     assert report.witness["identity"] == "coboundary"
@@ -497,6 +497,18 @@ def test_oracle_passes_for_consistent_functional():
     assert report.passed
     assert report.counterexample is None
     assert report.pairs > 0
+
+
+def test_oracle_needs_the_functional_and_its_own_cocycle():
+    p = _z2()
+    eta = _z2_cocycle(ONE, ONE)
+    psi = solve_generating_functional(eta).functional
+    nf = build_normal_form(p, {"kind": "abelian"})
+    # an equal cocycle that is not the functional's own object
+    for cocycle, functional in ((None, psi), (_z2_cocycle(ONE, ONE), psi),
+                                (eta, None)):
+        with pytest.raises(ValueError, match="the functional's cocycle"):
+            brute_force_welldefinedness_oracle(cocycle, functional, p, nf, 2)
 
 
 def test_oracle_rejects_candidate_when_solver_says_infeasible():

@@ -25,7 +25,6 @@ from nlk.linalg import (
     matrix_to_json,
     mmul,
     mvmul,
-    mvmul_conj_row,
     psd_check,
     rank,
     rref,
@@ -196,11 +195,10 @@ def test_inner_product_conventions():
         got = H.inner(H.to_pairs_mat(f.gram), H.to_pairs_vec(u),
                       H.to_pairs_vec(v))
         assert H.to_pair(f.inner(u, v)) == got
-    row = mvmul_conj_row(f.gram, vector([ONE, I]))
-    assert row == tuple(f.inner(vector([ONE, I]),
-                                vector([ONE if j == k else ZERO
-                                        for k in range(2)]))
-                        for j in range(2))
+    # a complex b, so the orthocomplement's rows must conjugate it
+    b = vector([ONE, I])
+    (w,) = f.orthocomplement([b])
+    assert not is_zero_vector(w) and f.inner(b, w) == ZERO
 
 
 def form_adjoint(form, m):

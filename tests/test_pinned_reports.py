@@ -6,8 +6,9 @@ several length classes of coboundary pairs and several levels of folded
 words.  The `validate.*` files are `nlk validate` reports on representations
 that break one condition each, so their violations, residuals included, are
 pinned too.  The `small.*` files are short reports, one for each way the
-scenario commands end that the others miss.  Regenerate them only for an
-intended change of output:
+scenario commands end that the others miss, and the `solve` and
+`decompose` reports of a block-unitary scenario, whose split has two parts
+of dimension 2.  Regenerate them only for an intended change of output:
 
     PYTHONPATH=src python tests/test_pinned_reports.py
 """
@@ -77,6 +78,35 @@ VIOLATIONS = (
                                        "forced_pi")),
 )
 
+# A block-unitary Z^2 scenario of dimension 4: the trivial block on e1, e2
+# and the commuting rotations by (3/5, 4/5) and (5/13, 12/13) on e3, e4
+# under diag(1, 1, 2, 2), conjugated by S = [[1, 0, 0, 0], [i, 1, 0, 0],
+# [0, 1/2, 1, 0], [1, 0, -1, 2]] (the form becomes S^-* G S^-1).  The
+# cocycle is (pi(g) - 1) v with v = (0, 0, 1+i, -1), plus a derivation on
+# the trivial block, both mapped by S; so the split has a 2-dimensional
+# Gaussian and a 2-dimensional remainder part, with complex fractional
+# projections.  The derivation (1, 2), (-1, 1) pairs to a real number and
+# (1, 2), (-i, i) to an imaginary one, so the second cocycle has no
+# generating functional and its solve carries a certificate.
+_BLOCK = {
+    "presentation": _Z2,
+    "form": {"gram": [["25/8", "1/4+13/8i", "-1/2-5/4i", "-1/2-1/4i"],
+                      ["1/4-13/8i", "13/8", "-5/4", "-1/4"],
+                      ["-1/2+5/4i", "-5/4", "5/2", "1/2"],
+                      ["-1/2+1/4i", "-1/4", "1/2", "1/2"]]},
+    "representation": {
+        "a": [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+              ["2/5-2/5i", "2/5", "1/5", "-2/5"], ["1i", "-1", "2", "1"]],
+        "b": [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+              ["6/13-7/13i", "7/13", "-1/13", "-6/13"],
+              ["2/13+15/13i", "-15/13", "30/13", "11/13"]]},
+    "cocycle": {"a": ["1", "2+1i", "7/5-2/5i", "3+2i"],
+                "b": ["-1", "1-1i", "21/26-8/13i", "23/13+32/13i"]},
+}
+_BLOCK_INFEASIBLE = {**_BLOCK, "cocycle": {
+    "a": ["1", "2+1i", "7/5-2/5i", "3+2i"],
+    "b": ["-1i", "1+1i", "4/13-3/26i", "36/13+19/13i"]}}
+
 
 # (name, command line, scenario document) for short reports
 SMALL = (
@@ -94,6 +124,9 @@ SMALL = (
      ill_defined_psi_doc()),
     ("oracle.ill_defined_psi", ["oracle", "--max-word-length", "2"],
      ill_defined_psi_doc()),
+    ("solve.block_unitary.feasible", ["solve"], _BLOCK),
+    ("solve.block_unitary.infeasible", ["solve"], _BLOCK_INFEASIBLE),
+    ("decompose.block_unitary.decomposed", ["decompose"], _BLOCK),
 )
 
 

@@ -379,7 +379,8 @@ def test_cli_decompose_inconsistency_exits_with_a_message(tmp_path, capsys,
         out = real_solve(cocycle)
         psi = out.functional
         shifted = {g: v + sc(1) for g, v in psi.values.items()}
-        return out._replace(functional=psi.with_values(shifted))
+        return out._replace(
+            functional=functionals.GroupFunctional(psi.cocycle, shifted))
 
     monkeypatch.setattr(decompose, "solve_generating_functional",
                         shifted_solve)
@@ -773,6 +774,20 @@ def test_cli_word_length_above_the_schema_cap(tmp_path, capsys):
     assert "0..12" in err and "Traceback" not in err
     # validate ignores the length, so the cap itself is accepted cheaply
     assert cli.main(["validate", path, "--max-word-length", "12"]) == 0
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_cli_refuses_a_boolean_word_length(tmp_path, capsys, flag):
+    # JSON true and false are not integers, though Python's bool is an int
+    doc = z2_doc()
+    doc["options"]["max_word_length"] = flag
+    path = write_doc(tmp_path, doc)
+    assert cli.main(["verify", path, "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("SCHEMA_ERROR: at /options/max_word_length: expected an integer "
+            "in 0..12") in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_cli_verify_refuses_more_words_than_the_budget(tmp_path, capsys,
