@@ -5,7 +5,9 @@ involution (images of starred letters are form-adjoints) and every defining
 relation.  The adjoints G^-1 (m* G) and every check (unitarity, relators,
 star images and rules) are products of scaled Gaussian-integer matrices
 (`scalars.scaled_product`); only a failing check recomputes its residual in
-Scalars.  `letter_matrix` and `word_matrix` unscale, one gcd per entry.
+Scalars.  `letter_matrix` and `word_matrix` unscale, one gcd per entry, for
+those residuals and for `decompose`; the word evaluator reads the scaled
+images themselves.
 
 A cocycle assigns a vector to each letter and extends through
 eta(ab) = pi(a) eta(b) + eta(a) eps(b); well-definedness is checked on the
@@ -13,15 +15,22 @@ finite relation set, with exact residuals reported on failure.
 
 Every eta(w) is computed one way, into a memo of scaled Gaussian integers:
 S(w) [eta(w); eps(w)] with S(w) the product of the denominators D(l) of its
-letters' rows D(l) [pi(l) | eta(l); 0 | eps(l)].  A read fills the word's
-missing suffixes, shortest first, each from its tail by one integer
-matrix-vector step with its first letter's rows (`_fill`, the step the
-group functionals' memo shares), with no gcd and no Scalar.  `eval_word`
-unscales a word once, one gcd per entry, and keeps the Scalars.
+letters' rows D(l) [pi(l) | eta(l); 0 | eps(l)].  Those rows are built from
+the scaled image of pi(l) with no Scalar in between: on a group
+eta(g^-1) = -pi(g^-1) eta(g) is one integer step, and one content gcd
+leaves D(l) least.  The rows conj(G eta(l^-1)) that pair with eta(l^-1)
+are formed from them once per cocycle, for every group functional built
+on it.  A read fills the word's missing suffixes, shortest first, each
+from its tail by one integer matrix-vector step with its first letter's
+rows (`_fill`, the step the group functionals' memo shares), with no gcd
+and no Scalar.  `eval_word` unscales a word once, one gcd per entry, and
+keeps the Scalars.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from math import gcd
 from typing import NamedTuple
 
 from . import linalg
@@ -37,12 +46,29 @@ from .scalars import (
     ONE,
     ZERO,
     Scalar,
+    _common,
     _dots,
+    from_parts,
+    parts,
     scaled,
     scaled_equal,
     scaled_product,
     unscaled,
 )
+
+
+def _least(re, im, d):
+    """Integer rows re and im over d, divided by their content with d, so
+    that d is their least common denominator; im becomes None when it is
+    zero."""
+    if im is not None and not any(map(any, im)):
+        im = None
+    g = gcd(d, *chain.from_iterable(re), *chain.from_iterable(im or ()))
+    if g != 1:
+        re = [[x // g for x in row] for row in re]
+        im = im and [[x // g for x in row] for row in im]
+        d //= g
+    return re, im, d
 
 
 def _fill(memo, rows, word):
@@ -275,24 +301,24 @@ class Cocycle:
         self._eta_memo = {(): ([0] * n + [1], None, 1)}
         self._views = {}
         self._rows = None
-        self._inverse_values = {}
+        self._pairing = None
         if not _validated:
             violations = self._validate()
             if violations:
                 raise CocycleObstructed(violations)
 
     def letter_value(self, letter):
+        """eta(letter); on a group an inverse letter's value is the eta
+        column of its rows, eta(g^-1) = -pi(g^-1) eta(g)."""
         name, tag = letter
         p = self.presentation
         if p.kind == GROUP and tag == -1:
-            value = self._inverse_values.get(name)
-            if value is None:
-                inv = self.representation.letter_matrix(letter)
-                value = linalg.vneg(linalg.mvmul(inv, self.values[(name, 1)]))
-                self._inverse_values[name] = value
-            return value
+            re, im, d = (self._rows or self._letter_rows())[letter]
+            n = self.form.dim
+            return tuple(from_parts(re[i][n], 0 if im is None else im[i][n], d)
+                         for i in range(n))
         if p.kind == GROUP:
-            return self.values[(name, 1)]
+            return self.values[letter]
         return self.values[p.normalize_letter(letter)]
 
     def eval_word(self, word):
@@ -313,16 +339,57 @@ class Cocycle:
     def _letter_rows(self):
         """Each letter's rows D(l) [pi(l) | eta(l); 0 | eps(l)] as integer
         re and im (None when real) over D(l), their least common
-        denominator; on a star algebra a starred letter that the involution
+        denominator, built from the scaled image `Representation._scaled`;
+        on a group, eta(g^-1) = -pi(g^-1) eta(g) is one integer step from
+        eta(g).  On a star algebra a starred letter that the involution
         renames is a row key too, so an unreduced word can be read."""
-        p, letter_matrix = self.presentation, self.representation.letter_matrix
-        letters = (p.alphabet() if p.kind == GROUP else
+        p, scaled_image = self.presentation, self.representation._scaled
+        group = p.kind == GROUP
+        letters = (p.alphabet() if group else
                    [(g, t) for t in (0, 1) for g in p.generators])
-        zeros = (ZERO,) * self.form.dim
-        self._rows = {l: scaled(
-            [(*row, x) for row, x in zip(letter_matrix(l), self.letter_value(l))]
-            + [(*zeros, p.epsilon_letter(l))]) for l in letters}
+        n = self.form.dim
+        zeros = [0] * n
+        self._rows = {}
+        for l in letters:
+            pr, pi, d = scaled_image(l)
+            if group and l[1] == -1:
+                er, ei, e = _common(self.values[(l[0], 1)])
+                er, ei = _dots(er, ei, pr, pi)
+                er, ei, e = [-x for x in er], ei and [-x for x in ei], e * d
+            else:
+                er, ei, e = _common(self.letter_value(l))
+            a, b, c = parts(p.epsilon_letter(l))
+            # over d e c, then divided by the content
+            fp, fe, fc = e * c, d * c, d * e
+            re = [[x * fp for x in row] + [y * fe] for row, y in zip(pr, er)]
+            re.append(zeros + [a * fc])
+            im = None
+            if pi is not None or ei is not None or b:
+                im = [[x * fp for x in row] + [y * fe]
+                      for row, y in zip(pi or [zeros] * n, ei or zeros)]
+                im.append(zeros + [b * fc])
+            self._rows[l] = _least(re, im, d * e * c)
         return self._rows
+
+    def _pairing_rows(self):
+        """conj(G eta(l^-1)) for every letter l of a group, the row that
+        pairs <eta(l^-1), .>, as integer re and im (None when real) over its
+        least common denominator: the eta column of l^-1's rows times the
+        scaled Gram matrix, formed once for every functional of this
+        cocycle."""
+        rows = self._rows or self._letter_rows()
+        gre, gim, gd = self.representation._form_scaled[1]
+        cas, cbs = list(zip(*gre)), None if gim is None else list(zip(*gim))
+        n = self.form.dim
+        self._pairing = {}
+        for name, tag in rows:
+            re, im, d = rows[name, -tag]
+            pr, pi = _dots([row[n] for row in re[:n]],
+                           None if im is None else [-row[n] for row in im[:n]],
+                           cas, cbs)
+            (pr,), pi, pd = _least([pr], pi and [pi], d * gd)
+            self._pairing[name, tag] = pr, pi and pi[0], pd
+        return self._pairing
 
     def eval_element(self, element: AlgebraElement):
         out = linalg.zero_vector(self.form.dim)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import NamedTuple
 
 from . import linalg
@@ -45,7 +45,7 @@ from .presentations import (
     word_to_strs,
 )
 from .scalars import (I, ONE, ZERO, Scalar, _dots, _imaginary, from_parts,
-                      parts, scaled, scaled_product, scaled_same)
+                      parts, scaled, scaled_same)
 
 
 class NoNormalForm(ValueError):
@@ -116,29 +116,30 @@ class GroupFunctional:
     def _letter_rows(self):
         """Each letter's matrix M(l): the cocycle's rows of l brought from
         D(l) to Q(l), then the psi row Q(l) [conj(G eta(l^-1)) | psi(l) | 1],
-        Q(l) being the least common denominator of the two.  The cocycle's
-        rows stop before the psi column, whose entries there are 0: `_dots`
-        pairs a row with the vector up to the row's length."""
+        Q(l) being the least common denominator of the two.  The pairing
+        rows conj(G eta(l^-1)) are the cocycle's, formed once for all its
+        functionals (`Cocycle._pairing_rows`), so this adds only the psi
+        column; rows the cocycle keeps are copied before they are scaled,
+        never changed.  The cocycle's rows stop before the psi column, whose
+        entries there are 0: `_dots` pairs a row with the vector up to the
+        row's length."""
         cocycle = self.cocycle
         rows = cocycle._rows or cocycle._letter_rows()
-        # conj(eta(l^-1)) G for every letter, one integer product over idn
-        ire, iim, idn = scaled_product(scaled(
-            [[x.conj() for x in cocycle.letter_value((g, -t))]
-             for g, t in rows]), scaled(cocycle.form.gram))
+        pairing = cocycle._pairing or cocycle._pairing_rows()
         self._rows = {}
-        for i, (l, (re, im, d)) in enumerate(rows.items()):
-            gr, gi = ire[i], [0] * len(ire[i]) if iim is None else iim[i]
+        for l, (re, im, d) in rows.items():
+            gr, gi, gd = pairing[l]
             a, b, pd = parts(self.psi_letter(l))
-            c = gcd(idn, *gr, *gi)  # the row's least denominator is idn / c
-            q = lcm(d, idn // c, pd)
-            f, g, h = q // d, q * c // idn, q // pd
+            q = lcm(d, gd, pd)
+            f, g, h = q // d, q // gd, q // pd
             if f != 1:
                 re = [[x * f for x in row] for row in re]
                 im = im and [[x * f for x in row] for row in im]
             self._rows[l] = (
-                re + [[x // c * g for x in gr] + [a * h, q]],
-                None if im is iim is None and not b else
-                (im or [[]] * len(re)) + [[x // c * g for x in gi] + [b * h, 0]],
+                re + [[x * g for x in gr] + [a * h, q]],
+                None if im is gi is None and not b else
+                (im or [[]] * len(re))
+                + [[x * g for x in gi or [0] * len(gr)] + [b * h, 0]],
                 q)
         return self._rows
 
@@ -641,11 +642,13 @@ def gns_truncated(functional, max_len: int) -> GnsResult:
                    for x, e in zip(row, eps)]
         gram.append(tuple(row))
     gram = tuple(gram)
-    # one elimination: the pivot columns are the first maximal independent set
-    # of word classes, and column j of the reduced rows gives w_j over them
-    red, pivot_idx = linalg.rref(gram)
+    # one conversion to integer rows, read by both eliminations.  The pivot
+    # columns are the first maximal independent set of word classes, and
+    # column j of the reduced rows gives w_j over them
+    rows = linalg.IntegerRows(gram)
+    red, pivot_idx = linalg.rref(rows)
     rank = len(pivot_idx)
-    psd = linalg.psd_check(gram)
+    psd = linalg.psd_check(rows)
     if not psd.psd:
         return GnsResult(kind=p.kind, words=words, gram=gram, rank=rank, psd=psd,
                          eta_vectors=None, pivot_words=None)

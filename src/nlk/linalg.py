@@ -9,23 +9,47 @@ entry (`scalars.unscaled`).  The representation checks skip Scalar
 matrices altogether and multiply scaled matrices directly; a hermitian
 form's adjoint is formed there too, by `cocycles.Representation`.
 
-There is one Gauss-Jordan reduction, `_reduce`, which also keeps each pivot
-before scaling and counts row swaps.  All but semidefiniteness read it:
-`rref` (rank, pivot columns, coordinates); `solve_linear` on [a | b | I]
-(infeasible exactly when b's column is a pivot column, whose row carries the
-certificate); `inverse` on [m | I], whose pivots also decide a hermitian
-form's definiteness (Sylvester); `det`, (-1)^swaps times the pivot product.
-`psd_check` is the one other loop, a diagonal-pivoted congruence, after an
-entrywise hermitianity test that copies nothing.  Dimension
-0 is allowed throughout; it shows up when a splitting has an empty Gaussian
-or remainder part.
+There is one Gauss-Jordan reduction, `_reduce`, and it works in integers:
+a matrix is converted once to `IntegerRows`, each row Gaussian integers
+over its own least common denominator, and a row update is
+(u p) row_i - (u f) row_lead followed by one gcd over the new row (`_step`;
+u = conj(p) for a non-real pivot p, so every scale stays real).  Pivot rows
+are divided by their pivots and turned into canonical Scalars once, at the
+end; rows of zeros are one shared tuple.  Besides the reduced rows and the
+pivot columns it returns `values`, each pivot's value when its column is
+reached (its integer entry over its row's scale), and `swaps`, the number
+of row exchanges.  All but semidefiniteness read it: `rref` (rank, pivot
+columns, coordinates); `solve_linear` on [a | b | I] (infeasible exactly
+when b's column is a pivot column, whose row carries the certificate);
+`inverse` on [m | I], whose pivot values and swaps also decide a hermitian
+form's definiteness (Sylvester); `det`, (-1)^swaps times the pivot values.
+`psd_check` runs a diagonal-pivoted congruence with the same row step over
+[G | I], after a hermitianity test on the integer rows.  `rref` and
+`psd_check` take Scalar rows or `IntegerRows`, so one conversion can serve
+both.  Dimension 0 is allowed throughout; it shows up when a splitting has
+an empty Gaussian or remainder part.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+from math import gcd
+from operator import mul
 from typing import NamedTuple
 
-from .scalars import ONE, ZERO, Scalar, scaled, scaled_product, unscaled
+from .scalars import (
+    ONE,
+    ZERO,
+    Scalar,
+    _common,
+    _imaginary,
+    from_parts,
+    scaled,
+    scaled_product,
+    unscaled,
+)
+
+_new = object.__new__
 
 
 class LinalgError(ValueError):
@@ -83,10 +107,6 @@ def vsub(v, w):
 
 def vscale(c: Scalar, v):
     return tuple(c * a for a in v)
-
-
-def vneg(v):
-    return tuple(-a for a in v)
 
 
 def is_zero_vector(v) -> bool:
@@ -153,36 +173,142 @@ def from_columns(cols, rows_hint=None) -> tuple:
 # --- elimination ----------------------------------------------------
 
 
+class IntegerRows:
+    """A Gaussian-rational matrix kept as integer rows, each over its own
+    least common denominator: row i is (re[i] + im[i] i) / scales[i].  im
+    is None when every entry is real, and every scale is positive.
+
+    It reads as the matrix it holds: its length is the number of rows, and
+    row i is a tuple of canonical Scalars.  The lists are never mutated:
+    an elimination copies the outer lists and replaces whole rows, so one
+    conversion can be read by several eliminations.
+    """
+
+    __slots__ = ("re", "im", "scales", "width")
+
+    def __init__(self, rows):
+        rows = [_common(row) for row in rows]
+        self.width = len(rows[0][0]) if rows else 0
+        self.re = [re for re, _, _ in rows]
+        self.im = _imaginary([im for _, im, _ in rows], self.width)
+        self.scales = [d for _, _, d in rows]
+
+    def __len__(self):
+        return len(self.re)
+
+    def __getitem__(self, i):
+        re, im = self.re[i], self.im
+        return tuple(map(from_parts, re, repeat(0) if im is None else im[i],
+                         repeat(self.scales[i])))
+
+    def with_identity(self):
+        """[M | I], each identity row over its own row's scale."""
+        out = _new(IntegerRows)
+        n, s = len(self.re), self.scales
+        out.width = self.width + n
+        out.re = [re + [0] * i + [d] + [0] * (n - 1 - i)
+                  for i, (re, d) in enumerate(zip(self.re, s))]
+        out.im = None if self.im is None else [im + [0] * n for im in self.im]
+        out.scales = list(s)
+        return out
+
+
+def _integer_rows(rows) -> IntegerRows:
+    return rows if isinstance(rows, IntegerRows) else IntegerRows(rows)
+
+
+def _step(re, im, scales, i, k, col):
+    """Clear row i's entry at col with row k, fraction-free: row i becomes
+    (u p) row_i - (u f) row_k, p and f the two rows' integer entries at col
+    and u = conj(p) when p is not real, so the scale s_i (u p) stays real.
+    One gcd over the new row and its scale then leaves the row over its
+    least common denominator, with a positive scale."""
+    ri, rk = re[i], re[k]
+    if im is None:
+        p, f = rk[col], ri[col]
+        new_re = [p * x - f * y for x, y in zip(ri, rk)]
+        s = scales[i] * p
+        g = gcd(s, *new_re)
+        new_im = None
+    else:
+        ii, ik = im[i], im[k]
+        a, b, c, d = rk[col], ik[col], ri[col], ii[col]
+        if b:
+            # u = a - b i: u p = a^2 + b^2 and u f = (ac + bd) + (ad - bc) i
+            a, c, d = a * a + b * b, a * c + b * d, a * d - b * c
+        new_re = [a * x - c * y + d * z for x, y, z in zip(ri, rk, ik)]
+        new_im = [a * x - c * y - d * z for x, y, z in zip(ii, ik, rk)]
+        s = scales[i] * a
+        g = gcd(s, *new_re, *new_im)
+    if s < 0:
+        g = -g
+    if g != 1:
+        new_re = [x // g for x in new_re]
+        if new_im is not None:
+            new_im = [x // g for x in new_im]
+        s //= g
+    re[i], scales[i] = new_re, s
+    if im is not None:
+        im[i] = new_im
+    return any(new_re) or (new_im is not None and any(new_im))
+
+
 def _reduce(rows) -> tuple:
-    """The one Gauss-Jordan reduction.  Returns (reduced rows, pivot column
-    indices, each pivot's value before its row was scaled, row swaps)."""
-    m = [list(r) for r in rows]
+    """The one Gauss-Jordan reduction, fraction-free over `IntegerRows`.
+    Returns (reduced Scalar rows, pivot column indices, each pivot's value
+    when its column was reached, row swaps).  A pivot row is divided by its
+    pivot only at the end, which changes none of the other rows' values;
+    once every row at or below the lead is zero, no later column holds a
+    pivot and the scan stops."""
+    m = _integer_rows(rows)
+    re, scales = list(m.re), list(m.scales)
+    im = None if m.im is None else list(m.im)
+    count, width = len(re), m.width
     pivots, values = [], []
     swaps = lead = 0
-    for col in range(len(m[0]) if m else 0):
-        piv = None
-        for i in range(lead, len(m)):
-            if not m[i][col].is_zero():
-                piv = i
+    # nonzero rows at or below the lead; a row above it keeps its pivot
+    live = sum(1 for i in range(count)
+               if any(re[i]) or (im is not None and any(im[i])))
+    for col in range(width):
+        if not live:
+            break
+        for piv in range(lead, count):
+            if re[piv][col] or (im is not None and im[piv][col]):
                 break
-        if piv is None:
+        else:
             continue
         if piv != lead:
-            m[lead], m[piv] = m[piv], m[lead]
+            re[lead], re[piv] = re[piv], re[lead]
+            scales[lead], scales[piv] = scales[piv], scales[lead]
+            if im is not None:
+                im[lead], im[piv] = im[piv], im[lead]
             swaps += 1
-        p = m[lead][col]
-        inv = ONE / p
-        m[lead] = [inv * x for x in m[lead]]
-        for i in range(len(m)):
-            if i != lead and not m[i][col].is_zero():
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[lead])]
+        values.append(from_parts(re[lead][col],
+                                 0 if im is None else im[lead][col],
+                                 scales[lead]))
+        for i in range(count):
+            if i != lead and (re[i][col] or (im is not None and im[i][col])):
+                if not _step(re, im, scales, i, lead, col):
+                    live -= 1
         pivots.append(col)
-        values.append(p)
         lead += 1
-        if lead == len(m):
-            break
-    return [tuple(r) for r in m], pivots, values, swaps
+        live -= 1
+    zero = (ZERO,) * width
+    out = []
+    for k, col in enumerate(pivots):
+        # row k over its pivot p: times conj(p) / |p|^2 when p is not real
+        rr, ri = re[k], None if im is None else im[k]
+        a, b = rr[col], 0 if ri is None else ri[col]
+        if b:
+            rr, ri, a = ([a * x + b * y for x, y in zip(rr, ri)],
+                         [a * y - b * x for x, y in zip(rr, ri)], a * a + b * b)
+        elif a < 0:
+            rr, a = [-x for x in rr], -a
+            ri = ri and [-y for y in ri]
+        out.append(tuple([from_parts(x, 0, a) if x else ZERO for x in rr]
+                         if ri is None else map(from_parts, rr, ri, repeat(a))))
+    out.extend(repeat(zero, count - len(pivots)))
+    return out, pivots, values, swaps
 
 
 def rref(rows) -> tuple:
@@ -233,9 +359,8 @@ def solve_linear(a, b):
     if len(b) != r:
         raise DimensionMismatch("rhs size mismatch")
     # augment with rhs and an identity block to track row operations
-    aug = [list(a[i]) + [b[i]] + [ONE if j == i else ZERO for j in range(r)]
-           for i in range(r)]
-    red, pivots = rref(aug)
+    red, pivots = rref(IntegerRows(
+        [(*a[i], b[i]) for i in range(r)]).with_identity())
     if c in pivots:
         # a row reduced to [0 | 1 | lam]: the identity block holds lam
         return LinearInfeasible(certificate=tuple(red[pivots.index(c)][c + 1:]))
@@ -254,8 +379,7 @@ def _invert(m) -> tuple:
     n, c = mat_shape(m)
     if n != c:
         raise DimensionMismatch("inverse of non-square matrix")
-    aug = [list(m[i]) + [ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-    red, pivots, values, swaps = _reduce(aug)
+    red, pivots, values, swaps = _reduce(IntegerRows(m).with_identity())
     if pivots[:n] != list(range(n)):
         raise LinalgError("matrix is singular")
     return tuple(tuple(red[i][n:]) for i in range(n)), values, swaps
@@ -341,68 +465,68 @@ class PsdResult(NamedTuple):
     witness: tuple | None  # v with inner(v, G v) < 0 when not psd
 
 
+def _hermitian(m) -> bool:
+    """Whether the square `IntegerRows` m equals its conjugate transpose:
+    row i against column i, cross-multiplied by the two rows' scales."""
+    scales = m.scales
+    pairs = [(m.re, 1)] if m.im is None else [(m.re, 1), (m.im, -1)]
+    for rows, sign in pairs:
+        for row, col, s in zip(rows, zip(*rows), scales):
+            s *= sign
+            if list(map(mul, row, scales)) != [s * y for y in col]:
+                return False
+    return True
+
+
 def psd_check(gram) -> PsdResult:
-    """Exact positive semidefiniteness test for a hermitian matrix.
+    """Exact positive semidefiniteness test for a hermitian matrix, given
+    as Scalar rows or as `IntegerRows`.
 
     Pivoted LDL-style congruence elimination; eigenvalues would leave the
-    field, diagonal pivots do not.  On failure returns a witness vector v
-    with conj(v)^T G v < 0.  The entries are Scalars, and hermitianity is
-    tested entry by entry, g[i][j] against conj g[j][i] for j >= i.
+    field, diagonal pivots do not.  The sweep runs `_reduce`'s row step over
+    [G | I]: on the undone rows the left block is C G C* and the right block
+    is C, so a witness maps back by C*.  On failure returns a witness vector
+    v with conj(v)^T G v < 0.
     """
-    n = len(gram)
-    if any(len(row) != n for row in gram) or any(
-            gram[i][j] != gram[j][i].conj()
-            for i in range(n) for j in range(i, n)):
+    m = _integer_rows(gram)
+    n = len(m)
+    if m.width != n or any(len(row) != n for row in m.re) or not _hermitian(m):
         raise LinalgError("psd_check needs a hermitian matrix")
-    work = [list(row) for row in gram]
-    # invariant on the undone rows and columns: work == C @ G @ conj_transpose(C),
-    # and a witness maps back by conj_transpose(C).  A pass sweeps rows only;
-    # the undone block is then the same Schur complement a congruence gives,
-    # and done rows and columns are never read again.
-    cmat = [list(row) for row in identity(n)]
+    aug = m.with_identity()
+    re, im, scales = aug.re, aug.im, aug.scales
+    # a pass sweeps rows only; the undone block is then the same Schur
+    # complement a congruence gives, and done rows and columns are never
+    # read again
     done = [False] * n
 
-    def back_map(vcur):
-        out = [ZERO] * n
-        for i in range(n):
-            if not vcur[i].is_zero():
-                for j in range(n):
-                    out[j] = out[j] + cmat[i][j].conj() * vcur[i]
-        return tuple(out)
+    def back(i):
+        """conj of row i of C, as Scalars."""
+        return [from_parts(x, -y, scales[i]) for x, y in
+                zip(re[i][n:], repeat(0) if im is None else im[i][n:])]
+
+    def nonzero(i, j):
+        return re[i][j] or (im is not None and im[i][j])
 
     while True:
-        piv = None
-        for j in range(n):
-            if not done[j] and not work[j][j].is_zero():
-                piv = j
-                break
+        piv = next((j for j in range(n) if not done[j] and nonzero(j, j)), None)
         if piv is None:
             break
-        d = work[piv][piv]
-        if not d.is_real():
+        if im is not None and im[piv][piv]:
             raise LinalgError("hermitian matrix has non-real diagonal")
-        if d.re < 0:
-            ecur = tuple(ONE if k == piv else ZERO for k in range(n))
-            return PsdResult(psd=False, witness=back_map(ecur))
+        if re[piv][piv] < 0:
+            return PsdResult(psd=False, witness=tuple(back(piv)))
         for i in range(n):
-            if i != piv and not done[i] and not work[i][piv].is_zero():
-                f = work[i][piv] / d
-                work[i] = [x - f * y for x, y in zip(work[i], work[piv])]
-                cmat[i] = [x - f * y for x, y in zip(cmat[i], cmat[piv])]
+            if i != piv and not done[i] and nonzero(i, piv):
+                _step(re, im, scales, i, piv, piv)
         done[piv] = True
-    # remaining block has zero diagonal; any nonzero entry is indefinite
+    # the undone block has zero diagonal and the done columns are cleared:
+    # any nonzero entry of an undone row makes the form indefinite
     for i in range(n):
-        if done[i]:
-            continue
-        for k in range(n):
-            if done[k] or k == i:
-                continue
-            cval = work[i][k]
-            if not cval.is_zero():
-                vcur = [ZERO] * n
-                vcur[i] = -cval
-                vcur[k] = ONE
-                return PsdResult(psd=False, witness=back_map(tuple(vcur)))
+        if not done[i] and (any(re[i][:n]) or im is not None and any(im[i][:n])):
+            k = next(k for k in range(n) if nonzero(i, k))
+            c = from_parts(re[i][k], 0 if im is None else im[i][k], scales[i])
+            return PsdResult(psd=False, witness=tuple(
+                y - c * x for x, y in zip(back(i), back(k))))
     return PsdResult(psd=True, witness=None)
 
 

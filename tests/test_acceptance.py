@@ -293,7 +293,7 @@ def test_criterion_8_invariant_suites():
             assert part.eval_word(u + v) == linalg.vadd(part.eval_word(u),
                                                         part.eval_word(v))
             u_inv = tuple((n, -t) for n, t in reversed(u))
-            assert part.eval_word(u_inv) == linalg.vneg(part.eval_word(u))
+            assert part.eval_word(u_inv) == tuple(-x for x in part.eval_word(u))
 
         # inserting a relator anywhere leaves the fold unchanged:
         # 200 random (x, r, y) triples

@@ -14,7 +14,11 @@ is repeatable and needs no example database.
 """
 
 import contextlib
+import copy
+import functools
 import itertools
+import json
+import os
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -31,6 +35,7 @@ from nlk.cocycles import (
     big_K,
     trivial_representation,
 )
+from nlk.decompose import split
 from nlk.functionals import (
     AbelianExponents,
     GroupFunctional,
@@ -58,11 +63,13 @@ from nlk.scalars import (
     ZERO,
     Scalar,
     from_parts,
+    sc,
     scaled,
     scaled_equal,
     scaled_product,
     unscaled,
 )
+from nlk.scenarios import parse_scenario
 
 import helpers as H
 from helpers import coboundary_cocycle
@@ -77,10 +84,14 @@ SCALARS = st.builds(Scalar, RATIONALS, RATIONALS)
 # matrix entries: small values and plenty of zeros, so singular and
 # rank-deficient matrices come up often
 ENTRIES = st.one_of(st.just(ZERO), st.builds(Scalar, SMALL, SMALL))
+# the same beside entries with big numerators and denominators, real and
+# not, so an elimination's rows mix scales of every size
+WIDE_ENTRIES = st.one_of(ENTRIES, st.builds(Scalar, BIG),
+                         st.builds(Scalar, BIG, BIG))
 
 
-def matrices(rows, cols):
-    return st.lists(st.lists(ENTRIES, min_size=cols, max_size=cols),
+def matrices(rows, cols, entries=ENTRIES):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
                     min_size=rows, max_size=rows).map(
         lambda m: tuple(tuple(r) for r in m))
 
@@ -88,6 +99,36 @@ def matrices(rows, cols):
 SQUARE = st.integers(1, 4).flatmap(lambda n: matrices(n, n))
 RECT = st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(
     lambda rc: matrices(*rc))
+WIDE_SQUARE = st.integers(1, 4).flatmap(
+    lambda n: matrices(n, n, WIDE_ENTRIES))
+
+
+@st.composite
+def low_rank(draw, max_rows=12):
+    """A tall, sparse matrix of rank at most 3, the shape of a GNS Gram
+    matrix's rows: B C for B r x k and C k x c, k <= 3 <= c <= r, with
+    about half of B's rows zero."""
+    c = draw(st.integers(3, 6))
+    r = draw(st.integers(c, max_rows))
+    k = draw(st.integers(1, 3))
+    b = [row if draw(st.booleans()) else (ZERO,) * k
+         for row in draw(matrices(r, k))]
+    return from_pairs(H.mmul(H.to_pairs_mat(b),
+                             H.to_pairs_mat(draw(matrices(k, c)))))
+
+
+# small, wide-entried and tall low-rank matrices
+ELIMINATED = st.one_of(
+    st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+        lambda rc: matrices(*rc)),
+    st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+        lambda rc: matrices(*rc, WIDE_ENTRIES)),
+    low_rank())
+# a swap after a zero leading row, and non-real pivots (the first one, and
+# one a swap brings up)
+ZERO_LEAD = linalg.matrix([[0, 0, 0], [0, 1, 2], [3, 0, 1]])
+NONREAL_PIVOTS = (linalg.matrix([[I, 1], [1, I]]),
+                  linalg.matrix([[0, sc(1, 1)], [sc(0, 2), 3]]))
 
 
 def row_times(lam, a):
@@ -167,12 +208,21 @@ SWAPPING = (linalg.matrix([[0, 1], [1, 0]]),
 @given(SQUARE)
 @example(SWAPPING[0])
 @example(SWAPPING[1])
+# a swap between rows over different denominators, and a negative pivot
+@example(linalg.matrix([[0, "1/2"], ["1/3", 1]]))
+@example(linalg.matrix([["-1/2", 1], [1, "1/3"]]))
 def test_det_matches_cofactor_expansion(m):
-    assert H.to_pair(linalg.det(m)) == H.naive_det(H.to_pairs_mat(m))
+    d = linalg.det(m)
+    assert H.to_pair(d) == H.naive_det(H.to_pairs_mat(m))
+    assert d == Scalar(d.re, d.im)  # a canonical triple
 
 
 @MATRICES
-@given(SQUARE)
+@given(st.one_of(SQUARE, WIDE_SQUARE))
+@example(SWAPPING[0])
+@example(ZERO_LEAD)
+@example(NONREAL_PIVOTS[0])
+@example(NONREAL_PIVOTS[1])
 def test_inverse_matches_reference_or_reports_singular(m):
     if H.cis_zero(H.naive_det(H.to_pairs_mat(m))):
         with pytest.raises(linalg.LinalgError):
@@ -193,8 +243,10 @@ def test_kernel_vectors_are_annihilated(m):
 
 
 @MATRICES
-@given(st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
-    lambda rc: matrices(*rc)))
+@given(ELIMINATED)
+@example(ZERO_LEAD)
+@example(NONREAL_PIVOTS[0])
+@example(NONREAL_PIVOTS[1])
 def test_rref_rows_rebuild_every_column_from_the_pivot_columns(m):
     """m[:, j] = sum_i m[:, p_i] red[i][j]: the reduced rows express each
     column over the pivot columns, which are the greedy independent ones."""
@@ -209,15 +261,28 @@ def test_rref_rows_rebuild_every_column_from_the_pivot_columns(m):
         assert combo == col
 
 
-@MATRICES
-@given(RECT, st.data())
-def test_solve_linear_solves_or_certifies(m, data):
+@st.composite
+def systems(draw):
+    """(a, b): a small, wide-entried or tall low-rank matrix, against a
+    drawn or a consistent right-hand side."""
+    m = draw(st.one_of(RECT, ELIMINATED))
     rows, cols = len(m), len(m[0])
-    if data.draw(st.booleans()):
-        x = data.draw(st.lists(ENTRIES, min_size=cols, max_size=cols))
-        b = linalg.mvmul(m, tuple(x))  # consistent by construction
-    else:
-        b = tuple(data.draw(st.lists(ENTRIES, min_size=rows, max_size=rows)))
+    if draw(st.booleans()):
+        x = draw(st.lists(ENTRIES, min_size=cols, max_size=cols))
+        return m, linalg.mvmul(m, tuple(x))  # consistent by construction
+    return m, tuple(draw(st.lists(WIDE_ENTRIES, min_size=rows, max_size=rows)))
+
+
+@MATRICES
+@given(systems())
+# a zero leading row swapped away, consistent or not, and non-real pivots
+@example((ZERO_LEAD, linalg.vector([0, 1, 1])))
+@example((ZERO_LEAD, linalg.vector([1, 0, 0])))
+@example((NONREAL_PIVOTS[0], linalg.vector([1, I])))
+@example((NONREAL_PIVOTS[1], linalg.vector([I, 0])))
+def test_solve_linear_solves_or_certifies(system):
+    m, b = system
+    rows, cols = len(m), len(m[0])
     out = linalg.solve_linear(m, b)
     pm, pb = H.to_pairs_mat(m), H.to_pairs_vec(b)
     if isinstance(out, linalg.LinearSolution):
@@ -345,14 +410,31 @@ def hermitian(entries, n):
     return tuple(tuple(r) for r in m)
 
 
-def hermitians(max_n):
+def hermitians(max_n, entries=ENTRIES):
     return st.integers(1, max_n).flatmap(
-        lambda n: st.lists(ENTRIES, min_size=n * (n + 1) // 2,
+        lambda n: st.lists(entries, min_size=n * (n + 1) // 2,
                            max_size=n * (n + 1) // 2).map(
             lambda e: hermitian(e, n)))
 
 
 HERMITIAN = hermitians(4)
+
+
+@st.composite
+def gns_grams(draw, max_n=12):
+    """Gram matrices shaped like the GNS ones: G_ij = sum_k s_k conj(v_ik)
+    v_jk for vectors v_i in dimension k <= 3, about half of them zero, and
+    signs s_k in {1, 0, -1}; rank at most 3, semidefinite or not."""
+    n, k = draw(st.integers(1, max_n)), draw(st.integers(1, 3))
+    vs = [row if draw(st.booleans()) else (H.CZERO,) * k
+          for row in H.to_pairs_mat(draw(matrices(n, k)))]
+    signs = draw(st.lists(st.sampled_from([1, 0, -1]), min_size=k,
+                          max_size=k))
+    return from_pairs(tuple(tuple(
+        functools.reduce(H.cadd, (H.cmul((Fraction(s), Fraction(0)),
+                                         H.cmul(H.cconj(x), y))
+                                  for s, x, y in zip(signs, vi, vj)), H.CZERO)
+        for vj in vs) for vi in vs))
 
 
 @MATRICES
@@ -374,9 +456,12 @@ GRAMS = st.one_of(HERMITIAN, SQUARE.map(
 
 
 @MATRICES
-@given(GRAMS)
+@given(st.one_of(GRAMS, hermitians(4, WIDE_ENTRIES)))
 @example(SWAPPING[0])
 @example(SWAPPING[1])
+# a swap brings up the non-real pivot -i, then i
+@example(linalg.matrix([[0, I], [-I, 0]]))
+@example(linalg.matrix([[0, sc(1, 1), 0], [sc(1, -1), 0, 0], [0, 0, 1]]))
 def test_hermitian_form_definite_by_leading_minors(g):
     pg = H.to_pairs_mat(g)
     if H.cis_zero(H.naive_det(pg)):
@@ -390,7 +475,11 @@ def test_hermitian_form_definite_by_leading_minors(g):
 
 
 @settings(DIFF, max_examples=300)
-@given(hermitians(6))
+@given(st.one_of(hermitians(6), hermitians(6, WIDE_ENTRIES), gns_grams()))
+# a zero leading row, semidefinite or not, and a zero-diagonal block
+@example(linalg.matrix([[0, 0, 0], [0, 1, 1], [0, 1, 2]]))
+@example(linalg.matrix([[0, 0, 0], [0, 1, 2], [0, 2, 1]]))
+@example(linalg.matrix([[0, 0, 0], [0, 0, I], [0, -I, 1]]))
 def test_psd_check_matches_the_congruence_reference(g):
     # reports carry the witness, so it is pinned, not only its sign
     res = linalg.psd_check(g)
@@ -1305,6 +1394,60 @@ def validated_words(cocycle):
     """The words a group cocycle's validation reads: its relators' suffixes."""
     return {r[i:] for r in cocycle.presentation.relators
             for i in range(len(r) + 1)}
+
+
+def check_two_functionals(cocycle, imag, words, base_first):
+    """Build the two functionals `solve_generating_functional` builds on one
+    cocycle, the forced real parts and those plus the imaginary parts
+    `imag`, in the given order, and read `words` through each.  Each memo
+    must be the reference's, with each letter's Q(l) least, and the second
+    functional must leave the cocycle's rows and pairing rows as the first
+    one found them."""
+    rho = forced_real_parts(cocycle)
+    functionals = [GroupFunctional(cocycle, rho),
+                   GroupFunctional(cocycle, {g: r + I * imag[g]
+                                             for g, r in rho.items()})]
+    if not base_first:
+        functionals.reverse()
+    first, second = functionals
+    for w in words:
+        first._vector(w)
+    shared = copy.deepcopy((cocycle._rows, cocycle._pairing))
+    for w in words:
+        second._vector(w)
+    assert (cocycle._rows, cocycle._pairing) == shared
+    for functional in functionals:
+        H.check_group_memo(functional, words)
+
+
+@FOLDS
+@given(unitary_settings(count=2), GROUP_WORDS, st.data())
+def test_functionals_of_one_cocycle_share_its_pairing_rows(setting, words,
+                                                          draws):
+    gram, ua, ub = setting
+    n = len(gram)
+    vec = st.lists(ENTRIES, min_size=n, max_size=n).map(tuple)
+    eta = {g: draws.draw(vec) for g in "ab"}
+    imag = {g: Scalar(draws.draw(SMALL)) for g in "ab"}
+    for base_first in (True, False):
+        cocycle, _ = _free_group_objects(gram, {"a": ua, "b": ub}, eta)
+        check_two_functionals(cocycle, imag, words, base_first)
+
+
+def test_functionals_of_a_split_part_share_its_pairing_rows():
+    # the dimension-4 block-unitary scenario: its remainder part is a
+    # dimension-2 cocycle with complex fractional coordinates
+    path = os.path.join(os.path.dirname(__file__), "data", "reports",
+                        "small.decompose.block_unitary.decomposed.json")
+    with open(path, encoding="utf-8") as fh:
+        scenario = parse_scenario(json.load(fh)["scenario"])
+    whole = scenario.build_cocycle(scenario.build_representation())
+    imag = {"a": Scalar(Fraction(2, 3)), "b": Scalar(Fraction(-5, 7))}
+    for base_first in (True, False):
+        part = split(whole).remainder.cocycle
+        assert part.form.dim == 2
+        words = part.presentation.words_up_to(3)
+        check_two_functionals(part, imag, words, base_first)
 
 
 @st.composite
