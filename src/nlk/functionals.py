@@ -147,9 +147,11 @@ class GroupFunctional:
         return self.fold(word)
 
     def eval_element(self, element: AlgebraElement) -> Scalar:
+        views = self._views
         out = ZERO
         for w, c in element.terms.items():
-            out = out + c * self.fold(w)
+            view = views.get(w)
+            out = out + c * (self.fold(w) if view is None else view)
         return out
 
     def to_json(self):
@@ -524,10 +526,10 @@ class GaussianReport(NamedTuple):
 def is_gaussian_functional(functional, max_len: int) -> GaussianReport:
     """True when psi vanishes on the truncated span of triple kernel products.
 
-    The distinct products come one at a time (`kn_products`), and the check
-    stops at the first on which psi is not zero, its witness, so no product
-    past the witness is formed, nor a group psi past the suffixes of its
-    terms.
+    The distinct products come one at a time (`kn_products`), each formed
+    once, in one pass, from a distinct prefix, and the check stops at the
+    first on which psi is not zero, its witness, so no product past the
+    witness is formed, nor a group psi past the suffixes of its terms.
     `checked` counts the distinct products up to and including the witness,
     or all of them when there is none.
     """

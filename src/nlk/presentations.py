@@ -23,9 +23,11 @@ it from the tail and head alone, so a caller can decide it once per distinct
 pair, and `multiply` rewrites from there through the loop `reduce` runs from
 position 0.  The answer is `reduce`'s for every rule set, confluent or not.
 Group words cancel inverse pairs at the junction only.
-`AlgebraElement` products go through it, since every term of an element is
-canonical.  `kn_products` yields the distinct kernel products one at a time,
-so a caller that stops early forms no product past the one it stops at.
+`AlgebraElement` products and `kn_products` go through it, since every term
+of an element is canonical.  `kn_products` yields the distinct kernel
+products one at a time, each formed once, in one pass over the terms of a
+distinct prefix, so a caller that stops early forms no product past the one
+it stops at.
 """
 
 from __future__ import annotations
@@ -525,6 +527,16 @@ def _word_sort_key(word):
     return (len(word), word)
 
 
+def _add_term(acc, word, c):
+    """Add c times word to the term dict acc, keeping no zero coefficient."""
+    if c:
+        tot = acc.get(word, ZERO) + c
+        if tot:
+            acc[word] = tot
+        else:
+            del acc[word]
+
+
 class AlgebraElement:
     """Finite linear combination of canonical-form words."""
 
@@ -550,14 +562,7 @@ class AlgebraElement:
         acc = {}
         for (c, red), coeff in terms:
             # ONE comes back when no rule fired, the common case
-            c = coeff if c is ONE else c * coeff
-            if c.is_zero():
-                continue
-            tot = acc.get(red, ZERO) + c
-            if tot.is_zero():
-                acc.pop(red, None)
-            else:
-                acc[red] = tot
+            _add_term(acc, red, coeff if c is ONE else c * coeff)
         return cls(presentation, acc)
 
     @classmethod
@@ -590,11 +595,7 @@ class AlgebraElement:
         self._same_presentation(other)
         acc = dict(self.terms)
         for w, c in other.terms.items():
-            tot = acc.get(w, ZERO) + c
-            if tot.is_zero():
-                acc.pop(w, None)
-            else:
-                acc[w] = tot
+            _add_term(acc, w, c)
         return AlgebraElement(self.presentation, acc)
 
     def __neg__(self):
@@ -702,28 +703,44 @@ def k1_elements(presentation, max_len: int) -> list:
 def kn_products(presentation, n: int, max_len: int):
     """The distinct products of n kernel elements, yielded as each is formed.
 
-    The order is itertools.product order over `k1_elements`, and each
-    (n-1)-fold prefix is formed once, when its first product is due.
+    The order is itertools.product order over `k1_elements`.  Each product
+    q (w - e) of a distinct (n-1)-fold prefix q is formed once, in one pass
+    over q's terms t, adding each `multiply(t, w)` to the counit half -e q,
+    which is formed once per prefix and value of e (none when e = 0).  A
+    prefix equal to an earlier one is skipped: its products, and the
+    `multiply` calls that form them, are the earlier prefix's.
     """
     if n < 1:
         raise PresentationError("n must be at least 1")
-    seen = {}
-    for prod in _folds(k1_elements(presentation, max_len), n):
-        key = tuple(sorted(prod.terms.items(),
-                           key=lambda kv: _word_sort_key(kv[0])))
-        if key not in seen:
-            seen[key] = prod
-            yield prod
+    yield from _products(presentation, k1_elements(presentation, max_len), n)
 
 
-def _folds(base, n):
-    """The n-fold products over base, in itertools.product order."""
+def _products(p, base, n):
+    """`kn_products` over the kernel elements `base`."""
     if n == 1:
         yield from base
         return
-    for prefix in _folds(base, n - 1):
+    multiply = p.multiply
+    seen = set()
+    for q in _products(p, base, n - 1):
+        halves = {None: {}}  # the counit half -e q of q (w - e), by -e
         for f in base:
-            yield prefix * f
+            # f is w - e for one canonical word w: its () term is -e
+            minus_e = f.terms.get(())
+            half = halves.get(minus_e)
+            if half is None:
+                half = halves[minus_e] = {t: c * minus_e
+                                          for t, c in q.terms.items()}
+            acc = dict(half)
+            for w in f.terms:
+                if w:
+                    for t, c in q.terms.items():
+                        k, u = multiply(t, w)
+                        _add_term(acc, u, c if k is ONE else k * c)
+            key = frozenset(acc.items())
+            if key not in seen:
+                seen.add(key)
+                yield AlgebraElement(p, acc)
 
 
 def kn_spanning_set(presentation, n: int, max_len: int) -> list:

@@ -6,7 +6,8 @@ pairs, and words are evaluated letter by letter from the definitions.
 The reference arithmetic uses nothing from the package, so a bug in the
 package cannot leak into the expected values it produces.  Conversion
 helpers only read .re/.im attributes off objects they are handed;
-spanning_products only multiplies the elements it is handed, and
+spanning_products only reduces concatenations of the words of the elements
+it is handed (`Presentation.reduce`), never multiplying elements, and
 verify_per_pair and oracle_per_word only call the per-word methods of the
 objects they are handed, and gns_gram_per_entry only the functions it is
 handed; check_group_memo reads a group functional's memo and the data it
@@ -26,7 +27,7 @@ from typing import NamedTuple
 
 from nlk import catalog, linalg
 from nlk.cocycles import Cocycle
-from nlk.presentations import GROUP, letter_str
+from nlk.presentations import GROUP, AlgebraElement, letter_str
 from nlk.scalars import ZERO
 
 CZERO = (Fraction(0), Fraction(0))
@@ -515,15 +516,22 @@ def p2_key(word, a="a", b="b", r="r"):
 
 def spanning_products(base, n):
     """Distinct n-fold products of base elements, in itertools.product
-    order, each multiplied out from the left."""
+    order, each multiplied out from the left term by term: the product of
+    two canonical words is `Presentation.reduce` of their concatenation."""
     seen = {}
     for combo in itertools.product(base, repeat=n):
-        prod = combo[0]
+        p = combo[0].presentation
+        terms = combo[0].terms
         for f in combo[1:]:
-            prod = prod * f
-        key = tuple(sorted(prod.terms.items(),
-                           key=lambda kv: (len(kv[0]), kv[0])))
-        seen.setdefault(key, prod)
+            acc = {}
+            for u, a in terms.items():
+                for v, b in f.terms.items():
+                    k, w = p.reduce(u + v)
+                    acc[w] = acc.get(w, ZERO) + k * a * b
+            terms = {w: x for w, x in acc.items() if not x.is_zero()}
+        key = tuple(sorted(terms.items(), key=lambda kv: (len(kv[0]), kv[0])))
+        if key not in seen:
+            seen[key] = AlgebraElement(p, terms)
     return list(seen.values())
 
 

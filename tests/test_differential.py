@@ -1001,6 +1001,26 @@ def test_kn_spanning_set_matches_product_reference_on_a_group():
         assert kn_spanning_set(p, n, max_len) == expected
 
 
+# 3 generators at n = 3 and length 2 are left out: 44,484 products, about
+# 8 s for the reference and the package together
+@settings(DIFF, max_examples=15)
+@given(st.permutations(["a", "b", "c"]), st.integers(1, 3),
+       st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2)]))
+@example(["a", "b", "c"], 1, (3, 2))
+@example(["b", "a", "c"], 2, (3, 2))
+def test_kn_spanning_set_matches_product_reference_on_free_groups(
+        names, rank, shape):
+    # on a free group (g - 1)(h - 1) = (h - 1)(g - 1) for commuting g, h,
+    # such as a and a^-1, so prefixes repeat
+    n, max_len = shape
+    assume((rank, n, max_len) != (3, 3, 2))
+    p = Presentation.group(names[:rank], [])
+    got = kn_spanning_set(p, n, max_len)
+    expected = H.spanning_products(k1_elements(p, max_len), n)
+    # in order, and each product word by word with its coefficient
+    assert [e.terms for e in got] == [e.terms for e in expected]
+
+
 # --- level-at-a-time folds, verify and the oracle -------------------
 
 

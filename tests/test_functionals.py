@@ -1,5 +1,6 @@
 """Generating functionals: folding, solving, verifying, normal forms."""
 
+import itertools
 import random
 
 import pytest
@@ -354,22 +355,47 @@ def test_is_not_gaussian_for_star_power_table():
     assert not report.witness_value.is_zero()
 
 
+def _count_products(monkeypatch, p):
+    """The (u, v) of every word product formed on p from now on."""
+    formed = []
+    multiply = p.multiply
+
+    def counted(u, v):
+        formed.append((u, v))
+        return multiply(u, v)
+
+    monkeypatch.setattr(p, "multiply", counted)
+    return formed
+
+
 def test_gaussianity_stops_at_its_first_witness(monkeypatch):
     p, rep, eta, psi = _star_definite()
     first = kn_spanning_set(p, 3, 2)[0]
     base = len(k1_elements(p, 2))
-    formed = []
-    multiply = AlgebraElement.__mul__
-
-    def counted(self, other):
-        formed.append(other)
-        return multiply(self, other)
-
-    monkeypatch.setattr(AlgebraElement, "__mul__", counted)
+    formed = _count_products(monkeypatch, p)
     report = is_gaussian_functional(psi, 2)
     assert report.checked == 1
     assert report.witness == first
-    assert len(formed) <= 2 * base
+    assert 0 < len(formed) <= 2 * base
+
+
+def test_gaussianity_forms_no_group_product_past_its_witness(monkeypatch):
+    scn = parse_scenario(scenario_doc("p2.nongaussian", "feasible"))
+    cocycle = scn.build_cocycle(scn.build_representation())
+    psi = (scn.build_functional(cocycle)
+           or solve_generating_functional(cocycle).functional)
+    formed = _count_products(monkeypatch, psi.presentation)
+    # the word products that the first k distinct products take
+    taken = []
+    for k in (143, 144):
+        formed.clear()
+        list(itertools.islice(
+            functionals.kn_products(psi.presentation, 3, 2), k))
+        taken.append(len(formed))
+    formed.clear()
+    report = is_gaussian_functional(psi, 2)
+    assert report.checked == 143
+    assert len(formed) == taken[0] < taken[1]
 
 
 def test_gaussianity_fills_no_level_past_its_products(monkeypatch):
