@@ -146,7 +146,7 @@ def split(cocycle: Cocycle) -> SplitResult:
 
 
 class DecompositionInconsistent(ValueError):
-    """The solved parts fail to rebuild the functional they split."""
+    """The real parts of the solved parts fail to split the functional's."""
 
     code = "DECOMPOSITION_INCONSISTENT"
 
@@ -213,16 +213,11 @@ def attempt_lk(functional: GroupFunctional) -> LkOutcome:
                 f"real parts failed to split on generator {g}: leftover {d}")
         derivation[g] = d
         adjusted[g] = psi_g.values[g] + d
-    psi_g_adjusted = GroupFunctional(psi_g.cocycle, adjusted)
-    for g in p.generators:
-        total = psi_g_adjusted.values[g] + psi_r.values[g]
-        if total != functional.values[g]:
-            raise DecompositionInconsistent(
-                f"decomposition does not rebuild psi({g})")
+    # the arithmetic is exact, so (psi_G + d) + psi_R is psi on generators
     return LkOutcome(verdict="decomposed", split_result=sr,
                      gaussian_outcome=out_g, remainder_outcome=out_r,
-                     psi_gaussian=psi_g_adjusted, psi_remainder=psi_r,
-                     derivation=derivation)
+                     psi_gaussian=GroupFunctional(psi_g.cocycle, adjusted),
+                     psi_remainder=psi_r, derivation=derivation)
 
 
 # --- property bookkeeping ------------------------------------------

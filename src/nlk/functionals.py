@@ -3,8 +3,11 @@
 For group presentations a functional is determined by its generator values;
 hermitianity forces psi(g^-1) = conj(psi(g)) and the norm identity forces
 Re psi(g) = -1/2 <eta(g), eta(g)>, leaving the imaginary parts as the only
-unknowns.  Existence is decided by folding psi along each relator and solving
-the resulting rational linear system in those imaginary parts.
+unknowns.  Existence is decided by folding psi along each relator
+(`relator_readings`) and solving the resulting rational linear system in
+those imaginary parts.  Whether a given psi descends to the group algebra is
+decided by `descent_defect` alone: the forced real parts, then a zero fold
+on every relator.
 
 For star-algebra presentations functionals are explicit monomial tables and
 are verified, not solved for.
@@ -18,11 +21,12 @@ Gaussian-integer vector U(w) [eta(w); eps(w); psi(w)] with U(l w) =
 Q(l) U(w), and fills a missing suffix from its tail by one integer step
 (`cocycles._fill`); scales are never divided.  `verify` reads its columns
 straight from this memo and the oracle compares whole vectors, deciding by
-cross-multiplying; a Scalar is built only for a witness, a counterexample
-or a report value, or through `fold`, which unscales a word once and keeps
-the Scalar for Gaussianity, `solve`, the relator folds and the GNS Gram
-matrix, which is built a row at a time from those Scalars and from star
-tables, read through `StarFunctional.read` alone.
+cross-multiplying; `verify` builds a witness from the integers it compared,
+and a Scalar is otherwise built only for a counterexample or a report
+value, or through `fold`, which unscales a word once and keeps the Scalar
+for Gaussianity, `solve`, the relator readings and the GNS Gram matrix,
+which is built a row at a time from those Scalars and from star tables,
+read through `StarFunctional.read` alone.
 """
 
 from __future__ import annotations
@@ -256,9 +260,25 @@ class SolveOutcome(NamedTuple):
         return out
 
 
-def relator_folds(functional: GroupFunctional) -> list:
-    """psi on each relator."""
-    return [functional.fold(r) for r in functional.presentation.relators]
+def relator_readings(functional: GroupFunctional) -> tuple:
+    """psi folded on each relator, and whether its real part is nonzero."""
+    folds = [(r, functional.fold(r)) for r in functional.presentation.relators]
+    return tuple(RelatorReading(r, k, k.re != 0) for r, k in folds)
+
+
+def descent_defect(functional: GroupFunctional, forced) -> str | None:
+    """Why psi does not descend to the group algebra with the real parts
+    `forced` (`forced_real_parts`), or None: the first generator with
+    another real part, else the first relator psi does not fold to 0 on."""
+    for g, value in functional.values.items():
+        if value.re != forced[g].re:
+            return (f"Re psi({g}) = {value.re} differs from the forced real "
+                    f"part {forced[g]}")
+    for rd in relator_readings(functional):
+        if not rd.k_r.is_zero():
+            return (f"psi folds to {rd.k_r} on relator "
+                    f"{word_to_strs(GROUP, rd.relator)}")
+    return None
 
 
 _MINUS_HALF = Scalar(Fraction(-1, 2))
@@ -288,9 +308,7 @@ def solve_generating_functional(cocycle: Cocycle) -> SolveOutcome:
         raise IndefiniteFormError(
             "solving requires a positive definite form")
     rho = forced_real_parts(cocycle)
-    base = GroupFunctional(cocycle, rho)
-    readings = tuple(RelatorReading(relator=r, k_r=k, re_violation=k.re != 0)
-                     for r, k in zip(p.relators, relator_folds(base)))
+    readings = relator_readings(GroupFunctional(cocycle, rho))
     a_mat = exponent_matrix(p)
     rhs = tuple(Scalar(-rd.k_r.im, 0) for rd in readings)
     # a nonzero real part is infeasible before any system is solved
@@ -340,19 +358,6 @@ class VerifyReport(NamedTuple):
                 "witness": self.witness}
 
 
-def psi_product(functional, w1, w2, left_canonical=False) -> Scalar:
-    """psi(w1 w2) for a word w1 and a canonical word w2, read on the
-    product's canonical word: reduced at the junction when w1 is canonical
-    too (`left_canonical`), else from its first letter."""
-    p = functional.presentation
-    coeff, red = p.multiply(w1, w2) if left_canonical else p.reduce(w1 + w2)
-    if p.kind == GROUP:
-        return functional.psi_word(red)
-    if coeff.is_zero():
-        return ZERO
-    return coeff * functional.read(red)
-
-
 def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> VerifyReport:
     """Check the triple identities on all canonical words up to max_len.
 
@@ -372,7 +377,9 @@ def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> Verif
     at (w*, w).  On a group the columns are the functional's memo entries
     themselves, and its cocycle must be `cocycle`; on a star algebra each
     is the cocycle's entry with the table's psi appended.  Each star is
-    reduced once.
+    reduced once.  A witness is built from the integers its check compared:
+    <eta(a*), eta(b)> is the row and the column paired on their first n
+    entries, and the rest of their product is the counit terms.
     """
     p, form = cocycle.presentation, cocycle.form
     group = p.kind == GROUP
@@ -428,8 +435,8 @@ def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> Verif
         if not scaled_same(([a], [b], s), ([c], [-d], t)):
             return fail("hermitian", {
                 "word": word_to_strs(p.kind, w),
-                "psi_star": str(functional.psi_word(stars[w])),
-                "conj_psi": str(functional.psi_word(w).conj())})
+                "psi_star": str(from_parts(a, b, s)),
+                "conj_psi": str(from_parts(c, -d, t))})
 
     def eps(w):
         re, im, s = eta(w)
@@ -449,6 +456,12 @@ def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> Verif
         re = [y * f for y in gr] + [q_re * fq, e_re * fe]
         im = [y * f for y in gi or [0] * n] + [q_im * fq, e_im * fe]
         return re, (im if any(im) else None), s * f
+
+    def inner_eta(ra, rb, ca, cb, s):
+        """<eta(x), eta(b)> for a row of x and a column of b: their product
+        on the first n entries, over the scale s of their whole product."""
+        (re,), im = _dots(ra[:n], rb and rb[:n], (ca[:n],), cb and (cb[:n],))
+        return from_parts(re, 0 if im is None else im[0], s)
 
     cas = [re for re, _, _ in cols]
     cbs = _imaginary([im for _, im, _ in cols], n + 2)
@@ -475,14 +488,13 @@ def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> Verif
             s = sa * sb
             if re * t_s != t_re * s or im * t_s != t_im * s:
                 counts["coboundary"] += j + 1
-                lhs = (p._word_character(wa) * functional.psi_word(wb)
-                       - psi_product(functional, wa, wb, True)
-                       + functional.psi_word(wa) * p._word_character(wb))
-                rhs = -form.inner(cocycle.eval_word(stars[wa]),
-                                  cocycle.eval_word(wb))
+                # the product less <eta(a*), eta(b)> is the counit terms
+                # eps(a) psi(b) + psi(a) eps(b)
+                eta_ab = inner_eta(ra, rb, cas[j], cbs and cbs[j], s)
+                lhs = from_parts(re, im, s) - eta_ab - from_parts(*target)
                 return fail("coboundary", {
                     "a": word_to_strs(p.kind, wa), "b": word_to_strs(p.kind, wb),
-                    "lhs": str(lhs), "rhs": str(rhs)})
+                    "lhs": str(lhs), "rhs": str(-eta_ab)})
         counts["coboundary"] += n_b
 
     for w, (cr, ci, sb) in zip(words, cols):
@@ -493,16 +505,16 @@ def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> Verif
         e = eps(w)
         ra, rb, sa = row(w, (e[0], -e[1], e[2]), psi_star[w])
         (re,), im = _dots(ra, rb, (cr,), None if ci is None else (ci,))
+        im = 0 if im is None else im[0]
         counts["positivity"] += 1
         c, d, t = psi_of(*p.reduce(stars[w] + w))
-        if not scaled_same(([re], im, sa * sb), ([c], [d], t)):
-            eps_w, eta_w = p._word_character(w), cocycle.eval_word(w)
-            lhs = (psi_product(functional, stars[w], w)
-                   - eps_w * functional.psi_word(stars[w])
-                   - eps_w.conj() * functional.psi_word(w))
+        s = sa * sb
+        if re * t != c * s or im * t != d * s:
+            # psi(w* w) less the counit terms of the product
+            norm_sq = inner_eta(ra, rb, cr, ci, s)
+            lhs = from_parts(c, d, t) - from_parts(re, im, s) + norm_sq
             return fail("positivity", {"word": word_to_strs(p.kind, w),
-                                       "psi": str(lhs),
-                                       "norm_sq": str(form.inner(eta_w, eta_w))})
+                                       "psi": str(lhs), "norm_sq": str(norm_sq)})
 
     return VerifyReport(passed=True, counts=counts, witness=None)
 

@@ -24,9 +24,11 @@ when b's column is a pivot column, whose row carries the certificate);
 `inverse` on [m | I], whose pivot values and swaps also decide a hermitian
 form's definiteness (Sylvester); `det`, (-1)^swaps times the pivot values.
 `psd_check` runs a diagonal-pivoted congruence with the same row step over
-[G | I], after a hermitianity test on the integer rows.  `rref` and
-`psd_check` take Scalar rows or `IntegerRows`, so one conversion can serve
-both.  Dimension 0 is allowed throughout; it shows up when a splitting has
+[G | I], after a hermitianity test on the integer rows (`_hermitian`).
+`rref`, `psd_check` and `_invert` take Scalar rows or `IntegerRows`, so one
+conversion can serve several: a `HermitianForm` converts its Gram matrix
+once, tests hermitianity on those rows with `_hermitian` too, and inverts
+them.  Dimension 0 is allowed throughout; it shows up when a splitting has
 an empty Gaussian or remainder part.
 """
 
@@ -151,11 +153,6 @@ def mvmul(m, v):
 def conj_transpose(m):
     r, c = mat_shape(m)
     return tuple(tuple(m[i][j].conj() for i in range(r)) for j in range(c))
-
-
-def mat_eq(a, b) -> bool:
-    return mat_shape(a) == mat_shape(b) and all(
-        x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def columns(m) -> list:
@@ -376,10 +373,11 @@ def solve_linear(a, b):
 
 def _invert(m) -> tuple:
     """(inverse, pivot values, row swaps) from one reduction of [m | I]."""
-    n, c = mat_shape(m)
-    if n != c:
+    m = _integer_rows(m)
+    n = len(m)
+    if n != m.width:
         raise DimensionMismatch("inverse of non-square matrix")
-    red, pivots, values, swaps = _reduce(IntegerRows(m).with_identity())
+    red, pivots, values, swaps = _reduce(m.with_identity())
     if pivots[:n] != list(range(n)):
         raise LinalgError("matrix is singular")
     return tuple(tuple(red[i][n:]) for i in range(n)), values, swaps
@@ -425,12 +423,13 @@ class HermitianForm:
         n, c = mat_shape(gram)
         if n != c:
             raise DimensionMismatch("gram matrix must be square")
-        if not mat_eq(gram, conj_transpose(gram)):
+        rows = IntegerRows(gram)
+        if not _hermitian(rows):
             raise LinalgError("gram matrix is not hermitian")
         self.gram = gram
         self.dim = n
         try:
-            self.gram_inv, pivots, swaps = _invert(gram)
+            self.gram_inv, pivots, swaps = _invert(rows)
         except LinalgError:
             raise LinalgError("gram matrix is singular") from None
         # Sylvester: with no swap the k-th pivot is D_k / D_(k-1), and a

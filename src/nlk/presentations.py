@@ -691,12 +691,11 @@ class Tensor2:
 
 def k1_elements(presentation, max_len: int) -> list:
     """The elements w - eps(w)*1 for nonempty canonical words of length <= max_len."""
-    one = AlgebraElement.one(presentation)
+    p = presentation
     out = []
-    for w in presentation.words_up_to(max_len, include_empty=False):
-        e = AlgebraElement.from_word(presentation, w)
-        eps = e.epsilon()
-        out.append(e - one.scale(eps))
+    for w in p.words_up_to(max_len, include_empty=False):
+        eps = p._word_character(w)
+        out.append(AlgebraElement(p, {w: ONE, (): -eps} if eps else {w: ONE}))
     return out
 
 

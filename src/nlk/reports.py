@@ -17,20 +17,20 @@ import functools
 import json
 from typing import NamedTuple
 
+from . import linalg
 from .cocycles import CocycleObstructed, RepresentationError
 from .decompose import attempt_lk
 from .functionals import (
     GroupFunctional,
-    RelatorReading,
     brute_force_welldefinedness_oracle,
     certificate_defect,
+    descent_defect,
     forced_real_parts,
-    relator_folds,
+    relator_readings,
     solve_generating_functional,
     verify_schurmann_triple,
 )
 from .presentations import GROUP, word_to_strs
-from .scalars import ZERO
 from .scenarios import MAX_WORD_LENGTH, parse_scenario
 
 # The fields every early stop of a scenario command carries besides its
@@ -106,18 +106,16 @@ def _cocycle(scenario):
 
 
 def _check_supplied(functional):
-    """Stop unless a supplied group psi carries the forced real parts and
-    folds to zero on every relator, the checks a solved psi passes."""
+    """Stop unless a supplied group psi descends (`descent_defect`): it
+    carries the forced real parts and folds to zero on every relator, the
+    checks a solved psi passes."""
     forced = forced_real_parts(functional.cocycle)
-    relators = functional.presentation.relators
-    readings = [RelatorReading(r, k, k.re != 0)
-                for r, k in zip(relators, relator_folds(functional))]
-    if (all(v.re == forced[g].re for g, v in functional.values.items())
-            and all(rd.k_r.is_zero() for rd in readings)):
+    if descent_defect(functional, forced) is None:
         return
     raise _EarlyStop("ill_defined_psi",
                      forced_real_parts={g: str(v) for g, v in forced.items()},
-                     readings=[rd.to_json() for rd in readings])
+                     readings=[rd.to_json()
+                               for rd in relator_readings(functional)])
 
 
 def _functional_for(scenario, cocycle, checks):
@@ -417,7 +415,7 @@ def _check_solve(label, outcome):
     real part or an infeasibility certificate of its system, or a solved psi
     with the forced real parts that a fresh fold finds zero on every relator."""
     if not outcome.feasible:
-        if any(rd.k_r.re != 0 for rd in outcome.readings):
+        if any(rd.re_violation for rd in outcome.readings):
             return f"{label}: a relator reading with a nonzero real part"
         _need(outcome.certificate is not None,
               f"{label}: infeasible without certificate")
@@ -426,16 +424,9 @@ def _check_solve(label, outcome):
         _need(defect is None, f"{label}: {defect}")
         return f"{label}: infeasibility certificate confirmed"
     cocycle = outcome.functional.cocycle
-    forced = forced_real_parts(cocycle)
     fresh = GroupFunctional(cocycle, outcome.functional.values)
-    for g, value in fresh.values.items():
-        if value.re != forced[g].re:
-            raise _RecheckFailure(f"{label}: Re psi({g}) = {value.re} differs "
-                                  f"from the forced real part {forced[g]}")
-    for relator, k in zip(fresh.presentation.relators, relator_folds(fresh)):
-        if not k.is_zero():
-            raise _RecheckFailure(f"{label}: psi folds to {k} on relator "
-                                  f"{word_to_strs(GROUP, relator)}")
+    defect = descent_defect(fresh, forced_real_parts(cocycle))
+    _need(defect is None, f"{label}: {defect}")
     return f"{label}: psi has the forced real parts and folds to zero on " \
            f"every relator"
 
@@ -455,12 +446,12 @@ def _check_correction(lk):
     exponent sums vanish over every relator."""
     p, d = lk.split_result.cocycle.presentation, lk.derivation
     # the parts share the presentation, so a part's system matrix is its
-    # exponent matrix
-    for relator, row in zip(p.relators, lk.gaussian_outcome.system_matrix):
-        if not sum((e * d[g] for e, g in zip(row, p.generators)),
-                   ZERO).is_zero():
-            raise _RecheckFailure(f"the correction does not vanish on "
-                                  f"relator {word_to_strs(GROUP, relator)}")
+    # exponent matrix; one product reads every relator's exponent sum
+    a_mat = lk.gaussian_outcome.system_matrix
+    sums = linalg.mmul(a_mat, [[d[g]] for g in p.generators]) if a_mat else ()
+    for relator, (total,) in zip(p.relators, sums):
+        _need(total.is_zero(), f"the correction does not vanish on relator "
+                               f"{word_to_strs(GROUP, relator)}")
     return "correction: its exponent sums vanish on every relator"
 
 

@@ -270,16 +270,15 @@ def test_criterion_8_invariant_suites():
             assert (helpers.madd(helpers.to_pairs_mat(sr.p_g),
                                  helpers.to_pairs_mat(sr.p_r))
                     == helpers.to_pairs_mat(ident))
-            assert linalg.mat_eq(linalg.mmul(sr.p_g, sr.p_g), sr.p_g)
-            assert linalg.mat_eq(linalg.mmul(sr.p_r, sr.p_r), sr.p_r)
+            assert linalg.mmul(sr.p_g, sr.p_g) == sr.p_g
+            assert linalg.mmul(sr.p_r, sr.p_r) == sr.p_r
             assert linalg.mmul(sr.p_g, sr.p_r) == linalg.zero_matrix(rep.form.dim, rep.form.dim)
             gram = helpers.to_pairs_mat(rep.form.gram)
             assert helpers.is_self_adjoint(gram, helpers.to_pairs_mat(sr.p_g))
             assert helpers.is_self_adjoint(gram, helpers.to_pairs_mat(sr.p_r))
             for g in rep.presentation.generators:
                 img = rep.images[g]
-                assert linalg.mat_eq(linalg.mmul(sr.p_r, img),
-                                     linalg.mmul(img, sr.p_r))
+                assert linalg.mmul(sr.p_r, img) == linalg.mmul(img, sr.p_r)
 
         # the Gaussian part of the mixed split is a derivation: additive on
         # products and negating on inverses

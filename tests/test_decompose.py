@@ -19,8 +19,12 @@ from nlk.decompose import (
 from nlk.functionals import solve_generating_functional
 from nlk.linalg import HermitianForm, IndefiniteFormError
 from nlk.presentations import Presentation
-from nlk.reports import confirm_solve_result
-from nlk.scalars import ONE, ZERO, sc
+from nlk.reports import (
+    _check_correction,
+    _RecheckFailure,
+    confirm_solve_result,
+)
+from nlk.scalars import I, ONE, ZERO, sc
 from nlk.scenarios import parse_scenario
 
 import helpers
@@ -69,8 +73,8 @@ def test_split_projector_identities():
     ident = linalg.identity(n)
     assert helpers.madd(helpers.to_pairs_mat(sr.p_g),
                         helpers.to_pairs_mat(sr.p_r)) == helpers.to_pairs_mat(ident)
-    assert linalg.mat_eq(linalg.mmul(sr.p_g, sr.p_g), sr.p_g)
-    assert linalg.mat_eq(linalg.mmul(sr.p_r, sr.p_r), sr.p_r)
+    assert linalg.mmul(sr.p_g, sr.p_g) == sr.p_g
+    assert linalg.mmul(sr.p_r, sr.p_r) == sr.p_r
     assert linalg.mmul(sr.p_g, sr.p_r) == linalg.zero_matrix(n, n)
     # each projector fixes its own part's basis and kills the other's
     for v in sr.remainder.basis:
@@ -84,8 +88,8 @@ def test_split_projector_identities():
     assert helpers.is_self_adjoint(gram, helpers.to_pairs_mat(sr.p_r))
     for g in rep.presentation.generators:
         img = rep.images[g]
-        assert linalg.mat_eq(linalg.mmul(sr.p_r, img), linalg.mmul(img, sr.p_r))
-        assert linalg.mat_eq(linalg.mmul(sr.p_g, img), linalg.mmul(img, sr.p_g))
+        assert linalg.mmul(sr.p_r, img) == linalg.mmul(img, sr.p_r)
+        assert linalg.mmul(sr.p_g, img) == linalg.mmul(img, sr.p_g)
 
 
 def test_split_part_values_no_lk():
@@ -93,8 +97,7 @@ def test_split_part_values_no_lk():
     sr = split(cocycle)
     # the Gaussian side carries the counit representation
     for g in rep.presentation.generators:
-        assert linalg.mat_eq(sr.gaussian.representation.images[g],
-                             linalg.identity(1))
+        assert sr.gaussian.representation.images[g] == linalg.identity(1)
     # part coordinates of each generator value agree with projecting first
     for g in rep.presentation.generators:
         eta = cocycle.letter_value((g, 1))
@@ -113,7 +116,7 @@ def test_split_trivial_rep_has_empty_remainder():
     assert sr.remainder.dim == 0
     assert sr.gaussian.dim == rep.form.dim
     assert sr.p_r == linalg.zero_matrix(rep.form.dim, rep.form.dim)
-    assert linalg.mat_eq(sr.p_g, linalg.identity(rep.form.dim))
+    assert sr.p_g == linalg.identity(rep.form.dim)
     for g in rep.presentation.generators:
         coords = sr.gaussian.cocycle.letter_value((g, 1))
         back = linalg.mvmul(linalg.from_columns(sr.gaussian.basis,
@@ -168,6 +171,19 @@ def test_attempt_lk_decomposed_on_mixed_free_product():
     assert set(doc["parts"]) == {"gaussian", "remainder"}
     assert doc["psi_gaussian"] is not None
     assert doc["derivation_correction"] is not None
+
+
+def test_recheck_refuses_a_correction_that_breaks_an_exponent_sum():
+    _, _, cocycle = _load("freeproduct.p2_z2", "mixed")
+    lk = attempt_lk(solve_generating_functional(cocycle).functional)
+    assert _check_correction(lk) == \
+        "correction: its exponent sums vanish on every relator"
+    # a's exponent sum is 0 in a b a^-1 b^-1 and 2 in r a r a
+    edited = dict(lk.derivation, a=lk.derivation["a"] + I)
+    with pytest.raises(_RecheckFailure) as info:
+        _check_correction(lk._replace(derivation=edited))
+    assert str(info.value) == \
+        "the correction does not vanish on relator ['r', 'a', 'r', 'a']"
 
 
 def test_attempt_lk_parts_are_generating_functionals():

@@ -474,6 +474,44 @@ def test_hermitian_form_definite_by_leading_minors(g):
         im == 0 and re > 0 for re, im in minors)
 
 
+@st.composite
+def nearly_hermitian(draw):
+    """An n x n matrix, n in 0..4, of Gaussian rationals whose rows have
+    different denominators: hermitian, hermitian but for one entry, or
+    drawn entry by entry."""
+    n = draw(st.integers(0, 4))
+    entries = st.one_of(ENTRIES, WIDE_ENTRIES)
+    if draw(st.booleans()):
+        return draw(matrices(n, n, entries))
+    m = [list(row) for row in hermitian(
+        draw(st.lists(entries, min_size=n * (n + 1) // 2,
+                      max_size=n * (n + 1) // 2)), n)]
+    if n and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        m[i][j] = m[i][j] + draw(st.sampled_from([ONE, I, sc("1/3", "-1/2")]))
+    return tuple(map(tuple, m))
+
+
+@MATRICES
+@given(nearly_hermitian())
+# rows over 6 and 3 whose entries agree only when cross-multiplied
+@example(linalg.matrix([[sc("1/2"), sc("1/3")], [sc("1/3"), 5]]))
+@example(linalg.matrix([[sc("1/2"), sc("1/3")], [sc("2/3"), 5]]))
+@example(linalg.matrix([[0, sc(0, "1/2")], [sc(0, "1/2"), 1]]))
+@example(())
+def test_hermitian_form_refuses_exactly_what_differs_from_its_adjoint(g):
+    pg = H.to_pairs_mat(g)
+    if pg != pair_adjoint(pg):
+        with pytest.raises(linalg.LinalgError,
+                           match="gram matrix is not hermitian"):
+            linalg.HermitianForm(g)
+        return
+    try:
+        linalg.HermitianForm(g)
+    except linalg.LinalgError as exc:
+        assert str(exc) == "gram matrix is singular"
+
+
 @settings(DIFF, max_examples=300)
 @given(st.one_of(hermitians(6), hermitians(6, WIDE_ENTRIES), gns_grams()))
 # a zero leading row, semidefinite or not, and a zero-diagonal block
@@ -1247,6 +1285,25 @@ def test_verify_matches_the_per_pair_loop_on_star_algebras(data, max_len,
         == expected
     if tamper is None:
         assert expected["passed"]
+
+
+@FOLDS
+@given(star_data(), st.integers(1, 5), st.integers(0, 60), NONZERO)
+def test_verify_hermitian_witness_matches_the_per_pair_loop(data, max_len,
+                                                            index, delta):
+    # psi(w) moved without psi(w*): unless w = w* and the move is real, the
+    # first identity to fail is hermitianity
+    p, rep, v, cocycle, phi = data
+    table = {w: phi.eval_word(w) for w in p.words_up_to(max_len) if w}
+    word = sorted(table)[index % len(table)]
+    table[word] = table[word] + delta
+    functional = StarFunctional(p, table)
+    expected = H.verify_per_pair(coboundary_cocycle(rep, v)[0], functional,
+                                 max_len)
+    assert verify_schurmann_triple(cocycle, functional, max_len).to_json() \
+        == expected
+    if p.involve_word(word) != word or not delta.is_real():
+        assert expected["witness"]["identity"] == "hermitian"
 
 
 @FOLDS

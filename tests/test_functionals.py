@@ -15,10 +15,11 @@ from nlk.functionals import (
     TableSupportExceeded,
     brute_force_welldefinedness_oracle,
     build_normal_form,
+    descent_defect,
     forced_real_parts,
     gns_truncated,
     is_gaussian_functional,
-    psi_product,
+    relator_readings,
     solve_generating_functional,
     verify_schurmann_triple,
 )
@@ -212,7 +213,7 @@ def test_confirm_solve_result_refuses_a_wrong_real_part():
     # the real parts cancel in the commutator's fold, so only the forced
     # real part on a sees the edit
     tampered = GroupFunctional(eta, {"a": sc("1/2"), "b": sc("-3/2")})
-    assert all(k.is_zero() for k in functionals.relator_folds(tampered))
+    assert all(rd.k_r.is_zero() for rd in relator_readings(tampered))
     assert not confirm_solve_result(out._replace(functional=tampered))
 
 
@@ -222,8 +223,27 @@ def test_confirm_solve_result_refuses_a_nonzero_fold():
     # Im psi(r) = 1 keeps the real parts and folds to 2i on r r
     values = dict(out.functional.values, r=out.functional.values["r"] + I)
     tampered = GroupFunctional(cocycle, values)
-    assert functionals.relator_folds(tampered)[1] == sc(0, 2)
+    assert relator_readings(tampered)[1].k_r == sc(0, 2)
     assert not confirm_solve_result(out._replace(functional=tampered))
+
+
+def test_descent_defect_reports_a_wrong_real_part_before_any_relator():
+    cocycle, out = _solved("p2.derivations")
+    forced = forced_real_parts(cocycle)
+    assert descent_defect(out.functional, forced) is None
+    # Im psi(r) = 1 folds to 2i on r r
+    values = dict(out.functional.values, r=out.functional.values["r"] + I)
+    assert descent_defect(GroupFunctional(cocycle, values), forced) == \
+        "psi folds to 2i on relator ['r', 'r']"
+    # Re psi(a) = 1 is not the forced 0, and r r still folds to 2i
+    values["a"] += 1
+    assert any(not rd.k_r.is_zero()
+               for rd in relator_readings(GroupFunctional(cocycle, values)))
+    tampered = GroupFunctional(cocycle, values)
+    assert descent_defect(tampered, forced) == \
+        "Re psi(a) = 1 differs from the forced real part 0"
+    # decided on the generator values: no relator was folded
+    assert tampered._views == {}
 
 
 def test_confirm_solve_result_refuses_a_certificate_that_does_not_annihilate():
@@ -324,8 +344,7 @@ def test_star_functional_reads_nothing_past_its_support():
     past = (x,) * 9
     reads = (lambda: psi.psi_word(past),
              lambda: psi.eval_element(AlgebraElement.from_word(p, past)),
-             lambda: psi_product(psi, (x,) * 4, (x,) * 5),
-             lambda: psi_product(psi, (x,) * 4, (x,) * 5, True))
+             lambda: psi.psi_word(p.multiply((x,) * 4, (x,) * 5)[1]))
     for read in reads:
         with pytest.raises(TableSupportExceeded) as info:
             read()
