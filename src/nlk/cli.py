@@ -81,6 +81,8 @@ def _cmd_recheck(args):
         raise CliError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise CliError(f"{path} nests too deeply to parse as JSON") from None
     if not isinstance(report, dict):
         raise CliError("a report file must hold a JSON object")
     outcome = reports.recheck(report)

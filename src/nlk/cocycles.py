@@ -2,8 +2,9 @@
 
 A representation assigns a matrix to each generator and must respect the
 involution (images of starred letters are form-adjoints) and every defining
-relation.  The adjoints G^-1 (m* G) and every check (unitarity, relators,
-star images and rules) are products of scaled Gaussian-integer matrices
+relation.  The adjoints G^-1 (m* G), from the form's scaled G and G^-1
+(`linalg.HermitianForm`), and every check (unitarity, relators, star
+images and rules) are products of scaled Gaussian-integer matrices
 (`scalars.scaled_product`); only a failing check recomputes its residual in
 Scalars.  `letter_matrix` and `word_matrix` unscale, one gcd per entry, for
 those residuals and for `decompose`; the word evaluator reads the scaled
@@ -19,11 +20,11 @@ letters' rows D(l) [pi(l) | eta(l); 0 | eps(l)].  Those rows are built from
 the scaled image of pi(l) with no Scalar in between: on a group
 eta(g^-1) = -pi(g^-1) eta(g) is one integer step, and one content gcd
 leaves D(l) least.  The rows conj(G eta(l^-1)) that pair with eta(l^-1)
-are formed from them once per cocycle, for every group functional built
-on it.  A read fills the word's missing suffixes, shortest first, each
-from its tail by one integer matrix-vector step with its first letter's
-rows (`_fill`, the step the group functionals' memo shares), with no gcd
-and no Scalar.  `eval_word` unscales a word once, one gcd per entry, and
+are the form's `pairing` of them, formed once per cocycle, for every
+group functional built on it.  A read fills the word's missing suffixes,
+shortest first, each from its tail by one integer matrix-vector step with
+its first letter's rows (`_fill`, the step the group functionals' memo
+shares), with no gcd and no Scalar.  `eval_word` unscales a word once, one gcd per entry, and
 keeps the Scalars.
 """
 
@@ -131,7 +132,6 @@ class Representation:
         self._positive = 1 if presentation.kind == GROUP else 0
         self._letter_cache = {}
         self._scaled_cache = {}
-        self._form_scaled = scaled(form.gram_inv), scaled(form.gram)
         if not _validated:
             violations = self._validate()
             if violations:
@@ -213,18 +213,19 @@ class Representation:
         """pi(letter) as a scaled matrix (`scalars.scaled`).
 
         Inverse group letters and starred letters map to the form-adjoint
-        G^-1 (m* G) of the generator's image m, formed in integers.
+        G^-1 (m* G) of the generator's image m, formed in integers from
+        the form's scaled G and G^-1.
         """
         s = self._scaled_cache.get(letter)
         if s is None:
             name, tag = letter
             s = scaled(self.images[name])
             if tag != self._positive:
-                gram_inv, gram = self._form_scaled
                 re, im, d = s
                 star = (list(zip(*re)), None if im is None else
                         [[-x for x in col] for col in zip(*im)], d)
-                s = scaled_product(gram_inv, scaled_product(star, gram))
+                s = scaled_product(self.form.scaled_gram_inv,
+                                   scaled_product(star, self.form.scaled_gram))
             self._scaled_cache[letter] = s
         return s
 
@@ -374,20 +375,17 @@ class Cocycle:
     def _pairing_rows(self):
         """conj(G eta(l^-1)) for every letter l of a group, the row that
         pairs <eta(l^-1), .>, as integer re and im (None when real) over its
-        least common denominator: the eta column of l^-1's rows times the
-        scaled Gram matrix, formed once for every functional of this
-        cocycle."""
+        least common denominator: the form's `pairing` of the eta column of
+        l^-1's rows, formed once for every functional of this cocycle."""
         rows = self._rows or self._letter_rows()
-        gre, gim, gd = self.representation._form_scaled[1]
-        cas, cbs = list(zip(*gre)), None if gim is None else list(zip(*gim))
         n = self.form.dim
         self._pairing = {}
         for name, tag in rows:
             re, im, d = rows[name, -tag]
-            pr, pi = _dots([row[n] for row in re[:n]],
-                           None if im is None else [-row[n] for row in im[:n]],
-                           cas, cbs)
-            (pr,), pi, pd = _least([pr], pi and [pi], d * gd)
+            pr, pi, pd = self.form.pairing((
+                [row[n] for row in re[:n]],
+                None if im is None else [row[n] for row in im[:n]], d))
+            (pr,), pi, pd = _least([pr], pi and [pi], pd)
             self._pairing[name, tag] = pr, pi and pi[0], pd
         return self._pairing
 

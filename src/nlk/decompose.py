@@ -21,6 +21,7 @@ from .functionals import (
 )
 from .linalg import HermitianForm, IndefiniteFormError
 from .presentations import GROUP, letter_str
+from .scalars import scaled, scaled_product, unscaled
 
 
 def invariant_closure(representation: Representation) -> list:
@@ -42,10 +43,10 @@ def invariant_closure(representation: Representation) -> list:
     basis = linalg.span_basis(seeds)
     while True:
         extended = list(basis)
+        cols = scaled(linalg.from_columns(basis, rows_hint=n))
         for l in letters:
-            m = representation.letter_matrix(l)
-            for v in basis:
-                extended.append(linalg.mvmul(m, v))
+            extended.extend(linalg.columns(unscaled(
+                scaled_product(representation._scaled(l), cols))))
         new_basis = linalg.span_basis(extended)
         if len(new_basis) == len(basis):
             return basis
@@ -88,31 +89,33 @@ def _part_space(representation, cocycle, basis_vectors, trivial: bool) -> PartSp
     p = representation.presentation
     form = representation.form
     basis = tuple(basis_vectors)
+    letters = [l for l in p.alphabet() if p.kind != GROUP or l[1] != -1]
+    # an empty part has no coordinates: its images and values are empty
+    images, values = dict.fromkeys(p.generators, ()), [()] * len(letters)
     if basis:
         # Gram matrix B*GB of the basis; the coordinate map of the orthogonal
         # projection onto span(B) is (B*GB)^-1 B*G, from the part form's inverse
         b = linalg.from_columns(basis)
         bh_g = linalg.mmul(linalg.conj_transpose(b), form.gram)
         part_form = HermitianForm(linalg.mmul(bh_g, b))
-        coords = linalg.mmul(part_form.gram_inv, bh_g)
+        # the coordinate map stays scaled for the products below, each of
+        # which takes its gcds once, when it is unscaled
+        scaled_coords = scaled_product(part_form.scaled_gram_inv, scaled(bh_g))
+        coords = unscaled(scaled_coords)
+        values = linalg.columns(unscaled(scaled_product(scaled_coords, scaled(
+            linalg.from_columns([cocycle.letter_value(l) for l in letters],
+                                rows_hint=form.dim)))))
+        if not trivial:
+            scaled_b = scaled(b)
+            images = {g: unscaled(scaled_product(scaled_coords, scaled_product(
+                scaled(representation.images[g]), scaled_b)))
+                for g in p.generators}
     else:
         part_form, coords = HermitianForm(()), ()
-    if trivial:
-        part_rep = trivial_representation(p, part_form)
-    else:
-        images = {}
-        for g in p.generators:
-            img = representation.images[g]
-            cols = [linalg.mvmul(coords, linalg.mvmul(img, v)) for v in basis]
-            images[g] = linalg.from_columns(cols, rows_hint=len(basis))
-        part_rep = Representation(p, part_form, images)
-    values = {}
-    for l in p.alphabet():
-        if p.kind == GROUP and l[1] == -1:
-            continue
-        values[letter_str(p.kind, l)] = linalg.mvmul(coords,
-                                                     cocycle.letter_value(l))
-    part_cocycle = Cocycle(part_rep, values)
+    part_rep = (trivial_representation(p, part_form) if trivial
+                else Representation(p, part_form, images))
+    part_cocycle = Cocycle(part_rep, {letter_str(p.kind, l): v
+                                      for l, v in zip(letters, values)})
     return PartSpace(basis=basis, form=part_form, coords=coords,
                      representation=part_rep, cocycle=part_cocycle)
 

@@ -20,7 +20,8 @@ eta(l w) = pi(l) eta(w) + eta(l) eps(w) and psi(l w) = <eta(l^-1), eta(w)>
 Gaussian-integer vector U(w) [eta(w); eps(w); psi(w)] with U(l w) =
 Q(l) U(w), and fills a missing suffix from its tail by one integer step
 (`cocycles._fill`); scales are never divided.  `verify` reads its columns
-straight from this memo and the oracle compares whole vectors, deciding by
+straight from this memo and pairs them with rows built by the form's
+`pairing`, and the oracle compares whole vectors; both decide by
 cross-multiplying; `verify` builds a witness from the integers it compared,
 and a Scalar is otherwise built only for a counterexample or a report
 value, or through `fold`, which unscales a word once and keeps the Scalar
@@ -49,7 +50,7 @@ from .presentations import (
     word_to_strs,
 )
 from .scalars import (I, ONE, ZERO, Scalar, _dots, _imaginary, from_parts,
-                      parts, scaled, scaled_same)
+                      parts, scaled_same)
 
 
 class NoNormalForm(ValueError):
@@ -371,7 +372,8 @@ def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> Verif
     Values are read from the memos (or a star table) as scaled Gaussian
     integers, identities are decided by cross-multiplying, and Scalars are
     built only for a witness.  The coboundary identity at (a, b) compares
-    psi(ab) with the integer row (conj(G eta(a*)), psi(a), eps(a)) paired
+    psi(ab) with the integer row (conj(G eta(a*)), psi(a), eps(a)), its
+    first part the form's `pairing` of eta(a*), paired
     with the column (eta(b), eps(b), psi(b)) by `scalars._dots`, a whole
     line of columns per word a; the squared-norm identity is that pairing
     at (w*, w).  On a group the columns are the functional's memo entries
@@ -442,15 +444,10 @@ def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> Verif
         re, im, s = eta(w)
         return re[n], 0 if im is None else im[n], s
 
-    gram_re, gram_im, gram_d = scaled(form.gram)
-    gram_cols = list(zip(*gram_re)), gram_im and list(zip(*gram_im))
-
     def row(x, e, q):
         """[conj(G eta(x)); q; e] over the product of the parts' scales."""
         er, ei, s = eta(x)
-        gr, gi = _dots(er[:n], None if ei is None else [-y for y in ei[:n]],
-                       *gram_cols)
-        s *= gram_d
+        gr, gi, s = form.pairing((er[:n], ei and ei[:n], s))
         (e_re, e_im, e_s), (q_re, q_im, q_s) = e, q
         f, fe, fq = e_s * q_s, s * q_s, s * e_s
         re = [y * f for y in gr] + [q_re * fq, e_re * fe]

@@ -2,12 +2,13 @@
 
 Vectors are tuples of Scalar, matrices are tuples of row tuples.  Sizes are
 small (representation spaces up to ~8 dimensions, Gram matrices up to a few
-hundred rows).  `mmul` is the one Scalar matrix product: both factors are
-put over one common denominator each (`scalars.scaled`), multiplied as
-integer matrices (`scalars.scaled_product`) and normalised with one gcd per
-entry (`scalars.unscaled`).  The representation checks skip Scalar
-matrices altogether and multiply scaled matrices directly; a hermitian
-form's adjoint is formed there too, by `cocycles.Representation`.
+hundred rows).  `mmul` is the one Scalar matrix product, and `mvmul` is a
+one-column `mmul`: both factors are put over one common denominator each
+(`scalars.scaled`), multiplied as integer matrices
+(`scalars.scaled_product`) and normalised with one gcd per entry
+(`scalars.unscaled`).  The representation checks skip Scalar matrices
+altogether and multiply scaled matrices directly, G and G^-1 among them:
+`HermitianForm` is the one place a Gram matrix becomes integers.
 
 There is one Gauss-Jordan reduction, `_reduce`, and it works in integers:
 a matrix is converted once to `IntegerRows`, each row Gaussian integers
@@ -44,6 +45,7 @@ from .scalars import (
     ZERO,
     Scalar,
     _common,
+    _dots,
     _imaginary,
     from_parts,
     scaled,
@@ -141,13 +143,14 @@ def mmul(a, b):
 
 
 def mvmul(m, v):
+    """m @ v as a one-column `mmul`; with no rows it is empty, and with no
+    columns zero, a width that a column with no rows cannot show."""
     r, c = mat_shape(m)
-    if r == 0:
-        # a matrix with no rows maps anything to the empty vector
-        return ()
-    if c != len(v):
+    if r and c != len(v):
         raise DimensionMismatch(f"cannot apply {r}x{c} to vector of size {len(v)}")
-    return tuple(sum((x * y for x, y in zip(row, v)), ZERO) for row in m)
+    if not c:
+        return zero_vector(r)
+    return tuple(x for x, in mmul(m, tuple(zip(v))))
 
 
 def conj_transpose(m):
@@ -414,8 +417,11 @@ class HermitianForm:
     """Invertible hermitian Gram matrix on column vectors.
 
     inner(v, w) = conj(v)^T @ gram @ w  (conjugate-linear in the first slot).
-    `gram_inv` is the inverse computed once at construction.  `definite` is
-    decided exactly by Sylvester's criterion, read off the same reduction.
+    `scaled_gram` and `scaled_gram_inv` are G and G^-1 as scaled matrices
+    (`scalars.scaled`), built once, for adjoints G^-1 m* G; `pairing` is
+    the integer row conj(G x) through which `inner`, the cocycles' pairing
+    rows and `verify_schurmann_triple` pair vectors.  `definite` is decided
+    exactly by Sylvester's criterion, read off the reduction that inverts G.
     """
 
     def __init__(self, gram):
@@ -429,19 +435,32 @@ class HermitianForm:
         self.gram = gram
         self.dim = n
         try:
-            self.gram_inv, pivots, swaps = _invert(rows)
+            gram_inv, pivots, swaps = _invert(rows)
         except LinalgError:
             raise LinalgError("gram matrix is singular") from None
+        self.scaled_gram, self.scaled_gram_inv = scaled(gram), scaled(gram_inv)
         # Sylvester: with no swap the k-th pivot is D_k / D_(k-1), and a
         # swap means some leading principal minor D_k is zero
         self.definite = not swaps and all(p.is_real() and p.re > 0
                                           for p in pivots)
 
+    def pairing(self, x) -> tuple:
+        """conj(G x) for a scaled vector x = (re, im, d), im None when real,
+        as a scaled vector over d times G's denominator, im None when G and
+        x are real.  As G is hermitian it is the row r with <x, w> = r w,
+        and it is one `_dots` of x against G's rows, conjugated."""
+        re, im, d = x
+        gre, gim, gd = self.scaled_gram
+        re, im = _dots(re, im, gre, gim)
+        return re, im and [-y for y in im], d * gd
+
     def inner(self, v, w) -> Scalar:
         if len(v) != self.dim or len(w) != self.dim:
             raise DimensionMismatch("vector size does not match form")
-        gw = mvmul(self.gram, w)
-        return sum((a.conj() * b for a, b in zip(v, gw)), ZERO)
+        re, im, d = self.pairing(_common(v))
+        wre, wim, e = _common(w)
+        (re,), im = _dots(re, im, [wre], wim and [wim])
+        return from_parts(re, 0 if im is None else im[0], d * e)
 
     def orthocomplement(self, vectors) -> list:
         """Basis of {v : inner(b, v) = 0 for all b in vectors}: the kernel

@@ -22,10 +22,11 @@ None when real) over a common denominator d > 0, not necessarily the least.
 `scaled_same` and `scaled_equal` compare by cross-multiplying, so the
 checks of `cocycles.Representation` build no Scalar.  `scaled`, then
 `scaled_product`, then `unscaled` is the one integer kernel of a Scalar
-matrix product (`linalg.mmul`).  The word memos of
-`Cocycle` and `GroupFunctional` keep scaled vectors, each filled by one
-`_dots` matrix-vector step per letter, and `verify_schurmann_triple` and
-the oracle read them as they are.  `unscaled` and `from_parts` give
+matrix product (`linalg.mmul`).  A Gram matrix and its inverse are scaled
+once per form, by `linalg.HermitianForm`, and read from there.  The word
+memos of `Cocycle` and `GroupFunctional` keep scaled vectors, each filled
+by one `_dots` matrix-vector step per letter, and `verify_schurmann_triple`
+and the oracle read them as they are.  `unscaled` and `from_parts` give
 canonical Scalars, one gcd per entry; `parts` takes a Scalar apart.
 
 The text form follows a small grammar:

@@ -356,6 +356,9 @@ def load_scenario(path: str) -> Scenario:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.colno, exc.msg) from exc
+    except RecursionError:
+        raise ScenarioError(f"cannot read {path}: its JSON nests too deeply "
+                            f"to parse") from None
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     return parse_scenario(doc)

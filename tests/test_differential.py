@@ -383,6 +383,8 @@ def product_operands(draw):
 
 @MATRICES
 @given(product_operands())
+# a 3 x 0 matrix maps the empty vector to the zero vector of length 3
+@example((((), (), ()), ()))
 def test_mmul_matches_reference(operands):
     a, b = operands
     if linalg.mat_shape(a)[1] != linalg.mat_shape(b)[0]:
@@ -396,6 +398,11 @@ def test_mmul_matches_reference(operands):
     for row in got:
         for x in row:  # canonical triples: equal to the same value rebuilt
             assert x == Scalar(x.re, x.im) and hash(x) == hash(Scalar(x.re, x.im))
+    # mvmul on b's columns; a b without rows has none, and the empty
+    # vector stands in
+    for v in linalg.columns(b) if b else [()]:
+        assert H.to_pairs_vec(linalg.mvmul(a, v)) == H.mvec(
+            H.to_pairs_mat(a), H.to_pairs_vec(v))
 
 
 def hermitian(entries, n):
@@ -462,6 +469,10 @@ GRAMS = st.one_of(HERMITIAN, SQUARE.map(
 # a swap brings up the non-real pivot -i, then i
 @example(linalg.matrix([[0, I], [-I, 0]]))
 @example(linalg.matrix([[0, sc(1, 1), 0], [sc(1, -1), 0, 0], [0, 0, 1]]))
+# wide non-real entries off the diagonal, and the form of dimension 0
+@example(linalg.matrix([[sc(Fraction(10**30, 7)), sc(Fraction(1, 10**20), 5)],
+                        [sc(Fraction(1, 10**20), -5), 3]]))
+@example(())
 def test_hermitian_form_definite_by_leading_minors(g):
     pg = H.to_pairs_mat(g)
     if H.cis_zero(H.naive_det(pg)):
@@ -470,8 +481,21 @@ def test_hermitian_form_definite_by_leading_minors(g):
         return
     minors = [H.naive_det(tuple(row[:k] for row in pg[:k]))
               for k in range(1, len(pg) + 1)]
-    assert linalg.HermitianForm(g).definite == all(
-        im == 0 and re > 0 for re, im in minors)
+    form = linalg.HermitianForm(g)
+    assert form.definite == all(im == 0 and re > 0 for re, im in minors)
+    # the form's integers: G^-1, and for rows x and y of G and the zero
+    # vector, <x, y> and the pairing row of x, whose entries are <x, e_j>
+    assert H.to_pairs_mat(unscaled(form.scaled_gram_inv)) == H.minv(pg)
+    vectors = (*g, linalg.zero_vector(len(g)))
+    for x in vectors:
+        px = H.to_pairs_vec(x)
+        (re,), im, d = scaled((x,))
+        re, im, d = form.pairing((re, im and im[0], d))
+        assert H.to_pairs_mat(unscaled(([re], im and [im], d))) == (
+            tuple(H.inner(pg, px, e) for e in H.mid(len(g))),)
+        for y in vectors:
+            assert H.to_pair(form.inner(x, y)) == H.inner(
+                pg, px, H.to_pairs_vec(y))
 
 
 @st.composite

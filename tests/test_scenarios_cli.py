@@ -412,6 +412,16 @@ def test_cli_parse_error_exit(tmp_path, capsys):
     assert "PARSE_ERROR" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "recheck"])
+def test_cli_refuses_json_nested_past_the_parser(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert cli.main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_schema_error_exit(tmp_path, capsys):
     doc = z2_doc()
     doc["form"]["gram"] = [["1+i"]]
