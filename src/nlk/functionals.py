@@ -26,8 +26,10 @@ cross-multiplying; `verify` builds a witness from the integers it compared,
 and a Scalar is otherwise built only for a counterexample or a report
 value, or through `fold`, which unscales a word once and keeps the Scalar
 for Gaussianity, `solve`, the relator readings and the GNS Gram matrix,
-which is built a row at a time from those Scalars and from star tables,
-read through `StarFunctional.read` alone.
+which is built a row at a time from those Scalars or from a star table:
+a product that stays the concatenation of the rewritten star and the word
+is one inline table read, with `StarFunctional.read`'s support check,
+and a product rewritten past the junction is read through `read`.
 """
 
 from __future__ import annotations
@@ -169,7 +171,8 @@ class StarFunctional:
 
     Keys must be canonical words, and the empty word may not carry a nonzero
     value.  The table's support is the length of its longest key, zero-valued
-    keys included.  Every read of a canonical word goes through `read`.
+    keys included.  Every read of a canonical word goes through `read`,
+    except the concatenations that `gns_truncated` reads inline.
     """
 
     def __init__(self, presentation: Presentation, table):
@@ -579,6 +582,64 @@ class GnsResult(NamedTuple):
         }
 
 
+def _star_gram(functional, words, stars, psi, psi_star):
+    """The rows of `gns_truncated` on a star algebra."""
+    p, table = functional.presentation, functional.table
+    support = functional.support
+    eps = [p._word_character(w) for w in words]
+    k = p.junction_width
+    heads = {}
+    head_of = [heads.setdefault(w[:k], len(heads)) for w in words]
+    junctions = {}  # (tail, head) -> `junction_redex` of the two
+    gram = []
+    # psi((w_i - eps_i)* (w_j - eps_j)), expanded through psi(1) = 0
+    for star, e_i, p_i in zip(stars, eps, psi_star):
+        coeff, steps, cur, at = p._rewrite_star(star)
+        if coeff.is_zero():
+            row = [ZERO] * len(words)
+        else:
+            tail = tuple(cur[at:])
+            # per head: None for the concatenation, ZERO for a zero
+            # product, or where the rewrite resumes
+            starts = []
+            for head in heads:
+                if (tail, head) not in junctions:
+                    junctions[tail, head] = p.junction_redex(tail, head)
+                redex = junctions[tail, head]
+                if redex is not None:
+                    redex = (ZERO if redex[1].coeff.is_zero()
+                             else at + redex[0])
+                starts.append(redex)
+            cur = tuple(cur)
+            room = support - len(cur)
+            row = []
+            for w, h in zip(words, head_of):
+                start = starts[h]
+                if start is None:
+                    # the table keeps nonzero values only: ZERO marks a miss
+                    x = table.get(cur + w, ZERO)
+                    if x is ZERO:
+                        if len(w) > room:
+                            raise TableSupportExceeded(cur + w, support)
+                    elif coeff is not ONE:
+                        x = coeff * x
+                elif start is ZERO:
+                    x = ZERO
+                else:
+                    c, red = p._rewrite(list(cur + w), star + w, start,
+                                        coeff, steps)
+                    x = ZERO if c.is_zero() else c * functional.read(red)
+                row.append(x)
+        if not e_i.is_zero():
+            e_i = e_i.conj()
+            row = [x - e_i * y for x, y in zip(row, psi)]
+        if not p_i.is_zero():
+            row = [x if e.is_zero() else x - e * p_i
+                   for x, e in zip(row, eps)]
+        gram.append(row)
+    return gram
+
+
 def gns_truncated(functional, max_len: int) -> GnsResult:
     """Gram matrix of the kernel elements w - eps(w) under psi(a* b).
 
@@ -587,72 +648,33 @@ def gns_truncated(functional, max_len: int) -> GnsResult:
     semidefinite, the classes of the words expressed over a maximal
     independent subset (these are the truncated GNS vectors of eta).
 
-    The Gram matrix is built row by row, w_i*, psi(w_i*) and eps(w_i) read
-    once per row.  Whether w_i* w_j holds a redex at the junction is decided
-    once per distinct (tail of w_i*, head of w_j) pair
-    (`Presentation.junction_redex`); without one the product is the
-    concatenation, whose psi is one table or memo read, and with one it is
-    rewritten from that redex by the loop `Presentation.multiply` runs
-    (`Presentation._rewrite`), so the junction is not decided again.  A
-    star that is not canonical is reduced with each product.  Counit terms
-    are formed only where the counit is nonzero.  psi of the words and of their stars,
-    and each star's canonicity, are read before the rows, so an error names
-    the word that the row-major order meets first.
+    psi of the words and of their stars w_i* is read before the rows, so
+    an error names the word that the row-major order meets first.  On a
+    group every counit is 1 and entry (i, j) is psi of the product w_i* w_j
+    less psi(w_j) and psi(w_i*).  On a star algebra each row rewrites its
+    star once, as `reduce(w_i* w_j)` does for every w_j until it reaches
+    the junction (`Presentation._rewrite_star`), and what follows is
+    decided once per distinct (tail, head) pair
+    (`Presentation.junction_redex`): with no redex there the product is
+    the concatenation, read straight from the table; when the first
+    listed rule matching there has coefficient 0 the product is 0; else
+    the rewrite resumes from that redex (`Presentation._rewrite`), with
+    the star's coefficient and step count.  Counit terms are formed only
+    where the counit is nonzero.
     """
     p = functional.presentation
-    group = p.kind == GROUP
-    read = functional.fold if group else functional.read
     words = tuple(p.words_up_to(max_len, include_empty=False))
     psi = [functional.psi_word(w) for w in words]
-    eps = [p._word_character(w) for w in words]
     stars = [p.involve_word(w) for w in words]
     psi_star = [functional.psi_word(s) for s in stars]
-    # the inverse of a freely reduced word is freely reduced; a raw star is
-    # canonical when it is its own reduction
-    canonical = [group or p.reduce(s) == (ONE, s) for s in stars]
-    k = p.junction_width
-    heads = {}
-    head_of = [heads.setdefault(w[:k], len(heads)) for w in words]
-    junctions = {}  # (tail, head) -> where in tail a redex starts, or None
-
-    def value(coeff, red):
-        """psi of coeff red, red a canonical word."""
-        if group:
-            return read(red)
-        return ZERO if coeff.is_zero() else coeff * read(red)
-
-    def rewritten(star, w, at):
-        """psi of star w, whose leftmost redex starts at position `at`: a
-        star word is rewritten from there by `multiply`'s own loop."""
-        if group:
-            return read(p.multiply(star, w)[1])
-        word = star + w
-        return value(*p._rewrite(list(word), word, at))
-
-    gram = []
-    # psi((w_i - eps_i)* (w_j - eps_j)), expanded through psi(1) = 0
-    for star, e_i, p_i, canon in zip(stars, eps, psi_star, canonical):
-        if canon:
-            tail = star[-k:] if k else ()
-            ats = []
-            for head in heads:
-                if (tail, head) not in junctions:
-                    junctions[tail, head] = p.junction_redex(tail, head)
-                ats.append(junctions[tail, head])
-            start = len(star) - len(tail)
-            row = [read(star + w) if ats[h] is None
-                   else rewritten(star, w, start + ats[h])
-                   for w, h in zip(words, head_of)]
-        else:
-            row = [value(*p.reduce(star + w)) for w in words]
-        if not e_i.is_zero():
-            e_i = e_i.conj()
-            row = [x - e_i * y for x, y in zip(row, psi)]
-        if not p_i.is_zero():
-            row = [x if e.is_zero() else x - e * p_i
-                   for x, e in zip(row, eps)]
-        gram.append(tuple(row))
-    gram = tuple(gram)
+    if p.kind == GROUP:
+        fold, multiply = functional.fold, p.multiply
+        gram = [[fold(multiply(star, w)[1]) - y - p_i
+                 for w, y in zip(words, psi)]
+                for star, p_i in zip(stars, psi_star)]
+    else:
+        gram = _star_gram(functional, words, stars, psi, psi_star)
+    gram = tuple(map(tuple, gram))
     # one conversion to integer rows, read by both eliminations.  The pivot
     # columns are the first maximal independent set of word classes, and
     # column j of the reduced rows gives w_j over them

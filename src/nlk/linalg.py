@@ -14,16 +14,15 @@ There is one Gauss-Jordan reduction, `_reduce`, and it works in integers:
 a matrix is converted once to `IntegerRows`, each row Gaussian integers
 over its own least common denominator, and a row update is
 (u p) row_i - (u f) row_lead followed by one gcd over the new row (`_step`;
-u = conj(p) for a non-real pivot p, so every scale stays real).  Pivot rows
-are divided by their pivots and turned into canonical Scalars once, at the
-end; rows of zeros are one shared tuple.  Besides the reduced rows and the
-pivot columns it returns `values`, each pivot's value when its column is
-reached (its integer entry over its row's scale), and `swaps`, the number
-of row exchanges.  All but semidefiniteness read it: `rref` (rank, pivot
-columns, coordinates); `solve_linear` on [a | b | I] (infeasible exactly
-when b's column is a pivot column, whose row carries the certificate);
-`inverse` on [m | I], whose pivot values and swaps also decide a hermitian
-form's definiteness (Sylvester); `det`, (-1)^swaps times the pivot values.
+u = conj(p) for a non-real pivot p, so every scale stays real).  It
+returns the pivot rows divided by their pivots, still in integers, the
+pivot columns, `values`, each pivot's value when its column is reached,
+and `swaps`, the number of row exchanges.  All but semidefiniteness read
+it: `rref` (rank, pivot columns, coordinates), where its rows become
+Scalars; `solve_linear` on [a | b | I] (infeasible exactly when b's column
+is a pivot column, whose row carries the certificate); `_invert` on
+[m | I], whose pivot values and swaps also decide a hermitian form's
+definiteness (Sylvester); `det`, (-1)^swaps times the pivot values.
 `psd_check` runs a diagonal-pivoted congruence with the same row step over
 [G | I], after a hermitianity test on the integer rows (`_hermitian`).
 `rref`, `psd_check` and `_invert` take Scalar rows or `IntegerRows`, so one
@@ -36,7 +35,7 @@ an empty Gaussian or remainder part.
 from __future__ import annotations
 
 from itertools import repeat
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -255,11 +254,11 @@ def _step(re, im, scales, i, k, col):
 
 def _reduce(rows) -> tuple:
     """The one Gauss-Jordan reduction, fraction-free over `IntegerRows`.
-    Returns (reduced Scalar rows, pivot column indices, each pivot's value
-    when its column was reached, row swaps).  A pivot row is divided by its
-    pivot only at the end, which changes none of the other rows' values;
-    once every row at or below the lead is zero, no later column holds a
-    pivot and the scan stops."""
+    Returns (pivot rows, pivot column indices, each pivot's value when its
+    column was reached, row swaps).  A pivot row is divided by its pivot
+    only at the end, into integers (re, im, a) over a > 0, im None on a
+    real matrix; once every row at or below the lead is zero, no later
+    column holds a pivot and the scan stops."""
     m = _integer_rows(rows)
     re, scales = list(m.re), list(m.scales)
     im = None if m.im is None else list(m.im)
@@ -293,7 +292,6 @@ def _reduce(rows) -> tuple:
         pivots.append(col)
         lead += 1
         live -= 1
-    zero = (ZERO,) * width
     out = []
     for k, col in enumerate(pivots):
         # row k over its pivot p: times conj(p) / |p|^2 when p is not real
@@ -305,19 +303,22 @@ def _reduce(rows) -> tuple:
         elif a < 0:
             rr, a = [-x for x in rr], -a
             ri = ri and [-y for y in ri]
-        out.append(tuple([from_parts(x, 0, a) if x else ZERO for x in rr]
-                         if ri is None else map(from_parts, rr, ri, repeat(a))))
-    out.extend(repeat(zero, count - len(pivots)))
+        out.append((rr, ri, a))
     return out, pivots, values, swaps
 
 
 def rref(rows) -> tuple:
     """Reduced row echelon form.  Returns (rows, pivot column indices)."""
-    return _reduce(rows)[:2]
+    m = _integer_rows(rows)
+    red, pivots = _reduce(m)[:2]
+    out = [tuple([from_parts(x, 0, a) if x else ZERO for x in rr]
+                 if ri is None else map(from_parts, rr, ri, repeat(a)))
+           for rr, ri, a in red]
+    return out + [(ZERO,) * m.width] * (len(m) - len(red)), pivots
 
 
 def rank(m) -> int:
-    return len(rref(m)[1])
+    return len(_reduce(m)[1])
 
 
 def kernel(m) -> list:
@@ -375,7 +376,7 @@ def solve_linear(a, b):
 
 
 def _invert(m) -> tuple:
-    """(inverse, pivot values, row swaps) from one reduction of [m | I]."""
+    """(scaled inverse, pivot values, swaps) from one reduction of [m | I]."""
     m = _integer_rows(m)
     n = len(m)
     if n != m.width:
@@ -383,11 +384,14 @@ def _invert(m) -> tuple:
     red, pivots, values, swaps = _reduce(m.with_identity())
     if pivots[:n] != list(range(n)):
         raise LinalgError("matrix is singular")
-    return tuple(tuple(red[i][n:]) for i in range(n)), values, swaps
+    d = lcm(*[a for _, _, a in red])
+    return ([[x * (d // a) for x in rr[n:]] for rr, _, a in red],
+            m.im and [[y * (d // a) for y in ri[n:]] for _, ri, a in red],
+            d), values, swaps
 
 
 def inverse(m):
-    return _invert(m)[0]
+    return unscaled(_invert(m)[0])
 
 
 def det(m) -> Scalar:
@@ -418,10 +422,11 @@ class HermitianForm:
 
     inner(v, w) = conj(v)^T @ gram @ w  (conjugate-linear in the first slot).
     `scaled_gram` and `scaled_gram_inv` are G and G^-1 as scaled matrices
-    (`scalars.scaled`), built once, for adjoints G^-1 m* G; `pairing` is
-    the integer row conj(G x) through which `inner`, the cocycles' pairing
-    rows and `verify_schurmann_triple` pair vectors.  `definite` is decided
-    exactly by Sylvester's criterion, read off the reduction that inverts G.
+    (`scalars.scaled`), built once, for adjoints G^-1 m* G: G^-1 straight
+    from the integer rows of the one reduction of [G | I], off which
+    `definite` is read too (Sylvester's criterion).  `pairing` is the
+    integer row conj(G x) through which `inner`, the cocycles' pairing rows
+    and `verify_schurmann_triple` pair vectors.
     """
 
     def __init__(self, gram):
@@ -435,10 +440,10 @@ class HermitianForm:
         self.gram = gram
         self.dim = n
         try:
-            gram_inv, pivots, swaps = _invert(rows)
+            self.scaled_gram_inv, pivots, swaps = _invert(rows)
         except LinalgError:
             raise LinalgError("gram matrix is singular") from None
-        self.scaled_gram, self.scaled_gram_inv = scaled(gram), scaled(gram_inv)
+        self.scaled_gram = scaled(gram)
         # Sylvester: with no swap the k-th pivot is D_k / D_(k-1), and a
         # swap means some leading principal minor D_k is zero
         self.definite = not swaps and all(p.is_real() and p.re > 0

@@ -27,7 +27,11 @@ Group words cancel inverse pairs at the junction only.
 of an element is canonical.  `kn_products` yields the distinct kernel
 products one at a time, each formed once, in one pass over the terms of a
 distinct prefix, so a caller that stops early forms no product past the one
-it stops at.
+it stops at.  A left factor that is a raw star w*, as in the GNS Gram
+matrix, need not be canonical: it is rewritten once by `_rewrite_star`, as
+`reduce(w* v)` is for every v until its scan could reach past w*;
+`junction_redex` also names the first listed rule at the redex, and
+`_rewrite` resumes there with the star's coefficient and step count.
 """
 
 from __future__ import annotations
@@ -356,14 +360,13 @@ class Presentation:
             raise
         return self._rewrite(cur, word, 0)
 
-    def _rewrite(self, cur, word, i):
+    def _rewrite(self, cur, word, i, coeff=ONE, steps=0):
         """Rewrite the normalised letters `cur` in place from position i,
-        where no redex starts before i, as `reduce` does from 0; a budget
-        error names the start word `word`."""
+        where no redex starts before i, as `reduce` does from 0; `coeff`
+        and `steps` are those of the rewrites already made on the way to
+        `cur`, and a budget error names the start word `word`."""
         rules_at = self._rules_at
         back = self.junction_width
-        coeff = ONE
-        steps = 0
         budget = STEP_BUDGET
         while i < len(cur):
             for lhs, n, rule in rules_at.get(cur[i], ()):
@@ -381,23 +384,49 @@ class Presentation:
                 i += 1
         return coeff, tuple(cur)
 
-    def junction_redex(self, tail, head):
-        """Where in `tail` the leftmost redex of tail + head starts, or None.
+    def _rewrite_star(self, word):
+        """`reduce`'s scan of the star word `word` up to the first position
+        from which a redex could reach past its end, rewriting as `reduce`
+        does: before that position a redex of `word + v` lies in `word`, so
+        these rewrites are the same for every v.  Returns (coefficient,
+        steps, letters, position), from which `_rewrite` resumes on the
+        letters with v's appended.  `word` must reduce within the step
+        budget; no step is counted against it here."""
+        rules_at = self._rules_at
+        back = self.junction_width
+        cur = [self._letters[l] for l in word]
+        coeff, steps, i = ONE, 0, 0
+        while i < len(cur) - back:
+            for lhs, n, rule in rules_at.get(cur[i], ()):
+                if cur[i:i + n] == lhs:
+                    coeff = coeff * rule.coeff
+                    if coeff.is_zero():
+                        return ZERO, steps, cur, i
+                    cur[i:i + n] = rule.rhs
+                    steps += 1
+                    i = max(0, i - back)
+                    break
+            else:
+                i += 1
+        return coeff, steps, cur, i
 
-        `tail` is the last `junction_width` letters (or fewer) of a
-        canonical word u and `head` the first `junction_width` letters of a
-        canonical word v; every redex of u v that crosses the junction lies
-        in tail + head, and no other redex exists.
+    def junction_redex(self, tail, head):
+        """The leftmost redex of tail + head that starts in `tail`, as
+        (where in `tail` it starts, the first listed rule matching there),
+        or None.
+
+        `tail` is at most the last `junction_width` letters of a star word
+        u, from where `reduce`'s scan of u v stands once every redex left
+        of it is rewritten, and `head` is the first `junction_width`
+        letters of a canonical word v; every redex of u v from there on
+        lies in tail + head.
         """
-        if self.kind == GROUP:
-            return (len(tail) - 1 if tail and head
-                    and tail[-1] == (head[0][0], -head[0][1]) else None)
         word = tail + head
         rules_at = self._rules_at
         for i in range(len(tail)):
             for _, n, rule in rules_at.get(word[i], ()):
                 if word[i:i + n] == rule.lhs:
-                    return i
+                    return i, rule
         return None
 
     def multiply(self, u, v):
@@ -415,11 +444,11 @@ class Presentation:
             return ONE, u[:i] + v[j:]
         k = self.junction_width
         tail = u[-k:] if k else ()
-        at = self.junction_redex(tail, v[:k])
+        redex = self.junction_redex(tail, v[:k])
         word = u + v
-        if at is None:
+        if redex is None:
             return ONE, word
-        return self._rewrite(list(word), word, len(u) - len(tail) + at)
+        return self._rewrite(list(word), word, len(u) - len(tail) + redex[0])
 
     def involve_word(self, word) -> tuple:
         """Raw star of a word: reverse and star each letter (not reduced)."""

@@ -1871,6 +1871,73 @@ def test_gns_gram_reduces_every_star_before_the_rows():
     assert got[:2] == ("budget", (("x", 0), ("y", 0)))
 
 
+# <x = x*, y | x y = 0>: the star x y y* of y y* x rewrites to 0 at its
+# first letter, before the letter the junction reads
+ZERO_STAR = (("x", "y"), [False, True], {"x": ONE, "y": ZERO},
+             [("x", 0), ("y", 0), ("y", 1)],
+             [((("x", 0), ("y", 0)), ZERO, ())])
+
+
+def test_gns_gram_zeroes_a_row_whose_star_rewrites_to_zero():
+    p = _build_system(ZERO_STAR)
+    star = p.involve_word((("y", 0), ("y", 1), ("x", 0)))
+    assert p._rewrite_star(star)[0] == ZERO
+    got = _check_star_gram(ZERO_STAR, _table_values(random.Random(1)), 6, 3,
+                           10_000)
+    assert got[0] == "gram"
+
+
+# <a = a*, b, c = c* | b a = c>: the star b a b of b* a b* rewrites once to
+# c b, and its junction with a word a ... takes one more step
+TWO_STEP = (("a", "b", "c"), [False, True, False],
+            {"a": ONE, "b": Scalar(2), "c": Scalar(2)},
+            [("a", 0), ("b", 0), ("b", 1), ("c", 0)],
+            [((("b", 0), ("a", 0)), ONE, (("c", 0),))])
+
+
+@pytest.mark.parametrize("budget, outcome", [(1, "budget"), (2, "gram")])
+def test_gns_gram_counts_the_star_steps_against_each_entry(budget, outcome):
+    # no star and no junction alone takes more than one step; a product
+    # whose star and junction both rewrite takes two, which a budget of one
+    # refuses at the same start word, rule and step count as the reference
+    got = _check_star_gram(TWO_STEP, _table_values(random.Random(2)), 6, 3,
+                           budget)
+    assert got[0] == outcome
+    if outcome == "budget":
+        b, a = ("b", 0), ("a", 0)
+        assert got[1][:4] == (b, a, b, a) and got[3] == 2
+
+
+# <x = x*, y = y*, z = z* | x y -> 0, x y y -> z> in both orders: at the
+# junction x | y y the first listed rule decides, zero or not
+FIRST_RULE = [((("x", 0), ("y", 0)), ZERO, ()),
+              ((("x", 0), ("y", 0), ("y", 0)), ONE, (("z", 0),))]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["zero_first", "zero_last"])
+def test_gns_gram_follows_the_first_rule_at_the_junction(order):
+    system = (("x", "y", "z"), [False] * 3, {"x": ONE, "y": ZERO, "z": ZERO},
+              [("x", 0), ("y", 0), ("z", 0)], FIRST_RULE[::order])
+    p = _build_system(system)
+    _, rule = p.junction_redex((("x", 0),), (("y", 0), ("y", 0)))
+    assert rule.coeff.is_zero() == (order == 1)
+    got = _check_star_gram(system, _table_values(random.Random(3)), 4, 2,
+                           10_000)
+    assert got[0] == "gram"
+
+
+# <x = x*, y = y* | x y -> 1>: row x x rewrites x x | y to x, then reads
+# x x | x x, past a support of 3
+SHRINK = (("x", "y"), [False, False], {"x": ONE, "y": ONE},
+          [("x", 0), ("y", 0)], [((("x", 0), ("y", 0)), ONE, ())])
+
+
+def test_gns_gram_stops_at_a_read_past_the_support_after_a_rewrite():
+    x = ("x", 0)
+    assert _check_star_gram(SHRINK, _table_values(random.Random(4)), 3, 2,
+                            10_000) == ("support", (x, x, x, x))
+
+
 # the pair reference folds psi letter by letter with matrix inverses, so it
 # sees fewer draws
 @settings(DIFF, max_examples=8)

@@ -477,6 +477,39 @@ def test_gns_decides_each_junction_once(monkeypatch):
     assert any(junction_redex(p, *pair) is not None for pair in pairs)
 
 
+def test_gns_rewrites_each_star_once_and_reads_concatenations_inline(
+        monkeypatch):
+    # psi of the words and of their stars is all that `reduce` computes; the
+    # rows rewrite each star once and decide each junction once, and a
+    # product that needs no rewrite is read from the table, not by `read`
+    scn = parse_scenario(scenario_doc("ac_not_h2z.star_algebra_definite",
+                                      "main"))
+    psi = scn.build_functional(scn.build_cocycle(scn.build_representation()))
+    p = psi.presentation
+    calls = {}  # method name -> the arguments of each call
+
+    def record(owner, name):
+        method, seen = getattr(owner, name), calls.setdefault(name, [])
+
+        def recorded(*args):
+            seen.append(args)
+            return method(*args)
+        monkeypatch.setattr(owner, name, recorded)
+
+    for name in ("reduce", "_rewrite", "junction_redex"):
+        record(p, name)
+    record(psi, "read")
+    gns_truncated(psi, 4)
+    words = p.words_up_to(4, include_empty=False)
+    assert len(words) == 80
+    assert len(calls["reduce"]) == 2 * len(words)
+    decided = calls["junction_redex"]
+    assert len(decided) == len(set(decided)) > 0
+    # every `reduce` runs one `_rewrite`; the rest resume at a junction
+    rewritten = len(calls["_rewrite"]) - len(calls["reduce"])
+    assert 0 < len(calls["read"]) <= 2 * len(words) + rewritten
+
+
 def test_gns_rank_pivots_and_eta_match_the_reference():
     scn = parse_scenario(scenario_doc("surface.gamma2.no_lk", "main"))
     group_psi = solve_generating_functional(

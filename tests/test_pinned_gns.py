@@ -23,6 +23,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data", "gns")
 PINNED = (
     ("ac_not_h2z.star_algebra_definite", "main", 4),
     ("ac_not_h2z.star_algebra_definite", "flipped_sign", 2),
+    ("ac_not_h2z.star_algebra_definite", "flipped_sign", 4),
     ("surface.gamma2.no_lk", "main", 2),
 )
 
