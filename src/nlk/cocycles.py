@@ -3,16 +3,17 @@
 A representation assigns a matrix to each generator and must respect the
 involution (images of starred letters are form-adjoints) and every defining
 relation.  The adjoints G^-1 (m* G), from the form's scaled G and G^-1
-(`linalg.HermitianForm`), and every check (unitarity, relators, star
-images and rules) are products of scaled Gaussian-integer matrices
-(`scalars.scaled_product`); only a failing check recomputes its residual in
-Scalars.  `letter_matrix` and `word_matrix` unscale, one gcd per entry, for
-those residuals and for `decompose`; the word evaluator reads the scaled
-images themselves.
+(`linalg.HermitianForm`), and every check (unitarity, star images, each
+relation lhs = c rhs of `Presentation.relations`) are products of scaled
+Gaussian-integer matrices (`scalars.scaled_product`), compared by
+`scalars.scaled_residual`, whose difference, unscaled, is a failing
+check's residual; only a non-unitary image's residual, its adjoint less
+`linalg.inverse`, is formed in Scalars, from `letter_matrix` (which
+`decompose` reads too).  `word_matrix` unscales a word's image.
 
 A cocycle assigns a vector to each letter and extends through
-eta(ab) = pi(a) eta(b) + eta(a) eps(b); well-definedness is checked on the
-finite relation set, with exact residuals reported on failure.
+eta(ab) = pi(a) eta(b) + eta(a) eps(b); each relation is checked by
+`scaled_residual` of the eta parts of its sides' memo entries (below).
 
 Every eta(w) is computed one way, into a memo of scaled Gaussian integers:
 S(w) [eta(w); eps(w)] with S(w) the product of the denominators D(l) of its
@@ -52,8 +53,8 @@ from .scalars import (
     from_parts,
     parts,
     scaled,
-    scaled_equal,
     scaled_product,
+    scaled_residual,
     unscaled,
 )
 
@@ -130,7 +131,6 @@ class Representation:
         self.form = form
         self.images = {g: linalg.matrix(m) for g, m in images.items()}
         self._positive = 1 if presentation.kind == GROUP else 0
-        self._letter_cache = {}
         self._scaled_cache = {}
         if not _validated:
             violations = self._validate()
@@ -163,8 +163,9 @@ class Representation:
             for g in p.generators:
                 # a square matrix with a left inverse is invertible, so this
                 # one product proves unitarity; elimination only diagnoses
-                if scaled_equal(scaled_product(self._scaled((g, -1)),
-                                               self._scaled((g, 1))), one):
+                if scaled_residual(scaled_product(self._scaled((g, -1)),
+                                                  self._scaled((g, 1))),
+                                   one) is None:
                     continue
                 try:
                     inv = linalg.inverse(self.images[g])
@@ -177,36 +178,32 @@ class Representation:
                     code="NOT_STAR_COMPATIBLE", target=g,
                     residual=linalg.msub(self.letter_matrix((g, -1)), inv),
                     message=f"image of {g} is not form-unitary"))
-            checks = [(r, ONE, (), "relator {} does not map to the identity")
-                      for r in p.relators]
+            message = "relator {} does not map to the identity"
         else:
             for g in p.generators:
                 starred = p.star_letter((g, 0))
                 if starred == (g, 1):
                     # pi(g*) is defined as the adjoint of pi(g): nothing to check
                     continue
-                if scaled_equal(self._scaled(starred), self._scaled((g, 1))):
+                res = scaled_residual(self._scaled(starred),
+                                      self._scaled((g, 1)))
+                if res is None:
                     continue
                 out.append(Violation(
-                    code="NOT_STAR_COMPATIBLE", target=g,
-                    residual=linalg.msub(self.letter_matrix(starred),
-                                         self.letter_matrix((g, 1))),
+                    code="NOT_STAR_COMPATIBLE", target=g, residual=unscaled(res),
                     message=f"image of {letter_str(STAR_ALGEBRA, starred)} is "
                             f"not the adjoint of the image of {g}"))
-            checks = [(r.lhs, r.coeff, r.rhs,
-                       "rule {} is not respected by the images") for r in p.rules]
+            message = "rule {} is not respected by the images"
         if out:
             return out
-        for lhs, coeff, rhs, message in checks:
-            if scaled_equal(self._word_scaled(lhs),
-                            self._word_scaled(rhs) if rhs else one, coeff):
-                continue
-            words = word_to_strs(p.kind, lhs)
-            out.append(Violation(
-                code="RELATION_VIOLATED", target=" ".join(words),
-                residual=linalg.msub(self.word_matrix(lhs), linalg.mscale(
-                    coeff, self.word_matrix(rhs))),
-                message=message.format(words)))
+        for lhs, coeff, rhs in p.relations:
+            res = scaled_residual(self._word_scaled(lhs),
+                                  self._word_scaled(rhs) if rhs else one, coeff)
+            if res is not None:
+                words = word_to_strs(p.kind, lhs)
+                out.append(Violation(
+                    code="RELATION_VIOLATED", target=" ".join(words),
+                    residual=unscaled(res), message=message.format(words)))
         return out
 
     def _scaled(self, letter):
@@ -241,13 +238,9 @@ class Representation:
     def letter_matrix(self, letter):
         """pi(letter); for a validated group image the adjoint an inverse
         letter maps to is its inverse."""
-        m = self._letter_cache.get(letter)
-        if m is None:
-            m = self.images[letter[0]]
-            if letter[1] != self._positive:
-                m = unscaled(self._scaled(letter))
-            self._letter_cache[letter] = m
-        return m
+        if letter[1] == self._positive:
+            return self.images[letter[0]]
+        return unscaled(self._scaled(letter))
 
     def word_matrix(self, word):
         return unscaled(self._word_scaled(word))
@@ -397,19 +390,21 @@ class Cocycle:
 
     def _validate(self):
         p = self.presentation
-        if p.kind == GROUP:
-            checks = [(r, ONE, (), "vanish on relator") for r in p.relators]
-        else:
-            checks = [(r.lhs, r.coeff, r.rhs, "respect rule") for r in p.rules]
+        what = "vanish on relator" if p.kind == GROUP else "respect rule"
+
+        def eta(word):
+            re, im, s = self._scaled_eta(word)
+            return [re[:-1]], im and [im[:-1]], s
+
         out = []
-        for lhs, coeff, rhs, what in checks:
-            res = linalg.vsub(self.eval_word(lhs),
-                              linalg.vscale(coeff, self.eval_word(rhs)))
-            if not linalg.is_zero_vector(res):
+        for lhs, coeff, rhs in p.relations:
+            res = scaled_residual(eta(lhs), eta(rhs), coeff)
+            if res is not None:
                 words = word_to_strs(p.kind, lhs)
                 out.append(Violation(
                     code="COCYCLE_OBSTRUCTED", target=" ".join(words),
-                    residual=res, message=f"cocycle does not {what} {words}"))
+                    residual=unscaled(res)[0],
+                    message=f"cocycle does not {what} {words}"))
         return out
 
 

@@ -651,7 +651,11 @@ def gns_truncated(functional, max_len: int) -> GnsResult:
     psi of the words and of their stars w_i* is read before the rows, so
     an error names the word that the row-major order meets first.  On a
     group every counit is 1 and entry (i, j) is psi of the product w_i* w_j
-    less psi(w_j) and psi(w_i*).  On a star algebra each row rewrites its
+    less psi(w_j) and psi(w_i*).  That is <eta(w_i), eta(w_j)> less
+    2 Re psi(l) + <eta(l), eta(l)> summed over the letters l of the longest
+    common prefix of w_i and w_j, so it is the pairing of the eta vectors
+    only when every generator's psi has its forced real part
+    (`forced_real_parts`).  On a star algebra each row rewrites its
     star once, as `reduce(w_i* w_j)` does for every w_j until it reaches
     the junction (`Presentation._rewrite_star`), and what follows is
     decided once per distinct (tail, head) pair

@@ -20,9 +20,10 @@ pivot columns, `values`, each pivot's value when its column is reached,
 and `swaps`, the number of row exchanges.  All but semidefiniteness read
 it: `rref` (rank, pivot columns, coordinates), where its rows become
 Scalars; `solve_linear` on [a | b | I] (infeasible exactly when b's column
-is a pivot column, whose row carries the certificate); `_invert` on
-[m | I], whose pivot values and swaps also decide a hermitian form's
-definiteness (Sylvester); `det`, (-1)^swaps times the pivot values.
+is a pivot column, whose row carries the certificate) and `kernel`, which
+make Scalars only of the entries they return; `_invert` on [m | I], whose
+pivot values and swaps also decide a hermitian form's definiteness
+(Sylvester); `det`, (-1)^swaps times the pivot values.
 `psd_check` runs a diagonal-pivoted congruence with the same row step over
 [G | I], after a hermitianity test on the integer rows (`_hermitian`).
 `rref`, `psd_check` and `_invert` take Scalar rows or `IntegerRows`, so one
@@ -323,19 +324,24 @@ def rank(m) -> int:
 
 def kernel(m) -> list:
     """Basis of the right kernel of m, as a list of vectors."""
-    return _kernel_basis(*rref(m), mat_shape(m)[1])
+    return _kernel_basis(*_reduce(m)[:2], mat_shape(m)[1])
+
+
+def _entry(row, j) -> Scalar:
+    """Entry j of a pivot row (re, im, a) of `_reduce`, as a Scalar."""
+    return from_parts(row[0][j], 0 if row[1] is None else row[1][j], row[2])
 
 
 def _kernel_basis(red, pivots, c) -> list:
-    """Right kernel of the c-column matrix whose rref is the first c columns
-    of the reduced rows `red`; pivots at or past column c are ignored."""
+    """Right kernel of the c-column matrix reduced in the first c columns
+    of `_reduce`'s pivot rows `red`; pivots from column c on are ignored."""
     pivots = [p for p in pivots if p < c]
     basis = []
     for j in (j for j in range(c) if j not in pivots):
         v = [ZERO] * c
         v[j] = ONE
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][j]
+        for row, p in zip(red, pivots):
+            v[p] = -_entry(row, j)
         basis.append(tuple(v))
     return basis
 
@@ -360,17 +366,19 @@ def solve_linear(a, b):
     if len(b) != r:
         raise DimensionMismatch("rhs size mismatch")
     # augment with rhs and an identity block to track row operations
-    red, pivots = rref(IntegerRows(
-        [(*a[i], b[i]) for i in range(r)]).with_identity())
+    red, pivots = _reduce(IntegerRows(
+        [(*a[i], b[i]) for i in range(r)]).with_identity())[:2]
     if c in pivots:
         # a row reduced to [0 | 1 | lam]: the identity block holds lam
-        return LinearInfeasible(certificate=tuple(red[pivots.index(c)][c + 1:]))
+        row = red[pivots.index(c)]
+        return LinearInfeasible(certificate=tuple(
+            _entry(row, j) for j in range(c + 1, c + 1 + r)))
     # the first c columns of the reduction are rref(a): the kernel comes
     # from the same rows as the particular solution
     sol = [ZERO] * c
-    for i, p in enumerate(pivots):
+    for row, p in zip(red, pivots):
         if p < c:
-            sol[p] = red[i][c]
+            sol[p] = _entry(row, c)
     return LinearSolution(solution=tuple(sol),
                           kernel_basis=tuple(_kernel_basis(red, pivots, c)))
 

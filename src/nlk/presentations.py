@@ -169,6 +169,8 @@ class Presentation:
         self.character = {g: Scalar.coerce(v)
                           for g, v in (character or {}).items()}
         self.rules = tuple(rules)
+        # each relation lhs = coeff rhs: a relator r as (r, 1, ()), a rule as is
+        self.relations = tuple((r, ONE, ()) for r in self.relators) + self.rules
         self._genset = frozenset(self.generators)
         if kind == GROUP:
             self._init_group()

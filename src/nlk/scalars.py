@@ -19,8 +19,8 @@ real.
 A scaled matrix (re, im, d) means (re + im*i)/d: int rows re and im (im
 None when real) over a common denominator d > 0, not necessarily the least.
 `scaled_product` multiplies two over d_a * d_b with no gcd, and
-`scaled_same` and `scaled_equal` compare by cross-multiplying, so the
-checks of `cocycles.Representation` build no Scalar.  `scaled`, then
+`scaled_same` and `scaled_residual` (a - c b, or None) cross-multiply,
+so `cocycles` makes Scalars only of failing residuals.  `scaled`, then
 `scaled_product`, then `unscaled` is the one integer kernel of a Scalar
 matrix product (`linalg.mmul`).  A Gram matrix and its inverse are scaled
 once per form, by `linalg.HermitianForm`, and read from there.  The word
@@ -412,19 +412,20 @@ def scaled_same(x, y) -> bool:
         or all(u * yd == v * xd for u, v in zip(xi or zeros, yi or zeros)))
 
 
-def scaled_equal(a, b, coeff=ONE) -> bool:
-    """Whether a == coeff * b for scaled matrices a and b of one shape."""
-    br, bi, bd = b
-    if coeff != ONE:
-        ca, cb, cd = coeff._a, coeff._b, coeff._d
-        zeros = repeat(repeat(0))
-        br, bi, bd = ([[ca * u - cb * v for u, v in zip(ru, rv)]
-                       for ru, rv in zip(br, bi or zeros)],
-                      [[ca * v + cb * u for u, v in zip(ru, rv)]
-                       for ru, rv in zip(br, bi or zeros)], bd * cd)
-    ar, ai, ad = a
-    return all(scaled_same((ra, ia, ad), (rb, ib, bd)) for ra, ia, rb, ib in zip(
-        ar, ai or repeat(None), br, bi or repeat(None)))
+def scaled_residual(a, b, coeff=ONE):
+    """None when a == coeff * b for scaled matrices a and b of one shape,
+    else a - coeff * b as a scaled matrix over the product of the three
+    denominators, cross-multiplied with no gcd."""
+    (ar, ai, ad), (br, bi, bd) = a, b
+    ca, cb, cd = coeff._a, coeff._b, coeff._d
+    u, zeros = bd * cd, repeat(repeat(0))
+    re = [[u * x - ad * (ca * y - cb * z) for x, y, z in zip(ra, rb, ib)]
+          for ra, rb, ib in zip(ar, br, bi or zeros)]
+    im = [[u * x - ad * (ca * z + cb * y) for x, y, z in zip(ia, rb, ib)]
+          for ia, rb, ib in zip(ai or zeros, br, bi or zeros)]
+    if any(map(any, re)) or any(map(any, im)):
+        return re, im, ad * u
+    return None
 
 
 def unscaled(a) -> tuple:

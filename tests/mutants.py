@@ -1,0 +1,159 @@
+"""Named mutants of the fast paths, each with the tests that must kill it.
+
+Run from anywhere, with pytest installed:
+
+    python3 tests/mutants.py
+
+pytest does not collect this file: its name does not start with "test_".
+
+A mutant is one edit of one file under src/: text that must occur there
+exactly once and its replacement.  For each mutant the runner copies src/
+to a temporary directory, applies the edit, and runs only the mutant's test
+node ids, from the repository root with the copy first on the import path,
+one process at a time.  The mutant is
+
+    killed    when one of its tests fails, or they run for TIMEOUT_S,
+    survived  when all of them pass,
+    stale     when its text does not occur exactly once (the code moved),
+    error     when pytest cannot run the tests (a node id is gone).
+
+First the unmutated copy must pass every listed test, or no kill means
+anything.  The exit status is 0 only when every mutant is killed.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# a mutant whose tests run this long loops, and counts as killed
+TIMEOUT_S = 60
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # under src/
+    text: str
+    replacement: str
+    tests: tuple  # pytest node ids, relative to the repository root
+
+
+DIFF = "tests/test_differential.py::"
+
+MUTANTS = (
+    # a - c b without the imaginary part of c
+    Mutant("scaled_residual without the cb terms", "nlk/scalars.py",
+           "(ca * y - cb * z) for x, y, z in zip(ra, rb, ib)]\n"
+           "          for ra, rb, ib in zip(ar, br, bi or zeros)]\n"
+           "    im = [[u * x - ad * (ca * z + cb * y)",
+           "(ca * y) for x, y, z in zip(ra, rb, ib)]\n"
+           "          for ra, rb, ib in zip(ar, br, bi or zeros)]\n"
+           "    im = [[u * x - ad * (ca * z)",
+           (DIFF + "test_scaled_residual_cross_multiplies_the_coefficient",
+            "tests/test_pinned_reports.py::"
+            "test_violation_report_is_unchanged[cocycle_rule]")),
+    # the cocycle check compares and reports [eta(w); eps(w)]
+    Mutant("cocycle check keeps the eps entry", "nlk/cocycles.py",
+           "return [re[:-1]], im and [im[:-1]], s",
+           "return [re], im and [im], s",
+           ("tests/test_pinned_reports.py::"
+            "test_violation_report_is_unchanged[cocycle_relator]",
+            DIFF + "test_cocycle_violations_are_the_reference_residuals")),
+    Mutant("pairing without its conjugation", "nlk/linalg.py",
+           "return re, im and [-y for y in im], d * gd",
+           "return re, im, d * gd",
+           (DIFF + "test_hermitian_form_definite_by_leading_minors",)),
+    Mutant("GNS concatenation without the star's coefficient",
+           "nlk/functionals.py",
+           "                        x = coeff * x\n",
+           "                        pass\n",
+           (DIFF + "test_gns_gram_matches_the_reference_on_cascading_junctions",)),
+    Mutant("GNS rewrite resumed with 0 steps", "nlk/functionals.py",
+           "                                        coeff, steps)",
+           "                                        coeff, 0)",
+           (DIFF + "test_gns_gram_counts_the_star_steps_against_each_entry",)),
+    Mutant("junction takes the last matching rule", "nlk/presentations.py",
+           "            for _, n, rule in rules_at.get(word[i], ()):\n"
+           "                if word[i:i + n] == rule.lhs:\n"
+           "                    return i, rule",
+           "            for _, n, rule in reversed(rules_at.get(word[i], ())):\n"
+           "                if word[i:i + n] == rule.lhs:\n"
+           "                    return i, rule",
+           (DIFF + "test_gns_gram_follows_the_first_rule_at_the_junction",)),
+    Mutant("GNS row without the support check", "nlk/functionals.py",
+           "                        if len(w) > room:",
+           "                        if False:",
+           (DIFF + "test_gns_gram_stops_at_a_read_past_the_support_after_a_rewrite",)),
+)
+
+
+def copy_src(workdir):
+    src = os.path.join(workdir, "src")
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(os.path.join(ROOT, "src"), src,
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return src
+
+
+# pytest with hypothesis's shrink phase off: a kill needs one failing
+# example, and shrinking one can take minutes
+PYTEST = """import sys, pytest
+from hypothesis import Phase, settings
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.generate))
+settings.load_profile("mutants")
+sys.exit(pytest.main(sys.argv[1:]))"""
+
+
+def run_tests(src, tests):
+    """pytest's exit code on the tests with the package at src: 0 when all
+    pass, 1 when one fails (or they run past TIMEOUT_S), else pytest could
+    not run them."""
+    # the ini file's pythonpath would put the checkout's src/ first
+    command = [sys.executable, "-c", PYTEST, "-q", "-x", "-p",
+               "no:cacheprovider", "-o", f"pythonpath={src}", *tests]
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    try:
+        return subprocess.run(command, cwd=ROOT, env=env, timeout=TIMEOUT_S,
+                              stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL).returncode
+    except subprocess.TimeoutExpired:
+        return 1
+
+
+def outcome(mutant, workdir):
+    src = copy_src(workdir)
+    path = os.path.join(src, mutant.path)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    if text.count(mutant.text) != 1:
+        return "stale"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace(mutant.text, mutant.replacement))
+    return {0: "survived", 1: "killed"}.get(run_tests(src, mutant.tests),
+                                            "error")
+
+
+def main():
+    tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+    with tempfile.TemporaryDirectory() as workdir:
+        code = run_tests(copy_src(workdir), tests)
+        if code != 0:
+            print(f"the unmutated code fails its tests (pytest exit {code})")
+            return 1
+        bad = 0
+        for mutant in MUTANTS:
+            start = time.perf_counter()
+            result = outcome(mutant, workdir)
+            bad += result != "killed"
+            print(f"{result:8}  {mutant.name}  "
+                  f"({time.perf_counter() - start:.1f} s)", flush=True)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from nlk import linalg, presentations
 from nlk.cocycles import (
     Cocycle,
+    CocycleObstructed,
     Representation,
     RepresentationError,
     big_K,
@@ -65,8 +66,8 @@ from nlk.scalars import (
     from_parts,
     sc,
     scaled,
-    scaled_equal,
     scaled_product,
+    scaled_residual,
     unscaled,
 )
 from nlk.scenarios import parse_scenario
@@ -298,6 +299,48 @@ def test_solve_linear_solves_or_certifies(system):
         for li, bi in zip(lam, pb):
             lam_b = H.cadd(lam_b, H.cmul(li, bi))
         assert not H.cis_zero(lam_b)
+
+
+def rref_reading(a, b):
+    """`solve_linear` as it read Scalar rows of rref([a | b | I]): the
+    certificate from the identity block of the row whose pivot is b's
+    column, else the solution from b's column and the kernel from the free
+    columns of a."""
+    rows, cols = len(a), len(a[0])
+    red, pivots = linalg.rref(linalg.IntegerRows(
+        [(*a[i], b[i]) for i in range(rows)]).with_identity())
+    if cols in pivots:
+        return linalg.LinearInfeasible(
+            certificate=tuple(red[pivots.index(cols)][cols + 1:]))
+    pivots = [p for p in pivots if p < cols]
+    solution = [ZERO] * cols
+    for i, p in enumerate(pivots):
+        solution[p] = red[i][cols]
+    basis = []
+    for j in (j for j in range(cols) if j not in pivots):
+        v = [ZERO] * cols
+        v[j] = ONE
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][j]
+        basis.append(tuple(v))
+    return linalg.LinearSolution(solution=tuple(solution),
+                                 kernel_basis=tuple(basis))
+
+
+@MATRICES
+@given(systems())
+@example((ZERO_LEAD, linalg.vector([0, 1, 1])))
+@example((ZERO_LEAD, linalg.vector([1, 0, 0])))
+@example((NONREAL_PIVOTS[0], linalg.vector([1, I])))
+@example((NONREAL_PIVOTS[1], linalg.vector([I, 0])))
+def test_solve_linear_reads_what_rref_reads(system):
+    """Solution, kernel basis and certificate equal, canonical entry for
+    entry, what `rref` of [a | b | I] gives."""
+    m, b = system
+    out, expected = linalg.solve_linear(m, b), rref_reading(m, b)
+    assert type(out) is type(expected) and out == expected
+    if isinstance(out, linalg.LinearSolution):
+        assert linalg.kernel(m) == list(expected.kernel_basis)
 
 
 @st.composite
@@ -670,6 +713,17 @@ def pair_scale(c, m):
                  for row in H.to_pairs_mat(m))
 
 
+def check_residual(residual, lhs, rhs):
+    """`scaled_residual`'s reading of the pair matrices lhs and rhs: None
+    exactly when they are equal, else lhs - rhs."""
+    if lhs == rhs:
+        assert residual is None
+    else:
+        assert H.to_pairs_mat(unscaled(residual)) == tuple(
+            tuple(H.csub(x, y) for x, y in zip(rl, rr))
+            for rl, rr in zip(lhs, rhs))
+
+
 @MATRICES
 @given(KERNEL_PAIRS)
 def test_scaled_product_matches_reference(pair):
@@ -682,17 +736,19 @@ def test_scaled_product_matches_reference(pair):
     assert (product[1] is None) == (sa[1] is None and sb[1] is None)
     expected = H.mmul(H.to_pairs_mat(a), H.to_pairs_mat(b))
     assert H.to_pairs_mat(unscaled(product)) == expected
-    assert scaled_equal(product, scaled(from_pairs(expected)))
+    check_residual(scaled_residual(product, scaled(from_pairs(expected))),
+                   expected, expected)
+    check_residual(scaled_residual(product, sa), expected, H.to_pairs_mat(a))
 
 
 @MATRICES
 @given(KERNEL_PAIRS, ENTRIES, st.booleans())
-def test_scaled_equal_cross_multiplies_the_coefficient(pair, c, make_equal):
+def test_scaled_residual_cross_multiplies_the_coefficient(pair, c, make_equal):
     a, b = pair
     if make_equal:
         a = from_pairs(pair_scale(c, b))
-    expected = H.to_pairs_mat(a) == pair_scale(c, b)
-    assert scaled_equal(scaled(a), scaled(b), c) == expected
+    check_residual(scaled_residual(scaled(a), scaled(b), c),
+                   H.to_pairs_mat(a), pair_scale(c, b))
 
 
 @MATRICES
@@ -778,6 +834,100 @@ def test_relator_product_matches_reference(setting, relator):
             for row, one in zip(expected, H.mid(len(gram))))
         valid = False
     assert valid == (expected == H.mid(len(gram)))
+
+
+# (lhs, coeff, rhs) in tokens: a b = b a and b = a a on the group, and on
+# the star algebra x x = c x and x* x* = conj(c) x* for a non-real c
+GROUP_RELATIONS = ((["a", "b", "a^-1", "b^-1"], None, []),
+                   (["a", "a", "b^-1"], None, []))
+STAR_RELATIONS = ((["x", "x"], "c", ["x"]), (["x*", "x*"], "conj", ["x*"]))
+
+
+@st.composite
+def edited_cocycles(draw):
+    """(kind, gram, images, c, eps(x), values in pairs): the coboundary
+    (pi(l) - eps(l)) v of a valid representation, then one letter's value
+    plus a drawn vector, zero at times.  On the group a = B^-1 U B over
+    G = B* D B and b = a a; on the star algebra x* is free,
+    pi(x) = c S^-1 E S for a 0-1 diagonal E, and eps(x) is 0 or c."""
+    gram, image = draw(unitary_settings())
+    n = len(gram)
+    pg, v = H.to_pairs_mat(gram), H.to_pairs_vec(draw(matrices(1, n))[0])
+    kind = draw(st.sampled_from([presentations.GROUP,
+                                 presentations.STAR_ALGEBRA]))
+    if kind == presentations.GROUP:
+        pa = H.to_pairs_mat(image)
+        letters = images = {"a": pa, "b": H.mmul(pa, pa)}
+        c = eps = H.CZERO
+        shift = {g: H.CONE for g in letters}
+    else:
+        c = H.to_pair(draw(NONZERO.filter(lambda z: not z.is_real())))
+        s = [[draw(NONZERO) if i == j else draw(ENTRIES) if j < i else ZERO
+              for j in range(n)] for i in range(n)]
+        ps = H.to_pairs_mat(s)
+        e = tuple(tuple(H.CONE if i == j and draw(st.booleans()) else H.CZERO
+                        for j in range(n)) for i in range(n))
+        px = tuple(tuple(H.cmul(c, y) for y in row)
+                   for row in H.mmul(H.minv(ps), H.mmul(e, ps)))
+        images = {"x": px}
+        eps = draw(st.sampled_from([H.CZERO, c]))
+        letters = {"x": px, "x*": H.star_letter_matrix(images, pg, ("x", 1))}
+        shift = {"x": eps, "x*": H.cconj(eps)}
+    values = {key: tuple(H.csub(x, H.cmul(shift[key], y))
+                         for x, y in zip(H.mvec(m, v), v))
+              for key, m in letters.items()}
+    key = draw(st.sampled_from(sorted(values)))
+    values[key] = H.vadd(values[key],
+                         H.to_pairs_vec(draw(matrices(1, n))[0]))
+    return kind, gram, images, c, eps, values
+
+
+@settings(DIFF, max_examples=60)
+@given(edited_cocycles())
+def test_cocycle_violations_are_the_reference_residuals(case):
+    kind, gram, images, c, eps, values = case
+    n, pg = len(gram), H.to_pairs_mat(gram)
+
+    def word(tokens):
+        return presentations.word_from_strs(kind, tokens)
+
+    if kind == presentations.GROUP:
+        relations, what = GROUP_RELATIONS, "vanish on relator"
+        p = Presentation.group(["a", "b"], [lhs for lhs, _, _ in relations])
+
+        def residual(lhs, k, rhs):
+            return H.eta_word(images, values, word(lhs), n)
+    else:
+        relations, what = STAR_RELATIONS, "respect rule"
+        coeff = {"c": c, "conj": H.cconj(c)}
+        p = Presentation.star_algebra(
+            ["x"], {"x": "x*"}, {"x": Scalar(*eps)},
+            [(lhs, Scalar(*coeff[k]), rhs) for lhs, k, rhs in relations])
+        by_letter = {word([key])[0]: v for key, v in values.items()}
+        character = {("x", 0): eps, ("x", 1): H.cconj(eps)}
+
+        def residual(lhs, k, rhs):
+            eta_l, eta_r = (H.star_eta_word(images, pg, by_letter, character,
+                                            word(w), n)[0] for w in (lhs, rhs))
+            return tuple(H.csub(x, H.cmul(coeff[k], y))
+                         for x, y in zip(eta_l, eta_r))
+
+    rep = Representation(p, linalg.HermitianForm(gram),
+                         {g: from_pairs(m) for g, m in images.items()})
+    expected = []
+    for lhs, k, rhs in relations:
+        res = residual(lhs, k, rhs)
+        if res != H.zero_vec(n):
+            expected.append((" ".join(lhs), f"cocycle does not {what} {lhs}",
+                             res))
+    try:
+        Cocycle(rep, {key: from_pairs([v])[0] for key, v in values.items()})
+        got = []
+    except CocycleObstructed as exc:
+        assert {v.code for v in exc.violations} == {"COCYCLE_OBSTRUCTED"}
+        got = [(v.target, v.message, H.to_pairs_vec(v.residual))
+               for v in exc.violations]
+    assert got == expected
 
 
 # --- word evaluation ------------------------------------------------
@@ -1974,3 +2124,41 @@ def test_gns_gram_matches_the_per_entry_reference_on_free_groups(data, psi,
         lambda w: tuple((name, -tag) for name, tag in reversed(w)),
         free_reduce, read, lambda w: H.CONE)
     assert H.to_pairs_mat(gns_truncated(functional, max_len).gram) == expected
+
+
+@settings(DIFF, max_examples=8)
+@given(free_group_data(), st.dictionaries(st.sampled_from("ab"), ENTRIES),
+       st.integers(1, 2))
+def test_gns_gram_is_the_eta_pairing_less_the_prefix_defects(data, psi,
+                                                             max_len):
+    """On a free group entry (i, j) is <eta(w_i), eta(w_j)> less
+    delta(l) = 2 Re psi(l) + <eta(l), eta(l)> over the letters l of the
+    longest common prefix of w_i and w_j: the pairing alone only when every
+    psi(l) has its forced real part."""
+    gram, images, eta = data
+    cocycle, functional = _free_group_objects(gram, images, eta, psi)
+    ref_images = {g: H.to_pairs_mat(m) for g, m in images.items()}
+    ref_eta = {g: H.to_pairs_vec(v) for g, v in eta.items()}
+    ref_psi = {g: H.to_pair(functional.values[g]) for g in "ab"}
+    pg, n = H.to_pairs_mat(gram), len(gram)
+
+    def delta(letter):
+        e = H.eta_letter(ref_images, ref_eta, letter)
+        return H.cadd(H.c(2 * H.psi_letter(ref_psi, letter)[0]),
+                      H.inner(pg, e, e))
+
+    words = cocycle.presentation.words_up_to(max_len, include_empty=False)
+    vectors = [H.eta_word(ref_images, ref_eta, w, n) for w in words]
+    expected = []
+    for u, eta_u in zip(words, vectors):
+        row = []
+        for w, eta_w in zip(words, vectors):
+            x = H.inner(pg, eta_u, eta_w)
+            for k, l in zip(u, w):
+                if k != l:
+                    break
+                x = H.csub(x, delta(l))
+            row.append(x)
+        expected.append(tuple(row))
+    assert H.to_pairs_mat(gns_truncated(functional, max_len).gram) == tuple(
+        expected)

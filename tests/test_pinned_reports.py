@@ -76,6 +76,26 @@ VIOLATIONS = (
         "representation": {"x": [["1+1i", "1i"], ["-1-2i", "-1i"]]}}),
     ("forced_pi", catalog.scenario_doc("ac_not_h2z.star_algebra_definite",
                                        "forced_pi")),
+    # a valid representation (-1 commutes with the rotation) whose cocycle
+    # folds to 2 eta(a) + (pi(a) - 1) eta(b) on the commutator, not 0
+    ("cocycle_relator", {
+        "presentation": _Z2, "form": {"gram": _GRAM},
+        "representation": {"a": _ROTATION, "b": [["-1", "0"], ["0", "-1"]]},
+        "cocycle": {"a": ["1/2", "i"], "b": ["1+1i", "-1/3"]}}),
+    # pi(x) = (1/2 + i) P for an idempotent P respects x x = (1/2 + i) x and,
+    # through the adjoint, x* x* = (1/2 - i) x*; eta(x) and eta(x*) are not
+    # eigenvectors of pi(x) and pi(x*), so eta breaks both rules
+    ("cocycle_rule", {
+        "presentation": {
+            "kind": "star_algebra", "generators": ["x"],
+            "involution": {"x": "x*"}, "character": {"x": "0"},
+            "rules": [{"lhs": ["x", "x"],
+                       "rhs": {"coeff": "1/2+1i", "word": ["x"]}},
+                      {"lhs": ["x*", "x*"],
+                       "rhs": {"coeff": "1/2-1i", "word": ["x*"]}}]},
+        "form": {"gram": [["2", "1"], ["1", "1"]]},
+        "representation": {"x": [["1/2+1i", "1/4+1/2i"], ["0", "0"]]},
+        "cocycle": {"x": ["1", "1/3"], "x*": ["2i", "-1"]}}),
 )
 
 # A block-unitary Z^2 scenario of dimension 4: the trivial block on e1, e2
