@@ -1,11 +1,13 @@
 """Gaussian/remainder splitting and full-functional decomposition attempts.
 
 The remainder subspace is the smallest invariant subspace containing all
-images (pi(l) - eps(l)) e_i.  Its orthocomplement carries the Gaussian part:
-projecting a cocycle there yields a cocycle for the counit representation,
-that is, a derivation.  A functional decomposes when both projected cocycles
-admit generating functionals; the leftover difference is then a purely
-imaginary derivation which is absorbed into the Gaussian part.
+images (pi(l) - eps(l)) e_i, which is their span (`invariant_closure`
+says why; `tests/helpers.py` keeps the closure loop as a reference).  Its
+orthocomplement carries the Gaussian part: projecting a cocycle there
+yields a cocycle for the counit representation, that is, a derivation.
+A functional decomposes when both projected cocycles admit generating
+functionals; the leftover difference is then a purely imaginary
+derivation which is absorbed into the Gaussian part.
 """
 
 from __future__ import annotations
@@ -21,36 +23,30 @@ from .functionals import (
 )
 from .linalg import HermitianForm, IndefiniteFormError
 from .presentations import GROUP, letter_str
-from .scalars import scaled, scaled_product, unscaled
+from .scalars import scaled, scaled_product, scaled_residual, unscaled
 
 
 def invariant_closure(representation: Representation) -> list:
     """Echelon basis of the smallest invariant subspace containing all
     (pi(l) - eps(l)) basis vectors, for every letter l of the alphabet.
 
-    The alphabet includes inverse and starred letters, so the closure is
-    stable under adjoints as well.
+    That is the span S of those vectors itself.  The alphabet is closed
+    under the star, pi(l*) is the form-adjoint of pi(l) (by construction
+    for inverse and starred letters, by validation for a generator the
+    involution renames) and eps(l*) = conj eps(l) (a *-character), so the
+    orthocomplement of S is {v : pi(l) v = eps(l) v for all l}.  That
+    space is invariant, and on an invertible form so is its
+    orthocomplement S.
     """
     p = representation.presentation
-    n = representation.form.dim
-    letters = p.alphabet()
+    one = representation._word_scaled(())
     seeds = []
-    for l in letters:
-        m = representation.letter_matrix(l)
-        eps = p.epsilon_letter(l)
-        shifted = linalg.msub(m, linalg.mscale(eps, linalg.identity(n)))
-        seeds.extend(linalg.columns(shifted))
-    basis = linalg.span_basis(seeds)
-    while True:
-        extended = list(basis)
-        cols = scaled(linalg.from_columns(basis, rows_hint=n))
-        for l in letters:
-            extended.extend(linalg.columns(unscaled(
-                scaled_product(representation._scaled(l), cols))))
-        new_basis = linalg.span_basis(extended)
-        if len(new_basis) == len(basis):
-            return basis
-        basis = new_basis
+    for l in p.alphabet():
+        shifted = scaled_residual(representation._scaled(l), one,
+                                  p.epsilon_letter(l))
+        if shifted is not None:
+            seeds.extend(zip(*unscaled(shifted)))
+    return linalg.span_basis(seeds)
 
 
 class PartSpace(NamedTuple):

@@ -594,11 +594,14 @@ def _star_gram(functional, words, stars, psi, psi_star):
     gram = []
     # psi((w_i - eps_i)* (w_j - eps_j)), expanded through psi(1) = 0
     for star, e_i, p_i in zip(stars, eps, psi_star):
-        coeff, steps, cur, at = p._rewrite_star(star)
+        # reduce(star v)'s scan, the same for every v up to the last k letters
+        coeff, cur, steps = p._rewrite([p._letters[l] for l in star], star,
+                                       0, keep=k)
         if coeff.is_zero():
             row = [ZERO] * len(words)
         else:
-            tail = tuple(cur[at:])
+            at = max(0, len(cur) - k)
+            tail = cur[at:]
             # per head: None for the concatenation, ZERO for a zero
             # product, or where the rewrite resumes
             starts = []
@@ -610,7 +613,6 @@ def _star_gram(functional, words, stars, psi, psi_star):
                     redex = (ZERO if redex[1].coeff.is_zero()
                              else at + redex[0])
                 starts.append(redex)
-            cur = tuple(cur)
             room = support - len(cur)
             row = []
             for w, h in zip(words, head_of):
@@ -626,8 +628,8 @@ def _star_gram(functional, words, stars, psi, psi_star):
                 elif start is ZERO:
                     x = ZERO
                 else:
-                    c, red = p._rewrite(list(cur + w), star + w, start,
-                                        coeff, steps)
+                    c, red, _ = p._rewrite(list(cur + w), star + w, start,
+                                           coeff, steps)
                     x = ZERO if c.is_zero() else c * functional.read(red)
                 row.append(x)
         if not e_i.is_zero():
@@ -657,7 +659,8 @@ def gns_truncated(functional, max_len: int) -> GnsResult:
     only when every generator's psi has its forced real part
     (`forced_real_parts`).  On a star algebra each row rewrites its
     star once, as `reduce(w_i* w_j)` does for every w_j until it reaches
-    the junction (`Presentation._rewrite_star`), and what follows is
+    the junction (`Presentation._rewrite` up to the star's last
+    `junction_width` letters), and what follows is
     decided once per distinct (tail, head) pair
     (`Presentation.junction_redex`): with no redex there the product is
     the concatenation, read straight from the table; when the first

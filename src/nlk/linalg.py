@@ -103,18 +103,8 @@ def vadd(v, w):
     return tuple(a + b for a, b in zip(v, w))
 
 
-def vsub(v, w):
-    if len(v) != len(w):
-        raise DimensionMismatch("vector sizes differ")
-    return tuple(a - b for a, b in zip(v, w))
-
-
 def vscale(c: Scalar, v):
     return tuple(c * a for a in v)
-
-
-def is_zero_vector(v) -> bool:
-    return all(a.is_zero() for a in v)
 
 
 # --- matrix ops -----------------------------------------------------

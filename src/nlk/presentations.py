@@ -28,10 +28,11 @@ of an element is canonical.  `kn_products` yields the distinct kernel
 products one at a time, each formed once, in one pass over the terms of a
 distinct prefix, so a caller that stops early forms no product past the one
 it stops at.  A left factor that is a raw star w*, as in the GNS Gram
-matrix, need not be canonical: it is rewritten once by `_rewrite_star`, as
-`reduce(w* v)` is for every v until its scan could reach past w*;
-`junction_redex` also names the first listed rule at the redex, and
-`_rewrite` resumes there with the star's coefficient and step count.
+matrix, need not be canonical: `_rewrite` scans it once, up to its last
+`junction_width` letters, which is as far as `reduce(w* v)` goes for every
+v before the scan could reach past w*; `junction_redex` also names the
+first listed rule at the redex, and `_rewrite` resumes there with the
+star's coefficient and step count.
 """
 
 from __future__ import annotations
@@ -239,6 +240,12 @@ class Presentation:
             if twice != (g, 0):
                 raise PresentationError(
                     f"involution does not square to the identity on {g!r}")
+            image, conj = self.involution[g], self.character[g].conj()
+            if self.epsilon_letter(image) != conj:
+                raise PresentationError(
+                    f"character is not a *-character: eps({g}*) = "
+                    f"eps({letter_str(STAR_ALGEBRA, image)}) = "
+                    f"{self.epsilon_letter(image)}, not conj eps({g}) = {conj}")
         for rule in self.rules:
             self._check_letters(rule.lhs)
             self._check_letters(rule.rhs)
@@ -360,68 +367,47 @@ class Presentation:
         except KeyError:
             self._check_letters(word)  # raises the precise letter error
             raise
-        return self._rewrite(cur, word, 0)
+        return self._rewrite(cur, word, 0)[:2]
 
-    def _rewrite(self, cur, word, i, coeff=ONE, steps=0):
+    def _rewrite(self, cur, word, i, coeff=ONE, steps=0, keep=0):
         """Rewrite the normalised letters `cur` in place from position i,
-        where no redex starts before i, as `reduce` does from 0; `coeff`
-        and `steps` are those of the rewrites already made on the way to
-        `cur`, and a budget error names the start word `word`."""
+        where no redex starts before i, as `reduce` does from 0, until the
+        scan reaches the last `keep` letters: a rewrite at i leaves at least
+        i letters, so it stops at max(0, len - keep).  `coeff` and `steps`
+        are those of the rewrites already made on the way to `cur`, and a
+        budget error names the start word `word`.  Returns (coefficient,
+        letters, steps), the letters () once the coefficient is 0."""
         rules_at = self._rules_at
         back = self.junction_width
         budget = STEP_BUDGET
-        while i < len(cur):
+        stop = len(cur) - keep
+        while i < stop:
             for lhs, n, rule in rules_at.get(cur[i], ()):
                 if cur[i:i + n] == lhs:
                     coeff = coeff * rule.coeff
                     if coeff.is_zero():
-                        return ZERO, ()
+                        return ZERO, (), steps
                     cur[i:i + n] = rule.rhs
                     steps += 1
                     if steps > budget:
                         raise ReductionBudgetExceeded(word, budget, rule, steps)
                     i = max(0, i - back)
+                    stop = len(cur) - keep
                     break
             else:
                 i += 1
-        return coeff, tuple(cur)
-
-    def _rewrite_star(self, word):
-        """`reduce`'s scan of the star word `word` up to the first position
-        from which a redex could reach past its end, rewriting as `reduce`
-        does: before that position a redex of `word + v` lies in `word`, so
-        these rewrites are the same for every v.  Returns (coefficient,
-        steps, letters, position), from which `_rewrite` resumes on the
-        letters with v's appended.  `word` must reduce within the step
-        budget; no step is counted against it here."""
-        rules_at = self._rules_at
-        back = self.junction_width
-        cur = [self._letters[l] for l in word]
-        coeff, steps, i = ONE, 0, 0
-        while i < len(cur) - back:
-            for lhs, n, rule in rules_at.get(cur[i], ()):
-                if cur[i:i + n] == lhs:
-                    coeff = coeff * rule.coeff
-                    if coeff.is_zero():
-                        return ZERO, steps, cur, i
-                    cur[i:i + n] = rule.rhs
-                    steps += 1
-                    i = max(0, i - back)
-                    break
-            else:
-                i += 1
-        return coeff, steps, cur, i
+        return coeff, tuple(cur), steps
 
     def junction_redex(self, tail, head):
         """The leftmost redex of tail + head that starts in `tail`, as
         (where in `tail` it starts, the first listed rule matching there),
-        or None.
-
-        `tail` is at most the last `junction_width` letters of a star word
-        u, from where `reduce`'s scan of u v stands once every redex left
-        of it is rewritten, and `head` is the first `junction_width`
-        letters of a canonical word v; every redex of u v from there on
-        lies in tail + head.
+        or None; a redex lies wholly in tail + head.  `words_up_to` asks it
+        of a new word's last `junction_width` + 1 letters and (), as a redex
+        there is the word's only one.  `multiply` and the GNS rows ask it of
+        the tail of a word u, from where `reduce`'s scan of u v stands once
+        every redex left of it is rewritten (at most `junction_width`
+        letters), and the head of a canonical v, its first `junction_width`
+        letters, as every redex of u v from there on lies in tail + head.
         """
         word = tail + head
         rules_at = self._rules_at
@@ -450,7 +436,8 @@ class Presentation:
         word = u + v
         if redex is None:
             return ONE, word
-        return self._rewrite(list(word), word, len(u) - len(tail) + redex[0])
+        return self._rewrite(list(word), word,
+                             len(u) - len(tail) + redex[0])[:2]
 
     def involve_word(self, word) -> tuple:
         """Raw star of a word: reverse and star each letter (not reduced)."""
@@ -470,6 +457,7 @@ class Presentation:
             words = [()]
             frontier = [()]
             alphabet = self.alphabet()
+            k = self.junction_width
             for _ in range(max_len):
                 nxt = []
                 room = WORD_BUDGET - len(words)
@@ -479,9 +467,10 @@ class Presentation:
                         if self.kind == GROUP:
                             if w and w[-1] == (l[0], -l[1]):
                                 continue
-                        else:
-                            if self._has_redex_at_end(cand):
-                                continue
+                        # w holds no redex, so a redex of cand starts in
+                        # its last k + 1 letters
+                        elif self.junction_redex(cand[-(k + 1):], ()):
+                            continue
                         nxt.append(cand)
                     if len(nxt) > room:
                         raise WordBudgetExceeded(
@@ -491,14 +480,6 @@ class Presentation:
             self._words_cache[key] = words
         out = self._words_cache[key]
         return out if include_empty else out[1:]
-
-    def _has_redex_at_end(self, word) -> bool:
-        rules_at = self._rules_at
-        for k in range(1, min(self.junction_width + 1, len(word)) + 1):
-            for _, n, rule in rules_at.get(word[-k], ()):
-                if n == k and word[-k:] == rule.lhs:
-                    return True
-        return False
 
     # --- bounded relator merging ------------------------------------
 

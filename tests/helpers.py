@@ -15,8 +15,10 @@ was built from.
 
 The fixtures at the end build package objects: the obstruction 2-cochain
 L(eta) with its Hochschild boundary, which `cocycles.big_K` is compared
-with, the coboundary cocycle of a vector with its functional PhiV, and a
-scenario document whose supplied psi is no functional.
+with, `vsub` and `is_zero_vector` on vectors of package Scalars, the
+closure loop that `decompose.invariant_closure` is compared with, the
+coboundary cocycle of a vector with its functional PhiV, and a scenario
+document whose supplied psi is no functional.
 """
 
 import copy
@@ -726,6 +728,44 @@ class PhiV:
         return out
 
 
+def vsub(v, w):
+    """v - w for vectors of package Scalars."""
+    if len(v) != len(w):
+        raise linalg.DimensionMismatch("vector sizes differ")
+    return tuple(a - b for a, b in zip(v, w))
+
+
+def is_zero_vector(v) -> bool:
+    """Whether every entry of a vector of package Scalars is zero."""
+    return all(a.is_zero() for a in v)
+
+
+def invariant_closure_by_iteration(representation):
+    """`decompose.invariant_closure` as a closure loop: the echelon basis
+    of the (pi(l) - eps(l)) basis vectors, extended by pi(l) of the basis
+    for every letter l until the span stops growing."""
+    p = representation.presentation
+    n = representation.form.dim
+    letters = p.alphabet()
+    seeds = []
+    for l in letters:
+        m = representation.letter_matrix(l)
+        shifted = linalg.msub(
+            m, linalg.mscale(p.epsilon_letter(l), linalg.identity(n)))
+        seeds.extend(linalg.columns(shifted))
+    basis = linalg.span_basis(seeds)
+    while True:
+        extended = list(basis)
+        cols = linalg.from_columns(basis, rows_hint=n)
+        for l in letters:
+            extended.extend(linalg.columns(
+                linalg.mmul(representation.letter_matrix(l), cols)))
+        new_basis = linalg.span_basis(extended)
+        if len(new_basis) == len(basis):
+            return basis
+        basis = new_basis
+
+
 def coboundary_cocycle(representation, v):
     """Cocycle eta(a) = (pi(a) - eps(a)) v plus its functional candidate.
 
@@ -741,8 +781,8 @@ def coboundary_cocycle(representation, v):
             continue
         m = representation.letter_matrix(l)
         eps = p.epsilon_letter(l)
-        values[letter_str(p.kind, l)] = linalg.vsub(
-            linalg.mvmul(m, v), linalg.vscale(eps, v))
+        values[letter_str(p.kind, l)] = vsub(linalg.mvmul(m, v),
+                                             linalg.vscale(eps, v))
     cocycle = Cocycle(representation, values)
     return cocycle, PhiV(cocycle, v)
 

@@ -73,8 +73,8 @@ MUTANTS = (
            "                        pass\n",
            (DIFF + "test_gns_gram_matches_the_reference_on_cascading_junctions",)),
     Mutant("GNS rewrite resumed with 0 steps", "nlk/functionals.py",
-           "                                        coeff, steps)",
-           "                                        coeff, 0)",
+           "                                           coeff, steps)",
+           "                                           coeff, 0)",
            (DIFF + "test_gns_gram_counts_the_star_steps_against_each_entry",)),
     Mutant("junction takes the last matching rule", "nlk/presentations.py",
            "            for _, n, rule in rules_at.get(word[i], ()):\n"
@@ -88,6 +88,50 @@ MUTANTS = (
            "                        if len(w) > room:",
            "                        if False:",
            (DIFF + "test_gns_gram_stops_at_a_read_past_the_support_after_a_rewrite",)),
+    # the star's scan runs to the end: reduce(w*) then the junction, which
+    # is not reduce(w* v) where the rules overlap
+    Mutant("GNS star rewritten to its end", "nlk/functionals.py",
+           "                                       0, keep=k)",
+           "                                       0, keep=0)",
+           (DIFF + "test_gns_gram_matches_the_per_entry_reference",)),
+    # a redex left just before the stop is never rewritten; the GNS
+    # reference tests seldom draw one
+    Mutant("star scan stops a letter early after a rewrite",
+           "nlk/presentations.py",
+           "                    stop = len(cur) - keep\n",
+           "                    stop = len(cur) - keep - (keep > 0)\n",
+           (DIFF + "test_a_scan_stopped_at_the_junction_resumes_to_the_reduction",)),
+    Mutant("word listing reads the last k letters", "nlk/presentations.py",
+           "cand[-(k + 1):]", "cand[-k:]",
+           (DIFF + "test_words_up_to_lists_the_irreducible_words",)),
+    Mutant("closure seeds from the positive letters only", "nlk/decompose.py",
+           "    for l in p.alphabet():\n        shifted",
+           "    for l in [(g, representation._positive) for g in p.generators]:"
+           "\n        shifted",
+           (DIFF + "test_invariant_closure_is_the_span_of_its_seeds",)),
+    # a non-real pivot p without u = conj(p): the scale turns non-real
+    Mutant("row step without the conj(p) branch", "nlk/linalg.py",
+           "        if b:\n            # u = a - b i",
+           "        if False:\n            # u = a - b i",
+           (DIFF + "test_det_matches_cofactor_expansion",)),
+    Mutant("row step without the scale's sign fix", "nlk/linalg.py",
+           "    if s < 0:\n        g = -g", "    if False:\n        g = -g",
+           (DIFF + "test_det_matches_cofactor_expansion",)),
+    Mutant("psd witness left unconjugated", "nlk/linalg.py",
+           "from_parts(x, -y, scales[i])", "from_parts(x, y, scales[i])",
+           (DIFF + "test_psd_witness_has_negative_value",)),
+    Mutant("letter rows over a non-least Q(l)", "nlk/functionals.py",
+           "q = lcm(d, gd, pd)", "q = d * gd * pd",
+           (DIFF + "test_level_folds_match_the_reference_on_groups",)),
+)
+
+# Mutants no output can see, each with the reason; they are not run.
+EQUIVALENT = (
+    # the pivot row's scale cancels out of every `_step`, and det and
+    # Sylvester's criterion read the pivot values, not the scales
+    Mutant("row scales not swapped", "nlk/linalg.py",
+           "            scales[lead], scales[piv] = scales[piv], scales[lead]\n",
+           "", ()),
 )
 
 

@@ -79,10 +79,10 @@ def test_split_projector_identities():
     # each projector fixes its own part's basis and kills the other's
     for v in sr.remainder.basis:
         assert linalg.mvmul(sr.p_r, v) == v
-        assert linalg.is_zero_vector(linalg.mvmul(sr.p_g, v))
+        assert helpers.is_zero_vector(linalg.mvmul(sr.p_g, v))
     for w in sr.gaussian.basis:
         assert linalg.mvmul(sr.p_g, w) == w
-        assert linalg.is_zero_vector(linalg.mvmul(sr.p_r, w))
+        assert helpers.is_zero_vector(linalg.mvmul(sr.p_r, w))
     gram = helpers.to_pairs_mat(rep.form.gram)
     assert helpers.is_self_adjoint(gram, helpers.to_pairs_mat(sr.p_g))
     assert helpers.is_self_adjoint(gram, helpers.to_pairs_mat(sr.p_r))

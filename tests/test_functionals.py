@@ -459,6 +459,11 @@ def test_gns_decides_each_junction_once(monkeypatch):
                                       "main"))
     psi = scn.build_functional(scn.build_cocycle(scn.build_representation()))
     p = psi.presentation
+    # listing the words asks `junction_redex` too, so it happens first
+    k = p.junction_width
+    words = p.words_up_to(4, include_empty=False)
+    stars = [s for s in map(p.involve_word, words) if p.reduce(s) == (ONE, s)]
+    pairs = {(s[-k:], w[:k]) for s in stars for w in words}
     decided = []
     junction_redex = Presentation.junction_redex
 
@@ -468,10 +473,6 @@ def test_gns_decides_each_junction_once(monkeypatch):
 
     monkeypatch.setattr(Presentation, "junction_redex", counted)
     gns_truncated(psi, 4)
-    k = p.junction_width
-    words = p.words_up_to(4, include_empty=False)
-    stars = [s for s in map(p.involve_word, words) if p.reduce(s) == (ONE, s)]
-    pairs = {(s[-k:], w[:k]) for s in stars for w in words}
     assert sorted(decided) == sorted(pairs)
     # some junctions hold a redex, so some products are rewritten
     assert any(junction_redex(p, *pair) is not None for pair in pairs)
@@ -486,27 +487,31 @@ def test_gns_rewrites_each_star_once_and_reads_concatenations_inline(
                                       "main"))
     psi = scn.build_functional(scn.build_cocycle(scn.build_representation()))
     p = psi.presentation
-    calls = {}  # method name -> the arguments of each call
+    calls = {}  # method name -> (positional, keyword arguments) of each call
 
     def record(owner, name):
         method, seen = getattr(owner, name), calls.setdefault(name, [])
 
-        def recorded(*args):
-            seen.append(args)
-            return method(*args)
+        def recorded(*args, **kwargs):
+            seen.append((args, kwargs))
+            return method(*args, **kwargs)
         monkeypatch.setattr(owner, name, recorded)
 
+    # listing the words asks `junction_redex` too, so it happens first
+    words = p.words_up_to(4, include_empty=False)
+    assert len(words) == 80
     for name in ("reduce", "_rewrite", "junction_redex"):
         record(p, name)
     record(psi, "read")
     gns_truncated(psi, 4)
-    words = p.words_up_to(4, include_empty=False)
-    assert len(words) == 80
     assert len(calls["reduce"]) == 2 * len(words)
-    decided = calls["junction_redex"]
+    decided = [args for args, _ in calls["junction_redex"]]
     assert len(decided) == len(set(decided)) > 0
-    # every `reduce` runs one `_rewrite`; the rest resume at a junction
-    rewritten = len(calls["_rewrite"]) - len(calls["reduce"])
+    # every `reduce` runs one `_rewrite`, each star is scanned once up to
+    # its junction, and the rest resume at a junction
+    scans = [kw for _, kw in calls["_rewrite"] if kw]
+    assert scans == [{"keep": p.junction_width}] * len(words)
+    rewritten = len(calls["_rewrite"]) - len(calls["reduce"]) - len(scans)
     assert 0 < len(calls["read"]) <= 2 * len(words) + rewritten
 
 

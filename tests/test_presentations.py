@@ -72,6 +72,23 @@ def test_generator_name_rules():
     Presentation.group(["a_1", "Z9"], [])
 
 
+# a self-adjoint x with eps(x) = i, and x <-> y with eps(x) = 1, eps(y) = 2
+NOT_STAR_CHARACTERS = (({"x": "x"}, {"x": "i"}),
+                       ({"x": "y", "y": "x"}, {"x": "1", "y": "2"}))
+
+
+@pytest.mark.parametrize("involution, character", NOT_STAR_CHARACTERS)
+def test_a_character_must_be_a_star_character(involution, character):
+    with pytest.raises(PresentationError,
+                       match=r"not a \*-character: eps\(x\*\)"):
+        Presentation.star_algebra(list(involution), involution, character,
+                                  [])
+    # conjugate values, and a formal star, are *-characters
+    Presentation.star_algebra(["x", "y"], {"x": "y", "y": "x"},
+                              {"x": "i", "y": "-i"}, [])
+    Presentation.star_algebra(["x"], {"x": "x*"}, {"x": "i"}, [])
+
+
 def test_free_reduction_cancels_inverse_pairs():
     p = _free2()
     w = word_from_strs(GROUP, ["a", "b", "b^-1", "a^-1", "a"])

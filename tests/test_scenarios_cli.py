@@ -262,6 +262,24 @@ def test_cli_validate_refuses_rule_words_with_non_string_tokens(tmp_path,
         assert f"SCHEMA_ERROR: at /presentation/rules/0/{pointer}:" in err
 
 
+@pytest.mark.parametrize("involution, character",
+                         [({"x": "x"}, {"x": "i"}),
+                          ({"x": "y", "y": "x"}, {"x": "1", "y": "2"})])
+def test_cli_validate_refuses_a_character_that_is_not_a_star_character(
+        tmp_path, capsys, involution, character):
+    doc = {"presentation": {"kind": "star_algebra",
+                            "generators": list(involution),
+                            "involution": involution, "character": character,
+                            "rules": []},
+           "form": {"gram": [["1"]]},
+           "representation": {g: [["0"]] for g in involution},
+           "cocycle": {g: ["0"] for g in involution}}
+    assert cli.main(["validate", write_doc(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert "SCHEMA_ERROR: at /presentation: character is not a *-character" \
+        in err and "Traceback" not in err
+
+
 def test_cli_verify_and_oracle(tmp_path, capsys):
     path = write_doc(tmp_path, z2_doc())
     assert cli.main(["verify", path]) == 0
