@@ -137,6 +137,12 @@ class Representation:
             if violations:
                 raise RepresentationError(violations)
 
+    def __repr__(self):
+        p = self.presentation
+        images = {g: linalg.matrix_to_json(m) for g, m in self.images.items()}
+        return (f"Representation({p.kind} {list(p.generators)}, gram "
+                f"{linalg.matrix_to_json(self.form.gram)}, images {images})")
+
     def _validate(self):
         p = self.presentation
         out = []
@@ -300,6 +306,11 @@ class Cocycle:
             violations = self._validate()
             if violations:
                 raise CocycleObstructed(violations)
+
+    def __repr__(self):
+        values = {letter_str(self.presentation.kind, l): linalg.vector_to_json(v)
+                  for l, v in self.values.items()}
+        return f"Cocycle({self.representation!r}, values {values})"
 
     def letter_value(self, letter):
         """eta(letter); on a group an inverse letter's value is the eta

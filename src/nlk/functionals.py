@@ -25,8 +25,9 @@ straight from this memo and pairs them with rows built by the form's
 cross-multiplying; `verify` builds a witness from the integers it compared,
 and a Scalar is otherwise built only for a counterexample or a report
 value, or through `fold`, which unscales a word once and keeps the Scalar
-for Gaussianity, `solve`, the relator readings and the GNS Gram matrix,
-which is built a row at a time from those Scalars or from a star table:
+for `solve` and the relator readings; Gaussianity's `eval_element` sums
+from the memo and unscales once, and the GNS Gram matrix pairs its eta
+columns.  On a star algebra the Gram matrix is built a row at a time:
 a product that stays the concatenation of the rewritten star and the word
 is one inline table read, with `StarFunctional.read`'s support check,
 and a product rewritten past the junction is read through `read`.
@@ -37,7 +38,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from . import linalg
@@ -154,12 +155,17 @@ class GroupFunctional:
         return self.fold(word)
 
     def eval_element(self, element: AlgebraElement) -> Scalar:
-        views = self._views
-        out = ZERO
+        """Sum c psi(w) over the terms c w from the memo, unscaled once."""
+        memo, a, b, d = self._memo, 0, 0, 1
         for w, c in element.terms.items():
-            view = views.get(w)
-            out = out + c * (self.fold(w) if view is None else view)
-        return out
+            re, im, u = memo.get(w) or self._vector(w)
+            (ca, cb, cd), x, y = parts(c), re[-1], im[-1] if im else 0
+            # over the lcm of d and cd U(w), so d stays bounded
+            g = gcd(d, cd * u)
+            f, e = cd * u // g, d // g
+            a, b, d = (a * f + e * (ca * x - cb * y),
+                       b * f + e * (ca * y + cb * x), d * f)
+        return from_parts(a, b, d)
 
     def to_json(self):
         return {"psi": {g: str(self.values[g])
@@ -582,9 +588,40 @@ class GnsResult(NamedTuple):
         }
 
 
-def _star_gram(functional, words, stars, psi, psi_star):
+def _group_gram(functional, words):
+    """The rows of `gns_truncated` on a group: row i is the form's
+    `pairing` of the memo column of w_i, paired with every column by one
+    `_dots` line, less the prefix defects where some delta(l) is not 0."""
+    n, pairing = functional.cocycle.form.dim, functional.cocycle.form.pairing
+    cols = list(map(functional._vector, words))
+    cas, scales = [re for re, _, _ in cols], [u for _, _, u in cols]
+    cbs = _imaginary([im for _, im, _ in cols], n + 2)
+    gram = []
+    for re, im, u in cols:
+        # the row has n entries, so `_dots` reads eta(w_j) only
+        ra, rb, s = pairing((re[:n], im and im[:n], u))
+        res, ims = _dots(ra, rb, cas, cbs)
+        gram.append(list(map(from_parts, res, ims or itertools.repeat(0),
+                             [s * t for t in scales])))
+    # delta(l) = <eta(l), eta(l)> + 2 Re psi(l); the letters are words[:2g]
+    delta = {l: row[i] + Scalar(2 * functional.values[l[0]].re) for i, (l, row)
+             in enumerate(zip(functional.presentation.alphabet(), gram))}
+    if any(delta.values()):
+        for row, wi in zip(gram, words):
+            defects = [ZERO, *itertools.accumulate(map(delta.get, wi))]
+            for j, wj in enumerate(words):
+                # the longest common prefix of w_i and w_j
+                k = next(k for k in range(len(wj), -1, -1) if wj[:k] == wi[:k])
+                row[j] = row[j] - defects[k]
+    return gram
+
+
+def _star_gram(functional, words):
     """The rows of `gns_truncated` on a star algebra."""
     p, table = functional.presentation, functional.table
+    psi = [functional.psi_word(w) for w in words]
+    stars = [p.involve_word(w) for w in words]
+    psi_star = [functional.psi_word(s) for s in stars]
     support = functional.support
     eps = [p._word_character(w) for w in words]
     k = p.junction_width
@@ -645,43 +682,35 @@ def _star_gram(functional, words, stars, psi, psi_star):
 def gns_truncated(functional, max_len: int) -> GnsResult:
     """Gram matrix of the kernel elements w - eps(w) under psi(a* b).
 
-    Needs psi defined up to word length 2 * max_len.  Returns the exact Gram
-    matrix, its rank, a semidefiniteness verdict with witness, and, when
-    semidefinite, the classes of the words expressed over a maximal
-    independent subset (these are the truncated GNS vectors of eta).
+    Returns the exact Gram matrix, its rank, a semidefiniteness verdict
+    with witness, and, when semidefinite, the classes of the words
+    expressed over a maximal independent subset (these are the truncated
+    GNS vectors of eta).
 
-    psi of the words and of their stars w_i* is read before the rows, so
-    an error names the word that the row-major order meets first.  On a
-    group every counit is 1 and entry (i, j) is psi of the product w_i* w_j
-    less psi(w_j) and psi(w_i*).  That is <eta(w_i), eta(w_j)> less
-    2 Re psi(l) + <eta(l), eta(l)> summed over the letters l of the longest
-    common prefix of w_i and w_j, so it is the pairing of the eta vectors
-    only when every generator's psi has its forced real part
-    (`forced_real_parts`).  On a star algebra each row rewrites its
-    star once, as `reduce(w_i* w_j)` does for every w_j until it reaches
-    the junction (`Presentation._rewrite` up to the star's last
-    `junction_width` letters), and what follows is
-    decided once per distinct (tail, head) pair
-    (`Presentation.junction_redex`): with no redex there the product is
-    the concatenation, read straight from the table; when the first
-    listed rule matching there has coefficient 0 the product is 0; else
-    the rewrite resumes from that redex (`Presentation._rewrite`), with
-    the star's coefficient and step count.  Counit terms are formed only
-    where the counit is nonzero.
+    On a group every counit is 1 and entry (i, j), psi(w_i* w_j) less
+    psi(w_j) and psi(w_i*), is <eta(w_i), eta(w_j)> less the prefix defects
+    delta(l) = 2 Re psi(l) + <eta(l), eta(l)> over the letters l of the
+    longest common prefix of w_i and w_j, each 0 when psi has the forced
+    real parts (`forced_real_parts`): eta is read on the words up to
+    max_len and psi on the letters only (`_group_gram`).
+
+    On a star algebra psi is read up to word length 2 * max_len, on the
+    words and their stars w_i* before the rows, so an error names the word
+    that the row-major order meets first.  Each row rewrites its star
+    once, as `reduce(w_i* w_j)` does for every w_j until it reaches the
+    junction (`Presentation._rewrite` up to the star's last
+    `junction_width` letters), and what follows is decided once per
+    distinct (tail, head) pair (`Presentation.junction_redex`): with no
+    redex there the product is the concatenation, read straight from the
+    table; when the first listed rule matching there has coefficient 0
+    the product is 0; else the rewrite resumes from that redex, with the
+    star's coefficient and step count.  Counit terms are formed only where
+    the counit is nonzero.
     """
     p = functional.presentation
     words = tuple(p.words_up_to(max_len, include_empty=False))
-    psi = [functional.psi_word(w) for w in words]
-    stars = [p.involve_word(w) for w in words]
-    psi_star = [functional.psi_word(s) for s in stars]
-    if p.kind == GROUP:
-        fold, multiply = functional.fold, p.multiply
-        gram = [[fold(multiply(star, w)[1]) - y - p_i
-                 for w, y in zip(words, psi)]
-                for star, p_i in zip(stars, psi_star)]
-    else:
-        gram = _star_gram(functional, words, stars, psi, psi_star)
-    gram = tuple(map(tuple, gram))
+    rows_of = _group_gram if p.kind == GROUP else _star_gram
+    gram = tuple(map(tuple, rows_of(functional, words)))
     # one conversion to integer rows, read by both eliminations.  The pivot
     # columns are the first maximal independent set of word classes, and
     # column j of the reduced rows gives w_j over them

@@ -123,6 +123,19 @@ MUTANTS = (
     Mutant("letter rows over a non-least Q(l)", "nlk/functionals.py",
            "q = lcm(d, gd, pd)", "q = d * gd * pd",
            (DIFF + "test_level_folds_match_the_reference_on_groups",)),
+    # c psi(w) with c read as its real part
+    Mutant("eval_element without the coefficient's imaginary part",
+           "nlk/functionals.py",
+           "a, b, d = (a * f + e * (ca * x - cb * y),\n"
+           "                       b * f + e * (ca * y + cb * x), d * f)",
+           "a, b, d = (a * f + e * (ca * x),\n"
+           "                       b * f + e * (ca * y), d * f)",
+           (DIFF + "test_group_eval_element_is_the_sum_of_the_scaled_folds",)),
+    # the eta pairing alone, right only for forced real parts
+    Mutant("group Gram without the prefix defects", "nlk/functionals.py",
+           "    if any(delta.values()):",
+           "    if False:",
+           (DIFF + "test_gns_gram_matches_the_per_entry_reference_with_relators",)),
 )
 
 # Mutants no output can see, each with the reason; they are not run.

@@ -93,6 +93,16 @@ def test_representation_requires_exactly_the_generators():
         Representation(p, standard_form(1), {"a": matrix([[ONE]])})
 
 
+def test_representation_and_cocycle_reprs_show_their_data():
+    p = _z2()
+    rep = _sign_rep(p, "b", HermitianForm(matrix([[sc(2)]])))
+    cocycle = Cocycle(rep, {"a": vector([ZERO]), "b": vector([sc(0, 1)])})
+    shown = ("Representation(group ['a', 'b'], gram [['2']], "
+             "images {'a': [['1']], 'b': [['-1']]})")
+    assert repr(rep) == shown
+    assert repr(cocycle) == f"Cocycle({shown}, values {{'a': ['0'], 'b': ['1i']}})"
+
+
 def test_inverse_letter_matrix_is_matrix_inverse():
     p = _p2()
     f = standard_form(2)

@@ -7,7 +7,8 @@ star-algebra rewriting is compared with (or checked by) the plain
 (Fraction, Fraction) arithmetic and the restart-from-the-left rewriting in
 helpers.  The scaled-integer word memos, the triple verification and the
 oracle are compared with the reference and their per-word and per-pair
-paths, the truncated GNS Gram matrix with its per-entry reference, and the
+paths, the truncated GNS Gram matrix with its per-entry reference, a group
+functional's value on an element with the sum of its folds, and the
 normal forms' keys, built one letter onto a tail's key,
 with the letter-by-letter products.  The draws are derandomized, so a run
 is repeatable and needs no example database.
@@ -2190,19 +2191,33 @@ def test_gns_gram_stops_at_a_read_past_the_support_after_a_rewrite():
 def test_gns_gram_matches_the_per_entry_reference_on_free_groups(data, psi,
                                                                  max_len):
     gram, images, eta = data
-    cocycle, functional = _free_group_objects(gram, images, eta, psi)
+    _check_group_gram(*_free_group_objects(gram, images, eta, psi), images,
+                      max_len)
+
+
+def _check_group_gram(cocycle, functional, images, max_len):
+    """The Gram matrix against the per-entry reference: psi of the freely
+    reduced products, folded letter by letter in pair arithmetic."""
     p = cocycle.presentation
     ref_images = {g: H.to_pairs_mat(m) for g, m in images.items()}
-    ref_eta = {g: H.to_pairs_vec(v) for g, v in eta.items()}
-    ref_psi = {g: H.to_pair(functional.values[g]) for g in "ab"}
-    ref_gram = H.to_pairs_mat(gram)
-    memo = {}
+    ref_eta = {g: H.to_pairs_vec(cocycle.values[g, 1]) for g in p.generators}
+    ref_psi = {g: H.to_pair(functional.values[g]) for g in p.generators}
+    ref_gram = H.to_pairs_mat(cocycle.form.gram)
+    eta_letter = functools.cache(
+        lambda l: H.eta_letter(ref_images, ref_eta, l))
+    eta_word = functools.cache(
+        lambda w: H.eta_word(ref_images, ref_eta, w, len(ref_gram)))
 
+    @functools.cache
     def read(word):
-        if word not in memo:
-            memo[word] = H.psi_word(ref_images, ref_eta, ref_psi, ref_gram,
-                                    word, len(gram))
-        return memo[word]
+        """psi(l w) = psi(l) + <eta(l^-1), eta(w)> + psi(w), kept per
+        suffix."""
+        if not word:
+            return H.CZERO
+        (name, tag), tail = word[0], word[1:]
+        cross = H.inner(ref_gram, eta_letter((name, -tag)), eta_word(tail))
+        return H.cadd(H.cadd(H.psi_letter(ref_psi, word[0]), cross),
+                      read(tail))
 
     def free_reduce(word):
         out = []
@@ -2256,3 +2271,50 @@ def test_gns_gram_is_the_eta_pairing_less_the_prefix_defects(data, psi,
         expected.append(tuple(row))
     assert H.to_pairs_mat(gns_truncated(functional, max_len).gram) == tuple(
         expected)
+
+
+@st.composite
+def p2_data(draw):
+    """p2 in dimension 2: r swaps the coordinates and a, b are the diagonal
+    phases (u, conj u), so r a r = a^-1; a coboundary cocycle."""
+    images = {"r": ((ZERO, ONE), (ONE, ZERO))}
+    for g in "ab":
+        u = draw(st.sampled_from(UNIT_SCALARS))
+        images[g] = ((u, ZERO), (ZERO, u.conj()))
+    v = draw(st.lists(ENTRIES, min_size=2, max_size=2).map(tuple))
+    rep = Representation(_P2, linalg.standard_form(2), images)
+    return _P2, images, coboundary_cocycle(rep, v)[0]
+
+
+@settings(DIFF, max_examples=12)
+@given(st.one_of(z2_data().map(lambda d: d[:3]), p2_data()), st.data(),
+       st.integers(1, 2))
+def test_gns_gram_matches_the_per_entry_reference_with_relators(data, draws,
+                                                                max_len):
+    """psi drawn with any real parts, so the prefix defects are seldom 0."""
+    p, images, cocycle = data
+    psi = {g: draws.draw(ENTRIES) for g in p.generators}
+    _check_group_gram(cocycle, GroupFunctional(cocycle, psi), images, max_len)
+
+
+# --- evaluating elements ----------------------------------------------
+
+
+@settings(DIFF, max_examples=60)
+@given(st.one_of(z2_data().map(lambda d: d[2]),
+                 free_group_data().map(lambda d: _free_group_objects(*d)[0])),
+       GROUP_WORDS, st.data())
+def test_group_eval_element_is_the_sum_of_the_scaled_folds(cocycle, words,
+                                                           draws):
+    """The words stay unreduced, and psi and the coefficients have
+    denominators and imaginary parts."""
+    psi = {g: draws.draw(ENTRIES) for g in "ab"}
+    coeffs = st.builds(Scalar, SMALL, SMALL)
+    element = AlgebraElement(cocycle.presentation,
+                             {w: draws.draw(coeffs) for w in words})
+    reference = GroupFunctional(cocycle, psi)
+    expected = ZERO
+    for w, c in element.terms.items():
+        expected = expected + c * reference.fold(w)
+    got = GroupFunctional(cocycle, psi).eval_element(element)
+    assert got == expected and str(got) == str(expected)
