@@ -25,7 +25,8 @@ make Scalars only of the entries they return; `_invert` on [m | I], whose
 pivot values and swaps also decide a hermitian form's definiteness
 (Sylvester); `det`, (-1)^swaps times the pivot values.
 `psd_check` runs a diagonal-pivoted congruence with the same row step over
-[G | I], after a hermitianity test on the integer rows (`_hermitian`).
+G, after a hermitianity test on the integer rows (`_hermitian`), and again
+over [G | I] only to build a failing matrix's witness.
 `rref`, `psd_check` and `_invert` take Scalar rows or `IntegerRows`, so one
 conversion can serve several: a `HermitianForm` converts its Gram matrix
 once, tests hermitianity on those rows with `_hermitian` too, and inverts
@@ -499,31 +500,19 @@ def _hermitian(m) -> bool:
     return True
 
 
-def psd_check(gram) -> PsdResult:
-    """Exact positive semidefiniteness test for a hermitian matrix, given
-    as Scalar rows or as `IntegerRows`.
+def _psd_sweep(m, n):
+    """The congruence sweep of `psd_check` over the rows of m, whose first n
+    columns hold G: None when G is semidefinite, else (i, k, re, im,
+    scales), the swept rows with the undone row i that fails, k None when
+    its diagonal entry is a negative pivot, else its first nonzero column.
 
-    Pivoted LDL-style congruence elimination; eigenvalues would leave the
-    field, diagonal pivots do not.  The sweep runs `_reduce`'s row step over
-    [G | I]: on the undone rows the left block is C G C* and the right block
-    is C, so a witness maps back by C*.  On failure returns a witness vector
-    v with conj(v)^T G v < 0.
-    """
-    m = _integer_rows(gram)
-    n = len(m)
-    if m.width != n or any(len(row) != n for row in m.re) or not _hermitian(m):
-        raise LinalgError("psd_check needs a hermitian matrix")
-    aug = m.with_identity()
-    re, im, scales = aug.re, aug.im, aug.scales
-    # a pass sweeps rows only; the undone block is then the same Schur
-    # complement a congruence gives, and done rows and columns are never
-    # read again
+    A pass sweeps rows only; the undone block is then the same Schur
+    complement a congruence gives, and done rows and columns are never read
+    again.  A row's values do not depend on the columns past n, which only
+    ride along."""
+    re, scales = list(m.re), list(m.scales)
+    im = None if m.im is None else list(m.im)
     done = [False] * n
-
-    def back(i):
-        """conj of row i of C, as Scalars."""
-        return [from_parts(x, -y, scales[i]) for x, y in
-                zip(re[i][n:], repeat(0) if im is None else im[i][n:])]
 
     def nonzero(i, j):
         return re[i][j] or (im is not None and im[i][j])
@@ -535,7 +524,7 @@ def psd_check(gram) -> PsdResult:
         if im is not None and im[piv][piv]:
             raise LinalgError("hermitian matrix has non-real diagonal")
         if re[piv][piv] < 0:
-            return PsdResult(psd=False, witness=tuple(back(piv)))
+            return piv, None, re, im, scales
         for i in range(n):
             if i != piv and not done[i] and nonzero(i, piv):
                 _step(re, im, scales, i, piv, piv)
@@ -544,11 +533,39 @@ def psd_check(gram) -> PsdResult:
     # any nonzero entry of an undone row makes the form indefinite
     for i in range(n):
         if not done[i] and (any(re[i][:n]) or im is not None and any(im[i][:n])):
-            k = next(k for k in range(n) if nonzero(i, k))
-            c = from_parts(re[i][k], 0 if im is None else im[i][k], scales[i])
-            return PsdResult(psd=False, witness=tuple(
-                y - c * x for x, y in zip(back(i), back(k))))
-    return PsdResult(psd=True, witness=None)
+            return i, next(k for k in range(n) if nonzero(i, k)), re, im, scales
+    return None
+
+
+def psd_check(gram) -> PsdResult:
+    """Exact positive semidefiniteness test for a hermitian matrix, given
+    as Scalar rows or as `IntegerRows`.
+
+    Pivoted LDL-style congruence elimination; eigenvalues would leave the
+    field, diagonal pivots do not.  `_psd_sweep` runs `_reduce`'s row step
+    over G alone.  Only when it fails does it run again, over [G | I], to
+    build the witness: on the undone rows the left block is then C G C* and
+    the right block is C, so a witness maps back by C*.  On failure returns
+    a witness vector v with conj(v)^T G v < 0.
+    """
+    m = _integer_rows(gram)
+    n = len(m)
+    if m.width != n or any(len(row) != n for row in m.re) or not _hermitian(m):
+        raise LinalgError("psd_check needs a hermitian matrix")
+    if _psd_sweep(m, n) is None:
+        return PsdResult(psd=True, witness=None)
+    i, k, re, im, scales = _psd_sweep(m.with_identity(), n)
+
+    def back(i):
+        """conj of row i of C, as Scalars."""
+        return [from_parts(x, -y, scales[i]) for x, y in
+                zip(re[i][n:], repeat(0) if im is None else im[i][n:])]
+
+    if k is None:
+        return PsdResult(psd=False, witness=tuple(back(i)))
+    c = from_parts(re[i][k], 0 if im is None else im[i][k], scales[i])
+    return PsdResult(psd=False, witness=tuple(
+        y - c * x for x, y in zip(back(i), back(k))))
 
 
 # --- serialization helpers -----------------------------------------

@@ -40,7 +40,13 @@ The text form follows a small grammar:
 
 Examples: "5", "-2/7", "-1/2+3i", "2/5i", "-2i".  Nothing else parses: no
 exponents, decimal points, underscores or leading "+", so a literal's size
-is the size of its digit strings.
+is the size of its digit strings.  Spaces are ignored, and "i", "+i" and
+"-i" stand for the unit.  Most literals in a scenario are plain rationals
+such as "0" or "-1/2", so `Scalar.parse` first tries one match of
+`_PLAIN`, a rational with no spaces and at most `_PLAIN_DIGITS` ASCII
+digits in each part over a nonzero denominator, and builds its triple with
+one gcd; any other text takes the full grammar, `_parse_literal`, with the
+same result or the same error.
 """
 
 from __future__ import annotations
@@ -65,6 +71,11 @@ def _fraction(x) -> Fraction:
 
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# far below the least int conversion limit Python allows (640 digits), so a
+# plain literal's int() never fails
+_PLAIN_DIGITS = 30
+_PLAIN = re.compile(f"(-?[0-9]{{1,{_PLAIN_DIGITS}}})"
+                    f"(?:/([0-9]{{1,{_PLAIN_DIGITS}}}))?")
 # groups: numerator and denominator of the real part (1, 2), then sign,
 # numerator and denominator of the imaginary part (3, 4, 5); or those of a
 # purely imaginary literal (6, 7)
@@ -138,25 +149,16 @@ class Scalar:
 
     @classmethod
     def parse(cls, text: str) -> "Scalar":
-        lit = _compact(text)
-        if not lit:
-            raise ScalarError("empty scalar literal")
-        # lenient aliases for the imaginary unit
-        if lit in ("i", "+i"):
-            return I
-        if lit == "-i":
-            return _make(0, -1, 1)
-        m = _LITERAL.fullmatch(lit)
-        if m is None:
-            raise ScalarError(f"invalid scalar literal {text!r}")
-        re_n, re_d, sign, im_n, im_d, only_n, only_d = m.groups()
-        if only_n is not None:
-            re_n, im_n, im_d = "0", only_n, only_d
-        p, q = _ints(text, re_n, re_d)
-        r, s = _ints(text, im_n or "0", im_d)
-        if sign == "-":
-            r = -r
-        return _make(*_triple(p, q, r, s))
+        m = _PLAIN.fullmatch(text)
+        if m is not None:
+            num, den = m.groups()
+            if den is None:
+                return _make(int(num), 0, 1)
+            p, q = int(num), int(den)
+            if q:
+                g = gcd(p, q)
+                return _make(p // g, 0, q // g)
+        return _parse_literal(text)
 
     # --- arithmetic -------------------------------------------------
 
@@ -311,6 +313,29 @@ def _add(a1, b1, d1, a2, b2, d2) -> Scalar:
 ZERO = _make(0, 0, 1)
 ONE = _make(1, 0, 1)
 I = _make(0, 1, 1)
+
+
+def _parse_literal(text: str) -> Scalar:
+    """The full grammar of `Scalar.parse`, for any text."""
+    lit = _compact(text)
+    if not lit:
+        raise ScalarError("empty scalar literal")
+    # lenient aliases for the imaginary unit
+    if lit in ("i", "+i"):
+        return I
+    if lit == "-i":
+        return _make(0, -1, 1)
+    m = _LITERAL.fullmatch(lit)
+    if m is None:
+        raise ScalarError(f"invalid scalar literal {text!r}")
+    re_n, re_d, sign, im_n, im_d, only_n, only_d = m.groups()
+    if only_n is not None:
+        re_n, im_n, im_d = "0", only_n, only_d
+    p, q = _ints(text, re_n, re_d)
+    r, s = _ints(text, im_n or "0", im_d)
+    if sign == "-":
+        r = -r
+    return _make(*_triple(p, q, r, s))
 
 
 def _common(xs) -> tuple:

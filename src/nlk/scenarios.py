@@ -5,6 +5,16 @@ cocycle values, an optional functional, and options (word-length bound,
 oracle normal form, named kernel tensors).  Structural problems raise
 SchemaError with a pointer into the document; semantic findings (violated
 relations, obstructed cocycles) surface later, when the objects are built.
+
+A document repeats its literals ("0" and "1" above all), so `parse_scenario`
+keeps one dict for the call, from each literal string already read to its
+Scalar, and every scalar position (form, images, cocycle, character, rule
+coefficients, psi values and tables, cycle coefficients) reads through it:
+each distinct literal is parsed once per call.  The memo holds strings
+only, so any other JSON value in a scalar position is refused as before,
+and a position's pointer is formatted only when its literal is parsed, so
+a bad literal is reported at its first occurrence.  Nothing is kept past
+the call.
 """
 
 from __future__ import annotations
@@ -70,26 +80,36 @@ def _get_dict(doc, key, pointer, required=False, default=None):
     return val
 
 
-def _parse_scalar(text, pointer) -> Scalar:
+def _parse_scalar(memo, text, pointer, key=None) -> Scalar:
+    """The Scalar of the literal text at pointer, or at pointer/key when key
+    is given; memo maps each literal string already parsed to its Scalar."""
+    if isinstance(text, str):
+        x = memo.get(text)
+        if x is not None:
+            return x
+    if key is not None:
+        pointer = f"{pointer}/{key}"
     _require(isinstance(text, str), pointer, "expected a scalar string")
     try:
-        return Scalar.parse(text)
+        x = memo[text] = Scalar.parse(text)
     except ScalarError as exc:
         raise SchemaError(pointer, str(exc)) from exc
+    return x
 
 
-def _parse_vector(items, pointer, dim=None):
+def _parse_vector(memo, items, pointer, dim=None):
     _require(isinstance(items, list), pointer, "expected an array of scalars")
-    vec = tuple(_parse_scalar(x, f"{pointer}/{i}") for i, x in enumerate(items))
+    vec = tuple(_parse_scalar(memo, x, pointer, i) for i, x in enumerate(items))
     if dim is not None:
         _require(len(vec) == dim, pointer,
                  f"expected a vector of size {dim}, got {len(vec)}")
     return vec
 
 
-def _parse_matrix(rows, pointer, dim=None):
+def _parse_matrix(memo, rows, pointer, dim=None):
     _require(isinstance(rows, list), pointer, "expected an array of rows")
-    mat = tuple(_parse_vector(row, f"{pointer}/{i}") for i, row in enumerate(rows))
+    mat = tuple(_parse_vector(memo, row, f"{pointer}/{i}")
+                for i, row in enumerate(rows))
     if dim is not None:
         _require(len(mat) == dim and all(len(r) == dim for r in mat), pointer,
                  f"expected a {dim}x{dim} matrix")
@@ -165,13 +185,14 @@ def parse_scenario(doc: dict) -> Scenario:
     for key in doc:
         _require(key in known, f"/{key}", "unknown scenario field")
 
+    memo = {}
     pres_doc = _get_dict(doc, "presentation", "", required=True)
-    presentation = _parse_presentation(pres_doc, "/presentation")
+    presentation = _parse_presentation(memo, pres_doc, "/presentation")
 
     form_doc = _get_dict(doc, "form", "", required=True)
     gram_raw = form_doc.get("gram")
     _require(gram_raw is not None, "/form", "missing required field 'gram'")
-    gram = _parse_matrix(gram_raw, "/form/gram")
+    gram = _parse_matrix(memo, gram_raw, "/form/gram")
     _require(len(gram) >= 1, "/form/gram", "the form needs dimension at least 1")
     try:
         form = HermitianForm(gram)
@@ -186,7 +207,8 @@ def parse_scenario(doc: dict) -> Scenario:
         gens = set(presentation.generators)
         for g, rows in rep_doc.items():
             _require(g in gens, f"/representation/{g}", "unknown generator")
-            images[g] = _parse_matrix(rows, f"/representation/{g}", dim=dim)
+            images[g] = _parse_matrix(memo, rows, f"/representation/{g}",
+                                      dim=dim)
         for g in presentation.generators:
             _require(g in images, "/representation",
                      f"missing image for generator {g!r}")
@@ -203,22 +225,24 @@ def parse_scenario(doc: dict) -> Scenario:
         for key, items in coc_doc.items():
             _require(key in allowed, f"/cocycle/{key}",
                      "not a letter that cocycle values may be supplied for")
-            values[key] = _parse_vector(items, f"/cocycle/{key}", dim=dim)
+            values[key] = _parse_vector(memo, items, f"/cocycle/{key}",
+                                        dim=dim)
 
     func_doc = _get_dict(doc, "functional", "")
     functional_raw = None
     if func_doc is not None:
-        functional_raw = _parse_functional(func_doc, presentation, "/functional")
+        functional_raw = _parse_functional(memo, func_doc, presentation,
+                                           "/functional")
 
     opt_doc = _get_dict(doc, "options", "")
-    options = _parse_options(opt_doc or {}, presentation, "/options")
+    options = _parse_options(memo, opt_doc or {}, presentation, "/options")
 
     return Scenario(raw=doc, presentation=presentation, form=form,
                     representation_images=images, cocycle_values=values,
                     functional_raw=functional_raw, options=options)
 
 
-def _parse_presentation(doc, pointer) -> Presentation:
+def _parse_presentation(memo, doc, pointer) -> Presentation:
     kind = doc.get("kind")
     _require(kind in (GROUP, STAR_ALGEBRA), f"{pointer}/kind",
              f"kind must be {GROUP!r} or {STAR_ALGEBRA!r}")
@@ -252,7 +276,7 @@ def _parse_presentation(doc, pointer) -> Presentation:
                      "expected a letter string")
             involution[g] = tok
         character = {
-            g: _parse_scalar(v, f"{pointer}/character/{g}")
+            g: _parse_scalar(memo, v, f"{pointer}/character", g)
             for g, v in character_raw.items()}
         rules = []
         for i, rule in enumerate(rules_raw):
@@ -262,7 +286,8 @@ def _parse_presentation(doc, pointer) -> Presentation:
             rhs = rule.get("rhs")
             _require(isinstance(rhs, dict), f"{rp}/rhs",
                      "expected an object with coeff and word")
-            coeff = _parse_scalar(rhs.get("coeff", "1"), f"{rp}/rhs/coeff")
+            coeff = _parse_scalar(memo, rhs.get("coeff", "1"), f"{rp}/rhs",
+                                  "coeff")
             word = _letter_strings(rhs.get("word"), f"{rp}/rhs/word")
             rules.append((list(lhs), coeff, list(word)))
         extra = set(doc) - {"kind", "generators", "involution", "character",
@@ -273,7 +298,7 @@ def _parse_presentation(doc, pointer) -> Presentation:
         raise SchemaError(pointer, str(exc)) from exc
 
 
-def _parse_functional(doc, presentation, pointer) -> dict:
+def _parse_functional(memo, doc, presentation, pointer) -> dict:
     if presentation.kind == GROUP:
         psi = doc.get("psi")
         _require(isinstance(psi, dict), f"{pointer}/psi",
@@ -282,7 +307,7 @@ def _parse_functional(doc, presentation, pointer) -> dict:
         values = {}
         for g, v in psi.items():
             _require(g in gens, f"{pointer}/psi/{g}", "unknown generator")
-            values[g] = _parse_scalar(v, f"{pointer}/psi/{g}")
+            values[g] = _parse_scalar(memo, v, f"{pointer}/psi", g)
         return {"psi": values}
     table_raw = doc.get("table")
     _require(isinstance(table_raw, dict), f"{pointer}/table",
@@ -295,11 +320,11 @@ def _parse_functional(doc, presentation, pointer) -> dict:
             presentation._check_letters(word)
         except PresentationError as exc:
             raise SchemaError(tp, str(exc)) from exc
-        table[word] = _parse_scalar(v, tp)
+        table[word] = _parse_scalar(memo, v, tp)
     return {"table": table}
 
 
-def _parse_options(doc, presentation, pointer) -> ScenarioOptions:
+def _parse_options(memo, doc, presentation, pointer) -> ScenarioOptions:
     known = {"max_word_length", "normal_form", "cycles"}
     extra = set(doc) - known
     _require(not extra, pointer, f"unknown fields {sorted(extra)}")
@@ -323,16 +348,18 @@ def _parse_options(doc, presentation, pointer) -> ScenarioOptions:
         for i, pair in enumerate(pairs_raw):
             pp = f"{cp}/{i}"
             _require(isinstance(pair, dict), pp, "expected an object")
-            coeff = _parse_scalar(pair.get("coeff", "1"), f"{pp}/coeff")
-            left = _parse_element(pair.get("left"), presentation, f"{pp}/left")
-            right = _parse_element(pair.get("right"), presentation, f"{pp}/right")
+            coeff = _parse_scalar(memo, pair.get("coeff", "1"), pp, "coeff")
+            left = _parse_element(memo, pair.get("left"), presentation,
+                                  f"{pp}/left")
+            right = _parse_element(memo, pair.get("right"), presentation,
+                                   f"{pp}/right")
             pairs.append((coeff, left, right))
         cycles[name] = pairs
     return ScenarioOptions(max_word_length=max_len, normal_form=nf,
                            cycles=cycles)
 
 
-def _parse_element(doc, presentation, pointer) -> AlgebraElement:
+def _parse_element(memo, doc, presentation, pointer) -> AlgebraElement:
     _require(isinstance(doc, list), pointer,
              "expected an array of [word, coeff] terms")
     items = []
@@ -346,7 +373,7 @@ def _parse_element(doc, presentation, pointer) -> AlgebraElement:
             presentation._check_letters(word)
         except PresentationError as exc:
             raise SchemaError(f"{tp}/0", str(exc)) from exc
-        items.append((word, _parse_scalar(coeff_raw, f"{tp}/1")))
+        items.append((word, _parse_scalar(memo, coeff_raw, tp, 1)))
     return AlgebraElement.build(presentation, items)
 
 

@@ -255,13 +255,29 @@ def eta_letter(images, values, letter):
     return values[name]
 
 
+def letter_data(images, values, word):
+    """(pi(l), eta(l), eta(l^-1)) for both letters l = g, g^-1 of each
+    generator g in word, with eta(g^-1) = -pi(g)^-1 eta(g): one inverse
+    per generator."""
+    data = {}
+    for name in {name for name, _ in word}:
+        m, eta = images[name], values[name]
+        inv = minv(m)
+        eta_inv = vneg(mvec(inv, eta))
+        data[(name, 1)] = (m, eta, eta_inv)
+        data[(name, -1)] = (inv, eta_inv, eta)
+    return data
+
+
 def eta_word(images, values, word, dim):
     """Prefix-sum form: eta(w) = sum_j pi(w_1..w_{j-1}) eta(w_j)."""
+    data = letter_data(images, values, word)
     prefix = mid(dim)
     acc = zero_vec(dim)
     for letter in word:
-        acc = vadd(acc, mvec(prefix, eta_letter(images, values, letter)))
-        prefix = mmul(prefix, letter_matrix(images, letter))
+        pi, eta, _ = data[letter]
+        acc = vadd(acc, mvec(prefix, eta))
+        prefix = mmul(prefix, pi)
     return acc
 
 
@@ -286,14 +302,18 @@ def psi_letter(psi_values, letter):
 
 
 def psi_word(images, eta_values, psi_values, gram, word, dim):
-    """Left fold of psi(gh) = psi(g) + <eta(g^-1), eta(h)> + psi(h)."""
-    total = CZERO
-    for i, letter in enumerate(word):
-        suffix = word[i + 1:]
-        inv = (letter[0], -letter[1])
-        cross = inner(gram, eta_letter(images, eta_values, inv),
-                      eta_word(images, eta_values, suffix, dim))
+    """psi(w) by psi(l v) = psi(l) + <eta(l^-1), eta(v)> + psi(v), the sum
+    over the suffixes l v of w.  The suffixes are read from the tail, each
+    one's eta kept for the next by eta(l v) = pi(l) eta(v) + eta(l), the
+    recursion that `eta_word`'s prefix sum unrolls, so no suffix is folded
+    twice."""
+    data = letter_data(images, eta_values, word)
+    total, eta = CZERO, zero_vec(dim)
+    for letter in reversed(word):
+        pi, eta_l, eta_inv = data[letter]
+        cross = inner(gram, eta_inv, eta)
         total = cadd(total, cadd(psi_letter(psi_values, letter), cross))
+        eta = vadd(mvec(pi, eta), eta_l)
     return total
 
 

@@ -136,6 +136,30 @@ MUTANTS = (
            "    if any(delta.values()):",
            "    if False:",
            (DIFF + "test_gns_gram_matches_the_per_entry_reference_with_relators",)),
+    # "6/4" read as (6, 0, 4), a triple that is not canonical
+    Mutant("plain literal without its gcd", "nlk/scalars.py",
+           "                g = gcd(p, q)\n"
+           "                return _make(p // g, 0, q // g)",
+           "                return _make(p, 0, q)",
+           (DIFF + "test_plain_rationals_parse_as_the_full_grammar_does",)),
+    # "3/0" read as (1, 0, 0), "0/0" a ZeroDivisionError
+    Mutant("plain literal without its zero-denominator guard",
+           "nlk/scalars.py",
+           "            if q:\n                g = gcd(p, q)",
+           "            if True:\n                g = gcd(p, q)",
+           (DIFF + "test_plain_rationals_parse_as_the_full_grammar_does",)),
+    # a list or dict in a scalar position raises TypeError (unhashable)
+    Mutant("literal memo hashes non-strings", "nlk/scenarios.py",
+           "    if isinstance(text, str):\n        x = memo.get(text)",
+           "    if True:\n        x = memo.get(text)",
+           ("tests/test_scenarios_cli.py::"
+            "test_cli_refuses_a_non_string_in_a_scalar_position",)),
+    # an undone block with zero diagonal but a nonzero entry, as in
+    # [[0, 1], [1, 0]], passes as semidefinite
+    Mutant("psd sweep accepting a nonzero undone row", "nlk/linalg.py",
+           "    for i in range(n):\n        if not done[i] and (any(re[i][:n])",
+           "    for i in ():\n        if not done[i] and (any(re[i][:n])",
+           (DIFF + "test_psd_check_matches_the_congruence_reference",)),
 )
 
 # Mutants no output can see, each with the reason; they are not run.

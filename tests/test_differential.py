@@ -60,11 +60,15 @@ from nlk.presentations import (
     kn_spanning_set,
 )
 from nlk.scalars import (
+    _PLAIN_DIGITS,
     I,
     ONE,
     ZERO,
     Scalar,
+    ScalarError,
+    _parse_literal,
     from_parts,
+    parts,
     sc,
     scaled,
     scaled_product,
@@ -199,6 +203,65 @@ def test_equal_values_print_and_hash_alike(x, y):
         routed = (x * y) / y
         assert routed == x and str(routed) == str(x) and hash(routed) == hash(x)
     assert (x == y) == (H.to_pair(x) == H.to_pair(y))
+
+
+# digit runs on both sides of the plain-rational fast path's length limit,
+# zeros (leading, numerators and denominators) and, in LONG_RUNS, one run
+# past the int conversion limit
+DIGIT_RUNS = st.one_of(
+    st.text("0", min_size=1, max_size=3),
+    st.text("0123456789", min_size=1, max_size=4),
+    st.integers(_PLAIN_DIGITS - 1, _PLAIN_DIGITS + 1).flatmap(
+        lambda n: st.text("0123456789", min_size=n, max_size=n)))
+LONG_RUNS = st.one_of(DIGIT_RUNS, st.just("9" * 4301))
+# what may stand around or between the runs: signs, spaces, underscores,
+# non-ASCII digits (Arabic-Indic three, fullwidth one) and the unit
+JUNK = st.sampled_from(["", " ", "  ", "+", "-", "--", "_", "\u0663",
+                        "\uff11", "i", "\t", "e3", "."])
+PLAIN_TEXTS = st.builds(
+    "{}{}{}".format, st.sampled_from(["", "-"]), DIGIT_RUNS,
+    st.one_of(st.just(""), DIGIT_RUNS.map("/{}".format)))
+RATIONAL_TEXTS = st.builds(
+    "{}{}{}".format, st.sampled_from(["", "-", "+", " ", "-0"]), LONG_RUNS,
+    st.one_of(st.just(""), LONG_RUNS.map("/{}".format),
+              st.sampled_from(["/0", "/00", "/ 2", "/-2", "/"])))
+LITERAL_TEXTS = st.one_of(
+    PLAIN_TEXTS, PLAIN_TEXTS, PLAIN_TEXTS, RATIONAL_TEXTS,
+    # an imaginary part, or a whole literal that is one
+    st.builds("{}{}{}i".format, RATIONAL_TEXTS, st.sampled_from(["+", "-"]),
+              LONG_RUNS),
+    RATIONAL_TEXTS.map("{}i".format),
+    st.builds("{}{}{}".format, JUNK, RATIONAL_TEXTS, JUNK),
+    st.lists(st.one_of(LONG_RUNS, JUNK, st.just("/")), max_size=5).map(
+        "".join))
+
+
+def parse_outcome(parse, text):
+    """The canonical triple parse gives text, or its ScalarError's message."""
+    try:
+        return parts(parse(text))
+    except ScalarError as exc:
+        return str(exc)
+
+
+@settings(DIFF, max_examples=500)
+@given(LITERAL_TEXTS)
+@example("0")
+@example("-0/7")
+@example("-6/4")
+@example("007/0014")
+@example("3/0")
+@example("0/0")
+@example("-0/0")
+@example("1" * _PLAIN_DIGITS + "/" + "2" * _PLAIN_DIGITS)
+@example("1" * (_PLAIN_DIGITS + 1))
+@example("1/" + "0" * (_PLAIN_DIGITS + 1))
+@example("1\n")
+def test_plain_rationals_parse_as_the_full_grammar_does(text):
+    # Scalar.parse reads a plain rational by its fast path and all else by
+    # _parse_literal: one value, or one error, either way
+    assert parse_outcome(Scalar.parse, text) == parse_outcome(_parse_literal,
+                                                              text)
 
 
 # --- elimination ----------------------------------------------------
@@ -585,7 +648,9 @@ def test_hermitian_form_refuses_exactly_what_differs_from_its_adjoint(g):
 
 @settings(DIFF, max_examples=300)
 @given(st.one_of(hermitians(6), hermitians(6, WIDE_ENTRIES), gns_grams()))
-# a zero leading row, semidefinite or not, and a zero-diagonal block
+# a zero leading row, semidefinite or not, and a zero-diagonal block, alone
+# or after a pivot
+@example(SWAPPING[0])
 @example(linalg.matrix([[0, 0, 0], [0, 1, 1], [0, 1, 2]]))
 @example(linalg.matrix([[0, 0, 0], [0, 1, 2], [0, 2, 1]]))
 @example(linalg.matrix([[0, 0, 0], [0, 0, I], [0, -I, 1]]))

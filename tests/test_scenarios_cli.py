@@ -456,6 +456,49 @@ def test_cli_rejects_exponent_literal(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_names_the_first_occurrence_of_a_repeated_bad_literal(tmp_path,
+                                                                  capsys):
+    # "1/0" stands in both cocycle vectors, after "1" was read by the form
+    doc = z2_doc(a="1/0", b="1/0")
+    assert cli.main(["validate", write_doc(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: SCHEMA_ERROR: at /cocycle/a/0: invalid scalar "
+                   "literal '1/0': zero denominator\n")
+
+
+@pytest.mark.parametrize("value", [["1"], {"re": "1"}, 1, 1.5, True, None])
+@pytest.mark.parametrize("position", ["form", "cocycle"])
+def test_cli_refuses_a_non_string_in_a_scalar_position(tmp_path, capsys,
+                                                        value, position):
+    # at /form/gram/0/0 no literal has been read yet; at /cocycle/b/0 "1"
+    # has, twice
+    doc = z2_doc()
+    if position == "form":
+        doc["form"]["gram"] = [[value]]
+        pointer = "/form/gram/0/0"
+    else:
+        doc["cocycle"]["b"] = [value]
+        pointer = "/cocycle/b/0"
+    assert cli.main(["validate", write_doc(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: SCHEMA_ERROR: at {pointer}: expected a "
+                            f"scalar string\n")
+
+
+def test_each_parse_reads_a_literal_once_and_keeps_nothing():
+    doc = z2_doc(a="1/2", b="1/2")
+    doc["representation"] = {"a": [["1/2"]], "b": [["-1"]]}
+    first, second = parse_scenario(doc), parse_scenario(doc)
+    half = first.cocycle_values["a"][0]
+    assert half == sc("1/2")
+    # one Scalar for every "1/2" of a document, a new one for the next
+    assert first.cocycle_values["b"][0] is half
+    assert first.representation_images["a"][0][0] is half
+    assert second.cocycle_values["a"][0] is not half
+    assert second.cocycle_values == first.cocycle_values
+
+
 def test_cli_budget_error_names_the_looping_rule(tmp_path, capsys, monkeypatch):
     doc = {
         "presentation": {
