@@ -7,9 +7,9 @@ relation.  The adjoints G^-1 (m* G), from the form's scaled G and G^-1
 relation lhs = c rhs of `Presentation.relations`) are products of scaled
 Gaussian-integer matrices (`scalars.scaled_product`), compared by
 `scalars.scaled_residual`, whose difference, unscaled, is a failing
-check's residual; only a non-unitary image's residual, its adjoint less
-`linalg.inverse`, is formed in Scalars, from `letter_matrix` (which
-`decompose` reads too).  `word_matrix` unscales a word's image.
+check's residual; only a non-unitary image's residual, its adjoint (the
+`word_matrix` of its inverse letter) less `linalg.inverse`, is formed in
+Scalars.  `word_matrix` unscales a word's image.
 
 A cocycle assigns a vector to each letter and extends through
 eta(ab) = pi(a) eta(b) + eta(a) eps(b); each relation is checked by
@@ -25,8 +25,8 @@ are the form's `pairing` of them, formed once per cocycle, for every
 group functional built on it.  A read fills the word's missing suffixes,
 shortest first, each from its tail by one integer matrix-vector step with
 its first letter's rows (`_fill`, the step the group functionals' memo
-shares), with no gcd and no Scalar.  `eval_word` unscales a word once, one gcd per entry, and
-keeps the Scalars.
+shares), with no gcd and no Scalar.  `eval_word` unscales a word's entry,
+one gcd per entry, and keeps nothing.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .scalars import (
     Scalar,
     _common,
     _dots,
-    from_parts,
     parts,
     scaled,
     scaled_product,
@@ -182,7 +181,7 @@ class Representation:
                     continue
                 out.append(Violation(
                     code="NOT_STAR_COMPATIBLE", target=g,
-                    residual=linalg.msub(self.letter_matrix((g, -1)), inv),
+                    residual=linalg.msub(self.word_matrix(((g, -1),)), inv),
                     message=f"image of {g} is not form-unitary"))
             message = "relator {} does not map to the identity"
         else:
@@ -241,27 +240,17 @@ class Representation:
             m = scaled_product(m, self._scaled(letter))
         return m
 
-    def letter_matrix(self, letter):
-        """pi(letter); for a validated group image the adjoint an inverse
-        letter maps to is its inverse."""
-        if letter[1] == self._positive:
-            return self.images[letter[0]]
-        return unscaled(self._scaled(letter))
-
     def word_matrix(self, word):
         return unscaled(self._word_scaled(word))
 
 
 def trivial_representation(presentation, form) -> Representation:
     """pi(g) = eps(g) * identity; always a valid *-representation."""
-    n = form.dim
-    images = {}
-    for g in presentation.generators:
-        if presentation.kind == GROUP:
-            images[g] = linalg.identity(n)
-        else:
-            images[g] = linalg.mscale(presentation.character[g], linalg.identity(n))
-    return Representation(presentation, form, images)
+    tag = 1 if presentation.kind == GROUP else 0  # the unstarred letter
+    one = linalg.identity(form.dim)
+    return Representation(presentation, form, {
+        g: linalg.mscale(presentation.epsilon_letter((g, tag)), one)
+        for g in presentation.generators})
 
 
 class Cocycle:
@@ -299,7 +288,6 @@ class Cocycle:
                 message=f"cocycle values name unknown letters {sorted(unknown)}")])
         self.values = vals
         self._eta_memo = {(): ([0] * n + [1], None, 1)}
-        self._views = {}
         self._rows = None
         self._pairing = None
         if not _validated:
@@ -313,29 +301,15 @@ class Cocycle:
         return f"Cocycle({self.representation!r}, values {values})"
 
     def letter_value(self, letter):
-        """eta(letter); on a group an inverse letter's value is the eta
-        column of its rows, eta(g^-1) = -pi(g^-1) eta(g)."""
-        name, tag = letter
-        p = self.presentation
-        if p.kind == GROUP and tag == -1:
-            re, im, d = (self._rows or self._letter_rows())[letter]
-            n = self.form.dim
-            return tuple(from_parts(re[i][n], 0 if im is None else im[i][n], d)
-                         for i in range(n))
-        if p.kind == GROUP:
-            return self.values[letter]
-        return self.values[p.normalize_letter(letter)]
+        """The supplied eta(letter); a starred letter that the involution
+        renames reads its generator's value."""
+        return self.values[self.presentation.normalize_letter(letter)]
 
     def eval_word(self, word):
-        """eta(w) by eta(l w) = pi(l) eta(w) + eta(l) eps(w), unscaled once
-        per word and kept.  Accepts unreduced words."""
-        word = tuple(word)
-        view = self._views.get(word)
-        if view is None:
-            re, im, s = self._scaled_eta(word)
-            view = self._views[word] = unscaled(
-                ([re[:-1]], None if im is None else [im[:-1]], s))[0]
-        return view
+        """eta(w) by eta(l w) = pi(l) eta(w) + eta(l) eps(w), unscaled from
+        the memo on every call.  Accepts unreduced words."""
+        re, im, s = self._scaled_eta(tuple(word))
+        return unscaled(([re[:-1]], None if im is None else [im[:-1]], s))[0]
 
     def _scaled_eta(self, word):
         """S(w) [eta(w); eps(w)] as (re, im, S(w)), im None when real."""

@@ -22,7 +22,7 @@ from .functionals import (
     solve_generating_functional,
 )
 from .linalg import HermitianForm, IndefiniteFormError
-from .presentations import GROUP, letter_str
+from .presentations import letter_str
 from .scalars import scaled, scaled_product, scaled_residual, unscaled
 
 
@@ -85,7 +85,7 @@ def _part_space(representation, cocycle, basis_vectors, trivial: bool) -> PartSp
     p = representation.presentation
     form = representation.form
     basis = tuple(basis_vectors)
-    letters = [l for l in p.alphabet() if p.kind != GROUP or l[1] != -1]
+    letters = list(cocycle.values)  # the letters that carry values
     # an empty part has no coordinates: its images and values are empty
     images, values = dict.fromkeys(p.generators, ()), [()] * len(letters)
     if basis:
@@ -99,7 +99,7 @@ def _part_space(representation, cocycle, basis_vectors, trivial: bool) -> PartSp
         scaled_coords = scaled_product(part_form.scaled_gram_inv, scaled(bh_g))
         coords = unscaled(scaled_coords)
         values = linalg.columns(unscaled(scaled_product(scaled_coords, scaled(
-            linalg.from_columns([cocycle.letter_value(l) for l in letters],
+            linalg.from_columns(list(cocycle.values.values()),
                                 rows_hint=form.dim)))))
         if not trivial:
             scaled_b = scaled(b)

@@ -24,10 +24,11 @@ straight from this memo and pairs them with rows built by the form's
 `pairing`, and the oracle compares whole vectors; both decide by
 cross-multiplying; `verify` builds a witness from the integers it compared,
 and a Scalar is otherwise built only for a counterexample or a report
-value, or through `fold`, which unscales a word once and keeps the Scalar
+value, or through `fold`, which unscales a word's entry and keeps nothing,
 for `solve` and the relator readings; Gaussianity's `eval_element` sums
-from the memo and unscales once, and the GNS Gram matrix pairs its eta
-columns.  On a star algebra the Gram matrix is built a row at a time:
+from the memo and unscales once.  A group's GNS Gram matrix is the eta
+Gram E*GE of the cocycle's memo columns, for a psi with the forced real
+parts only.  On a star algebra the Gram matrix is built a row at a time:
 a product that stays the concatenation of the rewritten star and the word
 is one inline table read, with `StarFunctional.read`'s support check,
 and a product rewritten past the junction is read through `read`.
@@ -93,7 +94,6 @@ class GroupFunctional:
             raise ValueError(f"psi values name unknown generators {sorted(unknown)}")
         n = cocycle.form.dim
         self._memo = {(): ([0] * n + [1, 0], None, 1)}
-        self._views = {}
         self._rows = None
 
     kind = GROUP
@@ -105,16 +105,11 @@ class GroupFunctional:
 
     def fold(self, word) -> Scalar:
         """psi(w) by psi(l w) = psi(l) + <eta(l^-1), eta(w)> + psi(w),
-        unscaled once per word and kept.  Accepts unreduced words; the result
-        only depends on the group element when the data respects the
-        relators."""
-        word = tuple(word)
-        view = self._views.get(word)
-        if view is None:
-            re, im, u = self._vector(word)
-            view = self._views[word] = from_parts(
-                re[-1], 0 if im is None else im[-1], u)
-        return view
+        unscaled from the memo on every call.  Accepts unreduced words; the
+        result only depends on the group element when the data respects
+        the relators."""
+        re, im, u = self._vector(tuple(word))
+        return from_parts(re[-1], 0 if im is None else im[-1], u)
 
     def _vector(self, word):
         """U(w) [eta(w); eps(w); psi(w)] as (re, im, U(w)), im None when
@@ -276,19 +271,27 @@ def relator_readings(functional: GroupFunctional) -> tuple:
     return tuple(RelatorReading(r, k, k.re != 0) for r, k in folds)
 
 
-def descent_defect(functional: GroupFunctional, forced) -> str | None:
-    """Why psi does not descend to the group algebra with the real parts
-    `forced` (`forced_real_parts`), or None: the first generator with
-    another real part, else the first relator psi does not fold to 0 on."""
+def _real_part_defect(functional: GroupFunctional, forced) -> str | None:
+    """The first generator whose psi has another real part than `forced`
+    (`forced_real_parts`) gives it, or None."""
     for g, value in functional.values.items():
         if value.re != forced[g].re:
             return (f"Re psi({g}) = {value.re} differs from the forced real "
                     f"part {forced[g]}")
-    for rd in relator_readings(functional):
-        if not rd.k_r.is_zero():
-            return (f"psi folds to {rd.k_r} on relator "
-                    f"{word_to_strs(GROUP, rd.relator)}")
     return None
+
+
+def descent_defect(functional: GroupFunctional, forced) -> str | None:
+    """Why psi does not descend to the group algebra with the real parts
+    `forced` (`forced_real_parts`), or None: the first generator with
+    another real part, else the first relator psi does not fold to 0 on."""
+    defect = _real_part_defect(functional, forced)
+    if defect is None:
+        for rd in relator_readings(functional):
+            if not rd.k_r.is_zero():
+                return (f"psi folds to {rd.k_r} on relator "
+                        f"{word_to_strs(GROUP, rd.relator)}")
+    return defect
 
 
 _MINUS_HALF = Scalar(Fraction(-1, 2))
@@ -589,13 +592,18 @@ class GnsResult(NamedTuple):
 
 
 def _group_gram(functional, words):
-    """The rows of `gns_truncated` on a group: row i is the form's
-    `pairing` of the memo column of w_i, paired with every column by one
-    `_dots` line, less the prefix defects where some delta(l) is not 0."""
-    n, pairing = functional.cocycle.form.dim, functional.cocycle.form.pairing
-    cols = list(map(functional._vector, words))
+    """The rows of `gns_truncated` on a group, the eta Gram E*GE: row i is
+    the form's `pairing` of the cocycle's memo column of w_i
+    (`Cocycle._scaled_eta`) with every column, by one `_dots` line.  A psi
+    without the forced real parts is refused, as `descent_defect` says."""
+    cocycle = functional.cocycle
+    defect = _real_part_defect(functional, forced_real_parts(cocycle))
+    if defect:
+        raise ValueError(defect)
+    n, pairing = cocycle.form.dim, cocycle.form.pairing
+    cols = list(map(cocycle._scaled_eta, words))
     cas, scales = [re for re, _, _ in cols], [u for _, _, u in cols]
-    cbs = _imaginary([im for _, im, _ in cols], n + 2)
+    cbs = _imaginary([im for _, im, _ in cols], n + 1)
     gram = []
     for re, im, u in cols:
         # the row has n entries, so `_dots` reads eta(w_j) only
@@ -603,16 +611,6 @@ def _group_gram(functional, words):
         res, ims = _dots(ra, rb, cas, cbs)
         gram.append(list(map(from_parts, res, ims or itertools.repeat(0),
                              [s * t for t in scales])))
-    # delta(l) = <eta(l), eta(l)> + 2 Re psi(l); the letters are words[:2g]
-    delta = {l: row[i] + Scalar(2 * functional.values[l[0]].re) for i, (l, row)
-             in enumerate(zip(functional.presentation.alphabet(), gram))}
-    if any(delta.values()):
-        for row, wi in zip(gram, words):
-            defects = [ZERO, *itertools.accumulate(map(delta.get, wi))]
-            for j, wj in enumerate(words):
-                # the longest common prefix of w_i and w_j
-                k = next(k for k in range(len(wj), -1, -1) if wj[:k] == wi[:k])
-                row[j] = row[j] - defects[k]
     return gram
 
 
@@ -688,11 +686,10 @@ def gns_truncated(functional, max_len: int) -> GnsResult:
     GNS vectors of eta).
 
     On a group every counit is 1 and entry (i, j), psi(w_i* w_j) less
-    psi(w_j) and psi(w_i*), is <eta(w_i), eta(w_j)> less the prefix defects
-    delta(l) = 2 Re psi(l) + <eta(l), eta(l)> over the letters l of the
-    longest common prefix of w_i and w_j, each 0 when psi has the forced
-    real parts (`forced_real_parts`): eta is read on the words up to
-    max_len and psi on the letters only (`_group_gram`).
+    psi(w_j) and psi(w_i*), is <eta(w_i), eta(w_j)>, read from the
+    cocycle on the words up to max_len (`_group_gram`); a psi without the
+    forced real parts (`forced_real_parts`) is no generating functional,
+    and raises ValueError.
 
     On a star algebra psi is read up to word length 2 * max_len, on the
     words and their stars w_i* before the rows, so an error names the word

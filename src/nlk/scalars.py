@@ -6,7 +6,9 @@ tolerance check.
 
 A Scalar stores three ints (a, b, d) and means (a + b*i)/d.  The triple is
 kept canonical: d > 0 and gcd(a, b, d) == 1, so zero is (0, 0, 1), equal
-values have equal triples, and equality and hashing compare the triple.
+values have equal triples, and equality compares the triple; hashing
+does too, but a real Scalar hashes as the int or Fraction it equals, so
+that a dict or set finds either by the other.
 The operators work on the ints directly and skip work where the shape
 allows it: equal denominators add without cross-multiplying, integral
 operands multiply without a gcd, and negation and conjugation never need
@@ -248,7 +250,9 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self._a, self._b, self._d))
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        return hash(self._a) if self._d == 1 else hash(self.re)
 
     # --- text form --------------------------------------------------
 

@@ -769,7 +769,7 @@ def invariant_closure_by_iteration(representation):
     letters = p.alphabet()
     seeds = []
     for l in letters:
-        m = representation.letter_matrix(l)
+        m = representation.word_matrix((l,))
         shifted = linalg.msub(
             m, linalg.mscale(p.epsilon_letter(l), linalg.identity(n)))
         seeds.extend(linalg.columns(shifted))
@@ -779,7 +779,7 @@ def invariant_closure_by_iteration(representation):
         cols = linalg.from_columns(basis, rows_hint=n)
         for l in letters:
             extended.extend(linalg.columns(
-                linalg.mmul(representation.letter_matrix(l), cols)))
+                linalg.mmul(representation.word_matrix((l,)), cols)))
         new_basis = linalg.span_basis(extended)
         if len(new_basis) == len(basis):
             return basis
@@ -799,7 +799,7 @@ def coboundary_cocycle(representation, v):
         name, tag = l
         if p.kind == GROUP and tag == -1:
             continue
-        m = representation.letter_matrix(l)
+        m = representation.word_matrix((l,))
         eps = p.epsilon_letter(l)
         values[letter_str(p.kind, l)] = vsub(linalg.mvmul(m, v),
                                              linalg.vscale(eps, v))

@@ -131,11 +131,23 @@ MUTANTS = (
            "a, b, d = (a * f + e * (ca * x),\n"
            "                       b * f + e * (ca * y), d * f)",
            (DIFF + "test_group_eval_element_is_the_sum_of_the_scaled_folds",)),
-    # the eta pairing alone, right only for forced real parts
-    Mutant("group Gram without the prefix defects", "nlk/functionals.py",
-           "    if any(delta.values()):",
-           "    if False:",
-           (DIFF + "test_gns_gram_matches_the_per_entry_reference_with_relators",)),
+    # a group psi with another real part is no generating functional
+    Mutant("GNS real-part refusal skipped", "nlk/functionals.py",
+           "    if defect:\n        raise ValueError(defect)",
+           "    if False:\n        raise ValueError(defect)",
+           ("tests/test_functionals.py::"
+            "test_gns_refuses_a_group_psi_without_the_forced_real_parts",
+            DIFF + "test_gns_gram_is_the_eta_pairing_or_a_real_part_refusal")),
+    # psi(g^-1) = psi(g) where it is conj psi(g)
+    Mutant("inverse letter's psi left unconjugated", "nlk/functionals.py",
+           "return v if tag == 1 else v.conj()", "return v",
+           (DIFF + "test_group_psi_is_the_zero_letter_fold_plus_its_letter_values",)),
+    # Scalar(1) == 1, but with the triple's hash a dict misses one by the other
+    Mutant("Scalar hash without its real branch", "nlk/scalars.py",
+           "        if self._b:\n            return hash((self._a, self._b, self._d))",
+           "        if True:\n            return hash((self._a, self._b, self._d))",
+           ("tests/test_scalars.py::"
+            "test_a_real_scalar_hashes_as_the_number_it_equals",)),
     # "6/4" read as (6, 0, 4), a triple that is not canonical
     Mutant("plain literal without its gcd", "nlk/scalars.py",
            "                g = gcd(p, q)\n"

@@ -109,7 +109,7 @@ def test_inverse_letter_matrix_is_matrix_inverse():
     rot = matrix([[ZERO, -ONE], [ONE, ZERO]])
     rep = Representation(p, f, {"a": identity(2), "b": identity(2),
                                 "r": matrix([[sc(-1), ZERO], [ZERO, sc(-1)]])})
-    m = rep.letter_matrix(("r", -1))
+    m = rep.word_matrix((("r", -1),))
     assert H.to_pairs_mat(m) == H.minv(H.to_pairs_mat(rep.images["r"]))
     del rot
 
@@ -124,7 +124,7 @@ def test_star_representation_validates_rules_and_adjoints():
     zero2 = matrix([[ZERO, ZERO], [ZERO, ZERO]])
     rep = Representation(p, form, {"x": matrix([[ZERO, ONE], [-ONE, ZERO]]),
                                    "y": zero2})
-    got = rep.letter_matrix(("x", 1))
+    got = rep.word_matrix((("x", 1),))
     assert H.to_pairs_mat(got) == H.adjoint(H.to_pairs_mat(form.gram),
                                             H.to_pairs_mat(rep.images["x"]))
     with pytest.raises(RepresentationError):
@@ -147,7 +147,10 @@ def test_cocycle_values_default_to_zero_and_inverses_derive():
     rep = trivial_representation(p, standard_form(1))
     eta = Cocycle(rep, {"a": vector([ONE])})
     assert eta.letter_value(("b", 1)) == (ZERO,)
-    assert eta.letter_value(("a", -1)) == (sc(-1),)
+    assert eta.eval_word((("a", -1),)) == (sc(-1),)
+    # only supplied values are read; an inverse letter's is derived
+    with pytest.raises(KeyError):
+        eta.letter_value(("a", -1))
 
 
 def test_cocycle_inverse_value_uses_inverse_matrix():
@@ -158,7 +161,7 @@ def test_cocycle_inverse_value_uses_inverse_matrix():
     eta = Cocycle(rep, {"g": vector([ONE, I])})
     want = H.vneg(H.mvec(H.minv(H.to_pairs_mat(m)),
                          H.to_pairs_vec(vector([ONE, I]))))
-    assert H.to_pairs_vec(eta.letter_value(("g", -1))) == want
+    assert H.to_pairs_vec(eta.eval_word((("g", -1),))) == want
 
 
 def test_cocycle_identity_against_reference_fold():

@@ -59,7 +59,7 @@ def test_invariant_closure_no_lk_is_second_axis():
     assert v[0] == ZERO and v[1] != ZERO
     # stability under every letter action
     for letter in rep.presentation.alphabet():
-        m = rep.letter_matrix(letter)
+        m = rep.word_matrix((letter,))
         assert helpers.in_span([helpers.to_pairs_vec(c) for c in closure],
                                helpers.to_pairs_vec(linalg.mvmul(m, v)))
 
@@ -147,7 +147,7 @@ def test_gaussian_part_values_are_additive():
         word = tuple(rng.choice(letters) for _ in range(rng.randrange(1, 6)))
         total = linalg.zero_vector(sr.gaussian.dim)
         for letter in word:
-            total = linalg.vadd(total, part.letter_value(letter))
+            total = linalg.vadd(total, part.eval_word((letter,)))
         assert part.eval_word(word) == total
 
 

@@ -724,7 +724,7 @@ def only_violation(gram, image):
 def test_unitary_image_validates_with_the_inverse_as_letter(setting):
     gram, image = setting
     rep = one_generator(gram, image)
-    assert (H.to_pairs_mat(rep.letter_matrix(("g", -1)))
+    assert (H.to_pairs_mat(rep.word_matrix((("g", -1),)))
             == H.minv(H.to_pairs_mat(image)))
 
 
@@ -833,8 +833,8 @@ def test_inverse_and_starred_letters_are_the_reference_adjoint(setting):
         Presentation.star_algebra(["g"], {"g": "g*"}, {"g": ZERO}, []),
         form, {"g": m})
     expected = H.adjoint(pg, H.to_pairs_mat(m))
-    assert H.to_pairs_mat(group.letter_matrix(("g", -1))) == expected
-    assert H.to_pairs_mat(star.letter_matrix(("g", 1))) == expected
+    assert H.to_pairs_mat(group.word_matrix((("g", -1),))) == expected
+    assert H.to_pairs_mat(star.word_matrix((("g", 1),))) == expected
 
 
 @st.composite
@@ -2256,8 +2256,18 @@ def test_gns_gram_stops_at_a_read_past_the_support_after_a_rewrite():
 def test_gns_gram_matches_the_per_entry_reference_on_free_groups(data, psi,
                                                                  max_len):
     gram, images, eta = data
-    _check_group_gram(*_free_group_objects(gram, images, eta, psi), images,
+    cocycle, _ = _free_group_objects(gram, images, eta)
+    _check_group_gram(cocycle, _with_forced_real_parts(cocycle, psi), images,
                       max_len)
+
+
+def _with_forced_real_parts(cocycle, psi):
+    """The functional with psi's imaginary parts over the forced real parts,
+    the only real parts `gns_truncated` takes on a group."""
+    forced = forced_real_parts(cocycle)
+    return GroupFunctional(cocycle, {
+        g: forced[g] + Scalar(0, psi.get(g, ZERO).im)
+        for g in cocycle.presentation.generators})
 
 
 def _check_group_gram(cocycle, functional, images, max_len):
@@ -2302,40 +2312,34 @@ def _check_group_gram(cocycle, functional, images, max_len):
 
 @settings(DIFF, max_examples=8)
 @given(free_group_data(), st.dictionaries(st.sampled_from("ab"), ENTRIES),
-       st.integers(1, 2))
-def test_gns_gram_is_the_eta_pairing_less_the_prefix_defects(data, psi,
-                                                             max_len):
-    """On a free group entry (i, j) is <eta(w_i), eta(w_j)> less
-    delta(l) = 2 Re psi(l) + <eta(l), eta(l)> over the letters l of the
-    longest common prefix of w_i and w_j: the pairing alone only when every
-    psi(l) has its forced real part."""
+       st.sets(st.sampled_from("ab")), st.integers(1, 2))
+def test_gns_gram_is_the_eta_pairing_or_a_real_part_refusal(data, psi, drawn,
+                                                            max_len):
+    """On a free group entry (i, j) is <eta(w_i), eta(w_j)> when every
+    psi(g) has its forced real part; the generators in `drawn` keep their
+    drawn real part, and the first of those that differs from the forced
+    one is refused, named with both real parts."""
     gram, images, eta = data
-    cocycle, functional = _free_group_objects(gram, images, eta, psi)
+    cocycle, _ = _free_group_objects(gram, images, eta)
+    values = dict(_with_forced_real_parts(cocycle, psi).values)
+    values.update((g, psi.get(g, ZERO)) for g in drawn)
+    functional = GroupFunctional(cocycle, values)
+    forced = forced_real_parts(cocycle)
+    wrong = [g for g in "ab" if values[g].re != forced[g].re]
+    if wrong:
+        g = wrong[0]
+        with pytest.raises(ValueError) as info:
+            gns_truncated(functional, max_len)
+        assert str(info.value) == (f"Re psi({g}) = {values[g].re} differs "
+                                   f"from the forced real part {forced[g]}")
+        return
     ref_images = {g: H.to_pairs_mat(m) for g, m in images.items()}
     ref_eta = {g: H.to_pairs_vec(v) for g, v in eta.items()}
-    ref_psi = {g: H.to_pair(functional.values[g]) for g in "ab"}
     pg, n = H.to_pairs_mat(gram), len(gram)
-
-    def delta(letter):
-        e = H.eta_letter(ref_images, ref_eta, letter)
-        return H.cadd(H.c(2 * H.psi_letter(ref_psi, letter)[0]),
-                      H.inner(pg, e, e))
-
     words = cocycle.presentation.words_up_to(max_len, include_empty=False)
     vectors = [H.eta_word(ref_images, ref_eta, w, n) for w in words]
-    expected = []
-    for u, eta_u in zip(words, vectors):
-        row = []
-        for w, eta_w in zip(words, vectors):
-            x = H.inner(pg, eta_u, eta_w)
-            for k, l in zip(u, w):
-                if k != l:
-                    break
-                x = H.csub(x, delta(l))
-            row.append(x)
-        expected.append(tuple(row))
     assert H.to_pairs_mat(gns_truncated(functional, max_len).gram) == tuple(
-        expected)
+        tuple(H.inner(pg, u, w) for w in vectors) for u in vectors)
 
 
 @st.composite
@@ -2356,10 +2360,38 @@ def p2_data(draw):
        st.integers(1, 2))
 def test_gns_gram_matches_the_per_entry_reference_with_relators(data, draws,
                                                                 max_len):
-    """psi drawn with any real parts, so the prefix defects are seldom 0."""
+    """psi drawn with any imaginary parts, which need not respect the
+    relators: the Gram matrix reads none of them."""
     p, images, cocycle = data
     psi = {g: draws.draw(ENTRIES) for g in p.generators}
-    _check_group_gram(cocycle, GroupFunctional(cocycle, psi), images, max_len)
+    _check_group_gram(cocycle, _with_forced_real_parts(cocycle, psi), images,
+                      max_len)
+
+
+@settings(DIFF, max_examples=40)
+@given(st.one_of(z2_data().map(lambda d: d[2]), p2_data().map(lambda d: d[2]),
+                 free_group_data().map(lambda d: _free_group_objects(*d)[0])),
+       st.data())
+def test_group_psi_is_the_zero_letter_fold_plus_its_letter_values(cocycle,
+                                                                  draws):
+    """psi(w) = psi_0(w) + sum_j psi(l_j) over the letters l_j of w, with
+    psi_0 the functional of the same cocycle whose letter values are all 0
+    and psi(g^-1) = conj psi(g), in Scalars alone: the letter values are
+    read from `values` and conjugated here, not by `psi_letter`.  The
+    values are any, and the words unreduced."""
+    p = cocycle.presentation
+    functional = GroupFunctional(
+        cocycle, {g: draws.draw(ENTRIES) for g in p.generators})
+    zero = GroupFunctional(cocycle, {})
+    words = draws.draw(st.lists(
+        st.lists(st.sampled_from(p.alphabet()), max_size=7).map(tuple),
+        min_size=1, max_size=8))
+    for word in words:
+        expected = zero.fold(word)
+        for name, tag in word:
+            value = functional.values[name]
+            expected = expected + (value if tag == 1 else value.conj())
+        assert functional.fold(word) == expected
 
 
 # --- evaluating elements ----------------------------------------------

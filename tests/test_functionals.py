@@ -243,7 +243,24 @@ def test_descent_defect_reports_a_wrong_real_part_before_any_relator():
     assert descent_defect(tampered, forced) == \
         "Re psi(a) = 1 differs from the forced real part 0"
     # decided on the generator values: no relator was folded
-    assert tampered._views == {}
+    assert list(tampered._memo) == [()]
+
+
+def test_gns_refuses_a_group_psi_without_the_forced_real_parts():
+    cocycle, out = _solved("p2.derivations")
+    forced = forced_real_parts(cocycle)
+    gram = gns_truncated(out.functional, 2).gram
+    # another imaginary part keeps the Gram matrix, which reads eta only
+    values = dict(out.functional.values, r=out.functional.values["r"] + I)
+    assert gns_truncated(GroupFunctional(cocycle, values), 2).gram == gram
+    # Re psi(b) = 1 is not the forced 0: no generating functional
+    values["b"] += 1
+    tampered = GroupFunctional(cocycle, values)
+    with pytest.raises(ValueError) as info:
+        gns_truncated(tampered, 2)
+    assert str(info.value) == \
+        "Re psi(b) = 1 differs from the forced real part 0"
+    assert str(info.value) == descent_defect(tampered, forced)
 
 
 def test_confirm_solve_result_refuses_a_certificate_that_does_not_annihilate():

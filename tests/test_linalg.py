@@ -204,7 +204,7 @@ def form_adjoint(form, m):
     """The package's adjoint of m under form: the image of x* when x maps
     to m."""
     p = Presentation.star_algebra(["x"], {"x": "x*"}, {"x": 0}, [])
-    return Representation(p, form, {"x": m}).letter_matrix(("x", 1))
+    return Representation(p, form, {"x": m}).word_matrix((("x", 1),))
 
 
 def test_adjoint_satisfies_defining_identity():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlk.scalars import I, ONE, ZERO, Scalar, ScalarError, sc
 
@@ -87,6 +89,19 @@ def test_scalars_are_immutable_and_hashable():
     # strings are not coerced: equal objects must hash equally
     assert ONE != "1" and not (ONE == "1")
     assert ONE.__eq__("1") is NotImplemented
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(st.one_of(st.integers(), st.fractions(), st.integers(-3, 3)))
+def test_a_real_scalar_hashes_as_the_number_it_equals(x):
+    s = Scalar(x)
+    assert s == x and hash(s) == hash(x)
+    # dict and set lookups find each by the other
+    assert {x: "x"}.get(s) == "x" and {s: "s"}.get(x) == "s"
+    assert s in {x} and x in {s} and len({s, x}) == 1
+    # a non-real Scalar is no int or Fraction, and equal ones hash equally
+    z = Scalar(x, 1)
+    assert z != x and hash(z) == hash(Scalar(x, Fraction(2, 2)))
 
 
 def test_coercion_from_ints_and_fractions():

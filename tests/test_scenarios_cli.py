@@ -1,9 +1,16 @@
 """Tests for scenario parsing, schema diagnostics, and the command line."""
 
 import collections
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlk import catalog, cli, decompose, functionals, presentations, reports
 from nlk.presentations import GROUP
@@ -1083,3 +1090,62 @@ def test_catalog_scenario_doc_accessors():
     doc = catalog.scenario_doc("surface.gamma2.no_lk")
     scn = parse_scenario(doc)
     assert scn.form.dim == 2
+
+
+# --- edited catalog scenarios ---------------------------------------
+
+CATALOG_SCENARIOS = [(eid, name) for eid in catalog.entry_ids()
+                     for name in catalog.get_entry(eid).scenarios]
+
+
+def _nodes(node, path=()):
+    """(key path, object) for every object under node, and (key path, None)
+    for every leaf."""
+    if isinstance(node, dict):
+        yield path, node
+        for key in node:
+            yield from _nodes(node[key], path + (key,))
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _nodes(item, path + (i,))
+    else:
+        yield path, None
+
+
+LEAF_VALUES = st.one_of(
+    st.sampled_from([None, True, False, [], [[]], [["1"], []], [[["0"]]], {}]),
+    st.sampled_from(["", "1/0", "0", "-1/2", "1+i"]),
+    st.floats(), st.integers(-2, 2))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.sampled_from(CATALOG_SCENARIOS), st.data())
+def test_an_edited_catalog_scenario_never_gives_a_traceback(scenario, draws):
+    """One or two leaves of a catalog scenario set to null, a bool, a
+    number, an empty, bad or other literal, nested lists or one of the
+    document's own objects: every scenario command exits 0, 1 or 2, and no
+    exception escapes `cli.main`."""
+    doc = catalog.scenario_doc(*scenario)
+    found = list(_nodes(doc))
+    leaves = [path for path, obj in found if obj is None and path]
+    objects = [obj for _, obj in found if obj is not None]
+    # half the edits past the presentation, whose names most edits break
+    values = [path for path in leaves if path[0] != "presentation"]
+    for _ in range(draws.draw(st.integers(1, 2))):
+        *parents, key = draws.draw(st.sampled_from(leaves)
+                                   | st.sampled_from(values))
+        node = doc
+        for k in parents:
+            node = node[k]
+        node[key] = draws.draw(
+            LEAF_VALUES | st.sampled_from(objects).map(copy.deepcopy))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scn.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for command in ("validate", "solve", "decompose", "verify", "oracle"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main([command, path, "--max-word-length", "2"])
+            assert code in (0, 1, 2), (command, code, err.getvalue())
