@@ -177,14 +177,11 @@ class _Run:
     def oracle(self, name):
         """The oracle on the scenario's functional; where none exists, on the
         forced-real-part candidate, whose ill-definedness it should show."""
-        scn = self.scenario(name)
         cocycle = self.cocycle(name)
-        functional = self.functional(name)
-        if functional is None:
-            functional = GroupFunctional(cocycle, forced_real_parts(cocycle))
+        functional = (self.functional(name)
+                      or GroupFunctional(cocycle, forced_real_parts(cocycle)))
         return brute_force_welldefinedness_oracle(
-            cocycle, functional, scn.presentation, scn.build_normal_form(),
-            scn.options.max_word_length)
+            cocycle, functional, cocycle.presentation, None, 0)
 
     @_once
     def residuals(self, name):

@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("solve", "decide whether a generating functional exists"),
             ("decompose", "attempt a Gaussian/remainder decomposition"),
             ("verify", "check the triple identities up to a word length"),
-            ("oracle", "brute-force well-definedness cross-check"),
+            ("oracle", "check psi on the group's defining words"),
     ):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("target",

@@ -7,7 +7,13 @@ unknowns.  Existence is decided by folding psi along each relator
 (`relator_readings`) and solving the resulting rational linear system in
 those imaginary parts.  Whether a given psi descends to the group algebra is
 decided by `descent_defect` alone: the forced real parts, then a zero fold
-on every relator.
+on every relator.  Write the triple as one representation rho on D + C + C
+(Schurmann, White Noise on Bialgebras, 1993); psi descends exactly when
+rho(g) rho(g^-1) = I for every generator and rho(r) = I for every relator,
+and the oracle checks just these identities, each defining word against
+the empty word.  The GNS truncation and Gaussianity refuse a group psi
+that does not descend; `verify` checks the triple identities on free-group
+words, so on a psi that descends it cannot fail.
 
 For star-algebra presentations functionals are explicit monomial tables and
 are verified, not solved for.
@@ -27,11 +33,11 @@ and a Scalar is otherwise built only for a counterexample or a report
 value, or through `fold`, which unscales a word's entry and keeps nothing,
 for `solve` and the relator readings; Gaussianity's `eval_element` sums
 from the memo and unscales once.  A group's GNS Gram matrix is the eta
-Gram E*GE of the cocycle's memo columns, for a psi with the forced real
-parts only.  On a star algebra the Gram matrix is built a row at a time:
-a product that stays the concatenation of the rewritten star and the word
-is one inline table read, with `StarFunctional.read`'s support check,
-and a product rewritten past the junction is read through `read`.
+Gram E*GE of the cocycle's memo columns.  On a star algebra the Gram
+matrix is built a row at a time: a product that stays the concatenation
+of the rewritten star and the word is one inline table read, with
+`StarFunctional.read`'s support check, and a product rewritten past the
+junction is read through `read`.
 """
 
 from __future__ import annotations
@@ -55,10 +61,6 @@ from .presentations import (
 )
 from .scalars import (I, ONE, ZERO, Scalar, _dots, _imaginary, from_parts,
                       parts, scaled_same)
-
-
-class NoNormalForm(ValueError):
-    code = "NO_NORMAL_FORM"
 
 
 class TableSupportExceeded(ValueError):
@@ -271,27 +273,27 @@ def relator_readings(functional: GroupFunctional) -> tuple:
     return tuple(RelatorReading(r, k, k.re != 0) for r, k in folds)
 
 
-def _real_part_defect(functional: GroupFunctional, forced) -> str | None:
-    """The first generator whose psi has another real part than `forced`
-    (`forced_real_parts`) gives it, or None."""
-    for g, value in functional.values.items():
-        if value.re != forced[g].re:
-            return (f"Re psi({g}) = {value.re} differs from the forced real "
-                    f"part {forced[g]}")
-    return None
-
-
 def descent_defect(functional: GroupFunctional, forced) -> str | None:
     """Why psi does not descend to the group algebra with the real parts
     `forced` (`forced_real_parts`), or None: the first generator with
     another real part, else the first relator psi does not fold to 0 on."""
-    defect = _real_part_defect(functional, forced)
-    if defect is None:
-        for rd in relator_readings(functional):
-            if not rd.k_r.is_zero():
-                return (f"psi folds to {rd.k_r} on relator "
-                        f"{word_to_strs(GROUP, rd.relator)}")
-    return defect
+    for g, value in functional.values.items():
+        if value.re != forced[g].re:
+            return (f"Re psi({g}) = {value.re} differs from the forced real "
+                    f"part {forced[g]}")
+    for rd in relator_readings(functional):
+        if not rd.k_r.is_zero():
+            return (f"psi folds to {rd.k_r} on relator "
+                    f"{word_to_strs(GROUP, rd.relator)}")
+    return None
+
+
+def _require_descent(functional: GroupFunctional):
+    """Refuse a group psi that is no functional on the group algebra, in
+    the words of `descent_defect`."""
+    defect = descent_defect(functional, forced_real_parts(functional.cocycle))
+    if defect:
+        raise ValueError(defect)
 
 
 _MINUS_HALF = Scalar(Fraction(-1, 2))
@@ -552,8 +554,11 @@ def is_gaussian_functional(functional, max_len: int) -> GaussianReport:
     first on which psi is not zero, its witness, so no product past the
     witness is formed, nor a group psi past the suffixes of its terms.
     `checked` counts the distinct products up to and including the witness,
-    or all of them when there is none.
+    or all of them when there is none.  A group psi that does not descend
+    (`descent_defect`) raises ValueError.
     """
+    if functional.kind == GROUP:
+        _require_descent(functional)
     checked = 0
     for el in kn_products(functional.presentation, 3, max_len):
         value = functional.eval_element(el)
@@ -594,12 +599,9 @@ class GnsResult(NamedTuple):
 def _group_gram(functional, words):
     """The rows of `gns_truncated` on a group, the eta Gram E*GE: row i is
     the form's `pairing` of the cocycle's memo column of w_i
-    (`Cocycle._scaled_eta`) with every column, by one `_dots` line.  A psi
-    without the forced real parts is refused, as `descent_defect` says."""
+    (`Cocycle._scaled_eta`) with every column, by one `_dots` line."""
+    _require_descent(functional)
     cocycle = functional.cocycle
-    defect = _real_part_defect(functional, forced_real_parts(cocycle))
-    if defect:
-        raise ValueError(defect)
     n, pairing = cocycle.form.dim, cocycle.form.pairing
     cols = list(map(cocycle._scaled_eta, words))
     cas, scales = [re for re, _, _ in cols], [u for _, _, u in cols]
@@ -687,9 +689,9 @@ def gns_truncated(functional, max_len: int) -> GnsResult:
 
     On a group every counit is 1 and entry (i, j), psi(w_i* w_j) less
     psi(w_j) and psi(w_i*), is <eta(w_i), eta(w_j)>, read from the
-    cocycle on the words up to max_len (`_group_gram`); a psi without the
-    forced real parts (`forced_real_parts`) is no generating functional,
-    and raises ValueError.
+    cocycle on the words up to max_len (`_group_gram`); a psi that does
+    not descend (`descent_defect`) is no generating functional, and raises
+    ValueError.
 
     On a star algebra psi is read up to word length 2 * max_len, on the
     words and their stars w_i* before the rows, so an error names the word
@@ -725,121 +727,13 @@ def gns_truncated(functional, max_len: int) -> GnsResult:
                      pivot_words=tuple(words[i] for i in pivot_idx))
 
 
-# --- brute-force oracle --------------------------------------------
-
-
-class _NormalForm:
-    """Keys of group elements; step(l, key(w)) is the key of l·w."""
-
-    def key(self, word):
-        k = self.identity
-        for l in reversed(word):
-            k = self.step(l, k)
-        return k
-
-    def buckets(self, words) -> dict:
-        """Words by key, in list order; a shortest-first suffix-closed list,
-        as words_up_to returns, gives each key one step from its tail's."""
-        keys, buckets, step = {(): self.identity}, {}, self.step
-        for w in words:
-            key = keys[w] = step(w[0], keys[w[1:]]) if w else self.identity
-            buckets.setdefault(key, []).append(w)
-        return buckets
-
-
-class AbelianExponents(_NormalForm):
-    """Normal form for presentations whose group is free abelian."""
-
-    name = "abelian"
-
-    def __init__(self, presentation: Presentation):
-        self.presentation = presentation
-        self._order = {g: i for i, g in enumerate(presentation.generators)}
-        self.identity = (0,) * len(self._order)
-
-    def step(self, letter, tail_key):
-        i = self._order[letter[0]]
-        return tail_key[:i] + (tail_key[i] + letter[1],) + tail_key[i + 1:]
-
-
-class P2NormalForm(_NormalForm):
-    """Normal form for the rotation wallpaper group.
-
-    Elements are pairs (s, t) with s a flip bit and t an integer translation
-    vector, multiplying by (s1,t1)(s2,t2) = (s1+s2 mod 2, t1 + (-1)^s1 t2).
-    """
-
-    name = "p2"
-
-    def __init__(self, presentation, a="a", b="b", r="r"):
-        self.presentation = presentation
-        self._letters = {}
-        for name, vec in ((a, (1, 0)), (b, (0, 1))):
-            self._letters[(name, 1)] = (0, vec)
-            self._letters[(name, -1)] = (0, (-vec[0], -vec[1]))
-        self._letters[(r, 1)] = (1, (0, 0))
-        self._letters[(r, -1)] = (1, (0, 0))
-        self.identity = (0, 0, 0)
-
-    def step(self, letter, tail_key):
-        flip, (dm, dn) = self._letters[letter]
-        s, m, n = tail_key
-        return (1 - s, dm - m, dn - n) if flip else (s, dm + m, dn + n)
-
-
-def build_normal_form(presentation, config):
-    """The configured normal form, refused unless it is faithful.
-
-    A key names the elements of its model group F/N0 faithfully, N0 being
-    the normal closure of the model's defining relators.  The key must kill
-    every relator of the presentation (N inside N0), and a bounded relator
-    search must certify each defining relator trivial (N0 inside N); then
-    N = N0 and equal keys name equal elements.
-    """
-    if config is None:
-        raise NoNormalForm("no normal form configured for this presentation")
-    if presentation.kind != GROUP:
-        raise NoNormalForm("normal forms name group elements")
-    kind = config.get("kind")
-    if kind == "abelian":
-        fields = {"kind"}
-        nf = AbelianExponents(presentation)
-        model = [((g, 1), (h, 1), (g, -1), (h, -1)) for g, h
-                 in itertools.combinations(presentation.generators, 2)]
-    elif kind == "p2":
-        fields = {"kind", "a", "b", "r"}
-        a, b, r = names = [config.get(n, n) for n in ("a", "b", "r")]
-        if not all(isinstance(n, str) for n in names) \
-                or sorted(names) != sorted(presentation.generators):
-            raise NoNormalForm(f"the p2 normal form needs the generators to "
-                               f"be exactly {names}")
-        nf = P2NormalForm(presentation, a=a, b=b, r=r)
-        model = [((a, 1), (b, 1), (a, -1), (b, -1)), ((r, 1), (r, 1)),
-                 ((r, 1), (a, 1), (r, 1), (a, 1)),
-                 ((r, 1), (b, 1), (r, 1), (b, 1))]
-    else:
-        raise NoNormalForm(f"unknown normal form {kind!r}")
-    extra = sorted(set(config) - fields)
-    if extra:
-        raise NoNormalForm(f"unknown fields {extra} in the {kind} normal form")
-    ident = nf.key(())
-    for rel in presentation.relators:
-        if nf.key(rel) != ident:
-            raise NoNormalForm(
-                f"normal form does not kill relator {word_to_strs(GROUP, rel)}")
-    for rel in model:
-        if not presentation.equal_mod_relators(rel, ()):
-            raise NoNormalForm(
-                f"the relators do not certify the {kind} relator "
-                f"{word_to_strs(GROUP, rel)}, so the normal form may merge "
-                f"distinct elements")
-    return nf
+# --- the well-definedness oracle ------------------------------------
 
 
 class OracleReport(NamedTuple):
     passed: bool
-    words: int
-    pairs: int
+    words: int  # words folded, the empty word included
+    pairs: int  # identities compared
     # evaluator, the words word_a and word_b, and their values value_a and
     # value_b (eta vectors or psi Scalars)
     counterexample: dict | None
@@ -856,37 +750,35 @@ class OracleReport(NamedTuple):
         return {**self._asdict(), "counterexample": ce}
 
 
+def defining_words(presentation) -> list:
+    """The words that name the identity by definition: g g^-1 for every
+    generator g, in order, then every relator."""
+    return ([((g, 1), (g, -1)) for g in presentation.generators]
+            + list(presentation.relators))
+
+
 def brute_force_welldefinedness_oracle(cocycle: Cocycle,
                                        functional: GroupFunctional,
                                        presentation: Presentation,
                                        normal_form,
                                        max_len: int) -> OracleReport:
-    """Compare fold values across all word pairs naming the same group element.
+    """Whether the letter data descends to the group: each defining word
+    (`defining_words`) against the empty word.
 
-    Enumerates freely reduced words up to max_len, buckets them by the
-    configured normal form, and checks that the cocycle fold and the psi fold
-    agree within each bucket.  Returns the first disagreement found.
-
-    `cocycle` must be the functional's own.  Each pair is one `scaled_same`
-    of the words' memo entries [eta; eps; psi]; a mismatch names the
-    cocycle when the [eta; eps] part differs, else psi.
+    With rho(w) = [[pi(w), eta(w), 0], [0, eps(w), 0], [<eta(w^-1), .>,
+    psi(w), eps(w)]], psi is well defined on the group algebra exactly when
+    rho(w) = I on every defining word w.  The pi block holds on a validated
+    representation and the pairing row follows from the eta column, so each
+    identity is one `scaled_same` of the word's memo entry [eta; eps; psi]
+    with the empty word's.  Returns the first mismatch, the empty word as
+    word_a, named the cocycle when the [eta; eps] part differs, else psi.
+    `normal_form` and `max_len` are ignored; `cocycle` must be the
+    functional's own.
     """
     if presentation.kind != GROUP:
-        raise NoNormalForm("the oracle needs a group presentation")
+        raise ValueError("the oracle needs a group presentation")
     if functional is None or cocycle is not functional.cocycle:
         raise ValueError("the oracle folds psi with the functional's cocycle")
-    words = presentation.words_up_to(max_len, include_empty=True)
-    buckets = normal_form.buckets(words)
-    # a read fills only the word's own missing suffixes, so a failing run
-    # evaluates nothing past the suffixes of the words it compared
-
-    def found(evaluator, read, word_a, word_b):
-        return OracleReport(passed=False, words=len(words), pairs=pairs,
-                            counterexample={
-                                "evaluator": evaluator, "word_a": word_a,
-                                "word_b": word_b, "value_a": read(word_a),
-                                "value_b": read(word_b)})
-
     n = cocycle.form.dim + 1  # eta and eps
 
     def head(x):
@@ -894,17 +786,18 @@ def brute_force_welldefinedness_oracle(cocycle: Cocycle,
         return re[:n], None if im is None else im[:n], s
 
     read = functional._vector
-    pairs = 0
-    for group_words in buckets.values():
-        rep_word = group_words[0]
-        ref = read(rep_word)
-        for w in group_words[1:]:
-            pairs += 1
-            x = read(w)
-            if scaled_same(x, ref):
-                continue
-            if not scaled_same(head(x), head(ref)):
-                return found("cocycle", cocycle.eval_word, rep_word, w)
-            return found("psi", functional.fold, rep_word, w)
-    return OracleReport(passed=True, words=len(words), pairs=pairs,
+    one = read(())
+    words = defining_words(presentation)
+    for pairs, word in enumerate(words, 1):
+        x = read(word)
+        if not scaled_same(x, one):
+            evaluator, value = (("psi", functional.fold)
+                                if scaled_same(head(x), head(one))
+                                else ("cocycle", cocycle.eval_word))
+            return OracleReport(passed=False, words=pairs + 1, pairs=pairs,
+                                counterexample={
+                                    "evaluator": evaluator, "word_a": (),
+                                    "word_b": word, "value_a": value(()),
+                                    "value_b": value(word)})
+    return OracleReport(passed=True, words=len(words) + 1, pairs=len(words),
                         counterexample=None)

@@ -49,7 +49,7 @@ STAR_ALGEBRA = "star_algebra"
 STEP_BUDGET = 10_000
 
 # the most words `words_up_to` may list; every catalog and benchmark input and
-# the p2 oracle at length 8 (585,937 words) stay below it
+# the p2 words up to length 8 (585,937 words) stay below it
 WORD_BUDGET = 1_000_000
 
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")

@@ -8,7 +8,7 @@ scenario.  A report is confirmed only when its stored result and exit code
 are the re-run's, as canonical JSON text; then the certificates the re-run's
 result rests on are checked on the re-run's own objects: each solve
 outcome's infeasibility certificate or solved psi, a decomposition's
-derivation correction, and an oracle counterexample's word pair.
+derivation correction, and an oracle counterexample's defining word.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .functionals import (
     GroupFunctional,
     brute_force_welldefinedness_oracle,
     certificate_defect,
+    defining_words,
     descent_defect,
     forced_real_parts,
     relator_readings,
@@ -194,7 +195,6 @@ def _cmd_verify(scenario, max_len, checks):
 
 def _cmd_oracle(scenario, max_len, checks):
     _require_group(scenario, "oracle")
-    nf = scenario.build_normal_form()
     cocycle = _cocycle(scenario)
     # a supplied psi is folded as it is, since the oracle is the check that
     # exhibits an ill-defined one; where no functional exists, the
@@ -209,12 +209,11 @@ def _cmd_oracle(scenario, max_len, checks):
             functional = GroupFunctional(cocycle, forced_real_parts(cocycle))
             source = "forced_real_parts_candidate"
     report = brute_force_welldefinedness_oracle(
-        cocycle, functional, scenario.presentation, nf, max_len)
+        cocycle, functional, scenario.presentation, None, max_len)
     if report.counterexample is not None:
-        checks.append(functools.partial(_check_counterexample, nf,
+        checks.append(functools.partial(_check_counterexample, functional,
                                         report.counterexample))
-    return {"max_word_length": max_len, "normal_form": nf.name,
-            "psi_source": source, "psi_used": functional.to_json()["psi"],
+    return {"psi_source": source, "psi_used": functional.to_json()["psi"],
             **report.to_json()}
 
 
@@ -313,8 +312,8 @@ def _render_check(result, lines):
     for name, count in sorted((result.get("counts") or {}).items()):
         lines.append(f"checked {name}: {count}")
     if result.get("words") is not None:
-        lines.append(f"words: {result['words']}, compared pairs: "
-                     f"{result['pairs']}")
+        lines.append(f"words folded: {result['words']}, identities "
+                     f"compared: {result['pairs']}")
     for key in ("witness", "counterexample"):
         if result.get(key):
             parts = [f"{k} = {_fmt_value(v)}" for k, v in sorted(result[key].items())]
@@ -455,16 +454,22 @@ def _check_correction(lk):
     return "correction: its exponent sums vanish on every relator"
 
 
-def _check_counterexample(nf, ce):
-    """The two words of an oracle counterexample name one element under the
-    normal form, and their values differ."""
-    _need(nf.key(ce["word_a"]) == nf.key(ce["word_b"]),
-          f"counterexample: the words name different elements under the "
-          f"{nf.name} normal form")
-    _need(ce["value_a"] != ce["value_b"],
-          "counterexample: the two words have one value")
-    return (f"counterexample: the words name one element under the "
-            f"{nf.name} normal form, and their {ce['evaluator']} values differ")
+def _check_counterexample(functional, ce):
+    """An oracle counterexample sets a defining word of the group, g g^-1
+    or a relator, against the empty word, and the word folds afresh to
+    another value than the empty word's: psi through a functional with a
+    memo of its own, eta through the cocycle."""
+    word, defining = ce["word_b"], defining_words(functional.presentation)
+    _need(ce["word_a"] == () and word in defining,
+          "counterexample: not a defining word against the empty word")
+    fresh = GroupFunctional(functional.cocycle, functional.values)
+    fold = fresh.fold if ce["evaluator"] == "psi" else fresh.cocycle.eval_word
+    shown = " ".join(word_to_strs(GROUP, word))
+    _need(fold(word) == ce["value_b"] != ce["value_a"] == fold(()),
+          f"counterexample: a fresh {ce['evaluator']} fold of {shown} is "
+          f"the empty word's")
+    return (f"counterexample: {shown} is a defining word, and a fresh "
+            f"{ce['evaluator']} fold of it is not the empty word's")
 
 
 def _text(value) -> str:

@@ -2,9 +2,10 @@
 
 A scenario bundles a presentation, a hermitian form, generator images,
 cocycle values, an optional functional, and options (word-length bound,
-oracle normal form, named kernel tensors).  Structural problems raise
-SchemaError with a pointer into the document; semantic findings (violated
-relations, obstructed cocycles) surface later, when the objects are built.
+named kernel tensors, and a `normal_form` that is checked and ignored).
+Structural problems raise SchemaError with a pointer into the document;
+semantic findings (violated relations, obstructed cocycles) surface later,
+when the objects are built.
 
 A document repeats its literals ("0" and "1" above all), so `parse_scenario`
 keeps one dict for the call, from each literal string already read to its
@@ -25,11 +26,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .cocycles import Cocycle, Representation, trivial_representation
-from .functionals import (
-    GroupFunctional,
-    StarFunctional,
-    build_normal_form,
-)
+from .functionals import GroupFunctional, StarFunctional
 from .linalg import HermitianForm
 from .presentations import (
     GROUP,
@@ -175,7 +172,8 @@ class Scenario(NamedTuple):
         return out
 
     def build_normal_form(self):
-        return build_normal_form(self.presentation, self.options.normal_form)
+        """The raw `normal_form` option, which the oracle ignores."""
+        return self.options.normal_form
 
 
 def parse_scenario(doc: dict) -> Scenario:

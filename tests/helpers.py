@@ -635,17 +635,19 @@ def verify_per_pair(cocycle, functional, max_len):
     return report()
 
 
-def oracle_per_word(cocycle, functional, presentation, normal_form, max_len):
-    """The normal-form oracle with each word folded on its own.
+def oracle_per_word(cocycle, functional, presentation, key, max_len):
+    """A brute-force well-definedness search with each word folded on its
+    own, the reference for the oracle's verdict.
 
-    Words are bucketed by normal form in enumeration order and each word is
-    compared with its bucket's first word, the cocycle before psi.  Returns
-    the report as JSON.
+    Words are bucketed by `key`, a faithful normal form of the group's
+    elements (`abelian_key`, `p2_key`), in enumeration order, and each word
+    is compared with its bucket's first word, the cocycle before psi.
+    Returns the report as JSON.
     """
     words = presentation.words_up_to(max_len, include_empty=True)
     buckets = {}
     for w in words:
-        buckets.setdefault(normal_form.key(w), []).append(w)
+        buckets.setdefault(key(w), []).append(w)
 
     def word_strs(word):
         return [name + ("^-1" if tag == -1 else "") for name, tag in word]

@@ -131,13 +131,28 @@ MUTANTS = (
            "a, b, d = (a * f + e * (ca * x),\n"
            "                       b * f + e * (ca * y), d * f)",
            (DIFF + "test_group_eval_element_is_the_sum_of_the_scaled_folds",)),
-    # a group psi with another real part is no generating functional
-    Mutant("GNS real-part refusal skipped", "nlk/functionals.py",
+    # a group psi that does not descend is no generating functional
+    Mutant("group descent refusal skipped", "nlk/functionals.py",
            "    if defect:\n        raise ValueError(defect)",
            "    if False:\n        raise ValueError(defect)",
            ("tests/test_functionals.py::"
             "test_gns_refuses_a_group_psi_without_the_forced_real_parts",
+            "tests/test_functionals.py::"
+            "test_group_gns_and_gaussianity_refuse_a_psi_that_fails_a_relator",
             DIFF + "test_gns_gram_is_the_eta_pairing_or_a_real_part_refusal")),
+    # only the relators: a wrong real part can cancel in every relator, and
+    # a free group has none
+    Mutant("oracle skips the g g^-1 identities", "nlk/functionals.py",
+           "    return ([((g, 1), (g, -1)) for g in presentation.generators]\n"
+           "            + list(presentation.relators))",
+           "    return list(presentation.relators)",
+           ("tests/test_functionals.py::"
+            "test_oracle_sets_g_g_inverse_against_the_empty_word",)),
+    Mutant("oracle compares the [eta; eps] part only", "nlk/functionals.py",
+           "        if not scaled_same(x, one):",
+           "        if not scaled_same(head(x), head(one)):",
+           ("tests/test_functionals.py::"
+            "test_oracle_rejects_candidate_when_solver_says_infeasible",)),
     # psi(g^-1) = psi(g) where it is conj psi(g)
     Mutant("inverse letter's psi left unconjugated", "nlk/functionals.py",
            "return v if tag == 1 else v.conj()", "return v",

@@ -7,11 +7,10 @@ star-algebra rewriting is compared with (or checked by) the plain
 (Fraction, Fraction) arithmetic and the restart-from-the-left rewriting in
 helpers.  The scaled-integer word memos, the triple verification and the
 oracle are compared with the reference and their per-word and per-pair
-paths, the truncated GNS Gram matrix with its per-entry reference, a group
-functional's value on an element with the sum of its folds, and the
-normal forms' keys, built one letter onto a tail's key,
-with the letter-by-letter products.  The draws are derandomized, so a run
-is repeatable and needs no example database.
+paths (the oracle's verdict with a brute-force search over equal words),
+the truncated GNS Gram matrix with its per-entry reference, and a group
+functional's value on an element with the sum of its folds.  The draws
+are derandomized, so a run is repeatable and needs no example database.
 """
 
 import contextlib
@@ -28,7 +27,7 @@ import pytest
 from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
-from nlk import linalg, presentations
+from nlk import catalog, linalg, presentations, reports
 from nlk.cocycles import (
     Cocycle,
     CocycleObstructed,
@@ -39,15 +38,15 @@ from nlk.cocycles import (
 )
 from nlk.decompose import invariant_closure, split
 from nlk.functionals import (
-    AbelianExponents,
     GroupFunctional,
-    P2NormalForm,
     StarFunctional,
     TableSupportExceeded,
     brute_force_welldefinedness_oracle,
     certificate_defect,
+    descent_defect,
     forced_real_parts,
     gns_truncated,
+    solve_generating_functional,
     verify_schurmann_triple,
 )
 from nlk.presentations import (
@@ -58,6 +57,7 @@ from nlk.presentations import (
     Tensor2,
     k1_elements,
     kn_spanning_set,
+    word_to_strs,
 )
 from nlk.scalars import (
     _PLAIN_DIGITS,
@@ -1464,59 +1464,62 @@ def test_level_folds_match_the_reference_on_groups(data, psi, max_len, rnd):
         assert (fresh.eval_word(w), fresh_psi.fold(w)) == (eta_w, psi_w)
 
 
-class _OneBucket:
-    """A stand-in normal form that puts two given words in one bucket."""
-
-    def __init__(self, word_a, word_b):
-        self.pair = [word_a, word_b]
-
-    def buckets(self, words):
-        return {0: self.pair}
-
-
 @FOLDS
 @given(free_group_data(), st.booleans(), st.data())
 def test_memo_vector_and_oracle_evaluator_match_the_reference(
         data, trivial, draws):
+    """The oracle on <a, b | w w'>, w' the word w with its exponents
+    flipped (the word w against its reverse), for an unvalidated cocycle
+    and psi with the forced real parts, so that g g^-1 passes and the
+    relator decides."""
     gram, images, _ = data
     n = len(gram)
     vec = st.lists(NONZERO, min_size=n, max_size=n).map(tuple)
     eta = {g: draws.draw(vec) for g in "ab"}
-    psi = {g: draws.draw(NONZERO) for g in "ab"}
-    # a freely reduced word on both generators, against its reverse
-    word = Presentation.group(["a", "b"], []).free_reduce(draws.draw(
-        st.lists(st.sampled_from([("a", 1), ("a", -1), ("b", 1), ("b", -1)]),
-                 min_size=2, max_size=6)))
+    # a freely reduced word on both generators, w w' reduced
+    free = Presentation.group(["a", "b"], [])
+    word = free.free_reduce(draws.draw(
+        st.lists(st.sampled_from(free.alphabet()), min_size=2, max_size=6)))
     assume({g for g, _ in word} == {"a", "b"})
-    other = word[::-1]
+    relator = free.free_reduce(word + tuple((g, -t) for g, t in word))
+    assume(relator)
     if trivial:
-        # eta(w) is then the sum of the letters' eta, the same for every
-        # order of the letters, while psi(w) may differ
+        # eta(w) is then the sum of the letters' eta, so eta(relator) = 0,
+        # while psi(relator) may not be
         images = {g: linalg.identity(n) for g in "ab"}
-    cocycle, functional = _free_group_objects(gram, images, eta, psi)
-    for w in (word, other):
-        functional._vector(w)
+    p = Presentation.group(["a", "b"], [word_to_strs(presentations.GROUP,
+                                                     relator)])
+    rep = Representation(p, linalg.HermitianForm(gram), images,
+                         _validated=True)
+    cocycle = Cocycle(rep, eta, _validated=True)
+    psi = {g: r + I * Scalar(draws.draw(SMALL))
+           for g, r in forced_real_parts(cocycle).items()}
+    functional = GroupFunctional(cocycle, psi)
+    report = brute_force_welldefinedness_oracle(cocycle, functional, p, None,
+                                                0)
     # the whole vector, eps included, against the reference
-    H.check_group_memo(functional, (word, other))
+    H.check_group_memo(functional, [((g, 1), (g, -1)) for g in "ab"]
+                       + [relator])
     ref = ({g: H.to_pairs_mat(m) for g, m in images.items()},
            {g: H.to_pairs_vec(v) for g, v in eta.items()})
     ref_psi = {g: H.to_pair(v) for g, v in functional.values.items()}
-    eta_a, eta_b = (H.eta_word(*ref, w, n) for w in (word, other))
-    psi_a, psi_b = (H.psi_word(*ref, ref_psi, H.to_pairs_mat(gram), w, n)
-                    for w in (word, other))
-    # the cocycle when both parts differ, psi when only psi does, and no
-    # counterexample when neither does; the values shown are the reference's
-    expected = ("cocycle" if eta_a != eta_b
-                else "psi" if psi_a != psi_b else None)
-    report = brute_force_welldefinedness_oracle(
-        cocycle, functional, cocycle.presentation, _OneBucket(word, other), 0)
+    eta_r = H.eta_word(*ref, relator, n)
+    psi_r = H.psi_word(*ref, ref_psi, H.to_pairs_mat(gram), relator, n)
+    # the cocycle when eta differs from the empty word's, psi when only psi
+    # does, and no counterexample when neither does; the values shown are
+    # the reference's
+    expected = ("cocycle" if eta_r != H.zero_vec(n)
+                else "psi" if psi_r != H.CZERO else None)
     assert report.passed == (expected is None)
+    assert (report.words, report.pairs) == (4, 3)
     if expected is not None:
         ce = report.counterexample
-        assert ce["evaluator"] == expected
+        assert (ce["evaluator"], ce["word_a"], ce["word_b"]) == (
+            expected, (), relator)
         show = H.to_pairs_vec if expected == "cocycle" else H.to_pair
         assert (show(ce["value_a"]), show(ce["value_b"])) == (
-            (eta_a, eta_b) if expected == "cocycle" else (psi_a, psi_b))
+            (H.zero_vec(n), eta_r) if expected == "cocycle"
+            else (H.CZERO, psi_r))
 
 
 @st.composite
@@ -1644,21 +1647,6 @@ def z2_data(draw):
     psi = {g: r + I * Scalar(draw(SMALL))
            for g, r in forced_real_parts(cocycle).items()}
     return p, images, cocycle, psi
-
-
-@FOLDS
-@given(z2_data(), st.integers(2, 5))
-def test_oracle_matches_the_per_word_path(data, max_len):
-    p, images, cocycle, psi = data
-    nf = AbelianExponents(p)
-    functional = GroupFunctional(cocycle, psi)
-    got = brute_force_welldefinedness_oracle(cocycle, functional, p, nf,
-                                             max_len)
-    fresh = Cocycle(cocycle.representation, {
-        g: cocycle.values[(g, 1)] for g in "ab"}, _validated=True)
-    expected = H.oracle_per_word(fresh, GroupFunctional(fresh, psi), p, nf,
-                                 max_len)
-    assert got.to_json() == expected
 
 
 # --- the scaled-integer memo ----------------------------------------
@@ -1909,14 +1897,11 @@ def test_oracle_matches_the_reference_at_coprime_scales(data, coboundary,
         rep = trivial_representation(p, form)
         cocycle = Cocycle(rep, eta)
     psi = drawn_psi(draws.draw, cocycle)
-    nf = AbelianExponents(p)
     got = brute_force_welldefinedness_oracle(
-        cocycle, GroupFunctional(cocycle, psi), p, nf, max_len)
+        cocycle, GroupFunctional(cocycle, psi), p, None, max_len)
     fresh = Cocycle(rep, {g: cocycle.values[(g, 1)] for g in "ab"},
                     _validated=True)
-    expected = H.oracle_per_word(fresh, GroupFunctional(fresh, psi), p, nf,
-                                 max_len)
-    assert got.to_json() == expected
+    _check_oracle(got, fresh, psi, lambda w: H.abelian_key(["a", "b"], w))
 
 
 # --- the obstruction pairing ----------------------------------------
@@ -1963,43 +1948,6 @@ def test_big_K_matches_the_cochain_reference_on_star_algebras(data, draws):
     x = AlgebraElement.from_word(p, (("x", 0),))
     with pytest.raises(LegNotInKernel):
         big_K(cocycle, Tensor2(p, [(ONE, x, tensor.pairs[0][2])]))
-
-
-# --- normal-form keys -----------------------------------------------
-
-
-# the oracle's two normal forms with their letter-by-letter references; the
-# abelian form runs on a free group, whose words reach every exponent vector
-_P2 = Presentation.group(["a", "b", "r"], [
-    ["a", "b", "a^-1", "b^-1"], ["r", "r"], ["r", "a", "r", "a"],
-    ["r", "b", "r", "b"]])
-_FREE3 = Presentation.group(["a", "b", "c"], [])
-NORMAL_FORMS = {
-    "abelian": (_FREE3, AbelianExponents(_FREE3),
-                lambda w: H.abelian_key(["a", "b", "c"], w)),
-    "p2": (_P2, P2NormalForm(_P2), H.p2_key),
-}
-
-
-@DIFF
-@given(st.sampled_from(sorted(NORMAL_FORMS)), st.data())
-def test_normal_form_keys_match_the_letter_by_letter_products(kind, data):
-    p, nf, reference = NORMAL_FORMS[kind]
-    word = tuple(data.draw(st.lists(st.sampled_from(p.alphabet()),
-                                    max_size=9)))
-    assert nf.key(word) == reference(word)
-    if word:
-        assert nf.step(word[0], reference(word[1:])) == reference(word)
-
-
-@pytest.mark.parametrize("kind", sorted(NORMAL_FORMS))
-def test_normal_form_buckets_match_the_letter_by_letter_keys(kind):
-    p, nf, reference = NORMAL_FORMS[kind]
-    words = p.words_up_to(5, include_empty=True)
-    expected = {}
-    for w in words:
-        expected.setdefault(reference(w), []).append(w)
-    assert list(nf.buckets(words).items()) == list(expected.items())
 
 
 # --- the truncated GNS Gram matrix ------------------------------------
@@ -2342,6 +2290,11 @@ def test_gns_gram_is_the_eta_pairing_or_a_real_part_refusal(data, psi, drawn,
         tuple(H.inner(pg, u, w) for w in vectors) for u in vectors)
 
 
+_P2 = Presentation.group(["a", "b", "r"], [
+    ["a", "b", "a^-1", "b^-1"], ["r", "r"], ["r", "a", "r", "a"],
+    ["r", "b", "r", "b"]])
+
+
 @st.composite
 def p2_data(draw):
     """p2 in dimension 2: r swaps the coordinates and a, b are the diagonal
@@ -2360,12 +2313,111 @@ def p2_data(draw):
        st.integers(1, 2))
 def test_gns_gram_matches_the_per_entry_reference_with_relators(data, draws,
                                                                 max_len):
-    """psi drawn with any imaginary parts, which need not respect the
-    relators: the Gram matrix reads none of them."""
+    """psi drawn with any imaginary parts: one that folds to a nonzero value
+    on a relator is refused as `descent_defect` words it, and then the
+    solved psi, where there is one, is taken."""
     p, images, cocycle = data
-    psi = {g: draws.draw(ENTRIES) for g in p.generators}
-    _check_group_gram(cocycle, _with_forced_real_parts(cocycle, psi), images,
-                      max_len)
+    psi = _with_forced_real_parts(
+        cocycle, {g: draws.draw(ENTRIES) for g in p.generators})
+    defect = descent_defect(psi, forced_real_parts(cocycle))
+    if defect is not None:
+        with pytest.raises(ValueError) as info:
+            gns_truncated(psi, max_len)
+        assert str(info.value) == defect
+        psi = solve_generating_functional(cocycle).functional
+        if psi is None:
+            return
+    _check_group_gram(cocycle, psi, images, max_len)
+
+
+# --- the oracle against a brute-force search ------------------------
+
+
+def _drawn_group_psi(draw, cocycle):
+    """The solved psi, where the cocycle has one, else the forced real
+    parts, kept as they are, or with some imaginary parts shifted by drawn
+    integers, or with some real parts drawn."""
+    solved = solve_generating_functional(cocycle).functional
+    values = dict(solved.values if solved else forced_real_parts(cocycle))
+    mode = draw(st.sampled_from(("kept", "imaginary", "real")))
+    for g, v in values.items():
+        if mode == "kept" or not draw(st.booleans()):
+            continue
+        values[g] = (v + I * Scalar(draw(st.integers(-2, 2)))
+                     if mode == "imaginary" else Scalar(draw(SMALL), v.im))
+    return values
+
+
+def _check_oracle(report, fresh, psi, key):
+    """The oracle's verdict and evaluator are those of the brute-force
+    search at length 4 with each word folded on its own (`key` a faithful
+    normal form), and a counterexample shows a fresh fold of its word."""
+    p = fresh.presentation
+    expected = H.oracle_per_word(fresh, GroupFunctional(fresh, psi), p, key,
+                                 4)
+    ce = report.counterexample
+    assert (report.passed, ce and ce["evaluator"]) == (
+        expected["passed"],
+        expected["counterexample"] and expected["counterexample"]["evaluator"])
+    if ce is not None:
+        fold = GroupFunctional(fresh, psi).fold
+        assert ce["word_a"] == () and key(ce["word_b"]) == key(())
+        assert (ce["value_a"], ce["value_b"]) == (fold(()), fold(ce["word_b"]))
+
+
+@FOLDS
+@given(st.one_of(
+    z2_data().map(lambda d: (d[2], lambda w: H.abelian_key(["a", "b"], w))),
+    p2_data().map(lambda d: (d[2], H.p2_key))), st.data())
+def test_oracle_matches_the_per_word_path(case, draws):
+    cocycle, key = case
+    p = cocycle.presentation
+    psi = _drawn_group_psi(draws.draw, cocycle)
+    report = brute_force_welldefinedness_oracle(
+        cocycle, GroupFunctional(cocycle, psi), p, None, 4)
+    fresh = Cocycle(cocycle.representation, {
+        g: cocycle.values[(g, 1)] for g in p.generators}, _validated=True)
+    _check_oracle(report, fresh, psi, key)
+
+
+def _catalog_group_scenarios():
+    """(entry id, scenario name) of every catalog group scenario whose
+    cocycle is valid."""
+    out = []
+    for entry_id in catalog.entry_ids():
+        for name, doc in catalog.get_entry(entry_id).scenarios.items():
+            if doc["presentation"]["kind"] != "group":
+                continue
+            scn = parse_scenario(doc)
+            try:
+                scn.build_cocycle(scn.build_representation())
+            except (CocycleObstructed, RepresentationError):
+                continue
+            out.append((entry_id, name))
+    return out
+
+
+@settings(DIFF, max_examples=30)
+@given(st.sampled_from(_catalog_group_scenarios()), st.data())
+def test_oracle_passes_exactly_when_psi_descends_on_the_catalog_groups(
+        case, draws):
+    """On Z^2, p2, the genus-two surface group and the free product, with
+    psi drawn around the solved one; a counterexample report rechecks."""
+    doc = copy.deepcopy(catalog.scenario_doc(*case))
+    scn = parse_scenario(doc)
+    cocycle = scn.build_cocycle(scn.build_representation())
+    psi = _drawn_group_psi(draws.draw, cocycle)
+    doc["functional"] = {"psi": {g: str(v) for g, v in psi.items()}}
+    scn = parse_scenario(doc)
+    result, code = reports.run_command("oracle", scn, 4)
+    defect = descent_defect(GroupFunctional(cocycle, psi),
+                            forced_real_parts(cocycle))
+    assert result["passed"] == (defect is None) == (code == 0)
+    if not result["passed"]:
+        assert result["counterexample"]["evaluator"] == "psi"
+        report = json.loads(reports.dumps(
+            reports.make_report("oracle", result, code, doc)))
+        assert reports.recheck(report).confirmed
 
 
 @settings(DIFF, max_examples=40)

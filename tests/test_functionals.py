@@ -10,11 +10,9 @@ from nlk.catalog import scenario_doc
 from nlk.cocycles import Cocycle, Representation, trivial_representation
 from nlk.functionals import (
     GroupFunctional,
-    NoNormalForm,
     StarFunctional,
     TableSupportExceeded,
     brute_force_welldefinedness_oracle,
-    build_normal_form,
     descent_defect,
     forced_real_parts,
     gns_truncated,
@@ -32,7 +30,6 @@ from nlk.linalg import (
     vector,
 )
 from nlk.presentations import (
-    GROUP,
     STAR_ALGEBRA,
     AlgebraElement,
     Presentation,
@@ -249,18 +246,31 @@ def test_descent_defect_reports_a_wrong_real_part_before_any_relator():
 def test_gns_refuses_a_group_psi_without_the_forced_real_parts():
     cocycle, out = _solved("p2.derivations")
     forced = forced_real_parts(cocycle)
-    gram = gns_truncated(out.functional, 2).gram
-    # another imaginary part keeps the Gram matrix, which reads eta only
+    # Im psi(r) shifted by 1 folds to 2i on the relator r r, and Re psi(b)
+    # = 1 is not the forced 0: neither is a generating functional
     values = dict(out.functional.values, r=out.functional.values["r"] + I)
-    assert gns_truncated(GroupFunctional(cocycle, values), 2).gram == gram
-    # Re psi(b) = 1 is not the forced 0: no generating functional
-    values["b"] += 1
-    tampered = GroupFunctional(cocycle, values)
-    with pytest.raises(ValueError) as info:
-        gns_truncated(tampered, 2)
-    assert str(info.value) == \
-        "Re psi(b) = 1 differs from the forced real part 0"
-    assert str(info.value) == descent_defect(tampered, forced)
+    for defect in ("psi folds to 2i on relator ['r', 'r']",
+                   "Re psi(b) = 1 differs from the forced real part 0"):
+        tampered = GroupFunctional(cocycle, values)
+        with pytest.raises(ValueError) as info:
+            gns_truncated(tampered, 2)
+        assert str(info.value) == defect == descent_defect(tampered, forced)
+        values["b"] += 1
+
+
+def test_group_gns_and_gaussianity_refuse_a_psi_that_fails_a_relator():
+    # the forced-real-part candidate of an infeasible cocycle has the
+    # forced real parts, but folds to -2i on the commutator
+    scn = parse_scenario(scenario_doc("zk.z2.gaussian", "main"))
+    cocycle = scn.build_cocycle(scn.build_representation())
+    candidate = GroupFunctional(cocycle, forced_real_parts(cocycle))
+    for check in (gns_truncated, is_gaussian_functional):
+        with pytest.raises(ValueError) as info:
+            check(candidate, 2)
+        assert str(info.value) == \
+            "psi folds to -2i on relator ['a', 'b', 'a^-1', 'b^-1']"
+    # verify reads free-group words, which see the real parts only
+    assert verify_schurmann_triple(cocycle, candidate, 4).passed
 
 
 def test_confirm_solve_result_refuses_a_certificate_that_does_not_annihilate():
@@ -449,10 +459,13 @@ def test_gaussianity_fills_no_level_past_its_products(monkeypatch):
     monkeypatch.setattr(functionals, "kn_products", recorded)
     report = is_gaussian_functional(psi, 2)
     assert not report.gaussian
-    # only the suffixes of the products' words are filled, and the witness
-    # needs words of length 4; a prefill to 3 * 2 would hold 156,865 words
-    filled = H.check_group_memo(psi, terms)
-    assert max(map(len, filled)) == max(map(len, terms)) == 4
+    # only the suffixes of the products' words and of the relators, which
+    # the descent check folds, are filled, and the witness needs words of
+    # length 4; a prefill to 3 * 2 would hold 156,865 words
+    relators = psi.presentation.relators
+    filled = H.check_group_memo(psi, terms | set(relators))
+    by_relators = {r[i:] for r in relators for i in range(len(r) + 1)}
+    assert max(map(len, filled - by_relators)) == max(map(len, terms)) == 4
 
 
 def test_gns_truncation_of_star_power_table():
@@ -560,94 +573,88 @@ def test_gns_flags_non_positive_table():
     assert res.eta_vectors is None
 
 
-def test_abelian_normal_form_merges_commuting_words():
-    p = _z2()
-    nf = build_normal_form(p, {"kind": "abelian"})
-    ab = word_from_strs(GROUP, ["a", "b"])
-    ba = word_from_strs(GROUP, ["b", "a"])
-    assert nf.key(ab) == nf.key(ba)
-    assert nf.key(word_from_strs(GROUP, ["a", "a^-1"])) == nf.key(())
-
-
-def test_p2_normal_form_knows_the_rotation_action():
-    p = Presentation.group(
-        ["a", "b", "r"],
-        [["r", "r"], ["r", "a", "r^-1", "a"], ["r", "b", "r^-1", "b"],
-         ["a", "b", "a^-1", "b^-1"]])
-    nf = build_normal_form(p, {"kind": "p2"})
-    lhs = word_from_strs(GROUP, ["r", "a", "r^-1"])
-    rhs = word_from_strs(GROUP, ["a^-1"])
-    assert nf.key(lhs) == nf.key(rhs)
-    assert nf.key(word_from_strs(GROUP, ["r", "r"])) == nf.key(())
-    assert nf.key(word_from_strs(GROUP, ["a"])) != nf.key(rhs)
-
-
-def test_normal_form_rejects_presentation_it_cannot_model():
-    p = Presentation.group(["a"], [["a", "a"]])
-    with pytest.raises(NoNormalForm):
-        build_normal_form(p, {"kind": "abelian"})
-
-
 def test_oracle_passes_for_consistent_functional():
     p = _z2()
     eta = _z2_cocycle(ONE, ONE)
     psi = solve_generating_functional(eta).functional
-    nf = build_normal_form(p, {"kind": "abelian"})
-    report = brute_force_welldefinedness_oracle(eta, psi, p, nf, 4)
+    report = brute_force_welldefinedness_oracle(eta, psi, p, None, 4)
     assert report.passed
     assert report.counterexample is None
-    assert report.pairs > 0
+    # a a^-1, b b^-1 and the commutator, each against the empty word
+    assert (report.words, report.pairs) == (4, 3)
 
 
 def test_oracle_needs_the_functional_and_its_own_cocycle():
     p = _z2()
     eta = _z2_cocycle(ONE, ONE)
     psi = solve_generating_functional(eta).functional
-    nf = build_normal_form(p, {"kind": "abelian"})
     # an equal cocycle that is not the functional's own object
     for cocycle, functional in ((None, psi), (_z2_cocycle(ONE, ONE), psi),
                                 (eta, None)):
         with pytest.raises(ValueError, match="the functional's cocycle"):
-            brute_force_welldefinedness_oracle(cocycle, functional, p, nf, 2)
+            brute_force_welldefinedness_oracle(cocycle, functional, p, None, 2)
 
 
 def test_oracle_rejects_candidate_when_solver_says_infeasible():
     p = _z2()
     eta = _z2_cocycle(ONE, I)
     candidate = GroupFunctional(eta, forced_real_parts(eta))
-    nf = build_normal_form(p, {"kind": "abelian"})
-    report = brute_force_welldefinedness_oracle(eta, candidate, p, nf, 4)
+    report = brute_force_welldefinedness_oracle(eta, candidate, p, None, 4)
     assert not report.passed
-    ce = report.counterexample
-    wa, wb = ce["word_a"], ce["word_b"]
-    assert nf.key(wa) == nf.key(wb)
-    assert candidate.fold(wa) != candidate.fold(wb)
+    assert report.to_json()["counterexample"] == {
+        "evaluator": "psi", "word_a": [], "word_b": ["a", "b", "a^-1", "b^-1"],
+        "value_a": "0", "value_b": "-2i"}
+    assert (report.words, report.pairs) == (4, 3)
+
+
+def test_oracle_sets_g_g_inverse_against_the_empty_word():
+    # a free group has no relator, so only g g^-1 sees a real part
+    p = Presentation.group(["a", "b"], [])
+    eta = Cocycle(trivial_representation(p, standard_form(1)),
+                  {"a": vector([ONE]), "b": vector([I])})
+    forced = forced_real_parts(eta)
+    good = GroupFunctional(eta, {g: v + I for g, v in forced.items()})
+    assert brute_force_welldefinedness_oracle(eta, good, p, None, 0).passed
+    # Re psi(b) = 0 where the forced real part is -1/2: psi(b b^-1) = 1
+    bad = GroupFunctional(eta, dict(forced, b=I))
+    report = brute_force_welldefinedness_oracle(eta, bad, p, None, 0)
+    assert report.to_json() == {
+        "passed": False, "words": 3, "pairs": 2, "counterexample": {
+            "evaluator": "psi", "word_a": [], "word_b": ["b", "b^-1"],
+            "value_a": "0", "value_b": "1"}}
+
+
+def test_oracle_names_the_cocycle_when_eta_breaks_a_relator():
+    # eta(a) = 1 on the trivial representation of Z/2 = <a | a a> folds to
+    # 2 on a a; the cocycle is taken unvalidated, as it would be refused
+    p = Presentation.group(["a"], [["a", "a"]])
+    eta = Cocycle(trivial_representation(p, standard_form(1)),
+                  {"a": vector([ONE])}, _validated=True)
+    psi = GroupFunctional(eta, forced_real_parts(eta))
+    report = brute_force_welldefinedness_oracle(eta, psi, p, None, 0)
+    assert report.to_json()["counterexample"] == {
+        "evaluator": "cocycle", "word_a": [], "word_b": ["a", "a"],
+        "value_a": ["0"], "value_b": ["2"]}
 
 
 def test_failing_oracle_memoises_only_the_suffixes_of_the_words_it_read():
     scn = parse_scenario(scenario_doc("p2.nongaussian", "main"))
     cocycle = scn.build_cocycle(scn.build_representation())
     candidate = GroupFunctional(cocycle, forced_real_parts(cocycle))
-    nf = scn.build_normal_form()
     p = scn.presentation
     validated = set(cocycle._eta_memo)  # the relators' suffixes
-    report = brute_force_welldefinedness_oracle(cocycle, candidate, p, nf, 6)
+    report = brute_force_welldefinedness_oracle(cocycle, candidate, p, None, 6)
     assert not report.passed
     ce = report.counterexample
-    # the words the oracle compared, in its order, up to the counterexample
-    read = []
-    for bucket in nf.buckets(p.words_up_to(6)).values():
-        read.append(bucket[0])
-        if bucket[0] == ce["word_a"]:
-            read += bucket[1:bucket.index(ce["word_b"]) + 1]
-            break
-        read += bucket[1:]
+    # the words the oracle compared, in its order, up to the counterexample:
+    # g g^-1 for every generator, then the first relator
+    read = [(), *(((g, 1), (g, -1)) for g in p.generators), ce["word_b"]]
+    assert ce["word_b"] == p.relators[0]
+    assert report.words == len(read)
     suffixes = {w[i:] for w in read for i in range(len(w) + 1)}
     # the candidate's memo holds eta and psi of every word it compared
     assert H.check_group_memo(candidate, read) == suffixes
     assert set(cocycle._eta_memo) <= suffixes | validated
-    # a level fill would hold every word up to the counterexample's length
-    assert len(p.words_up_to(len(ce["word_b"]))) > len(suffixes)
 
 
 def test_solve_outcome_json_shape():
