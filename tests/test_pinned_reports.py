@@ -140,6 +140,11 @@ SMALL = (
     ("decompose.no_generating_functional", ["decompose"],
      catalog.scenario_doc("p2.nongaussian")),
     ("decompose.ill_defined_psi", ["decompose"], ill_defined_psi_doc()),
+    # an empty Gaussian part, and a split of one dimension on each side
+    ("decompose.p2.nongaussian.feasible", ["decompose"],
+     catalog.scenario_doc("p2.nongaussian", "feasible")),
+    ("decompose.freeproduct.p2_z2.mixed", ["decompose"],
+     catalog.scenario_doc("freeproduct.p2_z2", "mixed")),
     ("verify.ill_defined_psi", ["verify", "--max-word-length", "4"],
      ill_defined_psi_doc()),
     ("oracle.ill_defined_psi", ["oracle", "--max-word-length", "2"],
