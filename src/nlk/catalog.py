@@ -387,7 +387,7 @@ def _derivation_without_functional(witness, cycle):
 def _purely_nongaussian(witness, name="main"):
     return {"scenario": name,
             "witness": witness,
-            "gaussian_part_dim": lambda r: r.split(name).gaussian.dim,
+            "gaussian_part_dim": lambda r: r.split(name).dim_gaussian,
             "certificate_confirmed": lambda r: r.recheck(name, "solve")}
 
 
@@ -452,7 +452,7 @@ ENTRIES = {entry.entry_id: entry for entry in (
             ("feasible_variant_decomposes", "decomposed",
              lambda r: r.lk("feasible").verdict),
             ("split_main_is_purely_gaussian", 0,
-             lambda r: r.split("main").remainder.dim),
+             lambda r: r.split("main").dim_remainder),
         ),
         properties=(
             *_witnessed_with_ac("GC", _derivation_without_functional(
@@ -563,7 +563,7 @@ ENTRIES = {entry.entry_id: entry for entry in (
              lambda r: r.pairing("main", "c2")),
             _solver_matches("c2"),
             ("split_purely_nongaussian", 0,
-             lambda r: r.split("main").gaussian.dim),
+             lambda r: r.split("main").dim_gaussian),
             ("solve_feasible_verdict", "feasible",
              lambda r: r.solve("feasible").verdict),
             ("verify_feasible_triple", True,
@@ -714,7 +714,7 @@ ENTRIES = {entry.entry_id: entry for entry in (
             ("solve_main_certificate_rechecks", True,
              lambda r: r.recheck("main", "solve")),
             ("split_purely_nongaussian", 0,
-             lambda r: r.split("main").gaussian.dim),
+             lambda r: r.split("main").dim_gaussian),
             ("solve_feasible_verdict", "feasible",
              lambda r: r.solve("feasible").verdict),
             ("solve_feasible_ambiguity", 0,
@@ -805,7 +805,7 @@ ENTRIES = {entry.entry_id: entry for entry in (
             ("nongaussian_union_verdict", "infeasible",
              lambda r: r.solve("nongaussian").verdict),
             ("nongaussian_union_purely_nongaussian", 0,
-             lambda r: r.split("nongaussian").gaussian.dim),
+             lambda r: r.split("nongaussian").dim_gaussian),
             ("mixed_union_verdict", "feasible",
              lambda r: r.solve("mixed").verdict),
             ("mixed_union_ambiguity", 2,

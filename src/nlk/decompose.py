@@ -1,13 +1,16 @@
 """Gaussian/remainder splitting and full-functional decomposition attempts.
 
-The remainder subspace is the smallest invariant subspace containing all
-images (pi(l) - eps(l)) e_i, which is their span (`invariant_closure`
+The remainder subspace H_R is the smallest invariant subspace containing
+all images (pi(l) - eps(l)) e_i, which is their span (`invariant_closure`
 says why; `tests/helpers.py` keeps the closure loop as a reference).  Its
-orthocomplement carries the Gaussian part: projecting a cocycle there
-yields a cocycle for the counit representation, that is, a derivation.
-A functional decomposes when both projected cocycles admit generating
-functionals; the leftover difference is then a purely imaginary
-derivation which is absorbed into the Gaussian part.
+orthocomplement H_G carries the Gaussian part.  Both parts live in the
+ambient coordinates as the projected cocycles: P_G eta is a cocycle for
+the counit representation, that is, a derivation, and P_R eta one for the
+cocycle's own representation (`tests/helpers.py` keeps the parts in
+coordinates of their own as a reference).  A functional decomposes when
+both projected cocycles admit generating functionals; the leftover
+difference is then a purely imaginary derivation which is absorbed into
+the Gaussian part.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from .functionals import (
     SolveOutcome,
     solve_generating_functional,
 )
-from .linalg import HermitianForm, IndefiniteFormError
+from .linalg import IndefiniteFormError
 from .presentations import letter_str
-from .scalars import scaled, scaled_product, scaled_residual, unscaled
+from .scalars import scaled_residual, unscaled
 
 
 def invariant_closure(representation: Representation) -> list:
@@ -49,96 +52,66 @@ def invariant_closure(representation: Representation) -> list:
     return linalg.span_basis(seeds)
 
 
-class PartSpace(NamedTuple):
-    """One side of the splitting, in its own coordinates."""
-    basis: tuple          # columns in the ambient space
-    form: HermitianForm   # Gram matrix of the basis
-    coords: tuple         # coordinate map, k x dim
-    representation: Representation
-    cocycle: Cocycle
-
-    @property
-    def dim(self) -> int:
-        return self.form.dim
-
-
 class SplitResult(NamedTuple):
-    representation: Representation
-    cocycle: Cocycle
+    """The orthogonal projections onto H_G and H_R and the two projected
+    cocycles, all in the ambient coordinates."""
     p_g: tuple
     p_r: tuple
-    gaussian: PartSpace
-    remainder: PartSpace
+    remainder_basis: tuple  # echelon basis of H_R
+    gaussian: Cocycle       # P_G eta, for the counit representation
+    remainder: Cocycle      # P_R eta, for the cocycle's own representation
+
+    @property
+    def dim_remainder(self) -> int:
+        return len(self.remainder_basis)
+
+    @property
+    def dim_gaussian(self) -> int:
+        return len(self.p_g) - self.dim_remainder
 
     def to_json(self):
         return {
-            "dim_gaussian": self.gaussian.dim,
-            "dim_remainder": self.remainder.dim,
+            "dim_gaussian": self.dim_gaussian,
+            "dim_remainder": self.dim_remainder,
             "P_G": linalg.matrix_to_json(self.p_g),
             "P_R": linalg.matrix_to_json(self.p_r),
             "remainder_basis": [linalg.vector_to_json(v)
-                                for v in self.remainder.basis],
+                                for v in self.remainder_basis],
         }
-
-
-def _part_space(representation, cocycle, basis_vectors, trivial: bool) -> PartSpace:
-    p = representation.presentation
-    form = representation.form
-    basis = tuple(basis_vectors)
-    letters = list(cocycle.values)  # the letters that carry values
-    # an empty part has no coordinates: its images and values are empty
-    images, values = dict.fromkeys(p.generators, ()), [()] * len(letters)
-    if basis:
-        # Gram matrix B*GB of the basis; the coordinate map of the orthogonal
-        # projection onto span(B) is (B*GB)^-1 B*G, from the part form's inverse
-        b = linalg.from_columns(basis)
-        bh_g = linalg.mmul(linalg.conj_transpose(b), form.gram)
-        part_form = HermitianForm(linalg.mmul(bh_g, b))
-        # the coordinate map stays scaled for the products below, each of
-        # which takes its gcds once, when it is unscaled
-        scaled_coords = scaled_product(part_form.scaled_gram_inv, scaled(bh_g))
-        coords = unscaled(scaled_coords)
-        values = linalg.columns(unscaled(scaled_product(scaled_coords, scaled(
-            linalg.from_columns(list(cocycle.values.values()),
-                                rows_hint=form.dim)))))
-        if not trivial:
-            scaled_b = scaled(b)
-            images = {g: unscaled(scaled_product(scaled_coords, scaled_product(
-                scaled(representation.images[g]), scaled_b)))
-                for g in p.generators}
-    else:
-        part_form, coords = HermitianForm(()), ()
-    part_rep = (trivial_representation(p, part_form) if trivial
-                else Representation(p, part_form, images))
-    part_cocycle = Cocycle(part_rep, {letter_str(p.kind, l): v
-                                      for l, v in zip(letters, values)})
-    return PartSpace(basis=basis, form=part_form, coords=coords,
-                     representation=part_rep, cocycle=part_cocycle)
 
 
 def split(cocycle: Cocycle) -> SplitResult:
     """Split a cocycle into its Gaussian and remainder parts.
 
-    Requires a positive definite form.  Both parts are returned in their own
-    coordinates together with the ambient projections; the Gaussian part's
-    cocycle is built for the counit representation, which certifies that the
-    projected values form a derivation.
+    Requires a positive definite form, on which H_G is exactly the
+    orthocomplement of H_R.  Both parts are the projected cocycles P eta on
+    the ambient form: P_R commutes with pi, so P_R eta is a cocycle for the
+    cocycle's own representation, and the Gaussian part is built for the
+    counit representation, which certifies that P_G eta is a derivation.
     """
     representation = cocycle.representation
-    form = representation.form
+    p, form = representation.presentation, representation.form
     if not form.definite:
         raise IndefiniteFormError("splitting needs a positive definite form")
     n = form.dim
-    h_r = invariant_closure(representation)
-    h_g = form.orthocomplement(h_r)
-    gaussian = _part_space(representation, cocycle, h_g, trivial=True)
-    remainder = _part_space(representation, cocycle, h_r, trivial=False)
-    # the orthogonal projection onto H_R is B_R times its coordinate map
-    p_r = (linalg.mmul(linalg.from_columns(h_r), remainder.coords) if h_r
-           else linalg.zero_matrix(n, n))
+    basis = tuple(invariant_closure(representation))
+    p_r = linalg.zero_matrix(n, n)
+    if basis:
+        # P_R = B (B*GB)^-1 B*G for the columns B of the basis
+        b = linalg.from_columns(basis)
+        bh_g = linalg.mmul(linalg.conj_transpose(b), form.gram)
+        p_r = linalg.mmul(b, linalg.mmul(
+            linalg.inverse(linalg.mmul(bh_g, b)), bh_g))
     p_g = linalg.msub(linalg.identity(n), p_r)
-    return SplitResult(representation=representation, cocycle=cocycle,
-                       p_g=p_g, p_r=p_r, gaussian=gaussian, remainder=remainder)
+
+    def projected(rep, proj):
+        return Cocycle(rep, {letter_str(p.kind, l): linalg.mvmul(proj, v)
+                             for l, v in cocycle.values.items()})
+
+    return SplitResult(
+        p_g=p_g, p_r=p_r, remainder_basis=basis,
+        gaussian=projected(trivial_representation(p, form), p_g),
+        remainder=projected(representation, p_r))
 
 
 # --- decomposition of a functional ---------------------------------
@@ -195,8 +168,8 @@ def attempt_lk(functional: GroupFunctional) -> LkOutcome:
     cocycle = functional.cocycle
     p = cocycle.presentation
     sr = split(cocycle)
-    out_g = solve_generating_functional(sr.gaussian.cocycle)
-    out_r = solve_generating_functional(sr.remainder.cocycle)
+    out_g = solve_generating_functional(sr.gaussian)
+    out_r = solve_generating_functional(sr.remainder)
     if not (out_g.feasible and out_r.feasible):
         return LkOutcome(verdict="no_lk", split_result=sr,
                          gaussian_outcome=out_g, remainder_outcome=out_r,

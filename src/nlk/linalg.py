@@ -30,8 +30,7 @@ over [G | I] only to build a failing matrix's witness.
 `rref`, `psd_check` and `_invert` take Scalar rows or `IntegerRows`, so one
 conversion can serve several: a `HermitianForm` converts its Gram matrix
 once, tests hermitianity on those rows with `_hermitian` too, and inverts
-them.  Dimension 0 is allowed throughout; it shows up when a splitting has
-an empty Gaussian or remainder part.
+them.  Dimension 0 is allowed throughout.
 """
 
 from __future__ import annotations
@@ -147,11 +146,6 @@ def mvmul(m, v):
 def conj_transpose(m):
     r, c = mat_shape(m)
     return tuple(tuple(m[i][j].conj() for i in range(r)) for j in range(c))
-
-
-def columns(m) -> list:
-    r, c = mat_shape(m)
-    return [tuple(m[i][j] for i in range(r)) for j in range(c)]
 
 
 def from_columns(cols, rows_hint=None) -> tuple:
@@ -465,14 +459,6 @@ class HermitianForm:
         wre, wim, e = _common(w)
         (re,), im = _dots(re, im, [wre], wim and [wim])
         return from_parts(re, 0 if im is None else im[0], d * e)
-
-    def orthocomplement(self, vectors) -> list:
-        """Basis of {v : inner(b, v) = 0 for all b in vectors}: the kernel
-        of the rows conj(b)^T G."""
-        if not vectors:
-            return list(identity(self.dim))
-        return kernel(mmul([[x.conj() for x in b] for b in vectors],
-                           self.gram))
 
 
 def standard_form(n: int) -> HermitianForm:

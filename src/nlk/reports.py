@@ -443,7 +443,7 @@ def confirm_solve_result(outcome) -> bool:
 def _check_correction(lk):
     """The derivation correction of a decomposition is a derivation: its
     exponent sums vanish over every relator."""
-    p, d = lk.split_result.cocycle.presentation, lk.derivation
+    p, d = lk.split_result.gaussian.presentation, lk.derivation
     # the parts share the presentation, so a part's system matrix is its
     # exponent matrix; one product reads every relator's exponent sum
     a_mat = lk.gaussian_outcome.system_matrix

@@ -17,7 +17,8 @@ The fixtures at the end build package objects: the obstruction 2-cochain
 L(eta) with its Hochschild boundary, which `cocycles.big_K` is compared
 with, `vsub` and `is_zero_vector` on vectors of package Scalars, the
 closure loop that `decompose.invariant_closure` is compared with, the
-coboundary cocycle of a vector with its functional PhiV, and a scenario
+parts of `decompose.split` in coordinates of their own, the coboundary
+cocycle of a vector with its functional PhiV, and a scenario
 document whose supplied psi is no functional.
 """
 
@@ -28,7 +29,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from nlk import catalog, linalg
-from nlk.cocycles import Cocycle
+from nlk.cocycles import Cocycle, Representation, trivial_representation
 from nlk.presentations import GROUP, AlgebraElement, letter_str
 from nlk.scalars import ZERO
 
@@ -762,6 +763,11 @@ def is_zero_vector(v) -> bool:
     return all(a.is_zero() for a in v)
 
 
+def columns(m) -> list:
+    """The columns of a matrix of package Scalars, as tuples."""
+    return [tuple(col) for col in zip(*m)]
+
+
 def invariant_closure_by_iteration(representation):
     """`decompose.invariant_closure` as a closure loop: the echelon basis
     of the (pi(l) - eps(l)) basis vectors, extended by pi(l) of the basis
@@ -774,18 +780,51 @@ def invariant_closure_by_iteration(representation):
         m = representation.word_matrix((l,))
         shifted = linalg.msub(
             m, linalg.mscale(p.epsilon_letter(l), linalg.identity(n)))
-        seeds.extend(linalg.columns(shifted))
+        seeds.extend(columns(shifted))
     basis = linalg.span_basis(seeds)
     while True:
         extended = list(basis)
         cols = linalg.from_columns(basis, rows_hint=n)
         for l in letters:
-            extended.extend(linalg.columns(
+            extended.extend(columns(
                 linalg.mmul(representation.word_matrix((l,)), cols)))
         new_basis = linalg.span_basis(extended)
         if len(new_basis) == len(basis):
             return basis
         basis = new_basis
+
+
+def split_in_part_coordinates(cocycle) -> dict:
+    """The "gaussian" and "remainder" parts of `decompose.split`, each as a
+    cocycle on its own space.  For a basis B of the part (the closure loop's
+    on the remainder, the kernel of the rows B_R* G on the Gaussian side)
+    the part's form is B*GB, its coordinate map C = (B*GB)^-1 B*G, its
+    values C eta(g) and, on the remainder, its images C pi(g) B; the
+    Gaussian part carries the counit representation.  An empty part is a
+    cocycle of dimension 0."""
+    rep = cocycle.representation
+    p, form = rep.presentation, rep.form
+    h_r = invariant_closure_by_iteration(rep)
+    h_g = (linalg.kernel(linalg.mmul([[x.conj() for x in b] for b in h_r],
+                                     form.gram))
+           if h_r else list(linalg.identity(form.dim)))
+    parts = {}
+    for name, basis in (("gaussian", h_g), ("remainder", h_r)):
+        part_form, values = linalg.HermitianForm(()), {}
+        images = dict.fromkeys(p.generators, ())
+        if basis:
+            b = linalg.from_columns(basis)
+            bh_g = linalg.mmul(linalg.conj_transpose(b), form.gram)
+            part_form = linalg.HermitianForm(linalg.mmul(bh_g, b))
+            coords = linalg.mmul(linalg.inverse(part_form.gram), bh_g)
+            images = {g: linalg.mmul(coords, linalg.mmul(rep.images[g], b))
+                      for g in p.generators}
+            values = {letter_str(p.kind, l): linalg.mvmul(coords, v)
+                      for l, v in cocycle.values.items()}
+        part_rep = (trivial_representation(p, part_form) if name == "gaussian"
+                    else Representation(p, part_form, images))
+        parts[name] = Cocycle(part_rep, values)
+    return parts
 
 
 def coboundary_cocycle(representation, v):

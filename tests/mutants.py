@@ -109,6 +109,16 @@ MUTANTS = (
            "    for l in [(g, representation._positive) for g in p.generators]:"
            "\n        shifted",
            (DIFF + "test_invariant_closure_is_the_span_of_its_seeds",)),
+    # B B*G is the projection only when B*GB = 1, as on every catalog split
+    Mutant("remainder projection without (B*GB)^-1", "nlk/decompose.py",
+           "        p_r = linalg.mmul(b, linalg.mmul(\n"
+           "            linalg.inverse(linalg.mmul(bh_g, b)), bh_g))",
+           "        p_r = linalg.mmul(b, bh_g)",
+           (DIFF + "test_split_parts_solve_as_in_their_own_coordinates",)),
+    Mutant("Gaussian part projected with P_R", "nlk/decompose.py",
+           "gaussian=projected(trivial_representation(p, form), p_g)",
+           "gaussian=projected(trivial_representation(p, form), p_r)",
+           ("tests/test_decompose.py::test_split_part_values_no_lk",)),
     # a non-real pivot p without u = conj(p): the scale turns non-real
     Mutant("row step without the conj(p) branch", "nlk/linalg.py",
            "        if b:\n            # u = a - b i",

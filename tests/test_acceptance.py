@@ -285,7 +285,7 @@ def test_criterion_8_invariant_suites():
         # the Gaussian part of the mixed split is a derivation: additive on
         # products and negating on inverses
         scn, rep, cocycle = _build("freeproduct.p2_z2", "mixed")
-        part = split(cocycle).gaussian.cocycle
+        part = split(cocycle).gaussian
         letters = [(g, t) for g in rep.presentation.generators
                    for t in (1, -1)]
         for _ in range(200):

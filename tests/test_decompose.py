@@ -67,8 +67,8 @@ def test_invariant_closure_no_lk_is_second_axis():
 def test_split_projector_identities():
     _, rep, cocycle = _load("surface.gamma2.no_lk")
     sr = split(cocycle)
-    assert sr.gaussian.dim == 1
-    assert sr.remainder.dim == 1
+    assert sr.dim_gaussian == 1
+    assert sr.dim_remainder == 1
     n = rep.form.dim
     ident = linalg.identity(n)
     assert helpers.madd(helpers.to_pairs_mat(sr.p_g),
@@ -76,13 +76,13 @@ def test_split_projector_identities():
     assert linalg.mmul(sr.p_g, sr.p_g) == sr.p_g
     assert linalg.mmul(sr.p_r, sr.p_r) == sr.p_r
     assert linalg.mmul(sr.p_g, sr.p_r) == linalg.zero_matrix(n, n)
-    # each projector fixes its own part's basis and kills the other's
-    for v in sr.remainder.basis:
+    # P_R fixes the remainder basis and P_G kills it; P_G's range, spanned
+    # by its columns, is orthogonal to the remainder
+    for v in sr.remainder_basis:
         assert linalg.mvmul(sr.p_r, v) == v
         assert helpers.is_zero_vector(linalg.mvmul(sr.p_g, v))
-    for w in sr.gaussian.basis:
-        assert linalg.mvmul(sr.p_g, w) == w
-        assert helpers.is_zero_vector(linalg.mvmul(sr.p_r, w))
+        for w in helpers.columns(sr.p_g):
+            assert rep.form.inner(v, w) == ZERO
     gram = helpers.to_pairs_mat(rep.form.gram)
     assert helpers.is_self_adjoint(gram, helpers.to_pairs_mat(sr.p_g))
     assert helpers.is_self_adjoint(gram, helpers.to_pairs_mat(sr.p_r))
@@ -95,34 +95,35 @@ def test_split_projector_identities():
 def test_split_part_values_no_lk():
     _, rep, cocycle = _load("surface.gamma2.no_lk")
     sr = split(cocycle)
-    # the Gaussian side carries the counit representation
+    n = rep.form.dim
+    # both parts live on the ambient form: the Gaussian side carries the
+    # counit representation, the remainder the cocycle's own
+    assert sr.gaussian.form is sr.remainder.form is rep.form
+    assert sr.remainder.representation is rep
     for g in rep.presentation.generators:
-        assert sr.gaussian.representation.images[g] == linalg.identity(1)
-    # part coordinates of each generator value agree with projecting first
+        assert sr.gaussian.representation.images[g] == linalg.identity(n)
+    # each part's generator values are the projected values, and they add
+    # up to the cocycle's
     for g in rep.presentation.generators:
         eta = cocycle.letter_value((g, 1))
-        for part, proj in ((sr.gaussian, sr.p_g), (sr.remainder, sr.p_r)):
-            coords = linalg.mvmul(part.coords, eta)
-            assert coords == part.cocycle.letter_value((g, 1))
-            back = linalg.mvmul(linalg.from_columns(part.basis,
-                                                    rows_hint=rep.form.dim),
-                                coords)
-            assert back == linalg.mvmul(proj, eta)
+        eta_g = sr.gaussian.letter_value((g, 1))
+        eta_r = sr.remainder.letter_value((g, 1))
+        assert eta_g == linalg.mvmul(sr.p_g, eta)
+        assert eta_r == linalg.mvmul(sr.p_r, eta)
+        assert linalg.vadd(eta_g, eta_r) == eta
 
 
 def test_split_trivial_rep_has_empty_remainder():
     _, rep, cocycle = _load("zk.z2.gaussian")
     sr = split(cocycle)
-    assert sr.remainder.dim == 0
-    assert sr.gaussian.dim == rep.form.dim
+    assert sr.dim_remainder == 0 and sr.remainder_basis == ()
+    assert sr.dim_gaussian == rep.form.dim
     assert sr.p_r == linalg.zero_matrix(rep.form.dim, rep.form.dim)
     assert sr.p_g == linalg.identity(rep.form.dim)
     for g in rep.presentation.generators:
-        coords = sr.gaussian.cocycle.letter_value((g, 1))
-        back = linalg.mvmul(linalg.from_columns(sr.gaussian.basis,
-                                                rows_hint=rep.form.dim),
-                            coords)
-        assert back == cocycle.letter_value((g, 1))
+        eta = cocycle.letter_value((g, 1))
+        assert sr.gaussian.letter_value((g, 1)) == eta
+        assert helpers.is_zero_vector(sr.remainder.letter_value((g, 1)))
 
 
 def test_split_requires_definite_form():
@@ -140,12 +141,12 @@ def test_gaussian_part_values_are_additive():
     its value on a product word is the sum over the letters."""
     _, rep, cocycle = _load("freeproduct.p2_z2", "mixed")
     sr = split(cocycle)
-    part = sr.gaussian.cocycle
+    part = sr.gaussian
     letters = [(g, t) for g in rep.presentation.generators for t in (1, -1)]
     rng = random.Random(417)
     for _ in range(50):
         word = tuple(rng.choice(letters) for _ in range(rng.randrange(1, 6)))
-        total = linalg.zero_vector(sr.gaussian.dim)
+        total = linalg.zero_vector(rep.form.dim)
         for letter in word:
             total = linalg.vadd(total, part.eval_word((letter,)))
         assert part.eval_word(word) == total
@@ -158,8 +159,8 @@ def test_attempt_lk_decomposed_on_mixed_free_product():
     lk = attempt_lk(out.functional)
     assert lk.verdict == "decomposed"
     assert lk.decomposed
-    assert lk.split_result.gaussian.dim == 1
-    assert lk.split_result.remainder.dim == 1
+    assert lk.split_result.dim_gaussian == 1
+    assert lk.split_result.dim_remainder == 1
     assert lk.gaussian_outcome.feasible and lk.remainder_outcome.feasible
     for g in rep.presentation.generators:
         d = lk.derivation[g]
@@ -197,7 +198,7 @@ def test_attempt_lk_parts_are_generating_functionals():
     images = {g: helpers.to_pairs_mat(part.representation.images[g])
               for g in rep.presentation.generators}
     gram = helpers.to_pairs_mat(part.form.gram)
-    etas = {g: helpers.to_pairs_vec(part.cocycle.letter_value((g, 1)))
+    etas = {g: helpers.to_pairs_vec(part.letter_value((g, 1)))
             for g in rep.presentation.generators}
     psis = {g: helpers.to_pair(psi_r.values[g])
             for g in rep.presentation.generators}

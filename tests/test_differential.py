@@ -510,7 +510,7 @@ def test_mmul_matches_reference(operands):
             assert x == Scalar(x.re, x.im) and hash(x) == hash(Scalar(x.re, x.im))
     # mvmul on b's columns; a b without rows has none, and the empty
     # vector stands in
-    for v in linalg.columns(b) if b else [()]:
+    for v in H.columns(b) if b else [()]:
         assert H.to_pairs_vec(linalg.mvmul(a, v)) == H.mvec(
             H.to_pairs_mat(a), H.to_pairs_vec(v))
 
@@ -1794,8 +1794,9 @@ def test_functionals_of_one_cocycle_share_its_pairing_rows(setting, words,
 
 
 def test_functionals_of_a_split_part_share_its_pairing_rows():
-    # the dimension-4 block-unitary scenario: its remainder part is a
-    # dimension-2 cocycle with complex fractional coordinates
+    # the dimension-4 block-unitary scenario: its remainder part is the
+    # projected cocycle P_R eta on the ambient form, with complex fractional
+    # entries
     path = os.path.join(os.path.dirname(__file__), "data", "reports",
                         "small.decompose.block_unitary.decomposed.json")
     with open(path, encoding="utf-8") as fh:
@@ -1803,10 +1804,85 @@ def test_functionals_of_a_split_part_share_its_pairing_rows():
     whole = scenario.build_cocycle(scenario.build_representation())
     imag = {"a": Scalar(Fraction(2, 3)), "b": Scalar(Fraction(-5, 7))}
     for base_first in (True, False):
-        part = split(whole).remainder.cocycle
-        assert part.form.dim == 2
+        part = split(whole).remainder
+        assert part.form.dim == 4
         words = part.presentation.words_up_to(3)
         check_two_functionals(part, imag, words, base_first)
+
+
+_SPLIT_GROUPS = {
+    "Z2": Presentation.group(["a", "b"], [["a", "b", "a^-1", "b^-1"]]),
+    "p2": Presentation.group(["a", "b", "r"], [
+        ["a", "b", "a^-1", "b^-1"], ["r", "r"], ["r", "a", "r", "a"],
+        ["r", "b", "r", "b"]]),
+}
+
+
+@st.composite
+def block_split_data(draw):
+    """A cocycle on Z^2 or p2 over a definite form, with a counit block of
+    dimension 0 to 2 beside a unitary block of dimension 0 to 2 on which,
+    unless it is empty, some image is not the identity, conjugated by an invertible triangular
+    S (the form is S* S).  eta is a coboundary (pi(g) - 1) v on the unitary
+    block plus, on Z^2, any derivation on the counit block (p2 has none),
+    so either part can be empty.  On the unitary block Z^2 acts by diagonal
+    phases; p2 acts by signs in dimension 1, and in dimension 2 r swaps the
+    coordinates and a, b are the phases (u, conj u)."""
+    group = draw(st.sampled_from(sorted(_SPLIT_GROUPS)))
+    p = _SPLIT_GROUPS[group]
+    k0, k1 = draw(st.sampled_from([(0, 1), (0, 2), (1, 0), (2, 0), (1, 1),
+                                   (1, 2), (2, 1), (2, 2)]))
+    n = k0 + k1
+    signs = st.sampled_from([ONE, -ONE])
+    phases = st.sampled_from(UNIT_SCALARS)
+    if group == "Z2":
+        blocks = {g: [draw(phases) for _ in range(k1)] for g in "ab"}
+        blocks = {g: tuple(tuple(u if i == j else ZERO for j in range(k1))
+                           for i, u in enumerate(d))
+                  for g, d in blocks.items()}
+    elif k1 == 1:
+        blocks = {g: ((draw(signs),),) for g in "abr"}
+    else:
+        blocks = {"r": ((ZERO, ONE), (ONE, ZERO))} if k1 else {"r": ()}
+        for g in "ab":
+            u = draw(phases)
+            blocks[g] = ((u, ZERO), (ZERO, u.conj())) if k1 else ()
+    assume(not k1 or any(m != linalg.identity(k1) for m in blocks.values()))
+    images = {g: tuple(tuple(ONE if i == j else ZERO for j in range(n))
+                       for i in range(k0))
+              + tuple((ZERO,) * k0 + row for row in m)
+              for g, m in blocks.items()}
+    v = tuple(draw(ENTRIES) for _ in range(k1))
+    eta = {}
+    for g, m in blocks.items():
+        pushed = linalg.mvmul(m, v) if k1 else ()
+        derivation = (tuple(draw(ENTRIES) for _ in range(k0))
+                      if group == "Z2" else (ZERO,) * k0)
+        eta[g] = derivation + tuple(x - y for x, y in zip(pushed, v))
+    s_ = tuple(tuple(draw(NONZERO) if i == j else draw(ENTRIES) if j < i
+                     else ZERO for j in range(n)) for i in range(n))
+    s_inv = linalg.inverse(s_)
+    form = linalg.HermitianForm(linalg.mmul(linalg.conj_transpose(s_), s_))
+    rep = Representation(p, form, {
+        g: linalg.mmul(s_inv, linalg.mmul(m, s_)) for g, m in images.items()})
+    return Cocycle(rep, {g: linalg.mvmul(s_inv, e) for g, e in eta.items()})
+
+
+@settings(DIFF, max_examples=60)
+@given(block_split_data())
+def test_split_parts_solve_as_in_their_own_coordinates(cocycle):
+    """Each part of the split, the projected cocycle on the ambient form,
+    has the forced real parts and the solve report of the same part in
+    coordinates of its own."""
+    sr = split(cocycle)
+    reference = H.split_in_part_coordinates(cocycle)
+    assert (reference["gaussian"].form.dim, reference["remainder"].form.dim) \
+        == (sr.dim_gaussian, sr.dim_remainder)
+    for name in ("gaussian", "remainder"):
+        part, own = getattr(sr, name), reference[name]
+        assert forced_real_parts(part) == forced_real_parts(own)
+        assert (solve_generating_functional(part).to_json()
+                == solve_generating_functional(own).to_json())
 
 
 @st.composite
