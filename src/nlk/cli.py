@@ -9,7 +9,7 @@ a `--format` option wraps its result in one report envelope
 text (`reports.render_text`); `catalog list` prints one line per entry.
 Exit codes: 0 when the run passes or is feasible, 2 when it produces a
 certified negative (infeasible, counterexample, mismatch, refuted recheck),
-1 for input or internal errors.
+1 for input, usage or internal errors.
 """
 
 from __future__ import annotations
@@ -118,10 +118,19 @@ _OTHER_COMMANDS = {
 # --- argument parsing -----------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a usage error exiting 1, as any input error does, for
+    2 is a certified negative; subparsers are made of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process; parsing does not mutate it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nlk",
         description="Exact workbench for generating functionals of cocycles "
                     "on finitely presented group and star algebras.")

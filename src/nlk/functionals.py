@@ -5,13 +5,13 @@ hermitianity forces psi(g^-1) = conj(psi(g)) and the norm identity forces
 Re psi(g) = -1/2 <eta(g), eta(g)>, leaving the imaginary parts as the only
 unknowns.  Existence is decided by folding psi along each relator
 (`relator_readings`) and solving the resulting rational linear system in
-those imaginary parts.  Whether a given psi descends to the group algebra is
-decided by `descent_defect` alone: the forced real parts, then a zero fold
-on every relator.  Write the triple as one representation rho on D + C + C
-(Schurmann, White Noise on Bialgebras, 1993); psi descends exactly when
-rho(g) rho(g^-1) = I for every generator and rho(r) = I for every relator,
-and the oracle checks just these identities, each defining word against
-the empty word.  The GNS truncation and Gaussianity refuse a group psi
+those imaginary parts.  Write the triple as one representation rho on
+D + C + C (Schurmann, White Noise on Bialgebras, 1993); psi descends to
+the group algebra exactly when rho(g) rho(g^-1) = I for every generator and
+rho(r) = I for every relator.  A validated cocycle leaves only the psi
+entry to check, so one loop decides descent, psi folded on each defining
+word up to the first nonzero fold, which `descent_defect` words and the
+oracle reports.  The GNS truncation and Gaussianity refuse a group psi
 that does not descend; `verify` checks the triple identities on free-group
 words, so on a psi that descends it cannot fail.
 
@@ -27,17 +27,16 @@ Gaussian-integer vector U(w) [eta(w); eps(w); psi(w)] with U(l w) =
 Q(l) U(w), and fills a missing suffix from its tail by one integer step
 (`cocycles._fill`); scales are never divided.  `verify` reads its columns
 straight from this memo and pairs them with rows built by the form's
-`pairing`, and the oracle compares whole vectors; both decide by
-cross-multiplying; `verify` builds a witness from the integers it compared,
-and a Scalar is otherwise built only for a counterexample or a report
+`pairing`, decides by cross-multiplying, and builds a witness from the
+integers it compared.  A Scalar is otherwise built only for a report
 value, or through `fold`, which unscales a word's entry and keeps nothing,
-for `solve` and the relator readings; Gaussianity's `eval_element` sums
-from the memo and unscales once.  A group's GNS Gram matrix is the eta
-Gram E*GE of the cocycle's memo columns.  On a star algebra the Gram
-matrix is built a row at a time: a product that stays the concatenation
-of the rewritten star and the word is one inline table read, with
-`StarFunctional.read`'s support check, and a product rewritten past the
-junction is read through `read`.
+for `solve`, the relator readings and the descent loop; Gaussianity's
+`eval_element` sums from the memo and unscales once.  A group's GNS Gram
+matrix is the eta Gram E*GE of the cocycle's memo columns.  On a star
+algebra the Gram matrix is built a row at a time: a product that stays
+the concatenation of the rewritten star and the word is one inline table
+read, with `StarFunctional.read`'s support check, and a product rewritten
+past the junction is read through `read`.
 """
 
 from __future__ import annotations
@@ -148,9 +147,6 @@ class GroupFunctional:
                 q)
         return self._rows
 
-    def psi_word(self, word) -> Scalar:
-        return self.fold(word)
-
     def eval_element(self, element: AlgebraElement) -> Scalar:
         """Sum c psi(w) over the terms c w from the memo, unscaled once."""
         memo, a, b, d = self._memo, 0, 0, 1
@@ -210,7 +206,8 @@ class StarFunctional:
             raise TableSupportExceeded(word, self.support)
         return value
 
-    def psi_word(self, word) -> Scalar:
+    def fold(self, word) -> Scalar:
+        """psi of any word, by `read` of its canonical form."""
         c, red = self.presentation.reduce(word)
         return c * self.read(red)
 
@@ -273,25 +270,44 @@ def relator_readings(functional: GroupFunctional) -> tuple:
     return tuple(RelatorReading(r, k, k.re != 0) for r, k in folds)
 
 
-def descent_defect(functional: GroupFunctional, forced) -> str | None:
-    """Why psi does not descend to the group algebra with the real parts
-    `forced` (`forced_real_parts`), or None: the first generator with
-    another real part, else the first relator psi does not fold to 0 on."""
-    for g, value in functional.values.items():
-        if value.re != forced[g].re:
-            return (f"Re psi({g}) = {value.re} differs from the forced real "
-                    f"part {forced[g]}")
-    for rd in relator_readings(functional):
-        if not rd.k_r.is_zero():
-            return (f"psi folds to {rd.k_r} on relator "
-                    f"{word_to_strs(GROUP, rd.relator)}")
-    return None
+def defining_words(presentation) -> list:
+    """The words that name the identity by definition: g g^-1 for every
+    generator g, in order, then every relator."""
+    return ([((g, 1), (g, -1)) for g in presentation.generators]
+            + list(presentation.relators))
+
+
+def _first_nonzero_fold(functional: GroupFunctional) -> tuple:
+    """psi folded on each defining word (`defining_words`) in order, up to
+    the first nonzero fold: (the number of words folded, that word, its
+    fold), or (the number of defining words, None, None)."""
+    words = defining_words(functional.presentation)
+    for folded, word in enumerate(words, 1):
+        k = functional.fold(word)
+        if not k.is_zero():
+            return folded, word, k
+    return len(words), None, None
+
+
+def descent_defect(functional: GroupFunctional) -> str | None:
+    """Why psi does not descend to the group algebra, or None: the first
+    defining word psi does not fold to 0 on.  A unitary pi folds psi to
+    2 (Re psi(g) - r_g) on g g^-1, r_g the forced real part."""
+    folded, word, k = _first_nonzero_fold(functional)
+    if word is None:
+        return None
+    if folded > len(functional.presentation.generators):
+        return f"psi folds to {k} on relator {word_to_strs(GROUP, word)}"
+    g = word[0][0]
+    re = functional.values[g].re
+    return (f"Re psi({g}) = {re} differs from the forced real part "
+            f"{Scalar(re - k.re / 2)}")
 
 
 def _require_descent(functional: GroupFunctional):
     """Refuse a group psi that is no functional on the group algebra, in
     the words of `descent_defect`."""
-    defect = descent_defect(functional, forced_real_parts(functional.cocycle))
+    defect = descent_defect(functional)
     if defect:
         raise ValueError(defect)
 
@@ -407,7 +423,7 @@ def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> Verif
         return VerifyReport(passed=False, counts=counts,
                             witness={"identity": identity, **detail})
 
-    one_val = functional.eval_element(AlgebraElement.one(p))
+    one_val = functional.fold(())
     counts["psi_at_one"] = 1
     if not one_val.is_zero():
         return fail("psi_at_one", {"value": str(one_val)})
@@ -437,7 +453,7 @@ def verify_schurmann_triple(cocycle: Cocycle, functional, max_len: int) -> Verif
         if coeff.is_zero():
             return 0, 0, 1
         (a, b, d), (ca, cb, cd) = (psi.get(word)
-                                   or parts(functional.psi_word(word)),
+                                   or parts(functional.fold(word)),
                                    parts(coeff))
         return ca * a - cb * b, ca * b + cb * a, cd * d
 
@@ -579,7 +595,6 @@ class GnsResult(NamedTuple):
     gram: tuple
     rank: int
     psd: linalg.PsdResult
-    eta_vectors: dict | None     # word -> coordinates over the pivot words
     pivot_words: tuple | None
 
     def to_json(self):
@@ -619,9 +634,9 @@ def _group_gram(functional, words):
 def _star_gram(functional, words):
     """The rows of `gns_truncated` on a star algebra."""
     p, table = functional.presentation, functional.table
-    psi = [functional.psi_word(w) for w in words]
+    psi = [functional.fold(w) for w in words]
     stars = [p.involve_word(w) for w in words]
-    psi_star = [functional.psi_word(s) for s in stars]
+    psi_star = [functional.fold(s) for s in stars]
     support = functional.support
     eps = [p._word_character(w) for w in words]
     k = p.junction_width
@@ -683,9 +698,8 @@ def gns_truncated(functional, max_len: int) -> GnsResult:
     """Gram matrix of the kernel elements w - eps(w) under psi(a* b).
 
     Returns the exact Gram matrix, its rank, a semidefiniteness verdict
-    with witness, and, when semidefinite, the classes of the words
-    expressed over a maximal independent subset (these are the truncated
-    GNS vectors of eta).
+    with witness, and, when semidefinite, the pivot words, the first
+    maximal independent set of word classes.
 
     On a group every counit is 1 and entry (i, j), psi(w_i* w_j) less
     psi(w_j) and psi(w_i*), is <eta(w_i), eta(w_j)>, read from the
@@ -710,21 +724,14 @@ def gns_truncated(functional, max_len: int) -> GnsResult:
     words = tuple(p.words_up_to(max_len, include_empty=False))
     rows_of = _group_gram if p.kind == GROUP else _star_gram
     gram = tuple(map(tuple, rows_of(functional, words)))
-    # one conversion to integer rows, read by both eliminations.  The pivot
-    # columns are the first maximal independent set of word classes, and
-    # column j of the reduced rows gives w_j over them
+    # one conversion to integer rows, read by both eliminations
     rows = linalg.IntegerRows(gram)
-    red, pivot_idx = linalg.rref(rows)
-    rank = len(pivot_idx)
+    pivot_idx = linalg.rref(rows)[1]
     psd = linalg.psd_check(rows)
-    if not psd.psd:
-        return GnsResult(kind=p.kind, words=words, gram=gram, rank=rank, psd=psd,
-                         eta_vectors=None, pivot_words=None)
-    eta_vectors = {w: tuple(red[i][j] for i in range(rank))
-                   for j, w in enumerate(words)}
-    return GnsResult(kind=p.kind, words=words, gram=gram, rank=rank, psd=psd,
-                     eta_vectors=eta_vectors,
-                     pivot_words=tuple(words[i] for i in pivot_idx))
+    return GnsResult(kind=p.kind, words=words, gram=gram, rank=len(pivot_idx),
+                     psd=psd,
+                     pivot_words=(tuple(words[i] for i in pivot_idx)
+                                  if psd.psd else None))
 
 
 # --- the well-definedness oracle ------------------------------------
@@ -734,27 +741,19 @@ class OracleReport(NamedTuple):
     passed: bool
     words: int  # words folded, the empty word included
     pairs: int  # identities compared
-    # evaluator, the words word_a and word_b, and their values value_a and
-    # value_b (eta vectors or psi Scalars)
+    # evaluator "psi", the empty word word_a, the defining word word_b, and
+    # their psi values value_a and value_b
     counterexample: dict | None
 
     def to_json(self):
         ce = self.counterexample
         if ce is not None:
-            show = str if ce["evaluator"] == "psi" else linalg.vector_to_json
             ce = {"evaluator": ce["evaluator"],
                   "word_a": word_to_strs(GROUP, ce["word_a"]),
                   "word_b": word_to_strs(GROUP, ce["word_b"]),
-                  "value_a": show(ce["value_a"]),
-                  "value_b": show(ce["value_b"])}
+                  "value_a": str(ce["value_a"]),
+                  "value_b": str(ce["value_b"])}
         return {**self._asdict(), "counterexample": ce}
-
-
-def defining_words(presentation) -> list:
-    """The words that name the identity by definition: g g^-1 for every
-    generator g, in order, then every relator."""
-    return ([((g, 1), (g, -1)) for g in presentation.generators]
-            + list(presentation.relators))
 
 
 def brute_force_welldefinedness_oracle(cocycle: Cocycle,
@@ -762,42 +761,25 @@ def brute_force_welldefinedness_oracle(cocycle: Cocycle,
                                        presentation: Presentation,
                                        normal_form,
                                        max_len: int) -> OracleReport:
-    """Whether the letter data descends to the group: each defining word
-    (`defining_words`) against the empty word.
+    """Whether the letter data descends to the group: psi folded on each
+    defining word (`defining_words`) against the empty word.
 
     With rho(w) = [[pi(w), eta(w), 0], [0, eps(w), 0], [<eta(w^-1), .>,
     psi(w), eps(w)]], psi is well defined on the group algebra exactly when
-    rho(w) = I on every defining word w.  The pi block holds on a validated
-    representation and the pairing row follows from the eta column, so each
-    identity is one `scaled_same` of the word's memo entry [eta; eps; psi]
-    with the empty word's.  Returns the first mismatch, the empty word as
-    word_a, named the cocycle when the [eta; eps] part differs, else psi.
-    `normal_form` and `max_len` are ignored; `cocycle` must be the
+    rho(w) = I on every defining word w.  A validated cocycle has a unitary
+    representation and eta(r) = 0 on every relator r, so only the psi entry
+    can differ from the empty word's, and the oracle is the loop of
+    `descent_defect`: it returns the first nonzero fold, the empty word as
+    word_a.  `normal_form` and `max_len` are ignored; `cocycle` must be the
     functional's own.
     """
     if presentation.kind != GROUP:
         raise ValueError("the oracle needs a group presentation")
     if functional is None or cocycle is not functional.cocycle:
         raise ValueError("the oracle folds psi with the functional's cocycle")
-    n = cocycle.form.dim + 1  # eta and eps
-
-    def head(x):
-        re, im, s = x
-        return re[:n], None if im is None else im[:n], s
-
-    read = functional._vector
-    one = read(())
-    words = defining_words(presentation)
-    for pairs, word in enumerate(words, 1):
-        x = read(word)
-        if not scaled_same(x, one):
-            evaluator, value = (("psi", functional.fold)
-                                if scaled_same(head(x), head(one))
-                                else ("cocycle", cocycle.eval_word))
-            return OracleReport(passed=False, words=pairs + 1, pairs=pairs,
-                                counterexample={
-                                    "evaluator": evaluator, "word_a": (),
-                                    "word_b": word, "value_a": value(()),
-                                    "value_b": value(word)})
-    return OracleReport(passed=True, words=len(words) + 1, pairs=len(words),
-                        counterexample=None)
+    pairs, word, k = _first_nonzero_fold(functional)
+    return OracleReport(
+        passed=word is None, words=pairs + 1, pairs=pairs,
+        counterexample=None if word is None else {
+            "evaluator": "psi", "word_a": (), "word_b": word,
+            "value_a": functional.fold(()), "value_b": k})

@@ -20,8 +20,8 @@ pivot columns, `values`, each pivot's value when its column is reached,
 and `swaps`, the number of row exchanges.  All but semidefiniteness read
 it: `rref` (rank, pivot columns, coordinates), where its rows become
 Scalars; `solve_linear` on [a | b | I] (infeasible exactly when b's column
-is a pivot column, whose row carries the certificate) and `kernel`, which
-make Scalars only of the entries they return; `_invert` on [m | I], whose
+is a pivot column, whose row carries the certificate), which makes Scalars
+only of the entries it returns; `_invert` on [m | I], whose
 pivot values and swaps also decide a hermitian form's definiteness
 (Sylvester); `det`, (-1)^swaps times the pivot values.
 `psd_check` runs a diagonal-pivoted congruence with the same row step over
@@ -305,11 +305,6 @@ def rref(rows) -> tuple:
 
 def rank(m) -> int:
     return len(_reduce(m)[1])
-
-
-def kernel(m) -> list:
-    """Basis of the right kernel of m, as a list of vectors."""
-    return _kernel_basis(*_reduce(m)[:2], mat_shape(m)[1])
 
 
 def _entry(row, j) -> Scalar:

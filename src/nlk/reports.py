@@ -109,10 +109,11 @@ def _cocycle(scenario):
 def _check_supplied(functional):
     """Stop unless a supplied group psi descends (`descent_defect`): it
     carries the forced real parts and folds to zero on every relator, the
-    checks a solved psi passes."""
-    forced = forced_real_parts(functional.cocycle)
-    if descent_defect(functional, forced) is None:
+    checks a solved psi passes.  The stop shows the forced real parts and
+    the relator readings."""
+    if descent_defect(functional) is None:
         return
+    forced = forced_real_parts(functional.cocycle)
     raise _EarlyStop("ill_defined_psi",
                      forced_real_parts={g: str(v) for g, v in forced.items()},
                      readings=[rd.to_json()
@@ -422,9 +423,9 @@ def _check_solve(label, outcome):
                                     outcome.system_rhs)
         _need(defect is None, f"{label}: {defect}")
         return f"{label}: infeasibility certificate confirmed"
-    cocycle = outcome.functional.cocycle
-    fresh = GroupFunctional(cocycle, outcome.functional.values)
-    defect = descent_defect(fresh, forced_real_parts(cocycle))
+    fresh = GroupFunctional(outcome.functional.cocycle,
+                            outcome.functional.values)
+    defect = descent_defect(fresh)
     _need(defect is None, f"{label}: {defect}")
     return f"{label}: psi has the forced real parts and folds to zero on " \
            f"every relator"
@@ -456,20 +457,18 @@ def _check_correction(lk):
 
 def _check_counterexample(functional, ce):
     """An oracle counterexample sets a defining word of the group, g g^-1
-    or a relator, against the empty word, and the word folds afresh to
-    another value than the empty word's: psi through a functional with a
-    memo of its own, eta through the cocycle."""
+    or a relator, against the empty word, and psi folds the word afresh,
+    through a functional with a memo of its own, to another value than
+    the empty word's."""
     word, defining = ce["word_b"], defining_words(functional.presentation)
     _need(ce["word_a"] == () and word in defining,
           "counterexample: not a defining word against the empty word")
-    fresh = GroupFunctional(functional.cocycle, functional.values)
-    fold = fresh.fold if ce["evaluator"] == "psi" else fresh.cocycle.eval_word
+    fold = GroupFunctional(functional.cocycle, functional.values).fold
     shown = " ".join(word_to_strs(GROUP, word))
     _need(fold(word) == ce["value_b"] != ce["value_a"] == fold(()),
-          f"counterexample: a fresh {ce['evaluator']} fold of {shown} is "
-          f"the empty word's")
+          f"counterexample: a fresh psi fold of {shown} is the empty word's")
     return (f"counterexample: {shown} is a defining word, and a fresh "
-            f"{ce['evaluator']} fold of it is not the empty word's")
+            f"psi fold of it is not the empty word's")
 
 
 def _text(value) -> str:

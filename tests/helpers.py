@@ -15,7 +15,7 @@ was built from.
 
 The fixtures at the end build package objects: the obstruction 2-cochain
 L(eta) with its Hochschild boundary, which `cocycles.big_K` is compared
-with, `vsub` and `is_zero_vector` on vectors of package Scalars, the
+with, `vsub`, `is_zero_vector` and `kernel` on package Scalars, the
 closure loop that `decompose.invariant_closure` is compared with, the
 parts of `decompose.split` in coordinates of their own, the coboundary
 cocycle of a vector with its functional PhiV, and a scenario
@@ -574,7 +574,7 @@ def verify_per_pair(cocycle, functional, max_len):
     """The triple checks of `verify_schurmann_triple`, one pair at a time.
 
     Every value comes from the handed objects' per-word paths (eval_word,
-    psi_word, the presentation's reduction) and every coboundary pair is
+    fold, the presentation's reduction) and every coboundary pair is
     tested with its own inner product, in the package's scan order.
     Returns the report as JSON.
     """
@@ -594,18 +594,18 @@ def verify_per_pair(cocycle, functional, max_len):
 
     def psi_of_product(w1, w2):
         if group:
-            return functional.psi_word(p.free_reduce(w1 + w2))
-        return functional.psi_word(w1 + w2)
+            return functional.fold(p.free_reduce(w1 + w2))
+        return functional.fold(w1 + w2)
 
     eps = p._word_character
 
-    one_val = functional.psi_word(())
+    one_val = functional.fold(())
     if not one_val.is_zero():
         return report("psi_at_one", value=str(one_val))
     words = p.words_up_to(max_len, include_empty=False)
     for w in words:
-        lhs = functional.psi_word(p.involve_word(w))
-        rhs = functional.psi_word(w).conj()
+        lhs = functional.fold(p.involve_word(w))
+        rhs = functional.fold(w).conj()
         counts["hermitian"] += 1
         if lhs != rhs:
             return report("hermitian", word=strs(w), psi_star=str(lhs),
@@ -614,8 +614,8 @@ def verify_per_pair(cocycle, functional, max_len):
         for wb in words:
             if len(wa) + len(wb) > max_len:
                 continue
-            lhs = (eps(wa) * functional.psi_word(wb) - psi_of_product(wa, wb)
-                   + functional.psi_word(wa) * eps(wb))
+            lhs = (eps(wa) * functional.fold(wb) - psi_of_product(wa, wb)
+                   + functional.fold(wa) * eps(wb))
             rhs = -form.inner(cocycle.eval_word(p.involve_word(wa)),
                               cocycle.eval_word(wb))
             counts["coboundary"] += 1
@@ -626,8 +626,8 @@ def verify_per_pair(cocycle, functional, max_len):
         if len(w) > max_len // 2:
             continue
         star = p.involve_word(w)
-        lhs = (psi_of_product(star, w) - eps(w) * functional.psi_word(star)
-               - eps(w).conj() * functional.psi_word(w))
+        lhs = (psi_of_product(star, w) - eps(w) * functional.fold(star)
+               - eps(w).conj() * functional.fold(w))
         rhs = form.inner(cocycle.eval_word(w), cocycle.eval_word(w))
         counts["positivity"] += 1
         if lhs != rhs:
@@ -768,6 +768,13 @@ def columns(m) -> list:
     return [tuple(col) for col in zip(*m)]
 
 
+def kernel(m) -> list:
+    """A basis of the right kernel of a matrix of package Scalars, read off
+    the package's elimination as `solve_linear` reads its kernel basis."""
+    return linalg._kernel_basis(*linalg._reduce(m)[:2],
+                                linalg.mat_shape(m)[1])
+
+
 def invariant_closure_by_iteration(representation):
     """`decompose.invariant_closure` as a closure loop: the echelon basis
     of the (pi(l) - eps(l)) basis vectors, extended by pi(l) of the basis
@@ -805,7 +812,7 @@ def split_in_part_coordinates(cocycle) -> dict:
     rep = cocycle.representation
     p, form = rep.presentation, rep.form
     h_r = invariant_closure_by_iteration(rep)
-    h_g = (linalg.kernel(linalg.mmul([[x.conj() for x in b] for b in h_r],
+    h_g = (kernel(linalg.mmul([[x.conj() for x in b] for b in h_r],
                                      form.gram))
            if h_r else list(linalg.identity(form.dim)))
     parts = {}

@@ -158,9 +158,18 @@ MUTANTS = (
            "    return list(presentation.relators)",
            ("tests/test_functionals.py::"
             "test_oracle_sets_g_g_inverse_against_the_empty_word",)),
-    Mutant("oracle compares the [eta; eps] part only", "nlk/functionals.py",
-           "        if not scaled_same(x, one):",
-           "        if not scaled_same(head(x), head(one)):",
+    # r_g = Re psi(g) + fold(g g^-1) / 2, where psi(g g^-1) = 2 (Re psi(g)
+    # - r_g)
+    Mutant("forced real part in the descent message with the wrong sign",
+           "nlk/functionals.py",
+           "{Scalar(re - k.re / 2)}", "{Scalar(re + k.re / 2)}",
+           ("tests/test_functionals.py::"
+            "test_descent_defect_reports_a_wrong_real_part_before_any_relator",
+            DIFF + "test_gns_gram_is_the_eta_pairing_or_a_real_part_refusal")),
+    # a fold with a zero real part, such as -2i on a commutator, is skipped
+    Mutant("oracle skips a nonzero fold", "nlk/functionals.py",
+           "        if not k.is_zero():\n            return folded, word, k",
+           "        if k.re:\n            return folded, word, k",
            ("tests/test_functionals.py::"
             "test_oracle_rejects_candidate_when_solver_says_infeasible",)),
     # psi(g^-1) = psi(g) where it is conj psi(g)

@@ -43,6 +43,7 @@ from nlk.functionals import (
     TableSupportExceeded,
     brute_force_welldefinedness_oracle,
     certificate_defect,
+    defining_words,
     descent_defect,
     forced_real_parts,
     gns_truncated,
@@ -302,7 +303,7 @@ def test_inverse_matches_reference_or_reports_singular(m):
 @MATRICES
 @given(RECT)
 def test_kernel_vectors_are_annihilated(m):
-    basis = linalg.kernel(m)
+    basis = H.kernel(m)
     cols = len(m[0])
     assert len(basis) == cols - linalg.rank(m)
     for k in basis:
@@ -407,7 +408,7 @@ def test_solve_linear_reads_what_rref_reads(system):
     out, expected = linalg.solve_linear(m, b), rref_reading(m, b)
     assert type(out) is type(expected) and out == expected
     if isinstance(out, linalg.LinearSolution):
-        assert linalg.kernel(m) == list(expected.kernel_basis)
+        assert H.kernel(m) == list(expected.kernel_basis)
 
 
 @st.composite
@@ -421,7 +422,7 @@ def certificate_cases(draw):
                                                 max_size=cols))))
     else:
         b = tuple(draw(st.lists(ENTRIES, min_size=rows, max_size=rows)))
-    left = linalg.kernel(tuple(zip(*a)))
+    left = H.kernel(tuple(zip(*a)))
     if left and draw(st.booleans()):
         lam = list(draw(st.sampled_from(left)))
         if draw(st.booleans()):
@@ -1468,10 +1469,11 @@ def test_level_folds_match_the_reference_on_groups(data, psi, max_len, rnd):
 @given(free_group_data(), st.booleans(), st.data())
 def test_memo_vector_and_oracle_evaluator_match_the_reference(
         data, trivial, draws):
-    """The oracle on <a, b | w w'>, w' the word w with its exponents
-    flipped (the word w against its reverse), for an unvalidated cocycle
-    and psi with the forced real parts, so that g g^-1 passes and the
-    relator decides."""
+    """The memo on <a, b | w w'>, w' the word w with its exponents flipped
+    (the word w against its reverse), for an unvalidated cocycle and psi
+    with the forced real parts, so that g g^-1 folds to 0 and the relator
+    decides; and the oracle on the same data where the cocycle validates,
+    with identity images."""
     gram, images, _ = data
     n = len(gram)
     vec = st.lists(NONZERO, min_size=n, max_size=n).map(tuple)
@@ -1489,37 +1491,38 @@ def test_memo_vector_and_oracle_evaluator_match_the_reference(
         images = {g: linalg.identity(n) for g in "ab"}
     p = Presentation.group(["a", "b"], [word_to_strs(presentations.GROUP,
                                                      relator)])
-    rep = Representation(p, linalg.HermitianForm(gram), images,
-                         _validated=True)
-    cocycle = Cocycle(rep, eta, _validated=True)
+    form = linalg.HermitianForm(gram)
+    cocycle = Cocycle(Representation(p, form, images, _validated=True), eta,
+                      _validated=True)
     psi = {g: r + I * Scalar(draws.draw(SMALL))
            for g, r in forced_real_parts(cocycle).items()}
     functional = GroupFunctional(cocycle, psi)
-    report = brute_force_welldefinedness_oracle(cocycle, functional, p, None,
-                                                0)
+    defining = [((g, 1), (g, -1)) for g in "ab"] + [relator]
+    for w in defining:
+        functional.fold(w)
     # the whole vector, eps included, against the reference
-    H.check_group_memo(functional, [((g, 1), (g, -1)) for g in "ab"]
-                       + [relator])
+    H.check_group_memo(functional, defining)
+    if not trivial:
+        return
     ref = ({g: H.to_pairs_mat(m) for g, m in images.items()},
            {g: H.to_pairs_vec(v) for g, v in eta.items()})
     ref_psi = {g: H.to_pair(v) for g, v in functional.values.items()}
-    eta_r = H.eta_word(*ref, relator, n)
+    assert H.eta_word(*ref, relator, n) == H.zero_vec(n)
     psi_r = H.psi_word(*ref, ref_psi, H.to_pairs_mat(gram), relator, n)
-    # the cocycle when eta differs from the empty word's, psi when only psi
-    # does, and no counterexample when neither does; the values shown are
-    # the reference's
-    expected = ("cocycle" if eta_r != H.zero_vec(n)
-                else "psi" if psi_r != H.CZERO else None)
-    assert report.passed == (expected is None)
+    # validated here: identity images keep the relator, and eta(relator) = 0
+    validated = Cocycle(Representation(p, form, images), eta)
+    report = brute_force_welldefinedness_oracle(
+        validated, GroupFunctional(validated, psi), p, None, 0)
+    # no counterexample when psi folds to 0 on the relator, else the
+    # relator with the reference's value
+    assert report.passed == (psi_r == H.CZERO)
     assert (report.words, report.pairs) == (4, 3)
-    if expected is not None:
+    if not report.passed:
         ce = report.counterexample
         assert (ce["evaluator"], ce["word_a"], ce["word_b"]) == (
-            expected, (), relator)
-        show = H.to_pairs_vec if expected == "cocycle" else H.to_pair
-        assert (show(ce["value_a"]), show(ce["value_b"])) == (
-            (H.zero_vec(n), eta_r) if expected == "cocycle"
-            else (H.CZERO, psi_r))
+            "psi", (), relator)
+        assert (H.to_pair(ce["value_a"]), H.to_pair(ce["value_b"])) == (
+            H.CZERO, psi_r)
 
 
 @st.composite
@@ -2395,7 +2398,7 @@ def test_gns_gram_matches_the_per_entry_reference_with_relators(data, draws,
     p, images, cocycle = data
     psi = _with_forced_real_parts(
         cocycle, {g: draws.draw(ENTRIES) for g in p.generators})
-    defect = descent_defect(psi, forced_real_parts(cocycle))
+    defect = descent_defect(psi)
     if defect is not None:
         with pytest.raises(ValueError) as info:
             gns_truncated(psi, max_len)
@@ -2478,7 +2481,10 @@ def _catalog_group_scenarios():
 def test_oracle_passes_exactly_when_psi_descends_on_the_catalog_groups(
         case, draws):
     """On Z^2, p2, the genus-two surface group and the free product, with
-    psi drawn around the solved one; a counterexample report rechecks."""
+    psi drawn around the solved one: the oracle passes exactly when the
+    reference's pair-arithmetic fold of psi is 0 on every defining word,
+    and otherwise names the first word it is not 0 on, with that fold; a
+    counterexample report rechecks."""
     doc = copy.deepcopy(catalog.scenario_doc(*case))
     scn = parse_scenario(doc)
     cocycle = scn.build_cocycle(scn.build_representation())
@@ -2486,11 +2492,22 @@ def test_oracle_passes_exactly_when_psi_descends_on_the_catalog_groups(
     doc["functional"] = {"psi": {g: str(v) for g, v in psi.items()}}
     scn = parse_scenario(doc)
     result, code = reports.run_command("oracle", scn, 4)
-    defect = descent_defect(GroupFunctional(cocycle, psi),
-                            forced_real_parts(cocycle))
-    assert result["passed"] == (defect is None) == (code == 0)
-    if not result["passed"]:
-        assert result["counterexample"]["evaluator"] == "psi"
+    p = cocycle.presentation
+    ref = ({g: H.to_pairs_mat(m)
+            for g, m in cocycle.representation.images.items()},
+           {g: H.to_pairs_vec(cocycle.values[g, 1]) for g in p.generators},
+           {g: H.to_pair(v) for g, v in psi.items()},
+           H.to_pairs_mat(cocycle.form.gram))
+    folds = [(w, H.psi_word(*ref, w, cocycle.form.dim))
+             for w in defining_words(p)]
+    nonzero = [(w, k) for w, k in folds if k != H.CZERO]
+    assert result["passed"] == (not nonzero) == (code == 0)
+    if nonzero:
+        word, k = nonzero[0]
+        ce = result["counterexample"]
+        assert (ce["evaluator"], ce["word_b"]) == (
+            "psi", word_to_strs(presentations.GROUP, word))
+        assert H.to_pair(Scalar.parse(ce["value_b"])) == k
         report = json.loads(reports.dumps(
             reports.make_report("oracle", result, code, doc)))
         assert reports.recheck(report).confirmed

@@ -868,7 +868,7 @@ def test_cli_parser_survives_a_usage_error(tmp_path, capsys):
     assert cli.build_parser() is cli.build_parser()
     with pytest.raises(SystemExit) as info:
         cli.main(["solve", "--format", "yaml"])
-    assert info.value.code == 2
+    assert info.value.code == 1
     capsys.readouterr()
     path = write_doc(tmp_path, z2_doc())
     assert cli.main(["solve", path, "--format", "json"]) == 0
